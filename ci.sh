@@ -2,7 +2,7 @@
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
 #   ./ci.sh          # everything: build, tests, bench gates, examples, clippy, fmt
-#   ./ci.sh quick    # just the tier-1 gate: release build + tests
+#   ./ci.sh quick    # just the tier-1 gate: release build + tests + perfbench tests
 #
 # Every cargo invocation passes --locked so a drifted Cargo.lock fails loudly
 # instead of being silently regenerated, and the lockfile is checked for
@@ -31,6 +31,11 @@ cargo build --release --locked
 
 step "cargo test --locked -q"
 cargo test --locked -q
+
+# The benchmark harness is its own workspace over the public API: build and
+# test it here so an API change that breaks it fails tier-1.
+step "cargo test perfbench (benchmark harness)"
+cargo test --locked --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "${1:-}" == "quick" ]]; then
     check_lockfile

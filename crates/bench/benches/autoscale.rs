@@ -64,8 +64,8 @@ fn scaler() -> AutoscalerConfig {
 /// *signal* SLO the controller tracks is 2x looser than the measurement
 /// SLO: late-finishing flash stragglers should not re-trigger scale-ups
 /// after the burst has already passed.
-fn elastic_cfg() -> ElasticConfig {
-    ElasticConfig::new(scaler()).with_signal_slo(SloSpec::scaled_from_baseline(
+fn elastic_cfg() -> FleetPlan {
+    FleetPlan::new(scaler()).with_signal_slo(SloSpec::scaled_from_baseline(
         0.05,
         0.002,
         0.05,
@@ -123,8 +123,10 @@ fn static_fleet(n: usize, trace: &Trace, slo: &SloSpec) -> Sample {
         FleetConfig::paper_fleet(SystemKind::LoongServe, n, RouterPolicy::JoinShortestQueue);
     config.parallel = true;
     let mut engine = FleetEngine::new(config);
+    let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
-    let outcome = engine.run(trace);
+    let outcome = engine.run(stream, &FleetPlan::fixed(n), None);
+    let outcome = outcome.expect("valid plan").fleet;
     let wall_s = start.elapsed().as_secs_f64();
     let replica_seconds = n as f64 * outcome.sim_time.as_secs();
     Sample {
@@ -141,7 +143,7 @@ fn static_fleet(n: usize, trace: &Trace, slo: &SloSpec) -> Sample {
     }
 }
 
-fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, cfg: &ElasticConfig) -> Sample {
+fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, plan: &FleetPlan) -> Sample {
     let mut config = FleetConfig::paper_fleet(
         SystemKind::LoongServe,
         MAX_REPLICAS,
@@ -150,8 +152,9 @@ fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, cfg: &ElasticConfig)
     // Pooled era execution; serial-equivalent per streaming_properties.
     config.parallel = true;
     let mut engine = FleetEngine::new(config);
+    let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
-    let outcome = engine.run_elastic(trace, cfg);
+    let outcome = engine.run(stream, plan, None).expect("valid plan");
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         outcome.total_requests(),

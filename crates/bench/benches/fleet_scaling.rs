@@ -53,8 +53,10 @@ fn run_fleet(replicas: usize, count: usize) -> Sample {
         FleetConfig::paper_fleet(SystemKind::LoongServe, replicas, RouterPolicy::RoundRobin);
     config.parallel = true;
     let mut fleet = FleetEngine::new(config);
+    let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
-    let outcome = fleet.run(&trace);
+    let outcome = fleet.run(stream, &FleetPlan::fixed(replicas), None);
+    let outcome = outcome.expect("valid plan").fleet;
     let wall_s = start.elapsed().as_secs_f64();
     let summary = outcome.summary(
         "LoongServe fleet",

@@ -3,7 +3,7 @@
 //! The simulator's north star is replaying million-request traces at
 //! hardware speed, and this bench is where that claim is measured end to
 //! end: a ShareGPT Poisson trace is generated **lazily** by a
-//! [`TraceStream`] and fed to `run_reliable_stream` over an 8-replica
+//! [`TraceStream`] and fed to `FleetEngine::run` over an 8-replica
 //! LoongServe fleet behind JSQ routing, with era segments on the bounded
 //! worker pool. A staggered periodic crash schedule touches every replica,
 //! so era boundaries keep flushing the frontend's routing buckets — the
@@ -84,8 +84,7 @@ fn vm_hwm_kb() -> Option<u64> {
 
 struct Run {
     wall_s: f64,
-    outcome: ReliableFleetOutcome,
-    footprint: FleetFootprint,
+    outcome: FleetRun,
     recorder: Option<TraceRecorder>,
 }
 
@@ -101,7 +100,8 @@ fn run_streamed(
     // tail so late eras keep flushing too.
     let horizon = count as f64 / rate + 200.0;
     let schedule = staggered_schedule(replicas, crash_period, horizon);
-    let rel = ReliabilityConfig::new(schedule)
+    let plan = FleetPlan::fixed(replicas)
+        .with_schedule(schedule)
         .with_retry(RetryPolicy::exponential(3, 0.25))
         .with_sla_window(60.0);
     let mut config = FleetConfig::paper_fleet(
@@ -118,18 +118,18 @@ fn run_streamed(
         &mut SimRng::seed(SEED),
     );
     let start = Instant::now();
-    let (outcome, footprint, recorder) = if traced {
+    let (outcome, recorder) = if traced {
         // The default config: 1% deterministic span sampling, always-on
         // per-replica timeseries. Tracing is bit-for-bit inert (pinned by
         // tests/observability_properties.rs), so the gated metrics below
         // are identical with or without the recorder.
         let mut rec = TraceRecorder::new(TraceConfig::default());
-        let (outcome, footprint) = fleet.run_reliable_stream_traced(stream, &rel, &mut rec);
-        (outcome, footprint, Some(rec))
+        let outcome = fleet.run(stream, &plan, Some(&mut rec));
+        (outcome, Some(rec))
     } else {
-        let (outcome, footprint) = fleet.run_reliable_stream(stream, &rel);
-        (outcome, footprint, None)
+        (fleet.run(stream, &plan, None), None)
     };
+    let outcome = outcome.expect("valid plan");
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         outcome.total_requests(),
@@ -139,7 +139,6 @@ fn run_streamed(
     Run {
         wall_s,
         outcome,
-        footprint,
         recorder,
     }
 }
@@ -199,8 +198,8 @@ fn main() {
     let makespan_s = run.outcome.fleet.sim_time.as_secs();
     let completed = run.outcome.fleet.records.len();
     let failed = run.outcome.failed.len();
-    let resident_share =
-        run.footprint.peak_resident_requests as f64 / run.footprint.streamed_requests.max(1) as f64;
+    let resident_share = run.outcome.footprint.peak_resident_requests as f64
+        / run.outcome.footprint.streamed_requests.max(1) as f64;
 
     println!(
         "{:>10} {:>9} {:>8} {:>8} {:>11} {:>10} {:>13} {:>9}",
@@ -215,12 +214,12 @@ fn main() {
     );
     println!(
         "{:>10} {:>9} {:>8} {:>8} {:>11.1} {:>10} {:>12.2}% {:>9.2}",
-        run.footprint.streamed_requests,
+        run.outcome.footprint.streamed_requests,
         completed,
         failed,
         crashes,
         makespan_s,
-        run.footprint.peak_resident_requests,
+        run.outcome.footprint.peak_resident_requests,
         resident_share * 100.0,
         run.wall_s
     );
@@ -236,7 +235,7 @@ fn main() {
     // The whole run was observed by a 1%-sampling recorder; prove its
     // residency bound and surface the ledger next to the footprint.
     let recorder = run.recorder.as_ref().expect("the main run is traced");
-    assert_recorder_bounded(recorder, run.footprint.streamed_requests);
+    assert_recorder_bounded(recorder, run.outcome.footprint.streamed_requests);
     let ledger = recorder.ledger();
     println!(
         "trace ledger: {} sampled of {} seen, {} spans, {} instants, \
@@ -252,7 +251,9 @@ fn main() {
     // The line CI greps for in the million-scale smoke step.
     println!(
         "MILLION_SCALE streamed={} peak_resident={} failed_terminal={}",
-        run.footprint.streamed_requests, run.footprint.peak_resident_requests, failed
+        run.outcome.footprint.streamed_requests,
+        run.outcome.footprint.peak_resident_requests,
+        failed
     );
 
     if smoke {
@@ -260,8 +261,8 @@ fn main() {
         // (`cargo run -p xtask -- bench-gate BENCH_million.json`).
         println!(
             "BENCH_SMOKE_JSON {{\"benchmark\":\"million_scale\",\"streamed\":{},\"completed\":{},\"failed\":{},\"crashes\":{},\"makespan_s\":{:.3},\"peak_resident\":{}}}",
-            run.footprint.streamed_requests, completed, failed, crashes, makespan_s,
-            run.footprint.peak_resident_requests
+            run.outcome.footprint.streamed_requests, completed, failed, crashes, makespan_s,
+            run.outcome.footprint.peak_resident_requests
         );
         // Export the sampled spans for `xtask trace-check` (the ci.sh
         // step that cross-validates the document against this ledger).

@@ -3,10 +3,10 @@
 //! Replays the same streamed reliable workload twice over a 4-replica
 //! LoongServe fleet under a staggered crash schedule:
 //!
-//! * **untraced** — `run_reliable_stream`, the recorder-less path (the
-//!   armed no-op sink compiles to the same thing: the recorder option is
-//!   `None` and every emission site is a branch-not-taken);
-//! * **traced** — `run_reliable_stream_traced` with the default
+//! * **untraced** — `FleetEngine::run` without a recorder (the armed
+//!   no-op sink compiles to the same thing: the recorder option is `None`
+//!   and every emission site is a branch-not-taken);
+//! * **traced** — `FleetEngine::run` with a recorder under the default
 //!   [`TraceConfig`]: 1% deterministic span sampling, always-on
 //!   per-replica timeseries, per-class time attribution.
 //!
@@ -55,9 +55,10 @@ fn staggered_schedule(replicas: usize, period: f64, horizon: f64) -> FailureSche
     FailureSchedule::from_events(events)
 }
 
-fn reliability(count: usize) -> ReliabilityConfig {
+fn plan(count: usize) -> FleetPlan {
     let horizon = count as f64 / RATE + 200.0;
-    ReliabilityConfig::new(staggered_schedule(REPLICAS, CRASH_PERIOD_S, horizon))
+    FleetPlan::fixed(REPLICAS)
+        .with_schedule(staggered_schedule(REPLICAS, CRASH_PERIOD_S, horizon))
         .with_retry(RetryPolicy::exponential(3, 0.25))
         .with_sla_window(60.0)
 }
@@ -84,20 +85,20 @@ fn stream(count: usize) -> TraceStream {
 /// One arm execution: wall seconds plus the outcome's Debug rendering
 /// (the bit-for-bit equality witness) and the recorder, if armed.
 fn run_arm(count: usize, traced: bool) -> (f64, String, Option<TraceRecorder>) {
-    let rel = reliability(count);
+    let plan = plan(count);
     let mut engine = fleet();
     let start = Instant::now();
-    let (outcome, footprint, recorder) = if traced {
+    let (outcome, recorder) = if traced {
         let mut rec = TraceRecorder::new(TraceConfig::default());
-        let (outcome, footprint) = engine.run_reliable_stream_traced(stream(count), &rel, &mut rec);
-        (outcome, footprint, Some(rec))
+        let outcome = engine.run(stream(count), &plan, Some(&mut rec));
+        (outcome, Some(rec))
     } else {
-        let (outcome, footprint) = engine.run_reliable_stream(stream(count), &rel);
-        (outcome, footprint, None)
+        (engine.run(stream(count), &plan, None), None)
     };
     let wall_s = start.elapsed().as_secs_f64();
+    let outcome = outcome.expect("valid plan");
     assert_eq!(outcome.total_requests(), count);
-    (wall_s, format!("{outcome:?}{footprint:?}"), recorder)
+    (wall_s, format!("{outcome:?}"), recorder)
 }
 
 fn main() {

@@ -34,7 +34,7 @@ const SEED: u64 = 2028;
 struct Sample {
     label: &'static str,
     wall_s: f64,
-    outcome: ReliableFleetOutcome,
+    outcome: FleetRun,
 }
 
 impl Sample {
@@ -45,7 +45,7 @@ impl Sample {
     }
 }
 
-fn run(label: &'static str, trace: &Trace, rel: &ReliabilityConfig) -> Sample {
+fn run(label: &'static str, trace: &Trace, plan: &FleetPlan) -> Sample {
     let mut config = FleetConfig::paper_fleet(
         SystemKind::LoongServe,
         REPLICAS,
@@ -55,8 +55,9 @@ fn run(label: &'static str, trace: &Trace, rel: &ReliabilityConfig) -> Sample {
     // serial (tests/streaming_properties.rs), so the gate stays valid.
     config.parallel = true;
     let mut fleet = FleetEngine::new(config);
+    let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
-    let outcome = fleet.run_reliable(trace, rel);
+    let outcome = fleet.run(stream, plan, None).expect("valid plan");
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         outcome.total_requests(),
@@ -101,24 +102,27 @@ fn main() {
     let idle = run(
         "armed-idle",
         &trace,
-        &ReliabilityConfig::disarmed()
+        &FleetPlan::fixed(REPLICAS)
             .with_retry(retry)
             .with_breaker(breaker),
     );
     let fail_fast = run(
         "fail-fast",
         &trace,
-        &ReliabilityConfig::new(schedule.clone()),
+        &FleetPlan::fixed(REPLICAS).with_schedule(schedule.clone()),
     );
     let retried = run(
         "retry-x3",
         &trace,
-        &ReliabilityConfig::new(schedule.clone()).with_retry(retry),
+        &FleetPlan::fixed(REPLICAS)
+            .with_schedule(schedule.clone())
+            .with_retry(retry),
     );
     let breakered = run(
         "retry+breaker",
         &trace,
-        &ReliabilityConfig::new(schedule)
+        &FleetPlan::fixed(REPLICAS)
+            .with_schedule(schedule)
             .with_retry(retry)
             .with_breaker(breaker),
     );

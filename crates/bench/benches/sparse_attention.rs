@@ -207,8 +207,9 @@ fn main() {
             let mut config =
                 FleetConfig::paper_fleet(SystemKind::LoongServe, 2, RouterPolicy::RoundRobin);
             config.attention = *policy;
-            let mut fleet = FleetEngine::new(config);
-            let outcome = fleet.run(&fleet_trace);
+            let stream = TraceStream::from_trace(fleet_trace.clone());
+            let run = FleetEngine::new(config).run(stream, &FleetPlan::fixed(2), None);
+            let outcome = run.expect("valid plan").fleet;
             let makespan = outcome.sim_time.as_secs();
             let rps = outcome.records.len() as f64 / makespan;
             println!(

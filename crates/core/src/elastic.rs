@@ -1,174 +1,66 @@
-//! The elasticity tier: fleet runs under SLO-driven autoscaling, admission
-//! control and load shedding.
+//! The elasticity tier: control boundaries of a fleet run — SLO-driven
+//! autoscaling, admission control and load shedding.
 //!
-//! [`FleetEngine::run_elastic`] generalises the reliability tier's
-//! boundary-ordered era execution: boundaries are now the union of the
-//! failure schedule's crash instants and the autoscaler's control instants
-//! (every `control_interval_s` on the sim clock, while arrivals remain).
-//! Between boundaries the frontend routes arrivals and retries exactly as
-//! [`FleetEngine::run_reliable`] does; at each boundary the fleet may
-//! change shape:
+//! When a [`FleetPlan`] arms a controller — an autoscaler with room to
+//! scale, or an admission controller — [`FleetEngine::run`] adds a control
+//! instant every `control_interval_s` on the sim clock, while arrivals
+//! remain, to the crash instants of its failure schedule. At a control
+//! instant the fleet may change shape:
 //!
-//! * **Crash** boundaries behave as in the reliability tier — the crashed
-//!   replica runs its segment capped at the boundary, casualties retry or
-//!   fail terminally under the [`RetryPolicy`].
-//! * **Control** boundaries observe the closed window — per-replica
-//!   unresolved backlog and the SLO attainment of the window's completions
-//!   — and hand the signals to the [`Autoscaler`]. Scale-**up** activates
-//!   the lowest-id cold (or previously retired) replicas, which become
-//!   routable only after the provisioning delay, with an empty KV pool and
-//!   a cold prefix cache. Scale-**down** *drains*: the victim leaves the
-//!   routable set immediately (the router is told via
-//!   `on_replica_removed`, so durable affinity pins are dropped), finishes
-//!   every request already routed to it, and retires when the last one
-//!   completes. **No request is ever killed by a scale event.**
-//!
-//! A crash that strikes a replica *mid-drain* interrupts the drain: the
-//! victim retires at the crash instant and whatever it had not finished
-//! becomes ordinary crash casualties, resolved by the retry policy.
+//! * **Observe.** The closed window is measured — per-replica unresolved
+//!   backlog and the SLO attainment of the window's completions — by
+//!   throwaway replays of each ready replica's bucket capped at the
+//!   boundary, which never touch the accounting.
+//! * **Scale up.** The [`Autoscaler`] may activate the lowest-id cold (or
+//!   previously retired) replicas, which become routable only after the
+//!   provisioning delay, with an empty KV pool and a cold prefix cache.
+//! * **Scale down.** It may instead *drain*: the victim leaves the routable
+//!   set immediately (the router is told via `on_replica_removed`, so
+//!   durable affinity pins are dropped), finishes every request already
+//!   routed to it, and retires when the last one completes. **No request
+//!   is ever killed by a scale event.** A crash that strikes a replica
+//!   *mid-drain* interrupts the drain: the victim retires at the crash
+//!   instant and whatever it had not finished becomes ordinary crash
+//!   casualties ([`crate::reliability`]).
 //!
 //! The [`AdmissionController`] (when armed) guards original arrivals at
 //! the frontend: while the fleet saturates, best-effort traffic is shed
 //! outright and any class whose estimated queueing delay exceeds its
 //! deadline is rejected early, behind a hysteresis band so shedding cannot
 //! flap. Retries bypass admission — a casualty is already inside the
-//! system; shedding applies at the front door only.
-//!
-//! # Equivalence
+//! system; shedding applies at the front door only. A drain moves nothing
+//! between the five ledgers — drained work completes; only a crash can.
 //!
 //! An autoscaler that never fires ([`AutoscalerConfig::fixed`]) plus an
 //! admission controller that never sheds ([`AdmissionConfig::never_sheds`])
 //! still run every control boundary — observation runs happen, decisions
-//! are taken — but none of it can perturb routing or accounting, so the
-//! run reproduces the static fleet **bit for bit** on the pinned golden
-//! digests (`tests/elasticity_properties.rs` pins this against
-//! `tests/fleet_equivalence.rs`).
-//!
-//! # Exactly-once accounting
-//!
-//! Every trace request ends in exactly one of five ledgers: fleet
-//! `records` (completed), fleet `rejected` (engine admission rejection),
-//! `shed` (frontend load shedding), `failed` (crash casualties whose retry
-//! budget ran out), or the fleet's `unfinished` count. A drain moves
-//! nothing between ledgers — drained work completes; only a crash can.
+//! are taken — but none of it can perturb routing or accounting, so
+//! [`FleetPlan::armed_idle`] reproduces the plain fleet **bit for bit**
+//! (`tests/fleet_equivalence.rs` pins this).
 
-use crate::engine::RunOutcome;
 use crate::fleet::{
-    run_segment_traced, trace_seed, FleetEngine, FleetFootprint, FleetOutcome, ReplicaOutcome,
+    resolved_ids, run_segment_traced, trace_seed, FleetPlan, FleetRun, Life, RunState,
 };
-use crate::reliability::{merge_segments, FailedRequest};
-use loong_metrics::cache::CacheStats;
-use loong_metrics::elasticity::ElasticityStats;
-use loong_metrics::fleet::FleetSummary;
-use loong_metrics::pressure::PressureStats;
 use loong_metrics::record::RequestRecord;
-use loong_metrics::reliability::{availability_windows, ReliabilityStats, SlaWindow};
 use loong_metrics::slo::SloSpec;
-use loong_sched::elastic::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, Autoscaler, AutoscalerConfig,
-    FleetSignals, ScaleDecision, ShedReason,
-};
-use loong_sched::reliability::{healthy_candidates, RetryPolicy};
-use loong_sched::router::{FleetLoadTracker, RouteRequest};
+use loong_sched::elastic::{AdmissionDecision, FleetSignals, ScaleDecision, ShedReason};
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::pool::run_indexed;
 use loong_simcore::time::{SimDuration, SimTime};
-use loong_trace::TraceRecorder;
-use loong_workload::failure::FailureSchedule;
 use loong_workload::request::{Request, TrafficClass};
-use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Configuration of an elastic fleet run.
-///
-/// The fleet engine must be provisioned with `autoscaler.max_replicas`
-/// replicas — the autoscaler decides how many of them are *active* at any
-/// instant; the rest are cold.
-#[derive(Debug, Clone)]
-pub struct ElasticConfig {
-    /// The target-tracking fleet autoscaler. [`AutoscalerConfig::fixed`]
-    /// arms the tier without letting it fire.
-    pub autoscaler: AutoscalerConfig,
-    /// Replicas active (and routable) at t = 0. Must lie within the
-    /// autoscaler's bounds.
-    pub initial_replicas: usize,
-    /// The frontend load shedder; `None` admits everything.
-    pub admission: Option<AdmissionConfig>,
-    /// The SLO against which control windows measure attainment (the
-    /// autoscaler's scale-up signal).
-    pub signal_slo: SloSpec,
-    /// Failure injection composed with scaling. [`FailureSchedule::none`]
-    /// runs pure elasticity.
-    pub schedule: FailureSchedule,
-    /// What a crash casualty gets — exactly the reliability tier's policy.
-    pub retry: RetryPolicy,
-    /// Width of the availability windows in the outcome's SLA series, in
-    /// sim-seconds.
-    pub sla_window_s: f64,
-}
+#[cfg(doc)]
+use crate::fleet::FleetEngine;
+#[cfg(doc)]
+use loong_sched::elastic::{AdmissionConfig, AdmissionController, Autoscaler, AutoscalerConfig};
 
-impl ElasticConfig {
-    /// An elastic run under `autoscaler`, starting at its minimum size: no
-    /// shedding, no failures, no retries, 60 s availability windows.
-    pub fn new(autoscaler: AutoscalerConfig) -> Self {
-        ElasticConfig {
-            initial_replicas: autoscaler.min_replicas,
-            autoscaler,
-            admission: None,
-            signal_slo: SloSpec::default_for_lwm(),
-            schedule: FailureSchedule::none(),
-            retry: RetryPolicy::none(),
-            sla_window_s: 60.0,
-        }
-    }
+/// The plan type under its pre-[`FleetPlan`] name, which the benchmark
+/// harness in `perfbench/` still uses.
+pub type ElasticConfig = FleetPlan;
 
-    /// The armed-but-idle configuration: an autoscaler pinned to exactly
-    /// `n` replicas and an admission controller that can never shed.
-    /// Control boundaries run on every window, with no possible effect —
-    /// `run_elastic` must reproduce `run` bit for bit under it.
-    pub fn armed_idle(n: usize) -> Self {
-        ElasticConfig::new(AutoscalerConfig::fixed(n))
-            .with_admission(AdmissionConfig::never_sheds())
-    }
-
-    /// Arms the frontend load shedder.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
-    /// Sets the number of replicas active at t = 0.
-    pub fn with_initial(mut self, initial_replicas: usize) -> Self {
-        self.initial_replicas = initial_replicas;
-        self
-    }
-
-    /// Composes failure injection with scaling.
-    pub fn with_schedule(mut self, schedule: FailureSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets the crash-casualty retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the SLO the control window measures attainment against.
-    pub fn with_signal_slo(mut self, slo: SloSpec) -> Self {
-        self.signal_slo = slo;
-        self
-    }
-
-    /// Sets the availability-window width.
-    pub fn with_sla_window(mut self, window_s: f64) -> Self {
-        assert!(window_s > 0.0, "window must be positive");
-        self.sla_window_s = window_s;
-        self
-    }
-}
+/// The run result under its pre-[`FleetRun`] name, which the benchmark
+/// harness in `perfbench/` still uses.
+pub type ElasticFleetOutcome = FleetRun;
 
 /// A request shed by the frontend admission controller: it never reached a
 /// replica.
@@ -218,75 +110,6 @@ pub struct FleetScaleEvent {
     pub active_after: usize,
 }
 
-/// The merged result of one elastic fleet run.
-#[derive(Debug, Clone)]
-pub struct ElasticFleetOutcome {
-    /// The fleet outcome over the attempts that resolved inside a replica.
-    pub fleet: FleetOutcome,
-    /// Crash casualties that exhausted their retry budget, sorted by id.
-    pub failed: Vec<FailedRequest>,
-    /// Requests shed at the frontend, sorted by id.
-    pub shed: Vec<ShedRequest>,
-    /// Every scale event, in decision order.
-    pub scale_events: Vec<FleetScaleEvent>,
-    /// The effective start instant of each routing decision, parallel to
-    /// `fleet.assignments` — what the drain proptests check "no new routes
-    /// after retirement" against.
-    pub route_instants: Vec<SimTime>,
-    /// The whole-run elasticity ledger.
-    pub elasticity: ElasticityStats,
-    /// The whole-run reliability ledger (crashes composed with scaling).
-    pub reliability: ReliabilityStats,
-    /// Time-resolved availability series over `sla_window_s` windows.
-    pub sla_windows: Vec<SlaWindow>,
-}
-
-impl ElasticFleetOutcome {
-    /// Total requests accounted for: completed + rejected + unfinished +
-    /// terminally failed + shed. Equals the trace length for every
-    /// schedule and autoscaler (the exactly-once property).
-    pub fn total_requests(&self) -> usize {
-        self.fleet.total_requests() + self.failed.len() + self.shed.len()
-    }
-
-    /// Fleet-level metric summary with the reliability and elasticity
-    /// ledgers attached.
-    pub fn summary(
-        &self,
-        system: &str,
-        workload: &str,
-        request_rate: f64,
-        slo: &SloSpec,
-    ) -> FleetSummary {
-        let mut summary = self.fleet.summary(system, workload, request_rate, slo);
-        summary.attach_reliability(self.reliability, self.sla_windows.clone());
-        summary.attach_elasticity(self.elasticity);
-        summary
-    }
-
-    /// Per-class SLO attainment of the completed requests, judging each
-    /// class against the base SLO scaled by its
-    /// [`TrafficClass::slo_scale`], in shed order. The class is read off
-    /// each record (the engine carries it through from the request), so no
-    /// trace-wide index is needed — streamed runs have no materialised
-    /// trace to look one up in.
-    pub fn class_attainment(&self, base: &SloSpec) -> Vec<(TrafficClass, f64)> {
-        TrafficClass::all()
-            .into_iter()
-            .map(|class| {
-                let records: Vec<RequestRecord> = self
-                    .fleet
-                    .records
-                    .iter()
-                    .filter(|r| r.class == class)
-                    .copied()
-                    .collect();
-                (class, class_slo(base, class).attainment(&records))
-            })
-            .collect()
-    }
-}
-
 /// The SLO a given traffic class is judged by: the base spec with every
 /// bound scaled by [`TrafficClass::slo_scale`].
 pub fn class_slo(base: &SloSpec, class: TrafficClass) -> SloSpec {
@@ -298,62 +121,7 @@ pub fn class_slo(base: &SloSpec, class: TrafficClass) -> SloSpec {
     }
 }
 
-/// Lifecycle of one fleet slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Life {
-    /// Provisioned but never activated: no capacity cost, not routable.
-    Cold,
-    /// Active. Routable from `since` (activation instant, or the end of
-    /// the provisioning delay for a scale-up).
-    Active { since: SimTime },
-    /// Drained and retired at `at`; re-activatable by a later scale-up.
-    Retired { at: SimTime },
-}
-
-/// Mutable state of one elastic run, threaded through the era loop.
-struct ElasticRun<'a> {
-    cfg: &'a ElasticConfig,
-    n: usize,
-    life: Vec<Life>,
-    tracker: FleetLoadTracker,
-    admission: Option<AdmissionController>,
-    buckets: Vec<Vec<Request>>,
-    segments: Vec<Vec<RunOutcome>>,
-    assignments: Vec<(RequestId, ReplicaId)>,
-    route_instants: Vec<SimTime>,
-    assigned: Vec<usize>,
-    pending: BTreeMap<(SimTime, RequestId), (Request, u32)>,
-    retries_used: BTreeMap<RequestId, u32>,
-    casualty_ids: BTreeSet<RequestId>,
-    failed: Vec<FailedRequest>,
-    shed: Vec<ShedRequest>,
-    stats: ReliabilityStats,
-    elastic: ElasticityStats,
-    scale_events: Vec<FleetScaleEvent>,
-    /// Originals pulled from the source so far.
-    streamed: usize,
-    /// Requests currently resident in the frontend: bucket entries not yet
-    /// handed to an engine, plus retries awaiting their backoff.
-    resident: usize,
-    /// High-water mark of `resident` — the streamed paths' memory claim.
-    peak_resident: usize,
-    /// Fleet-wide unresolved backlog measured at the last control
-    /// boundary; the admission controller's saturation baseline.
-    last_observed_backlog: u64,
-    /// Worst-case tokens routed since that observation — the running
-    /// correction that lets admission react *between* boundaries.
-    routed_since_observation: u64,
-    /// Accumulated active span per replica (activation to retirement), in
-    /// sim-seconds; still-active spans are closed at the makespan.
-    active_spans_s: Vec<f64>,
-}
-
-impl ElasticRun<'_> {
-    fn grow_resident(&mut self) {
-        self.resident += 1;
-        self.peak_resident = self.peak_resident.max(self.resident);
-    }
-
+impl RunState<'_> {
     /// Replicas in the `Active` state (routable or provisioning).
     fn active_count(&self) -> usize {
         self.life
@@ -362,28 +130,23 @@ impl ElasticRun<'_> {
             .count()
     }
 
-    /// Replicas routable at `t`: active, past their provisioning delay.
-    fn ready_count(&self, t: SimTime) -> usize {
-        self.life
-            .iter()
-            .filter(|l| matches!(l, Life::Active { since } if *since <= t))
-            .count()
-    }
-
-    /// The frontend's admission decision for one original arrival, `None`
-    /// when the controller is unarmed.
-    fn admission_decision(&mut self, req: &Request) -> Option<AdmissionDecision> {
-        let ready = self.ready_count(req.arrival);
+    /// The frontend's admission decision for one original arrival: `true`
+    /// routes it, `false` sheds it into the ledger. Always `true` when
+    /// the controller is unarmed.
+    pub(crate) fn admit(&mut self, req: &Request) -> bool {
+        let Some(admission) = self.admission.as_mut() else {
+            return true;
+        };
+        let ready = self.life.iter().filter(|l| l.ready_at(req.arrival)).count();
         let backlog = self
             .last_observed_backlog
             .saturating_add(self.routed_since_observation);
-        self.admission
-            .as_mut()
-            .map(|adm| adm.admit(req.class, backlog, ready))
-    }
-
-    /// Records one shed request in the ledger and the class counters.
-    fn record_shed(&mut self, req: &Request, reason: ShedReason) {
+        let AdmissionDecision::Shed(reason) = admission.admit(req.class, backlog, ready) else {
+            return true;
+        };
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.shed(req.arrival, req.id, req.class, &format!("{reason:?}"));
+        }
         match req.class {
             TrafficClass::Interactive => self.elastic.shed_interactive += 1,
             TrafficClass::Standard => self.elastic.shed_standard += 1,
@@ -398,618 +161,59 @@ impl ElasticRun<'_> {
             class: req.class,
             reason,
         });
-    }
-
-    /// Resolves the unfinished requests of a crashed (or crash-interrupted
-    /// draining) replica's segment: each becomes a retry or a terminal
-    /// failure under the retry policy, exactly as the reliability tier.
-    fn settle_casualties(
-        &mut self,
-        bucket: &[Request],
-        resolved: &BTreeSet<RequestId>,
-        replica: ReplicaId,
-        at: SimTime,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let mut casualties: Vec<&Request> = bucket
-            .iter()
-            .filter(|req| !resolved.contains(&req.id))
-            .collect();
-        casualties.sort_by_key(|req| req.id);
-        for req in casualties {
-            self.stats.failed_attempts += 1;
-            self.casualty_ids.insert(req.id);
-            if let Some(r) = rec.as_deref_mut() {
-                r.casualty(at, req.id);
-            }
-            let used = self.retries_used.get(&req.id).copied().unwrap_or(0);
-            if self.cfg.retry.allows(used) {
-                let attempt = used + 1;
-                self.retries_used.insert(req.id, attempt);
-                let mut retry = req.clone();
-                retry.arrival = at + self.cfg.retry.backoff(attempt);
-                self.stats.retries_scheduled += 1;
-                self.stats.re_prefilled_tokens += retry.input_len;
-                if let Some(r) = rec.as_deref_mut() {
-                    r.retry_scheduled(at, req.id, attempt, retry.arrival);
-                }
-                self.pending
-                    .insert((retry.arrival, retry.id), (retry, attempt));
-                self.grow_resident();
-            } else {
-                self.stats.retries_exhausted += 1;
-                let reason = format!(
-                    "{replica} crashed at {at} with no retry budget left \
-                     ({used} of {} used)",
-                    self.cfg.retry.max_retries
-                );
-                if let Some(r) = rec.as_deref_mut() {
-                    r.request_failed(at, req.id, &reason);
-                }
-                self.failed.push(FailedRequest {
-                    id: req.id,
-                    at,
-                    replica,
-                    reason,
-                });
-            }
-        }
-    }
-}
-
-impl FleetEngine {
-    /// Runs the fleet over a trace under elastic autoscaling, admission
-    /// control and (optionally) failure injection. See the module docs for
-    /// the execution model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet is not provisioned at the autoscaler's maximum,
-    /// the initial size lies outside the autoscaler's bounds, a controller
-    /// configuration is invalid, or the failure schedule strikes a replica
-    /// outside the fleet.
-    pub fn run_elastic(&mut self, trace: &Trace, cfg: &ElasticConfig) -> ElasticFleetOutcome {
-        self.run_elastic_source(&trace.label, trace.requests.iter().cloned(), cfg, None)
-            .0
-    }
-
-    /// Runs the elastic fleet with the whole run observed by `recorder`:
-    /// request lifecycle spans across scale events, crash casualties and
-    /// retries; scale-up/scale-down/shed instants; and per-replica
-    /// timeseries. Identical decision-for-decision to
-    /// [`FleetEngine::run_elastic`] — observation probes stay untraced, so
-    /// the recorder sees each decision-bearing segment exactly once.
-    pub fn run_elastic_traced(
-        &mut self,
-        trace: &Trace,
-        cfg: &ElasticConfig,
-        recorder: &mut TraceRecorder,
-    ) -> ElasticFleetOutcome {
-        let (outcome, _) = self.run_elastic_source(
-            &trace.label,
-            trace.requests.iter().cloned(),
-            cfg,
-            Some(recorder),
-        );
-        recorder.finalize(outcome.fleet.sim_time);
-        outcome
-    }
-
-    /// Runs the elastic fleet over a lazy request stream. Identical
-    /// decision-for-decision to [`FleetEngine::run_elastic`] on the
-    /// collected stream; the frontend holds only routed-not-yet-executed
-    /// requests plus pending retries, measured by the returned
-    /// [`FleetFootprint`].
-    pub fn run_elastic_stream(
-        &mut self,
-        stream: TraceStream,
-        cfg: &ElasticConfig,
-    ) -> (ElasticFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        self.run_elastic_source(&label, stream, cfg, None)
-    }
-
-    /// Streamed elastic run observed by `recorder` — the streamed
-    /// counterpart of [`FleetEngine::run_elastic_traced`].
-    pub fn run_elastic_stream_traced(
-        &mut self,
-        stream: TraceStream,
-        cfg: &ElasticConfig,
-        recorder: &mut TraceRecorder,
-    ) -> (ElasticFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        let (outcome, footprint) = self.run_elastic_source(&label, stream, cfg, Some(recorder));
-        recorder.finalize(outcome.fleet.sim_time);
-        (outcome, footprint)
-    }
-
-    /// The shared implementation of the materialised and streamed elastic
-    /// runs.
-    fn run_elastic_source<I: Iterator<Item = Request>>(
-        &mut self,
-        label: &str,
-        source: I,
-        cfg: &ElasticConfig,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> (ElasticFleetOutcome, FleetFootprint) {
-        let mut source = source.peekable();
-        let n = self.config.replicas;
-        assert_eq!(
-            n, cfg.autoscaler.max_replicas,
-            "the fleet must be provisioned at the autoscaler's max \
-             ({} replicas), got {n}",
-            cfg.autoscaler.max_replicas
-        );
-        let mut autoscaler = Autoscaler::new(cfg.autoscaler);
-        assert!(
-            (cfg.autoscaler.min_replicas..=n).contains(&cfg.initial_replicas),
-            "initial size {} outside the autoscaler bounds {}..={n}",
-            cfg.initial_replicas,
-            cfg.autoscaler.min_replicas
-        );
-        if let Some(max) = cfg.schedule.max_replica() {
-            assert!(
-                max.index() < n,
-                "failure schedule strikes {max}, but the fleet has {n} replicas"
-            );
-        }
-        assert!(cfg.sla_window_s > 0.0, "window must be positive");
-
-        // Fresh router and tracker per run, exactly as `route()` does.
-        self.router = self.config.policy.build();
-        let mut st = ElasticRun {
-            cfg,
-            n,
-            life: (0..n)
-                .map(|r| {
-                    if r < cfg.initial_replicas {
-                        Life::Active {
-                            since: SimTime::ZERO,
-                        }
-                    } else {
-                        Life::Cold
-                    }
-                })
-                .collect(),
-            tracker: FleetLoadTracker::new(n),
-            admission: cfg.admission.map(AdmissionController::new),
-            buckets: vec![Vec::new(); n],
-            segments: vec![Vec::new(); n],
-            assignments: Vec::new(),
-            route_instants: Vec::new(),
-            assigned: vec![0usize; n],
-            pending: BTreeMap::new(),
-            retries_used: BTreeMap::new(),
-            casualty_ids: BTreeSet::new(),
-            failed: Vec::new(),
-            shed: Vec::new(),
-            stats: ReliabilityStats {
-                crashes: cfg.schedule.events().len() as u64,
-                downtime_s: cfg.schedule.total_downtime().as_secs(),
-                ..ReliabilityStats::default()
-            },
-            elastic: ElasticityStats {
-                min_active_replicas: cfg.initial_replicas as u64,
-                max_active_replicas: cfg.initial_replicas as u64,
-                ..ElasticityStats::default()
-            },
-            scale_events: Vec::new(),
-            streamed: 0,
-            resident: 0,
-            peak_resident: 0,
-            last_observed_backlog: 0,
-            routed_since_observation: 0,
-            active_spans_s: vec![0.0; n],
-        };
-
-        // Boundary loop: crashes from the schedule, control instants every
-        // `control_interval_s` while arrivals (or pending retries) remain.
-        // Controllers that cannot possibly act skip control boundaries
-        // entirely — a pure-reliability run pays nothing for this tier.
-        let crash_times = cfg.schedule.crash_times();
-        let control_on = cfg.autoscaler.is_elastic() || cfg.admission.is_some();
-        let interval = cfg.autoscaler.control_interval_s;
-        let mut ci = 0usize;
-        let mut k = 1u64;
-        loop {
-            let more_work = source.peek().is_some() || !st.pending.is_empty();
-            let next_control =
-                (control_on && more_work).then(|| SimTime::from_secs(k as f64 * interval));
-            let next_crash = crash_times.get(ci).copied();
-            let b = match (next_crash, next_control) {
-                (None, None) => break,
-                (Some(c), None) => c,
-                (None, Some(t)) => t,
-                (Some(c), Some(t)) => c.min(t),
-            };
-            self.elastic_era(&mut source, Some(b), &mut st, recorder.as_deref_mut());
-            // At a shared instant crashes resolve first: the control
-            // observation then sees the post-crash fleet.
-            if next_crash == Some(b) {
-                self.crash_boundary(label, b, &mut st, recorder.as_deref_mut());
-                ci += 1;
-            }
-            if next_control == Some(b) {
-                self.control_boundary(label, b, &mut autoscaler, &mut st, recorder.as_deref_mut());
-                k += 1;
-            }
-        }
-
-        // Final era and final (uncapped) segment of every replica; retired
-        // and cold replicas run empty buckets, keeping the merge shape
-        // identical to the reliability tier.
-        self.elastic_era(&mut source, None, &mut st, recorder.as_deref_mut());
-        let system = self.config.replica_system();
-        let finals: Vec<Trace> = (0..n)
-            .map(|r| {
-                let bucket = std::mem::take(&mut st.buckets[r]);
-                st.resident -= bucket.len();
-                Trace::from_requests(format!("{label} · replica {r}/{n}"), bucket)
-            })
-            .collect();
-        let seed = trace_seed(&recorder);
-        let run_final = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let final_results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(finals.len(), |r| run_final(&finals[r]))
-        } else {
-            finals.iter().map(run_final).collect()
-        };
-        for (r, (segment, (outcome, child))) in
-            st.segments.iter_mut().zip(final_results).enumerate()
-        {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            segment.push(outcome);
-        }
-
-        // Merge, mirroring the reliability tier: records and rejections in
-        // request-id order, counters summed in replica-id order.
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut unfinished = 0usize;
-        let mut sim_time = SimTime::ZERO;
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut pressure = PressureStats::default();
-        let mut cache = CacheStats::default();
-        let mut per_replica = Vec::with_capacity(n);
-        let segments = std::mem::take(&mut st.segments);
-        for (r, segs) in segments.into_iter().enumerate() {
-            let outcome = merge_segments(segs);
-            records.extend(outcome.records.iter().copied());
-            rejected.extend(outcome.rejected.iter().cloned());
-            unfinished += outcome.unfinished;
-            sim_time = sim_time.max(outcome.sim_time);
-            iterations += outcome.iterations;
-            migration_bytes += outcome.migration_bytes;
-            scheduler_calls += outcome.scheduler_calls;
-            pressure.merge(&outcome.pressure);
-            cache.merge(&outcome.cache);
-            per_replica.push(ReplicaOutcome {
-                replica: ReplicaId::from(r),
-                assigned: st.assigned[r],
-                outcome,
-            });
-        }
-        records.sort_by_key(|r| r.id);
-        rejected.sort_by_key(|r| r.0);
-        st.failed.sort_by_key(|f| f.id);
-        st.shed.sort_by_key(|s| s.id);
-
-        st.stats.recovered_requests = st
-            .casualty_ids
-            .iter()
-            .filter(|id| records.binary_search_by_key(*id, |r| r.id).is_ok())
-            .count() as u64;
-        let failure_instants: Vec<SimTime> = st.failed.iter().map(|f| f.at).collect();
-        let sla_windows = availability_windows(cfg.sla_window_s, &records, &failure_instants);
-
-        // Replica-seconds: every span from activation (routable) to
-        // retirement; replicas still active close their span at the fleet
-        // makespan. The denominator of SLO-goodput per replica-second.
-        for r in 0..n {
-            if let Life::Active { since } = st.life[r] {
-                st.active_spans_s[r] += sim_time.saturating_since(since).as_secs();
-            }
-        }
-        st.elastic.replica_seconds = st.active_spans_s.iter().sum();
-
-        (
-            ElasticFleetOutcome {
-                fleet: FleetOutcome {
-                    per_replica,
-                    assignments: st.assignments,
-                    records,
-                    rejected,
-                    unfinished,
-                    sim_time,
-                    iterations,
-                    migration_bytes,
-                    scheduler_calls,
-                    pressure,
-                    cache,
-                },
-                failed: st.failed,
-                shed: st.shed,
-                scale_events: st.scale_events,
-                route_instants: st.route_instants,
-                elasticity: st.elastic,
-                reliability: st.stats,
-                sla_windows,
-            },
-            FleetFootprint {
-                streamed_requests: st.streamed,
-                peak_resident_requests: st.peak_resident,
-            },
-        )
-    }
-
-    /// Routes every arrival — source requests (behind the admission
-    /// controller) and pending retries (which bypass it) interleaved by
-    /// (arrival, id) — strictly before `end` (all of them when `end` is
-    /// `None`). The source is pulled lazily: nothing beyond the era
-    /// boundary is ever materialised.
-    fn elastic_era<I: Iterator<Item = Request>>(
-        &mut self,
-        source: &mut std::iter::Peekable<I>,
-        end: Option<SimTime>,
-        st: &mut ElasticRun<'_>,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let in_era = |t: SimTime| end.is_none_or(|e| t < e);
-        loop {
-            let original_key = source
-                .peek()
-                .map(|req| (req.arrival, req.id))
-                .filter(|&(at, _)| in_era(at));
-            let retry_key = st
-                .pending
-                .first_key_value()
-                .map(|(&key, _)| key)
-                .filter(|&(at, _)| in_era(at));
-            match (original_key, retry_key) {
-                (None, None) => break,
-                (Some(okey), retry) => {
-                    if let Some(key) = retry {
-                        if key < okey {
-                            let (retry_req, _) = st.pending.remove(&key).expect("key just seen");
-                            st.resident -= 1;
-                            self.elastic_route(retry_req, st);
-                            continue;
-                        }
-                    }
-                    let req = source.next().expect("peeked above");
-                    st.streamed += 1;
-                    if let Some(AdmissionDecision::Shed(reason)) = st.admission_decision(&req) {
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.shed(req.arrival, req.id, req.class, &format!("{reason:?}"));
-                        }
-                        st.record_shed(&req, reason);
-                        continue;
-                    }
-                    self.elastic_route(req, st);
-                }
-                (None, Some(key)) => {
-                    let (retry_req, _) = st.pending.remove(&key).expect("key just seen");
-                    st.resident -= 1;
-                    self.elastic_route(retry_req, st);
-                }
-            }
-        }
-    }
-
-    /// Routes one attempt at its arrival instant over the candidates that
-    /// are active, past provisioning and up per the failure schedule,
-    /// falling back to wait-for-earliest-routable when none qualifies.
-    fn elastic_route(&mut self, req: Request, st: &mut ElasticRun<'_>) {
-        let n = st.n;
-        let t = req.arrival;
-        let candidates = healthy_candidates(n, |r| {
-            !matches!(st.life[r.index()], Life::Active { since } if since <= t)
-                || st.cfg.schedule.is_down(r, t)
-        });
-        let route_req = RouteRequest {
-            id: req.id,
-            arrival: t,
-            input_len: req.input_len,
-            max_output_len: req.max_output_len,
-            conversation: req.conversation,
-        };
-        let (replica, start) = if candidates.is_empty() {
-            // Whole fleet unroutable at t: the frontend holds the request
-            // for the active replica that becomes routable earliest —
-            // provisioning delay and schedule recovery both count — ties
-            // to the lowest id.
-            let mut best: Option<(SimTime, usize)> = None;
-            for r in 0..n {
-                if let Life::Active { since } = st.life[r] {
-                    let ready = st.cfg.schedule.next_up(ReplicaId::from(r), t.max(since));
-                    if best.is_none_or(|(earliest, _)| ready < earliest) {
-                        best = Some((ready, r));
-                    }
-                }
-            }
-            let (ready, r) = best.expect("the autoscaler keeps at least min_replicas active");
-            (ReplicaId::from(r), ready.max(t))
-        } else {
-            (
-                self.router
-                    .route(&route_req, st.tracker.loads(), &candidates),
-                t,
-            )
-        };
-        assert!(
-            replica.index() < n,
-            "router returned out-of-range {replica}"
-        );
-        st.tracker.on_assign(replica, &route_req);
-        st.routed_since_observation = st
-            .routed_since_observation
-            .saturating_add(req.input_len + req.max_output_len);
-        let mut placed = req;
-        placed.arrival = start;
-        st.assignments.push((placed.id, replica));
-        st.route_instants.push(start);
-        st.assigned[replica.index()] += 1;
-        st.buckets[replica.index()].push(placed);
-        st.grow_resident();
-    }
-
-    /// Resolves every crash striking at `b`: the crashed replica runs its
-    /// segment capped at `b` and its unresolved requests become casualties
-    /// — identical to the reliability tier.
-    fn crash_boundary(
-        &mut self,
-        label: &str,
-        b: SimTime,
-        st: &mut ElasticRun<'_>,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let n = st.n;
-        if let Some(r) = rec.as_deref_mut() {
-            for event in st.cfg.schedule.events().iter().filter(|e| e.crash == b) {
-                r.crash(b, event.replica);
-                r.recover(event.recover, event.replica);
-            }
-        }
-        // The capped engine runs are pure, so they go to the worker pool;
-        // casualty settlement replays serially in replica-id order (events
-        // are sorted by (crash, replica)). The sub-trace holds the routed
-        // bucket, so settlement scans it without a separate copy.
-        let crashing: Vec<(ReplicaId, Trace)> = st
-            .cfg
-            .schedule
-            .events()
-            .iter()
-            .filter(|e| e.crash == b)
-            .filter_map(|event| {
-                let replica = event.replica;
-                let bucket = std::mem::take(&mut st.buckets[replica.index()]);
-                st.resident -= bucket.len();
-                // An empty bucket is a cold, retired, or simply idle
-                // replica — nothing for the crash to take.
-                (!bucket.is_empty()).then(|| {
-                    let sub = Trace::from_requests(
-                        format!("{label} · replica {replica}/{n} ∣ crash at {b}"),
-                        bucket,
-                    );
-                    (replica, sub)
-                })
-            })
-            .collect();
-        let system = self
-            .config
-            .replica_system()
-            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-        let seed = trace_seed(&rec);
-        let run_segment = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(crashing.len(), |i| run_segment(&crashing[i].1))
-        } else {
-            crashing.iter().map(|(_, sub)| run_segment(sub)).collect()
-        };
-        for ((replica, sub), (outcome, child)) in crashing.into_iter().zip(results) {
-            if let (Some(r), Some(child)) = (rec.as_deref_mut(), child) {
-                r.merge_child(replica, child);
-            }
-            let resolved: BTreeSet<RequestId> = outcome
-                .records
-                .iter()
-                .map(|r| r.id)
-                .chain(outcome.rejected.iter().map(|r| r.0))
-                .collect();
-            st.settle_casualties(&sub.requests, &resolved, replica, b, rec.as_deref_mut());
-            st.segments[replica.index()].push(outcome);
-        }
+        false
     }
 
     /// One control boundary: observe the closed window, let the autoscaler
     /// decide, apply the decision.
-    fn control_boundary(
-        &mut self,
-        label: &str,
-        b: SimTime,
-        autoscaler: &mut Autoscaler,
-        st: &mut ElasticRun<'_>,
-        rec: Option<&mut TraceRecorder>,
-    ) {
-        // Observation probes are replayed and discarded — they never reach
-        // the recorder, so a traced run sees each decision-bearing segment
-        // exactly once.
-        let (signals, backlogs) = self.observe(label, b, st);
-        st.last_observed_backlog = signals.backlog_tokens;
-        st.routed_since_observation = 0;
-        match autoscaler.decide(b.as_secs(), &signals) {
+    pub(crate) fn control_boundary(&mut self, b: SimTime) {
+        let (signals, backlogs) = self.observe(b);
+        self.last_observed_backlog = signals.backlog_tokens;
+        self.routed_since_observation = 0;
+        match self.autoscaler.decide(b.as_secs(), &signals) {
             ScaleDecision::Hold => {}
-            ScaleDecision::Up(count) => self.scale_up(b, count, st, rec),
-            ScaleDecision::Down(count) => self.scale_down(label, b, count, &backlogs, st, rec),
+            ScaleDecision::Up(count) => self.scale_up(b, count),
+            ScaleDecision::Down(count) => self.scale_down(b, count, &backlogs),
         }
-        let active = st.active_count() as u64;
-        st.elastic.min_active_replicas = st.elastic.min_active_replicas.min(active);
-        st.elastic.max_active_replicas = st.elastic.max_active_replicas.max(active);
+        let active = self.active_count() as u64;
+        self.elastic.min_active_replicas = self.elastic.min_active_replicas.min(active);
+        self.elastic.max_active_replicas = self.elastic.max_active_replicas.max(active);
     }
 
     /// Measures the window that closes at `b`: per-replica unresolved
     /// backlog (worst-case tokens) and the SLO attainment of completions
     /// inside the window. Observation runs replay each ready replica's
-    /// bucket capped at `b` and are then discarded — they never touch the
-    /// accounting, which is what keeps an armed-but-idle controller
-    /// bit-for-bit. Each bucket is *moved* into its probe sub-trace and
-    /// moved back afterwards: `from_requests`' stable arrival sort is
-    /// idempotent under the later segment sorts, so the round-trip cannot
-    /// perturb any subsequent segment — and the observation needs no copy
-    /// of the bucket.
-    fn observe(
-        &self,
-        label: &str,
-        b: SimTime,
-        st: &mut ElasticRun<'_>,
-    ) -> (FleetSignals, Vec<u64>) {
-        let n = st.n;
-        let window_start = b.as_secs() - st.cfg.autoscaler.control_interval_s;
+    /// bucket capped at `b` and are then discarded — they never reach the
+    /// accounting or the recorder, which is what keeps an armed-but-idle
+    /// controller bit-for-bit. Each bucket is *moved* into its probe
+    /// sub-trace and moved back afterwards: `from_requests`' stable arrival
+    /// sort is idempotent under the later segment sorts, so the round-trip
+    /// cannot perturb any subsequent segment.
+    fn observe(&mut self, b: SimTime) -> (FleetSignals, Vec<u64>) {
+        let n = self.n;
+        let window_start = b.as_secs() - self.plan.autoscaler.control_interval_s;
+        let ready: Vec<usize> = (0..n).filter(|&r| self.life[r].ready_at(b)).collect();
+        let probed: Vec<usize> = ready
+            .iter()
+            .copied()
+            .filter(|&r| !self.buckets[r].is_empty())
+            .collect();
+        let probes: Vec<Trace> = probed
+            .iter()
+            .map(|&r| {
+                let label = format!("{} · replica {r}/{n} ∣ observe at {b}", self.label);
+                Trace::from_requests(label, std::mem::take(&mut self.buckets[r]))
+            })
+            .collect();
+        let system = self
+            .system
+            .clone()
+            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
+        let outcomes = self.run_segments(&system, &probes, false);
         let mut backlogs = vec![0u64; n];
         let mut window_records: Vec<RequestRecord> = Vec::new();
-        let mut ready = 0usize;
-        let mut probes: Vec<(usize, Trace)> = Vec::new();
-        for r in 0..n {
-            let Life::Active { since } = st.life[r] else {
-                continue;
-            };
-            if since > b {
-                continue;
-            }
-            ready += 1;
-            if st.buckets[r].is_empty() {
-                continue;
-            }
-            let bucket = std::mem::take(&mut st.buckets[r]);
-            probes.push((
-                r,
-                Trace::from_requests(
-                    format!("{label} · replica {r}/{n} ∣ observe at {b}"),
-                    bucket,
-                ),
-            ));
-        }
-        let system = self
-            .config
-            .replica_system()
-            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-        let run_probe = |sub: &Trace| system.build_engine(Some(sub)).run(sub);
-        let outcomes: Vec<RunOutcome> = if self.config.parallel {
-            run_indexed(probes.len(), |i| run_probe(&probes[i].1))
-        } else {
-            probes.iter().map(|(_, sub)| run_probe(sub)).collect()
-        };
-        for ((r, sub), outcome) in probes.into_iter().zip(outcomes) {
-            let resolved: BTreeSet<RequestId> = outcome
-                .records
-                .iter()
-                .map(|rec| rec.id)
-                .chain(outcome.rejected.iter().map(|rej| rej.0))
-                .collect();
+        for ((r, sub), (outcome, _)) in probed.into_iter().zip(probes).zip(outcomes) {
+            let resolved = resolved_ids(&outcome);
             backlogs[r] = sub
                 .requests
                 .iter()
@@ -1023,12 +227,12 @@ impl FleetEngine {
                     .filter(|rec| rec.finish <= b && rec.finish.as_secs() > window_start)
                     .copied(),
             );
-            st.buckets[r] = sub.requests;
+            self.buckets[r] = sub.requests;
         }
         let signals = FleetSignals {
-            attainment: st.cfg.signal_slo.attainment(&window_records),
+            attainment: self.plan.signal_slo.attainment(&window_records),
             backlog_tokens: backlogs.iter().sum(),
-            active_replicas: ready,
+            active_replicas: ready.len(),
         };
         (signals, backlogs)
     }
@@ -1037,39 +241,31 @@ impl FleetEngine {
     /// Each becomes routable after the provisioning delay, with an empty
     /// KV pool and a cold prefix cache (its engine is built fresh for the
     /// next segment, so this falls out of the execution model).
-    fn scale_up(
-        &mut self,
-        b: SimTime,
-        want: usize,
-        st: &mut ElasticRun<'_>,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let ready_at = b + SimDuration::from_secs(st.cfg.autoscaler.provisioning_delay_s);
+    fn scale_up(&mut self, b: SimTime, want: usize) {
+        let delay_s = self.plan.autoscaler.provisioning_delay_s;
+        let ready_at = b + SimDuration::from_secs(delay_s);
         let mut activated = 0usize;
-        for r in 0..st.n {
+        for r in 0..self.n {
             if activated == want {
                 break;
             }
-            if matches!(st.life[r], Life::Cold | Life::Retired { .. }) {
-                st.life[r] = Life::Active { since: ready_at };
-                st.elastic.provisioning_s += st.cfg.autoscaler.provisioning_delay_s;
+            if matches!(self.life[r], Life::Cold | Life::Retired { .. }) {
+                self.life[r] = Life::Active { since: ready_at };
+                self.elastic.provisioning_s += delay_s;
                 activated += 1;
-                if let Some(recorder) = rec.as_deref_mut() {
-                    recorder.replica_activated(b, ReplicaId::from(r), ready_at);
+                let replica = ReplicaId::from(r);
+                if let Some(rec) = self.rec.as_deref_mut() {
+                    rec.replica_activated(b, replica, ready_at);
                 }
-                let active_after = st.active_count();
-                st.scale_events.push(FleetScaleEvent {
+                self.scale_events.push(FleetScaleEvent {
                     at: b,
-                    kind: FleetScaleKind::Activated {
-                        replica: ReplicaId::from(r),
-                        ready_at,
-                    },
-                    active_after,
+                    kind: FleetScaleKind::Activated { replica, ready_at },
+                    active_after: self.active_count(),
                 });
             }
         }
         if activated > 0 {
-            st.elastic.scale_up_events += 1;
+            self.elastic.scale_up_events += 1;
         }
     }
 
@@ -1080,18 +276,9 @@ impl FleetEngine {
     /// when its last request completes — unless a scheduled crash strikes
     /// it mid-drain, in which case it retires at the crash and the
     /// remainder becomes crash casualties.
-    #[allow(clippy::too_many_arguments)]
-    fn scale_down(
-        &mut self,
-        label: &str,
-        b: SimTime,
-        want: usize,
-        backlogs: &[u64],
-        st: &mut ElasticRun<'_>,
-        mut rec: Option<&mut TraceRecorder>,
-    ) {
-        let mut ready: Vec<(u64, usize)> = (0..st.n)
-            .filter(|&r| matches!(st.life[r], Life::Active { since } if since <= b))
+    fn scale_down(&mut self, b: SimTime, want: usize, backlogs: &[u64]) {
+        let mut ready: Vec<(u64, usize)> = (0..self.n)
+            .filter(|&r| self.life[r].ready_at(b))
             .map(|r| (backlogs[r], r))
             .collect();
         ready.sort_by(|a, other| a.0.cmp(&other.0).then(other.1.cmp(&a.1)));
@@ -1099,98 +286,90 @@ impl FleetEngine {
         if victims.is_empty() {
             return;
         }
-        st.elastic.scale_down_events += 1;
+        self.elastic.scale_down_events += 1;
         for r in victims {
             let replica = ReplicaId::from(r);
-            let Life::Active { since } = st.life[r] else {
+            let Life::Active { since } = self.life[r] else {
                 unreachable!("victims are selected among active replicas");
             };
             // Durably drop the router's state for the victim (affinity
             // pins must not resurrect on the retired replica).
             self.router.on_replica_removed(replica);
-            let bucket = std::mem::take(&mut st.buckets[r]);
-            st.resident -= bucket.len();
-            let mut drain_end = b;
-            if !bucket.is_empty() {
-                // The sub-trace owns the bucket; a mid-drain crash settles
-                // casualties off `sub.requests` directly.
-                let sub = Trace::from_requests(
-                    format!("{label} · replica {replica}/{} ∣ drain at {b}", st.n),
-                    bucket,
-                );
-                let seed = trace_seed(&rec);
-                let system = self.config.replica_system();
-                let (outcome, tap) = run_segment_traced(&system, &sub, &seed);
-                let finish = outcome.sim_time;
-                let mid_crash = st
-                    .cfg
-                    .schedule
-                    .events()
-                    .iter()
-                    .filter(|e| e.replica == replica && e.crash > b && e.crash < finish)
-                    .map(|e| e.crash)
-                    .min();
-                if let Some(c) = mid_crash {
-                    // The crash interrupts the drain: re-run capped at the
-                    // crash; the rest are casualties. The uncapped run (and
-                    // its recording tap) is discarded — only the capped
-                    // segment really happened. The crash boundary itself
-                    // finds an empty bucket later and skips.
-                    drop(tap);
-                    let capped_system = self
-                        .config
-                        .replica_system()
-                        .with_max_sim_time(SimDuration::from_secs(c.as_secs()));
-                    let (capped, capped_tap) = run_segment_traced(&capped_system, &sub, &seed);
-                    if let (Some(recorder), Some(child)) = (rec.as_deref_mut(), capped_tap) {
-                        recorder.merge_child(replica, child);
-                    }
-                    let resolved: BTreeSet<RequestId> = capped
-                        .records
-                        .iter()
-                        .map(|record| record.id)
-                        .chain(capped.rejected.iter().map(|rej| rej.0))
-                        .collect();
-                    st.settle_casualties(&sub.requests, &resolved, replica, c, rec.as_deref_mut());
-                    st.segments[r].push(capped);
-                    drain_end = c;
-                } else {
-                    if let (Some(recorder), Some(child)) = (rec.as_deref_mut(), tap) {
-                        recorder.merge_child(replica, child);
-                    }
-                    st.segments[r].push(outcome);
-                    drain_end = finish.max(b);
-                }
-            }
+            let bucket = self.take_bucket(r);
+            let drain_end = if bucket.is_empty() {
+                b
+            } else {
+                self.drain(replica, b, bucket)
+            };
             let drain_s = drain_end.saturating_since(b).as_secs();
-            if let Some(recorder) = rec.as_deref_mut() {
-                recorder.replica_retired(drain_end, replica);
+            if let Some(rec) = self.rec.as_deref_mut() {
+                rec.replica_retired(drain_end, replica);
             }
-            st.life[r] = Life::Retired { at: drain_end };
-            st.active_spans_s[r] += drain_end.saturating_since(since).as_secs();
-            st.elastic.drains_completed += 1;
-            st.elastic.total_drain_s += drain_s;
-            if drain_s > st.elastic.max_drain_s {
-                st.elastic.max_drain_s = drain_s;
-            }
-            let active_after = st.active_count();
-            st.scale_events.push(FleetScaleEvent {
+            self.life[r] = Life::Retired { at: drain_end };
+            self.active_spans_s[r] += drain_end.saturating_since(since).as_secs();
+            self.elastic.drains_completed += 1;
+            self.elastic.total_drain_s += drain_s;
+            self.elastic.max_drain_s = self.elastic.max_drain_s.max(drain_s);
+            self.scale_events.push(FleetScaleEvent {
                 at: b,
                 kind: FleetScaleKind::Retired { replica, drain_s },
-                active_after,
+                active_after: self.active_count(),
             });
         }
+    }
+
+    /// Runs a drained victim's `bucket` from `b` and returns the instant it
+    /// retires: when its last request completes, or at the first scheduled
+    /// crash before then. A crash interrupts the drain: only the run capped
+    /// at the crash really happened, the uncapped one (and its recording)
+    /// is discarded, and the remainder is settled as casualties. The crash
+    /// boundary itself later finds the bucket empty and skips.
+    fn drain(&mut self, replica: ReplicaId, b: SimTime, bucket: Vec<Request>) -> SimTime {
+        let label = format!(
+            "{} · replica {replica}/{} ∣ drain at {b}",
+            self.label, self.n
+        );
+        let sub = Trace::from_requests(label, bucket);
+        let seed = trace_seed(&self.rec);
+        let (outcome, child) = run_segment_traced(&self.system, &sub, &seed);
+        let finish = outcome.sim_time;
+        let mid_crash = self
+            .plan
+            .schedule
+            .events()
+            .iter()
+            .filter(|e| e.replica == replica && e.crash > b && e.crash < finish)
+            .map(|e| e.crash)
+            .min();
+        let Some(crash) = mid_crash else {
+            self.absorb(replica, child);
+            self.segments[replica.index()].push(outcome);
+            return finish.max(b);
+        };
+        let capped = self
+            .system
+            .clone()
+            .with_max_sim_time(SimDuration::from_secs(crash.as_secs()));
+        let (outcome, child) = run_segment_traced(&capped, &sub, &seed);
+        self.absorb(replica, child);
+        self.settle_casualties(&sub.requests, &outcome, replica, crash);
+        self.segments[replica.index()].push(outcome);
+        crash
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetConfig;
+    use crate::fleet::{FleetConfig, FleetEngine};
     use crate::systems::SystemKind;
+    use loong_sched::elastic::{AdmissionConfig, AutoscalerConfig};
+    use loong_sched::reliability::RetryPolicy;
     use loong_sched::router::RouterPolicy;
     use loong_workload::datasets::DatasetKind;
-    use loong_workload::failure::FailureEvent;
+    use loong_workload::failure::{FailureEvent, FailureSchedule};
+    use loong_workload::stream::TraceStream;
+    use std::collections::BTreeSet;
 
     fn small_trace(count: usize, seed: u64) -> Trace {
         crate::experiment::WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(8.0, count, seed)
@@ -1204,7 +383,12 @@ mod tests {
         ))
     }
 
-    fn exactly_once(outcome: &ElasticFleetOutcome, trace: &Trace) {
+    fn run(engine: &mut FleetEngine, trace: &Trace, plan: &FleetPlan) -> FleetRun {
+        let stream = TraceStream::from_trace(trace.clone());
+        engine.run(stream, plan, None).unwrap()
+    }
+
+    fn exactly_once(outcome: &FleetRun, trace: &Trace) {
         assert_eq!(outcome.total_requests(), trace.len());
         // The five ledgers are disjoint by id.
         let mut seen: BTreeSet<RequestId> = BTreeSet::new();
@@ -1225,8 +409,8 @@ mod tests {
     fn armed_idle_run_matches_plain_run() {
         let trace = small_trace(24, 3);
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let plain = engine.run(&trace);
-        let elastic = engine.run_elastic(&trace, &ElasticConfig::armed_idle(2));
+        let plain = run(&mut engine, &trace, &FleetPlan::fixed(2)).fleet;
+        let elastic = run(&mut engine, &trace, &FleetPlan::armed_idle(2));
         assert_eq!(plain.records, elastic.fleet.records);
         assert_eq!(plain.rejected, elastic.fleet.rejected);
         assert_eq!(plain.assignments, elastic.fleet.assignments);
@@ -1255,9 +439,9 @@ mod tests {
         scaler.cooldown_s = 0.0;
         scaler.scale_up_backlog_tokens = 2_000;
         scaler.scale_down_backlog_tokens = 500;
-        let cfg = ElasticConfig::new(scaler);
+        let cfg = FleetPlan::new(scaler);
         let mut engine = fleet(4, RouterPolicy::JoinShortestQueue);
-        let outcome = engine.run_elastic(&trace, &cfg);
+        let outcome = run(&mut engine, &trace, &cfg);
         exactly_once(&outcome, &trace);
         assert!(
             outcome.elasticity.scale_up_events >= 1,
@@ -1307,9 +491,9 @@ mod tests {
         let mut scaler = AutoscalerConfig::overload_defaults(1, 2);
         scaler.control_interval_s = 30.0;
         scaler.cooldown_s = 0.0;
-        let cfg = ElasticConfig::new(scaler).with_initial(2);
+        let cfg = FleetPlan::new(scaler).with_initial(2);
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let outcome = engine.run_elastic(&trace, &cfg);
+        let outcome = run(&mut engine, &trace, &cfg);
         exactly_once(&outcome, &trace);
         assert!(
             outcome.elasticity.scale_down_events >= 1,
@@ -1377,12 +561,12 @@ mod tests {
             SimTime::from_secs(8.0),
             SimTime::from_secs(9.0),
         )]);
-        let cfg = ElasticConfig::new(scaler)
+        let cfg = FleetPlan::new(scaler)
             .with_initial(2)
             .with_schedule(schedule)
             .with_retry(RetryPolicy::exponential(3, 1.0));
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let outcome = engine.run_elastic(&trace, &cfg);
+        let outcome = run(&mut engine, &trace, &cfg);
         exactly_once(&outcome, &trace);
         // The victim (replica 1: smaller backlog, then highest id on ties)
         // retired exactly at the crash instant.
@@ -1434,9 +618,9 @@ mod tests {
         let trace = Trace::from_requests("saturating mixed burst", requests);
         let mut admission = AdmissionConfig::overload_defaults();
         admission.replica_capacity_tokens = 4_000;
-        let cfg = ElasticConfig::new(AutoscalerConfig::fixed(1)).with_admission(admission);
+        let cfg = FleetPlan::fixed(1).with_admission(admission);
         let mut engine = fleet(1, RouterPolicy::Passthrough);
-        let outcome = engine.run_elastic(&trace, &cfg);
+        let outcome = run(&mut engine, &trace, &cfg);
         exactly_once(&outcome, &trace);
         assert!(!outcome.shed.is_empty(), "saturation must shed");
         assert!(outcome.elasticity.shed_best_effort >= 1);
@@ -1471,9 +655,10 @@ mod tests {
     fn fleet_size_must_match_autoscaler_max() {
         let trace = small_trace(4, 1);
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let _ = engine.run_elastic(
+        let _ = run(
+            &mut engine,
             &trace,
-            &ElasticConfig::new(AutoscalerConfig::overload_defaults(1, 4)),
+            &FleetPlan::new(AutoscalerConfig::overload_defaults(1, 4)),
         );
     }
 }

@@ -7,48 +7,87 @@
 //! such replicas behind a dispatcher, the same tier DistServe assumes
 //! above its prefill/decode pools. [`FleetEngine`] is that tier.
 //!
-//! A fleet run has three phases:
+//! # The fleet run path
 //!
-//! 1. **Route.** Requests are walked in arrival order; the configured
-//!    [`Router`] policy assigns each to a replica using the fleet's
-//!    incrementally maintained [`FleetLoadTracker`] — O(1) bookkeeping per
-//!    assignment, O(replicas) per decision, never a scan of any replica's
-//!    request table. The engine-level O(active) invariant holds at fleet
-//!    scope.
-//! 2. **Serve.** The trace is split into per-replica sub-traces
-//!    ([`Trace::split_by_assignment`]) and each replica — an independent
-//!    [`ServingEngine`] built exactly as the single-engine path builds it —
-//!    replays its sub-trace. Replicas share nothing, so they can run on
-//!    worker threads without perturbing determinism.
-//! 3. **Merge.** Per-replica [`RunOutcome`]s are merged into a
-//!    [`FleetOutcome`]: records and rejections in request-id order,
-//!    counters summed, simulated time maximised. A 1-replica fleet under
-//!    the passthrough router reproduces the bare engine's outcome bit for
-//!    bit (`tests/fleet_equivalence.rs` pins this).
+//! [`FleetEngine::run`] is the one way a fleet runs. It pulls requests
+//! lazily from a [`TraceStream`] (a materialised trace goes through
+//! [`TraceStream::from_trace`]) and executes a [`FleetPlan`] — failure
+//! injection (crash schedule, retry policy, circuit breaker) and fleet
+//! control (autoscaler, admission) — as **eras** delimited by boundaries:
+//! the schedule's crash instants, plus a control instant every
+//! `control_interval_s` while arrivals remain when a controller can act.
 //!
-//! Every policy is deterministic with sorted tie-breaking, so
-//! identically-seeded fleet runs are bit-for-bit reproducible.
+//! 1. **Route.** Inside an era the frontend routes every arrival —
+//!    originals, behind the admission controller when armed, and retries
+//!    whose backoff elapsed, which bypass it — interleaved by
+//!    `(arrival, id)`. The candidates at the arrival instant are the
+//!    replicas that are active, past provisioning, up per the schedule and
+//!    not held open by the breaker; the [`Router`] picks among them with
+//!    its sorted tie-break, over an incrementally maintained
+//!    [`FleetLoadTracker`] (O(1) per assignment, O(replicas) per decision).
+//!    If none qualifies, the request waits for the replica that becomes
+//!    routable earliest (ties to the lowest id) and arrives there then.
+//! 2. **Boundaries.** At a crash instant each crashing replica runs its
+//!    routed bucket capped at the crash, and what it had not resolved
+//!    becomes casualties ([`crate::reliability`]). At a control instant
+//!    the fleet observes the closed window and may scale up or drain
+//!    ([`crate::elastic`]). At a shared instant crashes resolve first.
+//! 3. **Finish.** Every replica runs its remaining bucket to completion on
+//!    a fresh [`ServingEngine`](crate::engine::ServingEngine), built
+//!    exactly as the single-engine path builds it. Replicas share nothing,
+//!    so segments run on a bounded worker pool when the fleet is
+//!    `parallel`, merged in replica-id order. Per-replica segments merge
+//!    into a [`FleetOutcome`]: records and rejections in request-id order,
+//!    counters summed, simulated time maximised.
+//!
+//! A plain fleet is [`FleetPlan::fixed`]: no crash instant and no control
+//! instant, so the run is one era — route everything, run every replica
+//! once, merge — and a 1-replica fleet under the passthrough router is the
+//! bare engine bit for bit. Armed-but-idle plans, such as
+//! [`FleetPlan::armed_idle`], reproduce it exactly
+//! (`tests/fleet_equivalence.rs` pins both).
+//!
+//! # Exactly-once accounting
+//!
+//! Every request ends in exactly one of five ledgers: completed
+//! (`fleet.records`), rejected by a replica's engine (`fleet.rejected`),
+//! shed at the frontend, terminally failed after a crash, or unfinished
+//! when a final segment ended (only possible under an engine-level
+//! `max_sim_time`). The frontend holds only routed-not-yet-executed
+//! requests and retries awaiting their backoff, which [`FleetFootprint`]
+//! measures. Every policy is deterministic with sorted tie-breaking, so
+//! identically seeded runs are bit-for-bit reproducible.
 
+use crate::elastic::{FleetScaleEvent, ShedRequest};
 use crate::engine::RunOutcome;
+use crate::reliability::FailedRequest;
 use crate::systems::{PressureMode, SystemKind, SystemUnderTest};
 use loong_cluster::topology::ClusterSpec;
 use loong_kvcache::prefix::PrefixCacheConfig;
 use loong_metrics::cache::CacheStats;
+use loong_metrics::elasticity::ElasticityStats;
 use loong_metrics::fleet::FleetSummary;
 use loong_metrics::pressure::PressureStats;
 use loong_metrics::record::RequestRecord;
+use loong_metrics::reliability::{availability_windows, ReliabilityStats, SlaWindow};
 use loong_metrics::slo::SloSpec;
 use loong_model::attention::AttentionCostPolicy;
 use loong_model::config::ModelConfig;
-use loong_sched::router::{all_replicas, FleetLoadTracker, RouteRequest, Router, RouterPolicy};
+use loong_sched::elastic::{AdmissionConfig, AdmissionController, Autoscaler, AutoscalerConfig};
+use loong_sched::reliability::{
+    healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
+};
+use loong_sched::router::{FleetLoadTracker, RouteRequest, Router, RouterPolicy};
 use loong_simcore::ids::{ReplicaId, RequestId};
 use loong_simcore::pool::run_indexed;
 use loong_simcore::time::SimTime;
 use loong_trace::{TraceConfig, TraceRecorder};
-use loong_workload::request::Request;
+use loong_workload::failure::FailureSchedule;
+use loong_workload::request::{Request, TrafficClass};
 use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::iter::Peekable;
 
 /// Snapshot of the tracing state a pooled segment closure needs: the
 /// recorder's config plus the ever-retried id set. `None` when the run is
@@ -81,6 +120,16 @@ pub(crate) fn run_segment_traced(
         }
         None => (engine.run(sub), None),
     }
+}
+
+/// Ids a segment resolved: completed or rejected by its engine.
+pub(crate) fn resolved_ids(outcome: &RunOutcome) -> BTreeSet<RequestId> {
+    outcome
+        .records
+        .iter()
+        .map(|r| r.id)
+        .chain(outcome.rejected.iter().map(|r| r.0))
+        .collect()
 }
 
 /// Static configuration of a fleet run.
@@ -157,7 +206,7 @@ impl FleetConfig {
     }
 }
 
-/// Deterministic frontend-memory ledger of a streamed fleet run.
+/// Deterministic frontend-memory ledger of a fleet run.
 ///
 /// Counts *requests*, not bytes: a simulation-exact proxy that is
 /// bit-for-bit reproducible across hosts, which RSS never is. The
@@ -170,15 +219,8 @@ pub struct FleetFootprint {
     /// bucket entries not yet handed to a replica engine, plus crash
     /// retries awaiting their backoff. Era boundaries flush buckets, so
     /// under a boundary-rich schedule this stays far below the stream
-    /// length — the streamed paths' O(active + pending-retries) claim.
+    /// length — the run path's O(active + pending-retries) claim.
     pub peak_resident_requests: usize,
-}
-
-impl FleetFootprint {
-    /// Folds the current resident count into the peak.
-    pub(crate) fn on_resident(&mut self, resident: usize) {
-        self.peak_resident_requests = self.peak_resident_requests.max(resident);
-    }
 }
 
 /// The outcome of one replica within a fleet run.
@@ -224,6 +266,40 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
+    /// Merges per-replica outcomes (in replica-id order): records and
+    /// rejections sort by request id, counters sum in replica-id order.
+    fn merge(per_replica: Vec<ReplicaOutcome>, assignments: Vec<(RequestId, ReplicaId)>) -> Self {
+        let mut fleet = FleetOutcome {
+            per_replica: Vec::new(),
+            assignments,
+            records: Vec::new(),
+            rejected: Vec::new(),
+            unfinished: 0,
+            sim_time: SimTime::ZERO,
+            iterations: 0,
+            migration_bytes: 0.0,
+            scheduler_calls: 0,
+            pressure: PressureStats::default(),
+            cache: CacheStats::default(),
+        };
+        for r in &per_replica {
+            let outcome = &r.outcome;
+            fleet.records.extend(outcome.records.iter().copied());
+            fleet.rejected.extend(outcome.rejected.iter().cloned());
+            fleet.unfinished += outcome.unfinished;
+            fleet.sim_time = fleet.sim_time.max(outcome.sim_time);
+            fleet.iterations += outcome.iterations;
+            fleet.migration_bytes += outcome.migration_bytes;
+            fleet.scheduler_calls += outcome.scheduler_calls;
+            fleet.pressure.merge(&outcome.pressure);
+            fleet.cache.merge(&outcome.cache);
+        }
+        fleet.records.sort_by_key(|r| r.id);
+        fleet.rejected.sort_by_key(|r| r.0);
+        fleet.per_replica = per_replica;
+        fleet
+    }
+
     /// Number of replicas that took part in the run.
     pub fn replicas(&self) -> usize {
         self.per_replica.len()
@@ -268,10 +344,249 @@ impl FleetOutcome {
     }
 }
 
+/// What a fleet run does beyond routing: failure injection (`schedule`,
+/// `retry`, `breaker`) and fleet control (`autoscaler`, `admission`).
+///
+/// The fleet must be provisioned with `autoscaler.max_replicas` replicas;
+/// the autoscaler decides how many of them are *active* at any instant,
+/// the rest are cold. [`FleetPlan::validate`] checks a plan against a
+/// fleet before the first request is pulled.
+#[derive(Debug, Clone)]
+pub struct FleetPlan {
+    /// The target-tracking fleet autoscaler. [`AutoscalerConfig::fixed`]
+    /// never fires.
+    pub autoscaler: AutoscalerConfig,
+    /// Replicas active (and routable) at t = 0. Must lie within the
+    /// autoscaler's bounds.
+    pub initial_replicas: usize,
+    /// The frontend load shedder; `None` admits everything.
+    pub admission: Option<AdmissionConfig>,
+    /// The SLO against which control windows measure attainment (the
+    /// autoscaler's scale-up signal).
+    pub signal_slo: SloSpec,
+    /// When replicas crash and recover. [`FailureSchedule::none`] injects
+    /// nothing.
+    pub schedule: FailureSchedule,
+    /// What a crash casualty gets: [`RetryPolicy::none`] fails it
+    /// terminally at the crash instant.
+    pub retry: RetryPolicy,
+    /// The per-replica circuit breaker; `None` routes purely on the
+    /// schedule's up/down state.
+    pub breaker: Option<CircuitBreakerConfig>,
+    /// Width of the availability windows in the outcome's SLA series, in
+    /// sim-seconds.
+    pub sla_window_s: f64,
+}
+
+impl FleetPlan {
+    /// A run under `autoscaler`, starting at its minimum size: no
+    /// shedding, no failures, no retries, no breaker, 60 s availability
+    /// windows.
+    pub fn new(autoscaler: AutoscalerConfig) -> Self {
+        FleetPlan {
+            initial_replicas: autoscaler.min_replicas,
+            autoscaler,
+            admission: None,
+            signal_slo: SloSpec::default_for_lwm(),
+            schedule: FailureSchedule::none(),
+            retry: RetryPolicy::none(),
+            breaker: None,
+            sla_window_s: 60.0,
+        }
+    }
+
+    /// The plain fleet of `n` replicas: a fixed autoscaler, no admission
+    /// and an empty schedule, so the run has no boundaries at all.
+    pub fn fixed(n: usize) -> Self {
+        FleetPlan::new(AutoscalerConfig::fixed(n))
+    }
+
+    /// The armed-but-idle control plan: an autoscaler pinned to exactly
+    /// `n` replicas and an admission controller that can never shed.
+    /// Control boundaries run on every window, with no possible effect —
+    /// the run reproduces [`FleetPlan::fixed`] bit for bit.
+    pub fn armed_idle(n: usize) -> Self {
+        FleetPlan::fixed(n).with_admission(AdmissionConfig::never_sheds())
+    }
+
+    /// Arms the frontend load shedder.
+    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
+        self.admission = Some(admission);
+        self
+    }
+
+    /// Sets the number of replicas active at t = 0.
+    pub fn with_initial(mut self, initial_replicas: usize) -> Self {
+        self.initial_replicas = initial_replicas;
+        self
+    }
+
+    /// Injects failures from `schedule`.
+    pub fn with_schedule(mut self, schedule: FailureSchedule) -> Self {
+        self.schedule = schedule;
+        self
+    }
+
+    /// Sets the crash-casualty retry policy.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
+        self
+    }
+
+    /// Enables the per-replica circuit breaker.
+    pub fn with_breaker(mut self, breaker: CircuitBreakerConfig) -> Self {
+        self.breaker = Some(breaker);
+        self
+    }
+
+    /// Sets the SLO the control window measures attainment against.
+    pub fn with_signal_slo(mut self, slo: SloSpec) -> Self {
+        self.signal_slo = slo;
+        self
+    }
+
+    /// Sets the availability-window width.
+    pub fn with_sla_window(mut self, window_s: f64) -> Self {
+        self.sla_window_s = window_s;
+        self
+    }
+
+    /// Checks the plan against a fleet of `replicas`: the fleet is
+    /// provisioned at the autoscaler's maximum, the initial size lies in
+    /// its bounds, both controllers validate, the schedule strikes only
+    /// replicas of the fleet, and every duration the run turns into sim
+    /// time is finite and in range.
+    pub fn validate(&self, replicas: usize) -> Result<(), String> {
+        let scaler = &self.autoscaler;
+        if replicas != scaler.max_replicas {
+            return Err(format!(
+                "the fleet must be provisioned at the autoscaler's max ({} replicas), \
+                 got {replicas}",
+                scaler.max_replicas
+            ));
+        }
+        scaler.validate()?;
+        if !(scaler.min_replicas..=replicas).contains(&self.initial_replicas) {
+            return Err(format!(
+                "initial size {} outside the autoscaler bounds {}..={replicas}",
+                self.initial_replicas, scaler.min_replicas
+            ));
+        }
+        if let Some(admission) = &self.admission {
+            admission.validate()?;
+        }
+        if let Some(max) = self.schedule.max_replica() {
+            if max.index() >= replicas {
+                return Err(format!(
+                    "failure schedule strikes {max}, but the fleet has {replicas} replicas"
+                ));
+            }
+        }
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let retry = &self.retry;
+        if !non_negative(retry.backoff_base_s) || !non_negative(retry.backoff_factor) {
+            return Err(format!(
+                "retry backoff base and factor must be finite and non-negative, got {} and {}",
+                retry.backoff_base_s, retry.backoff_factor
+            ));
+        }
+        if let Some(b) = &self.breaker {
+            if b.failure_threshold == 0 || !positive(b.window_s) || !non_negative(b.cooldown_s) {
+                return Err(format!(
+                    "circuit breaker needs a threshold of at least 1, a finite positive window \
+                     and a finite non-negative cooldown, got {b:?}"
+                ));
+            }
+        }
+        if !positive(self.sla_window_s) {
+            return Err(format!(
+                "SLA window must be finite and positive, got {}",
+                self.sla_window_s
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The result of one fleet run.
+#[derive(Debug, Clone)]
+pub struct FleetRun {
+    /// The fleet outcome over the attempts that resolved inside a replica:
+    /// completed records, engine rejections, per-replica breakdowns.
+    /// Per-replica `unfinished` counts cover final (uncapped) segments
+    /// only — crash casualties live in the reliability ledger.
+    pub fleet: FleetOutcome,
+    /// Crash casualties that exhausted their retry budget, sorted by id.
+    pub failed: Vec<FailedRequest>,
+    /// Requests shed at the frontend, sorted by id.
+    pub shed: Vec<ShedRequest>,
+    /// Every scale event, in decision order.
+    pub scale_events: Vec<FleetScaleEvent>,
+    /// The effective start instant of each routing decision, parallel to
+    /// `fleet.assignments` — what the drain proptests check "no new routes
+    /// after retirement" against.
+    pub route_instants: Vec<SimTime>,
+    /// The whole-run elasticity ledger.
+    pub elasticity: ElasticityStats,
+    /// The whole-run reliability ledger.
+    pub reliability: ReliabilityStats,
+    /// Time-resolved availability series over `sla_window_s` windows.
+    pub sla_windows: Vec<SlaWindow>,
+    /// The frontend's residency ledger.
+    pub footprint: FleetFootprint,
+}
+
+impl FleetRun {
+    /// Total requests accounted for: completed + rejected + unfinished +
+    /// terminally failed + shed. Equals the stream length for every plan
+    /// (the exactly-once property).
+    pub fn total_requests(&self) -> usize {
+        self.fleet.total_requests() + self.failed.len() + self.shed.len()
+    }
+
+    /// Fleet-level metric summary with the reliability and elasticity
+    /// ledgers attached.
+    pub fn summary(
+        &self,
+        system: &str,
+        workload: &str,
+        request_rate: f64,
+        slo: &SloSpec,
+    ) -> FleetSummary {
+        let mut summary = self.fleet.summary(system, workload, request_rate, slo);
+        summary.attach_reliability(self.reliability, self.sla_windows.clone());
+        summary.attach_elasticity(self.elasticity);
+        summary
+    }
+
+    /// Per-class SLO attainment of the completed requests, judging each
+    /// class against the base SLO scaled by its
+    /// [`TrafficClass::slo_scale`], in shed order. The class is read off
+    /// each record (the engine carries it through from the request), so no
+    /// trace-wide index is needed.
+    pub fn class_attainment(&self, base: &SloSpec) -> Vec<(TrafficClass, f64)> {
+        TrafficClass::all()
+            .into_iter()
+            .map(|class| {
+                let records: Vec<RequestRecord> = self
+                    .fleet
+                    .records
+                    .iter()
+                    .filter(|r| r.class == class)
+                    .copied()
+                    .collect();
+                let slo = crate::elastic::class_slo(base, class);
+                (class, slo.attainment(&records))
+            })
+            .collect()
+    }
+}
+
 /// A fleet of serving replicas behind a cluster router.
 pub struct FleetEngine {
-    pub(crate) config: FleetConfig,
-    pub(crate) router: Box<dyn Router>,
+    config: FleetConfig,
+    router: Box<dyn Router>,
 }
 
 impl FleetEngine {
@@ -297,226 +612,489 @@ impl FleetEngine {
         self.router.name()
     }
 
-    /// Routes every request of `trace` in arrival order, returning the
-    /// per-request replica assignment (indexing `trace.requests`).
-    ///
-    /// Routing is pure dispatch: the load tracker advances by running sums
-    /// only, so the whole pass is O(requests × replicas) with O(replicas)
-    /// state — independent of how many requests any replica has absorbed.
+    /// Routes every request of `trace` in arrival order through the run
+    /// path's routing step with every replica routable, returning the
+    /// per-request replica assignment (indexing `trace.requests`) that
+    /// [`FleetEngine::run`] under [`FleetPlan::fixed`] makes.
     ///
     /// Every call starts from a fresh router and load tracker, so routing
-    /// (and therefore [`FleetEngine::run`]) is a pure function of the
-    /// configuration and the trace: reusing one engine across traces
-    /// cannot leak round-robin counters or probe-RNG state between runs.
+    /// is a pure function of the configuration and the trace: reusing one
+    /// engine across traces cannot leak round-robin counters or probe-RNG
+    /// state between runs.
     pub fn route(&mut self, trace: &Trace) -> Vec<usize> {
+        let plan = FleetPlan::fixed(self.config.replicas);
         self.router = self.config.policy.build();
-        let mut tracker = FleetLoadTracker::new(self.config.replicas);
-        let all = all_replicas(self.config.replicas);
-        let mut assignment = Vec::with_capacity(trace.requests.len());
-        for req in &trace.requests {
-            let route_req = RouteRequest {
-                id: req.id,
-                arrival: req.arrival,
-                input_len: req.input_len,
-                max_output_len: req.max_output_len,
-                conversation: req.conversation,
-            };
-            let replica = self.router.route(&route_req, tracker.loads(), &all);
-            assert!(
-                replica.index() < self.config.replicas,
-                "router returned out-of-range {replica}"
-            );
-            tracker.on_assign(replica, &route_req);
-            assignment.push(replica.index());
-        }
-        assignment
-    }
-
-    /// Runs the fleet over a trace: route, serve every replica, merge.
-    pub fn run(&mut self, trace: &Trace) -> FleetOutcome {
-        self.run_inner(trace, None)
-    }
-
-    /// Runs the fleet with every replica observed by `recorder`. Identical
-    /// decision-for-decision to [`FleetEngine::run`] — the recorder only
-    /// receives copies of already-made decisions — with per-replica spans,
-    /// timeseries and instants absorbed in replica-id order.
-    pub fn run_traced(&mut self, trace: &Trace, recorder: &mut TraceRecorder) -> FleetOutcome {
-        let outcome = self.run_inner(trace, Some(recorder));
-        recorder.finalize(outcome.sim_time);
-        outcome
-    }
-
-    fn run_inner(
-        &mut self,
-        trace: &Trace,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> FleetOutcome {
-        let assignment = self.route(trace);
-        let subs = trace.split_by_assignment(self.config.replicas, &assignment);
-        let assignments: Vec<(RequestId, ReplicaId)> = trace
+        let mut st = RunState::new(&self.config, self.router.as_mut(), &plan, "", None);
+        trace
             .requests
             .iter()
-            .zip(&assignment)
-            .map(|(req, &replica)| (req.id, ReplicaId::from(replica)))
-            .collect();
-
-        let system = self.config.replica_system();
-        let seed = trace_seed(&recorder);
-        let run_replica = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            // Bounded pool, not thread-per-replica: a 64-replica fleet on a
-            // 8-core host runs 8 workers pulling replica indices, and the
-            // pool merges by index so the outcome is bit-for-bit serial.
-            run_indexed(subs.len(), |i| run_replica(&subs[i]))
-        } else {
-            subs.iter().map(run_replica).collect()
-        };
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (r, (outcome, child)) in results.into_iter().enumerate() {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            outcomes.push(outcome);
-        }
-
-        Self::merge(subs, outcomes, assignments)
+            .map(|req| st.pick(&route_request(req)).0.index())
+            .collect()
     }
 
-    /// Runs the fleet over a lazy request stream: requests are routed one
-    /// at a time as they are pulled, so the frontend never materialises
-    /// the trace — only the per-replica buckets the engines need anyway.
-    /// Collecting the same stream and calling [`FleetEngine::run`] yields
-    /// a bit-for-bit identical [`FleetOutcome`]
-    /// (`tests/streaming_properties.rs` pins this across every policy).
-    pub fn run_stream(&mut self, stream: TraceStream) -> (FleetOutcome, FleetFootprint) {
-        self.run_stream_inner(stream, None)
-    }
-
-    /// Streamed fleet run with every replica observed by `recorder` — the
-    /// streamed counterpart of [`FleetEngine::run_traced`].
-    pub fn run_stream_traced(
+    /// Runs the fleet over `stream` under `plan`, with every replica, crash,
+    /// retry and scale event observed by `recorder` when one is given. The
+    /// recorder only receives copies of already-made decisions, so a traced
+    /// run is decision-for-decision the untraced one; it is finalised at
+    /// the fleet makespan. See the module docs for the execution model.
+    ///
+    /// Returns the plan's validation error, before any request is pulled,
+    /// when [`FleetPlan::validate`] rejects it for this fleet.
+    pub fn run(
         &mut self,
         stream: TraceStream,
-        recorder: &mut TraceRecorder,
-    ) -> (FleetOutcome, FleetFootprint) {
-        let (outcome, footprint) = self.run_stream_inner(stream, Some(recorder));
-        recorder.finalize(outcome.sim_time);
-        (outcome, footprint)
-    }
-
-    fn run_stream_inner(
-        &mut self,
-        stream: TraceStream,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> (FleetOutcome, FleetFootprint) {
-        let n = self.config.replicas;
+        plan: &FleetPlan,
+        recorder: Option<&mut TraceRecorder>,
+    ) -> Result<FleetRun, String> {
+        plan.validate(self.config.replicas)?;
         let label = stream.label().to_string();
+        let mut source = stream.peekable();
         self.router = self.config.policy.build();
-        let mut tracker = FleetLoadTracker::new(n);
-        let all = all_replicas(n);
-        let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); n];
-        let mut assignments: Vec<(RequestId, ReplicaId)> = Vec::new();
-        let mut footprint = FleetFootprint::default();
-        let mut resident = 0usize;
-        for req in stream {
-            let route_req = RouteRequest {
-                id: req.id,
-                arrival: req.arrival,
-                input_len: req.input_len,
-                max_output_len: req.max_output_len,
-                conversation: req.conversation,
+        let mut st = RunState::new(&self.config, self.router.as_mut(), plan, &label, recorder);
+
+        // Crash instants from the schedule; control instants every
+        // `control_interval_s` while arrivals (or pending retries) remain,
+        // but only when a controller could act.
+        let crash_times = plan.schedule.crash_times();
+        let control_on = plan.autoscaler.is_elastic() || plan.admission.is_some();
+        let interval = plan.autoscaler.control_interval_s;
+        let (mut ci, mut k) = (0usize, 1u64);
+        loop {
+            let more_work = source.peek().is_some() || !st.pending.is_empty();
+            let next_control =
+                (control_on && more_work).then(|| SimTime::from_secs(k as f64 * interval));
+            let next_crash = crash_times.get(ci).copied();
+            let Some(b) = next_crash.into_iter().chain(next_control).min() else {
+                break;
             };
-            let replica = self.router.route(&route_req, tracker.loads(), &all);
-            assert!(
-                replica.index() < n,
-                "router returned out-of-range {replica}"
-            );
-            tracker.on_assign(replica, &route_req);
-            assignments.push((req.id, replica));
-            buckets[replica.index()].push(req);
-            footprint.streamed_requests += 1;
-            resident += 1;
-            footprint.on_resident(resident);
+            st.route_until(&mut source, Some(b));
+            if next_crash == Some(b) {
+                st.crash_boundary(b);
+                ci += 1;
+            }
+            if next_control == Some(b) {
+                st.control_boundary(b);
+                k += 1;
+            }
         }
-        // The buckets are exactly `split_by_assignment`'s sub-traces:
-        // arrival order is preserved by the in-order pushes.
-        let subs: Vec<Trace> = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(r, requests)| Trace {
-                label: format!("{label} · replica {r}/{n}"),
-                requests,
+        st.route_until(&mut source, None);
+        // The drained stream may still own a materialised trace's buffer;
+        // free it before the final segments run.
+        drop(source);
+        Ok(st.finish())
+    }
+
+    /// [`FleetEngine::run`] under [`FleetPlan::fixed`], untraced — the
+    /// name the benchmark harness in `perfbench/` calls.
+    pub fn run_stream(&mut self, stream: TraceStream) -> (FleetOutcome, FleetFootprint) {
+        let run = self.run(stream, &FleetPlan::fixed(self.config.replicas), None);
+        let run = run.expect("the fixed plan fits its own fleet");
+        (run.fleet, run.footprint)
+    }
+
+    /// [`FleetEngine::run`] untraced — the name the benchmark harness in
+    /// `perfbench/` calls. Panics on an invalid plan.
+    pub fn run_elastic_stream(
+        &mut self,
+        stream: TraceStream,
+        plan: &FleetPlan,
+    ) -> (FleetRun, FleetFootprint) {
+        let run = self.run(stream, plan, None).expect("valid fleet plan");
+        let footprint = run.footprint;
+        (run, footprint)
+    }
+
+    /// [`FleetEngine::run`] traced — the name the benchmark harness in
+    /// `perfbench/` calls. Panics on an invalid plan.
+    pub fn run_elastic_stream_traced(
+        &mut self,
+        stream: TraceStream,
+        plan: &FleetPlan,
+        recorder: &mut TraceRecorder,
+    ) -> (FleetRun, FleetFootprint) {
+        let run = self
+            .run(stream, plan, Some(recorder))
+            .expect("valid fleet plan");
+        let footprint = run.footprint;
+        (run, footprint)
+    }
+}
+
+/// The router's view of a request.
+fn route_request(req: &Request) -> RouteRequest {
+    RouteRequest {
+        id: req.id,
+        arrival: req.arrival,
+        input_len: req.input_len,
+        max_output_len: req.max_output_len,
+        conversation: req.conversation,
+    }
+}
+
+/// Lifecycle of one fleet slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Life {
+    /// Provisioned but never activated: no capacity cost, not routable.
+    Cold,
+    /// Active. Routable from `since` (activation instant, or the end of
+    /// the provisioning delay for a scale-up).
+    Active { since: SimTime },
+    /// Drained and retired at `at`; re-activatable by a later scale-up.
+    Retired { at: SimTime },
+}
+
+impl Life {
+    /// Whether the slot is routable at `t`: active and past provisioning.
+    pub(crate) fn ready_at(self, t: SimTime) -> bool {
+        matches!(self, Life::Active { since } if since <= t)
+    }
+}
+
+/// Mutable state of one fleet run, threaded through the era loop. The
+/// crash boundary lives in [`crate::reliability`], the control boundary in
+/// [`crate::elastic`].
+pub(crate) struct RunState<'a> {
+    pub(crate) plan: &'a FleetPlan,
+    pub(crate) label: &'a str,
+    pub(crate) n: usize,
+    /// One replica's system, uncapped; boundaries cap clones of it.
+    pub(crate) system: SystemUnderTest,
+    pub(crate) parallel: bool,
+    pub(crate) router: &'a mut dyn Router,
+    pub(crate) rec: Option<&'a mut TraceRecorder>,
+    pub(crate) life: Vec<Life>,
+    tracker: FleetLoadTracker,
+    pub(crate) breaker: Option<CircuitBreaker>,
+    pub(crate) admission: Option<AdmissionController>,
+    pub(crate) autoscaler: Autoscaler,
+    /// Requests routed to each replica and not yet handed to an engine,
+    /// with their effective arrival instants.
+    pub(crate) buckets: Vec<Vec<Request>>,
+    /// Each replica's executed segments, in execution order.
+    pub(crate) segments: Vec<Vec<RunOutcome>>,
+    /// Every routing decision in decision order; retried requests appear
+    /// once per attempt.
+    assignments: Vec<(RequestId, ReplicaId)>,
+    route_instants: Vec<SimTime>,
+    /// Attempts assigned per replica over the whole run.
+    assigned: Vec<usize>,
+    /// Retries waiting for their backoff to elapse, keyed by
+    /// (re-arrival, id) — the deterministic interleave order with original
+    /// arrivals.
+    pub(crate) pending: BTreeMap<(SimTime, RequestId), Request>,
+    pub(crate) retries_used: BTreeMap<RequestId, u32>,
+    pub(crate) casualty_ids: BTreeSet<RequestId>,
+    pub(crate) failed: Vec<FailedRequest>,
+    pub(crate) shed: Vec<ShedRequest>,
+    pub(crate) stats: ReliabilityStats,
+    pub(crate) elastic: ElasticityStats,
+    pub(crate) scale_events: Vec<FleetScaleEvent>,
+    /// Requests currently resident in the frontend: bucket entries not yet
+    /// handed to an engine, plus retries awaiting their backoff.
+    resident: usize,
+    footprint: FleetFootprint,
+    /// Fleet-wide unresolved backlog measured at the last control
+    /// boundary; the admission controller's saturation baseline.
+    pub(crate) last_observed_backlog: u64,
+    /// Worst-case tokens routed since that observation — the running
+    /// correction that lets admission react *between* boundaries.
+    pub(crate) routed_since_observation: u64,
+    /// Accumulated active span per replica (activation to retirement), in
+    /// sim-seconds; still-active spans are closed at the makespan.
+    pub(crate) active_spans_s: Vec<f64>,
+}
+
+impl<'a> RunState<'a> {
+    /// Fresh state for a validated `plan` on the fleet of `config`.
+    fn new(
+        config: &FleetConfig,
+        router: &'a mut dyn Router,
+        plan: &'a FleetPlan,
+        label: &'a str,
+        rec: Option<&'a mut TraceRecorder>,
+    ) -> Self {
+        let n = config.replicas;
+        let initial = plan.initial_replicas;
+        RunState {
+            plan,
+            label,
+            n,
+            system: config.replica_system(),
+            parallel: config.parallel,
+            router,
+            rec,
+            life: (0..n)
+                .map(|r| {
+                    if r < initial {
+                        Life::Active {
+                            since: SimTime::ZERO,
+                        }
+                    } else {
+                        Life::Cold
+                    }
+                })
+                .collect(),
+            tracker: FleetLoadTracker::new(n),
+            breaker: plan.breaker.map(|cfg| CircuitBreaker::new(cfg, n)),
+            admission: plan.admission.map(AdmissionController::new),
+            autoscaler: Autoscaler::new(plan.autoscaler),
+            buckets: vec![Vec::new(); n],
+            segments: vec![Vec::new(); n],
+            assignments: Vec::new(),
+            route_instants: Vec::new(),
+            assigned: vec![0; n],
+            pending: BTreeMap::new(),
+            retries_used: BTreeMap::new(),
+            casualty_ids: BTreeSet::new(),
+            failed: Vec::new(),
+            shed: Vec::new(),
+            stats: ReliabilityStats {
+                crashes: plan.schedule.events().len() as u64,
+                downtime_s: plan.schedule.total_downtime().as_secs(),
+                ..ReliabilityStats::default()
+            },
+            elastic: ElasticityStats {
+                min_active_replicas: initial as u64,
+                max_active_replicas: initial as u64,
+                ..ElasticityStats::default()
+            },
+            scale_events: Vec::new(),
+            resident: 0,
+            footprint: FleetFootprint::default(),
+            last_observed_backlog: 0,
+            routed_since_observation: 0,
+            active_spans_s: vec![0.0; n],
+        }
+    }
+
+    pub(crate) fn grow_resident(&mut self) {
+        self.resident += 1;
+        let peak = &mut self.footprint.peak_resident_requests;
+        *peak = (*peak).max(self.resident);
+    }
+
+    /// Hands replica `r`'s bucket over for execution.
+    pub(crate) fn take_bucket(&mut self, r: usize) -> Vec<Request> {
+        let bucket = std::mem::take(&mut self.buckets[r]);
+        self.resident -= bucket.len();
+        bucket
+    }
+
+    /// Runs `subs` on fresh engines of `system`, on the worker pool when
+    /// the fleet is parallel, returning outcomes in input order — with
+    /// child recordings when `traced` and a recorder is attached.
+    pub(crate) fn run_segments(
+        &self,
+        system: &SystemUnderTest,
+        subs: &[Trace],
+        traced: bool,
+    ) -> Vec<(RunOutcome, Option<TraceRecorder>)> {
+        let seed = if traced { trace_seed(&self.rec) } else { None };
+        let run = |sub: &Trace| run_segment_traced(system, sub, &seed);
+        if self.parallel {
+            run_indexed(subs.len(), |i| run(&subs[i]))
+        } else {
+            subs.iter().map(run).collect()
+        }
+    }
+
+    /// Absorbs a segment's child recording into the run's recorder.
+    pub(crate) fn absorb(&mut self, replica: ReplicaId, child: Option<TraceRecorder>) {
+        if let (Some(rec), Some(child)) = (self.rec.as_deref_mut(), child) {
+            rec.merge_child(replica, child);
+        }
+    }
+
+    /// Routes every arrival strictly before `end` (all of them when `end`
+    /// is `None`): source requests behind the admission controller and
+    /// pending retries, which bypass it, interleaved by (arrival, id). The
+    /// source is pulled lazily: nothing beyond the era boundary is ever
+    /// materialised.
+    fn route_until(&mut self, source: &mut Peekable<TraceStream>, end: Option<SimTime>) {
+        let in_era = |t: SimTime| end.is_none_or(|e| t < e);
+        loop {
+            let original = source
+                .peek()
+                .map(|req| (req.arrival, req.id))
+                .filter(|&(at, _)| in_era(at));
+            let retry = self
+                .pending
+                .first_key_value()
+                .map(|(&key, _)| key)
+                .filter(|&(at, _)| in_era(at));
+            // The earlier of the two by (arrival, id); an original never
+            // shares its id with a pending retry, so the order is total.
+            match (original, retry) {
+                (None, None) => break,
+                (original, Some(key)) if original.is_none_or(|o| key < o) => {
+                    let retry_req = self.pending.remove(&key).expect("key just seen");
+                    self.resident -= 1;
+                    self.route_attempt(retry_req);
+                }
+                _ => {
+                    let req = source.next().expect("peeked above");
+                    self.footprint.streamed_requests += 1;
+                    if !self.admit(&req) {
+                        continue;
+                    }
+                    self.route_attempt(req);
+                }
+            }
+        }
+    }
+
+    /// Routes one attempt and parks it in its replica's bucket.
+    fn route_attempt(&mut self, req: Request) {
+        let (replica, start) = self.pick(&route_request(&req));
+        self.routed_since_observation = self
+            .routed_since_observation
+            .saturating_add(req.input_len + req.max_output_len);
+        let mut placed = req;
+        placed.arrival = start;
+        self.assignments.push((placed.id, replica));
+        self.route_instants.push(start);
+        self.assigned[replica.index()] += 1;
+        self.buckets[replica.index()].push(placed);
+        self.grow_resident();
+    }
+
+    /// The routing step: picks the replica and start instant of one
+    /// attempt at its arrival instant. The router chooses among the
+    /// replicas that are active, past provisioning, up per the schedule
+    /// and not held open by the breaker; when none is, the attempt waits
+    /// for the active replica that becomes routable earliest —
+    /// provisioning, schedule recovery and breaker cooldown all count —
+    /// ties to the lowest id.
+    fn pick(&mut self, req: &RouteRequest) -> (ReplicaId, SimTime) {
+        let t = req.arrival;
+        let (life, schedule, breaker) = (&self.life, &self.plan.schedule, &self.breaker);
+        let candidates = healthy_candidates(self.n, |r| {
+            !life[r.index()].ready_at(t)
+                || schedule.is_down(r, t)
+                || breaker.as_ref().is_some_and(|b| b.is_open(r, t))
+        });
+        let (replica, start) = if candidates.is_empty() {
+            let mut best: Option<(SimTime, ReplicaId)> = None;
+            for (r, l) in life.iter().enumerate() {
+                if let Life::Active { since } = *l {
+                    let rid = ReplicaId::from(r);
+                    let mut ready = schedule.next_up(rid, t.max(since));
+                    if let Some(b) = breaker {
+                        ready = ready.max(b.open_until(rid));
+                    }
+                    if best.is_none_or(|(earliest, _)| ready < earliest) {
+                        best = Some((ready, rid));
+                    }
+                }
+            }
+            let (ready, rid) = best.expect("the autoscaler keeps at least min_replicas active");
+            (rid, ready.max(t))
+        } else {
+            (self.router.route(req, self.tracker.loads(), &candidates), t)
+        };
+        assert!(
+            replica.index() < self.n,
+            "router returned out-of-range {replica}"
+        );
+        self.tracker.on_assign(replica, req);
+        (replica, start)
+    }
+
+    /// Runs every replica's remaining bucket to completion (retired and
+    /// cold replicas run empty buckets), merges, and closes the ledgers.
+    fn finish(mut self) -> FleetRun {
+        let n = self.n;
+        let finals: Vec<Trace> = (0..n)
+            .map(|r| {
+                let bucket = self.take_bucket(r);
+                Trace::from_requests(format!("{} · replica {r}/{n}", self.label), bucket)
             })
             .collect();
-        let system = self.config.replica_system();
-        let seed = trace_seed(&recorder);
-        let run_replica = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(subs.len(), |i| run_replica(&subs[i]))
-        } else {
-            subs.iter().map(run_replica).collect()
-        };
-        let mut outcomes = Vec::with_capacity(results.len());
+        let results = self.run_segments(&self.system, &finals, true);
         for (r, (outcome, child)) in results.into_iter().enumerate() {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
-            }
-            outcomes.push(outcome);
+            self.absorb(ReplicaId::from(r), child);
+            self.segments[r].push(outcome);
         }
-        (Self::merge(subs, outcomes, assignments), footprint)
-    }
+        let per_replica: Vec<ReplicaOutcome> = std::mem::take(&mut self.segments)
+            .into_iter()
+            .enumerate()
+            .map(|(r, segs)| ReplicaOutcome {
+                replica: ReplicaId::from(r),
+                assigned: self.assigned[r],
+                outcome: merge_segments(segs),
+            })
+            .collect();
+        let fleet = FleetOutcome::merge(per_replica, self.assignments);
+        self.failed.sort_by_key(|f| f.id);
+        self.shed.sort_by_key(|s| s.id);
 
-    /// Merges per-replica outcomes into the fleet outcome. Merge order is
-    /// deterministic: records and rejections sort by request id, counters
-    /// sum in replica-id order.
-    fn merge(
-        subs: Vec<Trace>,
-        outcomes: Vec<RunOutcome>,
-        assignments: Vec<(RequestId, ReplicaId)>,
-    ) -> FleetOutcome {
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut unfinished = 0usize;
-        let mut sim_time = SimTime::ZERO;
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut pressure = PressureStats::default();
-        let mut cache = CacheStats::default();
-        let mut per_replica = Vec::with_capacity(outcomes.len());
-        for (i, (sub, outcome)) in subs.into_iter().zip(outcomes).enumerate() {
-            records.extend(outcome.records.iter().copied());
-            rejected.extend(outcome.rejected.iter().cloned());
-            unfinished += outcome.unfinished;
-            sim_time = sim_time.max(outcome.sim_time);
-            iterations += outcome.iterations;
-            migration_bytes += outcome.migration_bytes;
-            scheduler_calls += outcome.scheduler_calls;
-            pressure.merge(&outcome.pressure);
-            cache.merge(&outcome.cache);
-            per_replica.push(ReplicaOutcome {
-                replica: ReplicaId::from(i),
-                assigned: sub.len(),
-                outcome,
-            });
+        self.stats.recovered_requests = self
+            .casualty_ids
+            .iter()
+            .filter(|id| fleet.records.binary_search_by_key(*id, |r| r.id).is_ok())
+            .count() as u64;
+        if let Some(breaker) = &self.breaker {
+            self.stats.breaker_opens = breaker.opens();
         }
-        records.sort_by_key(|r| r.id);
-        rejected.sort_by_key(|r| r.0);
-        FleetOutcome {
-            per_replica,
-            assignments,
-            records,
-            rejected,
-            unfinished,
-            sim_time,
-            iterations,
-            migration_bytes,
-            scheduler_calls,
-            pressure,
-            cache,
+        let failure_instants: Vec<SimTime> = self.failed.iter().map(|f| f.at).collect();
+        let sla_windows =
+            availability_windows(self.plan.sla_window_s, &fleet.records, &failure_instants);
+
+        // Replica-seconds: every span from activation (routable) to
+        // retirement; replicas still active close their span at the fleet
+        // makespan. The denominator of SLO-goodput per replica-second.
+        for (span, life) in self.active_spans_s.iter_mut().zip(&self.life) {
+            if let Life::Active { since } = *life {
+                *span += fleet.sim_time.saturating_since(since).as_secs();
+            }
+        }
+        self.elastic.replica_seconds = self.active_spans_s.iter().sum();
+        if let Some(rec) = self.rec {
+            rec.finalize(fleet.sim_time);
+        }
+        FleetRun {
+            fleet,
+            failed: self.failed,
+            shed: self.shed,
+            scale_events: self.scale_events,
+            route_instants: self.route_instants,
+            elasticity: self.elastic,
+            reliability: self.stats,
+            sla_windows,
+            footprint: self.footprint,
         }
     }
+}
+
+/// Merges one replica's segment outcomes (in segment order; the last one
+/// is the final, uncapped segment). Counters sum, sim time maximises, and
+/// `unfinished` comes from the final segment alone — a capped segment's
+/// unfinished requests are crash casualties, owned by the retry ledger.
+fn merge_segments(segments: Vec<RunOutcome>) -> RunOutcome {
+    let last = segments.len() - 1;
+    let mut merged: Option<RunOutcome> = None;
+    for (i, mut seg) in segments.into_iter().enumerate() {
+        if i != last {
+            seg.unfinished = 0;
+        }
+        match &mut merged {
+            None => merged = Some(seg),
+            Some(acc) => {
+                acc.records.extend(seg.records);
+                acc.rejected.extend(seg.rejected);
+                acc.unfinished = seg.unfinished;
+                acc.scaling_events.extend(seg.scaling_events);
+                acc.sim_time = acc.sim_time.max(seg.sim_time);
+                acc.iterations += seg.iterations;
+                acc.migration_bytes += seg.migration_bytes;
+                acc.scheduler_calls += seg.scheduler_calls;
+                acc.pressure.merge(&seg.pressure);
+                acc.cache.merge(&seg.cache);
+                acc.prefilled_tokens += seg.prefilled_tokens;
+            }
+        }
+    }
+    merged.expect("every replica runs at least its final segment")
 }
 
 #[cfg(test)]
@@ -529,12 +1107,19 @@ mod tests {
         WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(8.0, count, seed)
     }
 
+    /// The plain fleet's outcome over a materialised trace.
+    fn run_plain(fleet: &mut FleetEngine, trace: &Trace) -> FleetOutcome {
+        let plan = FleetPlan::fixed(fleet.config().replicas);
+        let run = fleet.run(TraceStream::from_trace(trace.clone()), &plan, None);
+        run.expect("valid plan").fleet
+    }
+
     #[test]
     fn fleet_accounts_for_every_request() {
         let config = FleetConfig::paper_fleet(SystemKind::LoongServe, 2, RouterPolicy::RoundRobin);
         let mut fleet = FleetEngine::new(config);
         let trace = small_trace(24, 3);
-        let outcome = fleet.run(&trace);
+        let outcome = run_plain(&mut fleet, &trace);
         assert_eq!(outcome.replicas(), 2);
         assert_eq!(outcome.total_requests(), 24);
         assert_eq!(outcome.assignments.len(), 24);
@@ -550,6 +1135,9 @@ mod tests {
         assert_eq!(outcome.per_replica[0].assigned, 12);
         assert_eq!(outcome.per_replica[1].assigned, 12);
         assert!(outcome.records.windows(2).all(|w| w[0].id < w[1].id));
+        // `route` makes exactly the run's routing decisions.
+        let routed: Vec<usize> = outcome.assignments.iter().map(|a| a.1.index()).collect();
+        assert_eq!(fleet.route(&trace), routed);
     }
 
     #[test]
@@ -562,7 +1150,7 @@ mod tests {
                 RouterPolicy::JoinShortestQueue,
             );
             config.parallel = parallel;
-            FleetEngine::new(config).run(&trace)
+            run_plain(&mut FleetEngine::new(config), &trace)
         };
         let serial = run(false);
         let parallel = run(true);
@@ -577,7 +1165,7 @@ mod tests {
         let config = FleetConfig::paper_fleet(SystemKind::LoongServe, 2, RouterPolicy::RoundRobin);
         let mut fleet = FleetEngine::new(config);
         let trace = small_trace(16, 5);
-        let outcome = fleet.run(&trace);
+        let outcome = run_plain(&mut fleet, &trace);
         let summary = outcome.summary(
             "LoongServe x2",
             "ShareGPT",
@@ -608,8 +1196,8 @@ mod tests {
         ] {
             let mut fleet =
                 FleetEngine::new(FleetConfig::paper_fleet(SystemKind::LoongServe, 2, policy));
-            let a = fleet.run(&trace);
-            let b = fleet.run(&trace);
+            let a = run_plain(&mut fleet, &trace);
+            let b = run_plain(&mut fleet, &trace);
             assert_eq!(a.assignments, b.assignments, "{policy:?}");
             assert_eq!(a.records, b.records, "{policy:?}");
         }

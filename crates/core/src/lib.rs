@@ -10,11 +10,12 @@
 //!   [`Scheduler`](loong_sched::types::Scheduler) over a workload trace,
 //! * [`fleet`] — the fleet tier: N independent replicas behind a
 //!   deterministic cluster router
-//!   ([`RouterPolicy`](loong_sched::router::RouterPolicy)),
-//! * [`reliability`] — failure injection over the fleet: seeded crash
-//!   schedules, health-aware routing, retry/backoff, circuit breaking and
-//!   the exactly-once casualty ledger,
-//! * [`elastic`] — graceful degradation under overload: SLO-driven fleet
+//!   ([`RouterPolicy`](loong_sched::router::RouterPolicy)), run along one
+//!   path, [`FleetEngine::run`], over a [`FleetPlan`],
+//! * [`reliability`] — the plan's failure injection: crash boundaries,
+//!   health-aware routing, retry/backoff, circuit breaking and the
+//!   exactly-once casualty ledger,
+//! * [`elastic`] — the plan's overload control: SLO-driven fleet
 //!   autoscaling with provisioning delays, drain-before-retire scale-down
 //!   (no request killed by a scale event), and hysteretic admission
 //!   control that sheds best-effort traffic first,
@@ -60,12 +61,14 @@ pub use elastic::{
 };
 pub use engine::{EngineConfig, HostSwapConfig, RunOutcome, ServingEngine};
 pub use experiment::{compare_systems, sweep_system, SweepConfig, SweepResult, WorkloadSpec};
-pub use fleet::{FleetConfig, FleetEngine, FleetFootprint, FleetOutcome, ReplicaOutcome};
+pub use fleet::{
+    FleetConfig, FleetEngine, FleetFootprint, FleetOutcome, FleetPlan, FleetRun, ReplicaOutcome,
+};
 pub use loong_trace::{
     perfetto_json, series_csv, InstantEvent, NoopSink, Span, SpanPhase, Terminal, TraceConfig,
     TraceLedger, TraceRecorder, TraceSink,
 };
-pub use reliability::{FailedRequest, ReliabilityConfig, ReliableFleetOutcome};
+pub use reliability::FailedRequest;
 pub use systems::{PressureMode, SystemKind, SystemUnderTest};
 
 /// Convenient glob-import of the most commonly used types across the whole
@@ -79,9 +82,9 @@ pub mod prelude {
         compare_systems, sweep_system, SweepConfig, SweepResult, WorkloadSpec,
     };
     pub use crate::fleet::{
-        FleetConfig, FleetEngine, FleetFootprint, FleetOutcome, ReplicaOutcome,
+        FleetConfig, FleetEngine, FleetFootprint, FleetOutcome, FleetPlan, FleetRun, ReplicaOutcome,
     };
-    pub use crate::reliability::{FailedRequest, ReliabilityConfig, ReliableFleetOutcome};
+    pub use crate::reliability::FailedRequest;
     pub use crate::report;
     pub use crate::systems::{PressureMode, SystemKind, SystemUnderTest};
     pub use loong_cluster::prelude::*;

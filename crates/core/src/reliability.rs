@@ -1,136 +1,43 @@
-//! The reliability tier: fleet runs under failure injection.
+//! The reliability tier: crash boundaries of a fleet run.
 //!
-//! [`FleetEngine::run_reliable`] replays a trace against a seeded
-//! [`FailureSchedule`]: replicas crash and recover on the sim clock, a
-//! crashed replica loses everything volatile (device KV, host-swap tier,
-//! prefix cache — it restarts as a fresh engine), and the requests that
-//! were in flight or queued on it surface back to the fleet frontend as
-//! *casualties*, where the [`RetryPolicy`] decides whether they get
-//! another attempt and the [`CircuitBreaker`] decides whether the replica
-//! does.
+//! A [`FleetPlan`](crate::fleet::FleetPlan) with a seeded
+//! [`FailureSchedule`](loong_workload::failure::FailureSchedule) makes
+//! replicas crash and recover on the sim clock. A crashed replica loses
+//! everything volatile — device KV, host-swap tier, prefix cache; it
+//! restarts as a fresh engine — and the requests that were in flight or
+//! queued on it surface back to the fleet frontend as *casualties*, where
+//! the [`RetryPolicy`](loong_sched::reliability::RetryPolicy) decides
+//! whether they get another attempt and the [`CircuitBreaker`] decides
+//! whether the replica does.
 //!
-//! # Execution model: boundary-ordered eras
+//! The fleet routes up front and runs replicas independently; a crash is
+//! the one event that couples them again, because its casualties must
+//! re-enter routing. Crash instants are therefore era boundaries of
+//! [`FleetEngine::run`](crate::fleet::FleetEngine::run). At a crash
+//! instant `b`, each replica crashing at `b` runs the bucket it
+//! accumulated, capped at `b` (work completing by `b` counts — the crash
+//! interrupts the machine, not the ledger). Whatever is neither completed
+//! nor rejected by `b` is a casualty: the breaker is fed one failure per
+//! casualty, and each casualty is either re-submitted (arrival
+//! `b + backoff`, same request id, full re-prefill on whatever replica
+//! routing picks next) or terminally failed once its budget is spent. A
+//! crash that interrupts a drain settles the drain's remainder the same
+//! way.
 //!
-//! The fleet tier routes up front and runs replicas independently; a crash
-//! is the one event that couples them again, because its casualties must
-//! re-enter routing. The runner therefore advances through **eras**
-//! delimited by the schedule's distinct crash instants:
-//!
-//! 1. Route every arrival (original or retried) that falls inside the
-//!    era, computing the candidate set per request at its arrival instant
-//!    — replicas down per the schedule, or held open by the breaker, are
-//!    excluded; policies pick among the rest with the shared sorted
-//!    tie-break. If *no* replica is routable the request waits for the
-//!    one that becomes routable earliest (ties to the lowest id) and
-//!    arrives there at that instant.
-//! 2. At the era's closing crash instant `b`, each replica crashing at
-//!    `b` runs the segment it accumulated, capped at `b` (work completing
-//!    by `b` counts — the crash interrupts the machine, not the ledger).
-//!    Whatever is neither completed nor rejected by `b` is a casualty:
-//!    the breaker is fed one failure per casualty, and each casualty is
-//!    either re-submitted (arrival `b + backoff`, same request id, full
-//!    re-prefill on whatever replica routing picks next) or terminally
-//!    failed once its budget is spent.
-//! 3. After the last era every replica runs its remaining segment to
-//!    completion.
-//!
-//! With an empty schedule there are no boundaries: one era, one segment
-//! per replica, candidates always the full fleet — the run degenerates to
-//! [`FleetEngine::run`] decision for decision, which is why an armed but
-//! idle reliability tier stays bit-for-bit on the pinned golden digests
-//! (`tests/reliability_properties.rs` pins this against
-//! `tests/fleet_equivalence.rs`).
-//!
-//! # Exactly-once accounting
-//!
-//! Every trace request ends in exactly one of four ledgers: fleet
-//! `records` (completed), fleet `rejected` (admission rejection),
-//! `failed` (crash casualties whose retry budget ran out), or the fleet's
-//! `unfinished` count (still in flight when a *final*, uncapped segment
-//! ended — only possible under an engine-level `max_sim_time`). A
-//! casualty is not an outcome, it is a transition: the request either
-//! reappears later (retry) or moves to `failed` at the crash instant.
-//! The proptests sweep random schedules against every router policy to
-//! pin this.
+//! A casualty is not an outcome, it is a transition: the request either
+//! reappears later (retry) or moves to `failed` at the crash instant. The
+//! proptests sweep random schedules against every router policy to pin
+//! the exactly-once partition.
 
 use crate::engine::RunOutcome;
-use crate::fleet::{
-    run_segment_traced, trace_seed, FleetEngine, FleetFootprint, FleetOutcome, ReplicaOutcome,
-};
-use loong_metrics::cache::CacheStats;
-use loong_metrics::fleet::FleetSummary;
-use loong_metrics::pressure::PressureStats;
-use loong_metrics::record::RequestRecord;
-use loong_metrics::reliability::{availability_windows, ReliabilityStats, SlaWindow};
-use loong_metrics::slo::SloSpec;
-use loong_sched::reliability::{
-    healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
-};
-use loong_sched::router::{FleetLoadTracker, RouteRequest};
+use crate::fleet::{resolved_ids, RunState};
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::pool::run_indexed;
 use loong_simcore::time::{SimDuration, SimTime};
-use loong_trace::TraceRecorder;
-use loong_workload::failure::FailureSchedule;
 use loong_workload::request::Request;
-use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Configuration of a fleet run under failure injection.
-#[derive(Debug, Clone)]
-pub struct ReliabilityConfig {
-    /// When replicas crash and recover. [`FailureSchedule::none`] arms the
-    /// tier without firing it.
-    pub schedule: FailureSchedule,
-    /// What a casualty gets: [`RetryPolicy::none`] fails every casualty
-    /// terminally at the crash instant.
-    pub retry: RetryPolicy,
-    /// The per-replica circuit breaker; `None` routes purely on the
-    /// schedule's up/down state.
-    pub breaker: Option<CircuitBreakerConfig>,
-    /// Width of the availability windows in the outcome's SLA series, in
-    /// sim-seconds.
-    pub sla_window_s: f64,
-}
-
-impl ReliabilityConfig {
-    /// Fail-fast handling of `schedule`: no retries, no breaker, 60 s
-    /// availability windows.
-    pub fn new(schedule: FailureSchedule) -> Self {
-        ReliabilityConfig {
-            schedule,
-            retry: RetryPolicy::none(),
-            breaker: None,
-            sla_window_s: 60.0,
-        }
-    }
-
-    /// The armed-but-idle configuration: an empty schedule, under which
-    /// `run_reliable` must reproduce `run` bit for bit.
-    pub fn disarmed() -> Self {
-        Self::new(FailureSchedule::none())
-    }
-
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Enables the per-replica circuit breaker.
-    pub fn with_breaker(mut self, breaker: CircuitBreakerConfig) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// Sets the availability-window width.
-    pub fn with_sla_window(mut self, window_s: f64) -> Self {
-        assert!(window_s > 0.0, "window must be positive");
-        self.sla_window_s = window_s;
-        self
-    }
-}
+#[cfg(doc)]
+use loong_sched::reliability::CircuitBreaker;
 
 /// A request that terminally failed: it lost an attempt to a crash and had
 /// no retry budget left.
@@ -146,566 +53,126 @@ pub struct FailedRequest {
     pub reason: String,
 }
 
-/// The merged result of one fleet run under failure injection.
-#[derive(Debug, Clone)]
-pub struct ReliableFleetOutcome {
-    /// The fleet outcome over the attempts that resolved inside a replica:
-    /// completed records, admission rejections, per-replica breakdowns.
-    /// Per-replica `unfinished` counts cover final (uncapped) segments
-    /// only — casualties live in the reliability ledger, not here.
-    pub fleet: FleetOutcome,
-    /// Requests that terminally failed, sorted by request id.
-    pub failed: Vec<FailedRequest>,
-    /// The whole-run reliability ledger.
-    pub reliability: ReliabilityStats,
-    /// Time-resolved availability series over `sla_window_s` windows.
-    pub sla_windows: Vec<SlaWindow>,
-}
-
-impl ReliableFleetOutcome {
-    /// Total requests accounted for: completed + rejected + unfinished +
-    /// terminally failed. Equals the trace length for every schedule (the
-    /// exactly-once property).
-    pub fn total_requests(&self) -> usize {
-        self.fleet.total_requests() + self.failed.len()
-    }
-
-    /// Fleet-level metric summary with the reliability ledger and the
-    /// availability series attached.
-    pub fn summary(
-        &self,
-        system: &str,
-        workload: &str,
-        request_rate: f64,
-        slo: &SloSpec,
-    ) -> FleetSummary {
-        let mut summary = self.fleet.summary(system, workload, request_rate, slo);
-        summary.attach_reliability(self.reliability, self.sla_windows.clone());
-        summary
-    }
-}
-
-/// Routing state shared across eras: per-replica segment buckets and the
-/// assignment ledger.
-struct RoutingLedger {
-    /// Requests routed to each replica since its last crash (or the run's
-    /// start), with their effective arrival instants.
-    buckets: Vec<Vec<Request>>,
-    /// Every routing decision in decision order; retried requests appear
-    /// once per attempt.
-    assignments: Vec<(RequestId, ReplicaId)>,
-    /// Attempts assigned per replica over the whole run.
-    assigned: Vec<usize>,
-    /// Originals pulled from the source so far.
-    streamed: usize,
-    /// Requests currently resident in the frontend: bucket entries not yet
-    /// handed to an engine, plus retries awaiting their backoff.
-    resident: usize,
-    /// High-water mark of `resident` — the streamed paths' memory claim.
-    peak_resident: usize,
-}
-
-impl RoutingLedger {
-    fn grow_resident(&mut self) {
-        self.resident += 1;
-        self.peak_resident = self.peak_resident.max(self.resident);
-    }
-}
-
-impl FleetEngine {
-    /// Runs the fleet over a trace under failure injection: boundary-
-    /// ordered eras of routing, capped segment execution at each crash,
-    /// casualty retry/terminal-failure resolution, and a final uncapped
-    /// segment per replica. See the module docs for the execution model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule strikes a replica outside the fleet.
-    pub fn run_reliable(&mut self, trace: &Trace, rel: &ReliabilityConfig) -> ReliableFleetOutcome {
-        self.run_reliable_source(&trace.label, trace.requests.iter().cloned(), rel, None)
-            .0
-    }
-
-    /// Runs the fleet under failure injection with the whole run observed
-    /// by `recorder`: per-request lifecycle spans (casualties, retries and
-    /// downtime included), per-replica timeseries, and crash/recover/
-    /// breaker instants. Identical decision-for-decision to
-    /// [`FleetEngine::run_reliable`].
-    pub fn run_reliable_traced(
-        &mut self,
-        trace: &Trace,
-        rel: &ReliabilityConfig,
-        recorder: &mut TraceRecorder,
-    ) -> ReliableFleetOutcome {
-        let (outcome, _) = self.run_reliable_source(
-            &trace.label,
-            trace.requests.iter().cloned(),
-            rel,
-            Some(recorder),
-        );
-        recorder.finalize(outcome.fleet.sim_time);
-        outcome
-    }
-
-    /// Runs the fleet under failure injection over a lazy request stream.
-    /// Identical decision-for-decision to [`FleetEngine::run_reliable`] on
-    /// the collected stream — arrivals and retries interleave by
-    /// `(arrival, id)` either way — but the frontend holds only routed-
-    /// not-yet-executed requests plus pending retries, which the returned
-    /// [`FleetFootprint`] measures. Under a boundary-rich schedule the
-    /// buckets flush at every crash, so peak residency tracks the *active*
-    /// window, not the stream length.
-    pub fn run_reliable_stream(
-        &mut self,
-        stream: TraceStream,
-        rel: &ReliabilityConfig,
-    ) -> (ReliableFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        self.run_reliable_source(&label, stream, rel, None)
-    }
-
-    /// Streamed reliability run observed by `recorder` — the streamed
-    /// counterpart of [`FleetEngine::run_reliable_traced`]. The recorder's
-    /// own residency stays `O(sampled + bins + peak-open)` (its
-    /// [`loong_trace::TraceLedger`] proves it), so tracing preserves the
-    /// streamed path's memory claim.
-    pub fn run_reliable_stream_traced(
-        &mut self,
-        stream: TraceStream,
-        rel: &ReliabilityConfig,
-        recorder: &mut TraceRecorder,
-    ) -> (ReliableFleetOutcome, FleetFootprint) {
-        let label = stream.label().to_string();
-        let (outcome, footprint) = self.run_reliable_source(&label, stream, rel, Some(recorder));
-        recorder.finalize(outcome.fleet.sim_time);
-        (outcome, footprint)
-    }
-
-    /// The shared implementation of the materialised and streamed
-    /// reliability runs.
-    fn run_reliable_source<I: Iterator<Item = Request>>(
-        &mut self,
-        label: &str,
-        source: I,
-        rel: &ReliabilityConfig,
-        mut recorder: Option<&mut TraceRecorder>,
-    ) -> (ReliableFleetOutcome, FleetFootprint) {
-        let mut source = source.peekable();
-        let n = self.config.replicas;
-        if let Some(max) = rel.schedule.max_replica() {
-            assert!(
-                max.index() < n,
-                "failure schedule strikes {max}, but the fleet has {n} replicas"
-            );
-        }
-        // Fresh router and tracker per run, exactly as `route()` does.
-        self.router = self.config.policy.build();
-        let mut tracker = FleetLoadTracker::new(n);
-        let mut breaker = rel.breaker.map(|cfg| CircuitBreaker::new(cfg, n));
-        let boundaries = rel.schedule.crash_times();
-
-        let mut ledger = RoutingLedger {
-            buckets: vec![Vec::new(); n],
-            assignments: Vec::new(),
-            assigned: vec![0usize; n],
-            streamed: 0,
-            resident: 0,
-            peak_resident: 0,
-        };
-        let mut segments: Vec<Vec<RunOutcome>> = vec![Vec::new(); n];
-        // Retries waiting for their backoff to elapse, keyed by
-        // (re-arrival, id) — the deterministic interleave order with
-        // original arrivals. The value carries the attempt count consumed.
-        let mut pending: BTreeMap<(SimTime, RequestId), (Request, u32)> = BTreeMap::new();
-        let mut retries_used: BTreeMap<RequestId, u32> = BTreeMap::new();
-        let mut casualty_ids: BTreeSet<RequestId> = BTreeSet::new();
-        let mut failed: Vec<FailedRequest> = Vec::new();
-        let mut stats = ReliabilityStats {
-            crashes: rel.schedule.events().len() as u64,
-            downtime_s: rel.schedule.total_downtime().as_secs(),
-            ..ReliabilityStats::default()
-        };
-        for &b in &boundaries {
-            self.drain_era(
-                &mut source,
-                Some(b),
-                &mut pending,
-                rel,
-                breaker.as_ref(),
-                &mut tracker,
-                &mut ledger,
-            );
-            if let Some(rec) = recorder.as_deref_mut() {
-                for event in rel.schedule.events().iter().filter(|e| e.crash == b) {
-                    rec.crash(b, event.replica);
-                    rec.recover(event.recover, event.replica);
-                }
-            }
-            // Replicas crashing at b, in ascending id order (events are
-            // sorted by (crash, replica)). The capped engine runs are pure,
-            // so they go to the worker pool; casualty settlement — breaker
-            // feed, retry scheduling, terminal failure — replays serially
-            // in that same replica order afterwards.
-            let crashing: Vec<(ReplicaId, Trace)> = rel
-                .schedule
-                .events()
-                .iter()
-                .filter(|e| e.crash == b)
-                .filter_map(|event| {
-                    let replica = event.replica;
-                    let bucket = std::mem::take(&mut ledger.buckets[replica.index()]);
-                    ledger.resident -= bucket.len();
-                    (!bucket.is_empty()).then(|| {
-                        let sub = Trace::from_requests(
-                            format!("{label} · replica {replica}/{n} ∣ crash at {b}"),
-                            bucket,
-                        );
-                        (replica, sub)
-                    })
-                })
-                .collect();
-            let system = self
-                .config
-                .replica_system()
-                .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-            let seed = trace_seed(&recorder);
-            let run_segment = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-            let results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-                run_indexed(crashing.len(), |i| run_segment(&crashing[i].1))
-            } else {
-                crashing.iter().map(|(_, sub)| run_segment(sub)).collect()
-            };
-            for ((replica, sub), (outcome, child)) in crashing.into_iter().zip(results) {
-                // Absorb the segment's recording first: its in-flight
-                // requests become the parent's open entries, which the
-                // casualty closes below transition to retries or failures.
-                if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                    rec.merge_child(replica, child);
-                }
-                // Casualties: assigned to this segment but neither
-                // completed nor rejected when the crash struck. The
-                // sub-trace holds the routed bucket (arrival-sorted), so
-                // the scan needs no separate copy of it.
-                let resolved: BTreeSet<RequestId> = outcome
-                    .records
-                    .iter()
-                    .map(|r| r.id)
-                    .chain(outcome.rejected.iter().map(|r| r.0))
-                    .collect();
-                let mut casualties: Vec<&Request> = sub
-                    .requests
-                    .iter()
-                    .filter(|req| !resolved.contains(&req.id))
-                    .collect();
-                casualties.sort_by_key(|req| req.id);
-                for req in casualties {
-                    stats.failed_attempts += 1;
-                    casualty_ids.insert(req.id);
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.casualty(b, req.id);
-                    }
-                    if let Some(bk) = breaker.as_mut() {
-                        let tripped = bk.record_failure(replica, b);
-                        if tripped {
-                            if let Some(rec) = recorder.as_deref_mut() {
-                                rec.breaker_open(b, replica);
-                            }
-                        }
-                    }
-                    let used = retries_used.get(&req.id).copied().unwrap_or(0);
-                    if rel.retry.allows(used) {
-                        let attempt = used + 1;
-                        retries_used.insert(req.id, attempt);
-                        let mut retry = req.clone();
-                        retry.arrival = b + rel.retry.backoff(attempt);
-                        stats.retries_scheduled += 1;
-                        stats.re_prefilled_tokens += retry.input_len;
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.retry_scheduled(b, req.id, attempt, retry.arrival);
-                        }
-                        pending.insert((retry.arrival, retry.id), (retry, attempt));
-                        ledger.grow_resident();
-                    } else {
-                        stats.retries_exhausted += 1;
-                        let reason = format!(
-                            "{replica} crashed at {b} with no retry budget left \
-                             ({used} of {} used)",
-                            rel.retry.max_retries
-                        );
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.request_failed(b, req.id, &reason);
-                        }
-                        failed.push(FailedRequest {
-                            id: req.id,
-                            at: b,
-                            replica,
-                            reason,
-                        });
-                    }
-                }
-                segments[replica.index()].push(outcome);
+impl RunState<'_> {
+    /// Resolves every crash striking at `b`: each crashing replica runs
+    /// its bucket capped at `b` and its unresolved requests become
+    /// casualties.
+    pub(crate) fn crash_boundary(&mut self, b: SimTime) {
+        let plan = self.plan;
+        let crashes = || plan.schedule.events().iter().filter(move |e| e.crash == b);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            for event in crashes() {
+                rec.crash(b, event.replica);
+                rec.recover(event.recover, event.replica);
             }
         }
-
-        // Final era and final (uncapped) segment of every replica.
-        self.drain_era(
-            &mut source,
-            None,
-            &mut pending,
-            rel,
-            breaker.as_ref(),
-            &mut tracker,
-            &mut ledger,
-        );
-        let system = self.config.replica_system();
-        let finals: Vec<Trace> = (0..n)
-            .map(|r| {
-                let bucket = std::mem::take(&mut ledger.buckets[r]);
-                ledger.resident -= bucket.len();
-                Trace::from_requests(format!("{label} · replica {r}/{n}"), bucket)
-            })
-            .collect();
-        let seed = trace_seed(&recorder);
-        let run_final = |sub: &Trace| run_segment_traced(&system, sub, &seed);
-        let final_results: Vec<(RunOutcome, Option<TraceRecorder>)> = if self.config.parallel {
-            run_indexed(finals.len(), |r| run_final(&finals[r]))
-        } else {
-            finals.iter().map(run_final).collect()
-        };
-        for (r, (segment, (outcome, child))) in segments.iter_mut().zip(final_results).enumerate() {
-            if let (Some(rec), Some(child)) = (recorder.as_deref_mut(), child) {
-                rec.merge_child(ReplicaId::from(r), child);
+        // The capped engine runs are pure, so they go to the worker pool;
+        // settlement replays serially in replica-id order (events are
+        // sorted by (crash, replica)). An empty bucket is a cold, retired
+        // or simply idle replica — nothing for the crash to take.
+        let mut crashed: Vec<ReplicaId> = Vec::new();
+        let mut subs: Vec<Trace> = Vec::new();
+        for event in crashes() {
+            let replica = event.replica;
+            let bucket = self.take_bucket(replica.index());
+            if !bucket.is_empty() {
+                let label = format!(
+                    "{} · replica {replica}/{} ∣ crash at {b}",
+                    self.label, self.n
+                );
+                crashed.push(replica);
+                subs.push(Trace::from_requests(label, bucket));
             }
-            segment.push(outcome);
         }
-
-        // Merge, mirroring the plain fleet merge: records and rejections
-        // in request-id order, counters summed in replica-id order.
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut unfinished = 0usize;
-        let mut sim_time = SimTime::ZERO;
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut pressure = PressureStats::default();
-        let mut cache = CacheStats::default();
-        let mut per_replica = Vec::with_capacity(n);
-        for (r, segs) in segments.into_iter().enumerate() {
-            let outcome = merge_segments(segs);
-            records.extend(outcome.records.iter().copied());
-            rejected.extend(outcome.rejected.iter().cloned());
-            unfinished += outcome.unfinished;
-            sim_time = sim_time.max(outcome.sim_time);
-            iterations += outcome.iterations;
-            migration_bytes += outcome.migration_bytes;
-            scheduler_calls += outcome.scheduler_calls;
-            pressure.merge(&outcome.pressure);
-            cache.merge(&outcome.cache);
-            per_replica.push(ReplicaOutcome {
-                replica: ReplicaId::from(r),
-                assigned: ledger.assigned[r],
-                outcome,
-            });
+        let system = self
+            .system
+            .clone()
+            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
+        let results = self.run_segments(&system, &subs, true);
+        for ((replica, sub), (outcome, child)) in crashed.into_iter().zip(subs).zip(results) {
+            // Absorb the segment's recording first: its in-flight requests
+            // become the parent's open entries, which settlement closes.
+            self.absorb(replica, child);
+            self.settle_casualties(&sub.requests, &outcome, replica, b);
+            self.segments[replica.index()].push(outcome);
         }
-        records.sort_by_key(|r| r.id);
-        rejected.sort_by_key(|r| r.0);
-        failed.sort_by_key(|f| f.id);
+    }
 
-        stats.recovered_requests = casualty_ids
+    /// Resolves the requests of `bucket` that `outcome` — a segment of
+    /// `replica` cut short by a crash at `at` — left unresolved: each feeds
+    /// the breaker, then becomes a retry or a terminal failure under the
+    /// retry policy.
+    pub(crate) fn settle_casualties(
+        &mut self,
+        bucket: &[Request],
+        outcome: &RunOutcome,
+        replica: ReplicaId,
+        at: SimTime,
+    ) {
+        let resolved = resolved_ids(outcome);
+        let mut casualties: Vec<&Request> = bucket
             .iter()
-            .filter(|id| records.binary_search_by_key(*id, |r| r.id).is_ok())
-            .count() as u64;
-        if let Some(bk) = &breaker {
-            stats.breaker_opens = bk.opens();
-        }
-        let failure_instants: Vec<SimTime> = failed.iter().map(|f| f.at).collect();
-        let sla_windows = availability_windows(rel.sla_window_s, &records, &failure_instants);
-
-        (
-            ReliableFleetOutcome {
-                fleet: FleetOutcome {
-                    per_replica,
-                    assignments: ledger.assignments,
-                    records,
-                    rejected,
-                    unfinished,
-                    sim_time,
-                    iterations,
-                    migration_bytes,
-                    scheduler_calls,
-                    pressure,
-                    cache,
-                },
-                failed,
-                reliability: stats,
-                sla_windows,
-            },
-            FleetFootprint {
-                streamed_requests: ledger.streamed,
-                peak_resident_requests: ledger.peak_resident,
-            },
-        )
-    }
-
-    /// Routes every arrival — source requests and pending retries
-    /// interleaved by (arrival, id) — strictly before `end` (all of them
-    /// when `end` is `None`). The source is pulled lazily: nothing beyond
-    /// the era boundary is ever materialised.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_era<I: Iterator<Item = Request>>(
-        &mut self,
-        source: &mut std::iter::Peekable<I>,
-        end: Option<SimTime>,
-        pending: &mut BTreeMap<(SimTime, RequestId), (Request, u32)>,
-        rel: &ReliabilityConfig,
-        breaker: Option<&CircuitBreaker>,
-        tracker: &mut FleetLoadTracker,
-        ledger: &mut RoutingLedger,
-    ) {
-        let in_era = |t: SimTime| end.is_none_or(|e| t < e);
-        loop {
-            let original_key = source
-                .peek()
-                .map(|req| (req.arrival, req.id))
-                .filter(|&(at, _)| in_era(at));
-            let retry_key = pending
-                .first_key_value()
-                .map(|(&key, _)| key)
-                .filter(|&(at, _)| in_era(at));
-            // Pick the earlier of the two streams by (arrival, id); an
-            // original can never share its id with a pending retry, so the
-            // order is total.
-            match (original_key, retry_key) {
-                (None, None) => break,
-                (Some(okey), retry) => {
-                    if let Some(key) = retry {
-                        if key < okey {
-                            let (retry_req, _) = pending.remove(&key).expect("key just seen");
-                            ledger.resident -= 1;
-                            self.route_attempt(retry_req, rel, breaker, tracker, ledger);
-                            continue;
-                        }
-                    }
-                    let req = source.next().expect("peeked above");
-                    ledger.streamed += 1;
-                    self.route_attempt(req, rel, breaker, tracker, ledger);
+            .filter(|req| !resolved.contains(&req.id))
+            .collect();
+        casualties.sort_by_key(|req| req.id);
+        let retry_policy = self.plan.retry;
+        for req in casualties {
+            self.stats.failed_attempts += 1;
+            self.casualty_ids.insert(req.id);
+            if let Some(rec) = self.rec.as_deref_mut() {
+                rec.casualty(at, req.id);
+            }
+            let tripped = self
+                .breaker
+                .as_mut()
+                .is_some_and(|breaker| breaker.record_failure(replica, at));
+            if let (true, Some(rec)) = (tripped, self.rec.as_deref_mut()) {
+                rec.breaker_open(at, replica);
+            }
+            let used = self.retries_used.get(&req.id).copied().unwrap_or(0);
+            if retry_policy.allows(used) {
+                let attempt = used + 1;
+                self.retries_used.insert(req.id, attempt);
+                let mut retry = req.clone();
+                retry.arrival = at + retry_policy.backoff(attempt);
+                self.stats.retries_scheduled += 1;
+                self.stats.re_prefilled_tokens += retry.input_len;
+                if let Some(rec) = self.rec.as_deref_mut() {
+                    rec.retry_scheduled(at, req.id, attempt, retry.arrival);
                 }
-                (None, Some(key)) => {
-                    let (retry_req, _) = pending.remove(&key).expect("key just seen");
-                    ledger.resident -= 1;
-                    self.route_attempt(retry_req, rel, breaker, tracker, ledger);
+                self.pending.insert((retry.arrival, retry.id), retry);
+                self.grow_resident();
+            } else {
+                self.stats.retries_exhausted += 1;
+                let reason = format!(
+                    "{replica} crashed at {at} with no retry budget left ({used} of {} used)",
+                    retry_policy.max_retries
+                );
+                if let Some(rec) = self.rec.as_deref_mut() {
+                    rec.request_failed(at, req.id, &reason);
                 }
+                self.failed.push(FailedRequest {
+                    id: req.id,
+                    at,
+                    replica,
+                    reason,
+                });
             }
         }
     }
-
-    /// Routes one attempt at its arrival instant over the healthy
-    /// candidate set, falling back to wait-for-earliest-recovery when no
-    /// replica is routable.
-    fn route_attempt(
-        &mut self,
-        req: Request,
-        rel: &ReliabilityConfig,
-        breaker: Option<&CircuitBreaker>,
-        tracker: &mut FleetLoadTracker,
-        ledger: &mut RoutingLedger,
-    ) {
-        let n = self.config.replicas;
-        let t = req.arrival;
-        let candidates = healthy_candidates(n, |r| {
-            rel.schedule.is_down(r, t) || breaker.is_some_and(|b| b.is_open(r, t))
-        });
-        let route_req = RouteRequest {
-            id: req.id,
-            arrival: t,
-            input_len: req.input_len,
-            max_output_len: req.max_output_len,
-            conversation: req.conversation,
-        };
-        let (replica, start) = if candidates.is_empty() {
-            // Whole fleet unroutable: the frontend holds the request for
-            // the replica that becomes routable earliest (schedule
-            // recovery and breaker cooldown both count), ties to the
-            // lowest id, and it arrives there at that instant.
-            let mut best = ReplicaId::from(0usize);
-            let mut best_ready = SimTime::ZERO;
-            for r in 0..n {
-                let rid = ReplicaId::from(r);
-                let mut ready = rel.schedule.next_up(rid, t);
-                if let Some(bk) = breaker {
-                    ready = ready.max(bk.open_until(rid));
-                }
-                if r == 0 || ready < best_ready {
-                    best = rid;
-                    best_ready = ready;
-                }
-            }
-            (best, best_ready.max(t))
-        } else {
-            (
-                self.router.route(&route_req, tracker.loads(), &candidates),
-                t,
-            )
-        };
-        assert!(
-            replica.index() < n,
-            "router returned out-of-range {replica}"
-        );
-        tracker.on_assign(replica, &route_req);
-        let mut placed = req;
-        placed.arrival = start;
-        ledger.assignments.push((placed.id, replica));
-        ledger.assigned[replica.index()] += 1;
-        ledger.buckets[replica.index()].push(placed);
-        ledger.grow_resident();
-    }
-}
-
-/// Merges one replica's segment outcomes (in segment order; the last one
-/// is the final, uncapped segment). Counters sum, sim time maximises, and
-/// `unfinished` comes from the final segment alone — a capped segment's
-/// unfinished requests are crash casualties, owned by the retry ledger.
-/// Shared with the elasticity tier, whose drain segments merge the same
-/// way.
-pub(crate) fn merge_segments(segments: Vec<RunOutcome>) -> RunOutcome {
-    let last = segments.len() - 1;
-    let mut merged: Option<RunOutcome> = None;
-    for (i, seg) in segments.into_iter().enumerate() {
-        match &mut merged {
-            None => {
-                let mut seg = seg;
-                if i != last {
-                    seg.unfinished = 0;
-                }
-                merged = Some(seg);
-            }
-            Some(acc) => {
-                acc.records.extend(seg.records);
-                acc.rejected.extend(seg.rejected);
-                acc.unfinished = if i == last { seg.unfinished } else { 0 };
-                acc.scaling_events.extend(seg.scaling_events);
-                acc.sim_time = acc.sim_time.max(seg.sim_time);
-                acc.iterations += seg.iterations;
-                acc.migration_bytes += seg.migration_bytes;
-                acc.scheduler_calls += seg.scheduler_calls;
-                acc.pressure.merge(&seg.pressure);
-                acc.cache.merge(&seg.cache);
-                acc.prefilled_tokens += seg.prefilled_tokens;
-            }
-        }
-    }
-    merged.expect("every replica runs at least its final segment")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetConfig;
+    use crate::fleet::{FleetConfig, FleetEngine, FleetPlan, FleetRun};
     use crate::systems::SystemKind;
+    use loong_sched::elastic::AutoscalerConfig;
+    use loong_sched::reliability::{CircuitBreakerConfig, RetryPolicy};
     use loong_sched::router::RouterPolicy;
     use loong_workload::datasets::DatasetKind;
-    use loong_workload::failure::FailureEvent;
+    use loong_workload::failure::{FailureEvent, FailureSchedule};
+    use loong_workload::stream::TraceStream;
 
     fn small_trace(count: usize, seed: u64) -> Trace {
         crate::experiment::WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(8.0, count, seed)
@@ -719,12 +186,33 @@ mod tests {
         ))
     }
 
+    fn run(engine: &mut FleetEngine, trace: &Trace, plan: &FleetPlan) -> FleetRun {
+        let stream = TraceStream::from_trace(trace.clone());
+        engine.run(stream, plan, None).expect("valid plan")
+    }
+
+    /// Fail-fast handling of `schedule` on a fixed fleet of `n`.
+    fn crashing(n: usize, schedule: FailureSchedule) -> FleetPlan {
+        FleetPlan::fixed(n).with_schedule(schedule)
+    }
+
+    fn crash(replica: u64, at: f64, recover: f64) -> FailureEvent {
+        FailureEvent::new(
+            ReplicaId(replica),
+            SimTime::from_secs(at),
+            SimTime::from_secs(recover),
+        )
+    }
+
     #[test]
     fn disarmed_run_matches_plain_run() {
         let trace = small_trace(24, 3);
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let plain = engine.run(&trace);
-        let reliable = engine.run_reliable(&trace, &ReliabilityConfig::disarmed());
+        let plain = run(&mut engine, &trace, &FleetPlan::fixed(2)).fleet;
+        let armed = FleetPlan::fixed(2)
+            .with_retry(RetryPolicy::exponential(3, 0.5))
+            .with_breaker(CircuitBreakerConfig::new(3, 60.0, 120.0));
+        let reliable = run(&mut engine, &trace, &armed);
         assert_eq!(plain.records, reliable.fleet.records);
         assert_eq!(plain.rejected, reliable.fleet.rejected);
         assert_eq!(plain.assignments, reliable.fleet.assignments);
@@ -740,13 +228,9 @@ mod tests {
         let trace = small_trace(24, 3);
         // Crash replica 0 early enough that some of its requests are still
         // in flight, with no retry budget.
-        let schedule = FailureSchedule::from_events(vec![FailureEvent::new(
-            ReplicaId(0),
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(1_000.0),
-        )]);
+        let schedule = FailureSchedule::from_events(vec![crash(0, 1.0, 1_000.0)]);
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let outcome = engine.run_reliable(&trace, &ReliabilityConfig::new(schedule));
+        let outcome = run(&mut engine, &trace, &crashing(2, schedule));
         assert_eq!(outcome.total_requests(), trace.len());
         assert!(
             !outcome.failed.is_empty(),
@@ -771,18 +255,13 @@ mod tests {
     #[test]
     fn retries_recover_what_fail_fast_loses() {
         let trace = small_trace(24, 3);
-        let schedule = || {
-            FailureSchedule::from_events(vec![FailureEvent::new(
-                ReplicaId(0),
-                SimTime::from_secs(1.0),
-                SimTime::from_secs(2.0),
-            )])
-        };
+        let plan = || crashing(2, FailureSchedule::from_events(vec![crash(0, 1.0, 2.0)]));
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let fail_fast = engine.run_reliable(&trace, &ReliabilityConfig::new(schedule()));
-        let retried = engine.run_reliable(
+        let fail_fast = run(&mut engine, &trace, &plan());
+        let retried = run(
+            &mut engine,
             &trace,
-            &ReliabilityConfig::new(schedule()).with_retry(RetryPolicy::exponential(3, 0.5)),
+            &plan().with_retry(RetryPolicy::exponential(3, 0.5)),
         );
         assert!(!fail_fast.failed.is_empty());
         assert!(retried.failed.is_empty(), "one crash, three retries");
@@ -799,43 +278,38 @@ mod tests {
     fn breaker_keeps_a_crash_looping_replica_out_of_rotation() {
         let trace = small_trace(30, 11);
         // Replica 0 crash-loops; the breaker should trip and the stats
-        // ledger should say so.
+        // ledger should say so — on a fixed fleet and under an elastic
+        // autoscaler whose control boundaries interleave with the crashes.
         let schedule = FailureSchedule::from_events(vec![
-            FailureEvent::new(
-                ReplicaId(0),
-                SimTime::from_secs(0.5),
-                SimTime::from_secs(0.6),
-            ),
-            FailureEvent::new(
-                ReplicaId(0),
-                SimTime::from_secs(0.7),
-                SimTime::from_secs(0.8),
-            ),
-            FailureEvent::new(
-                ReplicaId(0),
-                SimTime::from_secs(0.9),
-                SimTime::from_secs(1.0),
-            ),
+            crash(0, 0.5, 0.6),
+            crash(0, 0.7, 0.8),
+            crash(0, 0.9, 1.0),
         ]);
-        let mut engine = fleet(2, RouterPolicy::JoinShortestQueue);
-        let outcome = engine.run_reliable(
-            &trace,
-            &ReliabilityConfig::new(schedule)
+        let mut scaler = AutoscalerConfig::overload_defaults(1, 2);
+        scaler.control_interval_s = 0.8;
+        for plan in [FleetPlan::fixed(2), FleetPlan::new(scaler).with_initial(2)] {
+            let plan = plan
+                .with_schedule(schedule.clone())
                 .with_retry(RetryPolicy::exponential(5, 0.1))
-                .with_breaker(CircuitBreakerConfig::new(2, 60.0, 3_600.0)),
-        );
-        assert!(outcome.reliability.breaker_opens >= 1);
-        assert_eq!(outcome.total_requests(), trace.len());
-        // With the breaker holding replica 0 open for an hour, late
-        // assignments all land on replica 1.
-        let after_trip = outcome
-            .fleet
-            .assignments
-            .iter()
-            .rev()
-            .take(5)
-            .all(|&(_, r)| r == ReplicaId(1));
-        assert!(after_trip, "breaker must exclude the crash-looping replica");
+                .with_breaker(CircuitBreakerConfig::new(2, 60.0, 3_600.0));
+            let outcome = run(
+                &mut fleet(2, RouterPolicy::JoinShortestQueue),
+                &trace,
+                &plan,
+            );
+            assert!(outcome.reliability.breaker_opens >= 1);
+            assert_eq!(outcome.total_requests(), trace.len());
+            // With the breaker holding replica 0 open for an hour, late
+            // assignments all land on replica 1.
+            let after_trip = outcome
+                .fleet
+                .assignments
+                .iter()
+                .rev()
+                .take(5)
+                .all(|&(_, r)| r == ReplicaId(1));
+            assert!(after_trip, "breaker must exclude the crash-looping replica");
+        }
     }
 
     #[test]
@@ -843,27 +317,108 @@ mod tests {
         let trace = small_trace(12, 5);
         // Both replicas down over [0, 100) / [0, 50): every early arrival
         // must wait and land on replica 1, which recovers first.
-        let schedule = FailureSchedule::from_events(vec![
-            FailureEvent::new(
-                ReplicaId(0),
-                SimTime::from_secs(0.0),
-                SimTime::from_secs(100.0),
-            ),
-            FailureEvent::new(
-                ReplicaId(1),
-                SimTime::from_secs(0.0),
-                SimTime::from_secs(50.0),
-            ),
-        ]);
+        let schedule =
+            FailureSchedule::from_events(vec![crash(0, 0.0, 100.0), crash(1, 0.0, 50.0)]);
         let mut engine = fleet(2, RouterPolicy::RoundRobin);
-        let outcome = engine.run_reliable(
-            &trace,
-            &ReliabilityConfig::new(schedule).with_retry(RetryPolicy::exponential(1, 1.0)),
-        );
+        let plan = crashing(2, schedule).with_retry(RetryPolicy::exponential(1, 1.0));
+        let outcome = run(&mut engine, &trace, &plan);
         assert_eq!(outcome.total_requests(), trace.len());
         // Nothing can complete before replica 1 recovers.
         for record in &outcome.fleet.records {
             assert!(record.finish >= SimTime::from_secs(50.0));
         }
+    }
+
+    /// One long request on one replica that crashes at 1 s and again at
+    /// 2 s: the request is a casualty twice, so it takes two retries and
+    /// the breaker sees two failures.
+    fn twice_crashed(plan: impl FnOnce(FleetPlan) -> FleetPlan) -> Result<FleetRun, String> {
+        let request = Request::with_max_output(RequestId(0), SimTime::ZERO, 8_000, 4_000, 4_000);
+        let trace = Trace::from_requests("one long request", vec![request]);
+        let schedule = FailureSchedule::from_events(vec![crash(0, 1.0, 1.1), crash(0, 2.0, 2.1)]);
+        let base = crashing(1, schedule).with_retry(RetryPolicy::exponential(3, 0.5));
+        fleet(1, RouterPolicy::Passthrough).run(TraceStream::from_trace(trace), &plan(base), None)
+    }
+
+    fn assert_rejected(result: Result<FleetRun, String>, expected: &str) {
+        let err = result.expect_err("the plan must be rejected before the run");
+        assert!(err.contains(expected), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn twice_crashed_request_retries_under_a_valid_plan() {
+        let outcome = twice_crashed(|plan| plan).expect("valid plan");
+        assert_eq!(outcome.reliability.retries_scheduled, 2);
+        assert_eq!(outcome.fleet.records.len(), 1);
+    }
+
+    #[test]
+    fn negative_backoff_base_is_rejected() {
+        // Once panicked in `SimDuration::from_secs` at the first casualty.
+        let result = twice_crashed(|mut plan| {
+            plan.retry.backoff_base_s = -1.0;
+            plan
+        });
+        assert_rejected(result, "retry backoff");
+    }
+
+    #[test]
+    fn negative_backoff_factor_is_rejected() {
+        // Once panicked at the second casualty, whose backoff went negative.
+        let result = twice_crashed(|mut plan| {
+            plan.retry.backoff_factor = -1.0;
+            plan
+        });
+        assert_rejected(result, "retry backoff");
+    }
+
+    #[test]
+    fn zero_breaker_threshold_is_rejected() {
+        // Once tripped the breaker open on every single casualty.
+        let result = twice_crashed(|plan| {
+            plan.with_breaker(CircuitBreakerConfig {
+                failure_threshold: 0,
+                window_s: 60.0,
+                cooldown_s: 1.0,
+            })
+        });
+        assert_rejected(result, "circuit breaker");
+    }
+
+    #[test]
+    fn non_positive_breaker_window_is_rejected() {
+        // Once panicked in `SimDuration::from_secs` at the first casualty.
+        let result = twice_crashed(|plan| {
+            plan.with_breaker(CircuitBreakerConfig {
+                failure_threshold: 2,
+                window_s: -1.0,
+                cooldown_s: 1.0,
+            })
+        });
+        assert_rejected(result, "circuit breaker");
+    }
+
+    #[test]
+    fn negative_breaker_cooldown_is_rejected() {
+        // Once panicked in `SimDuration::from_secs` when the breaker tripped.
+        let result = twice_crashed(|plan| {
+            plan.with_breaker(CircuitBreakerConfig {
+                failure_threshold: 1,
+                window_s: 60.0,
+                cooldown_s: -1.0,
+            })
+        });
+        assert_rejected(result, "circuit breaker");
+    }
+
+    #[test]
+    fn zero_sla_window_is_rejected() {
+        // Once simulated the whole trace, then panicked in
+        // `availability_windows`.
+        let result = twice_crashed(|mut plan| {
+            plan.sla_window_s = 0.0;
+            plan
+        });
+        assert_rejected(result, "SLA window");
     }
 }

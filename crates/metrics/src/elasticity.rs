@@ -16,9 +16,10 @@ use serde::{Deserialize, Serialize};
 
 /// Whole-run elasticity counters of one fleet run.
 ///
-/// All-zero when the elasticity tier is armed but never fires — mirroring
-/// [`ReliabilityStats`](crate::reliability::ReliabilityStats), an
-/// armed-but-idle tier leaves no trace in the rollup.
+/// Every run accrues capacity: `replica_seconds` and the
+/// `min/max_active_replicas` bounds are set even when no scale event or
+/// shed decision ever fires. The event counters (scale-ups, drains,
+/// provisioning, sheds) stay zero for an armed-but-idle tier.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ElasticityStats {
     /// Scale-up decisions that activated at least one replica.
@@ -56,8 +57,8 @@ pub struct ElasticityStats {
 }
 
 impl ElasticityStats {
-    /// Whether every counter is zero — a run no scale event or shed
-    /// decision touched.
+    /// Whether every counter is zero — the default ledger. A fleet run's
+    /// ledger never is: it always accrues replica-seconds.
     pub fn is_zero(&self) -> bool {
         *self == ElasticityStats::default()
     }

@@ -33,8 +33,9 @@ pub struct FleetSummary {
     /// with its completed/failed resolution counts. Empty unless attached
     /// by a reliability run.
     pub sla_windows: Vec<SlaWindow>,
-    /// Whole-run elasticity counters. All-zero unless a scale event or
-    /// shed decision actually fired (armed-but-idle leaves no trace).
+    /// Whole-run elasticity counters. Replica-seconds and the active-size
+    /// bounds accrue on every fleet run; the scale and shed counters stay
+    /// zero unless a scale event or shed decision actually fired.
     pub elasticity: ElasticityStats,
 }
 

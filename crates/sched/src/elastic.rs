@@ -95,8 +95,8 @@ impl AutoscalerConfig {
                 self.min_replicas, self.max_replicas
             ));
         }
-        if self.control_interval_s.is_nan() || self.control_interval_s <= 0.0 {
-            return Err("control interval must be positive".to_string());
+        if !(self.control_interval_s.is_finite() && self.control_interval_s > 0.0) {
+            return Err("control interval must be finite and positive".to_string());
         }
         if !(0.0..=1.0).contains(&self.target_attainment) {
             return Err(format!(
@@ -112,6 +112,9 @@ impl AutoscalerConfig {
         }
         if self.cooldown_s < 0.0 || self.provisioning_delay_s < 0.0 {
             return Err("cooldown and provisioning delay must be non-negative".to_string());
+        }
+        if !self.provisioning_delay_s.is_finite() {
+            return Err("provisioning delay must be finite".to_string());
         }
         if self.step == 0 {
             return Err("scale step must be at least 1".to_string());
@@ -499,6 +502,18 @@ mod tests {
             ScaleDecision::Down(2),
             "step 3 clamps to the 2 replicas above min"
         );
+    }
+
+    #[test]
+    fn infinite_control_timings_rejected() {
+        // Both once validated, then panicked mid-run when the fleet turned
+        // them into sim time at a control boundary or a scale-up.
+        let mut config = AutoscalerConfig::overload_defaults(1, 2);
+        config.control_interval_s = f64::INFINITY;
+        assert!(config.validate().is_err());
+        let mut config = AutoscalerConfig::overload_defaults(1, 2);
+        config.provisioning_delay_s = f64::INFINITY;
+        assert!(config.validate().is_err());
     }
 
     #[test]

@@ -117,10 +117,14 @@ impl Trace {
         TraceStream::mixed_classes(arrivals, count, profile, rng).collect_trace()
     }
 
-    /// Builds a trace directly from explicit requests (used by unit tests
-    /// and micro-experiments).
+    /// Builds a trace from explicit requests, stably sorted by arrival.
+    /// Requests already in arrival order — every fleet bucket routed
+    /// without a deferral — skip the sort and its scratch buffer, which for
+    /// a long bucket is as large as the bucket itself.
     pub fn from_requests(label: impl Into<String>, mut requests: Vec<Request>) -> Self {
-        requests.sort_by_key(|r| r.arrival);
+        if !requests.is_sorted_by_key(|r| r.arrival) {
+            requests.sort_by_key(|r| r.arrival);
+        }
         Trace {
             label: label.into(),
             requests,

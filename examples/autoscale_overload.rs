@@ -58,7 +58,7 @@ fn admission() -> AdmissionConfig {
 
 struct Row {
     label: &'static str,
-    outcome: ElasticFleetOutcome,
+    outcome: FleetRun,
 }
 
 impl Row {
@@ -80,13 +80,14 @@ impl Row {
     }
 }
 
-fn run(label: &'static str, replicas: usize, trace: &Trace, cfg: &ElasticConfig) -> Row {
+fn run(label: &'static str, replicas: usize, trace: &Trace, plan: &FleetPlan) -> Row {
     let mut fleet = FleetEngine::new(FleetConfig::paper_fleet(
         SystemKind::LoongServe,
         replicas,
         RouterPolicy::JoinShortestQueue,
     ));
-    let outcome = fleet.run_elastic(trace, cfg);
+    let stream = TraceStream::from_trace(trace.clone());
+    let outcome = fleet.run(stream, plan, None).expect("valid plan");
     assert_eq!(
         outcome.total_requests(),
         trace.len(),
@@ -117,25 +118,25 @@ fn main() {
             "static, trough-sized (x1)",
             1,
             &trace,
-            &ElasticConfig::armed_idle(1),
+            &FleetPlan::armed_idle(1),
         ),
         run(
             "static, flash-sized (x4)",
             MAX_REPLICAS,
             &trace,
-            &ElasticConfig::armed_idle(MAX_REPLICAS),
+            &FleetPlan::armed_idle(MAX_REPLICAS),
         ),
         run(
             "autoscaled (1..4)",
             MAX_REPLICAS,
             &trace,
-            &ElasticConfig::new(scaler()),
+            &FleetPlan::new(scaler()),
         ),
         run(
             "autoscaled + shedding",
             MAX_REPLICAS,
             &trace,
-            &ElasticConfig::new(scaler()).with_admission(admission()),
+            &FleetPlan::new(scaler()).with_admission(admission()),
         ),
     ];
 

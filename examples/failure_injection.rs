@@ -24,7 +24,7 @@ const SEED: u64 = 4242;
 
 struct Row {
     label: &'static str,
-    outcome: ReliableFleetOutcome,
+    outcome: FleetRun,
 }
 
 impl Row {
@@ -47,13 +47,14 @@ impl Row {
     }
 }
 
-fn run(label: &'static str, trace: &Trace, rel: &ReliabilityConfig) -> Row {
+fn run(label: &'static str, trace: &Trace, plan: &FleetPlan) -> Row {
     let mut fleet = FleetEngine::new(FleetConfig::paper_fleet(
         SystemKind::LoongServe,
         REPLICAS,
         RouterPolicy::JoinShortestQueue,
     ));
-    let outcome = fleet.run_reliable(trace, rel);
+    let stream = TraceStream::from_trace(trace.clone());
+    let outcome = fleet.run(stream, plan, None).expect("valid plan");
     assert_eq!(
         outcome.total_requests(),
         trace.len(),
@@ -93,7 +94,7 @@ fn main() {
         run(
             "no failures (tier armed)",
             &trace,
-            &ReliabilityConfig::disarmed()
+            &FleetPlan::fixed(REPLICAS)
                 .with_retry(retry)
                 .with_breaker(breaker)
                 .with_sla_window(window),
@@ -101,19 +102,23 @@ fn main() {
         run(
             "failures, fail-fast",
             &trace,
-            &ReliabilityConfig::new(schedule.clone()).with_sla_window(window),
+            &FleetPlan::fixed(REPLICAS)
+                .with_schedule(schedule.clone())
+                .with_sla_window(window),
         ),
         run(
             "failures, retry x3",
             &trace,
-            &ReliabilityConfig::new(schedule.clone())
+            &FleetPlan::fixed(REPLICAS)
+                .with_schedule(schedule.clone())
                 .with_retry(retry)
                 .with_sla_window(window),
         ),
         run(
             "failures, retry + breaker",
             &trace,
-            &ReliabilityConfig::new(schedule)
+            &FleetPlan::fixed(REPLICAS)
+                .with_schedule(schedule)
                 .with_retry(retry)
                 .with_breaker(breaker)
                 .with_sla_window(window),

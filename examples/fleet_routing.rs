@@ -29,7 +29,9 @@ fn main() {
     for policy in RouterPolicy::all_policies() {
         let config = FleetConfig::paper_fleet(SystemKind::LoongServe, replicas, policy);
         let mut fleet = FleetEngine::new(config);
-        let outcome = fleet.run(&trace);
+        let plan = FleetPlan::fixed(replicas);
+        let stream = TraceStream::from_trace(trace.clone());
+        let outcome = fleet.run(stream, &plan, None).expect("valid plan").fleet;
         let summary = outcome.summary(
             "LoongServe fleet",
             &trace.label,

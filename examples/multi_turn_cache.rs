@@ -78,7 +78,9 @@ fn main() {
     for policy in [RouterPolicy::PrefixAffinity, RouterPolicy::RoundRobin] {
         let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, 2, policy);
         config.prefix_cache = Some(PrefixCacheConfig::default());
-        let outcome = FleetEngine::new(config).run(&trace);
+        let stream = TraceStream::from_trace(trace.clone());
+        let run = FleetEngine::new(config).run(stream, &FleetPlan::fixed(2), None);
+        let outcome = run.expect("valid plan").fleet;
         println!(
             "{:>20}: hit_rate {:.3}, reused {} tokens",
             policy.label(),

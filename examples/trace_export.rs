@@ -66,7 +66,7 @@ fn main() {
         15.0,
         SEED ^ 0xfa11,
     );
-    let cfg = ElasticConfig::new(scaler())
+    let plan = FleetPlan::new(scaler())
         .with_schedule(schedule)
         .with_retry(RetryPolicy::exponential(2, 0.5))
         .with_sla_window(30.0);
@@ -80,7 +80,10 @@ fn main() {
         MAX_REPLICAS,
         RouterPolicy::JoinShortestQueue,
     ));
-    let outcome = fleet.run_elastic_traced(&trace, &cfg, &mut recorder);
+    let stream = TraceStream::from_trace(trace.clone());
+    let outcome = fleet
+        .run(stream, &plan, Some(&mut recorder))
+        .expect("valid plan");
 
     assert_eq!(
         outcome.total_requests(),

@@ -4,10 +4,12 @@
 //!
 //! Five contracts are pinned here, matching the tier's module docs:
 //!
-//! * **Exactly-once accounting** — over random mixed-class traces, elastic
-//!   autoscalers, admission controllers and failure schedules, under every
-//!   router policy, each trace request ends in exactly one of the five
-//!   ledgers (completed, rejected, shed, terminally failed, unfinished).
+//! * **Exactly-once accounting** — over random mixed-class traces and
+//!   random *valid* plans (autoscaler, admission, crash schedule, retry
+//!   policy, circuit breaker and SLA window all drawn together), under
+//!   every router policy, each run finishes without panicking, each trace
+//!   request ends in exactly one of the five ledgers (completed, rejected,
+//!   shed, terminally failed, unfinished), and each seed reproduces itself.
 //! * **Drains kill nothing** — a drained replica accepts no new routes
 //!   from the drain decision until (at least) a later re-activation, and —
 //!   absent failure injection — everything already routed to it completes.
@@ -18,10 +20,10 @@
 //! * **Determinism** — for a fixed seed, identical elastic runs agree bit
 //!   for bit (assignments, records, sheds, scale events, both ledgers,
 //!   SLA windows) under *every* router policy.
-//! * **Armed-but-idle neutrality** — an autoscaler pinned to the fleet
-//!   size plus a shedder that can never fire reproduce the pinned golden
-//!   digests of `tests/fleet_equivalence.rs` bit for bit, even though
-//!   control boundaries (and their observation runs) still execute.
+//!
+//! Armed-but-idle neutrality — a pinned autoscaler plus a shedder that can
+//! never fire stay on the plain fleet's golden digests — is pinned with
+//! those goldens in `tests/fleet_equivalence.rs`.
 
 use loongserve::prelude::*;
 use proptest::prelude::*;
@@ -29,7 +31,7 @@ use std::collections::BTreeSet;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::Digest;
+use golden_util::fleet_digest;
 
 const PROPTEST_SEED: u64 = 0xe1a5_71c5_0808_2026;
 
@@ -73,6 +75,12 @@ fn fleet(replicas: usize, policy: RouterPolicy) -> FleetEngine {
     ))
 }
 
+/// Runs `engine` over a materialised trace under `plan`.
+fn run(mut engine: FleetEngine, trace: &Trace, plan: &FleetPlan) -> FleetRun {
+    let stream = TraceStream::from_trace(trace.clone());
+    engine.run(stream, plan, None).expect("valid plan")
+}
+
 /// The six router policies, passthrough included — every sweep must hold
 /// for all of them.
 fn policy(idx: usize) -> RouterPolicy {
@@ -114,39 +122,79 @@ fn admission_corner(sel: usize) -> Option<AdmissionConfig> {
     }
 }
 
-/// Same digest as `tests/fleet_equivalence.rs` (via the shared
-/// `golden_util` field walk): a bit-for-bit digest of a [`FleetOutcome`].
-fn fleet_digest(outcome: &FleetOutcome) -> u64 {
-    let mut d = Digest::new();
-    d.word(outcome.assignments.len() as u64);
-    for &(id, replica) in &outcome.assignments {
-        d.word(id.raw());
-        d.word(replica.raw());
+/// Raw draws for the autoscaler: min-size and initial-size selectors,
+/// control interval, cooldown, provisioning delay and step selector.
+type ScalerDraw = (usize, usize, f64, f64, f64, usize);
+
+/// Raw draws for the control signals: scale-down threshold, dead-band
+/// width, attainment target and the signal SLO's scale.
+type SignalDraw = (u64, u64, f64, f64);
+
+/// Raw draws for failure injection: crash selector, mean time between
+/// failures and to repair; retry budget, backoff base and factor; breaker
+/// selector, threshold, window and cooldown; and the SLA window.
+type FailureDraw = (
+    (usize, f64, f64),
+    (u32, f64, f64),
+    (usize, u32, f64, f64),
+    f64,
+);
+
+/// A random plan for a fleet of `n`, valid by construction: every field of
+/// [`FleetPlan`] comes from the draws, each mapped into its valid range.
+fn drawn_plan(
+    n: usize,
+    seed: u64,
+    admission_sel: usize,
+    scaler: ScalerDraw,
+    signals: SignalDraw,
+    failures: FailureDraw,
+) -> FleetPlan {
+    let (min_sel, initial_sel, interval_s, cooldown_s, delay_s, step_sel) = scaler;
+    let (down_tokens, band_tokens, target, slo_scale) = signals;
+    let ((crash_sel, mtbf_s, mttr_s), retry, breaker, sla_window_s) = failures;
+    let min = 1 + min_sel % n;
+    let mut autoscaler = AutoscalerConfig::overload_defaults(min, n);
+    autoscaler.control_interval_s = interval_s;
+    autoscaler.cooldown_s = cooldown_s;
+    autoscaler.provisioning_delay_s = delay_s;
+    autoscaler.step = 1 + step_sel % n;
+    autoscaler.scale_down_backlog_tokens = down_tokens;
+    autoscaler.scale_up_backlog_tokens = down_tokens + band_tokens;
+    autoscaler.target_attainment = target;
+    let base = SloSpec::default_for_lwm();
+    let schedule = match crash_sel {
+        0 => FailureSchedule::none(),
+        _ => FailureSchedule::generate(n, SimDuration::from_secs(240.0), mtbf_s, mttr_s, seed),
+    };
+    let (max_retries, backoff_base_s, backoff_factor) = retry;
+    let mut plan = FleetPlan::new(autoscaler)
+        .with_initial(min + initial_sel % (n - min + 1))
+        .with_signal_slo(SloSpec {
+            per_token_s: base.per_token_s * slo_scale,
+            input_s: base.input_s * slo_scale,
+            output_s: base.output_s * slo_scale,
+        })
+        .with_schedule(schedule)
+        .with_retry(RetryPolicy {
+            max_retries,
+            backoff_base_s,
+            backoff_factor,
+        })
+        .with_sla_window(sla_window_s);
+    if let (1, threshold, window_s, cooldown_s) = breaker {
+        plan = plan.with_breaker(CircuitBreakerConfig::new(threshold, window_s, cooldown_s));
     }
-    d.word(outcome.per_replica.len() as u64);
-    for r in &outcome.per_replica {
-        d.word(r.replica.raw());
-        d.word(r.assigned as u64);
-        d.outcome(&r.outcome);
+    if let Some(admission) = admission_corner(admission_sel) {
+        plan = plan.with_admission(admission);
     }
-    d.word(outcome.records.len() as u64);
-    for r in &outcome.records {
-        d.word(r.id.raw());
-        d.time(r.finish);
-    }
-    d.word(outcome.rejected.len() as u64);
-    d.word(outcome.unfinished as u64);
-    d.time(outcome.sim_time);
-    d.word(outcome.iterations);
-    d.word(outcome.migration_bytes.to_bits());
-    d.word(outcome.scheduler_calls);
-    d.0
+    plan
 }
 
 /// Checks the five-way exactly-once partition: every trace id lands in
 /// precisely one of completed / rejected / shed / terminally-failed /
 /// unfinished, and the elasticity ledger agrees with the lists.
-fn assert_exactly_once(trace: &Trace, outcome: &ElasticFleetOutcome) {
+fn assert_exactly_once(trace: &Trace, outcome: &FleetRun) {
     let trace_ids: BTreeSet<RequestId> = trace.requests.iter().map(|r| r.id).collect();
     let completed: BTreeSet<RequestId> = outcome.fleet.records.iter().map(|r| r.id).collect();
     let rejected: BTreeSet<RequestId> = outcome.fleet.rejected.iter().map(|r| r.0).collect();
@@ -215,7 +263,7 @@ fn assert_exactly_once(trace: &Trace, outcome: &ElasticFleetOutcome) {
 /// Checks that no route lands on a replica between its retirement and its
 /// next re-activation: the drain removes the victim from the routable set
 /// durably, not just for one era.
-fn assert_no_routes_to_retired(outcome: &ElasticFleetOutcome) {
+fn assert_no_routes_to_retired(outcome: &FleetRun) {
     // Per replica, the chronological [retired, reactivated) windows.
     #[derive(Clone, Copy)]
     enum Edge {
@@ -259,9 +307,11 @@ fn assert_no_routes_to_retired(outcome: &ElasticFleetOutcome) {
 proptest! {
     #![proptest_config(ci_config(6))]
 
-    /// (a) Exactly-once accounting over the full cross product: mixed-class
-    /// diurnal+flash traces, elastic autoscaling, the admission corners and
-    /// every router policy.
+    /// (a) Exactly-once accounting over the whole plan space: mixed-class
+    /// diurnal+flash traces, every router policy, and random valid plans —
+    /// autoscaling, admission, crashes, retries, the circuit breaker and
+    /// the SLA window composed at once. Each run finishes without a panic,
+    /// closes the five-way partition, and reproduces itself bit for bit.
     #[test]
     fn every_request_lands_in_exactly_one_of_five_ledgers(
         seed in 0u64..1_000_000,
@@ -269,18 +319,28 @@ proptest! {
         max_replicas in 2usize..4,
         policy_idx in 0usize..6,
         admission_sel in 0usize..3,
+        scaler in (0usize..4, 0usize..4, 5.0f64..40.0, 0.0f64..30.0, 0.0f64..15.0, 0usize..3),
+        signals in (1_000u64..20_000, 1_000u64..40_000, 0.5f64..1.0, 0.5f64..4.0),
+        failures in (
+            (0usize..2, 40.0f64..200.0, 1.0f64..30.0),
+            (0u32..4, 0.0f64..2.0, 1.0f64..3.0),
+            (0usize..2, 1u32..5, 5.0f64..120.0, 0.0f64..300.0),
+            5.0f64..120.0,
+        ),
     ) {
         let trace = mixed_trace(count, seed);
-        let mut cfg = ElasticConfig::new(property_scaler(max_replicas));
-        if let Some(adm) = admission_corner(admission_sel) {
-            cfg = cfg.with_admission(adm);
-        }
-        let outcome = fleet(max_replicas, policy(policy_idx)).run_elastic(&trace, &cfg);
+        let plan = drawn_plan(max_replicas, seed, admission_sel, scaler, signals, failures);
+        prop_assert_eq!(plan.validate(max_replicas), Ok(()));
+        let outcome = run(fleet(max_replicas, policy(policy_idx)), &trace, &plan);
         assert_exactly_once(&trace, &outcome);
         assert_no_routes_to_retired(&outcome);
+        let again = run(fleet(max_replicas, policy(policy_idx)), &trace, &plan);
+        prop_assert_eq!(format!("{outcome:?}"), format!("{again:?}"));
         // Without failure injection nothing can fail terminally, and a
         // replica-second was spent on every completion.
-        prop_assert!(outcome.failed.is_empty());
+        if plan.schedule.events().is_empty() {
+            prop_assert!(outcome.failed.is_empty());
+        }
         prop_assert!(outcome.elasticity.replica_seconds >= 0.0);
         prop_assert!(
             outcome.fleet.records.is_empty() || outcome.elasticity.replica_seconds > 0.0
@@ -299,9 +359,8 @@ proptest! {
         policy_idx in 0usize..6,
     ) {
         let trace = mixed_trace(count, seed);
-        let cfg = ElasticConfig::new(property_scaler(max_replicas))
-            .with_initial(max_replicas);
-        let outcome = fleet(max_replicas, policy(policy_idx)).run_elastic(&trace, &cfg);
+        let plan = FleetPlan::new(property_scaler(max_replicas)).with_initial(max_replicas);
+        let outcome = run(fleet(max_replicas, policy(policy_idx)), &trace, &plan);
         assert_exactly_once(&trace, &outcome);
         assert_no_routes_to_retired(&outcome);
         prop_assert!(outcome.failed.is_empty(), "no crash, no terminal failures");
@@ -346,13 +405,13 @@ proptest! {
         } else {
             RetryPolicy::exponential(2, 0.5)
         };
-        let cfg = ElasticConfig::new(property_scaler(max_replicas))
+        let plan = FleetPlan::new(property_scaler(max_replicas))
             .with_initial(max_replicas)
             .with_schedule(schedule)
             .with_retry(retry)
             .with_admission(AdmissionConfig::never_sheds())
             .with_sla_window(30.0);
-        let outcome = fleet(max_replicas, policy(policy_idx)).run_elastic(&trace, &cfg);
+        let outcome = run(fleet(max_replicas, policy(policy_idx)), &trace, &plan);
         assert_exactly_once(&trace, &outcome);
         assert_no_routes_to_retired(&outcome);
         // Fail-fast: every lost attempt is terminal. With budget: terminal
@@ -366,7 +425,7 @@ proptest! {
         }
         prop_assert_eq!(
             outcome.reliability.crashes,
-            cfg.schedule.events().len() as u64
+            plan.schedule.events().len() as u64
         );
         // The availability series spans the run whenever anything completed.
         if !outcome.fleet.records.is_empty() {
@@ -393,14 +452,14 @@ proptest! {
             seed ^ 0xd37e,
         );
         for idx in 0..6 {
-            let mut cfg = ElasticConfig::new(property_scaler(max_replicas))
+            let mut plan = FleetPlan::new(property_scaler(max_replicas))
                 .with_schedule(schedule.clone())
                 .with_retry(RetryPolicy::exponential(2, 0.5));
             if let Some(adm) = admission_corner(admission_sel) {
-                cfg = cfg.with_admission(adm);
+                plan = plan.with_admission(adm);
             }
-            let a = fleet(max_replicas, policy(idx)).run_elastic(&trace, &cfg);
-            let b = fleet(max_replicas, policy(idx)).run_elastic(&trace, &cfg);
+            let a = run(fleet(max_replicas, policy(idx)), &trace, &plan);
+            let b = run(fleet(max_replicas, policy(idx)), &trace, &plan);
             prop_assert_eq!(fleet_digest(&a.fleet), fleet_digest(&b.fleet));
             prop_assert_eq!(&a.fleet.assignments, &b.fleet.assignments);
             prop_assert_eq!(&a.shed, &b.shed);
@@ -414,80 +473,14 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Armed-but-idle golden pins.
-//
-// The constants below are *the same* goldens as `tests/fleet_equivalence.rs`
-// pins for the plain fleet (same trace recipes, same digest walk): an
-// autoscaler pinned to the fleet size plus a shedder that can never fire
-// must not move a bit, even though control boundaries — observation runs
-// included — still execute. Re-capture (only for intentional behaviour
-// changes) via that suite's GOLDEN_PRINT procedure; the three files
-// (`fleet_equivalence`, `reliability_properties`, this one) must stay in
-// lockstep.
-// ---------------------------------------------------------------------------
-
-const GOLDEN_FLEET_2X_ROUND_ROBIN: u64 = 0xb4a0_4cc9_72b0_c57f;
-const GOLDEN_FLEET_4X_JSQ: u64 = 0x3598_362b_d2d5_f0d0;
-const GOLDEN_FLEET_4X_P2C: u64 = 0x922d_41e0_3abc_c691;
-
-fn assert_armed_idle_invariants(outcome: &ElasticFleetOutcome, n: u64) {
-    assert!(outcome.shed.is_empty());
-    assert!(outcome.scale_events.is_empty());
-    assert!(outcome.failed.is_empty());
-    assert!(outcome.reliability.is_zero());
-    assert_eq!(outcome.elasticity.scale_up_events, 0);
-    assert_eq!(outcome.elasticity.scale_down_events, 0);
-    assert_eq!(outcome.elasticity.shed_total(), 0);
-    assert_eq!(outcome.elasticity.min_active_replicas, n);
-    assert_eq!(outcome.elasticity.max_active_replicas, n);
-    assert!(outcome.elasticity.replica_seconds > 0.0);
-}
-
-#[test]
-fn armed_idle_two_replica_round_robin_stays_on_golden() {
-    let trace = sharegpt_trace(12.0, 80, 4242);
-    let outcome =
-        fleet(2, RouterPolicy::RoundRobin).run_elastic(&trace, &ElasticConfig::armed_idle(2));
-    assert_eq!(
-        fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_2X_ROUND_ROBIN,
-        "armed-but-idle elasticity tier moved the 2x round-robin golden"
-    );
-    assert_armed_idle_invariants(&outcome, 2);
-}
-
-#[test]
-fn armed_idle_four_replica_jsq_stays_on_golden() {
-    let trace = sharegpt_trace(24.0, 80, 4242);
-    let outcome = fleet(4, RouterPolicy::JoinShortestQueue)
-        .run_elastic(&trace, &ElasticConfig::armed_idle(4));
-    assert_eq!(
-        fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_4X_JSQ,
-        "armed-but-idle elasticity tier moved the 4x JSQ golden"
-    );
-    assert_armed_idle_invariants(&outcome, 4);
-}
-
-#[test]
-fn armed_idle_four_replica_p2c_stays_on_golden() {
-    let trace = sharegpt_trace(24.0, 80, 4242);
-    let outcome = fleet(4, RouterPolicy::PowerOfTwoChoices { seed: 0x90f1ee7 })
-        .run_elastic(&trace, &ElasticConfig::armed_idle(4));
-    assert_eq!(
-        fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_4X_P2C,
-        "armed-but-idle elasticity tier moved the 4x p2c golden"
-    );
-    assert_armed_idle_invariants(&outcome, 4);
-}
-
 #[test]
 fn armed_idle_summary_rolls_up_a_clean_elasticity_ledger() {
     let trace = sharegpt_trace(12.0, 40, 9);
-    let outcome =
-        fleet(2, RouterPolicy::LeastKvLoad).run_elastic(&trace, &ElasticConfig::armed_idle(2));
+    let outcome = run(
+        fleet(2, RouterPolicy::LeastKvLoad),
+        &trace,
+        &FleetPlan::armed_idle(2),
+    );
     let summary = outcome.summary(
         "LoongServe x2",
         "ShareGPT",

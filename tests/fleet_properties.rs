@@ -27,6 +27,13 @@ fn ci_config(cases: u32) -> ProptestConfig {
     }
 }
 
+/// The plain fleet's outcome over a materialised trace.
+fn run_plain(fleet: &mut FleetEngine, trace: &Trace) -> FleetOutcome {
+    let plan = FleetPlan::fixed(fleet.config().replicas);
+    let stream = TraceStream::from_trace(trace.clone());
+    fleet.run(stream, &plan, None).expect("valid plan").fleet
+}
+
 /// The policy space the properties quantify over: the four load-balancing
 /// policies and the passthrough identity.
 fn policy(idx: usize) -> RouterPolicy {
@@ -100,7 +107,7 @@ proptest! {
             replicas,
             policy(policy_idx),
         ));
-        let outcome = fleet.run(&trace);
+        let outcome = run_plain(&mut fleet, &trace);
 
         // Counts conserve.
         prop_assert_eq!(outcome.total_requests(), count);
@@ -160,7 +167,7 @@ proptest! {
             replicas,
             policy(policy_idx),
         ));
-        let outcome = fleet.run(&trace);
+        let outcome = run_plain(&mut fleet, &trace);
         for record in &outcome.records {
             let &(input_len, output_len) = by_id.get(&record.id).expect("record id from trace");
             prop_assert_eq!(record.input_len, input_len);
@@ -200,7 +207,7 @@ proptest! {
                 replicas,
                 policy(policy_idx),
             ));
-            fleet.run(&trace)
+            run_plain(&mut fleet, &trace)
         };
         let a = run();
         let b = run();

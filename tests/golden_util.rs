@@ -2,9 +2,10 @@
 //!
 //! Both `tests/determinism_golden.rs` (single engine) and
 //! `tests/fleet_equivalence.rs` (fleet tier) pin 64-bit digests of complete
-//! outcomes. The field walk lives here, once: when `RunOutcome` grows a
-//! field, extending [`outcome_digest`] updates **every** golden suite at
-//! the same time, so no suite can silently keep pinning the old shape.
+//! outcomes. The field walks live here, once: when `RunOutcome` or
+//! `FleetOutcome` grows a field, extending [`outcome_digest`] or
+//! [`fleet_digest`] updates **every** golden suite at the same time, so no
+//! suite can silently keep pinning the old shape.
 //!
 //! Included into each test binary via `#[path = "golden_util.rs"]`; the
 //! pinned constants stay in the suites themselves. Each suite uses a
@@ -110,5 +111,34 @@ impl Default for Digest {
 pub fn outcome_digest(outcome: &RunOutcome) -> u64 {
     let mut d = Digest::new();
     d.outcome(outcome);
+    d.0
+}
+
+/// A bit-for-bit digest of everything in a [`FleetOutcome`]: assignments,
+/// per-replica outcomes, merged records and counters.
+pub fn fleet_digest(outcome: &FleetOutcome) -> u64 {
+    let mut d = Digest::new();
+    d.word(outcome.assignments.len() as u64);
+    for &(id, replica) in &outcome.assignments {
+        d.word(id.raw());
+        d.word(replica.raw());
+    }
+    d.word(outcome.per_replica.len() as u64);
+    for r in &outcome.per_replica {
+        d.word(r.replica.raw());
+        d.word(r.assigned as u64);
+        d.outcome(&r.outcome);
+    }
+    d.word(outcome.records.len() as u64);
+    for r in &outcome.records {
+        d.word(r.id.raw());
+        d.time(r.finish);
+    }
+    d.word(outcome.rejected.len() as u64);
+    d.word(outcome.unfinished as u64);
+    d.time(outcome.sim_time);
+    d.word(outcome.iterations);
+    d.word(outcome.migration_bytes.to_bits());
+    d.word(outcome.scheduler_calls);
     d.0
 }

@@ -5,10 +5,10 @@
 //! * **Armed ≡ disarmed** — threading a [`TraceSink`] through a run (the
 //!   no-op sink or a full [`TraceRecorder`]) changes no decision: the
 //!   pinned golden digests from `tests/determinism_golden.rs` reproduce
-//!   bit-for-bit, and the traced fleet paths (`run_reliable_stream`,
-//!   `run_elastic_stream`) produce outcomes and footprints identical,
-//!   field for field, to their plain counterparts. Observation is copies
-//!   of already-computed values, emitted after the decision.
+//!   bit-for-bit, and traced fleet runs (`FleetEngine::run` with a
+//!   recorder, under failure and under elastic plans) produce outcomes and
+//!   footprints identical, field for field, to untraced ones. Observation
+//!   is copies of already-computed values, emitted after the decision.
 //! * **Deterministic sampling** — the sampled span set is a pure function
 //!   of `(seed, permille)`: re-running the same traced workload yields
 //!   byte-identical Perfetto JSON and series CSV, and every retained span
@@ -52,6 +52,18 @@ fn fleet(replicas: usize, policy: RouterPolicy, parallel: bool) -> FleetEngine {
     FleetEngine::new(config)
 }
 
+/// Runs `engine` over a materialised trace under `plan`, observed by
+/// `recorder` when one is given.
+fn run(
+    mut engine: FleetEngine,
+    trace: &Trace,
+    plan: &FleetPlan,
+    recorder: Option<&mut TraceRecorder>,
+) -> FleetRun {
+    let stream = TraceStream::from_trace(trace.clone());
+    engine.run(stream, plan, recorder).expect("valid plan")
+}
+
 fn crash_schedule(replicas: usize, seed: u64) -> FailureSchedule {
     FailureSchedule::generate(
         replicas,
@@ -62,25 +74,29 @@ fn crash_schedule(replicas: usize, seed: u64) -> FailureSchedule {
     )
 }
 
-fn reliability_config(schedule: FailureSchedule, retry_sel: usize) -> ReliabilityConfig {
-    let config = ReliabilityConfig::new(schedule).with_sla_window(30.0);
+/// Crash handling of `schedule` over a fixed fleet of `n`: fail-fast,
+/// plain exponential backoff, or backoff with a circuit breaker.
+fn failure_plan(n: usize, schedule: FailureSchedule, retry_sel: usize) -> FleetPlan {
+    let plan = FleetPlan::fixed(n)
+        .with_schedule(schedule)
+        .with_sla_window(30.0);
     match retry_sel {
-        0 => config,
-        1 => config.with_retry(RetryPolicy::exponential(2, 0.5)),
-        _ => config
+        0 => plan,
+        1 => plan.with_retry(RetryPolicy::exponential(2, 0.5)),
+        _ => plan
             .with_retry(RetryPolicy::exponential(3, 0.25))
             .with_breaker(CircuitBreakerConfig::new(3, 30.0, 120.0)),
     }
 }
 
-fn elastic_config(max_replicas: usize, schedule: FailureSchedule) -> ElasticConfig {
+fn elastic_plan(max_replicas: usize, schedule: FailureSchedule) -> FleetPlan {
     let mut scaler = AutoscalerConfig::overload_defaults(1, max_replicas);
     scaler.control_interval_s = 20.0;
     scaler.cooldown_s = 10.0;
     scaler.provisioning_delay_s = 7.0;
     scaler.scale_up_backlog_tokens = 30_000;
     scaler.scale_down_backlog_tokens = 8_000;
-    ElasticConfig::new(scaler)
+    FleetPlan::new(scaler)
         .with_schedule(schedule)
         .with_retry(RetryPolicy::exponential(2, 0.5))
         .with_sla_window(30.0)
@@ -249,9 +265,9 @@ proptest! {
         assert_ledger_consistent(&rec);
     }
 
-    /// `run_reliable_stream_traced` ≡ `run_reliable_stream`: crashes,
-    /// casualties, retries and breakers resolve identically whether or not
-    /// a recorder watches, serial and pooled, for every router policy.
+    /// Traced ≡ untraced under failure injection: crashes, casualties,
+    /// retries and breakers resolve identically whether or not a recorder
+    /// watches, serial and pooled, for every router policy.
     #[test]
     fn reliable_stream_traced_is_inert(
         seed in 0u64..1_000_000,
@@ -263,22 +279,20 @@ proptest! {
     ) {
         let parallel = parallel_sel == 1;
         let trace = mixed_trace(count, seed);
-        let rel = reliability_config(crash_schedule(replicas, seed), retry_sel);
+        let plan = failure_plan(replicas, crash_schedule(replicas, seed), retry_sel);
 
-        let (plain, plain_fp) = fleet(replicas, policy(policy_idx), parallel)
-            .run_reliable_stream(TraceStream::from_trace(trace.clone()), &rel);
+        let plain = run(fleet(replicas, policy(policy_idx), parallel), &trace, &plan, None);
         let mut rec = full_recorder();
-        let (traced, traced_fp) = fleet(replicas, policy(policy_idx), parallel)
-            .run_reliable_stream_traced(TraceStream::from_trace(trace.clone()), &rel, &mut rec);
+        let engine = fleet(replicas, policy(policy_idx), parallel);
+        let traced = run(engine, &trace, &plan, Some(&mut rec));
 
         prop_assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-        prop_assert_eq!(format!("{plain_fp:?}"), format!("{traced_fp:?}"));
         assert_ledger_consistent(&rec);
     }
 
-    /// `run_elastic_stream_traced` ≡ `run_elastic_stream`: scale events,
-    /// drains, sheds, crash casualties and retries all land identically
-    /// under observation.
+    /// Traced ≡ untraced under an elastic plan: scale events, drains,
+    /// sheds, crash casualties and retries all land identically under
+    /// observation.
     #[test]
     fn elastic_stream_traced_is_inert(
         seed in 0u64..1_000_000,
@@ -289,16 +303,14 @@ proptest! {
     ) {
         let parallel = parallel_sel == 1;
         let trace = mixed_trace(count, seed);
-        let cfg = elastic_config(max_replicas, crash_schedule(max_replicas, seed));
+        let plan = elastic_plan(max_replicas, crash_schedule(max_replicas, seed));
 
-        let (plain, plain_fp) = fleet(max_replicas, policy(policy_idx), parallel)
-            .run_elastic_stream(TraceStream::from_trace(trace.clone()), &cfg);
+        let plain = run(fleet(max_replicas, policy(policy_idx), parallel), &trace, &plan, None);
         let mut rec = full_recorder();
-        let (traced, traced_fp) = fleet(max_replicas, policy(policy_idx), parallel)
-            .run_elastic_stream_traced(TraceStream::from_trace(trace.clone()), &cfg, &mut rec);
+        let engine = fleet(max_replicas, policy(policy_idx), parallel);
+        let traced = run(engine, &trace, &plan, Some(&mut rec));
 
         prop_assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-        prop_assert_eq!(format!("{plain_fp:?}"), format!("{traced_fp:?}"));
         assert_ledger_consistent(&rec);
     }
 
@@ -319,10 +331,9 @@ proptest! {
         };
         let run = || {
             let trace = mixed_trace(count, seed);
-            let rel = reliability_config(crash_schedule(2, seed), 2);
+            let plan = failure_plan(2, crash_schedule(2, seed), 2);
             let mut rec = TraceRecorder::new(cfg);
-            fleet(2, RouterPolicy::JoinShortestQueue, false)
-                .run_reliable_stream_traced(TraceStream::from_trace(trace), &rel, &mut rec);
+            run(fleet(2, RouterPolicy::JoinShortestQueue, false), &trace, &plan, Some(&mut rec));
             rec
         };
         let a = run();
@@ -347,10 +358,10 @@ proptest! {
         replicas in 2usize..4,
     ) {
         let trace = mixed_trace(count, seed);
-        let rel = reliability_config(crash_schedule(replicas, seed), 1);
+        let plan = failure_plan(replicas, crash_schedule(replicas, seed), 1);
         let mut rec = full_recorder();
-        let (outcome, _) = fleet(replicas, RouterPolicy::RoundRobin, false)
-            .run_reliable_stream_traced(TraceStream::from_trace(trace.clone()), &rel, &mut rec);
+        let engine = fleet(replicas, RouterPolicy::RoundRobin, false);
+        let outcome = run(engine, &trace, &plan, Some(&mut rec));
 
         // Ids that reached an engine at least once: completed, unfinished,
         // rejected or terminally failed — i.e. everything in the trace.
@@ -408,15 +419,13 @@ fn crash_retries_attribute_downtime() {
         &mut SimRng::seed(7),
     );
     let schedule = FailureSchedule::generate(2, SimDuration::from_secs(200.0), 40.0, 10.0, 13);
-    let rel = ReliabilityConfig::new(schedule)
+    let plan = FleetPlan::fixed(2)
+        .with_schedule(schedule)
         .with_retry(RetryPolicy::exponential(3, 0.5))
         .with_sla_window(30.0);
     let mut rec = full_recorder();
-    let (outcome, _) = fleet(2, RouterPolicy::JoinShortestQueue, false).run_reliable_stream_traced(
-        TraceStream::from_trace(trace),
-        &rel,
-        &mut rec,
-    );
+    let engine = fleet(2, RouterPolicy::JoinShortestQueue, false);
+    let outcome = run(engine, &trace, &plan, Some(&mut rec));
 
     assert!(
         outcome.reliability.recovered_requests > 0,
@@ -448,11 +457,12 @@ fn zero_sampling_still_aggregates_series() {
         ..TraceConfig::default()
     };
     let mut rec = TraceRecorder::new(cfg);
-    let rel = reliability_config(crash_schedule(2, 99), 1);
-    fleet(2, RouterPolicy::RoundRobin, false).run_reliable_stream_traced(
-        TraceStream::from_trace(trace),
-        &rel,
-        &mut rec,
+    let plan = failure_plan(2, crash_schedule(2, 99), 1);
+    run(
+        fleet(2, RouterPolicy::RoundRobin, false),
+        &trace,
+        &plan,
+        Some(&mut rec),
     );
 
     assert!(rec.spans().is_empty());

@@ -62,6 +62,13 @@ fn run_system(kind: SystemKind, trace: &Trace, cache: bool) -> RunOutcome {
     system.build_engine(Some(trace)).run(trace)
 }
 
+/// The plain fleet's outcome over a materialised trace.
+fn run_plain(fleet: &mut FleetEngine, trace: &Trace) -> FleetOutcome {
+    let plan = FleetPlan::fixed(fleet.config().replicas);
+    let stream = TraceStream::from_trace(trace.clone());
+    fleet.run(stream, &plan, None).expect("valid plan").fleet
+}
+
 /// Per-request `(input_len, output_len)` of the completed records.
 fn completion_map(outcome: &RunOutcome) -> BTreeMap<RequestId, (u64, u64)> {
     outcome
@@ -214,8 +221,8 @@ proptest! {
         let trace = multi_turn_trace(conversations, 0.5, seed);
         let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, replicas, policy);
         config.prefix_cache = Some(PrefixCacheConfig::default());
-        let a = FleetEngine::new(config.clone()).run(&trace);
-        let b = FleetEngine::new(config).run(&trace);
+        let a = run_plain(&mut FleetEngine::new(config.clone()), &trace);
+        let b = run_plain(&mut FleetEngine::new(config), &trace);
         prop_assert_eq!(&a.assignments, &b.assignments);
         prop_assert_eq!(&a.records, &b.records);
         prop_assert_eq!(a.iterations, b.iterations);
@@ -230,7 +237,7 @@ fn one_replica_cached_fleet_reproduces_the_bare_engine() {
     let bare = run_system(SystemKind::LoongServe, &trace, true);
     let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, 1, RouterPolicy::Passthrough);
     config.prefix_cache = Some(PrefixCacheConfig::default());
-    let fleet = FleetEngine::new(config).run(&trace);
+    let fleet = run_plain(&mut FleetEngine::new(config), &trace);
     assert_eq!(fleet.records, bare.records);
     assert_eq!(fleet.iterations, bare.iterations);
     assert_eq!(fleet.cache, bare.cache);
@@ -246,7 +253,7 @@ fn prefix_affinity_routing_beats_conversation_splitting() {
     let run_fleet = |policy: RouterPolicy| {
         let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, 3, policy);
         config.prefix_cache = Some(PrefixCacheConfig::default());
-        FleetEngine::new(config).run(&trace)
+        run_plain(&mut FleetEngine::new(config), &trace)
     };
     let affinity = run_fleet(RouterPolicy::PrefixAffinity);
     let round_robin = run_fleet(RouterPolicy::RoundRobin);

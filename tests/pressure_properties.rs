@@ -65,6 +65,13 @@ fn pressure_engine(kind: SystemKind, mode: PressureMode, capacity: u64) -> Servi
         .build_engine(None)
 }
 
+/// The plain fleet's outcome over a materialised trace.
+fn run_plain(fleet: &mut FleetEngine, trace: &Trace) -> FleetOutcome {
+    let plan = FleetPlan::fixed(fleet.config().replicas);
+    let stream = TraceStream::from_trace(trace.clone());
+    fleet.run(stream, &plan, None).expect("valid plan").fleet
+}
+
 /// Asserts the conservation and causality properties shared by every run.
 fn check_conserved(outcome: &RunOutcome, trace: &Trace) {
     assert_eq!(
@@ -264,7 +271,7 @@ fn fleet_rollups_surface_per_replica_pressure_counters() {
     let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, 2, RouterPolicy::RoundRobin);
     config.pressure = PressureMode::SwapToHost;
     config.kv_capacity_override = Some(1_500);
-    let outcome = FleetEngine::new(config).run(&trace);
+    let outcome = run_plain(&mut FleetEngine::new(config), &trace);
     assert_eq!(outcome.total_requests(), trace.len());
     assert!(
         outcome.pressure.swap_out_events > 0,
@@ -298,10 +305,11 @@ fn mmpp_burst_during_an_outage_drains_without_wedging() {
         FleetConfig::paper_fleet(SystemKind::LoongServe, 2, RouterPolicy::JoinShortestQueue);
     config.pressure = PressureMode::SwapToHost;
     config.kv_capacity_override = Some(1_500);
-    let outcome = FleetEngine::new(config).run_reliable(
-        &trace,
-        &ReliabilityConfig::new(schedule).with_retry(RetryPolicy::exponential(3, 0.5)),
-    );
+    let plan = FleetPlan::fixed(2)
+        .with_schedule(schedule)
+        .with_retry(RetryPolicy::exponential(3, 0.5));
+    let stream = TraceStream::from_trace(trace.clone());
+    let outcome = FleetEngine::new(config).run(stream, &plan, None).unwrap();
 
     // Exactly-once over the composition, and a complete drain: the only
     // replica up during the burst has a starved pool, yet nothing wedges.

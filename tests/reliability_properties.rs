@@ -1,6 +1,6 @@
 //! Properties of the reliability tier: fleet runs under failure injection.
 //!
-//! Four contracts are pinned here, matching the tier's module docs:
+//! Three contracts are pinned here, matching the tier's module docs:
 //!
 //! * **Exactly-once accounting** — over random seeded failure schedules,
 //!   every retry policy and every router policy, each trace request ends in
@@ -15,10 +15,10 @@
 //! * **Determinism** — for a fixed seed, identical runs agree bit for bit
 //!   (assignments, records, failures, reliability ledger, SLA windows)
 //!   under *every* router policy, including passthrough.
-//! * **Armed-but-idle neutrality** — with the tier armed (retry budget,
-//!   breaker, SLA windows all configured) but an empty schedule, the run
-//!   reproduces the pinned golden digests of `tests/fleet_equivalence.rs`
-//!   bit for bit, and the availability series reads 1.0 everywhere.
+//!
+//! Armed-but-idle neutrality — the tier armed with an empty schedule stays
+//! on the plain fleet's golden digests — is pinned with those goldens in
+//! `tests/fleet_equivalence.rs`.
 //!
 //! Plus the crash-invalidation contract of the prefix-cache tier: a
 //! conversation pinned by `PrefixAffinity` to a replica that crashes
@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::Digest;
+use golden_util::fleet_digest;
 
 const PROPTEST_SEED: u64 = 0x7e11_ab1e_0808_2026;
 
@@ -57,6 +57,12 @@ fn fleet(replicas: usize, policy: RouterPolicy) -> FleetEngine {
     ))
 }
 
+/// Runs `engine` over a materialised trace under `plan`.
+fn run(mut engine: FleetEngine, trace: &Trace, plan: &FleetPlan) -> FleetRun {
+    let stream = TraceStream::from_trace(trace.clone());
+    engine.run(stream, plan, None).expect("valid plan")
+}
+
 /// The six router policies, passthrough included — the determinism sweep
 /// must hold for all of them.
 fn policy(idx: usize) -> RouterPolicy {
@@ -70,51 +76,25 @@ fn policy(idx: usize) -> RouterPolicy {
     }
 }
 
-/// The retry-policy corner cases swept by the property tests: fail-fast,
-/// plain exponential backoff, and backoff with a circuit breaker armed.
-fn reliability_config(schedule: FailureSchedule, retry_sel: usize) -> ReliabilityConfig {
-    let config = ReliabilityConfig::new(schedule).with_sla_window(30.0);
+/// The retry-policy corner cases swept by the property tests over a fixed
+/// fleet of `n`: fail-fast, plain exponential backoff, and backoff with a
+/// circuit breaker armed.
+fn failure_plan(n: usize, schedule: FailureSchedule, retry_sel: usize) -> FleetPlan {
+    let plan = FleetPlan::fixed(n)
+        .with_schedule(schedule)
+        .with_sla_window(30.0);
     match retry_sel {
-        0 => config,
-        1 => config.with_retry(RetryPolicy::exponential(2, 0.5)),
-        _ => config
+        0 => plan,
+        1 => plan.with_retry(RetryPolicy::exponential(2, 0.5)),
+        _ => plan
             .with_retry(RetryPolicy::exponential(3, 0.25))
             .with_breaker(CircuitBreakerConfig::new(3, 30.0, 120.0)),
     }
 }
 
-/// Same digest as `tests/fleet_equivalence.rs` (via the shared
-/// `golden_util` field walk): a bit-for-bit digest of a [`FleetOutcome`].
-fn fleet_digest(outcome: &FleetOutcome) -> u64 {
-    let mut d = Digest::new();
-    d.word(outcome.assignments.len() as u64);
-    for &(id, replica) in &outcome.assignments {
-        d.word(id.raw());
-        d.word(replica.raw());
-    }
-    d.word(outcome.per_replica.len() as u64);
-    for r in &outcome.per_replica {
-        d.word(r.replica.raw());
-        d.word(r.assigned as u64);
-        d.outcome(&r.outcome);
-    }
-    d.word(outcome.records.len() as u64);
-    for r in &outcome.records {
-        d.word(r.id.raw());
-        d.time(r.finish);
-    }
-    d.word(outcome.rejected.len() as u64);
-    d.word(outcome.unfinished as u64);
-    d.time(outcome.sim_time);
-    d.word(outcome.iterations);
-    d.word(outcome.migration_bytes.to_bits());
-    d.word(outcome.scheduler_calls);
-    d.0
-}
-
 /// Checks the exactly-once partition: every trace id lands in precisely one
 /// of completed / rejected / terminally-failed / unfinished.
-fn assert_exactly_once(trace: &Trace, outcome: &ReliableFleetOutcome) {
+fn assert_exactly_once(trace: &Trace, outcome: &FleetRun) {
     let trace_ids: BTreeSet<RequestId> = trace.requests.iter().map(|r| r.id).collect();
     let completed: BTreeSet<RequestId> = outcome.fleet.records.iter().map(|r| r.id).collect();
     let rejected: BTreeSet<RequestId> = outcome.fleet.rejected.iter().map(|r| r.0).collect();
@@ -161,8 +141,8 @@ proptest! {
             15.0,
             seed ^ 0xfa11,
         );
-        let rel = reliability_config(schedule, retry_sel);
-        let outcome = fleet(replicas, policy(policy_idx)).run_reliable(&trace, &rel);
+        let plan = failure_plan(replicas, schedule, retry_sel);
+        let outcome = run(fleet(replicas, policy(policy_idx)), &trace, &plan);
         assert_exactly_once(&trace, &outcome);
         // The ledger's failure counters agree with the failed list, and
         // recovered requests really did lose an attempt first.
@@ -188,8 +168,8 @@ proptest! {
             20.0,
             seed ^ 0x70c3,
         );
-        let rel = reliability_config(schedule, retry_sel);
-        let outcome = fleet(replicas, RouterPolicy::JoinShortestQueue).run_reliable(&trace, &rel);
+        let plan = failure_plan(replicas, schedule, retry_sel);
+        let outcome = run(fleet(replicas, RouterPolicy::JoinShortestQueue), &trace, &plan);
         assert_exactly_once(&trace, &outcome);
 
         let by_id: BTreeMap<RequestId, &Request> =
@@ -247,9 +227,9 @@ proptest! {
             seed ^ 0xd37e,
         );
         for idx in 0..6 {
-            let rel = reliability_config(schedule.clone(), retry_sel);
-            let a = fleet(replicas, policy(idx)).run_reliable(&trace, &rel);
-            let b = fleet(replicas, policy(idx)).run_reliable(&trace, &rel);
+            let plan = failure_plan(replicas, schedule.clone(), retry_sel);
+            let a = run(fleet(replicas, policy(idx)), &trace, &plan);
+            let b = run(fleet(replicas, policy(idx)), &trace, &plan);
             prop_assert_eq!(fleet_digest(&a.fleet), fleet_digest(&b.fleet));
             prop_assert_eq!(&a.fleet.assignments, &b.fleet.assignments);
             prop_assert_eq!(&a.failed, &b.failed);
@@ -259,80 +239,18 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Armed-but-idle golden pins.
-//
-// The constants below are *the same* goldens as `tests/fleet_equivalence.rs`
-// pins for the plain fleet (same trace recipes, same digest walk): the
-// reliability tier with an empty schedule must not move a bit even with the
-// retry budget, the breaker and the SLA windows all armed. Re-capture (only
-// for intentional behaviour changes) via that suite's GOLDEN_PRINT
-// procedure; the two files must stay in lockstep.
-// ---------------------------------------------------------------------------
-
-const GOLDEN_FLEET_2X_ROUND_ROBIN: u64 = 0xb4a0_4cc9_72b0_c57f;
-const GOLDEN_FLEET_4X_JSQ: u64 = 0x3598_362b_d2d5_f0d0;
-const GOLDEN_FLEET_4X_P2C: u64 = 0x922d_41e0_3abc_c691;
-
-/// The fully-armed configuration whose machinery must stay invisible when
-/// no failure fires.
-fn armed_idle() -> ReliabilityConfig {
-    ReliabilityConfig::disarmed()
+/// The fully-armed failure tier whose machinery must stay invisible when no
+/// failure fires.
+fn armed_idle(n: usize) -> FleetPlan {
+    FleetPlan::fixed(n)
         .with_retry(RetryPolicy::exponential(3, 0.5))
         .with_breaker(CircuitBreakerConfig::new(3, 60.0, 120.0))
-}
-
-fn assert_armed_idle_invariants(outcome: &ReliableFleetOutcome) {
-    assert!(outcome.failed.is_empty());
-    assert!(outcome.reliability.is_zero());
-    assert!(!outcome.sla_windows.is_empty());
-    for window in &outcome.sla_windows {
-        assert_eq!(window.success_ratio(), 1.0, "idle tier, perfect windows");
-        assert_eq!(window.failed, 0);
-    }
-}
-
-#[test]
-fn armed_idle_two_replica_round_robin_stays_on_golden() {
-    let trace = sharegpt_trace(12.0, 80, 4242);
-    let outcome = fleet(2, RouterPolicy::RoundRobin).run_reliable(&trace, &armed_idle());
-    assert_eq!(
-        fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_2X_ROUND_ROBIN,
-        "armed-but-idle reliability tier moved the 2x round-robin golden"
-    );
-    assert_armed_idle_invariants(&outcome);
-}
-
-#[test]
-fn armed_idle_four_replica_jsq_stays_on_golden() {
-    let trace = sharegpt_trace(24.0, 80, 4242);
-    let outcome = fleet(4, RouterPolicy::JoinShortestQueue).run_reliable(&trace, &armed_idle());
-    assert_eq!(
-        fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_4X_JSQ,
-        "armed-but-idle reliability tier moved the 4x JSQ golden"
-    );
-    assert_armed_idle_invariants(&outcome);
-}
-
-#[test]
-fn armed_idle_four_replica_p2c_stays_on_golden() {
-    let trace = sharegpt_trace(24.0, 80, 4242);
-    let outcome = fleet(4, RouterPolicy::PowerOfTwoChoices { seed: 0x90f1ee7 })
-        .run_reliable(&trace, &armed_idle());
-    assert_eq!(
-        fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_4X_P2C,
-        "armed-but-idle reliability tier moved the 4x p2c golden"
-    );
-    assert_armed_idle_invariants(&outcome);
 }
 
 #[test]
 fn armed_idle_summary_rolls_up_a_clean_ledger() {
     let trace = sharegpt_trace(12.0, 40, 9);
-    let outcome = fleet(2, RouterPolicy::LeastKvLoad).run_reliable(&trace, &armed_idle());
+    let outcome = run(fleet(2, RouterPolicy::LeastKvLoad), &trace, &armed_idle(2));
     let summary = outcome.summary(
         "LoongServe x2",
         "ShareGPT",
@@ -387,7 +305,7 @@ fn prefix_cache_invalidation_on_crash_re_prefills_once_and_rebuilds() {
 
     // Baseline: no failures. Affinity pins the conversation to replica 0
     // and every follow-up turn hits the cache there.
-    let baseline = cached_fleet().run_reliable(&trace, &ReliabilityConfig::disarmed());
+    let baseline = run(cached_fleet(), &trace, &FleetPlan::fixed(2));
     assert_eq!(baseline.fleet.records.len(), turns as usize);
     assert_eq!(baseline.fleet.cache.lookups, turns as u64);
     assert_eq!(baseline.fleet.cache.hits, turns as u64 - 1);
@@ -404,10 +322,10 @@ fn prefix_cache_invalidation_on_crash_re_prefills_once_and_rebuilds() {
         SimTime::from_secs(100.0),
         SimTime::from_secs(1_000.0),
     )]);
-    let outcome = cached_fleet().run_reliable(
-        &trace,
-        &ReliabilityConfig::new(schedule).with_retry(RetryPolicy::exponential(2, 1.0)),
-    );
+    let plan = FleetPlan::fixed(2)
+        .with_schedule(schedule)
+        .with_retry(RetryPolicy::exponential(2, 1.0));
+    let outcome = run(cached_fleet(), &trace, &plan);
 
     // Everything still completes, exactly once.
     assert_eq!(outcome.fleet.records.len(), turns as usize);

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::{outcome_digest, Digest};
+use golden_util::{fleet_digest, outcome_digest};
 
 /// Fixed RNG seed so CI runs are bit-for-bit reproducible.
 const PROPTEST_SEED: u64 = 0x5041_5253_4552_0a17;
@@ -64,40 +64,17 @@ fn run_digest_with_policy(
     outcome_digest(&engine.run(&trace))
 }
 
-/// Same digest walk as `tests/fleet_equivalence.rs`.
-fn fleet_digest(outcome: &FleetOutcome) -> u64 {
-    let mut d = Digest::new();
-    d.word(outcome.assignments.len() as u64);
-    for &(id, replica) in &outcome.assignments {
-        d.word(id.raw());
-        d.word(replica.raw());
-    }
-    d.word(outcome.per_replica.len() as u64);
-    for r in &outcome.per_replica {
-        d.word(r.replica.raw());
-        d.word(r.assigned as u64);
-        d.outcome(&r.outcome);
-    }
-    d.word(outcome.records.len() as u64);
-    for r in &outcome.records {
-        d.word(r.id.raw());
-        d.time(r.finish);
-    }
-    d.word(outcome.rejected.len() as u64);
-    d.word(outcome.unfinished as u64);
-    d.time(outcome.sim_time);
-    d.word(outcome.iterations);
-    d.word(outcome.migration_bytes.to_bits());
-    d.word(outcome.scheduler_calls);
-    d.0
-}
-
-fn dense_fleet(replicas: usize, policy: RouterPolicy) -> FleetEngine {
+/// An explicitly Dense fleet's run of the 80-request golden trace at
+/// `rate` under `plan`.
+fn dense_run(replicas: usize, policy: RouterPolicy, rate: f64, plan: &FleetPlan) -> FleetRun {
     let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, replicas, policy);
     // Redundant on purpose: select the default explicitly to prove the
     // explicit path is the golden path.
     config.attention = AttentionCostPolicy::Dense;
+    let stream = TraceStream::from_trace(sharegpt_trace(rate, 80, 4242));
     FleetEngine::new(config)
+        .run(stream, plan, None)
+        .expect("valid plan")
 }
 
 #[test]
@@ -146,14 +123,19 @@ fn explicit_dense_reproduces_engine_goldens() {
 
 #[test]
 fn explicit_dense_reproduces_fleet_goldens() {
-    let outcome = dense_fleet(2, RouterPolicy::RoundRobin).run(&sharegpt_trace(12.0, 80, 4242));
+    let outcome = dense_run(2, RouterPolicy::RoundRobin, 12.0, &FleetPlan::fixed(2)).fleet;
     assert_eq!(
         fleet_digest(&outcome),
         GOLDEN_FLEET_2X_ROUND_ROBIN,
         "explicit Dense moved the 2x round-robin fleet golden"
     );
-    let outcome =
-        dense_fleet(4, RouterPolicy::JoinShortestQueue).run(&sharegpt_trace(24.0, 80, 4242));
+    let outcome = dense_run(
+        4,
+        RouterPolicy::JoinShortestQueue,
+        24.0,
+        &FleetPlan::fixed(4),
+    )
+    .fleet;
     assert_eq!(
         fleet_digest(&outcome),
         GOLDEN_FLEET_4X_JSQ,
@@ -163,11 +145,10 @@ fn explicit_dense_reproduces_fleet_goldens() {
 
 #[test]
 fn explicit_dense_reproduces_reliable_golden() {
-    let reliability = ReliabilityConfig::disarmed()
+    let plan = FleetPlan::fixed(2)
         .with_retry(RetryPolicy::exponential(3, 0.5))
         .with_breaker(CircuitBreakerConfig::new(3, 60.0, 120.0));
-    let outcome = dense_fleet(2, RouterPolicy::RoundRobin)
-        .run_reliable(&sharegpt_trace(12.0, 80, 4242), &reliability);
+    let outcome = dense_run(2, RouterPolicy::RoundRobin, 12.0, &plan);
     assert_eq!(
         fleet_digest(&outcome.fleet),
         GOLDEN_FLEET_2X_ROUND_ROBIN,
@@ -177,10 +158,7 @@ fn explicit_dense_reproduces_reliable_golden() {
 
 #[test]
 fn explicit_dense_reproduces_elastic_golden() {
-    let outcome = dense_fleet(2, RouterPolicy::RoundRobin).run_elastic(
-        &sharegpt_trace(12.0, 80, 4242),
-        &ElasticConfig::armed_idle(2),
-    );
+    let outcome = dense_run(2, RouterPolicy::RoundRobin, 12.0, &FleetPlan::armed_idle(2));
     assert_eq!(
         fleet_digest(&outcome.fleet),
         GOLDEN_FLEET_2X_ROUND_ROBIN,
