@@ -36,7 +36,7 @@
 //! still run every control boundary — observation runs happen, decisions
 //! are taken — but none of it can perturb routing or accounting, so
 //! [`FleetPlan::armed_idle`] reproduces the plain fleet **bit for bit**
-//! (`tests/fleet_equivalence.rs` pins this).
+//! (`tests/elasticity_properties.rs` pins this).
 
 use crate::fleet::{
     resolved_ids, run_segment_traced, trace_seed, FleetPlan, FleetRun, Life, RunState,

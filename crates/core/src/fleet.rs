@@ -44,8 +44,9 @@
 //! instant, so the run is one era — route everything, run every replica
 //! once, merge — and a 1-replica fleet under the passthrough router is the
 //! bare engine bit for bit. Armed-but-idle plans, such as
-//! [`FleetPlan::armed_idle`], reproduce it exactly
-//! (`tests/fleet_equivalence.rs` pins both).
+//! [`FleetPlan::armed_idle`], reproduce it exactly (`tests/fleet_equivalence.rs`
+//! pins the plain fleet; the tier suites pin their armed-idle plans to the
+//! same goldens).
 //!
 //! # Exactly-once accounting
 //!

@@ -21,9 +21,10 @@
 //!   for bit (assignments, records, sheds, scale events, both ledgers,
 //!   SLA windows) under *every* router policy.
 //!
-//! Armed-but-idle neutrality — a pinned autoscaler plus a shedder that can
-//! never fire stay on the plain fleet's golden digests — is pinned with
-//! those goldens in `tests/fleet_equivalence.rs`.
+//! Plus armed-but-idle neutrality: a pinned autoscaler plus a shedder that
+//! can never fire stay on the plain fleet's golden digests (shared with
+//! `tests/fleet_equivalence.rs` through `golden_util.rs`), even though
+//! control boundaries — observation runs included — still execute.
 
 use loongserve::prelude::*;
 use proptest::prelude::*;
@@ -31,7 +32,9 @@ use std::collections::BTreeSet;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::fleet_digest;
+use golden_util::{
+    check_fleet_golden, fleet_digest, FleetGolden, FLEET_2X_ROUND_ROBIN, FLEET_4X_JSQ, FLEET_4X_P2C,
+};
 
 const PROPTEST_SEED: u64 = 0xe1a5_71c5_0808_2026;
 
@@ -471,6 +474,26 @@ proptest! {
             prop_assert_eq!(&a.sla_windows, &b.sla_windows);
         }
     }
+}
+
+fn assert_armed_idle_stays_on(golden: &FleetGolden) {
+    let plan = FleetPlan::armed_idle(golden.replicas);
+    check_fleet_golden(golden, "control-armed idle", &plan);
+}
+
+#[test]
+fn armed_idle_two_replica_round_robin_stays_on_golden() {
+    assert_armed_idle_stays_on(&FLEET_2X_ROUND_ROBIN);
+}
+
+#[test]
+fn armed_idle_four_replica_jsq_stays_on_golden() {
+    assert_armed_idle_stays_on(&FLEET_4X_JSQ);
+}
+
+#[test]
+fn armed_idle_four_replica_p2c_stays_on_golden() {
+    assert_armed_idle_stays_on(&FLEET_4X_P2C);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Fleet-tier equivalence and determinism goldens.
 //!
-//! Three guarantees are pinned here:
+//! Two guarantees are pinned here:
 //!
 //! 1. **Single-replica identity.** A 1-replica [`FleetEngine`] must be the
 //!    bare [`ServingEngine`] with routing glued on: under the passthrough
@@ -12,12 +12,9 @@
 //!    64-bit digest of the full [`FleetOutcome`] — assignments, per-replica
 //!    outcomes, merged records — alongside the single-engine goldens in
 //!    `tests/determinism_golden.rs`. Routing or merge refactors must not
-//!    move a bit.
-//! 3. **Armed-but-idle neutrality.** Each golden holds under every idle
-//!    plan: the plain fleet, the failure tier armed but idle (empty
-//!    schedule with a retry budget and a breaker), and the control tier
-//!    armed but idle (a pinned autoscaler and a shedder that never fires,
-//!    whose control boundaries and observation runs still execute).
+//!    move a bit. The digests live in `tests/golden_util.rs`, where
+//!    `tests/reliability_properties.rs` and `tests/elasticity_properties.rs`
+//!    pin their armed-but-idle tiers to the same constants.
 //!
 //! To re-capture after an *intentional* behaviour change, run:
 //!
@@ -29,7 +26,9 @@ use loongserve::prelude::*;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::fleet_digest;
+use golden_util::{
+    check_fleet_golden, fleet_digest, FLEET_2X_ROUND_ROBIN, FLEET_4X_JSQ, FLEET_4X_P2C,
+};
 
 fn sharegpt_trace(rate: f64, count: usize, seed: u64) -> Trace {
     WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(rate, count, seed)
@@ -117,104 +116,22 @@ fn every_policy_degenerates_to_passthrough_on_one_replica() {
     }
 }
 
-/// One pinned fleet golden: a ShareGPT trace recipe, the fleet it runs on,
-/// and the digest of its outcome.
-struct Golden {
-    label: &'static str,
-    replicas: usize,
-    policy: RouterPolicy,
-    rate: f64,
-    digest: u64,
-}
-
-// Captured at fleet-tier introduction; see module docs for the re-capture
-// procedure.
-const FLEET_2X_ROUND_ROBIN: Golden = Golden {
-    label: "fleet_2x_round_robin",
-    replicas: 2,
-    policy: RouterPolicy::RoundRobin,
-    rate: 12.0,
-    digest: 0xb4a0_4cc9_72b0_c57f,
-};
-const FLEET_4X_JSQ: Golden = Golden {
-    label: "fleet_4x_jsq",
-    replicas: 4,
-    policy: RouterPolicy::JoinShortestQueue,
-    rate: 24.0,
-    digest: 0x3598_362b_d2d5_f0d0,
-};
-const FLEET_4X_P2C: Golden = Golden {
-    label: "fleet_4x_p2c",
-    replicas: 4,
-    policy: RouterPolicy::PowerOfTwoChoices { seed: 0x90f1ee7 },
-    rate: 24.0,
-    digest: 0x922d_41e0_3abc_c691,
-};
-
-/// The idle plans every golden must hold under: the plain fleet, the
-/// failure tier armed but idle, and the control tier armed but idle.
-fn idle_plans(n: usize) -> [(&'static str, FleetPlan); 3] {
-    let failure_armed = FleetPlan::fixed(n)
-        .with_retry(RetryPolicy::exponential(3, 0.5))
-        .with_breaker(CircuitBreakerConfig::new(3, 60.0, 120.0));
-    [
-        ("plain", FleetPlan::fixed(n)),
-        ("failure-armed idle", failure_armed),
-        ("control-armed idle", FleetPlan::armed_idle(n)),
-    ]
-}
-
-/// Runs `golden`'s 80-request trace under every idle plan and checks the
-/// digest, plus the ledgers an idle tier must leave clean.
-fn check(golden: &Golden) {
-    let trace = sharegpt_trace(golden.rate, 80, 4242);
-    let n = golden.replicas;
-    for (plan_label, plan) in idle_plans(n) {
-        let run = fleet_run(SystemKind::LoongServe, n, golden.policy, &trace, &plan);
-        let (label, expected, actual) = (golden.label, golden.digest, fleet_digest(&run.fleet));
-        if std::env::var("GOLDEN_PRINT").is_ok() {
-            println!("GOLDEN {label} ({plan_label}) = 0x{actual:016x}");
-            continue;
-        }
-        assert_eq!(
-            actual, expected,
-            "{label} ({plan_label}): FleetOutcome digest changed: expected 0x{expected:016x}, \
-             got 0x{actual:016x}. Router/merge refactors must be bit-for-bit neutral; \
-             re-capture with GOLDEN_PRINT=1 only for intentional behaviour changes."
-        );
-        assert_eq!(run.total_requests(), 80, "{plan_label}");
-        assert!(run.failed.is_empty() && run.shed.is_empty(), "{plan_label}");
-        assert!(run.scale_events.is_empty(), "{plan_label}");
-        assert!(run.reliability.is_zero(), "{plan_label}");
-        let elasticity = run.elasticity;
-        assert_eq!(elasticity.scale_up_events + elasticity.scale_down_events, 0);
-        assert_eq!(elasticity.min_active_replicas, n as u64, "{plan_label}");
-        assert_eq!(elasticity.max_active_replicas, n as u64, "{plan_label}");
-        assert!(elasticity.replica_seconds > 0.0, "{plan_label}");
-        assert!(!run.sla_windows.is_empty(), "{plan_label}");
-        for window in &run.sla_windows {
-            assert_eq!(
-                window.success_ratio(),
-                1.0,
-                "{plan_label}: idle, perfect windows"
-            );
-        }
-    }
-}
-
 #[test]
 fn two_replica_round_robin_outcome_is_pinned() {
-    check(&FLEET_2X_ROUND_ROBIN);
+    let golden = &FLEET_2X_ROUND_ROBIN;
+    check_fleet_golden(golden, "plain", &FleetPlan::fixed(golden.replicas));
 }
 
 #[test]
 fn four_replica_jsq_outcome_is_pinned() {
-    check(&FLEET_4X_JSQ);
+    let golden = &FLEET_4X_JSQ;
+    check_fleet_golden(golden, "plain", &FleetPlan::fixed(golden.replicas));
 }
 
 #[test]
 fn four_replica_p2c_outcome_is_pinned() {
-    check(&FLEET_4X_P2C);
+    let golden = &FLEET_4X_P2C;
+    check_fleet_golden(golden, "plain", &FleetPlan::fixed(golden.replicas));
 }
 
 #[test]

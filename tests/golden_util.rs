@@ -7,8 +7,9 @@
 //! [`fleet_digest`] updates **every** golden suite at the same time, so no
 //! suite can silently keep pinning the old shape.
 //!
-//! Included into each test binary via `#[path = "golden_util.rs"]`; the
-//! pinned constants stay in the suites themselves. Each suite uses a
+//! Included into each test binary via `#[path = "golden_util.rs"]`. The
+//! single-engine constants stay in their suites; the fleet goldens live
+//! here because three suites pin fleet tiers to them. Each suite uses a
 //! different subset of the helpers, so unused-item lints are silenced
 //! per-binary here.
 #![allow(dead_code)]
@@ -141,4 +142,87 @@ pub fn fleet_digest(outcome: &FleetOutcome) -> u64 {
     d.word(outcome.migration_bytes.to_bits());
     d.word(outcome.scheduler_calls);
     d.0
+}
+
+/// One pinned fleet golden: a ShareGPT trace recipe, the fleet it runs on,
+/// and the digest of its outcome. The constants below are shared by every
+/// suite that pins a fleet tier to them (`fleet_equivalence`,
+/// `reliability_properties`, `elasticity_properties`), so the suites cannot
+/// drift apart.
+pub struct FleetGolden {
+    pub label: &'static str,
+    pub replicas: usize,
+    pub policy: RouterPolicy,
+    pub rate: f64,
+    pub digest: u64,
+}
+
+// Captured at fleet-tier introduction. Re-capture only for intentional
+// behaviour changes:
+//   GOLDEN_PRINT=1 cargo test --test fleet_equivalence -- --nocapture
+pub const FLEET_2X_ROUND_ROBIN: FleetGolden = FleetGolden {
+    label: "fleet_2x_round_robin",
+    replicas: 2,
+    policy: RouterPolicy::RoundRobin,
+    rate: 12.0,
+    digest: 0xb4a0_4cc9_72b0_c57f,
+};
+pub const FLEET_4X_JSQ: FleetGolden = FleetGolden {
+    label: "fleet_4x_jsq",
+    replicas: 4,
+    policy: RouterPolicy::JoinShortestQueue,
+    rate: 24.0,
+    digest: 0x3598_362b_d2d5_f0d0,
+};
+pub const FLEET_4X_P2C: FleetGolden = FleetGolden {
+    label: "fleet_4x_p2c",
+    replicas: 4,
+    policy: RouterPolicy::PowerOfTwoChoices { seed: 0x90f1ee7 },
+    rate: 24.0,
+    digest: 0x922d_41e0_3abc_c691,
+};
+
+/// Runs `golden`'s 80-request ShareGPT trace on a LoongServe fleet under
+/// `plan`, which must be idle (no failure, scaling or shedding can fire),
+/// and checks the digest plus the ledgers an idle plan must leave clean.
+/// With `GOLDEN_PRINT` set it prints the digest instead of checking.
+pub fn check_fleet_golden(golden: &FleetGolden, plan_label: &str, plan: &FleetPlan) {
+    let n = golden.replicas;
+    let trace = WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(golden.rate, 80, 4242);
+    let mut fleet = FleetEngine::new(FleetConfig::paper_fleet(
+        SystemKind::LoongServe,
+        n,
+        golden.policy,
+    ));
+    let run = fleet
+        .run(TraceStream::from_trace(trace), plan, None)
+        .expect("valid plan");
+    let (label, expected, actual) = (golden.label, golden.digest, fleet_digest(&run.fleet));
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("GOLDEN {label} ({plan_label}) = 0x{actual:016x}");
+        return;
+    }
+    assert_eq!(
+        actual, expected,
+        "{label} ({plan_label}): FleetOutcome digest changed: expected 0x{expected:016x}, \
+         got 0x{actual:016x}. Router/merge refactors must be bit-for-bit neutral; \
+         re-capture with GOLDEN_PRINT=1 only for intentional behaviour changes."
+    );
+    assert_eq!(run.total_requests(), 80, "{plan_label}");
+    assert!(run.failed.is_empty() && run.shed.is_empty(), "{plan_label}");
+    assert!(run.scale_events.is_empty(), "{plan_label}");
+    assert!(run.reliability.is_zero(), "{plan_label}");
+    let elasticity = run.elasticity;
+    assert_eq!(elasticity.scale_up_events + elasticity.scale_down_events, 0);
+    assert_eq!(elasticity.min_active_replicas, n as u64, "{plan_label}");
+    assert_eq!(elasticity.max_active_replicas, n as u64, "{plan_label}");
+    assert!(elasticity.replica_seconds > 0.0, "{plan_label}");
+    assert!(!run.sla_windows.is_empty(), "{plan_label}");
+    for window in &run.sla_windows {
+        assert_eq!(
+            window.success_ratio(),
+            1.0,
+            "{plan_label}: idle, perfect windows"
+        );
+    }
 }

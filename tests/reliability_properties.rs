@@ -16,9 +16,9 @@
 //!   (assignments, records, failures, reliability ledger, SLA windows)
 //!   under *every* router policy, including passthrough.
 //!
-//! Armed-but-idle neutrality — the tier armed with an empty schedule stays
-//! on the plain fleet's golden digests — is pinned with those goldens in
-//! `tests/fleet_equivalence.rs`.
+//! Plus armed-but-idle neutrality: the tier armed with an empty schedule,
+//! a retry budget and a breaker stays on the plain fleet's golden digests
+//! (shared with `tests/fleet_equivalence.rs` through `golden_util.rs`).
 //!
 //! Plus the crash-invalidation contract of the prefix-cache tier: a
 //! conversation pinned by `PrefixAffinity` to a replica that crashes
@@ -33,7 +33,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::fleet_digest;
+use golden_util::{
+    check_fleet_golden, fleet_digest, FleetGolden, FLEET_2X_ROUND_ROBIN, FLEET_4X_JSQ, FLEET_4X_P2C,
+};
 
 const PROPTEST_SEED: u64 = 0x7e11_ab1e_0808_2026;
 
@@ -245,6 +247,25 @@ fn armed_idle(n: usize) -> FleetPlan {
     FleetPlan::fixed(n)
         .with_retry(RetryPolicy::exponential(3, 0.5))
         .with_breaker(CircuitBreakerConfig::new(3, 60.0, 120.0))
+}
+
+fn assert_armed_idle_stays_on(golden: &FleetGolden) {
+    check_fleet_golden(golden, "failure-armed idle", &armed_idle(golden.replicas));
+}
+
+#[test]
+fn armed_idle_two_replica_round_robin_stays_on_golden() {
+    assert_armed_idle_stays_on(&FLEET_2X_ROUND_ROBIN);
+}
+
+#[test]
+fn armed_idle_four_replica_jsq_stays_on_golden() {
+    assert_armed_idle_stays_on(&FLEET_4X_JSQ);
+}
+
+#[test]
+fn armed_idle_four_replica_p2c_stays_on_golden() {
+    assert_armed_idle_stays_on(&FLEET_4X_P2C);
 }
 
 #[test]
