@@ -91,6 +91,9 @@ struct Sample {
     makespan_s: f64,
     scale_ups: u64,
     scale_downs: u64,
+    /// Scheduling points the engines executed per scheduler call the
+    /// outcome reports: 1.0 unless some of the work was simulated twice.
+    replay_ratio: f64,
 }
 
 /// SLO attainment of the interactive requests that arrived during the
@@ -125,8 +128,10 @@ fn static_fleet(n: usize, trace: &Trace, slo: &SloSpec) -> Sample {
     let mut engine = FleetEngine::new(config);
     let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
+    let profile = SelfProfile::start();
     let outcome = engine.run(stream, &FleetPlan::fixed(n), None);
     let outcome = outcome.expect("valid plan").fleet;
+    let sched_points = profile.report().counters.sched_points;
     let wall_s = start.elapsed().as_secs_f64();
     let replica_seconds = n as f64 * outcome.sim_time.as_secs();
     Sample {
@@ -140,6 +145,7 @@ fn static_fleet(n: usize, trace: &Trace, slo: &SloSpec) -> Sample {
         makespan_s: outcome.sim_time.as_secs(),
         scale_ups: 0,
         scale_downs: 0,
+        replay_ratio: sched_points as f64 / outcome.scheduler_calls as f64,
     }
 }
 
@@ -154,7 +160,9 @@ fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, plan: &FleetPlan) ->
     let mut engine = FleetEngine::new(config);
     let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
+    let profile = SelfProfile::start();
     let outcome = engine.run(stream, plan, None).expect("valid plan");
+    let sched_points = profile.report().counters.sched_points;
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         outcome.total_requests(),
@@ -180,6 +188,7 @@ fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, plan: &FleetPlan) ->
         makespan_s: outcome.fleet.sim_time.as_secs(),
         scale_ups: outcome.elasticity.scale_up_events,
         scale_downs: outcome.elasticity.scale_down_events,
+        replay_ratio: sched_points as f64 / outcome.fleet.scheduler_calls as f64,
     }
 }
 
@@ -221,10 +230,10 @@ fn main() {
 
     let mut csv = String::from(
         "scenario,wall_s,completed,shed,replica_seconds,goodput_per_replica_second,\
-         interactive_flash_attainment,makespan_s,scale_ups,scale_downs\n",
+         interactive_flash_attainment,makespan_s,scale_ups,scale_downs,replay_ratio\n",
     );
     println!(
-        "{:>16} {:>8} {:>10} {:>6} {:>11} {:>14} {:>12} {:>10} {:>7} {:>7}",
+        "{:>16} {:>8} {:>10} {:>6} {:>11} {:>14} {:>12} {:>10} {:>7} {:>7} {:>7}",
         "scenario",
         "wall_s",
         "completed",
@@ -234,11 +243,12 @@ fn main() {
         "flash_attain",
         "makespan_s",
         "ups",
-        "downs"
+        "downs",
+        "replay"
     );
     for s in &samples {
         println!(
-            "{:>16} {:>8.3} {:>10} {:>6} {:>11.1} {:>14.5} {:>12.3} {:>10.1} {:>7} {:>7}",
+            "{:>16} {:>8.3} {:>10} {:>6} {:>11.1} {:>14.5} {:>12.3} {:>10.1} {:>7} {:>7} {:>7.3}",
             s.label,
             s.wall_s,
             s.completed,
@@ -248,10 +258,11 @@ fn main() {
             s.interactive_flash_attainment,
             s.makespan_s,
             s.scale_ups,
-            s.scale_downs
+            s.scale_downs,
+            s.replay_ratio
         );
         csv.push_str(&format!(
-            "{},{:.6},{},{},{:.3},{:.6},{:.6},{:.3},{},{}\n",
+            "{},{:.6},{},{},{:.3},{:.6},{:.6},{:.3},{},{},{:.4}\n",
             s.label,
             s.wall_s,
             s.completed,
@@ -261,7 +272,8 @@ fn main() {
             s.interactive_flash_attainment,
             s.makespan_s,
             s.scale_ups,
-            s.scale_downs
+            s.scale_downs,
+            s.replay_ratio
         ));
     }
 
@@ -308,7 +320,7 @@ fn main() {
     if smoke {
         // Machine-readable, wall-clock-free metrics for the bench gate.
         println!(
-            "BENCH_SMOKE_JSON {{\"benchmark\":\"autoscale\",\"completed_autoscaled\":{},\"completed_shed\":{},\"shed_count\":{},\"replica_seconds_autoscaled\":{:.1},\"goodput_ratio_vs_best_static\":{:.4},\"flash_attainment_shed\":{:.4},\"scale_ups\":{},\"scale_downs\":{}}}",
+            "BENCH_SMOKE_JSON {{\"benchmark\":\"autoscale\",\"completed_autoscaled\":{},\"completed_shed\":{},\"shed_count\":{},\"replica_seconds_autoscaled\":{:.1},\"goodput_ratio_vs_best_static\":{:.4},\"flash_attainment_shed\":{:.4},\"scale_ups\":{},\"scale_downs\":{},\"replay_ratio\":{:.4}}}",
             autoscaled.completed,
             shed.completed,
             shed.shed,
@@ -316,7 +328,8 @@ fn main() {
             autoscaled.goodput_per_rs / best_static.goodput_per_rs,
             shed.interactive_flash_attainment,
             autoscaled.scale_ups,
-            autoscaled.scale_downs
+            autoscaled.scale_downs,
+            autoscaled.replay_ratio
         );
     }
 

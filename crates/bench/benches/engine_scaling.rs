@@ -17,7 +17,7 @@
 //! ```
 //!
 //! The full million-request regime (streamed workload, 8-replica fleet,
-//! crash-flushed frontend) lives in `cargo bench --bench million_scale`,
+//! staggered crashes) lives in `cargo bench --bench million_scale`,
 //! gated by `BENCH_million.json`.
 //!
 //! Reference numbers for the current tree are checked in as

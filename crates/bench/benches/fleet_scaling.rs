@@ -18,7 +18,7 @@
 //! cargo bench --bench fleet_scaling -- --smoke   # 1 and 2, smaller trace
 //! ```
 //!
-//! The million-request streamed regime (crash-flushed frontend, bounded
+//! The million-request streamed regime (staggered crashes, bounded
 //! memory) lives in `cargo bench --bench million_scale`, gated by
 //! `BENCH_million.json`.
 //!

@@ -4,10 +4,12 @@
 //! hardware speed, and this bench is where that claim is measured end to
 //! end: a ShareGPT Poisson trace is generated **lazily** by a
 //! [`TraceStream`] and fed to `FleetEngine::run` over an 8-replica
-//! LoongServe fleet behind JSQ routing, with era segments on the bounded
-//! worker pool. A staggered periodic crash schedule touches every replica,
-//! so era boundaries keep flushing the frontend's routing buckets — the
-//! [`FleetFootprint`] ledger proves the frontend held O(active +
+//! LoongServe fleet behind JSQ routing, with the replicas' live engines
+//! advanced on the bounded worker pool. A staggered periodic crash
+//! schedule touches every replica, exercising crash casualties and retries
+//! at scale; each crash is also an era boundary, at which every replica
+//! admits what was routed to it and advances, so the [`FleetFootprint`]
+//! ledger shows the fleet held O(active + one era's routing +
 //! pending-retries) requests, never the whole trace. The run is observed
 //! end to end by a 1%-sampling [`TraceRecorder`], whose own ledger proves
 //! the observability tier's O(sampled + bins + peak-open) residency bound
@@ -53,9 +55,7 @@ const SMOKE_REPLICAS: usize = 4;
 const SEED: u64 = 2026;
 
 /// Every replica crashes once per `period` seconds, staggered so one
-/// boundary lands every `period / replicas` seconds fleet-wide. Each
-/// boundary flushes the crashing replica's routing bucket into a capped
-/// era segment, which is what keeps the frontend bounded.
+/// boundary lands every `period / replicas` seconds fleet-wide.
 fn staggered_schedule(replicas: usize, period: f64, horizon: f64) -> FailureSchedule {
     let mut events = Vec::new();
     for r in 0..replicas {
@@ -97,7 +97,7 @@ fn run_streamed(
     traced: bool,
 ) -> Run {
     // Arrivals end around count/rate; pad the crash horizon past the drain
-    // tail so late eras keep flushing too.
+    // tail so the crashes keep striking to the end.
     let horizon = count as f64 / rate + 200.0;
     let schedule = staggered_schedule(replicas, crash_period, horizon);
     let plan = FleetPlan::fixed(replicas)

@@ -8,17 +8,18 @@
 //! instant the fleet may change shape:
 //!
 //! * **Observe.** The closed window is measured — per-replica unresolved
-//!   backlog and the SLO attainment of the window's completions — by
-//!   throwaway replays of each ready replica's bucket capped at the
-//!   boundary, which never touch the accounting.
+//!   backlog and the SLO attainment of the window's completions — off each
+//!   ready replica's live engine, once every engine has advanced to the
+//!   boundary. Reading an engine changes nothing.
 //! * **Scale up.** The [`Autoscaler`] may activate the lowest-id cold (or
 //!   previously retired) replicas, which become routable only after the
 //!   provisioning delay, with an empty KV pool and a cold prefix cache.
 //! * **Scale down.** It may instead *drain*: the victim leaves the routable
 //!   set immediately (the router is told via `on_replica_removed`, so
 //!   durable affinity pins are dropped), finishes every request already
-//!   routed to it, and retires when the last one completes. **No request
-//!   is ever killed by a scale event.** A crash that strikes a replica
+//!   routed to it — its engine runs to the end of its work — and retires
+//!   when the last one completes. **No request is ever killed by a scale
+//!   event.** A crash that strikes a replica
 //!   *mid-drain* interrupts the drain: the victim retires at the crash
 //!   instant and whatever it had not finished becomes ordinary crash
 //!   casualties ([`crate::reliability`]).
@@ -33,21 +34,19 @@
 //!
 //! An autoscaler that never fires ([`AutoscalerConfig::fixed`]) plus an
 //! admission controller that never sheds ([`AdmissionConfig::never_sheds`])
-//! still run every control boundary — observation runs happen, decisions
-//! are taken — but none of it can perturb routing or accounting, so
+//! still run every control boundary — engines advance, the window is
+//! observed, decisions are taken — but none of it can perturb routing or
+//! accounting, so
 //! [`FleetPlan::armed_idle`] reproduces the plain fleet **bit for bit**
 //! (`tests/elasticity_properties.rs` pins this).
 
-use crate::fleet::{
-    resolved_ids, run_segment_traced, trace_seed, FleetPlan, FleetRun, Life, RunState,
-};
+use crate::fleet::{FleetPlan, FleetRun, Life, RunState};
 use loong_metrics::record::RequestRecord;
 use loong_metrics::slo::SloSpec;
 use loong_sched::elastic::{AdmissionDecision, FleetSignals, ScaleDecision, ShedReason};
 use loong_simcore::ids::{ReplicaId, RequestId};
 use loong_simcore::time::{SimDuration, SimTime};
 use loong_workload::request::{Request, TrafficClass};
-use loong_workload::trace::Trace;
 
 #[cfg(doc)]
 use crate::fleet::FleetEngine;
@@ -182,65 +181,40 @@ impl RunState<'_> {
 
     /// Measures the window that closes at `b`: per-replica unresolved
     /// backlog (worst-case tokens) and the SLO attainment of completions
-    /// inside the window. Observation runs replay each ready replica's
-    /// bucket capped at `b` and are then discarded — they never reach the
-    /// accounting or the recorder, which is what keeps an armed-but-idle
-    /// controller bit-for-bit. Each bucket is *moved* into its probe
-    /// sub-trace and moved back afterwards: `from_requests`' stable arrival
-    /// sort is idempotent under the later segment sorts, so the round-trip
-    /// cannot perturb any subsequent segment.
+    /// inside the window, read off each ready replica's live engine once
+    /// the fleet has advanced to `b`. Reading changes nothing, which is
+    /// what keeps an armed-but-idle controller bit-for-bit.
     fn observe(&mut self, b: SimTime) -> (FleetSignals, Vec<u64>) {
-        let n = self.n;
+        self.advance_all(b);
         let window_start = b.as_secs() - self.plan.autoscaler.control_interval_s;
-        let ready: Vec<usize> = (0..n).filter(|&r| self.life[r].ready_at(b)).collect();
-        let probed: Vec<usize> = ready
-            .iter()
-            .copied()
-            .filter(|&r| !self.buckets[r].is_empty())
-            .collect();
-        let probes: Vec<Trace> = probed
-            .iter()
-            .map(|&r| {
-                let label = format!("{} · replica {r}/{n} ∣ observe at {b}", self.label);
-                Trace::from_requests(label, std::mem::take(&mut self.buckets[r]))
-            })
-            .collect();
-        let system = self
-            .system
-            .clone()
-            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-        let outcomes = self.run_segments(&system, &probes, false);
-        let mut backlogs = vec![0u64; n];
+        let mut backlogs = vec![0u64; self.n];
         let mut window_records: Vec<RequestRecord> = Vec::new();
-        for ((r, sub), (outcome, _)) in probed.into_iter().zip(probes).zip(outcomes) {
-            let resolved = resolved_ids(&outcome);
-            backlogs[r] = sub
-                .requests
-                .iter()
-                .filter(|q| !resolved.contains(&q.id))
-                .map(|q| q.input_len + q.max_output_len)
-                .sum();
-            window_records.extend(
-                outcome
-                    .records
-                    .iter()
-                    .filter(|rec| rec.finish <= b && rec.finish.as_secs() > window_start)
-                    .copied(),
-            );
-            self.buckets[r] = sub.requests;
+        let mut active_replicas = 0;
+        for (r, slot) in self.slots.iter().enumerate() {
+            if !self.life[r].ready_at(b) {
+                continue;
+            }
+            active_replicas += 1;
+            if let Some(live) = &slot.engine {
+                let signals = live.engine.signals();
+                backlogs[r] = signals.backlog_tokens;
+                let done = signals.completed;
+                let from = done.partition_point(|rec| rec.finish.as_secs() <= window_start);
+                window_records.extend_from_slice(&done[from..]);
+            }
         }
         let signals = FleetSignals {
             attainment: self.plan.signal_slo.attainment(&window_records),
             backlog_tokens: backlogs.iter().sum(),
-            active_replicas: ready.len(),
+            active_replicas,
         };
         (signals, backlogs)
     }
 
     /// Activates up to `want` cold or retired replicas (lowest id first).
     /// Each becomes routable after the provisioning delay, with an empty
-    /// KV pool and a cold prefix cache (its engine is built fresh for the
-    /// next segment, so this falls out of the execution model).
+    /// KV pool and a cold prefix cache (its next admission starts a fresh
+    /// engine, so this falls out of the execution model).
     fn scale_up(&mut self, b: SimTime, want: usize) {
         let delay_s = self.plan.autoscaler.provisioning_delay_s;
         let ready_at = b + SimDuration::from_secs(delay_s);
@@ -295,12 +269,7 @@ impl RunState<'_> {
             // Durably drop the router's state for the victim (affinity
             // pins must not resurrect on the retired replica).
             self.router.on_replica_removed(replica);
-            let bucket = self.take_bucket(r);
-            let drain_end = if bucket.is_empty() {
-                b
-            } else {
-                self.drain(replica, b, bucket)
-            };
+            let drain_end = self.drain(replica, b);
             let drain_s = drain_end.saturating_since(b).as_secs();
             if let Some(rec) = self.rec.as_deref_mut() {
                 rec.replica_retired(drain_end, replica);
@@ -318,43 +287,35 @@ impl RunState<'_> {
         }
     }
 
-    /// Runs a drained victim's `bucket` from `b` and returns the instant it
-    /// retires: when its last request completes, or at the first scheduled
-    /// crash before then. A crash interrupts the drain: only the run capped
-    /// at the crash really happened, the uncapped one (and its recording)
-    /// is discarded, and the remainder is settled as casualties. The crash
-    /// boundary itself later finds the bucket empty and skips.
-    fn drain(&mut self, replica: ReplicaId, b: SimTime, bucket: Vec<Request>) -> SimTime {
-        let label = format!(
-            "{} · replica {replica}/{} ∣ drain at {b}",
-            self.label, self.n
-        );
-        let sub = Trace::from_requests(label, bucket);
-        let seed = trace_seed(&self.rec);
-        let (outcome, child) = run_segment_traced(&self.system, &sub, &seed);
-        let finish = outcome.sim_time;
-        let mid_crash = self
+    /// Drains a victim from `b` and returns the instant it retires: when
+    /// its engine runs out of work, or at its first scheduled crash before
+    /// then. A crash interrupts the drain: the remainder is settled as
+    /// casualties, and the crash boundary itself later finds no live engine
+    /// and skips.
+    fn drain(&mut self, replica: ReplicaId, b: SimTime) -> SimTime {
+        let r = replica.index();
+        let Some(mut live) = self.slots[r].engine.take() else {
+            return b;
+        };
+        let crash = self
             .plan
             .schedule
             .events()
             .iter()
-            .filter(|e| e.replica == replica && e.crash > b && e.crash < finish)
+            .filter(|e| e.replica == replica && e.crash > b)
             .map(|e| e.crash)
             .min();
-        let Some(crash) = mid_crash else {
-            self.absorb(replica, child);
-            self.segments[replica.index()].push(outcome);
-            return finish.max(b);
-        };
-        let capped = self
-            .system
-            .clone()
-            .with_max_sim_time(SimDuration::from_secs(crash.as_secs()));
-        let (outcome, child) = run_segment_traced(&capped, &sub, &seed);
-        self.absorb(replica, child);
-        self.settle_casualties(&sub.requests, &outcome, replica, crash);
-        self.segments[replica.index()].push(outcome);
-        crash
+        if let Some(crash) = crash {
+            live.drive(|engine, sink| engine.advance_through(crash, sink));
+            if !live.engine.signals().idle {
+                self.crash_lifetime(replica, live, crash);
+                return crash;
+            }
+        }
+        live.drive(|engine, sink| engine.advance_to_end(sink));
+        let finish = live.engine.signals().now;
+        self.close_lifetime(r, live.end());
+        finish.max(b)
     }
 }
 
@@ -369,6 +330,7 @@ mod tests {
     use loong_workload::datasets::DatasetKind;
     use loong_workload::failure::{FailureEvent, FailureSchedule};
     use loong_workload::stream::TraceStream;
+    use loong_workload::trace::Trace;
     use std::collections::BTreeSet;
 
     fn small_trace(count: usize, seed: u64) -> Trace {

@@ -8,6 +8,13 @@
 //! the returned [`Action`]s through the ESP mechanisms, and advances the
 //! clock by the cost model's predicted iteration latencies.
 //!
+//! The engine is live: requests are admitted as they are routed and the
+//! clock moves only when the engine is advanced, so a fleet keeps one
+//! engine per replica lifetime and advances it from boundary to boundary.
+//! Advancing in pieces reproduces advancing in one go bit for bit, because
+//! an advance to `b` stops short of the events at `b` and admitted arrivals
+//! always enter an instant's batch ahead of the work completing then.
+//!
 //! The same engine runs LoongServe and every baseline; only the scheduler
 //! and the tensor-parallel degree of the elastic instances differ.
 
@@ -32,8 +39,8 @@ use loong_model::sib::ScalingInfoBase;
 use loong_sched::types::{
     Action, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, SwappedRequest, ViewScratch,
 };
-use loong_simcore::events::{Event, EventQueue};
-use loong_simcore::ids::{GroupId, IdAllocator, InstanceId, RequestId};
+use loong_simcore::events::EventQueue;
+use loong_simcore::ids::{ConversationId, GroupId, IdAllocator, InstanceId, RequestId};
 use loong_simcore::profile;
 use loong_simcore::rng::SimRng;
 use loong_simcore::table::{PhaseClass, RequestTable};
@@ -41,7 +48,7 @@ use loong_simcore::time::{SimDuration, SimTime};
 use loong_trace::{AdmitInfo, Gauges, NoopSink, SpanPhase, Terminal, TraceSink};
 use loong_workload::request::Request;
 use loong_workload::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Static configuration of a serving-engine run.
 #[derive(Debug, Clone)]
@@ -396,14 +403,8 @@ impl DecodeLatencyStats {
     }
 }
 
-/// Events driving the simulation.
-#[derive(Debug)]
-enum EngineEvent {
-    Arrival(RequestId),
-    WorkComplete(u64),
-}
-
-/// An iteration or migration in flight.
+/// An iteration, migration or transfer in flight, queued at its
+/// completion instant.
 #[derive(Debug)]
 enum Work {
     Prefill {
@@ -437,7 +438,7 @@ enum Work {
 }
 
 /// The result of one engine run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// Completed requests with full lifecycle timestamps.
     pub records: Vec<RequestRecord>,
@@ -448,7 +449,7 @@ pub struct RunOutcome {
     pub unfinished: usize,
     /// Scaling events reported by the scheduler.
     pub scaling_events: Vec<ScalingEvent>,
-    /// Total simulated time of the run.
+    /// The last instant the run processed; never past a simulated-time cap.
     pub sim_time: SimTime,
     /// Number of iterations executed (prefill + decode + chunked).
     pub iterations: u64,
@@ -473,22 +474,525 @@ pub struct RunOutcome {
     pub prefilled_tokens: u64,
 }
 
-/// The serving engine.
-pub struct ServingEngine {
+impl RunOutcome {
+    /// Folds `other` into this outcome: records, rejections and scaling
+    /// events append, counters sum, the pressure and cache ledgers merge and
+    /// `sim_time` takes the later end. A replica's engine lifetimes and a
+    /// fleet's replicas both accumulate through here.
+    pub fn absorb(&mut self, other: &RunOutcome) {
+        self.records.extend_from_slice(&other.records);
+        self.rejected.extend_from_slice(&other.rejected);
+        self.unfinished += other.unfinished;
+        self.scaling_events.extend_from_slice(&other.scaling_events);
+        self.sim_time = self.sim_time.max(other.sim_time);
+        self.iterations += other.iterations;
+        self.migration_bytes += other.migration_bytes;
+        self.scheduler_calls += other.scheduler_calls;
+        self.pressure.merge(&other.pressure);
+        self.cache.merge(&other.cache);
+        self.prefilled_tokens += other.prefilled_tokens;
+    }
+}
+
+/// What an observer may read from a live engine between advances.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineSignals<'a> {
+    /// The last instant processed (zero before the first).
+    pub now: SimTime,
+    /// True when nothing is left to happen: no arrival ahead, no work in
+    /// flight.
+    pub idle: bool,
+    /// Admitted requests neither completed nor rejected, including those
+    /// whose arrival is still ahead.
+    pub unresolved: usize,
+    /// Their worst-case demand: prompt plus maximum output tokens, summed.
+    pub backlog_tokens: u64,
+    /// Completed requests, in completion order.
+    pub completed: &'a [RequestRecord],
+}
+
+/// The state of one run: everything admitting and advancing mutates.
+struct Live {
+    pool: UnifiedKvPool,
+    table: RequestTable<RequestState>,
+    /// Admitted arrivals by (instant, admission order). They queue apart
+    /// from the work so that at any instant they enter the batch ahead of
+    /// the work completing then, however late they were admitted — the
+    /// order a whole trace admitted up front produces.
+    arrivals: EventQueue<RequestId>,
+    /// Work in flight, by completion instant.
+    work: EventQueue<Work>,
+    instances: InstanceTracker,
+    /// The outcome so far: records in completion order, `unfinished` the
+    /// admitted requests not yet resolved, `sim_time` the last instant
+    /// processed.
+    out: RunOutcome,
+    /// Worst-case demand of the unresolved requests: prompt plus maximum
+    /// output tokens, summed.
+    backlog_tokens: u64,
+    decode_stats: DecodeLatencyStats,
+    group_ids: IdAllocator<GroupId>,
+    // Reusable per-point buffers: the steady-state loop never allocates
+    // them again.
+    scratch: ViewScratch,
+    claimed: Vec<InstanceId>,
+    #[cfg(debug_assertions)]
+    audit: audit::ViewAudit,
+}
+
+impl Live {
+    fn new(config: &EngineConfig, num_instances: usize) -> Self {
+        let capacity = config
+            .kv_capacity_override
+            .unwrap_or_else(|| config.instance_kv_capacity());
+        let mut pool = UnifiedKvPool::new(num_instances, capacity);
+        if let Some(host) = &config.host_swap {
+            pool.enable_host_tier(host.capacity_tokens);
+        }
+        if let Some(prefix) = &config.prefix_cache {
+            pool.enable_prefix_cache(*prefix);
+        }
+        Live {
+            pool,
+            table: RequestTable::new(),
+            arrivals: EventQueue::new(),
+            work: EventQueue::new(),
+            instances: InstanceTracker::new(num_instances),
+            out: RunOutcome::default(),
+            backlog_tokens: 0,
+            decode_stats: DecodeLatencyStats::default(),
+            group_ids: IdAllocator::new(),
+            scratch: ViewScratch::new(),
+            claimed: Vec::new(),
+            #[cfg(debug_assertions)]
+            audit: audit::ViewAudit::default(),
+        }
+    }
+
+    fn phase(&self, id: RequestId) -> Option<&Phase> {
+        self.table.get(id).map(|s| &s.phase)
+    }
+
+    /// The next instant anything happens.
+    fn next_instant(&self) -> Option<SimTime> {
+        match (self.arrivals.peek_time(), self.work.peek_time()) {
+            (Some(a), Some(w)) => Some(a.min(w)),
+            (a, w) => a.or(w),
+        }
+    }
+
+    /// An arrival fires. Requests become visible to the scheduler only now:
+    /// admission assigns the rank that orders every phase-index iteration.
+    fn arrive(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        self.table.admit(id);
+        let s = self.table.get_mut(id).expect("known request");
+        sink.on_admitted(
+            now,
+            AdmitInfo {
+                id,
+                class: s.request.class,
+                conversation: s.request.conversation,
+                input_len: s.request.input_len,
+                output_len: s.request.output_len,
+            },
+        );
+        if let Some(conversation) = s
+            .request
+            .conversation
+            .filter(|_| self.pool.prefix_enabled())
+        {
+            // Pin the conversation's (current or future) entry until this
+            // request's first prefill.
+            s.waiting = true;
+            self.pool.prefix_waiter_add(conversation);
+        }
+        #[cfg(debug_assertions)]
+        self.audit.on_arrival(id);
+    }
+
+    /// Books `id` as resolved: completed or rejected.
+    fn resolve(&mut self, id: RequestId) {
+        let r = &self.table.get(id).expect("known request").request;
+        self.out.unfinished -= 1;
+        self.backlog_tokens -= r.input_len + r.max_output_len;
+    }
+
+    /// Ends a request's wait for its conversation's cached prefix (at its
+    /// first prefill dispatch, or its rejection), returning the
+    /// conversation when it was waiting.
+    fn drop_waiter(&mut self, id: RequestId) -> Option<ConversationId> {
+        let s = self.table.get_mut(id).expect("known request");
+        if !s.waiting {
+            return None;
+        }
+        s.waiting = false;
+        let conversation = s
+            .request
+            .conversation
+            .expect("waiting requests have a conversation");
+        self.pool.prefix_waiter_drop(conversation);
+        Some(conversation)
+    }
+
+    /// Atomic match → reuse at a request's first prefill dispatch: a
+    /// waiting request consults the prefix index exactly once, and a hit
+    /// renames the cached slots to it in place. Returns the prompt and the
+    /// adopted tokens on a hit.
+    fn adopt_prefix(
+        &mut self,
+        id: RequestId,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) -> Option<(u64, u64)> {
+        let conversation = self.drop_waiter(id)?;
+        self.out.cache.lookups += 1;
+        let s = self.table.get_mut(id).expect("known request");
+        let prompt = s.effective_input();
+        let tokens = self.pool.prefix_adopt(id, conversation, prompt)?;
+        s.reused = tokens;
+        self.out.cache.hits += 1;
+        self.out.cache.reused_tokens += tokens;
+        sink.on_cache_adopt(now, id, tokens);
+        Some((prompt, tokens))
+    }
+
+    /// With the prefix cache on, evicts retained entries until `instances`
+    /// have room for `tokens`.
+    fn evict_for(
+        &mut self,
+        instances: &[InstanceId],
+        tokens: u64,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        if self.pool.prefix_enabled() {
+            let evicted = self.pool.prefix_evict_for_instances(instances, tokens);
+            self.note_evictions(evicted, now, sink);
+        }
+    }
+
+    /// Books a prefix-cache eviction of `(entries, tokens)`.
+    fn note_evictions(
+        &mut self,
+        (entries, tokens): (u64, u64),
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        self.out.cache.evicted_entries += entries;
+        self.out.cache.evicted_tokens += tokens;
+        if entries > 0 {
+            sink.on_cache_evict(now, entries, tokens);
+        }
+    }
+
+    /// Prefix-cache housekeeping ahead of the view, so the scheduler sees
+    /// the post-eviction free slots: watermark eviction keeps retained KV
+    /// from crowding out admission, and head-of-queue headroom eviction
+    /// guarantees the FCFS head can always reserve at least what it could
+    /// reserve with the tier disabled (the no-livelock argument: cached
+    /// entries can never starve the head, so cache-on runs complete
+    /// whatever cache-off runs complete).
+    fn evict_for_head(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+        if !self.pool.prefix_enabled() {
+            return;
+        }
+        let head = self.table.iter_class(PhaseClass::Pending).next().map(|id| {
+            let s = self.table.get(id).expect("indexed request exists");
+            PrefixDemand {
+                conversation: if s.waiting {
+                    s.request.conversation
+                } else {
+                    None
+                },
+                remaining_input: s.effective_input(),
+                reserve_output: s.remaining_max_output().max(1),
+            }
+        });
+        let evicted = self.pool.prefix_evict_point(head);
+        self.note_evictions(evicted, now, sink);
+    }
+
+    /// Assembles the scheduler view from the maintained indices — requests
+    /// in admission order, instances in id order, identical to a full
+    /// rebuild — and samples the gauges.
+    fn fill_view(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+        let (table, pool, scratch) = (&self.table, &self.pool, &mut self.scratch);
+        scratch.clear();
+        for id in table.iter_class(PhaseClass::Pending) {
+            let s = table.get(id).expect("indexed request exists");
+            match s.phase {
+                Phase::Pending { prefilled } => {
+                    scratch.pending.push(pending_entry(s, prefilled, pool))
+                }
+                _ => unreachable!("pending index out of sync with phase"),
+            }
+        }
+        for id in table.iter_class(PhaseClass::DecodeReady) {
+            let s = table.get(id).expect("indexed request exists");
+            match s.phase {
+                Phase::DecodeReady { generated } => scratch.decoding.push(DecodingRequest {
+                    id,
+                    context_len: s.request.input_len + generated,
+                    generated,
+                    decode_time_s: s
+                        .first_token
+                        .map(|ft| now.saturating_since(ft).as_secs())
+                        .unwrap_or(0.0),
+                    kv_instances: pool.locations_ref(id).iter().map(|&(i, _)| i).collect(),
+                }),
+                _ => unreachable!("decode-ready index out of sync with phase"),
+            }
+        }
+        for id in table.iter_class(PhaseClass::Swapped) {
+            let s = table.get(id).expect("indexed request exists");
+            match s.phase {
+                Phase::Swapped { generated } => scratch.swapped.push(SwappedRequest {
+                    id,
+                    context_len: s.request.input_len + generated,
+                    generated,
+                    tokens: pool.swapped_tokens_of(id),
+                }),
+                _ => unreachable!("swapped index out of sync with phase"),
+            }
+        }
+        self.instances.fill_view(scratch);
+        sink.on_gauges(
+            now,
+            Gauges {
+                queue_depth: scratch.pending.len() as u64,
+                batch_size: scratch.decoding.len() as u64,
+                kv_utilization: pool.active_utilization(),
+            },
+        );
+    }
+
+    /// Whether every one of `instances` was idle at this point and no
+    /// earlier action of it claimed one.
+    fn claimable(&self, instances: &[InstanceId]) -> bool {
+        instances
+            .iter()
+            .all(|i| !self.claimed.contains(i) && self.scratch.idle.contains(i))
+    }
+
+    /// Marks `instances` busy until `done`.
+    fn claim(&mut self, instances: &[InstanceId], done: SimTime) {
+        for &inst in instances {
+            self.instances.dispatch(inst, done);
+            self.claimed.push(inst);
+        }
+    }
+
+    /// The decode-ready subset of `ids`, with their context lengths.
+    fn decode_batch(&self, ids: &[RequestId]) -> Vec<(RequestId, u64)> {
+        ids.iter()
+            .filter_map(|&id| {
+                let s = self.table.get(id)?;
+                match s.phase {
+                    Phase::DecodeReady { generated } => Some((id, s.request.input_len + generated)),
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    /// Moves a decode-ready request into its in-flight decode iteration.
+    fn start_decoding(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        if let Some(&Phase::DecodeReady { generated }) = self.phase(id) {
+            set_phase(
+                &mut self.table,
+                id,
+                Phase::Decoding { generated },
+                now,
+                sink,
+            );
+        }
+    }
+
+    /// The prefill of `id` produced its first output token — or, after a
+    /// recompute eviction, rebuilt the KV up to the checkpoint so decoding
+    /// resumes there.
+    fn prefilled(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let s = self.table.get_mut(id).expect("known request");
+        s.first_token.get_or_insert(now);
+        let generated = s.resume_generated.max(1);
+        if s.request.output_len <= generated {
+            self.finish_request(id, now, sink);
+        } else {
+            set_phase(
+                &mut self.table,
+                id,
+                Phase::DecodeReady { generated },
+                now,
+                sink,
+            );
+        }
+    }
+
+    /// Applies the effects of a completed piece of work, updating the phase
+    /// indices and the idle/busy partition as it goes.
+    fn complete(&mut self, work: Work, now: SimTime, sink: &mut dyn TraceSink) {
+        match work {
+            Work::Prefill {
+                instances,
+                requests,
+            } => {
+                self.release(&instances);
+                for id in requests {
+                    self.prefilled(id, now, sink);
+                }
+            }
+            Work::Decode {
+                instances,
+                requests,
+            } => {
+                self.release(&instances);
+                for id in requests {
+                    self.advance_decode(id, now, sink);
+                }
+            }
+            Work::ChunkedPrefill {
+                instances,
+                prefill_request,
+                prefilled_after,
+                decode_requests,
+            } => {
+                self.release(&instances);
+                let effective_input = self
+                    .table
+                    .get(prefill_request)
+                    .expect("known request")
+                    .effective_input();
+                let prefilled = prefilled_after.min(effective_input);
+                if prefilled >= effective_input {
+                    self.prefilled(prefill_request, now, sink);
+                } else {
+                    let phase = Phase::Pending { prefilled };
+                    set_phase(&mut self.table, prefill_request, phase, now, sink);
+                }
+                for id in decode_requests {
+                    self.advance_decode(id, now, sink);
+                }
+            }
+            // The phase was reset at action time; the event only forced a
+            // scheduling point.
+            Work::Preempt => {}
+            // A request has one piece of work in flight at a time, so its
+            // phase names the transfer that just landed.
+            Work::Migration { request } | Work::SwapOut { request } | Work::SwapIn { request } => {
+                let landed = match self.phase(request) {
+                    Some(&(Phase::Migrating { generated } | Phase::SwappingIn { generated })) => {
+                        Phase::DecodeReady { generated }
+                    }
+                    Some(&Phase::SwappingOut { generated }) => Phase::Swapped { generated },
+                    _ => return,
+                };
+                set_phase(&mut self.table, request, landed, now, sink);
+            }
+        }
+    }
+
+    /// Marks the instances of a completed iteration idle again.
+    fn release(&mut self, instances: &[InstanceId]) {
+        for &inst in instances {
+            self.instances.complete(inst);
+        }
+    }
+
+    /// One decode iteration completed for `id`: emit a token, finishing the
+    /// request if that was the last one.
+    fn advance_decode(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        let s = self.table.get(id).expect("known request");
+        if let Phase::Decoding { generated } = s.phase {
+            let generated = generated + 1;
+            if generated >= s.request.output_len {
+                self.finish_request(id, now, sink);
+            } else {
+                set_phase(
+                    &mut self.table,
+                    id,
+                    Phase::DecodeReady { generated },
+                    now,
+                    sink,
+                );
+            }
+        }
+    }
+
+    fn finish_request(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+        self.resolve(id);
+        let state = self.table.get_mut(id).expect("known request");
+        state.finish = Some(now);
+        let first_token = state
+            .first_token
+            .expect("finished requests produced a first token");
+        let request = &state.request;
+        self.out.records.push(RequestRecord {
+            id,
+            arrival: request.arrival,
+            input_len: request.input_len,
+            output_len: request.output_len,
+            prefill_start: state
+                .prefill_start
+                .expect("finished requests started prefill"),
+            first_token,
+            finish: now,
+            preemptions: state.preemptions,
+            class: request.class,
+        });
+        let conversation = request.conversation;
+        set_phase(&mut self.table, id, Phase::Finished, now, sink);
+        self.decode_stats
+            .record(now.saturating_since(first_token).as_secs());
+        // With the prefix cache enabled, a conversation turn's full context
+        // (prompt + generated KV) is retained in place — it is exactly the
+        // shared history the next turn's prompt extends. Everything else
+        // releases as before.
+        match conversation {
+            Some(conversation) if self.pool.prefix_enabled() => {
+                let retained = self.pool.prefix_retain(id, conversation, now);
+                if retained > 0 {
+                    let total = self.pool.prefix().expect("enabled").retained_tokens();
+                    self.out.cache.retained_tokens_high_water =
+                        self.out.cache.retained_tokens_high_water.max(total);
+                }
+            }
+            _ => {
+                self.pool.release(id);
+            }
+        }
+    }
+}
+
+/// The serving engine: one serving system, live.
+///
+/// Requests are [`admit`](ServingEngine::admit)ted as they are routed; the
+/// clock moves only when the engine is asked to advance
+/// ([`advance_until`](ServingEngine::advance_until) and its inclusive and
+/// open-ended siblings); [`signals`](ServingEngine::signals) reads its state
+/// in between; a crash [takes](ServingEngine::take_unresolved) whatever it
+/// had not resolved; [`finish`](ServingEngine::finish) closes the run into
+/// a [`RunOutcome`]. [`ServingEngine::run`] is the one-shot case: admit a
+/// whole trace, advance to the end, finish.
+///
+/// `S` is the scheduler's type — `dyn Scheduler` by default. A fleet, whose
+/// replica engines move between worker threads, uses
+/// `dyn Scheduler + Send`.
+pub struct ServingEngine<S: ?Sized = dyn Scheduler> {
     config: EngineConfig,
     registry: InstanceRegistry,
     cost_model: CostModel,
     sib: ScalingInfoBase,
-    scheduler: Box<dyn Scheduler>,
+    live: Live,
+    scheduler: Box<S>,
 }
 
-impl ServingEngine {
+impl<S: Scheduler + ?Sized> ServingEngine<S> {
     /// Builds an engine for the given configuration and scheduling policy.
     ///
     /// The SIB is profiled immediately (as the real system does offline)
     /// over the parallel configurations reachable with the configured
     /// tensor-parallel degree.
-    pub fn new(config: EngineConfig, scheduler: Box<dyn Scheduler>) -> Self {
+    pub fn new(config: EngineConfig, scheduler: Box<S>) -> Self {
         config.cluster.validate().expect("valid cluster");
         config.model.validate().expect("valid model");
         let registry = InstanceRegistry::build(&config.cluster, config.tp);
@@ -507,11 +1011,13 @@ impl ServingEngine {
             config.sib_noise,
             &mut rng,
         );
+        let live = Live::new(&config, registry.num_instances());
         ServingEngine {
             config,
             registry,
             cost_model,
             sib,
+            live,
             scheduler,
         }
     }
@@ -535,1010 +1041,546 @@ impl ServingEngine {
         self.run_traced(trace, &mut NoopSink)
     }
 
-    /// Runs the engine over a trace, emitting every request lifecycle
-    /// edge, cache event and scheduling-point gauge into `sink`.
-    ///
-    /// The loop maintains every scheduler-view input incrementally — phase
-    /// index sets in the [`RequestTable`], the idle/busy instance
-    /// partition, the KV residency index, running latency stats — so one
-    /// scheduling point costs O(active requests + actions) instead of
-    /// O(all requests ever seen). Debug builds shadow every view with a
-    /// naive full-scan rebuild and assert equality.
+    /// Admits the whole trace, advances to the end — or through
+    /// `max_sim_time` when one is set — and finishes, emitting every
+    /// request lifecycle edge, cache event and scheduling-point gauge into
+    /// `sink`.
     pub fn run_traced(&mut self, trace: &Trace, sink: &mut dyn TraceSink) -> RunOutcome {
-        let capacity = self
-            .config
-            .kv_capacity_override
-            .unwrap_or_else(|| self.config.instance_kv_capacity());
-        let mut pool = UnifiedKvPool::new(self.registry.num_instances(), capacity);
-        if let Some(host) = &self.config.host_swap {
-            pool.enable_host_tier(host.capacity_tokens);
-        }
-        if let Some(prefix) = &self.config.prefix_cache {
-            pool.enable_prefix_cache(*prefix);
-        }
-        let cache_on = pool.prefix_enabled();
-        let mut cache_stats = CacheStats::default();
-        let host_link = self.config.host_swap.as_ref().map(|h| h.link);
-        // Whole-model KV footprint: a swapped token leaves every GPU shard.
-        let kv_bytes_per_token = self.config.model.kv_bytes_per_token();
-        let mut pressure_stats = PressureStats::default();
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        let mut table: RequestTable<RequestState> =
-            RequestTable::with_capacity(trace.requests.len());
         for req in &trace.requests {
-            table.insert(
-                req.id,
-                RequestState {
-                    request: req.clone(),
-                    phase: Phase::Pending { prefilled: 0 },
-                    prefill_start: None,
-                    first_token: None,
-                    finish: None,
-                    preemptions: 0,
-                    resume_generated: 0,
-                    reused: 0,
-                    waiting: false,
-                },
-            );
-            queue.push(req.arrival, EngineEvent::Arrival(req.id));
+            self.admit(req.clone());
         }
-        let mut instances_state = InstanceTracker::new(self.registry.num_instances());
-        let mut in_flight: HashMap<u64, Work> = HashMap::new();
-        let mut work_ids = IdAllocator::<RequestId>::new();
-        let mut group_ids = IdAllocator::<GroupId>::new();
-        let mut rejected: Vec<(RequestId, String)> = Vec::new();
-        let mut iterations = 0u64;
-        let mut migration_bytes = 0.0f64;
-        let mut scheduler_calls = 0u64;
-        let mut prefilled_tokens = 0u64;
-        let mut decode_stats = DecodeLatencyStats::default();
-        // Reusable per-point buffers: the steady-state loop never allocates
-        // them again.
-        let mut scratch = ViewScratch::new();
-        let mut batch: Vec<Event<EngineEvent>> = Vec::new();
-        let mut claimed: Vec<InstanceId> = Vec::new();
+        match self.config.max_sim_time {
+            Some(cap) => self.advance_through(SimTime::ZERO + cap, sink),
+            None => self.advance_to_end(sink),
+        }
+        self.finish()
+    }
+
+    /// Admits a routed request. It joins the batch at its arrival instant,
+    /// ahead of the work completing then, in admission order among the
+    /// requests arriving with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrival lies before the last instant processed.
+    pub fn admit(&mut self, request: Request) {
+        let live = &mut self.live;
+        assert!(
+            request.arrival >= live.out.sim_time,
+            "{} arrives at {:?}, before the engine's clock {:?}",
+            request.id,
+            request.arrival,
+            live.out.sim_time
+        );
+        live.out.unfinished += 1;
+        live.backlog_tokens += request.input_len + request.max_output_len;
+        live.arrivals.push(request.arrival, request.id);
+        let id = request.id;
+        live.table.insert(
+            id,
+            RequestState {
+                request,
+                phase: Phase::Pending { prefilled: 0 },
+                prefill_start: None,
+                first_token: None,
+                finish: None,
+                preemptions: 0,
+                resume_generated: 0,
+                reused: 0,
+                waiting: false,
+            },
+        );
+    }
+
+    /// Processes every scheduling point strictly before `end`. Events at
+    /// `end` itself wait, so requests admitted afterwards for `end` still
+    /// join that instant's batch: advancing in pieces reproduces advancing
+    /// in one go.
+    pub fn advance_until(&mut self, end: SimTime, sink: &mut dyn TraceSink) {
+        self.advance(sink, |t| t < end);
+    }
+
+    /// Processes every scheduling point at or before `end` — a cap or a
+    /// crash: work completing at `end` still counts.
+    pub fn advance_through(&mut self, end: SimTime, sink: &mut dyn TraceSink) {
+        self.advance(sink, |t| t <= end);
+    }
+
+    /// Processes scheduling points until nothing is left to happen.
+    pub fn advance_to_end(&mut self, sink: &mut dyn TraceSink) {
+        self.advance(sink, |_| true);
+    }
+
+    fn advance(&mut self, sink: &mut dyn TraceSink, go: impl Fn(SimTime) -> bool) {
+        while let Some(now) = self.live.next_instant().filter(|&t| go(t)) {
+            self.step(now, sink);
+        }
+    }
+
+    /// The observable state between advances.
+    pub fn signals(&self) -> EngineSignals<'_> {
+        let live = &self.live;
+        EngineSignals {
+            now: live.out.sim_time,
+            idle: live.next_instant().is_none(),
+            unresolved: live.out.unfinished,
+            backlog_tokens: live.backlog_tokens,
+            completed: &live.out.records,
+        }
+    }
+
+    /// A crash: removes every admitted request not yet completed or
+    /// rejected — queued, running, or with its arrival still ahead — and
+    /// returns them in id order, dropping the work in flight with them. It
+    /// ends the engine's useful life; [`ServingEngine::finish`] then
+    /// reports only what was resolved.
+    pub fn take_unresolved(&mut self) -> Vec<Request> {
+        let live = &mut self.live;
+        live.arrivals.clear();
+        live.work.clear();
+        live.out.unfinished = 0;
+        live.backlog_tokens = 0;
+        let ids: Vec<RequestId> = live
+            .table
+            .iter()
+            .filter(|(_, s)| !matches!(s.phase, Phase::Finished | Phase::Rejected))
+            .map(|(id, _)| id)
+            .collect();
+        ids.into_iter()
+            .map(|id| live.table.remove(id).expect("listed above").request)
+            .collect()
+    }
+
+    /// Closes the run: the outcome of every request admitted since the last
+    /// finish, with `sim_time` the last instant processed. The engine then
+    /// starts afresh; the scheduler, and with it its scaling-event log,
+    /// carries over.
+    pub fn finish(&mut self) -> RunOutcome {
+        let fresh = Live::new(&self.config, self.registry.num_instances());
+        let mut out = std::mem::replace(&mut self.live, fresh).out;
+        out.records.sort_by_key(|r| r.id);
+        out.scaling_events = self.scheduler.scaling_events().to_vec();
+        out
+    }
+
+    /// One scheduling point at `now`: the instant's arrivals, then the work
+    /// completing at it, prefix-cache housekeeping, one scheduler call and
+    /// its actions.
+    ///
+    /// Every scheduler-view input is maintained incrementally — phase index
+    /// sets in the [`RequestTable`], the idle/busy instance partition, the
+    /// KV residency index, running latency stats — so one point costs
+    /// O(active requests + actions) instead of O(all requests ever seen).
+    /// Debug builds shadow every view with a naive full-scan rebuild and
+    /// assert equality.
+    fn step(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+        let live = &mut self.live;
+        live.out.sim_time = now;
+        let mut events = 0u64;
+        while live.arrivals.peek_time() == Some(now) {
+            let id = live.arrivals.pop().expect("peeked").payload;
+            live.arrive(id, now, sink);
+            events += 1;
+        }
+        while live.work.peek_time() == Some(now) {
+            let work = live.work.pop().expect("peeked").payload;
+            live.complete(work, now, sink);
+            events += 1;
+        }
+        profile::add_events_popped(events);
+        profile::add_sched_points(1);
+        live.evict_for_head(now, sink);
+        live.fill_view(now, sink);
         #[cfg(debug_assertions)]
-        let mut audit = audit::ViewAudit::default();
-
-        let deadline = self.config.max_sim_time.map(|d| SimTime::ZERO + d);
-
-        while !queue.is_empty() {
-            queue.pop_simultaneous_into(&mut batch);
-            profile::add_events_popped(batch.len() as u64);
-            profile::add_sched_points(1);
-            let now = queue.now();
-            if let Some(deadline) = deadline {
-                if now > deadline {
-                    break;
-                }
-            }
-            for ev in batch.drain(..) {
-                match ev.payload {
-                    // Requests become visible to the scheduler only once
-                    // their arrival event fires: admission assigns the rank
-                    // that orders every phase-index iteration.
-                    EngineEvent::Arrival(id) => {
-                        table.admit(id);
-                        {
-                            let s = table.get(id).expect("known request");
-                            sink.on_admitted(
-                                now,
-                                AdmitInfo {
-                                    id,
-                                    class: s.request.class,
-                                    conversation: s.request.conversation,
-                                    input_len: s.request.input_len,
-                                    output_len: s.request.output_len,
-                                },
-                            );
-                        }
-                        if cache_on {
-                            let s = table.get_mut(id).expect("known request");
-                            if let Some(conversation) = s.request.conversation {
-                                // Pin the conversation's (current or future)
-                                // entry until this request's first prefill.
-                                s.waiting = true;
-                                pool.prefix_waiter_add(conversation);
-                            }
-                        }
-                        #[cfg(debug_assertions)]
-                        audit.on_arrival(id);
-                    }
-                    EngineEvent::WorkComplete(work_id) => {
-                        let work = in_flight.remove(&work_id).expect("unknown work id");
-                        Self::complete_work(
-                            work,
-                            now,
-                            &mut table,
-                            &mut pool,
-                            &mut instances_state,
-                            &mut decode_stats,
-                            &mut cache_stats,
-                            sink,
-                        );
-                    }
-                }
-            }
-
-            // Prefix-cache housekeeping precedes the view so the scheduler
-            // sees the post-eviction free slots: watermark eviction keeps
-            // retained KV from crowding out admission, and head-of-queue
-            // headroom eviction guarantees the FCFS head can always reserve
-            // at least what it could reserve with the tier disabled (the
-            // no-livelock argument: cached entries can never starve the
-            // head, so cache-on runs complete whatever cache-off runs
-            // complete).
-            if cache_on {
-                let head = table.iter_class(PhaseClass::Pending).next().map(|id| {
-                    let s = table.get(id).expect("indexed request exists");
-                    PrefixDemand {
-                        conversation: if s.waiting {
-                            s.request.conversation
-                        } else {
-                            None
-                        },
-                        remaining_input: s.effective_input(),
-                        reserve_output: s.remaining_max_output().max(1),
-                    }
-                });
-                let (entries, tokens) = pool.prefix_evict_point(head);
-                cache_stats.evicted_entries += entries;
-                cache_stats.evicted_tokens += tokens;
-                if entries > 0 {
-                    sink.on_cache_evict(now, entries, tokens);
-                }
-            }
-
-            // Scheduling point: assemble the view from the maintained
-            // indices. Iteration order is arrival order for requests and id
-            // order for instances — identical to a full rebuild.
-            scratch.clear();
-            for id in table.iter_class(PhaseClass::Pending) {
-                let s = table.get(id).expect("indexed request exists");
-                match s.phase {
-                    Phase::Pending { prefilled } => {
-                        scratch.pending.push(pending_entry(s, prefilled, &pool))
-                    }
-                    _ => unreachable!("pending index out of sync with phase"),
-                }
-            }
-            for id in table.iter_class(PhaseClass::DecodeReady) {
-                let s = table.get(id).expect("indexed request exists");
-                match s.phase {
-                    Phase::DecodeReady { generated } => scratch.decoding.push(DecodingRequest {
-                        id,
-                        context_len: s.request.input_len + generated,
-                        generated,
-                        decode_time_s: s
-                            .first_token
-                            .map(|ft| now.saturating_since(ft).as_secs())
-                            .unwrap_or(0.0),
-                        kv_instances: pool.locations_ref(id).iter().map(|&(i, _)| i).collect(),
-                    }),
-                    _ => unreachable!("decode-ready index out of sync with phase"),
-                }
-            }
-            for id in table.iter_class(PhaseClass::Swapped) {
-                let s = table.get(id).expect("indexed request exists");
-                match s.phase {
-                    Phase::Swapped { generated } => scratch.swapped.push(SwappedRequest {
-                        id,
-                        context_len: s.request.input_len + generated,
-                        generated,
-                        tokens: pool.swapped_tokens_of(id),
-                    }),
-                    _ => unreachable!("swapped index out of sync with phase"),
-                }
-            }
-            instances_state.fill_view(&mut scratch);
-            let avg_decode_latency_s = decode_stats.average();
-            sink.on_gauges(
-                now,
-                Gauges {
-                    queue_depth: scratch.pending.len() as u64,
-                    batch_size: scratch.decoding.len() as u64,
-                    kv_utilization: pool.active_utilization(),
-                },
-            );
-
-            #[cfg(debug_assertions)]
-            audit.check(
-                &table,
-                &pool,
-                &self.registry,
-                &instances_state,
-                now,
-                &scratch,
-            );
-
-            let actions = {
-                let view = scratch.view(
-                    now,
-                    &pool,
-                    &self.registry,
-                    &self.cost_model,
-                    &self.sib,
-                    avg_decode_latency_s,
-                );
-                scheduler_calls += 1;
-                self.scheduler.schedule(&view)
-            };
-
-            claimed.clear();
-            let idle = &scratch.idle;
-            for action in actions {
-                match action {
-                    Action::Reject { request, reason } => {
-                        if let Some(s) = table.get(request) {
-                            if matches!(s.phase, Phase::Pending { .. }) {
-                                if s.waiting {
-                                    let conversation = s
-                                        .request
-                                        .conversation
-                                        .expect("waiting requests have a conversation");
-                                    table.get_mut(request).expect("known request").waiting = false;
-                                    pool.prefix_waiter_drop(conversation);
-                                }
-                                set_phase(&mut table, request, Phase::Rejected, now, sink);
-                                rejected.push((request, reason));
-                            }
-                        }
-                    }
-                    Action::Prefill {
-                        instances,
-                        requests,
-                        retain_on,
-                    } => {
-                        if instances
-                            .iter()
-                            .any(|i| claimed.contains(i) || !idle.contains(i))
-                        {
-                            continue;
-                        }
-                        // Atomic match → reuse: each untouched request
-                        // consults the prefix index exactly once, at the
-                        // moment its prefill is dispatched, and a hit
-                        // renames the cached slots to it in place. The
-                        // prefill then processes (and the cost model
-                        // charges) only the uncached suffix — recompute
-                        // evictions still re-prefill their checkpointed
-                        // tokens too.
-                        let mut prefill_reqs: Vec<PrefillRequest> = Vec::new();
-                        // Per-request (suffix, adopted) pairs of this
-                        // batch's cache hits, for cost accounting below.
-                        let mut adopted: Vec<(u64, u64)> = Vec::new();
-                        for &id in &requests {
-                            let Some(s) = table.get(id) else { continue };
-                            if !matches!(s.phase, Phase::Pending { .. }) {
-                                continue;
-                            }
-                            if s.waiting {
-                                let conversation = s
-                                    .request
-                                    .conversation
-                                    .expect("waiting requests have a conversation");
-                                let s = table.get_mut(id).expect("known request");
-                                s.waiting = false;
-                                pool.prefix_waiter_drop(conversation);
-                                cache_stats.lookups += 1;
-                                let prompt = s.effective_input();
-                                if let Some(tokens) = pool.prefix_adopt(id, conversation, prompt) {
-                                    s.reused = tokens;
-                                    cache_stats.hits += 1;
-                                    cache_stats.reused_tokens += tokens;
-                                    adopted.push((prompt - tokens, tokens));
-                                    sink.on_cache_adopt(now, id, tokens);
-                                }
-                            }
-                            let s = table.get(id).expect("known request");
-                            prefill_reqs.push(PrefillRequest {
-                                id,
-                                input_len: s.effective_input(),
-                            });
-                        }
-                        if prefill_reqs.is_empty() {
-                            continue;
-                        }
-                        if cache_on {
-                            // Admission counted reclaimable slots as free;
-                            // make good on it before planning the
-                            // retention placement.
-                            let needed: u64 = prefill_reqs.iter().map(|r| r.input_len).sum();
-                            let (e, t) = pool.prefix_evict_for_instances(&retain_on, needed);
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        // Suffix prefills still attend over their adopted
-                        // context: charge the extra attention the plain
-                        // suffix cost omits (zero when nothing was
-                        // adopted), exactly as the chunked path spans its
-                        // chunk over the processed prefix.
-                        let mut context_surcharge_s = 0.0f64;
-                        if !adopted.is_empty() {
-                            let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
-                            let link = self.registry.link_between(&instances);
-                            for &(suffix, reused) in &adopted {
-                                context_surcharge_s += self
-                                    .cost_model
-                                    .cached_context_attention_s(suffix, reused, parallel);
-                            }
-                            // Saved-prefill accounting: what prefilling the
-                            // adopted tokens would have cost on this group,
-                            // batched per request (attention is quadratic,
-                            // so lumping them would overstate the saving).
-                            let adopted_lens: Vec<u64> =
-                                adopted.iter().map(|&(_, tokens)| tokens).collect();
-                            cache_stats.saved_prefill_s += self
-                                .cost_model
-                                .prefill_cost(&adopted_lens, parallel, link)
-                                .total();
-                        }
-                        let group = EspGroup::new(group_ids.next(), instances.clone());
-                        let plan = match PrefillPlan::build(group, prefill_reqs, retain_on, &pool) {
-                            Ok(plan) => plan,
-                            Err(_) => continue,
-                        };
-                        let outcome = match execute_prefill(
-                            &plan,
-                            &self.cost_model,
-                            &self.registry,
-                            &mut pool,
-                        ) {
-                            Ok(o) => o,
-                            Err(_) => continue,
-                        };
-                        iterations += 1;
-                        prefilled_tokens += outcome.retained_tokens;
-                        let done = now
-                            + SimDuration::from_secs(outcome.cost.total() + context_surcharge_s);
-                        for &inst in &instances {
-                            instances_state.dispatch(inst, done);
-                            claimed.push(inst);
-                        }
-                        for &id in &requests {
-                            if table.contains(id) {
-                                set_phase(&mut table, id, Phase::Prefilling, now, sink);
-                                table
-                                    .get_mut(id)
-                                    .expect("known request")
-                                    .prefill_start
-                                    .get_or_insert(now);
-                            }
-                        }
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(
-                            wid,
-                            Work::Prefill {
-                                instances,
-                                requests,
-                            },
-                        );
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::Decode {
-                        instances,
-                        masters,
-                        requests,
-                    } => {
-                        if instances
-                            .iter()
-                            .any(|i| claimed.contains(i) || !idle.contains(i))
-                        {
-                            continue;
-                        }
-                        let decode_batch: Vec<(RequestId, u64)> = requests
-                            .iter()
-                            .filter_map(|id| {
-                                let s = table.get(*id)?;
-                                match s.phase {
-                                    Phase::DecodeReady { generated } => {
-                                        Some((*id, s.request.input_len + generated))
-                                    }
-                                    _ => None,
-                                }
-                            })
-                            .collect();
-                        if decode_batch.is_empty() {
-                            continue;
-                        }
-                        if cache_on {
-                            // Each batched request appends one token on a
-                            // master, so headroom must exist on the master
-                            // set specifically — summing free slots over
-                            // the whole group could see room on non-master
-                            // instances, skip eviction, and leave a
-                            // cache-crowded master stalling its decodes
-                            // (the pressure rescue path defers to this
-                            // eviction for prefix-crowded instances).
-                            let evict_on: &[InstanceId] = if masters.is_empty() {
-                                &instances
-                            } else {
-                                &masters
-                            };
-                            let (e, t) = pool
-                                .prefix_evict_for_instances(evict_on, decode_batch.len() as u64);
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        let group =
-                            EspGroup::with_masters(group_ids.next(), instances.clone(), masters);
-                        let plan = match DecodePlan::build(group, &decode_batch, &pool) {
-                            Ok(plan) => plan,
-                            Err(_) => continue,
-                        };
-                        let outcome = match execute_decode(
-                            &plan,
-                            &self.cost_model,
-                            &self.registry,
-                            &mut pool,
-                        ) {
-                            Ok(o) => o,
-                            Err(_) => continue,
-                        };
-                        iterations += 1;
-                        let done = now + SimDuration::from_secs(outcome.cost.total());
-                        for &inst in &instances {
-                            instances_state.dispatch(inst, done);
-                            claimed.push(inst);
-                        }
-                        let batch_ids: Vec<RequestId> =
-                            decode_batch.iter().map(|(id, _)| *id).collect();
-                        for &id in &batch_ids {
-                            if let Some(Phase::DecodeReady { generated }) =
-                                table.get(id).map(|s| &s.phase)
-                            {
-                                let generated = *generated;
-                                set_phase(&mut table, id, Phase::Decoding { generated }, now, sink);
-                            }
-                        }
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(
-                            wid,
-                            Work::Decode {
-                                instances,
-                                requests: batch_ids,
-                            },
-                        );
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::ChunkedPrefill {
-                        instances,
-                        prefill_request,
-                        chunk_tokens,
-                        decode_requests,
-                    } => {
-                        if instances
-                            .iter()
-                            .any(|i| claimed.contains(i) || !idle.contains(i))
-                        {
-                            continue;
-                        }
-                        let Some(state) = table.get(prefill_request) else {
-                            continue;
-                        };
-                        let Phase::Pending { prefilled } = state.phase else {
-                            continue;
-                        };
-                        // First chunk of an untouched request: the same
-                        // atomic match → reuse as the full-prefill path.
-                        if state.waiting {
-                            let conversation = state
-                                .request
-                                .conversation
-                                .expect("waiting requests have a conversation");
-                            let s = table.get_mut(prefill_request).expect("known request");
-                            s.waiting = false;
-                            pool.prefix_waiter_drop(conversation);
-                            cache_stats.lookups += 1;
-                            let prompt = s.effective_input();
-                            if let Some(tokens) =
-                                pool.prefix_adopt(prefill_request, conversation, prompt)
-                            {
-                                s.reused = tokens;
-                                cache_stats.hits += 1;
-                                cache_stats.reused_tokens += tokens;
-                                sink.on_cache_adopt(now, prefill_request, tokens);
-                                let parallel =
-                                    ParallelConfig::new(self.registry.tp(), instances.len());
-                                let link = self.registry.link_between(&instances);
-                                cache_stats.saved_prefill_s += self
-                                    .cost_model
-                                    .prefill_cost(&[tokens], parallel, link)
-                                    .total();
-                            }
-                        }
-                        let state = table.get(prefill_request).expect("known request");
-                        let reused = state.reused;
-                        let chunk = chunk_tokens.min(state.effective_input() - prefilled);
-                        if chunk == 0 {
-                            continue;
-                        }
-                        if cache_on {
-                            let needed = chunk + decode_requests.len() as u64;
-                            let (e, t) = pool.prefix_evict_for_instances(&instances, needed);
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        // Reserve KV for the chunk on the executing instances.
-                        let Some(placement) = pool.plan(
-                            prefill_request,
-                            chunk,
-                            &instances,
-                            PlacementStrategy::PackMostFree,
-                        ) else {
-                            continue;
-                        };
-                        if pool.commit(&placement).is_err() {
-                            continue;
-                        }
-                        let decode_batch: Vec<(RequestId, u64)> = decode_requests
-                            .iter()
-                            .filter_map(|id| {
-                                let s = table.get(*id)?;
-                                match s.phase {
-                                    Phase::DecodeReady { generated } => {
-                                        Some((*id, s.request.input_len + generated))
-                                    }
-                                    _ => None,
-                                }
-                            })
-                            .collect();
-                        let decode_lens: Vec<u64> = decode_batch.iter().map(|(_, l)| *l).collect();
-                        // Append the decode tokens on the first instance.
-                        let master = instances[0];
-                        let mut decode_ok: Vec<RequestId> = Vec::new();
-                        for (id, _) in &decode_batch {
-                            if pool.append(*id, master, 1).is_ok() {
-                                decode_ok.push(*id);
-                            }
-                        }
-                        let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
-                        let link = self.registry.link_between(&instances);
-                        // Adopted tokens are real context: the chunk's
-                        // attention still spans them, it just skips their
-                        // KV computation (zero extra term when reused = 0).
-                        let cost = self.cost_model.chunked_prefill_cost(
-                            chunk,
-                            prefilled + reused,
-                            &decode_lens,
-                            parallel,
-                            link,
-                        );
-                        iterations += 1;
-                        prefilled_tokens += chunk;
-                        let done = now + SimDuration::from_secs(cost.total());
-                        for &inst in &instances {
-                            instances_state.dispatch(inst, done);
-                            claimed.push(inst);
-                        }
-                        if table.contains(prefill_request) {
-                            table
-                                .get_mut(prefill_request)
-                                .expect("known request")
-                                .prefill_start
-                                .get_or_insert(now);
-                            set_phase(&mut table, prefill_request, Phase::Prefilling, now, sink);
-                        }
-                        for &id in &decode_ok {
-                            if let Some(Phase::DecodeReady { generated }) =
-                                table.get(id).map(|s| &s.phase)
-                            {
-                                let generated = *generated;
-                                set_phase(&mut table, id, Phase::Decoding { generated }, now, sink);
-                            }
-                        }
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(
-                            wid,
-                            Work::ChunkedPrefill {
-                                instances,
-                                prefill_request,
-                                prefilled_after: prefilled + chunk,
-                                decode_requests: decode_ok,
-                            },
-                        );
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::Migrate { request, targets } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let generated = match state.phase {
-                            Phase::DecodeReady { generated } => generated,
-                            _ => continue,
-                        };
-                        if cache_on {
-                            let (e, t) =
-                                pool.prefix_evict_for_instances(&targets, pool.tokens_of(request));
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        match migrate_request(
-                            request,
-                            &targets,
-                            &mut pool,
-                            &self.cost_model,
-                            &self.registry,
-                        ) {
-                            Ok(summary) => {
-                                migration_bytes += summary.total_bytes;
-                                set_phase(
-                                    &mut table,
-                                    request,
-                                    Phase::Migrating { generated },
-                                    now,
-                                    sink,
-                                );
-                                table.get_mut(request).expect("known request").preemptions += 1;
-                                let done = now + SimDuration::from_secs(summary.time_s.max(1e-6));
-                                let wid = work_ids.next().raw();
-                                in_flight.insert(wid, Work::Migration { request });
-                                queue.push(done, EngineEvent::WorkComplete(wid));
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                    Action::Preempt { request } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let Phase::DecodeReady { generated } = state.phase else {
-                            continue;
-                        };
-                        // Discard the KV and send the request back to the
-                        // pending queue; it keeps its admission rank, so it
-                        // re-prefills in FCFS position once pressure clears.
-                        // The checkpoint makes the next prefill recompute
-                        // prompt + generated KV and decoding resume in
-                        // place, so each output token is generated exactly
-                        // once (vLLM's recompute semantics).
-                        pool.release(request);
-                        sink.on_preempted(now, request);
-                        set_phase(
-                            &mut table,
-                            request,
-                            Phase::Pending { prefilled: 0 },
-                            now,
-                            sink,
-                        );
-                        let state = table.get_mut(request).expect("known request");
-                        state.resume_generated = generated;
-                        // Any adopted prefix KV was just discarded with the
-                        // rest; the recompute prefill covers it again.
-                        state.reused = 0;
-                        state.preemptions += 1;
-                        pressure_stats.preemptions += 1;
-                        // Freeing memory schedules no work of its own; the
-                        // epsilon event guarantees a next scheduling point
-                        // that sees the freed slots.
-                        let done = now + SimDuration::from_secs(1e-6);
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(wid, Work::Preempt);
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::SwapOut { request } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let generated = match state.phase {
-                            Phase::DecodeReady { generated } => generated,
-                            _ => continue,
-                        };
-                        let Some(link) = host_link else {
-                            continue;
-                        };
-                        let tokens = match pool.swap_out(request) {
-                            Ok(tokens) => tokens,
-                            Err(_) => continue,
-                        };
-                        // Device slots free immediately (the DMA drains
-                        // asynchronously); the request itself stalls for the
-                        // D2H transfer before it is parked.
-                        let bytes = tokens as f64 * kv_bytes_per_token;
-                        let transfer_s = link.transfer_time(bytes).max(1e-6);
-                        set_phase(
-                            &mut table,
-                            request,
-                            Phase::SwappingOut { generated },
-                            now,
-                            sink,
-                        );
-                        pressure_stats.swap_out_events += 1;
-                        pressure_stats.swap_out_bytes += bytes;
-                        pressure_stats.swap_stall_s += transfer_s;
-                        pressure_stats.max_outstanding_swapped_tokens = pressure_stats
-                            .max_outstanding_swapped_tokens
-                            .max(pool.total_swapped());
-                        let done = now + SimDuration::from_secs(transfer_s);
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(wid, Work::SwapOut { request });
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                    Action::SwapIn { request, targets } => {
-                        let Some(state) = table.get(request) else {
-                            continue;
-                        };
-                        let generated = match state.phase {
-                            Phase::Swapped { generated } => generated,
-                            _ => continue,
-                        };
-                        let Some(link) = host_link else {
-                            continue;
-                        };
-                        if cache_on {
-                            let (e, t) = pool.prefix_evict_for_instances(
-                                &targets,
-                                pool.swapped_tokens_of(request),
-                            );
-                            cache_stats.evicted_entries += e;
-                            cache_stats.evicted_tokens += t;
-                            if e > 0 {
-                                sink.on_cache_evict(now, e, t);
-                            }
-                        }
-                        let tokens = match pool.swap_in(
-                            request,
-                            &targets,
-                            PlacementStrategy::PackMostFree,
-                        ) {
-                            Ok(tokens) => tokens,
-                            Err(_) => continue,
-                        };
-                        // Device slots are reserved now (no oversubscription
-                        // while the H2D transfer is in flight); the request
-                        // resumes decoding when it completes.
-                        let bytes = tokens as f64 * kv_bytes_per_token;
-                        let transfer_s = link.transfer_time(bytes).max(1e-6);
-                        set_phase(
-                            &mut table,
-                            request,
-                            Phase::SwappingIn { generated },
-                            now,
-                            sink,
-                        );
-                        pressure_stats.swap_in_events += 1;
-                        pressure_stats.swap_in_bytes += bytes;
-                        pressure_stats.swap_stall_s += transfer_s;
-                        let done = now + SimDuration::from_secs(transfer_s);
-                        let wid = work_ids.next().raw();
-                        in_flight.insert(wid, Work::SwapIn { request });
-                        queue.push(done, EngineEvent::WorkComplete(wid));
-                    }
-                }
-            }
+        live.audit.check(live, &self.registry, now);
+        let view = live.scratch.view(
+            now,
+            &live.pool,
+            &self.registry,
+            &self.cost_model,
+            &self.sib,
+            live.decode_stats.average(),
+        );
+        live.out.scheduler_calls += 1;
+        let actions = self.scheduler.schedule(&view);
+        self.live.claimed.clear();
+        for action in actions {
+            self.apply(action, now, sink);
         }
+    }
 
-        let sim_time = queue.now();
-        let mut records = Vec::new();
-        let mut unfinished = 0usize;
-        for (_, s) in table.into_entries() {
-            match s.phase {
-                Phase::Finished => {
-                    records.push(RequestRecord {
-                        id: s.request.id,
-                        arrival: s.request.arrival,
-                        input_len: s.request.input_len,
-                        output_len: s.request.output_len,
-                        prefill_start: s.prefill_start.expect("finished requests started prefill"),
-                        first_token: s
-                            .first_token
-                            .expect("finished requests produced a first token"),
-                        finish: s.finish.expect("finished requests finished"),
-                        preemptions: s.preemptions,
-                        class: s.request.class,
+    /// Executes one scheduler action through the ESP mechanisms. Actions
+    /// that no longer fit the state — an instance already claimed at this
+    /// point, a request that moved on, a plan the pool cannot place — are
+    /// skipped.
+    fn apply(&mut self, action: Action, now: SimTime, sink: &mut dyn TraceSink) {
+        let live = &mut self.live;
+        match action {
+            Action::Reject { request, reason } => {
+                if !matches!(live.phase(request), Some(Phase::Pending { .. })) {
+                    return;
+                }
+                live.drop_waiter(request);
+                set_phase(&mut live.table, request, Phase::Rejected, now, sink);
+                live.resolve(request);
+                live.out.rejected.push((request, reason));
+            }
+            Action::Prefill {
+                instances,
+                requests,
+                retain_on,
+            } => {
+                if !live.claimable(&instances) {
+                    return;
+                }
+                // Atomic match → reuse: each untouched request consults the
+                // prefix index exactly once, at the moment its prefill is
+                // dispatched, and a hit renames the cached slots to it in
+                // place. The prefill then processes (and the cost model
+                // charges) only the uncached suffix — recompute evictions
+                // still re-prefill their checkpointed tokens too.
+                let mut prefill_reqs: Vec<PrefillRequest> = Vec::new();
+                // Per-request (suffix, adopted) pairs of this batch's cache
+                // hits, for cost accounting below.
+                let mut adopted: Vec<(u64, u64)> = Vec::new();
+                for &id in &requests {
+                    if !matches!(live.phase(id), Some(Phase::Pending { .. })) {
+                        continue;
+                    }
+                    if let Some((prompt, tokens)) = live.adopt_prefix(id, now, sink) {
+                        adopted.push((prompt - tokens, tokens));
+                    }
+                    let s = live.table.get(id).expect("known request");
+                    prefill_reqs.push(PrefillRequest {
+                        id,
+                        input_len: s.effective_input(),
                     });
                 }
-                Phase::Rejected => {}
-                _ => unfinished += 1,
-            }
-        }
-        records.sort_by_key(|r| r.id);
-
-        RunOutcome {
-            records,
-            rejected,
-            unfinished,
-            scaling_events: self.scheduler.scaling_events().to_vec(),
-            sim_time,
-            iterations,
-            migration_bytes,
-            scheduler_calls,
-            pressure: pressure_stats,
-            cache: cache_stats,
-            prefilled_tokens,
-        }
-    }
-
-    /// Applies the effects of a completed piece of work, updating the phase
-    /// indices and the idle/busy partition as it goes.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_work(
-        work: Work,
-        now: SimTime,
-        table: &mut RequestTable<RequestState>,
-        pool: &mut UnifiedKvPool,
-        instances_state: &mut InstanceTracker,
-        decode_stats: &mut DecodeLatencyStats,
-        cache_stats: &mut CacheStats,
-        sink: &mut dyn TraceSink,
-    ) {
-        match work {
-            Work::Prefill {
-                instances,
-                requests,
-            } => {
-                for inst in instances {
-                    instances_state.complete(inst);
+                if prefill_reqs.is_empty() {
+                    return;
                 }
-                for id in requests {
-                    let s = table.get_mut(id).expect("known request");
-                    s.first_token.get_or_insert(now);
-                    // The prefill produced the first output token — or, for
-                    // a recompute eviction, rebuilt the KV up to the
-                    // checkpoint so decoding resumes there.
-                    let generated = s.resume_generated.max(1);
-                    if s.request.output_len <= generated {
-                        Self::finish_request(table, id, now, pool, decode_stats, cache_stats, sink);
-                    } else {
-                        set_phase(table, id, Phase::DecodeReady { generated }, now, sink);
+                // Admission counted reclaimable slots as free; make good on
+                // it before planning the retention placement.
+                let needed: u64 = prefill_reqs.iter().map(|r| r.input_len).sum();
+                live.evict_for(&retain_on, needed, now, sink);
+                // Suffix prefills still attend over their adopted context:
+                // charge the extra attention the plain suffix cost omits
+                // (zero when nothing was adopted), exactly as the chunked
+                // path spans its chunk over the processed prefix.
+                let mut context_surcharge_s = 0.0f64;
+                if !adopted.is_empty() {
+                    let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
+                    let link = self.registry.link_between(&instances);
+                    for &(suffix, reused) in &adopted {
+                        context_surcharge_s += self
+                            .cost_model
+                            .cached_context_attention_s(suffix, reused, parallel);
+                    }
+                    // Saved-prefill accounting: what prefilling the adopted
+                    // tokens would have cost on this group, batched per
+                    // request (attention is quadratic, so lumping them would
+                    // overstate the saving).
+                    let adopted_lens: Vec<u64> =
+                        adopted.iter().map(|&(_, tokens)| tokens).collect();
+                    live.out.cache.saved_prefill_s += self
+                        .cost_model
+                        .prefill_cost(&adopted_lens, parallel, link)
+                        .total();
+                }
+                let group = EspGroup::new(live.group_ids.next(), instances.clone());
+                let Ok(plan) = PrefillPlan::build(group, prefill_reqs, retain_on, &live.pool)
+                else {
+                    return;
+                };
+                let Ok(outcome) =
+                    execute_prefill(&plan, &self.cost_model, &self.registry, &mut live.pool)
+                else {
+                    return;
+                };
+                live.out.iterations += 1;
+                live.out.prefilled_tokens += outcome.retained_tokens;
+                let done = now + SimDuration::from_secs(outcome.cost.total() + context_surcharge_s);
+                live.claim(&instances, done);
+                for &id in &requests {
+                    if live.table.contains(id) {
+                        set_phase(&mut live.table, id, Phase::Prefilling, now, sink);
+                        let s = live.table.get_mut(id).expect("known request");
+                        s.prefill_start.get_or_insert(now);
                     }
                 }
+                live.work.push(
+                    done,
+                    Work::Prefill {
+                        instances,
+                        requests,
+                    },
+                );
             }
-            Work::Decode {
+            Action::Decode {
                 instances,
+                masters,
                 requests,
             } => {
-                for inst in instances {
-                    instances_state.complete(inst);
+                if !live.claimable(&instances) {
+                    return;
                 }
-                for id in requests {
-                    Self::advance_decode(table, id, now, pool, decode_stats, cache_stats, sink);
+                let decode_batch = live.decode_batch(&requests);
+                if decode_batch.is_empty() {
+                    return;
                 }
+                // Each batched request appends one token on a master, so
+                // headroom must exist on the master set specifically —
+                // summing free slots over the whole group could see room on
+                // non-master instances, skip eviction, and leave a
+                // cache-crowded master stalling its decodes (the pressure
+                // rescue path defers to this eviction for prefix-crowded
+                // instances).
+                let evict_on = if masters.is_empty() {
+                    &instances
+                } else {
+                    &masters
+                };
+                live.evict_for(evict_on, decode_batch.len() as u64, now, sink);
+                let group =
+                    EspGroup::with_masters(live.group_ids.next(), instances.clone(), masters);
+                let Ok(plan) = DecodePlan::build(group, &decode_batch, &live.pool) else {
+                    return;
+                };
+                let Ok(outcome) =
+                    execute_decode(&plan, &self.cost_model, &self.registry, &mut live.pool)
+                else {
+                    return;
+                };
+                live.out.iterations += 1;
+                let done = now + SimDuration::from_secs(outcome.cost.total());
+                live.claim(&instances, done);
+                let batch_ids: Vec<RequestId> = decode_batch.iter().map(|&(id, _)| id).collect();
+                for &id in &batch_ids {
+                    live.start_decoding(id, now, sink);
+                }
+                live.work.push(
+                    done,
+                    Work::Decode {
+                        instances,
+                        requests: batch_ids,
+                    },
+                );
             }
-            Work::ChunkedPrefill {
+            Action::ChunkedPrefill {
                 instances,
                 prefill_request,
-                prefilled_after,
+                chunk_tokens,
                 decode_requests,
             } => {
-                for inst in instances {
-                    instances_state.complete(inst);
+                if !live.claimable(&instances) {
+                    return;
                 }
-                let s = table.get_mut(prefill_request).expect("known request");
-                // Advance the prompt; if it is done, the first token is out
-                // (or, after a recompute eviction, the checkpoint is
-                // rebuilt and decoding resumes there).
-                let effective_input = s.effective_input();
-                let prefilled = prefilled_after.min(effective_input);
-                if prefilled >= effective_input {
-                    s.first_token.get_or_insert(now);
-                    let generated = s.resume_generated.max(1);
-                    if s.request.output_len <= generated {
-                        Self::finish_request(
-                            table,
-                            prefill_request,
-                            now,
-                            pool,
-                            decode_stats,
-                            cache_stats,
-                            sink,
-                        );
-                    } else {
-                        set_phase(
-                            table,
-                            prefill_request,
-                            Phase::DecodeReady { generated },
-                            now,
-                            sink,
-                        );
-                    }
-                } else {
-                    set_phase(
-                        table,
+                let Some(&Phase::Pending { prefilled }) = live.phase(prefill_request) else {
+                    return;
+                };
+                // First chunk of an untouched request: the same atomic match
+                // → reuse as the full-prefill path.
+                if let Some((_, tokens)) = live.adopt_prefix(prefill_request, now, sink) {
+                    let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
+                    let link = self.registry.link_between(&instances);
+                    live.out.cache.saved_prefill_s += self
+                        .cost_model
+                        .prefill_cost(&[tokens], parallel, link)
+                        .total();
+                }
+                let state = live.table.get(prefill_request).expect("known request");
+                let reused = state.reused;
+                let chunk = chunk_tokens.min(state.effective_input() - prefilled);
+                if chunk == 0 {
+                    return;
+                }
+                let needed = chunk + decode_requests.len() as u64;
+                live.evict_for(&instances, needed, now, sink);
+                // Reserve KV for the chunk on the executing instances.
+                let Some(placement) = live.pool.plan(
+                    prefill_request,
+                    chunk,
+                    &instances,
+                    PlacementStrategy::PackMostFree,
+                ) else {
+                    return;
+                };
+                if live.pool.commit(&placement).is_err() {
+                    return;
+                }
+                let decode_batch = live.decode_batch(&decode_requests);
+                let decode_lens: Vec<u64> = decode_batch.iter().map(|&(_, len)| len).collect();
+                // Append the decode tokens on the first instance.
+                let master = instances[0];
+                let decode_ok: Vec<RequestId> = decode_batch
+                    .iter()
+                    .map(|&(id, _)| id)
+                    .filter(|&id| live.pool.append(id, master, 1).is_ok())
+                    .collect();
+                let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
+                let link = self.registry.link_between(&instances);
+                // Adopted tokens are real context: the chunk's attention
+                // still spans them, it just skips their KV computation (zero
+                // extra term when reused = 0).
+                let cost = self.cost_model.chunked_prefill_cost(
+                    chunk,
+                    prefilled + reused,
+                    &decode_lens,
+                    parallel,
+                    link,
+                );
+                live.out.iterations += 1;
+                live.out.prefilled_tokens += chunk;
+                let done = now + SimDuration::from_secs(cost.total());
+                live.claim(&instances, done);
+                let s = live.table.get_mut(prefill_request).expect("known request");
+                s.prefill_start.get_or_insert(now);
+                set_phase(
+                    &mut live.table,
+                    prefill_request,
+                    Phase::Prefilling,
+                    now,
+                    sink,
+                );
+                for &id in &decode_ok {
+                    live.start_decoding(id, now, sink);
+                }
+                live.work.push(
+                    done,
+                    Work::ChunkedPrefill {
+                        instances,
                         prefill_request,
-                        Phase::Pending { prefilled },
-                        now,
-                        sink,
-                    );
-                }
-                for id in decode_requests {
-                    Self::advance_decode(table, id, now, pool, decode_stats, cache_stats, sink);
-                }
+                        prefilled_after: prefilled + chunk,
+                        decode_requests: decode_ok,
+                    },
+                );
             }
-            Work::Migration { request } => {
-                if let Some(Phase::Migrating { generated }) = table.get(request).map(|s| &s.phase) {
-                    let generated = *generated;
-                    set_phase(table, request, Phase::DecodeReady { generated }, now, sink);
-                }
+            Action::Migrate { request, targets } => {
+                let Some(&Phase::DecodeReady { generated }) = live.phase(request) else {
+                    return;
+                };
+                let tokens = live.pool.tokens_of(request);
+                live.evict_for(&targets, tokens, now, sink);
+                let Ok(summary) = migrate_request(
+                    request,
+                    &targets,
+                    &mut live.pool,
+                    &self.cost_model,
+                    &self.registry,
+                ) else {
+                    return;
+                };
+                live.out.migration_bytes += summary.total_bytes;
+                set_phase(
+                    &mut live.table,
+                    request,
+                    Phase::Migrating { generated },
+                    now,
+                    sink,
+                );
+                live.table
+                    .get_mut(request)
+                    .expect("known request")
+                    .preemptions += 1;
+                let done = now + SimDuration::from_secs(summary.time_s.max(1e-6));
+                live.work.push(done, Work::Migration { request });
             }
-            // The phase was reset at action time; the event only forced a
-            // scheduling point.
-            Work::Preempt => {}
-            Work::SwapOut { request } => {
-                if let Some(Phase::SwappingOut { generated }) = table.get(request).map(|s| &s.phase)
-                {
-                    let generated = *generated;
-                    set_phase(table, request, Phase::Swapped { generated }, now, sink);
-                }
+            Action::Preempt { request } => {
+                let Some(&Phase::DecodeReady { generated }) = live.phase(request) else {
+                    return;
+                };
+                // Discard the KV and send the request back to the pending
+                // queue; it keeps its admission rank, so it re-prefills in
+                // FCFS position once pressure clears. The checkpoint makes
+                // the next prefill recompute prompt + generated KV and
+                // decoding resume in place, so each output token is
+                // generated exactly once (vLLM's recompute semantics).
+                live.pool.release(request);
+                sink.on_preempted(now, request);
+                set_phase(
+                    &mut live.table,
+                    request,
+                    Phase::Pending { prefilled: 0 },
+                    now,
+                    sink,
+                );
+                let state = live.table.get_mut(request).expect("known request");
+                state.resume_generated = generated;
+                // Any adopted prefix KV was just discarded with the rest;
+                // the recompute prefill covers it again.
+                state.reused = 0;
+                state.preemptions += 1;
+                live.out.pressure.preemptions += 1;
+                // Freeing memory schedules no work of its own; the epsilon
+                // event guarantees a next scheduling point that sees the
+                // freed slots.
+                live.work
+                    .push(now + SimDuration::from_secs(1e-6), Work::Preempt);
             }
-            Work::SwapIn { request } => {
-                if let Some(Phase::SwappingIn { generated }) = table.get(request).map(|s| &s.phase)
-                {
-                    let generated = *generated;
-                    set_phase(table, request, Phase::DecodeReady { generated }, now, sink);
-                }
+            Action::SwapOut { request } => {
+                let Some(&Phase::DecodeReady { generated }) = live.phase(request) else {
+                    return;
+                };
+                let Some(host) = &self.config.host_swap else {
+                    return;
+                };
+                let Ok(tokens) = live.pool.swap_out(request) else {
+                    return;
+                };
+                // Device slots free immediately (the DMA drains
+                // asynchronously); the request itself stalls for the D2H
+                // transfer before it is parked.
+                let bytes = tokens as f64 * self.config.model.kv_bytes_per_token();
+                let transfer_s = host.link.transfer_time(bytes).max(1e-6);
+                set_phase(
+                    &mut live.table,
+                    request,
+                    Phase::SwappingOut { generated },
+                    now,
+                    sink,
+                );
+                let pressure = &mut live.out.pressure;
+                pressure.swap_out_events += 1;
+                pressure.swap_out_bytes += bytes;
+                pressure.swap_stall_s += transfer_s;
+                pressure.max_outstanding_swapped_tokens = pressure
+                    .max_outstanding_swapped_tokens
+                    .max(live.pool.total_swapped());
+                let done = now + SimDuration::from_secs(transfer_s);
+                live.work.push(done, Work::SwapOut { request });
             }
-        }
-    }
-
-    /// One decode iteration completed for `id`: emit a token, finishing the
-    /// request if that was the last one.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_decode(
-        table: &mut RequestTable<RequestState>,
-        id: RequestId,
-        now: SimTime,
-        pool: &mut UnifiedKvPool,
-        decode_stats: &mut DecodeLatencyStats,
-        cache_stats: &mut CacheStats,
-        sink: &mut dyn TraceSink,
-    ) {
-        let s = table.get(id).expect("known request");
-        if let Phase::Decoding { generated } = s.phase {
-            let generated = generated + 1;
-            if generated >= s.request.output_len {
-                Self::finish_request(table, id, now, pool, decode_stats, cache_stats, sink);
-            } else {
-                set_phase(table, id, Phase::DecodeReady { generated }, now, sink);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_request(
-        table: &mut RequestTable<RequestState>,
-        id: RequestId,
-        now: SimTime,
-        pool: &mut UnifiedKvPool,
-        decode_stats: &mut DecodeLatencyStats,
-        cache_stats: &mut CacheStats,
-        sink: &mut dyn TraceSink,
-    ) {
-        let state = table.get_mut(id).expect("known request");
-        state.finish = Some(now);
-        let first_token = state.first_token;
-        let conversation = state.request.conversation;
-        set_phase(table, id, Phase::Finished, now, sink);
-        if let Some(ft) = first_token {
-            decode_stats.record(now.saturating_since(ft).as_secs());
-        }
-        // With the prefix cache enabled, a conversation turn's full context
-        // (prompt + generated KV) is retained in place — it is exactly the
-        // shared history the next turn's prompt extends. Everything else
-        // releases as before.
-        match conversation {
-            Some(conversation) if pool.prefix_enabled() => {
-                let retained = pool.prefix_retain(id, conversation, now);
-                if retained > 0 {
-                    let total = pool.prefix().expect("enabled").retained_tokens();
-                    cache_stats.retained_tokens_high_water =
-                        cache_stats.retained_tokens_high_water.max(total);
-                }
-            }
-            _ => {
-                pool.release(id);
+            Action::SwapIn { request, targets } => {
+                let Some(&Phase::Swapped { generated }) = live.phase(request) else {
+                    return;
+                };
+                let Some(host) = &self.config.host_swap else {
+                    return;
+                };
+                let tokens = live.pool.swapped_tokens_of(request);
+                live.evict_for(&targets, tokens, now, sink);
+                let Ok(tokens) =
+                    live.pool
+                        .swap_in(request, &targets, PlacementStrategy::PackMostFree)
+                else {
+                    return;
+                };
+                // Device slots are reserved now (no oversubscription while
+                // the H2D transfer is in flight); the request resumes
+                // decoding when it completes.
+                let bytes = tokens as f64 * self.config.model.kv_bytes_per_token();
+                let transfer_s = host.link.transfer_time(bytes).max(1e-6);
+                set_phase(
+                    &mut live.table,
+                    request,
+                    Phase::SwappingIn { generated },
+                    now,
+                    sink,
+                );
+                live.out.pressure.swap_in_events += 1;
+                live.out.pressure.swap_in_bytes += bytes;
+                live.out.pressure.swap_stall_s += transfer_s;
+                let done = now + SimDuration::from_secs(transfer_s);
+                live.work.push(done, Work::SwapIn { request });
             }
         }
     }
@@ -1569,15 +1611,8 @@ mod audit {
             self.arrived.push(id);
         }
 
-        pub(super) fn check(
-            &self,
-            table: &RequestTable<RequestState>,
-            pool: &UnifiedKvPool,
-            registry: &InstanceRegistry,
-            instances_state: &InstanceTracker,
-            now: SimTime,
-            scratch: &ViewScratch,
-        ) {
+        pub(super) fn check(&self, live: &Live, registry: &InstanceRegistry, now: SimTime) {
+            let (table, pool, scratch) = (&live.table, &live.pool, &live.scratch);
             table
                 .check_invariants()
                 .expect("request-table phase indices consistent");
@@ -1675,7 +1710,7 @@ mod audit {
                 .all_ids()
                 .into_iter()
                 .filter(|&i| {
-                    instances_state
+                    live.instances
                         .busy_until(i)
                         .map(|t| t <= now)
                         .unwrap_or(true)
@@ -1779,6 +1814,24 @@ mod tests {
         );
         assert!(outcome.scheduler_calls > 0);
         assert!(outcome.sim_time > SimTime::ZERO);
+    }
+
+    #[test]
+    fn capped_runs_report_no_instant_past_the_cap() {
+        // `sim_time` is the last instant processed, never the instant of
+        // the first batch past the cap: nothing runs there.
+        let trace = small_trace(8.0, 40, 41);
+        for cap_s in [0.5, 1.0, 2.5] {
+            let mut engine = engine_for(SystemKind::LoongServe);
+            engine.config.max_sim_time = Some(SimDuration::from_secs(cap_s));
+            let outcome = engine.run(&trace);
+            assert!(outcome.unfinished > 0, "the {cap_s} s cap must bite");
+            assert!(
+                outcome.sim_time <= SimTime::from_secs(cap_s),
+                "a {cap_s} s cap reported sim_time {:?}",
+                outcome.sim_time
+            );
+        }
     }
 
     #[test]

@@ -27,22 +27,28 @@
 //!    [`FleetLoadTracker`] (O(1) per assignment, O(replicas) per decision).
 //!    If none qualifies, the request waits for the replica that becomes
 //!    routable earliest (ties to the lowest id) and arrives there then.
-//! 2. **Boundaries.** At a crash instant each crashing replica runs its
-//!    routed bucket capped at the crash, and what it had not resolved
-//!    becomes casualties ([`crate::reliability`]). At a control instant
-//!    the fleet observes the closed window and may scale up or drain
-//!    ([`crate::elastic`]). At a shared instant crashes resolve first.
-//! 3. **Finish.** Every replica runs its remaining bucket to completion on
-//!    a fresh [`ServingEngine`](crate::engine::ServingEngine), built
-//!    exactly as the single-engine path builds it. Replicas share nothing,
-//!    so segments run on a bounded worker pool when the fleet is
-//!    `parallel`, merged in replica-id order. Per-replica segments merge
-//!    into a [`FleetOutcome`]: records and rejections in request-id order,
+//!    Routed requests wait in their replica's bucket.
+//! 2. **Boundaries.** Each replica keeps one live [`ServingEngine`] per
+//!    lifetime, built exactly as the single-engine path builds it. At a
+//!    boundary `b` every replica admits its bucket and advances its engine
+//!    through the events strictly before `b` — replicas share nothing, so
+//!    on a bounded worker pool when the fleet is `parallel`. Then, at a
+//!    crash instant, each crashing replica's engine processes `b` itself
+//!    and gives up what it had not resolved as casualties
+//!    ([`crate::reliability`]); at a control instant the fleet reads the
+//!    closed window off the live engines and may scale up or drain
+//!    ([`crate::elastic`]). At a shared instant crashes resolve first. A
+//!    crash or a retirement ends a lifetime; the replica's next admission
+//!    starts a fresh engine.
+//! 3. **Finish.** Every replica admits its last bucket and runs its engine
+//!    to the end. Each replica's lifetimes accumulate into its
+//!    [`RunOutcome`], and the replicas, in replica-id order, into a
+//!    [`FleetOutcome`]: records and rejections in request-id order,
 //!    counters summed, simulated time maximised.
 //!
 //! A plain fleet is [`FleetPlan::fixed`]: no crash instant and no control
-//! instant, so the run is one era — route everything, run every replica
-//! once, merge — and a 1-replica fleet under the passthrough router is the
+//! instant, so the run is one era — route everything, run every replica's
+//! engine once, merge — and a 1-replica fleet under the passthrough router is the
 //! bare engine bit for bit. Armed-but-idle plans, such as
 //! [`FleetPlan::armed_idle`], reproduce it exactly (`tests/fleet_equivalence.rs`
 //! pins the plain fleet; the tier suites pin their armed-idle plans to the
@@ -53,14 +59,13 @@
 //! Every request ends in exactly one of five ledgers: completed
 //! (`fleet.records`), rejected by a replica's engine (`fleet.rejected`),
 //! shed at the frontend, terminally failed after a crash, or unfinished
-//! when a final segment ended (only possible under an engine-level
-//! `max_sim_time`). The frontend holds only routed-not-yet-executed
-//! requests and retries awaiting their backoff, which [`FleetFootprint`]
-//! measures. Every policy is deterministic with sorted tie-breaking, so
-//! identically seeded runs are bit-for-bit reproducible.
+//! when an engine ran out of work without resolving it. [`FleetFootprint`]
+//! measures what the fleet holds between boundaries. Every policy is
+//! deterministic with sorted tie-breaking, so identically seeded runs are
+//! bit-for-bit reproducible.
 
 use crate::elastic::{FleetScaleEvent, ShedRequest};
-use crate::engine::RunOutcome;
+use crate::engine::{RunOutcome, ServingEngine};
 use crate::reliability::FailedRequest;
 use crate::systems::{PressureMode, SystemKind, SystemUnderTest};
 use loong_cluster::topology::ClusterSpec;
@@ -79,59 +84,17 @@ use loong_sched::reliability::{
     healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
 };
 use loong_sched::router::{FleetLoadTracker, RouteRequest, Router, RouterPolicy};
+use loong_sched::types::Scheduler;
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::pool::run_indexed;
+use loong_simcore::pool::map_mut;
 use loong_simcore::time::SimTime;
-use loong_trace::{TraceConfig, TraceRecorder};
+use loong_trace::{NoopSink, TraceConfig, TraceRecorder, TraceSink};
 use loong_workload::failure::FailureSchedule;
 use loong_workload::request::{Request, TrafficClass};
 use loong_workload::stream::TraceStream;
 use loong_workload::trace::Trace;
 use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
-
-/// Snapshot of the tracing state a pooled segment closure needs: the
-/// recorder's config plus the ever-retried id set. `None` when the run is
-/// untraced, so the no-recorder path builds no child recorders at all.
-pub(crate) type TraceSeed = Option<(TraceConfig, BTreeSet<u64>)>;
-
-/// Captures the [`TraceSeed`] of an optional parent recorder.
-pub(crate) fn trace_seed(recorder: &Option<&mut TraceRecorder>) -> TraceSeed {
-    recorder
-        .as_ref()
-        .map(|r| (r.config(), r.retried_snapshot()))
-}
-
-/// Runs one replica segment on a fresh engine — traced through a child
-/// recorder when `seed` is armed, plain otherwise. Pure in both modes (the
-/// sink only observes already-made decisions), so segments can run on the
-/// worker pool; the caller absorbs returned children serially in replica
-/// order, which keeps recording deterministic.
-pub(crate) fn run_segment_traced(
-    system: &SystemUnderTest,
-    sub: &Trace,
-    seed: &TraceSeed,
-) -> (RunOutcome, Option<TraceRecorder>) {
-    let mut engine = system.build_engine(Some(sub));
-    match seed {
-        Some((cfg, retried)) => {
-            let mut child = TraceRecorder::segment(*cfg, retried);
-            let outcome = engine.run_traced(sub, &mut child);
-            (outcome, Some(child))
-        }
-        None => (engine.run(sub), None),
-    }
-}
-
-/// Ids a segment resolved: completed or rejected by its engine.
-pub(crate) fn resolved_ids(outcome: &RunOutcome) -> BTreeSet<RequestId> {
-    outcome
-        .records
-        .iter()
-        .map(|r| r.id)
-        .chain(outcome.rejected.iter().map(|r| r.0))
-        .collect()
-}
 
 /// Static configuration of a fleet run.
 #[derive(Debug, Clone)]
@@ -216,11 +179,12 @@ impl FleetConfig {
 pub struct FleetFootprint {
     /// Requests pulled from the stream over the whole run.
     pub streamed_requests: usize,
-    /// Peak requests resident in the frontend at any instant: routed
-    /// bucket entries not yet handed to a replica engine, plus crash
-    /// retries awaiting their backoff. Era boundaries flush buckets, so
-    /// under a boundary-rich schedule this stays far below the stream
-    /// length — the run path's O(active + pending-retries) claim.
+    /// Peak requests the fleet held: routed to a replica since its last
+    /// advance, admitted to a replica engine but unresolved as of its last
+    /// advance, or crash retries awaiting their backoff. Every boundary
+    /// advances every replica, so under a boundary-rich schedule this is
+    /// O(active + one era's routing + pending retries); with no boundary
+    /// every bucket waits for the end and it is the stream length.
     pub peak_resident_requests: usize,
 }
 
@@ -270,35 +234,25 @@ impl FleetOutcome {
     /// Merges per-replica outcomes (in replica-id order): records and
     /// rejections sort by request id, counters sum in replica-id order.
     fn merge(per_replica: Vec<ReplicaOutcome>, assignments: Vec<(RequestId, ReplicaId)>) -> Self {
-        let mut fleet = FleetOutcome {
-            per_replica: Vec::new(),
-            assignments,
-            records: Vec::new(),
-            rejected: Vec::new(),
-            unfinished: 0,
-            sim_time: SimTime::ZERO,
-            iterations: 0,
-            migration_bytes: 0.0,
-            scheduler_calls: 0,
-            pressure: PressureStats::default(),
-            cache: CacheStats::default(),
-        };
+        let mut total = RunOutcome::default();
         for r in &per_replica {
-            let outcome = &r.outcome;
-            fleet.records.extend(outcome.records.iter().copied());
-            fleet.rejected.extend(outcome.rejected.iter().cloned());
-            fleet.unfinished += outcome.unfinished;
-            fleet.sim_time = fleet.sim_time.max(outcome.sim_time);
-            fleet.iterations += outcome.iterations;
-            fleet.migration_bytes += outcome.migration_bytes;
-            fleet.scheduler_calls += outcome.scheduler_calls;
-            fleet.pressure.merge(&outcome.pressure);
-            fleet.cache.merge(&outcome.cache);
+            total.absorb(&r.outcome);
         }
-        fleet.records.sort_by_key(|r| r.id);
-        fleet.rejected.sort_by_key(|r| r.0);
-        fleet.per_replica = per_replica;
-        fleet
+        total.records.sort_by_key(|r| r.id);
+        total.rejected.sort_by_key(|r| r.0);
+        FleetOutcome {
+            per_replica,
+            assignments,
+            records: total.records,
+            rejected: total.rejected,
+            unfinished: total.unfinished,
+            sim_time: total.sim_time,
+            iterations: total.iterations,
+            migration_bytes: total.migration_bytes,
+            scheduler_calls: total.scheduler_calls,
+            pressure: total.pressure,
+            cache: total.cache,
+        }
     }
 
     /// Number of replicas that took part in the run.
@@ -515,8 +469,8 @@ impl FleetPlan {
 pub struct FleetRun {
     /// The fleet outcome over the attempts that resolved inside a replica:
     /// completed records, engine rejections, per-replica breakdowns.
-    /// Per-replica `unfinished` counts cover final (uncapped) segments
-    /// only — crash casualties live in the reliability ledger.
+    /// Crash casualties are not `unfinished`: they live in the
+    /// reliability ledger.
     pub fleet: FleetOutcome,
     /// Crash casualties that exhausted their retry budget, sorted by id.
     pub failed: Vec<FailedRequest>,
@@ -625,7 +579,7 @@ impl FleetEngine {
     pub fn route(&mut self, trace: &Trace) -> Vec<usize> {
         let plan = FleetPlan::fixed(self.config.replicas);
         self.router = self.config.policy.build();
-        let mut st = RunState::new(&self.config, self.router.as_mut(), &plan, "", None);
+        let mut st = RunState::new(&self.config, self.router.as_mut(), &plan, None);
         trace
             .requests
             .iter()
@@ -648,10 +602,9 @@ impl FleetEngine {
         recorder: Option<&mut TraceRecorder>,
     ) -> Result<FleetRun, String> {
         plan.validate(self.config.replicas)?;
-        let label = stream.label().to_string();
         let mut source = stream.peekable();
         self.router = self.config.policy.build();
-        let mut st = RunState::new(&self.config, self.router.as_mut(), plan, &label, recorder);
+        let mut st = RunState::new(&self.config, self.router.as_mut(), plan, recorder);
 
         // Crash instants from the schedule; control instants every
         // `control_interval_s` while arrivals (or pending retries) remain,
@@ -680,7 +633,7 @@ impl FleetEngine {
         }
         st.route_until(&mut source, None);
         // The drained stream may still own a materialised trace's buffer;
-        // free it before the final segments run.
+        // free it before the engines run to the end.
         drop(source);
         Ok(st.finish())
     }
@@ -756,10 +709,9 @@ impl Life {
 /// [`crate::elastic`].
 pub(crate) struct RunState<'a> {
     pub(crate) plan: &'a FleetPlan,
-    pub(crate) label: &'a str,
     pub(crate) n: usize,
-    /// One replica's system, uncapped; boundaries cap clones of it.
-    pub(crate) system: SystemUnderTest,
+    /// One replica's system: every lifetime's engine is built from it.
+    system: SystemUnderTest,
     pub(crate) parallel: bool,
     pub(crate) router: &'a mut dyn Router,
     pub(crate) rec: Option<&'a mut TraceRecorder>,
@@ -768,11 +720,8 @@ pub(crate) struct RunState<'a> {
     pub(crate) breaker: Option<CircuitBreaker>,
     pub(crate) admission: Option<AdmissionController>,
     pub(crate) autoscaler: Autoscaler,
-    /// Requests routed to each replica and not yet handed to an engine,
-    /// with their effective arrival instants.
-    pub(crate) buckets: Vec<Vec<Request>>,
-    /// Each replica's executed segments, in execution order.
-    pub(crate) segments: Vec<Vec<RunOutcome>>,
+    /// Each replica's execution state, by replica id.
+    pub(crate) slots: Vec<Slot>,
     /// Every routing decision in decision order; retried requests appear
     /// once per attempt.
     assignments: Vec<(RequestId, ReplicaId)>,
@@ -790,8 +739,9 @@ pub(crate) struct RunState<'a> {
     pub(crate) stats: ReliabilityStats,
     pub(crate) elastic: ElasticityStats,
     pub(crate) scale_events: Vec<FleetScaleEvent>,
-    /// Requests currently resident in the frontend: bucket entries not yet
-    /// handed to an engine, plus retries awaiting their backoff.
+    /// Requests currently held for the fleet: routed since their replica's
+    /// last advance, admitted but unresolved as of it, or retries awaiting
+    /// their backoff.
     resident: usize,
     footprint: FleetFootprint,
     /// Fleet-wide unresolved backlog measured at the last control
@@ -811,14 +761,12 @@ impl<'a> RunState<'a> {
         config: &FleetConfig,
         router: &'a mut dyn Router,
         plan: &'a FleetPlan,
-        label: &'a str,
         rec: Option<&'a mut TraceRecorder>,
     ) -> Self {
         let n = config.replicas;
         let initial = plan.initial_replicas;
         RunState {
             plan,
-            label,
             n,
             system: config.replica_system(),
             parallel: config.parallel,
@@ -839,8 +787,7 @@ impl<'a> RunState<'a> {
             breaker: plan.breaker.map(|cfg| CircuitBreaker::new(cfg, n)),
             admission: plan.admission.map(AdmissionController::new),
             autoscaler: Autoscaler::new(plan.autoscaler),
-            buckets: vec![Vec::new(); n],
-            segments: vec![Vec::new(); n],
+            slots: (0..n).map(|_| Slot::default()).collect(),
             assignments: Vec::new(),
             route_instants: Vec::new(),
             assigned: vec![0; n],
@@ -874,36 +821,31 @@ impl<'a> RunState<'a> {
         *peak = (*peak).max(self.resident);
     }
 
-    /// Hands replica `r`'s bucket over for execution.
-    pub(crate) fn take_bucket(&mut self, r: usize) -> Vec<Request> {
-        let bucket = std::mem::take(&mut self.buckets[r]);
-        self.resident -= bucket.len();
-        bucket
+    /// Advances every replica through the instants strictly before `b`,
+    /// admitting what was routed to it since its last advance — on the
+    /// worker pool when the fleet is parallel.
+    pub(crate) fn advance_all(&mut self, b: SimTime) {
+        let before: usize = self.slots.iter().map(Slot::held).sum();
+        let (system, retried) = (&self.system, &self.retries_used);
+        let trace = self.rec.as_ref().map(|rec| rec.config());
+        map_slots(&mut self.slots, self.parallel, |slot| {
+            slot.advance(system, trace, retried, Some(b))
+        });
+        let after: usize = self.slots.iter().map(Slot::held).sum();
+        self.resident -= before - after;
     }
 
-    /// Runs `subs` on fresh engines of `system`, on the worker pool when
-    /// the fleet is parallel, returning outcomes in input order — with
-    /// child recordings when `traced` and a recorder is attached.
-    pub(crate) fn run_segments(
-        &self,
-        system: &SystemUnderTest,
-        subs: &[Trace],
-        traced: bool,
-    ) -> Vec<(RunOutcome, Option<TraceRecorder>)> {
-        let seed = if traced { trace_seed(&self.rec) } else { None };
-        let run = |sub: &Trace| run_segment_traced(system, sub, &seed);
-        if self.parallel {
-            run_indexed(subs.len(), |i| run(&subs[i]))
-        } else {
-            subs.iter().map(run).collect()
-        }
-    }
-
-    /// Absorbs a segment's child recording into the run's recorder.
-    pub(crate) fn absorb(&mut self, replica: ReplicaId, child: Option<TraceRecorder>) {
+    /// Ends replica `r`'s engine lifetime: its recording joins the run's,
+    /// its outcome the replica's ledger, and whatever it still held leaves
+    /// the residency count.
+    pub(crate) fn close_lifetime(&mut self, r: usize, (outcome, child): LifetimeEnd) {
         if let (Some(rec), Some(child)) = (self.rec.as_deref_mut(), child) {
-            rec.merge_child(replica, child);
+            rec.merge_child(ReplicaId::from(r), child);
         }
+        let slot = &mut self.slots[r];
+        slot.ended.absorb(&outcome);
+        self.resident -= slot.unresolved;
+        slot.unresolved = 0;
     }
 
     /// Routes every arrival strictly before `end` (all of them when `end`
@@ -955,7 +897,7 @@ impl<'a> RunState<'a> {
         self.assignments.push((placed.id, replica));
         self.route_instants.push(start);
         self.assigned[replica.index()] += 1;
-        self.buckets[replica.index()].push(placed);
+        self.slots[replica.index()].bucket.push(placed);
         self.grow_resident();
     }
 
@@ -1001,28 +943,26 @@ impl<'a> RunState<'a> {
         (replica, start)
     }
 
-    /// Runs every replica's remaining bucket to completion (retired and
-    /// cold replicas run empty buckets), merges, and closes the ledgers.
+    /// Runs every replica's engine to the end and closes its lifetime — on
+    /// the worker pool when the fleet is parallel, each engine dropped in
+    /// its own job — then merges and closes the ledgers.
     fn finish(mut self) -> FleetRun {
-        let n = self.n;
-        let finals: Vec<Trace> = (0..n)
-            .map(|r| {
-                let bucket = self.take_bucket(r);
-                Trace::from_requests(format!("{} · replica {r}/{n}", self.label), bucket)
-            })
-            .collect();
-        let results = self.run_segments(&self.system, &finals, true);
-        for (r, (outcome, child)) in results.into_iter().enumerate() {
-            self.absorb(ReplicaId::from(r), child);
-            self.segments[r].push(outcome);
+        let (system, retried) = (&self.system, &self.retries_used);
+        let trace = self.rec.as_ref().map(|rec| rec.config());
+        let ends = map_slots(&mut self.slots, self.parallel, |slot| {
+            slot.advance(system, trace, retried, None);
+            slot.engine.take().map(LiveEngine::end)
+        });
+        for (r, end) in ends.into_iter().enumerate() {
+            if let Some(end) = end {
+                self.close_lifetime(r, end);
+            }
         }
-        let per_replica: Vec<ReplicaOutcome> = std::mem::take(&mut self.segments)
-            .into_iter()
-            .enumerate()
-            .map(|(r, segs)| ReplicaOutcome {
+        let per_replica: Vec<ReplicaOutcome> = (0..self.n)
+            .map(|r| ReplicaOutcome {
                 replica: ReplicaId::from(r),
                 assigned: self.assigned[r],
-                outcome: merge_segments(segs),
+                outcome: std::mem::take(&mut self.slots[r].ended),
             })
             .collect();
         let fleet = FleetOutcome::merge(per_replica, self.assignments);
@@ -1067,35 +1007,108 @@ impl<'a> RunState<'a> {
     }
 }
 
-/// Merges one replica's segment outcomes (in segment order; the last one
-/// is the final, uncapped segment). Counters sum, sim time maximises, and
-/// `unfinished` comes from the final segment alone — a capped segment's
-/// unfinished requests are crash casualties, owned by the retry ledger.
-fn merge_segments(segments: Vec<RunOutcome>) -> RunOutcome {
-    let last = segments.len() - 1;
-    let mut merged: Option<RunOutcome> = None;
-    for (i, mut seg) in segments.into_iter().enumerate() {
-        if i != last {
-            seg.unfinished = 0;
-        }
-        match &mut merged {
-            None => merged = Some(seg),
-            Some(acc) => {
-                acc.records.extend(seg.records);
-                acc.rejected.extend(seg.rejected);
-                acc.unfinished = seg.unfinished;
-                acc.scaling_events.extend(seg.scaling_events);
-                acc.sim_time = acc.sim_time.max(seg.sim_time);
-                acc.iterations += seg.iterations;
-                acc.migration_bytes += seg.migration_bytes;
-                acc.scheduler_calls += seg.scheduler_calls;
-                acc.pressure.merge(&seg.pressure);
-                acc.cache.merge(&seg.cache);
-                acc.prefilled_tokens += seg.prefilled_tokens;
+/// A lifetime's outcome and its recording, when the run is traced.
+pub(crate) type LifetimeEnd = (RunOutcome, Option<TraceRecorder>);
+
+/// One replica's execution state in a fleet run.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// Requests routed here since the last advance, with their effective
+    /// arrival instants.
+    bucket: Vec<Request>,
+    /// The engine of the current lifetime: from the first admission after a
+    /// (re)start until a crash, a retirement or the end of the run.
+    pub(crate) engine: Option<LiveEngine>,
+    /// Requests the engine had admitted but not resolved as of its last
+    /// advance.
+    unresolved: usize,
+    /// What the replica's ended lifetimes resolved.
+    ended: RunOutcome,
+}
+
+impl Slot {
+    /// Requests this replica holds for the fleet.
+    fn held(&self) -> usize {
+        self.bucket.len() + self.unresolved
+    }
+
+    /// Admits the bucket — starting a lifetime when none is live — and
+    /// advances the engine through the instants strictly before `end`, or
+    /// to the end of its work when `end` is `None`.
+    fn advance(
+        &mut self,
+        system: &SystemUnderTest,
+        trace: Option<TraceConfig>,
+        retried: &BTreeMap<RequestId, u32>,
+        end: Option<SimTime>,
+    ) {
+        let mut requests = std::mem::take(&mut self.bucket);
+        if self.engine.is_none() {
+            if requests.is_empty() {
+                return;
             }
+            // A lifetime's first bucket sizes the schedulers that tune
+            // themselves to their workload (the SplitFuse chunk).
+            let first = Trace::from_requests("", requests);
+            self.engine = Some(LiveEngine {
+                engine: system.build_send_engine(Some(&first)),
+                rec: trace.map(TraceRecorder::new),
+            });
+            requests = first.requests;
+        }
+        let live = self.engine.as_mut().expect("a lifetime is live");
+        for req in requests {
+            if let Some(rec) = live.rec.as_mut().filter(|_| retried.contains_key(&req.id)) {
+                rec.note_retried(req.id);
+            }
+            live.engine.admit(req);
+        }
+        live.drive(|engine, sink| match end {
+            Some(b) => engine.advance_until(b, sink),
+            None => engine.advance_to_end(sink),
+        });
+        self.unresolved = live.engine.signals().unresolved;
+    }
+}
+
+/// A replica's live engine, with its lifetime's own recording: lifetimes
+/// run on the worker pool, so each records apart and the run absorbs the
+/// recording, in replica order, when the lifetime ends.
+pub(crate) struct LiveEngine {
+    pub(crate) engine: ServingEngine<dyn Scheduler + Send>,
+    rec: Option<TraceRecorder>,
+}
+
+impl LiveEngine {
+    /// Runs `op` on the engine with the lifetime's sink.
+    pub(crate) fn drive(
+        &mut self,
+        op: impl FnOnce(&mut ServingEngine<dyn Scheduler + Send>, &mut dyn TraceSink),
+    ) {
+        match &mut self.rec {
+            Some(rec) => op(&mut self.engine, rec),
+            None => op(&mut self.engine, &mut NoopSink),
         }
     }
-    merged.expect("every replica runs at least its final segment")
+
+    /// Closes the lifetime.
+    pub(crate) fn end(mut self) -> LifetimeEnd {
+        (self.engine.finish(), self.rec)
+    }
+}
+
+/// Runs `job` on every slot, on the worker pool when `parallel`, returning
+/// the results in replica order.
+fn map_slots<R: Send>(
+    slots: &mut [Slot],
+    parallel: bool,
+    job: impl Fn(&mut Slot) -> R + Sync,
+) -> Vec<R> {
+    if parallel {
+        map_mut(slots, job)
+    } else {
+        slots.iter_mut().map(job).collect()
+    }
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub mod systems;
 pub use elastic::{
     class_slo, ElasticConfig, ElasticFleetOutcome, FleetScaleEvent, FleetScaleKind, ShedRequest,
 };
-pub use engine::{EngineConfig, HostSwapConfig, RunOutcome, ServingEngine};
+pub use engine::{EngineConfig, EngineSignals, HostSwapConfig, RunOutcome, ServingEngine};
 pub use experiment::{compare_systems, sweep_system, SweepConfig, SweepResult, WorkloadSpec};
 pub use fleet::{
     FleetConfig, FleetEngine, FleetFootprint, FleetOutcome, FleetPlan, FleetRun, ReplicaOutcome,
@@ -77,7 +77,9 @@ pub mod prelude {
     pub use crate::elastic::{
         class_slo, ElasticConfig, ElasticFleetOutcome, FleetScaleEvent, FleetScaleKind, ShedRequest,
     };
-    pub use crate::engine::{EngineConfig, HostSwapConfig, RunOutcome, ServingEngine};
+    pub use crate::engine::{
+        EngineConfig, EngineSignals, HostSwapConfig, RunOutcome, ServingEngine,
+    };
     pub use crate::experiment::{
         compare_systems, sweep_system, SweepConfig, SweepResult, WorkloadSpec,
     };

@@ -10,15 +10,15 @@
 //! whether they get another attempt and the [`CircuitBreaker`] decides
 //! whether the replica does.
 //!
-//! The fleet routes up front and runs replicas independently; a crash is
-//! the one event that couples them again, because its casualties must
-//! re-enter routing. Crash instants are therefore era boundaries of
-//! [`FleetEngine::run`](crate::fleet::FleetEngine::run). At a crash
-//! instant `b`, each replica crashing at `b` runs the bucket it
-//! accumulated, capped at `b` (work completing by `b` counts — the crash
-//! interrupts the machine, not the ledger). Whatever is neither completed
-//! nor rejected by `b` is a casualty: the breaker is fed one failure per
-//! casualty, and each casualty is either re-submitted (arrival
+//! Replicas run independently between boundaries; a crash is the one
+//! event that couples them again, because its casualties must re-enter
+//! routing. Crash instants are therefore era boundaries of
+//! [`FleetEngine::run`](crate::fleet::FleetEngine::run). At a crash instant
+//! `b`, each crashing replica's live engine, already advanced to `b`,
+//! processes the instant itself (work completing at `b` counts — the crash
+//! interrupts the machine, not the ledger), then gives up whatever it has
+//! neither completed nor rejected, and its lifetime ends. Each such
+//! casualty feeds the breaker, then is either re-submitted (arrival
 //! `b + backoff`, same request id, full re-prefill on whatever replica
 //! routing picks next) or terminally failed once its budget is spent. A
 //! crash that interrupts a drain settles the drain's remainder the same
@@ -29,12 +29,10 @@
 //! proptests sweep random schedules against every router policy to pin
 //! the exactly-once partition.
 
-use crate::engine::RunOutcome;
-use crate::fleet::{resolved_ids, RunState};
+use crate::fleet::{LiveEngine, RunState};
 use loong_simcore::ids::{ReplicaId, RequestId};
-use loong_simcore::time::{SimDuration, SimTime};
+use loong_simcore::time::SimTime;
 use loong_workload::request::Request;
-use loong_workload::trace::Trace;
 
 #[cfg(doc)]
 use loong_sched::reliability::CircuitBreaker;
@@ -54,9 +52,10 @@ pub struct FailedRequest {
 }
 
 impl RunState<'_> {
-    /// Resolves every crash striking at `b`: each crashing replica runs
-    /// its bucket capped at `b` and its unresolved requests become
-    /// casualties.
+    /// Resolves every crash striking at `b`: the fleet advances to `b`,
+    /// then each crashing replica's engine processes the instant itself,
+    /// gives up what it has not resolved as casualties, and its lifetime
+    /// ends.
     pub(crate) fn crash_boundary(&mut self, b: SimTime) {
         let plan = self.plan;
         let crashes = || plan.schedule.events().iter().filter(move |e| e.crash == b);
@@ -66,55 +65,34 @@ impl RunState<'_> {
                 rec.recover(event.recover, event.replica);
             }
         }
-        // The capped engine runs are pure, so they go to the worker pool;
-        // settlement replays serially in replica-id order (events are
-        // sorted by (crash, replica)). An empty bucket is a cold, retired
-        // or simply idle replica — nothing for the crash to take.
-        let mut crashed: Vec<ReplicaId> = Vec::new();
-        let mut subs: Vec<Trace> = Vec::new();
+        self.advance_all(b);
+        // Settlement runs serially in replica-id order (events are sorted by
+        // (crash, replica)). A replica with no live engine — cold, retired,
+        // or given nothing since its last restart — has nothing to lose.
         for event in crashes() {
-            let replica = event.replica;
-            let bucket = self.take_bucket(replica.index());
-            if !bucket.is_empty() {
-                let label = format!(
-                    "{} · replica {replica}/{} ∣ crash at {b}",
-                    self.label, self.n
-                );
-                crashed.push(replica);
-                subs.push(Trace::from_requests(label, bucket));
+            if let Some(live) = self.slots[event.replica.index()].engine.take() {
+                self.crash_lifetime(event.replica, live, b);
             }
-        }
-        let system = self
-            .system
-            .clone()
-            .with_max_sim_time(SimDuration::from_secs(b.as_secs()));
-        let results = self.run_segments(&system, &subs, true);
-        for ((replica, sub), (outcome, child)) in crashed.into_iter().zip(subs).zip(results) {
-            // Absorb the segment's recording first: its in-flight requests
-            // become the parent's open entries, which settlement closes.
-            self.absorb(replica, child);
-            self.settle_casualties(&sub.requests, &outcome, replica, b);
-            self.segments[replica.index()].push(outcome);
         }
     }
 
-    /// Resolves the requests of `bucket` that `outcome` — a segment of
-    /// `replica` cut short by a crash at `at` — left unresolved: each feeds
-    /// the breaker, then becomes a retry or a terminal failure under the
-    /// retry policy.
-    pub(crate) fn settle_casualties(
-        &mut self,
-        bucket: &[Request],
-        outcome: &RunOutcome,
-        replica: ReplicaId,
-        at: SimTime,
-    ) {
-        let resolved = resolved_ids(outcome);
-        let mut casualties: Vec<&Request> = bucket
-            .iter()
-            .filter(|req| !resolved.contains(&req.id))
-            .collect();
-        casualties.sort_by_key(|req| req.id);
+    /// A crash of `replica` at `at` ends its engine lifetime. The engine
+    /// first processes the instant itself — the crash interrupts the
+    /// machine, not the ledger, so work completing at `at` counts — then
+    /// gives up what it has not resolved as casualties. The lifetime closes
+    /// before settlement: its recording's in-flight requests become the
+    /// run's open entries, which settlement closes.
+    pub(crate) fn crash_lifetime(&mut self, replica: ReplicaId, mut live: LiveEngine, at: SimTime) {
+        live.drive(|engine, sink| engine.advance_through(at, sink));
+        let casualties = live.engine.take_unresolved();
+        self.close_lifetime(replica.index(), live.end());
+        self.settle_casualties(casualties, replica, at);
+    }
+
+    /// Resolves `casualties` — the requests a crash of `replica` at `at`
+    /// took, in id order: each feeds the breaker, then becomes a retry or a
+    /// terminal failure under the retry policy.
+    fn settle_casualties(&mut self, casualties: Vec<Request>, replica: ReplicaId, at: SimTime) {
         let retry_policy = self.plan.retry;
         for req in casualties {
             self.stats.failed_attempts += 1;
@@ -133,12 +111,12 @@ impl RunState<'_> {
             if retry_policy.allows(used) {
                 let attempt = used + 1;
                 self.retries_used.insert(req.id, attempt);
-                let mut retry = req.clone();
+                let mut retry = req;
                 retry.arrival = at + retry_policy.backoff(attempt);
                 self.stats.retries_scheduled += 1;
                 self.stats.re_prefilled_tokens += retry.input_len;
                 if let Some(rec) = self.rec.as_deref_mut() {
-                    rec.retry_scheduled(at, req.id, attempt, retry.arrival);
+                    rec.retry_scheduled(at, retry.id, attempt, retry.arrival);
                 }
                 self.pending.insert((retry.arrival, retry.id), retry);
                 self.grow_resident();
@@ -173,6 +151,7 @@ mod tests {
     use loong_workload::datasets::DatasetKind;
     use loong_workload::failure::{FailureEvent, FailureSchedule};
     use loong_workload::stream::TraceStream;
+    use loong_workload::trace::Trace;
 
     fn small_trace(count: usize, seed: u64) -> Trace {
         crate::experiment::WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(8.0, count, seed)

@@ -105,7 +105,7 @@ impl SystemKind {
         &self,
         instances: &[InstanceId],
         trace: Option<&Trace>,
-    ) -> Box<dyn Scheduler> {
+    ) -> Box<dyn Scheduler + Send> {
         match self {
             SystemKind::LoongServe => Box::new(LoongServeScheduler::new()),
             SystemKind::LoongServeNoScaleUp => {
@@ -142,7 +142,7 @@ impl SystemKind {
         instances: &[InstanceId],
         trace: Option<&Trace>,
         pressure: PressureConfig,
-    ) -> Box<dyn Scheduler> {
+    ) -> Box<dyn Scheduler + Send> {
         let _ = (instances, trace);
         match self {
             SystemKind::LoongServe => Box::new(LoongServeScheduler::new().with_pressure(pressure)),
@@ -274,7 +274,20 @@ impl SystemUnderTest {
 
     /// Builds the serving engine for this system.
     pub fn build_engine(&self, trace: Option<&Trace>) -> ServingEngine {
-        let tp = self.kind.tp(self.cluster.gpus_per_node);
+        let scheduler: Box<dyn Scheduler> = self.scheduler(trace);
+        ServingEngine::new(self.engine_config(), scheduler)
+    }
+
+    /// [`SystemUnderTest::build_engine`] with a `Send` scheduler: a fleet's
+    /// replica engines move between pool workers.
+    pub(crate) fn build_send_engine(
+        &self,
+        trace: Option<&Trace>,
+    ) -> ServingEngine<dyn Scheduler + Send> {
+        ServingEngine::new(self.engine_config(), self.scheduler(trace))
+    }
+
+    fn engine_config(&self) -> EngineConfig {
         // The host tier exists only under the swap mode; half the node's
         // DRAM is assumed available for swapped KV.
         let host_swap = match self.pressure {
@@ -285,9 +298,9 @@ impl SystemUnderTest {
             )),
             _ => None,
         };
-        let config = EngineConfig {
+        EngineConfig {
             cluster: self.cluster.clone(),
-            tp,
+            tp: self.kind.tp(self.cluster.gpus_per_node),
             model: self.model.clone(),
             workspace_fraction: 0.10,
             sib_noise: 0.01,
@@ -297,16 +310,17 @@ impl SystemUnderTest {
             kv_capacity_override: self.kv_capacity_override,
             prefix_cache: self.prefix_cache,
             attention: self.attention,
-        };
+        }
+    }
+
+    fn scheduler(&self, trace: Option<&Trace>) -> Box<dyn Scheduler + Send> {
         // The scheduler needs the instance list, which depends on tp.
-        let registry = loong_esp::instance::InstanceRegistry::build(&self.cluster, tp);
-        let scheduler = match self.pressure.config() {
-            None => self.kind.build_scheduler(&registry.all_ids(), trace),
-            Some(cfg) => self
-                .kind
-                .build_pressure_scheduler(&registry.all_ids(), trace, cfg),
-        };
-        ServingEngine::new(config, scheduler)
+        let tp = self.kind.tp(self.cluster.gpus_per_node);
+        let instances = loong_esp::instance::InstanceRegistry::build(&self.cluster, tp).all_ids();
+        match self.pressure.config() {
+            None => self.kind.build_scheduler(&instances, trace),
+            Some(cfg) => self.kind.build_pressure_scheduler(&instances, trace, cfg),
+        }
     }
 
     /// Runs this system over a trace and summarises the outcome.

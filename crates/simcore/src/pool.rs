@@ -1,18 +1,20 @@
 //! A bounded, deterministic fork-join worker pool for independent jobs.
 //!
-//! The fleet runners execute one engine per replica between era boundaries.
-//! Those per-replica simulations are pure functions of their inputs, so they
-//! can run on any thread in any order — as long as the *results* are put back
-//! in job order the outcome is bit-identical to a serial loop. [`run_indexed`]
-//! does exactly that: it spawns at most [`worker_cap`] scoped threads that
-//! pull job indices from a shared atomic counter, and returns the results in
-//! index order.
+//! A fleet advances one engine per replica between era boundaries. Those
+//! per-replica simulations depend only on their own state, so they can run on
+//! any thread in any order — as long as the *results* are put back in job
+//! order the outcome is bit-identical to a serial loop. [`run_indexed`] does
+//! exactly that: it spawns at most [`worker_cap`] scoped threads that pull
+//! job indices from a shared atomic counter, and returns the results in index
+//! order. [`map_mut`] hands each job exclusive access to one item of a slice,
+//! so stateful simulations can advance in place.
 //!
 //! Spawning one OS thread per replica (what the plain fleet used to do) falls
 //! over at 100-replica fleets; the pool keeps thread count bounded by the
 //! host's parallelism regardless of fleet size.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of worker threads the pool will use for `jobs` independent jobs:
 /// `min(available_parallelism, jobs)`, and at least 1.
@@ -80,6 +82,22 @@ where
         .collect()
 }
 
+/// Runs `f` on every item of `items` on the bounded pool and returns the
+/// results in item order. Each job has exclusive access to its own item, so
+/// as long as `f` touches nothing else mutable, the outcome is the serial
+/// loop's bit for bit.
+pub fn map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
+{
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    run_indexed(cells.len(), |i| {
+        f(&mut cells[i].lock().expect("each item belongs to one job"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +128,17 @@ mod tests {
         for (a, b) in parallel.iter().zip(&serial) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn map_mut_updates_every_item_in_place() {
+        let mut items: Vec<u64> = (0..50).collect();
+        let doubled = map_mut(&mut items, |x| {
+            *x += 1;
+            *x * 2
+        });
+        assert_eq!(items, (1..=50).collect::<Vec<_>>());
+        assert_eq!(doubled, (1..=50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

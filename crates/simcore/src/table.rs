@@ -85,12 +85,17 @@ struct Slot<T> {
 
 /// A dense slab of per-request state with intrusive phase-index sets.
 ///
-/// Entries are keyed by `RequestId::index()`, so ids should be dense (the
-/// workload generator allocates them sequentially). Sparse ids work but
-/// waste slab space.
+/// Entries are keyed by `RequestId::index()` relative to the lowest id
+/// inserted, so the slab spans the ids the table has seen, not every id
+/// before them: a fleet replica's engine, started mid-run, holds a window
+/// of a long trace. Ids should be dense within that window (the workload
+/// generator allocates them sequentially); sparse ids work but waste slab
+/// space.
 #[derive(Debug, Clone, Default)]
 pub struct RequestTable<T> {
+    /// `slots[i]` holds id `base + i`.
     slots: Vec<Option<Slot<T>>>,
+    base: usize,
     /// One ordered index per class, keyed by (admission rank, id).
     classes: [BTreeSet<(u64, RequestId)>; PhaseClass::COUNT],
     next_rank: u64,
@@ -102,6 +107,7 @@ impl<T> RequestTable<T> {
     pub fn new() -> Self {
         RequestTable {
             slots: Vec::new(),
+            base: 0,
             classes: Default::default(),
             next_rank: 0,
             len: 0,
@@ -133,6 +139,15 @@ impl<T> RequestTable<T> {
     /// Panics if the id is already present.
     pub fn insert(&mut self, id: RequestId, payload: T) {
         let idx = id.index();
+        if self.slots.is_empty() {
+            self.base = idx;
+        } else if idx < self.base {
+            let grow = self.base - idx;
+            self.slots
+                .splice(0..0, std::iter::repeat_with(|| None).take(grow));
+            self.base = idx;
+        }
+        let idx = idx - self.base;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
@@ -166,27 +181,25 @@ impl<T> RequestTable<T> {
 
     /// Returns true if the request is present.
     pub fn contains(&self, id: RequestId) -> bool {
-        self.slots.get(id.index()).is_some_and(|s| s.is_some())
+        self.slots.get(self.pos(id)).is_some_and(|s| s.is_some())
     }
 
     /// The payload of `id`, if present.
     pub fn get(&self, id: RequestId) -> Option<&T> {
-        self.slots.get(id.index())?.as_ref().map(|s| &s.payload)
+        self.slots.get(self.pos(id))?.as_ref().map(|s| &s.payload)
     }
 
     /// Mutable payload of `id`, if present. Class membership is unaffected;
     /// callers that change the logical phase must also call
     /// [`Self::set_class`].
     pub fn get_mut(&mut self, id: RequestId) -> Option<&mut T> {
-        self.slots
-            .get_mut(id.index())?
-            .as_mut()
-            .map(|s| &mut s.payload)
+        let pos = self.pos(id);
+        self.slots.get_mut(pos)?.as_mut().map(|s| &mut s.payload)
     }
 
     /// The coarse class of `id`, if present.
     pub fn class_of(&self, id: RequestId) -> Option<PhaseClass> {
-        self.slots.get(id.index())?.as_ref().map(|s| s.class)
+        self.slots.get(self.pos(id))?.as_ref().map(|s| s.class)
     }
 
     /// Moves `id` to `class`, updating the phase indices in O(log n).
@@ -218,12 +231,35 @@ impl<T> RequestTable<T> {
         self.classes[class.index()].iter().map(|&(_, id)| id)
     }
 
+    /// Iterates `(id, payload)` over every request, admitted or not, in id
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (RequestId, &T)> {
+        self.slots.iter().enumerate().filter_map(|(i, slot)| {
+            slot.as_ref()
+                .map(|s| (RequestId::from(self.base + i), &s.payload))
+        })
+    }
+
+    /// Removes `id`, and its phase-index entry, returning its payload.
+    pub fn remove(&mut self, id: RequestId) -> Option<T> {
+        let slot = {
+            let pos = self.pos(id);
+            self.slots.get_mut(pos)?.take()?
+        };
+        if slot.admitted {
+            self.classes[slot.class.index()].remove(&(slot.rank, id));
+        }
+        self.len -= 1;
+        Some(slot.payload)
+    }
+
     /// Consumes the table, yielding `(id, payload)` in id order.
     pub fn into_entries(self) -> impl Iterator<Item = (RequestId, T)> {
+        let base = self.base;
         self.slots
             .into_iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.map(|s| (RequestId::from(i), s.payload)))
+            .filter_map(move |(i, slot)| slot.map(|s| (RequestId::from(base + i), s.payload)))
     }
 
     /// Checks the index invariants: every admitted entry appears in exactly
@@ -233,7 +269,7 @@ impl<T> RequestTable<T> {
         let mut admitted = 0usize;
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            let id = RequestId::from(i);
+            let id = RequestId::from(self.base + i);
             for class_idx in 0..PhaseClass::COUNT {
                 let present = self.classes[class_idx].contains(&(slot.rank, id));
                 let expected = slot.admitted && class_idx == slot.class.index();
@@ -256,9 +292,15 @@ impl<T> RequestTable<T> {
         Ok(())
     }
 
+    /// The slab position of `id`; out of range for ids below the window.
+    fn pos(&self, id: RequestId) -> usize {
+        id.index().wrapping_sub(self.base)
+    }
+
     fn slot_mut(&mut self, id: RequestId) -> &mut Slot<T> {
+        let pos = self.pos(id);
         self.slots
-            .get_mut(id.index())
+            .get_mut(pos)
             .and_then(|s| s.as_mut())
             .unwrap_or_else(|| panic!("unknown request {id}"))
     }
@@ -350,6 +392,39 @@ mod tests {
         t.insert(RequestId(0), "a");
         let entries: Vec<(RequestId, &str)> = t.into_entries().collect();
         assert_eq!(entries, vec![(RequestId(0), "a"), (RequestId(2), "c")]);
+    }
+
+    #[test]
+    fn remove_drops_the_entry_and_its_index() {
+        let mut t = table_with(&[0, 1, 2]);
+        t.admit(RequestId(0));
+        t.admit(RequestId(1));
+        assert_eq!(t.remove(RequestId(1)), Some(10));
+        assert_eq!(t.remove(RequestId(2)), Some(20));
+        assert_eq!(t.remove(RequestId(2)), None);
+        assert_eq!(t.len(), 1);
+        assert_eq!(
+            t.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            vec![RequestId(0)]
+        );
+        assert_eq!(t.class_len(PhaseClass::Pending), 1);
+        assert!(t.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn the_slab_spans_only_the_ids_seen() {
+        let mut t = RequestTable::new();
+        t.insert(RequestId(1_000_000), "late");
+        t.insert(RequestId(1_000_002), "later");
+        assert_eq!(t.slots.len(), 3);
+        // An id below the window grows the slab at the front.
+        t.insert(RequestId(999_999), "early");
+        assert_eq!(t.slots.len(), 4);
+        assert_eq!(t.get(RequestId(1_000_000)), Some(&"late"));
+        assert_eq!(t.get(RequestId(7)), None);
+        let ids: Vec<u64> = t.iter().map(|(id, _)| id.raw()).collect();
+        assert_eq!(ids, vec![999_999, 1_000_000, 1_000_002]);
+        assert!(t.check_invariants().is_ok());
     }
 
     #[test]

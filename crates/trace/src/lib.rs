@@ -18,7 +18,7 @@
 //! * [`sink`] — the [`TraceSink`] trait, [`NoopSink`], and the event
 //!   vocabulary ([`SpanPhase`], [`Terminal`], [`AdmitInfo`], [`Gauges`]).
 //! * [`recorder`] — [`TraceConfig`], [`TraceRecorder`], [`TraceLedger`],
-//!   and the pooled-segment merge protocol.
+//!   and the engine-lifetime merge protocol.
 //! * [`series`] — always-on streaming aggregation ([`GaugeSeries`],
 //!   [`ReplicaSeries`], [`FleetSeries`]).
 //! * [`export`] — [`perfetto_json`] and [`series_csv`].

@@ -15,10 +15,10 @@
 //!   engine's own O(active) residency, not the trace length.
 //!
 //! The [`TraceLedger`] proves all three: `O(sampled + bins + peak-open)`,
-//! with every drop counted. Fleet runs build one recorder per pooled era
-//! segment and absorb them in replica order via
-//! [`TraceRecorder::merge_child`], which keeps recording deterministic
-//! under the worker pool.
+//! with every drop counted. Fleet runs build one recorder per replica
+//! engine lifetime and absorb each, serially in replica order, when the
+//! lifetime ends via [`TraceRecorder::merge_child`], which keeps recording
+//! deterministic under the worker pool.
 
 use crate::series::{FleetSeries, ReplicaSeries};
 use crate::sink::{AdmitInfo, Gauges, SpanPhase, Terminal, TraceSink};
@@ -29,8 +29,8 @@ use loong_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Recorder configuration. `Copy`, so era loops can ship it into pooled
-/// segment closures.
+/// Recorder configuration. `Copy`, so a fleet can ship it into pooled
+/// jobs that start replica engine lifetimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Per-request span-sampling rate in permille (10 = 1%). 1000 keeps
@@ -78,7 +78,7 @@ impl TraceConfig {
 
     /// The deterministic sampling decision for a request id: a
     /// splitmix64-style hash of `seed ^ id`, reduced mod 1000 — stable
-    /// across replicas, segments and retry attempts of the same id.
+    /// across replicas, engine lifetimes and retry attempts of the same id.
     pub fn sampled(&self, id: RequestId) -> bool {
         if self.sample_permille >= 1000 {
             return true;
@@ -182,12 +182,12 @@ struct PendingRetry {
 pub struct TraceRecorder {
     cfg: TraceConfig,
     /// Replica key this recorder's replica-agnostic events file under:
-    /// always 0 (bare engines and era-segment children; fleet merges
+    /// always 0 (bare engines and engine-lifetime children; fleet merges
     /// re-key at absorb time).
     replica_tag: u64,
-    /// Ids that have been scheduled for retry at least once, ever. Era
-    /// segments receive a snapshot so their engines can attribute retry
-    /// prefill without talking to the parent.
+    /// Ids that have been scheduled for retry at least once, ever. A
+    /// lifetime's recorder learns them via [`TraceRecorder::note_retried`]
+    /// as retries are handed to its engine.
     retried: BTreeSet<u64>,
     open: BTreeMap<u64, OpenEntry>,
     spans: Vec<Span>,
@@ -233,23 +233,17 @@ impl TraceRecorder {
         }
     }
 
-    /// Creates a child recorder for one pooled era segment. `retried` is
-    /// the parent's snapshot of ever-retried ids, so the segment can
-    /// attribute prefill by retries to `retry_prefill_s` on its own.
-    pub fn segment(cfg: TraceConfig, retried: &BTreeSet<u64>) -> Self {
-        let mut child = TraceRecorder::new(cfg);
-        child.retried = retried.clone();
-        child
+    /// Marks `id` as a retry: its admissions here attribute their prefill
+    /// to `retry_prefill_s`. A fleet calls this on the recorder of the
+    /// replica engine a retried request is handed to, since that recorder
+    /// never saw the crash.
+    pub fn note_retried(&mut self, id: RequestId) {
+        self.retried.insert(id.raw());
     }
 
     /// The recorder's configuration.
     pub fn config(&self) -> TraceConfig {
         self.cfg
-    }
-
-    /// Snapshot of every id ever scheduled for retry.
-    pub fn retried_snapshot(&self) -> BTreeSet<u64> {
-        self.retried.clone()
     }
 
     /// The per-phase, per-class time attribution accumulated so far.
@@ -523,9 +517,10 @@ impl TraceRecorder {
         }
     }
 
-    /// Absorbs a pooled era segment's recorder, re-keying its
-    /// replica-agnostic events to `replica`. Called serially in replica
-    /// order after the pool joins, which keeps recording deterministic.
+    /// Absorbs an ended engine lifetime's recorder, re-keying its
+    /// replica-agnostic events to `replica`. Called serially, in replica
+    /// order among lifetimes ending together, which keeps recording
+    /// deterministic.
     pub fn merge_child(&mut self, replica: ReplicaId, child: TraceRecorder) {
         let r = replica.raw();
         self.requests_seen += child.requests_seen;
@@ -534,7 +529,7 @@ impl TraceRecorder {
         self.instants_dropped += child.instants_dropped;
         self.gauge_samples += child.gauge_samples;
         // The child's open state coexisted with the parent's during the
-        // segment; bound the combined high-water conservatively.
+        // lifetime; bound the combined high-water conservatively.
         self.peak_open = self
             .peak_open
             .max(self.open.len() as u64 + child.peak_open.max(child.open.len() as u64));
@@ -557,7 +552,7 @@ impl TraceRecorder {
             let previous = self.open.insert(id, entry);
             debug_assert!(
                 previous.is_none(),
-                "request {id} open in two segments at once"
+                "request {id} open in two lifetimes at once"
             );
         }
         for (_, child_series) in child.series {
@@ -750,8 +745,9 @@ mod tests {
         rec.casualty(t(2.0), RequestId(3));
         rec.retry_scheduled(t(2.0), RequestId(3), 1, t(2.5));
 
-        // The retry executes in a later era segment.
-        let mut child = TraceRecorder::segment(cfg, &rec.retried_snapshot());
+        // The retry executes on another replica's engine.
+        let mut child = TraceRecorder::new(cfg);
+        child.note_retried(RequestId(3));
         child.on_admitted(t(2.5), admit(3, TrafficClass::Standard));
         child.on_phase(t(3.0), RequestId(3), SpanPhase::Prefill);
         child.on_phase(t(4.5), RequestId(3), SpanPhase::Decode);

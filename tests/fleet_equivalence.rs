@@ -96,10 +96,22 @@ fn one_replica_passthrough_is_the_bare_engine_bit_for_bit() {
         .all(|&(_, replica)| replica == ReplicaId(0)));
 }
 
+/// Every system, including LightLLM-SplitFuse, whose scheduler sizes its
+/// chunk from the mean lengths of its replica's requests: a plain fleet
+/// builds each replica engine from the whole bucket it was routed.
 #[test]
 fn one_replica_passthrough_matches_for_baseline_systems_too() {
     let trace = sharegpt_trace(6.0, 40, 99);
-    for kind in [SystemKind::Vllm, SystemKind::DistServe] {
+    for kind in [
+        SystemKind::LoongServe,
+        SystemKind::LoongServeNoScaleUp,
+        SystemKind::Vllm,
+        SystemKind::DeepSpeedMii,
+        SystemKind::LightLlmSplitFuse,
+        SystemKind::DistServe,
+        SystemKind::StaticHybrid,
+        SystemKind::Replicated,
+    ] {
         let single = single_outcome(kind, &trace);
         let fleet = fleet_outcome(kind, 1, RouterPolicy::Passthrough, &trace);
         assert_outcome_equal(&fleet, &single);

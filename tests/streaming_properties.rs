@@ -5,13 +5,14 @@
 //! execution:
 //!
 //! * **Parallel ≡ serial** — with `FleetConfig::parallel` flipped on, the
-//!   bounded worker pool executes era segments concurrently but merges
-//!   them in replica-id order, so runs under crash schedules (retries,
-//!   breakers, scale events and all) reproduce the serial outcome bit for
-//!   bit.
-//! * **Footprint accounting** — era boundaries flush the routed buckets,
-//!   so the [`FleetFootprint`] resident high-water of a boundary-rich run
-//!   stays far below the stream length.
+//!   bounded worker pool advances the replicas' live engines concurrently
+//!   but every sequenced effect stays in replica-id order, so runs under
+//!   crash schedules (retries, breakers, scale events and all) reproduce
+//!   the serial outcome bit for bit.
+//! * **Footprint accounting** — every era boundary admits the routed
+//!   buckets into the replicas' engines, so the [`FleetFootprint`]
+//!   resident high-water of a boundary-rich run stays far below the
+//!   stream length.
 //!
 //! Streamed ≡ materialised needs no property: [`FleetEngine::run`] is the
 //! only run path and always consumes a [`TraceStream`] — a materialised
@@ -101,8 +102,8 @@ proptest! {
     #![proptest_config(ci_config(8))]
 
     /// Pooled era execution ≡ serial under failure injection: crashes,
-    /// casualties and retries resolve identically when the capped era
-    /// segments run on the worker pool.
+    /// casualties and retries resolve identically when the replicas'
+    /// engines advance on the worker pool.
     #[test]
     fn parallel_and_serial_reliable_runs_agree(
         seed in 0u64..1_000_000,
@@ -123,9 +124,9 @@ proptest! {
         prop_assert_eq!(format!("{serial:?}"), format!("{pooled:?}"));
     }
 
-    /// Pooled era execution ≡ serial under autoscaling and crashes: crash
-    /// boundaries, observation probes, drains and final segments all run
-    /// through the pool without moving a bit.
+    /// Pooled era execution ≡ serial under autoscaling and crashes: the
+    /// advances at crash and control boundaries and the final run to the
+    /// end all go through the pool without moving a bit.
     #[test]
     fn parallel_and_serial_elastic_runs_agree(
         seed in 0u64..1_000_000,
@@ -146,9 +147,10 @@ proptest! {
     }
 }
 
-/// Boundary-rich schedules flush buckets at every era, so the resident
-/// high-water stays strictly below the stream length — the O(active +
-/// pending-retries) memory claim, pinned on a concrete workload.
+/// Boundary-rich schedules admit the buckets into the engines at every
+/// era, so the resident high-water stays strictly below the stream length
+/// — the O(active + one era + pending-retries) claim, pinned on a concrete
+/// workload.
 #[test]
 fn era_boundaries_bound_the_resident_footprint() {
     // Arrivals spread over ~400s with a crash roughly every 40s: many
@@ -171,7 +173,7 @@ fn era_boundaries_bound_the_resident_footprint() {
     assert_eq!(footprint.streamed_requests, trace.len());
     assert!(
         footprint.peak_resident_requests < trace.len() / 2,
-        "era boundaries must flush buckets: peak {} vs {} streamed",
+        "era boundaries must bound residency: peak {} vs {} streamed",
         footprint.peak_resident_requests,
         trace.len()
     );
