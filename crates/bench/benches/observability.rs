@@ -13,7 +13,11 @@
 //! Both arms must produce bit-for-bit identical outcomes (the inertness
 //! contract pinned by `tests/observability_properties.rs`), so the only
 //! thing that can differ is wall-clock — and the smoke gate asserts the
-//! traced arm stays within 10% of the untraced one. The recorder's
+//! traced arm stays within 10% of the untraced one. The arms run in
+//! interleaved rounds that alternate which goes first; each round's
+//! traced/untraced wall ratio cancels the ambient load its two adjacent
+//! runs share, and the gate reads the median ratio over seven rounds, so a
+//! slow episode in one run cannot trip it. The recorder's
 //! residency ledger (sampled requests, spans, series bins, peak open
 //! state) is deterministic and gated against `BENCH_obs.json`; wall-clock
 //! numbers are report-only.
@@ -21,11 +25,12 @@
 //! Invocation (harness = false):
 //!
 //! ```text
-//! cargo bench --bench observability            # 100k requests, best-of-2 walls
-//! cargo bench --bench observability -- --smoke # 20k requests, best-of-3, <10% assert
+//! cargo bench --bench observability            # 100k requests, 2 rounds
+//! cargo bench --bench observability -- --smoke # 20k requests, 7 rounds, <10% assert
 //! ```
 
 use loong_bench::banner;
+use loong_metrics::latency::percentile;
 use loongserve::prelude::*;
 use std::time::Instant;
 
@@ -104,30 +109,38 @@ fn run_arm(count: usize, traced: bool) -> (f64, String, Option<TraceRecorder>) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let (count, rounds) = if smoke { (SMOKE_COUNT, 3) } else { (COUNT, 2) };
+    let (count, rounds) = if smoke { (SMOKE_COUNT, 7) } else { (COUNT, 2) };
 
     banner(&format!(
         "Observability overhead — ShareGPT @ {RATE} req/s, {count} requests streamed, \
          {REPLICAS} LoongServe replicas, crashes every {CRASH_PERIOD_S}s; untraced vs \
-         1%-sampled recorder, best-of-{rounds} walls{}",
+         1%-sampled recorder, median of {rounds} interleaved rounds{}",
         if smoke { " (smoke)" } else { "" }
     ));
 
     let profile = SelfProfile::start();
-    let mut best_plain = f64::INFINITY;
-    let mut best_traced = f64::INFINITY;
+    let mut plain_walls = Vec::with_capacity(rounds);
+    let mut traced_walls = Vec::with_capacity(rounds);
+    let mut ratios = Vec::with_capacity(rounds);
     let mut recorder = None;
-    // Interleave the arms so ambient load hits both symmetrically.
-    for _ in 0..rounds {
-        let (wall, plain_witness, _) = run_arm(count, false);
-        best_plain = best_plain.min(wall);
-        let (wall, witness, rec) = run_arm(count, true);
-        best_traced = best_traced.min(wall);
+    // Interleave the arms, alternating which runs first, so ambient load
+    // and warm-up hit both symmetrically.
+    for round in 0..rounds {
+        let (plain, traced) = if round % 2 == 0 {
+            let plain = run_arm(count, false);
+            (plain, run_arm(count, true))
+        } else {
+            let traced = run_arm(count, true);
+            (run_arm(count, false), traced)
+        };
         assert_eq!(
-            plain_witness, witness,
+            plain.1, traced.1,
             "tracing must be inert: traced and untraced outcomes diverged"
         );
-        recorder = rec;
+        plain_walls.push(plain.0);
+        traced_walls.push(traced.0);
+        ratios.push(traced.0 / plain.0.max(1e-9));
+        recorder = traced.2;
     }
     let recorder = recorder.expect("traced arm ran");
     let ledger = recorder.ledger();
@@ -136,7 +149,11 @@ fn main() {
         .values()
         .map(|s| s.completions.total())
         .sum::<u64>();
-    let overhead_ratio = best_traced / best_plain.max(1e-9);
+    let overhead_ratio = percentile(&ratios, 50.0);
+    let (plain_s, traced_s) = (
+        percentile(&plain_walls, 50.0),
+        percentile(&traced_walls, 50.0),
+    );
 
     // The recorder's residency proof: O(sampled + bins + peak-open), with
     // the sampled set within a factor of two of the nominal 1%.
@@ -167,8 +184,8 @@ fn main() {
         ledger.instants_recorded,
         ledger.series_bins,
         ledger.peak_open_requests,
-        best_plain,
-        best_traced,
+        plain_s,
+        traced_s,
         overhead_ratio
     );
     println!("report-only self-profile: {}", profile.report());
@@ -182,8 +199,8 @@ fn main() {
     if smoke {
         assert!(
             overhead_ratio < 1.10,
-            "tracing at 1% sampling must cost <10% wall-clock: untraced {best_plain:.3}s, \
-             traced {best_traced:.3}s (ratio {overhead_ratio:.3})"
+            "tracing at 1% sampling must cost <10% wall-clock: median untraced {plain_s:.3}s, \
+             traced {traced_s:.3}s, median round ratio {overhead_ratio:.3}"
         );
         // Machine-readable metrics for the bench gate; overhead_ratio is
         // wall-clock and stays out of the gated set.

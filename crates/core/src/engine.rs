@@ -183,7 +183,7 @@ enum Phase {
 }
 
 impl Phase {
-    /// The coarse class used by the request table's phase indices.
+    /// The coarse class the request table mirrors.
     fn class(&self) -> PhaseClass {
         match self {
             Phase::Pending { .. } => PhaseClass::Pending,
@@ -274,11 +274,12 @@ fn pending_entry(s: &RequestState, prefilled: u64, pool: &UnifiedKvPool) -> Pend
     }
 }
 
-/// Sets a request's phase and keeps the table's phase indices in sync.
+/// Sets a request's phase and keeps the table's class in sync.
 ///
-/// Every phase write in the engine goes through here: the phase-index sets
-/// are the *only* source of the scheduler view's pending/decoding lists, so
-/// a direct `phase =` write that skipped the class update would silently
+/// Every phase write in the engine goes through here: the table's live list
+/// is the *only* source of the scheduler view's pending/decoding/swapped
+/// lists, and it holds a request exactly while its class is not Done, so a
+/// direct `phase =` write that skipped the class update would silently
 /// desynchronise them (the debug-build view audit would catch it).
 ///
 /// It is also the tracing chokepoint: each write emits the matching
@@ -582,7 +583,7 @@ impl Live {
     }
 
     /// An arrival fires. Requests become visible to the scheduler only now:
-    /// admission assigns the rank that orders every phase-index iteration.
+    /// admission assigns the rank that orders the table's live list.
     fn arrive(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
         self.table.admit(id);
         let s = self.table.get_mut(id).expect("known request");
@@ -712,47 +713,39 @@ impl Live {
         self.note_evictions(evicted, now, sink);
     }
 
-    /// Assembles the scheduler view from the maintained indices — requests
-    /// in admission order, instances in id order, identical to a full
-    /// rebuild — and samples the gauges.
+    /// Assembles the scheduler view in one pass over the table's live list —
+    /// requests in admission order, instances in id order, identical to a
+    /// full rebuild — and samples the gauges. Decoding entries reuse the
+    /// previous point's instance buffers.
     fn fill_view(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
         let (table, pool, scratch) = (&self.table, &self.pool, &mut self.scratch);
         scratch.clear();
-        for id in table.iter_class(PhaseClass::Pending) {
-            let s = table.get(id).expect("indexed request exists");
+        for (id, s) in table.iter_live() {
             match s.phase {
                 Phase::Pending { prefilled } => {
                     scratch.pending.push(pending_entry(s, prefilled, pool))
                 }
-                _ => unreachable!("pending index out of sync with phase"),
-            }
-        }
-        for id in table.iter_class(PhaseClass::DecodeReady) {
-            let s = table.get(id).expect("indexed request exists");
-            match s.phase {
-                Phase::DecodeReady { generated } => scratch.decoding.push(DecodingRequest {
-                    id,
-                    context_len: s.request.input_len + generated,
-                    generated,
-                    decode_time_s: s
-                        .first_token
-                        .map(|ft| now.saturating_since(ft).as_secs())
-                        .unwrap_or(0.0),
-                    kv_instances: pool.locations_ref(id).iter().map(|&(i, _)| i).collect(),
-                }),
-                _ => unreachable!("decode-ready index out of sync with phase"),
-            }
-        }
-        for id in table.iter_class(PhaseClass::Swapped) {
-            let s = table.get(id).expect("indexed request exists");
-            match s.phase {
+                Phase::DecodeReady { generated } => {
+                    let mut kv_instances = scratch.kv_buffer();
+                    kv_instances.extend(pool.locations_ref(id).iter().map(|&(i, _)| i));
+                    scratch.decoding.push(DecodingRequest {
+                        id,
+                        context_len: s.request.input_len + generated,
+                        generated,
+                        decode_time_s: s
+                            .first_token
+                            .map(|ft| now.saturating_since(ft).as_secs())
+                            .unwrap_or(0.0),
+                        kv_instances,
+                    });
+                }
                 Phase::Swapped { generated } => scratch.swapped.push(SwappedRequest {
                     id,
                     context_len: s.request.input_len + generated,
                     generated,
                     tokens: pool.swapped_tokens_of(id),
                 }),
-                _ => unreachable!("swapped index out of sync with phase"),
+                _ => {}
             }
         }
         self.instances.fill_view(scratch);
@@ -828,8 +821,8 @@ impl Live {
         }
     }
 
-    /// Applies the effects of a completed piece of work, updating the phase
-    /// indices and the idle/busy partition as it goes.
+    /// Applies the effects of a completed piece of work, updating request
+    /// phases and the idle/busy partition as it goes.
     fn complete(&mut self, work: Work, now: SimTime, sink: &mut dyn TraceSink) {
         match work {
             Work::Prefill {
@@ -1167,8 +1160,8 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     /// completing at it, prefix-cache housekeeping, one scheduler call and
     /// its actions.
     ///
-    /// Every scheduler-view input is maintained incrementally — phase index
-    /// sets in the [`RequestTable`], the idle/busy instance partition, the
+    /// Every scheduler-view input is maintained incrementally — the
+    /// [`RequestTable`]'s live list, the idle/busy instance partition, the
     /// KV residency index, running latency stats — so one point costs
     /// O(active requests + actions) instead of O(all requests ever seen).
     /// Debug builds shadow every view with a naive full-scan rebuild and
@@ -1615,7 +1608,15 @@ mod audit {
             let (table, pool, scratch) = (&live.table, &live.pool, &live.scratch);
             table
                 .check_invariants()
-                .expect("request-table phase indices consistent");
+                .expect("request-table live list consistent");
+            for (id, s) in table.iter() {
+                assert_eq!(
+                    table.class_of(id),
+                    Some(s.phase.class()),
+                    "request {id}: table class out of sync with phase {:?}",
+                    s.phase
+                );
+            }
             pool.check_invariants()
                 .expect("kv-pool residency index consistent");
 

@@ -121,13 +121,7 @@ impl InstanceRegistry {
     /// The bottleneck link among a set of instances: NVLink when they share
     /// a node, the inter-node fabric otherwise.
     pub fn link_between(&self, instances: &[InstanceId]) -> LinkSpec {
-        let mut nodes: Vec<NodeId> = instances.iter().map(|&i| self.get(i).node).collect();
-        nodes.dedup();
-        let single_node = instances
-            .iter()
-            .map(|&i| self.get(i).node)
-            .all(|n| Some(n) == instances.first().map(|&i| self.get(i).node));
-        if single_node {
+        if self.same_node(instances) {
             self.cluster.intra_node_link
         } else {
             self.cluster.inter_node_link

@@ -86,6 +86,8 @@ pub fn dispatch_with_reserve(
     let mut candidate_instances = purely_idle;
     let mut admitted: Vec<RequestId> = Vec::new();
     let mut admitted_lens: Vec<u64> = Vec::new();
+    // Running sum of `admitted_lens`.
+    let mut admitted_tokens = 0u64;
     let mut delayed_decodes: Vec<RequestId> = Vec::new();
 
     if view.pending.is_empty() {
@@ -109,7 +111,7 @@ pub fn dispatch_with_reserve(
 
     // First pass: admit onto purely idle instances.
     remaining.retain(|req| {
-        if admitted_lens.iter().sum::<u64>() >= saturation {
+        if admitted_tokens >= saturation {
             return true;
         }
         let reserve = reserved_slots(req, output_reserve_factor);
@@ -118,6 +120,7 @@ pub fn dispatch_with_reserve(
             budget_left -= reserve;
             admitted.push(req.id);
             admitted_lens.push(req.input_len);
+            admitted_tokens += req.input_len;
             false
         } else {
             true
@@ -133,7 +136,7 @@ pub fn dispatch_with_reserve(
         // Borrow the least-loaded hosting sets first.
         groups.sort_by_key(|g| g.resident_tokens);
         for group in groups {
-            if remaining.is_empty() || admitted_lens.iter().sum::<u64>() >= saturation {
+            if remaining.is_empty() || admitted_tokens >= saturation {
                 break;
             }
             let extra_free: u64 =
@@ -145,7 +148,7 @@ pub fn dispatch_with_reserve(
             let mut extra_requests: Vec<&PendingRequest> = Vec::new();
             let mut extra_tokens = 0u64;
             for req in &remaining {
-                if admitted_lens.iter().sum::<u64>() + extra_tokens >= saturation {
+                if admitted_tokens + extra_tokens >= saturation {
                     break;
                 }
                 let reserve = reserved_slots(req, output_reserve_factor);
@@ -216,6 +219,7 @@ pub fn dispatch_with_reserve(
                     budget_left = budget_left.saturating_sub(reserve);
                     admitted.push(req.id);
                     admitted_lens.push(req.input_len);
+                    admitted_tokens += req.input_len;
                 }
                 let admitted_ids: Vec<RequestId> = extra_requests.iter().map(|r| r.id).collect();
                 remaining.retain(|r| !admitted_ids.contains(&r.id));

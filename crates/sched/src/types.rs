@@ -107,10 +107,12 @@ pub struct SchedulerView<'a> {
 /// Reusable buffers for assembling a [`SchedulerView`] at every scheduling
 /// point.
 ///
-/// The engine builds the `pending`/`decoding`/`idle`/`busy` slices
-/// thousands of times per simulated second; owning the vectors across
-/// scheduling points keeps the steady-state loop free of per-point
-/// allocations. [`ViewScratch::clear`] resets lengths but keeps capacity.
+/// The engine builds the `pending`/`decoding`/`swapped`/`idle`/`busy`
+/// slices thousands of times per simulated second; owning the vectors
+/// across scheduling points keeps the steady-state loop free of per-point
+/// allocations. [`ViewScratch::clear`] resets lengths but keeps capacity,
+/// and keeps each decoding entry's `kv_instances` buffer for
+/// [`ViewScratch::kv_buffer`] to hand out again at the next point.
 #[derive(Debug, Default)]
 pub struct ViewScratch {
     /// Pending requests, in arrival order.
@@ -123,6 +125,8 @@ pub struct ViewScratch {
     pub idle: Vec<InstanceId>,
     /// Busy instances with their completion times, sorted by id.
     pub busy: Vec<(InstanceId, SimTime)>,
+    /// Emptied `kv_instances` buffers of earlier decoding entries.
+    spare_kv: Vec<Vec<InstanceId>>,
 }
 
 impl ViewScratch {
@@ -131,13 +135,25 @@ impl ViewScratch {
         Self::default()
     }
 
-    /// Clears every buffer, retaining capacity for reuse.
+    /// Clears every buffer, retaining capacity — the decoding entries'
+    /// instance buffers included — for reuse.
     pub fn clear(&mut self) {
         self.pending.clear();
-        self.decoding.clear();
+        self.spare_kv.extend(self.decoding.drain(..).map(|d| {
+            let mut kv = d.kv_instances;
+            kv.clear();
+            kv
+        }));
         self.swapped.clear();
         self.idle.clear();
         self.busy.clear();
+    }
+
+    /// An empty buffer for a decoding entry's `kv_instances`: one an
+    /// earlier point cleared when there is one, so a steady decode batch
+    /// allocates none.
+    pub fn kv_buffer(&mut self) -> Vec<InstanceId> {
+        self.spare_kv.pop().unwrap_or_default()
     }
 
     /// Assembles a [`SchedulerView`] over the current buffer contents.
@@ -170,10 +186,9 @@ impl ViewScratch {
 impl SchedulerView<'_> {
     /// Free KV slots across a set of instances.
     pub fn free_slots_on(&self, instances: &[InstanceId]) -> u64 {
-        self.pool
-            .free_slots_on(instances)
+        instances
             .iter()
-            .map(|(_, f)| f)
+            .map(|&i| self.pool.instance(i).free())
             .sum()
     }
 

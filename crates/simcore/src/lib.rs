@@ -11,8 +11,8 @@
 //! * [`distributions`] — the samplers behind workload generation
 //!   (Poisson arrivals, Zipf mixtures, log-uniform/log-normal lengths),
 //! * [`ids`] — strongly-typed identifiers shared across the workspace,
-//! * [`table`] — a dense request table with incrementally maintained
-//!   phase indices, the backbone of the engine's O(active) run loop,
+//! * [`table`] — a dense request table with one admission-ordered list of
+//!   live requests, the backbone of the engine's O(active) run loop,
 //! * [`pool`] — a bounded, deterministic fork-join worker pool used by the
 //!   fleet runners to execute independent replica segments in parallel,
 //! * [`profile`] — wall-clock self-profiling counters (scheduling points,

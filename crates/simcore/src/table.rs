@@ -1,16 +1,21 @@
-//! Dense request table with incrementally maintained phase indices.
+//! Dense request table with one admission-ordered list of live requests.
 //!
 //! The serving engine's run loop must build a scheduler view at every
 //! scheduling point. Scanning every request ever seen makes each point cost
 //! O(all requests) and a whole trace O(N²); [`RequestTable`] makes the view
-//! O(active) instead. It is a dense slab indexed by [`RequestId`] whose
-//! entries each carry a coarse [`PhaseClass`]; for every class the table
-//! maintains an index set ordered by **admission rank** — the order in which
-//! requests became visible to the scheduler. Phase transitions move an entry
-//! between index sets in O(log n); iterating one class visits exactly the
-//! requests in that class, in the same order a full scan over an append-only
-//! arrival log would produce. That ordering guarantee is what keeps
+//! O(live) instead. It is a dense slab indexed by [`RequestId`] whose
+//! entries each carry a coarse [`PhaseClass`], plus one list of the
+//! admitted requests not yet [`PhaseClass::Done`], ordered by **admission
+//! rank** — the order in which requests became visible to the scheduler.
+//! The class lives in the slot, so moving among the live classes (a decode
+//! iteration's DecodeReady → InFlight → DecodeReady cycle, say) is a field
+//! write. Only two events touch the list: admission appends (ranks only
+//! grow) and resolution removes by binary search. Walking the list visits
+//! every live class in the same order a full scan over an append-only
+//! arrival log would produce; that ordering guarantee is what keeps
 //! incremental maintenance bit-for-bit equivalent to the naive rebuild.
+//! Done requests leave the list, so iterating them takes a slow path over
+//! the slab.
 //!
 //! The payload type is generic: the engine stores its full per-request state
 //! (timestamps, fine-grained phase) in `T` and mirrors the coarse class via
@@ -37,7 +42,6 @@
 //! ```
 
 use crate::ids::RequestId;
-use std::collections::BTreeSet;
 
 /// Coarse request phases the engine indexes by.
 ///
@@ -56,7 +60,9 @@ pub enum PhaseClass {
     /// Evicted to the host-DRAM swap tier; appears in the swapped view and
     /// waits there until memory pressure clears.
     Swapped,
-    /// Finished or rejected; appears in no view and never transitions again.
+    /// Finished or rejected; appears in no view. The engine never moves a
+    /// Done request again; the table allows it, re-listing the request at
+    /// its rank.
     Done,
 }
 
@@ -78,12 +84,12 @@ impl PhaseClass {
 struct Slot<T> {
     payload: T,
     class: PhaseClass,
-    /// Admission rank; `u64::MAX` until admitted.
-    rank: u64,
-    admitted: bool,
+    /// Admission rank; `None` until admitted.
+    rank: Option<u64>,
 }
 
-/// A dense slab of per-request state with intrusive phase-index sets.
+/// A dense slab of per-request state with one admission-ordered list of the
+/// live (admitted, not Done) requests.
 ///
 /// Entries are keyed by `RequestId::index()` relative to the lowest id
 /// inserted, so the slab spans the ids the table has seen, not every id
@@ -96,8 +102,11 @@ pub struct RequestTable<T> {
     /// `slots[i]` holds id `base + i`.
     slots: Vec<Option<Slot<T>>>,
     base: usize,
-    /// One ordered index per class, keyed by (admission rank, id).
-    classes: [BTreeSet<(u64, RequestId)>; PhaseClass::COUNT],
+    /// `(admission rank, id)` of every admitted request not in
+    /// [`PhaseClass::Done`], in rank order.
+    live: Vec<(u64, RequestId)>,
+    /// Admitted requests per class.
+    counts: [usize; PhaseClass::COUNT],
     next_rank: u64,
     len: usize,
 }
@@ -108,7 +117,8 @@ impl<T> RequestTable<T> {
         RequestTable {
             slots: Vec::new(),
             base: 0,
-            classes: Default::default(),
+            live: Vec::new(),
+            counts: [0; PhaseClass::COUNT],
             next_rank: 0,
             len: 0,
         }
@@ -132,7 +142,7 @@ impl<T> RequestTable<T> {
     }
 
     /// Inserts a request in class [`PhaseClass::Pending`], initially
-    /// invisible: it joins the phase indices only once [`Self::admit`]ted.
+    /// invisible: it joins class iteration only once [`Self::admit`]ted.
     ///
     /// # Panics
     ///
@@ -155,8 +165,7 @@ impl<T> RequestTable<T> {
         self.slots[idx] = Some(Slot {
             payload,
             class: PhaseClass::Pending,
-            rank: u64::MAX,
-            admitted: false,
+            rank: None,
         });
         self.len += 1;
     }
@@ -171,12 +180,14 @@ impl<T> RequestTable<T> {
     pub fn admit(&mut self, id: RequestId) {
         let rank = self.next_rank;
         let slot = self.slot_mut(id);
-        assert!(!slot.admitted, "request {id} admitted twice");
-        slot.admitted = true;
-        slot.rank = rank;
+        assert!(slot.rank.is_none(), "request {id} admitted twice");
+        slot.rank = Some(rank);
         let class = slot.class;
         self.next_rank += 1;
-        self.classes[class.index()].insert((rank, id));
+        self.counts[class.index()] += 1;
+        if class != PhaseClass::Done {
+            self.live.push((rank, id));
+        }
     }
 
     /// Returns true if the request is present.
@@ -202,7 +213,9 @@ impl<T> RequestTable<T> {
         self.slots.get(self.pos(id))?.as_ref().map(|s| s.class)
     }
 
-    /// Moves `id` to `class`, updating the phase indices in O(log n).
+    /// Moves `id` to `class`. Among the live classes this is a field write;
+    /// entering or leaving [`PhaseClass::Done`] also removes the request
+    /// from, or re-inserts it into, the live list by binary search.
     ///
     /// # Panics
     ///
@@ -214,40 +227,72 @@ impl<T> RequestTable<T> {
             return;
         }
         slot.class = class;
-        if slot.admitted {
-            let rank = slot.rank;
-            self.classes[old.index()].remove(&(rank, id));
-            self.classes[class.index()].insert((rank, id));
+        let Some(rank) = slot.rank else { return };
+        self.counts[old.index()] -= 1;
+        self.counts[class.index()] += 1;
+        if class == PhaseClass::Done {
+            self.unlist(rank);
+        } else if old == PhaseClass::Done {
+            let at = self
+                .live
+                .binary_search_by_key(&rank, |&(r, _)| r)
+                .expect_err("Done requests are not listed");
+            self.live.insert(at, (rank, id));
         }
     }
 
     /// Number of admitted requests currently in `class`.
     pub fn class_len(&self, class: PhaseClass) -> usize {
-        self.classes[class.index()].len()
+        self.counts[class.index()]
     }
 
-    /// Iterates the admitted requests of `class` in admission order.
+    /// Iterates the admitted requests of `class` in admission order. A live
+    /// class filters the live list; [`PhaseClass::Done`], which the engine
+    /// never iterates, collects its requests from the slab and sorts them.
     pub fn iter_class(&self, class: PhaseClass) -> impl Iterator<Item = RequestId> + '_ {
-        self.classes[class.index()].iter().map(|&(_, id)| id)
+        let (live, done) = if class == PhaseClass::Done {
+            let mut done: Vec<(u64, RequestId)> = self
+                .entries()
+                .filter(|(_, s)| s.class == PhaseClass::Done)
+                .filter_map(|(id, s)| Some((s.rank?, id)))
+                .collect();
+            done.sort_unstable();
+            (&[][..], done)
+        } else {
+            (&self.live[..], Vec::new())
+        };
+        live.iter()
+            .copied()
+            .filter(move |&(_, id)| self.live_slot(id).class == class)
+            .chain(done)
+            .map(|(_, id)| id)
+    }
+
+    /// Iterates `(id, payload)` over the admitted requests not in
+    /// [`PhaseClass::Done`], every live class together, in admission order.
+    pub fn iter_live(&self) -> impl Iterator<Item = (RequestId, &T)> {
+        self.live
+            .iter()
+            .map(|&(_, id)| (id, &self.live_slot(id).payload))
     }
 
     /// Iterates `(id, payload)` over every request, admitted or not, in id
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (RequestId, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, slot)| {
-            slot.as_ref()
-                .map(|s| (RequestId::from(self.base + i), &s.payload))
-        })
+        self.entries().map(|(id, s)| (id, &s.payload))
     }
 
-    /// Removes `id`, and its phase-index entry, returning its payload.
+    /// Removes `id`, and its live-list entry, returning its payload.
     pub fn remove(&mut self, id: RequestId) -> Option<T> {
         let slot = {
             let pos = self.pos(id);
             self.slots.get_mut(pos)?.take()?
         };
-        if slot.admitted {
-            self.classes[slot.class.index()].remove(&(slot.rank, id));
+        if let Some(rank) = slot.rank {
+            self.counts[slot.class.index()] -= 1;
+            if slot.class != PhaseClass::Done {
+                self.unlist(rank);
+            }
         }
         self.len -= 1;
         Some(slot.payload)
@@ -262,39 +307,77 @@ impl<T> RequestTable<T> {
             .filter_map(move |(i, slot)| slot.map(|s| (RequestId::from(base + i), s.payload)))
     }
 
-    /// Checks the index invariants: every admitted entry appears in exactly
-    /// the set of its class, unadmitted entries appear nowhere, and set
-    /// sizes add up. Intended for tests and debug assertions.
+    /// Checks the index invariants: the live list holds, in strictly
+    /// increasing rank order, exactly the admitted requests not in Done,
+    /// each under its own rank, and the per-class counts match the slab.
+    /// Intended for tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut admitted = 0usize;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let id = RequestId::from(self.base + i);
-            for class_idx in 0..PhaseClass::COUNT {
-                let present = self.classes[class_idx].contains(&(slot.rank, id));
-                let expected = slot.admitted && class_idx == slot.class.index();
-                if present != expected {
-                    return Err(format!(
-                        "request {id}: class index {class_idx} membership {present}, expected {expected}"
-                    ));
-                }
-            }
-            if slot.admitted {
-                admitted += 1;
+        let mut counts = [0usize; PhaseClass::COUNT];
+        let mut live = 0usize;
+        for (_, slot) in self.entries() {
+            if slot.rank.is_some() {
+                counts[slot.class.index()] += 1;
+                live += usize::from(slot.class != PhaseClass::Done);
             }
         }
-        let indexed: usize = self.classes.iter().map(|s| s.len()).sum();
-        if indexed != admitted {
+        if counts != self.counts {
             return Err(format!(
-                "phase indices hold {indexed} entries but {admitted} requests are admitted"
+                "class counts {:?}, but the slab holds {counts:?}",
+                self.counts
             ));
         }
+        if live != self.live.len() {
+            return Err(format!(
+                "live list holds {} entries but {live} admitted requests are not done",
+                self.live.len()
+            ));
+        }
+        for (k, &(rank, id)) in self.live.iter().enumerate() {
+            let slot = self
+                .slots
+                .get(self.pos(id))
+                .and_then(|s| s.as_ref())
+                .ok_or_else(|| format!("live list names unknown request {id}"))?;
+            if slot.rank != Some(rank) || slot.class == PhaseClass::Done {
+                return Err(format!(
+                    "request {id} listed at rank {rank} but has rank {:?} and class {:?}",
+                    slot.rank, slot.class
+                ));
+            }
+            if k > 0 && self.live[k - 1].0 >= rank {
+                return Err(format!("live list out of rank order at request {id}"));
+            }
+        }
         Ok(())
+    }
+
+    /// Every present slot with its id, in id order.
+    fn entries(&self) -> impl Iterator<Item = (RequestId, &Slot<T>)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|s| (RequestId::from(self.base + i), s)))
+    }
+
+    /// Removes the live-list entry of rank `rank`.
+    fn unlist(&mut self, rank: u64) {
+        let at = self
+            .live
+            .binary_search_by_key(&rank, |&(r, _)| r)
+            .expect("live requests are listed");
+        self.live.remove(at);
     }
 
     /// The slab position of `id`; out of range for ids below the window.
     fn pos(&self, id: RequestId) -> usize {
         id.index().wrapping_sub(self.base)
+    }
+
+    /// The slot of a listed request.
+    fn live_slot(&self, id: RequestId) -> &Slot<T> {
+        self.slots[self.pos(id)]
+            .as_ref()
+            .expect("listed requests are present")
     }
 
     fn slot_mut(&mut self, id: RequestId) -> &mut Slot<T> {
@@ -372,6 +455,39 @@ mod tests {
         t.set_class(RequestId(1), PhaseClass::Pending);
         let order: Vec<u64> = t.iter_class(PhaseClass::Pending).map(|r| r.raw()).collect();
         assert_eq!(order, vec![1, 0]);
+    }
+
+    #[test]
+    fn live_moves_keep_the_admission_position_and_done_reenters_at_its_rank() {
+        let mut t = table_with(&[0, 1, 2, 3]);
+        for id in [2u64, 0, 3, 1] {
+            t.admit(RequestId(id));
+            t.set_class(RequestId(id), PhaseClass::DecodeReady);
+        }
+        let decode_ready = |t: &RequestTable<u64>| -> Vec<u64> {
+            t.iter_class(PhaseClass::DecodeReady)
+                .map(|r| r.raw())
+                .collect()
+        };
+        // Request 0 runs decode iterations while the others wait: each
+        // iteration is a DecodeReady -> InFlight -> DecodeReady cycle.
+        for _ in 0..3 {
+            t.set_class(RequestId(0), PhaseClass::InFlight);
+            assert_eq!(decode_ready(&t), vec![2, 3, 1]);
+            t.set_class(RequestId(0), PhaseClass::DecodeReady);
+            assert_eq!(decode_ready(&t), vec![2, 0, 3, 1]);
+        }
+        // Request 3 finishes, then comes back: it re-enters between 0 and 1.
+        t.set_class(RequestId(3), PhaseClass::Done);
+        assert_eq!(decode_ready(&t), vec![2, 0, 1]);
+        assert_eq!(t.live.len(), 3);
+        t.set_class(RequestId(3), PhaseClass::Pending);
+        t.set_class(RequestId(3), PhaseClass::DecodeReady);
+        assert_eq!(decode_ready(&t), vec![2, 0, 3, 1]);
+        let live: Vec<u64> = t.iter_live().map(|(id, _)| id.raw()).collect();
+        assert_eq!(live, vec![2, 0, 3, 1]);
+        assert_eq!(t.class_len(PhaseClass::DecodeReady), 4);
+        assert!(t.check_invariants().is_ok());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! random traces, rates and systems: any divergence between the
 //! incremental view and the O(all-requests) rebuild panics inside the run.
 //!
-//! A second set of properties checks the `RequestTable` phase indices
-//! directly against a brute-force model (an append-only arrival log plus a
-//! per-request phase map), since the engine only exercises the transitions
-//! its schedulers happen to take.
+//! A second set of properties checks the `RequestTable` class iteration
+//! and live list directly against a brute-force model (an append-only
+//! arrival log plus a per-request phase map), since the engine only
+//! exercises the transitions its schedulers happen to take.
 
 use loong_simcore::table::{PhaseClass, RequestTable};
 use loongserve::prelude::*;
@@ -84,11 +84,13 @@ proptest! {
         prop_assert!(outcome.records.len() + outcome.rejected.len() + outcome.unfinished <= count);
     }
 
-    /// `RequestTable` phase-index iteration equals a brute-force scan of an
-    /// append-only arrival log for arbitrary admit/transition sequences.
+    /// `RequestTable` class iteration equals a brute-force scan of an
+    /// append-only arrival log for arbitrary insert/admit/transition/remove
+    /// sequences. Removal is the crash path (`take_unresolved`); a removed
+    /// id may be inserted again and is then admitted at a fresh rank.
     #[test]
     fn request_table_matches_bruteforce_model(
-        ops in proptest::collection::vec((0u64..12, 0usize..5), 1..200)
+        ops in proptest::collection::vec((0u64..12, 0usize..6), 1..200)
     ) {
         const CLASSES: [PhaseClass; 5] = [
             PhaseClass::Pending,
@@ -119,6 +121,11 @@ proptest! {
                         table.admit(id);
                     }
                 }
+                5 if known => {
+                    model.retain(|&(i, _, _)| i != id);
+                    admission_log.retain(|&i| i != id);
+                    prop_assert_eq!(table.remove(id), Some(raw));
+                }
                 c if known => {
                     let class = CLASSES[c % 5];
                     model.iter_mut().find(|(i, _, _)| *i == id).unwrap().2 = class;
@@ -127,6 +134,7 @@ proptest! {
                 _ => {}
             }
             prop_assert!(table.check_invariants().is_ok());
+            prop_assert_eq!(table.len(), model.len());
             for class in CLASSES {
                 // Naive rebuild: scan the admission log and filter by the
                 // current class — exactly what the old engine loop did.
@@ -139,9 +147,22 @@ proptest! {
                     })
                     .copied()
                     .collect();
+                prop_assert_eq!(table.class_len(class), naive.len());
                 let incremental: Vec<RequestId> = table.iter_class(class).collect();
                 prop_assert_eq!(incremental, naive);
             }
+            // The engine's view pass walks every live class at once.
+            let naive_live: Vec<RequestId> = admission_log
+                .iter()
+                .filter(|&&i| {
+                    model
+                        .iter()
+                        .any(|&(j, admitted, c)| j == i && admitted && c != PhaseClass::Done)
+                })
+                .copied()
+                .collect();
+            let live: Vec<RequestId> = table.iter_live().map(|(id, _)| id).collect();
+            prop_assert_eq!(live, naive_live);
         }
     }
 }
