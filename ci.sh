@@ -95,9 +95,8 @@ step "cargo build --examples --locked"
 cargo build --examples --locked
 
 step "run every example (small deterministic configs; a panicking example fails CI)"
-for example in quickstart compare_systems elastic_scaling_trace capacity_planning \
-               fleet_routing memory_pressure multi_turn_cache failure_injection \
-               autoscale_overload trace_export sparse_attention; do
+for source in examples/*.rs; do
+    example=$(basename "$source" .rs)
     echo "--- example: $example"
     LOONG_SMOKE=1 cargo run -q --release --locked --example "$example" > /dev/null
 done

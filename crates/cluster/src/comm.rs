@@ -8,12 +8,14 @@
 //! * **Sequence parallelism** ring exchanges of key-value segments between
 //!   instances during the prefill phase (StripedAttention), and query/partial
 //!   result exchanges during distributed decoding,
-//! * **Key-value cache migration** between instances when a baseline (or the
-//!   optional decode scale-down) has to move state reactively.
+//! * **Key-value cache migration** between instances when an instance is
+//!   drained or a baseline hands a request over. A migration is one
+//!   point-to-point transfer, priced by [`LinkSpec::transfer_time`].
 //!
 //! All of these are modelled with the standard alpha-beta (latency +
 //! size/bandwidth) formulation over the bottleneck link of the participating
-//! GPUs, which is the same approach used by NCCL performance models.
+//! GPUs, which is the same approach used by NCCL performance models. This
+//! module holds the collectives.
 
 use crate::gpu::LinkSpec;
 use serde::{Deserialize, Serialize};
@@ -30,11 +32,6 @@ impl CommModel {
     /// Creates a communication model over the given bottleneck link.
     pub fn new(link: LinkSpec) -> Self {
         CommModel { link }
-    }
-
-    /// Time for a single point-to-point transfer of `bytes` bytes.
-    pub fn p2p(&self, bytes: f64) -> f64 {
-        self.link.transfer_time(bytes)
     }
 
     /// Time for a ring all-reduce of `bytes` bytes across `n` participants.
@@ -96,13 +93,6 @@ impl CommModel {
         let peers = (n - 1) as f64;
         peers * (self.link.latency + bytes_per_peer / self.link.bandwidth)
     }
-
-    /// Time to migrate `bytes` of key-value cache from one instance to
-    /// another (used by reactive-migration baselines and by the optional
-    /// decode scale-down path).
-    pub fn migrate(&self, bytes: f64) -> f64 {
-        self.p2p(bytes)
-    }
 }
 
 /// Summary of communication volume for accounting and reporting.
@@ -163,7 +153,7 @@ mod tests {
         let m = nvlink_model();
         assert_eq!(m.ring_allreduce(0.0, 8), 0.0);
         assert_eq!(m.ring_sendrecv_step(0.0), 0.0);
-        assert_eq!(m.p2p(0.0), 0.0);
+        assert_eq!(m.link.transfer_time(0.0), 0.0);
     }
 
     #[test]
@@ -172,7 +162,7 @@ mod tests {
         // NVLink takes on the order of a second, far longer than a decode
         // step — the motivation for proactive migration.
         let m = nvlink_model();
-        let t = m.migrate(488.0 * GB);
+        let t = m.link.transfer_time(488.0 * GB);
         assert!(t > 1.0, "expected >1s, got {t}");
     }
 
@@ -253,7 +243,6 @@ mod tests {
         assert_eq!(m.ring_allgather(0.0, 8), 0.0);
         assert_eq!(m.broadcast(0.0, 8), 0.0);
         assert_eq!(m.master_exchange(0.0, 8), 0.0);
-        assert_eq!(m.migrate(0.0), 0.0);
         // n = 2 is the smallest paying configuration.
         assert!(m.ring_allreduce(1.0, 2) > 0.0);
     }

@@ -593,8 +593,9 @@ impl FleetEngine {
     /// run is decision-for-decision the untraced one; it is finalised at
     /// the fleet makespan. See the module docs for the execution model.
     ///
-    /// Returns the plan's validation error, before any request is pulled,
-    /// when [`FleetPlan::validate`] rejects it for this fleet.
+    /// Returns an error, before any request is pulled, when
+    /// [`FleetPlan::validate`] rejects the plan for this fleet or the
+    /// fleet's system has no scheduler for its pressure mode.
     pub fn run(
         &mut self,
         stream: TraceStream,
@@ -602,6 +603,9 @@ impl FleetEngine {
         recorder: Option<&mut TraceRecorder>,
     ) -> Result<FleetRun, String> {
         plan.validate(self.config.replicas)?;
+        // Replica lifetimes build their schedulers on pool workers; build
+        // one here so an unsupported pressure mode errs before the run.
+        self.config.replica_system().scheduler(None)?;
         let mut source = stream.peekable();
         self.router = self.config.policy.build();
         let mut st = RunState::new(&self.config, self.router.as_mut(), plan, recorder);
@@ -1225,5 +1229,29 @@ mod tests {
             ..FleetConfig::paper_fleet(SystemKind::LoongServe, 1, RouterPolicy::Passthrough)
         };
         let _ = FleetEngine::new(config);
+    }
+
+    #[test]
+    fn unsupported_pressure_mode_is_rejected_before_the_run() {
+        for system in [
+            SystemKind::DeepSpeedMii,
+            SystemKind::LightLlmSplitFuse,
+            SystemKind::DistServe,
+            SystemKind::StaticHybrid,
+        ] {
+            let config = FleetConfig {
+                pressure: PressureMode::Recompute,
+                parallel: true,
+                ..FleetConfig::paper_fleet(system, 2, RouterPolicy::RoundRobin)
+            };
+            let stream = TraceStream::from_trace(small_trace(4, 1));
+            let err = FleetEngine::new(config)
+                .run(stream, &FleetPlan::fixed(2), None)
+                .expect_err("no pressure-aware scheduler");
+            assert_eq!(
+                err,
+                format!("{} has no pressure-aware scheduler", system.label())
+            );
+        }
     }
 }

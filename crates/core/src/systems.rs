@@ -98,23 +98,54 @@ impl SystemKind {
         }
     }
 
-    /// Builds the scheduler for this system. `trace` supplies workload
-    /// statistics for policies that tune themselves per dataset (the
-    /// SplitFuse chunk size, per §7.1).
+    /// Builds the scheduler for this system without memory-pressure
+    /// handling. `trace` supplies workload statistics for policies that tune
+    /// themselves per dataset (the SplitFuse chunk size, per §7.1).
     pub fn build_scheduler(
         &self,
         instances: &[InstanceId],
         trace: Option<&Trace>,
     ) -> Box<dyn Scheduler + Send> {
-        match self {
-            SystemKind::LoongServe => Box::new(LoongServeScheduler::new()),
-            SystemKind::LoongServeNoScaleUp => {
-                Box::new(LoongServeScheduler::with_config(LoongServeConfig {
-                    enable_scale_up: false,
+        self.scheduler(instances, trace, PressureMode::Off)
+            .expect("every system builds without pressure handling")
+    }
+
+    /// Builds the scheduler for this system under `pressure`: the one
+    /// construction path. Errs, naming the system, when `pressure` is not
+    /// [`PressureMode::Off`] and the system has no pressure-aware scheduler
+    /// (the chunked-prefill, disaggregation and static-hybrid baselines).
+    pub fn scheduler(
+        &self,
+        instances: &[InstanceId],
+        trace: Option<&Trace>,
+        pressure: PressureMode,
+    ) -> Result<Box<dyn Scheduler + Send>, String> {
+        let pressure = pressure.config();
+        Ok(match self {
+            SystemKind::LoongServe | SystemKind::LoongServeNoScaleUp => {
+                let mut scheduler = LoongServeScheduler::with_config(LoongServeConfig {
+                    enable_scale_up: *self == SystemKind::LoongServe,
                     enable_proactive_scale_down: true,
-                }))
+                });
+                if let Some(config) = pressure {
+                    scheduler = scheduler.with_pressure(config);
+                }
+                Box::new(scheduler)
             }
-            SystemKind::Vllm => Box::new(IndependentInstancesScheduler::vllm()),
+            SystemKind::Vllm | SystemKind::Replicated => {
+                let mut scheduler = if *self == SystemKind::Vllm {
+                    IndependentInstancesScheduler::vllm()
+                } else {
+                    IndependentInstancesScheduler::replicated()
+                };
+                if let Some(config) = pressure {
+                    scheduler = scheduler.with_pressure(config);
+                }
+                Box::new(scheduler)
+            }
+            _ if pressure.is_some() => {
+                return Err(format!("{} has no pressure-aware scheduler", self.label()))
+            }
             SystemKind::DeepSpeedMii => Box::new(SplitFuseScheduler::deepspeed_mii()),
             SystemKind::LightLlmSplitFuse => {
                 let (mean_in, mean_out) = trace
@@ -127,40 +158,7 @@ impl SystemKind {
             }
             SystemKind::DistServe => Box::new(DistServeScheduler::from_instances(instances)),
             SystemKind::StaticHybrid => Box::new(StaticHybridScheduler::new()),
-            SystemKind::Replicated => Box::new(IndependentInstancesScheduler::replicated()),
-        }
-    }
-
-    /// Builds the scheduler with memory-pressure handling enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics for systems that have no pressure-aware scheduler (the
-    /// chunked-prefill and disaggregation baselines).
-    pub fn build_pressure_scheduler(
-        &self,
-        instances: &[InstanceId],
-        trace: Option<&Trace>,
-        pressure: PressureConfig,
-    ) -> Box<dyn Scheduler + Send> {
-        let _ = (instances, trace);
-        match self {
-            SystemKind::LoongServe => Box::new(LoongServeScheduler::new().with_pressure(pressure)),
-            SystemKind::LoongServeNoScaleUp => Box::new(
-                LoongServeScheduler::with_config(LoongServeConfig {
-                    enable_scale_up: false,
-                    enable_proactive_scale_down: true,
-                })
-                .with_pressure(pressure),
-            ),
-            SystemKind::Vllm => {
-                Box::new(IndependentInstancesScheduler::vllm().with_pressure(pressure))
-            }
-            SystemKind::Replicated => {
-                Box::new(IndependentInstancesScheduler::replicated().with_pressure(pressure))
-            }
-            other => panic!("{other:?} has no pressure-aware scheduler"),
-        }
+        })
     }
 }
 
@@ -273,18 +271,25 @@ impl SystemUnderTest {
     }
 
     /// Builds the serving engine for this system.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pressure mode needs a pressure-aware scheduler the
+    /// system does not have (see [`SystemKind::scheduler`]).
     pub fn build_engine(&self, trace: Option<&Trace>) -> ServingEngine {
-        let scheduler: Box<dyn Scheduler> = self.scheduler(trace);
+        let scheduler: Box<dyn Scheduler> = self.scheduler(trace).unwrap_or_else(|e| panic!("{e}"));
         ServingEngine::new(self.engine_config(), scheduler)
     }
 
     /// [`SystemUnderTest::build_engine`] with a `Send` scheduler: a fleet's
-    /// replica engines move between pool workers.
+    /// replica engines move between pool workers. The fleet checks the
+    /// scheduler builds before its run starts.
     pub(crate) fn build_send_engine(
         &self,
         trace: Option<&Trace>,
     ) -> ServingEngine<dyn Scheduler + Send> {
-        ServingEngine::new(self.engine_config(), self.scheduler(trace))
+        let scheduler = self.scheduler(trace).expect("checked before the fleet run");
+        ServingEngine::new(self.engine_config(), scheduler)
     }
 
     fn engine_config(&self) -> EngineConfig {
@@ -313,14 +318,15 @@ impl SystemUnderTest {
         }
     }
 
-    fn scheduler(&self, trace: Option<&Trace>) -> Box<dyn Scheduler + Send> {
+    /// This system's scheduler; errs as [`SystemKind::scheduler`] does.
+    pub(crate) fn scheduler(
+        &self,
+        trace: Option<&Trace>,
+    ) -> Result<Box<dyn Scheduler + Send>, String> {
         // The scheduler needs the instance list, which depends on tp.
         let tp = self.kind.tp(self.cluster.gpus_per_node);
         let instances = loong_esp::instance::InstanceRegistry::build(&self.cluster, tp).all_ids();
-        match self.pressure.config() {
-            None => self.kind.build_scheduler(&instances, trace),
-            Some(cfg) => self.kind.build_pressure_scheduler(&instances, trace, cfg),
-        }
+        self.kind.scheduler(&instances, trace, self.pressure)
     }
 
     /// Runs this system over a trace and summarises the outcome.

@@ -328,9 +328,9 @@ mod tests {
         // saturates in context length beyond the token budget.
         use loong_model::attention::AttentionCostPolicy;
         let (registry, dense_cm, pool) = setup();
-        let sparse_cm = dense_cm
-            .clone()
-            .with_attention(AttentionCostPolicy::page_sparse());
+        let sparse_cm = CostModel::builder(dense_cm.model.clone())
+            .attention(AttentionCostPolicy::page_sparse())
+            .build();
         let group = group_of(&[0, 1, 2, 3]);
 
         let run = |cm: &CostModel, context: u64| {

@@ -1,13 +1,12 @@
-//! ESP parallel groups and elastic scaling actions.
+//! ESP parallel groups.
 //!
 //! A parallel group is a set of elastic instances that jointly execute one
 //! batch with sequence parallelism; the number of instances in the group is
-//! the batch's degree of parallelism (DoP). The global manager reshapes
-//! groups between iterations: scaling a prefill group *down* as it enters
-//! the decoding phase (proactively, §4.1), scaling a decoding group *up*
-//! when it runs out of memory or becomes compute-bound (§4.2), and
-//! optionally scaling a decoding group down with explicit migration when
-//! the resources are more valuable elsewhere (§5.4).
+//! the batch's degree of parallelism (DoP). The global manager picks a fresh
+//! group for every iteration, which is how groups scale: a prefill group
+//! scales *down* by retaining its KV on a subset of its members (§4.1, see
+//! [`crate::prefill`]), and a decode group scales *up* by listing more
+//! instances and masters (§4.2, see [`crate::decode`]). Neither moves KV.
 
 use crate::instance::InstanceRegistry;
 use loong_model::roofline::ParallelConfig;
@@ -95,82 +94,6 @@ impl EspGroup {
     }
 }
 
-/// An elastic scaling action applied to a group between iterations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScalingAction {
-    /// Shrink the group to `retain`, a subset of the current members. When
-    /// folded into the prefill phase this is the zero-overhead proactive
-    /// scale-down; applied to a decode group it requires migrating the KV
-    /// held by the departing instances.
-    ScaleDown {
-        /// Instances that remain in the group.
-        retain: Vec<InstanceId>,
-    },
-    /// Grow the group by `added` instances. No KV moves: existing tokens
-    /// stay where they are and new instances contribute fresh capacity and
-    /// compute (multi-master decoding).
-    ScaleUp {
-        /// Instances joining the group.
-        added: Vec<InstanceId>,
-    },
-    /// Change which members act as masters without changing membership.
-    Remaster {
-        /// The new master set.
-        masters: Vec<InstanceId>,
-    },
-}
-
-impl ScalingAction {
-    /// Applies the action to a group, returning the reshaped group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the action is inconsistent with the group (retaining
-    /// non-members, adding existing members, or remastering to non-members).
-    pub fn apply(&self, group: &EspGroup) -> EspGroup {
-        match self {
-            ScalingAction::ScaleDown { retain } => {
-                assert!(
-                    !retain.is_empty(),
-                    "cannot scale a group down to zero instances"
-                );
-                assert!(
-                    retain.iter().all(|i| group.contains(*i)),
-                    "scale-down retains instances that are not members"
-                );
-                let masters: Vec<InstanceId> = group
-                    .masters
-                    .iter()
-                    .copied()
-                    .filter(|m| retain.contains(m))
-                    .collect();
-                let masters = if masters.is_empty() {
-                    vec![retain[0]]
-                } else {
-                    masters
-                };
-                EspGroup::with_masters(group.id, retain.clone(), masters)
-            }
-            ScalingAction::ScaleUp { added } => {
-                assert!(
-                    added.iter().all(|i| !group.contains(*i)),
-                    "scale-up adds instances that are already members"
-                );
-                let mut instances = group.instances.clone();
-                instances.extend(added.iter().copied());
-                let mut masters = group.masters.clone();
-                // New instances immediately become masters so they can absorb
-                // newly generated KV (the multi-master mechanism).
-                masters.extend(added.iter().copied());
-                EspGroup::with_masters(group.id, instances, masters)
-            }
-            ScalingAction::Remaster { masters } => {
-                EspGroup::with_masters(group.id, group.instances.clone(), masters.clone())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,61 +115,6 @@ mod tests {
         assert!(g.is_master(InstanceId(2)));
         let reg = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 2);
         assert_eq!(g.parallel_config(&reg), ParallelConfig::new(2, 4));
-    }
-
-    #[test]
-    fn scale_down_keeps_subset_and_masters() {
-        let g = group();
-        let action = ScalingAction::ScaleDown {
-            retain: vec![InstanceId(0), InstanceId(1)],
-        };
-        let g2 = action.apply(&g);
-        assert_eq!(g2.dop(), 2);
-        assert_eq!(g2.masters, vec![InstanceId(0), InstanceId(1)]);
-        assert_eq!(g2.id, g.id);
-    }
-
-    #[test]
-    fn scale_up_adds_new_masters() {
-        let g = EspGroup::with_masters(GroupId(1), vec![InstanceId(0)], vec![InstanceId(0)]);
-        let action = ScalingAction::ScaleUp {
-            added: vec![InstanceId(1), InstanceId(2)],
-        };
-        let g2 = action.apply(&g);
-        assert_eq!(g2.dop(), 3);
-        assert_eq!(g2.num_masters(), 3);
-        assert!(g2.is_master(InstanceId(2)));
-    }
-
-    #[test]
-    fn remaster_changes_masters_only() {
-        let g = group();
-        let action = ScalingAction::Remaster {
-            masters: vec![InstanceId(3)],
-        };
-        let g2 = action.apply(&g);
-        assert_eq!(g2.dop(), 4);
-        assert_eq!(g2.masters, vec![InstanceId(3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not members")]
-    fn scale_down_to_foreign_instance_panics() {
-        let g = group();
-        let action = ScalingAction::ScaleDown {
-            retain: vec![InstanceId(7)],
-        };
-        let _ = action.apply(&g);
-    }
-
-    #[test]
-    #[should_panic(expected = "already members")]
-    fn scale_up_with_existing_member_panics() {
-        let g = group();
-        let action = ScalingAction::ScaleUp {
-            added: vec![InstanceId(0)],
-        };
-        let _ = action.apply(&g);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!
 //! * [`instance`] — elastic instances (model replicas on fixed GPU sets) and
 //!   the registry that carves them out of a cluster,
-//! * [`group`] — ESP parallel groups and the scaling actions that reshape
-//!   them,
+//! * [`group`] — ESP parallel groups: the instances and masters of one
+//!   iteration,
 //! * [`prefill`] — sequence-parallel prefill with zero-overhead proactive
 //!   scale-down (paper §4.1),
 //! * [`decode`] — single-/multi-master distributed decoding and
 //!   migration-free scale-up (paper §4.2),
-//! * [`scaling`] — reactive, migration-based scaling with explicit
-//!   communication cost, used by the optional decode scale-down and by
-//!   baseline systems.
+//! * [`scaling`] — whole-request KV migration with explicit communication
+//!   cost, used when the global manager drains an instance (§5.2) and by
+//!   the disaggregation baseline.
 //!
 //! # Examples
 //!
@@ -56,22 +56,20 @@ pub mod prefill;
 pub mod scaling;
 
 pub use decode::{execute_decode, DecodeOutcome, DecodePlan, DecodePlanError, DecodeRequest};
-pub use group::{EspGroup, ScalingAction};
+pub use group::EspGroup;
 pub use instance::{ElasticInstance, InstanceRegistry};
 pub use prefill::{execute_prefill, PrefillOutcome, PrefillPlan, PrefillPlanError, PrefillRequest};
-pub use scaling::{migrate_request, reactive_scale_down, scale_up, MigrationSummary, ScalingError};
+pub use scaling::{migrate_request, MigrationSummary, ScalingError};
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
     pub use crate::decode::{
         execute_decode, DecodeOutcome, DecodePlan, DecodePlanError, DecodeRequest,
     };
-    pub use crate::group::{EspGroup, ScalingAction};
+    pub use crate::group::EspGroup;
     pub use crate::instance::{ElasticInstance, InstanceRegistry};
     pub use crate::prefill::{
         execute_prefill, PrefillOutcome, PrefillPlan, PrefillPlanError, PrefillRequest,
     };
-    pub use crate::scaling::{
-        migrate_request, reactive_scale_down, scale_up, MigrationSummary, ScalingError,
-    };
+    pub use crate::scaling::{migrate_request, MigrationSummary, ScalingError};
 }

@@ -365,9 +365,9 @@ mod tests {
         // policy-reduced local attention) and never more expensive.
         use loong_model::attention::AttentionCostPolicy;
         let (registry, dense_cm, pool) = setup();
-        let sparse_cm = dense_cm
-            .clone()
-            .with_attention(AttentionCostPolicy::hierarchical());
+        let sparse_cm = CostModel::builder(dense_cm.model.clone())
+            .attention(AttentionCostPolicy::hierarchical())
+            .build();
         let group = group_of(&[0, 1, 2, 3]);
         let requests = vec![PrefillRequest {
             id: RequestId(0),

@@ -1,18 +1,18 @@
-//! Reactive (migration-based) scaling and whole-request migration.
+//! Whole-request KV migration with explicit communication cost.
 //!
 //! LoongServe itself avoids KV migration: prefill scale-down is proactive
-//! and decode scale-up adds masters without moving anything. Migration is
-//! still needed in three places, and this module provides it with explicit
-//! communication-cost accounting:
+//! and decode scale-up adds masters without moving anything. The engine
+//! still moves KV for one scheduler action, `Action::Migrate`, which it
+//! executes with [`migrate_request`]. Two schedulers emit it:
 //!
-//! * the **optional decode scale-down** (paper §5.4), used only when its
-//!   benefit outweighs the migration cost,
-//! * the global manager's **instance draining** when the prefill phase
-//!   preempts a lightly used decode instance (§5.2), and
-//! * the **baseline systems** (prefill–decode disaggregation, replicated
-//!   instances) that migrate whole requests between instance groups.
+//! * the global manager, when it **drains an instance** so the prefill
+//!   phase can claim it (§5.2), and
+//! * the **DistServe baseline**, when it hands a prefilled request from
+//!   the prefill half to the decode half.
+//!
+//! The paper's optional reactive decode scale-down (§5.4) is not modelled;
+//! it would reach the pool through the same action.
 
-use crate::group::{EspGroup, ScalingAction};
 use crate::instance::InstanceRegistry;
 use loong_kvcache::placement::PlacementStrategy;
 use loong_kvcache::unified::{KvMove, UnifiedKvPool};
@@ -20,7 +20,7 @@ use loong_model::roofline::CostModel;
 use loong_simcore::ids::{InstanceId, RequestId};
 use serde::{Deserialize, Serialize};
 
-/// The outcome of a migration-based scaling action.
+/// The outcome of a migration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationSummary {
     /// The individual KV moves performed.
@@ -65,16 +65,14 @@ impl MigrationSummary {
     }
 }
 
-/// Errors from migration-based scaling.
+/// Errors from a migration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScalingError {
-    /// The retained/target instances cannot absorb the KV that has to move.
+    /// The target instances cannot absorb the KV that has to move.
     InsufficientTargetCapacity {
         /// Tokens that needed to move.
         tokens: u64,
     },
-    /// The requested membership change is inconsistent with the group.
-    InvalidMembership,
 }
 
 impl std::fmt::Display for ScalingError {
@@ -86,97 +84,16 @@ impl std::fmt::Display for ScalingError {
                     "target instances cannot absorb {tokens} migrated KV tokens"
                 )
             }
-            ScalingError::InvalidMembership => {
-                write!(f, "scaling action inconsistent with group membership")
-            }
         }
     }
 }
 
 impl std::error::Error for ScalingError {}
 
-/// Scales a decode group down to `retain`, migrating the KV that the
-/// departing instances hold for `requests` onto the retained instances.
-///
-/// Returns the reshaped group and the migration summary (whose `time_s` the
-/// caller charges to the iteration timeline). Fails without mutating the
-/// pool if the retained instances cannot absorb the KV.
-pub fn reactive_scale_down(
-    group: &EspGroup,
-    retain: &[InstanceId],
-    requests: &[RequestId],
-    pool: &mut UnifiedKvPool,
-    cost_model: &CostModel,
-    registry: &InstanceRegistry,
-) -> Result<(EspGroup, MigrationSummary), ScalingError> {
-    if retain.is_empty() || !retain.iter().all(|i| group.contains(*i)) {
-        return Err(ScalingError::InvalidMembership);
-    }
-    let departing: Vec<InstanceId> = group
-        .instances
-        .iter()
-        .copied()
-        .filter(|i| !retain.contains(i))
-        .collect();
-
-    // Feasibility check before touching the pool.
-    let mut to_move = 0u64;
-    for &req in requests {
-        for (inst, tokens) in pool.locations_of(req) {
-            if departing.contains(&inst) {
-                to_move += tokens;
-            }
-        }
-    }
-    let free_on_retained: u64 = pool.free_slots_on(retain).iter().map(|(_, f)| f).sum();
-    if free_on_retained < to_move {
-        return Err(ScalingError::InsufficientTargetCapacity { tokens: to_move });
-    }
-
-    let mut moves = Vec::new();
-    for &req in requests {
-        for (from, tokens) in pool.locations_of(req) {
-            if !departing.contains(&from) {
-                continue;
-            }
-            // Spread the evicted tokens over the retained instances using a
-            // balanced token-level placement.
-            let placement = pool
-                .plan(req, tokens, retain, PlacementStrategy::Balanced)
-                .ok_or(ScalingError::InsufficientTargetCapacity { tokens: to_move })?;
-            for (to, chunk) in placement.spans {
-                let mv = pool
-                    .migrate(req, from, to, chunk)
-                    .expect("feasibility checked above");
-                moves.push(mv);
-            }
-        }
-    }
-    let summary = MigrationSummary::from_moves(moves, cost_model, registry);
-    let new_group = ScalingAction::ScaleDown {
-        retain: retain.to_vec(),
-    }
-    .apply(group);
-    Ok((new_group, summary))
-}
-
-/// Scales a group up by adding instances. No KV moves are required — the
-/// new instances become additional masters — so this returns only the
-/// reshaped group.
-pub fn scale_up(group: &EspGroup, added: &[InstanceId]) -> Result<EspGroup, ScalingError> {
-    if added.iter().any(|i| group.contains(*i)) {
-        return Err(ScalingError::InvalidMembership);
-    }
-    Ok(ScalingAction::ScaleUp {
-        added: added.to_vec(),
-    }
-    .apply(group))
-}
-
-/// Migrates *all* KV of `request` onto `targets` (used by the disaggregation
-/// and replication baselines when handing a request between instance
-/// groups). Returns the migration summary, or an error if the targets lack
-/// capacity, in which case the pool is unchanged.
+/// Migrates *all* KV of `request` onto `targets`: the engine's execution of
+/// `Action::Migrate` (an instance drain or a disaggregation hand-off).
+/// Returns the migration summary, or an error if the targets lack capacity,
+/// in which case the pool is unchanged.
 pub fn migrate_request(
     request: RequestId,
     targets: &[InstanceId],
@@ -184,9 +101,10 @@ pub fn migrate_request(
     cost_model: &CostModel,
     registry: &InstanceRegistry,
 ) -> Result<MigrationSummary, ScalingError> {
-    let locations = pool.locations_of(request);
-    let outside: Vec<(InstanceId, u64)> = locations
-        .into_iter()
+    let outside: Vec<(InstanceId, u64)> = pool
+        .locations_ref(request)
+        .iter()
+        .copied()
         .filter(|(inst, _)| !targets.contains(inst))
         .collect();
     let to_move: u64 = outside.iter().map(|(_, t)| t).sum();
@@ -215,6 +133,8 @@ pub fn migrate_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{execute_decode, DecodePlan};
+    use crate::group::EspGroup;
     use loong_cluster::topology::ClusterSpec;
     use loong_model::config::ModelConfig;
     use loong_simcore::ids::GroupId;
@@ -226,12 +146,10 @@ mod tests {
         )
     }
 
-    fn group_of(ids: &[u64]) -> EspGroup {
-        EspGroup::new(GroupId(0), ids.iter().map(|&i| InstanceId(i)).collect())
-    }
-
     #[test]
     fn reactive_scale_down_moves_kv_and_charges_time() {
+        // The reactive alternative to proactive scale-down: after a prefill
+        // on four instances, migrate the KV onto the two that stay.
         let (registry, cm) = setup();
         let mut pool = UnifiedKvPool::new(4, 300_000);
         // Request 0 spread over all four instances.
@@ -239,23 +157,19 @@ mod tests {
             pool.append(RequestId(0), InstanceId(i), 50_000)
                 .expect("room");
         }
-        let group = group_of(&[0, 1, 2, 3]);
-        let (new_group, summary) = reactive_scale_down(
-            &group,
-            &[InstanceId(0), InstanceId(1)],
-            &[RequestId(0)],
-            &mut pool,
-            &cm,
-            &registry,
-        )
-        .expect("capacity");
-        assert_eq!(new_group.dop(), 2);
+        let retain = [InstanceId(0), InstanceId(1)];
+        let summary =
+            migrate_request(RequestId(0), &retain, &mut pool, &cm, &registry).expect("capacity");
         assert_eq!(summary.total_tokens, 100_000);
         assert!(summary.time_s > 0.0);
         assert!(summary.total_bytes > 0.0);
         assert_eq!(pool.instance(InstanceId(2)).used(), 0);
         assert_eq!(pool.instance(InstanceId(3)).used(), 0);
         assert_eq!(pool.tokens_of(RequestId(0)), 200_000);
+        assert!(pool
+            .locations_ref(RequestId(0))
+            .iter()
+            .all(|(i, _)| retain.contains(i)));
     }
 
     #[test]
@@ -266,11 +180,9 @@ mod tests {
             pool.append(RequestId(0), InstanceId(i), 50_000)
                 .expect("room");
         }
-        let group = group_of(&[0, 1, 2, 3]);
-        let err = reactive_scale_down(
-            &group,
+        let err = migrate_request(
+            RequestId(0),
             &[InstanceId(0), InstanceId(1)],
-            &[RequestId(0)],
             &mut pool,
             &cm,
             &registry,
@@ -286,11 +198,26 @@ mod tests {
 
     #[test]
     fn scale_up_requires_no_migration() {
-        let group = group_of(&[0, 1]);
-        let bigger = scale_up(&group, &[InstanceId(2), InstanceId(3)]).expect("valid");
-        assert_eq!(bigger.dop(), 4);
-        assert!(bigger.is_master(InstanceId(3)));
-        assert!(scale_up(&group, &[InstanceId(0)]).is_err());
+        // A decode group scales up by listing more instances and masters;
+        // the KV already resident stays where it is.
+        let (registry, cm) = setup();
+        let mut pool = UnifiedKvPool::new(4, 300_000);
+        pool.append(RequestId(0), InstanceId(0), 40_000)
+            .expect("room");
+        pool.append(RequestId(0), InstanceId(1), 40_000)
+            .expect("room");
+        let all: Vec<InstanceId> = (0..4).map(InstanceId).collect();
+        let bigger = EspGroup::with_masters(GroupId(0), all.clone(), all);
+        let plan = DecodePlan::build(bigger, &[(RequestId(0), 80_000)], &pool).expect("capacity");
+        let out = execute_decode(&plan, &cm, &registry, &mut pool).expect("decode");
+        assert_eq!(out.generated_tokens, 1);
+        assert_eq!(pool.tokens_of(RequestId(0)), 80_001);
+        for i in [InstanceId(0), InstanceId(1)] {
+            assert!(
+                pool.instance(i).used_by(RequestId(0)) >= 40_000,
+                "{i} lost KV"
+            );
+        }
     }
 
     #[test]
@@ -327,15 +254,5 @@ mod tests {
             .expect("noop");
         assert_eq!(summary.total_tokens, 0);
         assert_eq!(summary.time_s, 0.0);
-    }
-
-    #[test]
-    fn invalid_membership_is_rejected() {
-        let (registry, cm) = setup();
-        let mut pool = UnifiedKvPool::new(4, 300_000);
-        let group = group_of(&[0, 1]);
-        let err = reactive_scale_down(&group, &[InstanceId(3)], &[], &mut pool, &cm, &registry)
-            .unwrap_err();
-        assert_eq!(err, ScalingError::InvalidMembership);
     }
 }

@@ -6,7 +6,7 @@
 //!   one, as in the paper's implementation §6),
 //! * [`placement`] — token-level placement plans and strategies,
 //! * [`unified`] — the unified distributed pool spanning all elastic
-//!   instances, with commit/append/migrate/drain/evict operations and an
+//!   instances, with commit/append/migrate/evict operations and an
 //!   optional host-DRAM swap tier (`swap_out`/`swap_in`),
 //! * [`host`] — the host-DRAM pool backing the swap tier,
 //! * [`prefix`] — the prefix-cache tier: a deterministic hash-chained

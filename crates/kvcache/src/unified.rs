@@ -35,7 +35,7 @@ pub struct UnifiedKvPool {
     pools: Vec<InstanceKvPool>,
     /// Per-request residency index: which instances hold how many of each
     /// request's tokens, kept sorted by instance id. Maintained on every
-    /// mutation so `locations_of`/`tokens_of` cost O(#locations) instead of
+    /// mutation so `locations_ref`/`tokens_of` cost O(#locations) instead of
     /// a scan over all instances, and `resident_requests` costs O(n)
     /// instead of O(n²). The `BTreeMap` keeps iteration deterministic.
     residency: BTreeMap<RequestId, Vec<(InstanceId, u64)>>,
@@ -120,14 +120,8 @@ impl UnifiedKvPool {
         self.pools.iter().map(|p| p.capacity()).sum()
     }
 
-    /// Tokens `request` holds on each instance, sorted by instance id.
-    /// Served from the residency index in O(#locations).
-    pub fn locations_of(&self, request: RequestId) -> Vec<(InstanceId, u64)> {
-        self.residency.get(&request).cloned().unwrap_or_default()
-    }
-
-    /// Like [`Self::locations_of`] but without cloning: a borrowed view of
-    /// the request's residency, sorted by instance id.
+    /// Tokens `request` holds on each instance, sorted by instance id: a
+    /// borrowed view of the residency index, in O(#locations).
     pub fn locations_ref(&self, request: RequestId) -> &[(InstanceId, u64)] {
         self.residency
             .get(&request)
@@ -289,46 +283,6 @@ impl UnifiedKvPool {
         })
     }
 
-    /// Moves everything `request` holds on `from` to other instances with
-    /// room, preferring the instances with the most free slots. Used when
-    /// the global manager drains an instance so the prefill phase can claim
-    /// it (paper §5.2). Returns the moves performed, or `None` if the rest
-    /// of the pool cannot absorb the tokens (in which case nothing changes).
-    pub fn drain_instance(&mut self, request: RequestId, from: InstanceId) -> Option<Vec<KvMove>> {
-        let to_move = self.pools[from.index()].used_by(request);
-        if to_move == 0 {
-            return Some(Vec::new());
-        }
-        let mut targets: Vec<(InstanceId, u64)> = self
-            .pools
-            .iter()
-            .filter(|p| p.instance != from)
-            .map(|p| (p.instance, p.free()))
-            .collect();
-        targets.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let available: u64 = targets.iter().map(|(_, f)| f).sum();
-        if available < to_move {
-            return None;
-        }
-        let mut moves = Vec::new();
-        let mut remaining = to_move;
-        for (to, free) in targets {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(free);
-            if take == 0 {
-                continue;
-            }
-            let mv = self
-                .migrate(request, from, to, take)
-                .expect("capacity verified above");
-            moves.push(mv);
-            remaining -= take;
-        }
-        Some(moves)
-    }
-
     /// All requests resident anywhere in the pool, sorted by id. Served
     /// from the residency index in O(n) — no per-id dedup scan.
     pub fn resident_requests(&self) -> Vec<RequestId> {
@@ -420,36 +374,6 @@ impl UnifiedKvPool {
             }
         }
         Ok(())
-    }
-
-    /// Extends the pool with additional empty instances (multi-node scale
-    /// out).
-    pub fn add_instances(&mut self, count: usize, capacity_per_instance: u64) {
-        let start = self.pools.len();
-        for i in 0..count {
-            self.pools.push(InstanceKvPool::new(
-                InstanceId::from(start + i),
-                capacity_per_instance,
-            ));
-        }
-    }
-
-    /// Per-instance utilisation in `[0, 1]`, sorted by instance id.
-    ///
-    /// Returns a sorted `Vec` rather than a `HashMap` so callers that
-    /// iterate it (reports, schedulers) see a deterministic order.
-    pub fn utilization(&self) -> Vec<(InstanceId, f64)> {
-        self.pools
-            .iter()
-            .map(|p| {
-                let u = if p.capacity() == 0 {
-                    1.0
-                } else {
-                    p.used() as f64 / p.capacity() as f64
-                };
-                (p.instance, u)
-            })
-            .collect()
     }
 
     // ---- Host-DRAM swap tier ------------------------------------------------
@@ -886,7 +810,7 @@ mod tests {
         p.append(RequestId(3), InstanceId(1), 1).expect("room");
         p.append(RequestId(3), InstanceId(1), 1).expect("room");
         assert_eq!(p.tokens_of(RequestId(3)), 2);
-        assert_eq!(p.locations_of(RequestId(3)), vec![(InstanceId(1), 2)]);
+        assert_eq!(p.locations_ref(RequestId(3)), [(InstanceId(1), 2)]);
     }
 
     #[test]
@@ -915,48 +839,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_instance_moves_everything_or_nothing() {
-        let mut p = UnifiedKvPool::with_capacities(&[100, 60, 60]);
-        p.append(RequestId(1), InstanceId(0), 100).expect("room");
-        let moves = p
-            .drain_instance(RequestId(1), InstanceId(0))
-            .expect("fits elsewhere");
-        assert_eq!(moves.iter().map(|m| m.tokens).sum::<u64>(), 100);
-        assert_eq!(p.instance(InstanceId(0)).used_by(RequestId(1)), 0);
-        assert_eq!(p.tokens_of(RequestId(1)), 100);
-
-        // Now fill the other instances so a second drain cannot succeed.
-        let mut p2 = UnifiedKvPool::with_capacities(&[100, 10, 10]);
-        p2.append(RequestId(1), InstanceId(0), 100).expect("room");
-        assert!(p2.drain_instance(RequestId(1), InstanceId(0)).is_none());
-        assert_eq!(p2.instance(InstanceId(0)).used_by(RequestId(1)), 100);
-    }
-
-    #[test]
     fn resident_requests_lists_unique_ids() {
         let mut p = pool();
         p.append(RequestId(5), InstanceId(0), 10).expect("room");
         p.append(RequestId(5), InstanceId(1), 10).expect("room");
         p.append(RequestId(2), InstanceId(2), 10).expect("room");
         assert_eq!(p.resident_requests(), vec![RequestId(2), RequestId(5)]);
-    }
-
-    #[test]
-    fn add_instances_extends_capacity() {
-        let mut p = pool();
-        let before = p.total_capacity();
-        p.add_instances(2, 50_000);
-        assert_eq!(p.num_instances(), 5);
-        assert_eq!(p.total_capacity(), before + 100_000);
-        assert_eq!(p.instance(InstanceId(4)).capacity(), 50_000);
-    }
-
-    #[test]
-    fn utilization_reports_per_instance_in_sorted_order() {
-        let mut p = UnifiedKvPool::with_capacities(&[100, 100]);
-        p.append(RequestId(1), InstanceId(0), 50).expect("room");
-        let u = p.utilization();
-        assert_eq!(u, vec![(InstanceId(0), 0.5), (InstanceId(1), 0.0)]);
     }
 
     #[test]
@@ -1079,8 +967,8 @@ mod tests {
         assert_eq!(p.total_used(), used_before);
         assert_eq!(p.tokens_of(RequestId(0)), 0);
         assert_eq!(
-            p.locations_of(RequestId(1)),
-            vec![(InstanceId(0), 20_000), (InstanceId(1), 10_000)]
+            p.locations_ref(RequestId(1)),
+            [(InstanceId(0), 20_000), (InstanceId(1), 10_000)]
         );
         assert!(p.prefix().expect("enabled").is_empty());
         assert!(p.check_invariants().is_ok());
@@ -1209,7 +1097,7 @@ mod tests {
             .expect("fits");
         p.commit(&plan).expect("commit");
         p.append(RequestId(7), InstanceId(0), 5).expect("room");
-        let before = p.locations_of(RequestId(7));
+        let before = p.locations_ref(RequestId(7));
         assert_eq!(
             before.iter().map(|&(_, t)| t).sum::<u64>(),
             250_005,
@@ -1229,7 +1117,7 @@ mod tests {
         assert!(small
             .migrate(RequestId(1), InstanceId(0), InstanceId(1), 20)
             .is_err());
-        assert_eq!(small.locations_of(RequestId(1)), vec![(InstanceId(0), 50)]);
+        assert_eq!(small.locations_ref(RequestId(1)), [(InstanceId(0), 50)]);
         assert!(small.check_invariants().is_ok());
 
         assert_eq!(p.release(RequestId(7)), 250_005);

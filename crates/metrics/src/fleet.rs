@@ -149,14 +149,6 @@ impl FleetSummary {
         self.elasticity = stats;
     }
 
-    /// Attaches a tracing recorder's per-phase time attribution to the
-    /// merged summary. Attribution is accumulated fleet-wide by the
-    /// recorder (a casualty's downtime belongs to no single replica), so
-    /// like reliability and elasticity there is no per-replica split.
-    pub fn attach_attribution(&mut self, attribution: crate::attribution::TimeAttribution) {
-        self.fleet.attribution = attribution;
-    }
-
     /// Success ratio over the whole run: completed over resolved requests,
     /// from the attached availability windows (1.0 when none resolved —
     /// matching [`SlaWindow::success_ratio`]).

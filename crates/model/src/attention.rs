@@ -10,13 +10,13 @@
 //! attention for pages below the selection budget.
 //!
 //! This module breaks the dense assumption out of [`CostModel`]'s
-//! arithmetic into a first-class policy API:
+//! arithmetic into one policy type, [`AttentionCostPolicy`], the
+//! serialisable enum [`CostModel`] carries. Its methods own **both** sides
+//! of the attention roofline: the FLOP counts *and* the HBM KV-read token
+//! counts (sparse decode also reads less KV, which matters because decode
+//! attention is bandwidth-bound). The variants:
 //!
-//! * [`AttentionCost`] — the trait every policy implements. It owns **both**
-//!   sides of the attention roofline: the FLOP counts *and* the HBM KV-read
-//!   token counts (sparse decode also reads less KV, which matters because
-//!   decode attention is bandwidth-bound).
-//! * [`Dense`] — the paper's original behaviour, bit-for-bit identical to
+//! * `Dense` — the paper's original behaviour, bit-for-bit identical to
 //!   the pre-policy arithmetic (pinned by the golden digests).
 //! * [`PageSparseDecode`] — LServe-style sparse decode: each step attends
 //!   over a streaming sink + recent window plus a fixed budget of top-scored
@@ -25,13 +25,10 @@
 //! * [`HierarchicalPrefill`] — LServe §4 hierarchical paging on the prefill
 //!   side: each query block attends to at most the selection budget of
 //!   context tokens, skipping pages below it. Decode stays dense.
-//! * [`AttentionCostPolicy`] — the serialisable sum type carried by
-//!   [`CostModel`]; it implements [`AttentionCost`] by delegation, so the
-//!   whole workspace selects a policy per run without generics.
 //!
 //! # Invariants (pinned by `tests/sparse_attention_properties.rs`)
 //!
-//! 1. **Dense neutrality** — [`Dense`] delegates to the exact pre-policy
+//! 1. **Dense neutrality** — `Dense` prices with the exact pre-policy
 //!    arithmetic; every consumer produces bit-for-bit identical results.
 //! 2. **Monotonicity** — no policy ever charges *more* than dense for the
 //!    same shape: FLOPs are `min(dense, sparse-with-selection)` (a real
@@ -48,84 +45,6 @@
 
 use crate::config::ModelConfig;
 use serde::{Deserialize, Serialize};
-
-/// The contract every attention-cost policy fulfils.
-///
-/// All methods take token counts as `f64` (matching the roofline's
-/// arithmetic) and must be pure: the scheduling paths call them at every
-/// iteration and rely on identical inputs producing identical outputs.
-///
-/// The two `*_flops` methods price the arithmetic side of the attention
-/// roofline; the two `*_kv_read_tokens` methods price the HBM side — how
-/// many tokens' worth of KV cache the kernel actually streams. A sparse
-/// policy must cap **both**: long-context decode is bandwidth-bound, so
-/// reducing FLOPs alone would change nothing.
-pub trait AttentionCost {
-    /// FLOPs of attention for `new_tokens` query positions attending over
-    /// `total_context` cached positions (including themselves), causal.
-    /// Used by full prefills (`new == total`), chunked-prefill chunks and
-    /// the cached-context surcharge of prefix-cache suffix prefills.
-    fn prefill_attention_flops(
-        &self,
-        model: &ModelConfig,
-        new_tokens: f64,
-        total_context: f64,
-    ) -> f64;
-
-    /// FLOPs of one decode step (a single new token) attending over
-    /// `context_len` cached tokens.
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64;
-
-    /// Tokens' worth of KV cache one decode step streams from HBM for a
-    /// request with `context_len` cached tokens.
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64;
-
-    /// Tokens' worth of KV cache a prefill chunk of `chunk_tokens` streams
-    /// from HBM while attending over `total_context` processed tokens
-    /// (chunk included).
-    fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64;
-
-    /// Short label for figure legends and bench output.
-    fn label(&self) -> &'static str;
-}
-
-/// Dense causal attention over the full context — the paper's original
-/// behaviour and the default policy.
-///
-/// Delegates to the exact arithmetic [`CostModel`] used before the policy
-/// tier existed, so every consumer stays bit-for-bit on the pinned golden
-/// digests.
-///
-/// [`CostModel`]: crate::roofline::CostModel
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Dense;
-
-impl AttentionCost for Dense {
-    fn prefill_attention_flops(
-        &self,
-        model: &ModelConfig,
-        new_tokens: f64,
-        total_context: f64,
-    ) -> f64 {
-        model.attention_flops(new_tokens, total_context)
-    }
-
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
-        model.attention_flops(1.0, context_len)
-    }
-
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
-        context_len
-    }
-
-    fn chunk_kv_read_tokens(&self, _chunk_tokens: f64, total_context: f64) -> f64 {
-        total_context
-    }
-
-    fn label(&self) -> &'static str {
-        "dense"
-    }
-}
 
 /// LServe-style page-sparse streaming **decode**: every decode step attends
 /// over an always-kept streaming sink prefix and recent window plus a fixed
@@ -179,27 +98,9 @@ impl PageSparseDecode {
         model.num_layers as f64 * 4.0 * (2.0 * pages) * model.hidden_size as f64
     }
 
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.page_tokens == 0 || self.budget_pages == 0 {
-            return Err("page-sparse decode needs positive page size and budget".to_string());
-        }
-        Ok(())
-    }
-}
-
-impl AttentionCost for PageSparseDecode {
-    fn prefill_attention_flops(
-        &self,
-        model: &ModelConfig,
-        new_tokens: f64,
-        total_context: f64,
-    ) -> f64 {
-        // Prefill is dense under this policy; only decode is sparse.
-        model.attention_flops(new_tokens, total_context)
-    }
-
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
+    /// FLOPs of one decode step (a single new token) attending over
+    /// `context_len` cached tokens.
+    pub fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
         let dense = model.attention_flops(1.0, context_len);
         let sparse = model.attention_flops(1.0, self.effective_context(context_len))
             + self.selection_flops(model, context_len);
@@ -208,16 +109,18 @@ impl AttentionCost for PageSparseDecode {
         dense.min(sparse)
     }
 
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
+    /// Tokens' worth of KV cache one decode step streams from HBM for a
+    /// request with `context_len` cached tokens.
+    pub fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
         self.effective_context(context_len)
     }
 
-    fn chunk_kv_read_tokens(&self, _chunk_tokens: f64, total_context: f64) -> f64 {
-        total_context
-    }
-
-    fn label(&self) -> &'static str {
-        "page-sparse-decode"
+    /// Validates the configuration.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.page_tokens == 0 || self.budget_pages == 0 {
+            return Err("page-sparse decode needs positive page size and budget".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -267,17 +170,9 @@ impl HierarchicalPrefill {
         model.num_layers as f64 * 4.0 * (2.0 * pages * blocks) * model.hidden_size as f64
     }
 
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.page_tokens == 0 || self.budget_tokens == 0 {
-            return Err("hierarchical prefill needs positive page size and budget".to_string());
-        }
-        Ok(())
-    }
-}
-
-impl AttentionCost for HierarchicalPrefill {
-    fn prefill_attention_flops(
+    /// FLOPs of attention for `new_tokens` query positions attending over
+    /// `total_context` cached positions (including themselves), causal.
+    pub fn prefill_attention_flops(
         &self,
         model: &ModelConfig,
         new_tokens: f64,
@@ -291,15 +186,10 @@ impl AttentionCost for HierarchicalPrefill {
         dense.min(sparse)
     }
 
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
-        model.attention_flops(1.0, context_len)
-    }
-
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
-        context_len
-    }
-
-    fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
+    /// Tokens' worth of KV cache a prefill chunk of `chunk_tokens` streams
+    /// from HBM while attending over `total_context` processed tokens
+    /// (chunk included).
+    pub fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
         if chunk_tokens <= 0.0 {
             return total_context;
         }
@@ -309,14 +199,26 @@ impl AttentionCost for HierarchicalPrefill {
         total_context.min(blocks * self.budget_tokens as f64)
     }
 
-    fn label(&self) -> &'static str {
-        "hierarchical-prefill"
+    /// Validates the configuration.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.page_tokens == 0 || self.budget_tokens == 0 {
+            return Err("hierarchical prefill needs positive page size and budget".to_string());
+        }
+        Ok(())
     }
 }
 
 /// The attention-cost policy carried by [`CostModel`]: a serialisable sum
-/// type over the three implementations, delegating [`AttentionCost`] to the
-/// selected one.
+/// type over the three policies. Every method is pure: the scheduling paths
+/// call them at every iteration and rely on identical inputs producing
+/// identical outputs. Token counts are `f64`, matching the roofline's
+/// arithmetic.
+///
+/// The two `*_flops` methods price the arithmetic side of the attention
+/// roofline; the two `*_kv_read_tokens` methods price the HBM side — how
+/// many tokens' worth of KV cache the kernel actually streams. A sparse
+/// policy must cap **both**: long-context decode is bandwidth-bound, so
+/// reducing FLOPs alone would change nothing.
 ///
 /// [`CostModel`]: crate::roofline::CostModel
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -358,65 +260,63 @@ impl AttentionCostPolicy {
             AttentionCostPolicy::HierarchicalPrefill(p) => p.validate(),
         }
     }
-}
 
-impl AttentionCost for AttentionCostPolicy {
-    fn prefill_attention_flops(
+    /// FLOPs of attention for `new_tokens` query positions attending over
+    /// `total_context` cached positions (including themselves), causal.
+    /// Used by full prefills (`new == total`), chunked-prefill chunks and
+    /// the cached-context surcharge of prefix-cache suffix prefills.
+    pub fn prefill_attention_flops(
         &self,
         model: &ModelConfig,
         new_tokens: f64,
         total_context: f64,
     ) -> f64 {
         match self {
-            AttentionCostPolicy::Dense => {
-                Dense.prefill_attention_flops(model, new_tokens, total_context)
-            }
-            AttentionCostPolicy::PageSparseDecode(p) => {
-                p.prefill_attention_flops(model, new_tokens, total_context)
-            }
             AttentionCostPolicy::HierarchicalPrefill(p) => {
                 p.prefill_attention_flops(model, new_tokens, total_context)
             }
+            _ => model.attention_flops(new_tokens, total_context),
         }
     }
 
-    fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
+    /// FLOPs of one decode step (a single new token) attending over
+    /// `context_len` cached tokens.
+    pub fn decode_attention_flops(&self, model: &ModelConfig, context_len: f64) -> f64 {
         match self {
-            AttentionCostPolicy::Dense => Dense.decode_attention_flops(model, context_len),
             AttentionCostPolicy::PageSparseDecode(p) => {
                 p.decode_attention_flops(model, context_len)
             }
-            AttentionCostPolicy::HierarchicalPrefill(p) => {
-                p.decode_attention_flops(model, context_len)
-            }
+            _ => model.attention_flops(1.0, context_len),
         }
     }
 
-    fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
+    /// Tokens' worth of KV cache one decode step streams from HBM for a
+    /// request with `context_len` cached tokens.
+    pub fn decode_kv_read_tokens(&self, context_len: f64) -> f64 {
         match self {
-            AttentionCostPolicy::Dense => Dense.decode_kv_read_tokens(context_len),
             AttentionCostPolicy::PageSparseDecode(p) => p.decode_kv_read_tokens(context_len),
-            AttentionCostPolicy::HierarchicalPrefill(p) => p.decode_kv_read_tokens(context_len),
+            _ => context_len,
         }
     }
 
-    fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
+    /// Tokens' worth of KV cache a prefill chunk of `chunk_tokens` streams
+    /// from HBM while attending over `total_context` processed tokens
+    /// (chunk included).
+    pub fn chunk_kv_read_tokens(&self, chunk_tokens: f64, total_context: f64) -> f64 {
         match self {
-            AttentionCostPolicy::Dense => Dense.chunk_kv_read_tokens(chunk_tokens, total_context),
-            AttentionCostPolicy::PageSparseDecode(p) => {
-                p.chunk_kv_read_tokens(chunk_tokens, total_context)
-            }
             AttentionCostPolicy::HierarchicalPrefill(p) => {
                 p.chunk_kv_read_tokens(chunk_tokens, total_context)
             }
+            _ => total_context,
         }
     }
 
-    fn label(&self) -> &'static str {
+    /// Short label for figure legends and bench output.
+    pub fn label(&self) -> &'static str {
         match self {
-            AttentionCostPolicy::Dense => Dense.label(),
-            AttentionCostPolicy::PageSparseDecode(p) => p.label(),
-            AttentionCostPolicy::HierarchicalPrefill(p) => p.label(),
+            AttentionCostPolicy::Dense => "dense",
+            AttentionCostPolicy::PageSparseDecode(_) => "page-sparse-decode",
+            AttentionCostPolicy::HierarchicalPrefill(_) => "hierarchical-prefill",
         }
     }
 }
@@ -432,18 +332,19 @@ mod tests {
     #[test]
     fn dense_matches_raw_attention_flops() {
         let m = model();
+        let dense = AttentionCostPolicy::Dense;
         for (n, c) in [(1.0, 10_000.0), (2_000.0, 50_000.0), (100.0, 100.0)] {
             assert_eq!(
-                Dense.prefill_attention_flops(&m, n, c),
+                dense.prefill_attention_flops(&m, n, c),
                 m.attention_flops(n, c)
             );
         }
         assert_eq!(
-            Dense.decode_attention_flops(&m, 30_000.0),
+            dense.decode_attention_flops(&m, 30_000.0),
             m.attention_flops(1.0, 30_000.0)
         );
-        assert_eq!(Dense.decode_kv_read_tokens(12_345.0), 12_345.0);
-        assert_eq!(Dense.chunk_kv_read_tokens(2_000.0, 52_000.0), 52_000.0);
+        assert_eq!(dense.decode_kv_read_tokens(12_345.0), 12_345.0);
+        assert_eq!(dense.chunk_kv_read_tokens(2_000.0, 52_000.0), 52_000.0);
     }
 
     #[test]
@@ -499,7 +400,7 @@ mod tests {
         );
         // Decode stays dense.
         assert_eq!(
-            h.decode_attention_flops(&m, 200_000.0),
+            AttentionCostPolicy::HierarchicalPrefill(h).decode_attention_flops(&m, 200_000.0),
             m.attention_flops(1.0, 200_000.0)
         );
     }

@@ -1,26 +1,19 @@
 //! Builder for [`CostModel`] — the front door of the cost API.
 //!
 //! [`CostModel::new`] takes only the model config and fills in the paper's
-//! testbed defaults; every other knob used to be set through a growing pile
-//! of positional `with_*` chains spread across examples and benches. The
-//! builder gathers them in one place — model config, GPU, intra-instance
-//! link, attention policy, overlap fraction, per-iteration overhead — and
-//! can additionally pin a [`ParallelConfig`] and sequence-parallel link to
-//! produce a [`BoundCostModel`], which is what figure benches actually
-//! want: "price this batch on SP4TP2 over NVLink" without re-passing the
-//! group shape at every call.
+//! testbed defaults. The builder names the two parts a run may change: the
+//! GPU and the attention-cost policy.
 //!
 //! [`CostModel::new`]: crate::roofline::CostModel::new
 
 use crate::attention::AttentionCostPolicy;
 use crate::config::ModelConfig;
-use crate::roofline::{CostModel, IterationCost, ParallelConfig};
+use crate::roofline::CostModel;
 use loong_cluster::gpu::{GpuSpec, LinkSpec};
 
 /// Assembles a [`CostModel`] from named parts instead of positional
 /// constructor arguments. Defaults match [`CostModel::new`]: A800 GPUs,
-/// NVLink within instances, 0.90 sequence-parallel overlap, 2 ms
-/// per-iteration overhead, dense attention.
+/// NVLink within instances, dense attention.
 ///
 /// ```
 /// use loong_model::prelude::*;
@@ -36,12 +29,7 @@ use loong_cluster::gpu::{GpuSpec, LinkSpec};
 pub struct CostModelBuilder {
     model: ModelConfig,
     gpu: GpuSpec,
-    intra_instance_link: LinkSpec,
-    sp_overlap_fraction: f64,
-    per_iteration_overhead_s: f64,
     attention: AttentionCostPolicy,
-    parallel: Option<ParallelConfig>,
-    sp_link: Option<LinkSpec>,
 }
 
 impl CostModelBuilder {
@@ -50,12 +38,7 @@ impl CostModelBuilder {
         CostModelBuilder {
             model,
             gpu: GpuSpec::a800_80gb(),
-            intra_instance_link: LinkSpec::nvlink_a800(),
-            sp_overlap_fraction: 0.90,
-            per_iteration_overhead_s: 2e-3,
             attention: AttentionCostPolicy::Dense,
-            parallel: None,
-            sp_link: None,
         }
     }
 
@@ -65,42 +48,9 @@ impl CostModelBuilder {
         self
     }
 
-    /// Sets the link between GPUs of the same elastic instance.
-    pub fn intra_link(mut self, link: LinkSpec) -> Self {
-        self.intra_instance_link = link;
-        self
-    }
-
     /// Sets the attention-cost policy.
     pub fn attention(mut self, attention: AttentionCostPolicy) -> Self {
         self.attention = attention;
-        self
-    }
-
-    /// Sets the fraction of sequence-parallel communication overlapped with
-    /// attention computation.
-    pub fn sp_overlap_fraction(mut self, fraction: f64) -> Self {
-        self.sp_overlap_fraction = fraction;
-        self
-    }
-
-    /// Sets the constant per-iteration scheduling overhead in seconds.
-    pub fn per_iteration_overhead_s(mut self, overhead: f64) -> Self {
-        self.per_iteration_overhead_s = overhead;
-        self
-    }
-
-    /// Pins the group's parallel configuration (used by
-    /// [`Self::build_bound`]).
-    pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Pins the bottleneck link between instances of the group (used by
-    /// [`Self::build_bound`]).
-    pub fn sp_link(mut self, link: LinkSpec) -> Self {
-        self.sp_link = Some(link);
         self
     }
 
@@ -109,79 +59,15 @@ impl CostModelBuilder {
         CostModel {
             model: self.model,
             gpu: self.gpu,
-            intra_instance_link: self.intra_instance_link,
-            sp_overlap_fraction: self.sp_overlap_fraction,
-            per_iteration_overhead_s: self.per_iteration_overhead_s,
+            intra_instance_link: LinkSpec::nvlink_a800(),
             attention: self.attention,
         }
-    }
-
-    /// Builds a [`BoundCostModel`] with the parallel configuration and
-    /// sequence-parallel link pinned. Defaults: `SP1TP1`, and the
-    /// intra-instance link doubling as the SP link (single-node groups).
-    pub fn build_bound(self) -> BoundCostModel {
-        let parallel = self.parallel.unwrap_or(ParallelConfig { tp: 1, sp: 1 });
-        let sp_link = self.sp_link.unwrap_or(self.intra_instance_link);
-        BoundCostModel {
-            cost_model: self.build(),
-            parallel,
-            sp_link,
-        }
-    }
-}
-
-/// A [`CostModel`] with the group shape pinned: every pricing call stops
-/// re-passing the [`ParallelConfig`] and SP link. The figure benches price
-/// dozens of batches against one fixed group; this is their entry point.
-#[derive(Debug, Clone)]
-pub struct BoundCostModel {
-    /// The underlying cost model.
-    pub cost_model: CostModel,
-    /// The pinned group configuration.
-    pub parallel: ParallelConfig,
-    /// The pinned bottleneck link between instances of the group.
-    pub sp_link: LinkSpec,
-}
-
-impl BoundCostModel {
-    /// Prefill cost of a batch on the pinned group.
-    pub fn prefill(&self, input_lens: &[u64]) -> IterationCost {
-        self.cost_model
-            .prefill_cost(input_lens, self.parallel, self.sp_link)
-    }
-
-    /// Decode cost of a batch on the pinned group with `masters` masters.
-    pub fn decode(&self, context_lens: &[u64], masters: usize) -> IterationCost {
-        self.cost_model
-            .decode_cost(context_lens, self.parallel, masters, self.sp_link)
-    }
-
-    /// Chunked-prefill cost on the pinned group.
-    pub fn chunked_prefill(
-        &self,
-        chunk_tokens: u64,
-        processed_tokens: u64,
-        decode_context_lens: &[u64],
-    ) -> IterationCost {
-        self.cost_model.chunked_prefill_cost(
-            chunk_tokens,
-            processed_tokens,
-            decode_context_lens,
-            self.parallel,
-            self.sp_link,
-        )
-    }
-
-    /// Prefill saturation point of the pinned group.
-    pub fn prefill_saturation_tokens(&self) -> u64 {
-        self.cost_model.prefill_saturation_tokens(self.parallel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::AttentionCost;
 
     #[test]
     fn builder_defaults_match_cost_model_new() {
@@ -192,51 +78,14 @@ mod tests {
 
     #[test]
     fn builder_sets_every_knob() {
+        let mut gpu = GpuSpec::a800_80gb();
+        gpu.per_layer_overhead_s *= 2.0;
         let cm = CostModel::builder(ModelConfig::llama2_7b())
-            .gpu(GpuSpec::a800_80gb())
-            .intra_link(LinkSpec::nvlink_a800())
+            .gpu(gpu.clone())
             .attention(AttentionCostPolicy::hierarchical())
-            .sp_overlap_fraction(0.5)
-            .per_iteration_overhead_s(1e-3)
             .build();
+        assert_eq!(cm.gpu, gpu);
         assert_eq!(cm.attention.label(), "hierarchical-prefill");
-        assert_eq!(cm.sp_overlap_fraction, 0.5);
-        assert_eq!(cm.per_iteration_overhead_s, 1e-3);
-    }
-
-    #[test]
-    fn bound_model_matches_unbound_calls() {
-        let parallel = ParallelConfig::new(2, 4);
-        let link = LinkSpec::nvlink_a800();
-        let bound = CostModel::builder(ModelConfig::lwm_1m_text())
-            .parallel(parallel)
-            .sp_link(link)
-            .build_bound();
-        let unbound = CostModel::new(ModelConfig::lwm_1m_text());
-        let lens = [50_000u64, 1_000];
-        assert_eq!(
-            bound.prefill(&lens).total(),
-            unbound.prefill_cost(&lens, parallel, link).total()
-        );
-        assert_eq!(
-            bound.decode(&lens, 2).total(),
-            unbound.decode_cost(&lens, parallel, 2, link).total()
-        );
-        assert_eq!(
-            bound.chunked_prefill(2_000, 10_000, &lens).total(),
-            unbound
-                .chunked_prefill_cost(2_000, 10_000, &lens, parallel, link)
-                .total()
-        );
-        assert_eq!(
-            bound.prefill_saturation_tokens(),
-            unbound.prefill_saturation_tokens(parallel)
-        );
-    }
-
-    #[test]
-    fn build_bound_defaults_to_single_gpu_group() {
-        let bound = CostModel::builder(ModelConfig::llama2_7b()).build_bound();
-        assert_eq!(bound.parallel, ParallelConfig::new(1, 1));
+        assert_eq!(cm.model, ModelConfig::llama2_7b());
     }
 }

@@ -7,13 +7,13 @@
 //!
 //! * [`config`] — transformer architectures (LWM-1M-Text / Llama-2-7B and
 //!   friends) and their derived parameter/KV-cache byte counts,
-//! * [`attention`] — pluggable attention-cost policies: dense (the paper's
-//!   assumption), LServe-style page-sparse decode and hierarchical prefill,
+//! * [`attention`] — the attention-cost policy: dense (the paper's
+//!   assumption), LServe-style page-sparse decode or hierarchical prefill,
 //! * [`roofline`] — the iteration-time model combining a compute roofline
 //!   with tensor-parallel and sequence-parallel communication costs; the
 //!   simulated substitute for real CUDA kernels,
 //! * [`builder`] — [`CostModelBuilder`], the named-parts front door to the
-//!   cost API (model + GPU + link + attention policy + pinned group shape),
+//!   cost API (model + GPU + attention policy),
 //! * [`analytical`] — the paper's α + β·Σl + γ·Σl² model (Eq. 7) with its
 //!   least-squares fit,
 //! * [`sib`] — the Scaling Information Base: profile store, fitted models
@@ -42,10 +42,8 @@ pub mod roofline;
 pub mod sib;
 
 pub use analytical::{AnalyticalModel, BatchFeatures};
-pub use attention::{
-    AttentionCost, AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode,
-};
-pub use builder::{BoundCostModel, CostModelBuilder};
+pub use attention::{AttentionCostPolicy, HierarchicalPrefill, PageSparseDecode};
+pub use builder::CostModelBuilder;
 pub use config::ModelConfig;
 pub use roofline::{CostModel, IterationCost, ParallelConfig};
 pub use sib::{ProfileRecord, ScalingInfoBase};
@@ -53,10 +51,8 @@ pub use sib::{ProfileRecord, ScalingInfoBase};
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
     pub use crate::analytical::{AnalyticalModel, BatchFeatures};
-    pub use crate::attention::{
-        AttentionCost, AttentionCostPolicy, Dense, HierarchicalPrefill, PageSparseDecode,
-    };
-    pub use crate::builder::{BoundCostModel, CostModelBuilder};
+    pub use crate::attention::{AttentionCostPolicy, HierarchicalPrefill, PageSparseDecode};
+    pub use crate::builder::CostModelBuilder;
     pub use crate::config::ModelConfig;
     pub use crate::roofline::{CostModel, IterationCost, ParallelConfig};
     pub use crate::sib::{ProfileRecord, ScalingInfoBase};

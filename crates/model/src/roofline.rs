@@ -20,7 +20,7 @@
 //! and multi-master decode winning only at large batch sizes (Figure 14b) —
 //! are the inputs every scheduling policy in the workspace reasons about.
 
-use crate::attention::{AttentionCost, AttentionCostPolicy};
+use crate::attention::AttentionCostPolicy;
 use crate::builder::CostModelBuilder;
 use crate::config::ModelConfig;
 use loong_cluster::comm::CommModel;
@@ -91,6 +91,15 @@ impl IterationCost {
     }
 }
 
+/// Fraction of sequence-parallel communication that overlaps with attention
+/// computation (StripedAttention / multi-master decode overlap); 1.0 would
+/// be perfect overlap.
+const SP_OVERLAP_FRACTION: f64 = 0.90;
+
+/// Constant per-iteration scheduling overhead in seconds (Python/Ray RPC
+/// and batching overhead in the real system).
+const PER_ITERATION_OVERHEAD_S: f64 = 2e-3;
+
 /// The roofline cost model: model architecture + GPU + intra-instance link
 /// + attention-cost policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,13 +111,6 @@ pub struct CostModel {
     /// Link between GPUs of the same elastic instance (always intra-node in
     /// LoongServe: instances never span nodes).
     pub intra_instance_link: LinkSpec,
-    /// Fraction of sequence-parallel communication that overlaps with
-    /// attention computation (StripedAttention / multi-master decode
-    /// overlap). 1.0 means perfect overlap.
-    pub sp_overlap_fraction: f64,
-    /// Constant per-iteration scheduling overhead in seconds (Python/Ray RPC
-    /// and batching overhead in the real system).
-    pub per_iteration_overhead_s: f64,
     /// Attention-cost policy pricing every attention FLOP and KV-read term
     /// (dense, page-sparse decode, or hierarchical prefill).
     pub attention: AttentionCostPolicy,
@@ -116,41 +118,15 @@ pub struct CostModel {
 
 impl CostModel {
     /// Creates a cost model with the paper's testbed defaults (A800 GPUs,
-    /// NVLink within instances).
+    /// NVLink within instances, dense attention).
     pub fn new(model: ModelConfig) -> Self {
-        CostModel {
-            model,
-            gpu: GpuSpec::a800_80gb(),
-            intra_instance_link: LinkSpec::nvlink_a800(),
-            sp_overlap_fraction: 0.90,
-            per_iteration_overhead_s: 2e-3,
-            attention: AttentionCostPolicy::Dense,
-        }
+        CostModelBuilder::new(model).build()
     }
 
-    /// Starts a [`CostModelBuilder`] for the given model — the preferred way
-    /// to assemble a cost model with a non-default GPU, link or attention
-    /// policy.
+    /// Starts a [`CostModelBuilder`] for the given model — the way to
+    /// assemble a cost model with a non-default GPU or attention policy.
     pub fn builder(model: ModelConfig) -> CostModelBuilder {
         CostModelBuilder::new(model)
-    }
-
-    /// Replaces the GPU spec (builder style).
-    pub fn with_gpu(mut self, gpu: GpuSpec) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Replaces the intra-instance link (builder style).
-    pub fn with_intra_link(mut self, link: LinkSpec) -> Self {
-        self.intra_instance_link = link;
-        self
-    }
-
-    /// Replaces the attention-cost policy (builder style).
-    pub fn with_attention(mut self, attention: AttentionCostPolicy) -> Self {
-        self.attention = attention;
-        self
     }
 
     /// Extra attention time a prefill of `suffix` tokens pays for attending
@@ -240,12 +216,12 @@ impl CostModel {
         };
         // The ring overlaps with the attention computation of the chunk that
         // is already resident.
-        let sp_comm_s = (sp_comm_raw - attn_time * self.sp_overlap_fraction)
-            .max(sp_comm_raw * (1.0 - self.sp_overlap_fraction))
+        let sp_comm_s = (sp_comm_raw - attn_time * SP_OVERLAP_FRACTION)
+            .max(sp_comm_raw * (1.0 - SP_OVERLAP_FRACTION))
             .max(0.0);
 
         let overhead_s =
-            self.per_iteration_overhead_s + m.num_layers as f64 * self.gpu.per_layer_overhead_s;
+            PER_ITERATION_OVERHEAD_S + m.num_layers as f64 * self.gpu.per_layer_overhead_s;
 
         IterationCost {
             compute_s,
@@ -344,8 +320,8 @@ impl CostModel {
         };
         // The exchange overlaps with the local attention over mastered
         // requests, but the latency component never fully hides.
-        let sp_comm_s = (sp_comm_raw - attn_time * self.sp_overlap_fraction)
-            .max(sp_comm_raw * (1.0 - self.sp_overlap_fraction))
+        let sp_comm_s = (sp_comm_raw - attn_time * SP_OVERLAP_FRACTION)
+            .max(sp_comm_raw * (1.0 - SP_OVERLAP_FRACTION))
             .max(0.0);
 
         // Multi-instance decode pays an extra synchronisation per layer.
@@ -354,7 +330,7 @@ impl CostModel {
         } else {
             0.0
         };
-        let overhead_s = self.per_iteration_overhead_s
+        let overhead_s = PER_ITERATION_OVERHEAD_S
             + m.num_layers as f64 * self.gpu.per_layer_overhead_s
             + sync_overhead;
 
@@ -438,15 +414,15 @@ impl CostModel {
             let raw = m.num_layers as f64
                 * (parallel.sp - 1) as f64
                 * sp_comm.ring_sendrecv_step(kv_layer_bytes);
-            (raw - attn_time * self.sp_overlap_fraction)
-                .max(raw * (1.0 - self.sp_overlap_fraction))
+            (raw - attn_time * SP_OVERLAP_FRACTION)
+                .max(raw * (1.0 - SP_OVERLAP_FRACTION))
                 .max(0.0)
         } else {
             0.0
         };
 
         let overhead_s =
-            self.per_iteration_overhead_s + m.num_layers as f64 * self.gpu.per_layer_overhead_s;
+            PER_ITERATION_OVERHEAD_S + m.num_layers as f64 * self.gpu.per_layer_overhead_s;
 
         IterationCost {
             compute_s,
@@ -455,13 +431,6 @@ impl CostModel {
             overhead_s,
             scaling_s: 0.0,
         }
-    }
-
-    /// Time to reactively migrate the KV cache of `tokens` tokens between
-    /// two instances over `link` — the cost LoongServe's proactive
-    /// mechanisms avoid and the reactive baselines pay.
-    pub fn kv_migration_time(&self, tokens: u64, link: LinkSpec) -> f64 {
-        CommModel::new(link).migrate(tokens as f64 * self.model.kv_bytes_per_token())
     }
 
     /// The batch size at which the decode phase transitions from
@@ -552,18 +521,10 @@ impl CostModel {
         let time_per_token =
             (flops_per_token_per_gpu + attn_per_token_per_gpu) / self.gpu.effective_flops();
         let roofline_tokens = (weight_time / time_per_token).ceil().max(1.0);
-        let fixed_overhead = self.per_iteration_overhead_s
-            + self.model.num_layers as f64 * self.gpu.per_layer_overhead_s;
+        let fixed_overhead =
+            PER_ITERATION_OVERHEAD_S + self.model.num_layers as f64 * self.gpu.per_layer_overhead_s;
         let amortize_tokens = (10.0 * fixed_overhead / time_per_token).ceil();
         roofline_tokens.max(amortize_tokens) as u64
-    }
-
-    /// The iteration-time budget corresponding to
-    /// [`Self::prefill_saturation_tokens`] — the "tipping point" used by the
-    /// dispatcher.
-    pub fn prefill_saturation_time(&self, parallel: ParallelConfig, sp_link: LinkSpec) -> f64 {
-        let tokens = self.prefill_saturation_tokens(parallel);
-        self.prefill_cost(&[tokens], parallel, sp_link).total()
     }
 }
 
@@ -574,6 +535,12 @@ mod tests {
 
     fn model() -> CostModel {
         CostModel::new(ModelConfig::lwm_1m_text())
+    }
+
+    fn model_with(policy: AttentionCostPolicy) -> CostModel {
+        CostModel::builder(ModelConfig::lwm_1m_text())
+            .attention(policy)
+            .build()
     }
 
     fn nvlink() -> LinkSpec {
@@ -705,7 +672,7 @@ mod tests {
         // decode iteration.
         let cm = model();
         let p = ParallelConfig::new(2, 4);
-        let migrate = cm.kv_migration_time(500_000, nvlink());
+        let migrate = nvlink().transfer_time(500_000.0 * cm.model.kv_bytes_per_token());
         let decode = cm.decode_cost(&[500_000], p, 1, nvlink()).total();
         assert!(
             migrate > 3.0 * decode,
@@ -805,7 +772,7 @@ mod tests {
         // The headline LServe effect: with page-sparse decode, decode cost
         // saturates at the token budget instead of growing linearly.
         let dense = model();
-        let sparse = model().with_attention(AttentionCostPolicy::page_sparse());
+        let sparse = model_with(AttentionCostPolicy::page_sparse());
         let p = ParallelConfig::new(2, 4);
         let d100k = dense.decode_cost(&[100_000], p, 1, nvlink()).total();
         let s100k = sparse.decode_cost(&[100_000], p, 1, nvlink()).total();
@@ -821,7 +788,7 @@ mod tests {
     #[test]
     fn hierarchical_prefill_cheapens_long_prompts() {
         let dense = model();
-        let sparse = model().with_attention(AttentionCostPolicy::hierarchical());
+        let sparse = model_with(AttentionCostPolicy::hierarchical());
         let p = ParallelConfig::new(8, 1);
         let d = dense.prefill_cost(&[500_000], p, nvlink()).total();
         let s = sparse.prefill_cost(&[500_000], p, nvlink()).total();
@@ -837,7 +804,7 @@ mod tests {
         let dense = model();
         let p = ParallelConfig::new(2, 4);
         for policy in AttentionCostPolicy::ablation_set() {
-            let cm = model().with_attention(policy);
+            let cm = model_with(policy);
             for lens in [vec![1_000u64; 8], vec![200_000], vec![64; 256]] {
                 assert!(
                     cm.prefill_cost(&lens, p, nvlink()).total()
@@ -893,7 +860,7 @@ mod tests {
         // threshold is *flat* in context beyond the budget (for LWM's MHA
         // KV the capped read still exceeds the marginal GEMM time at TP2,
         // so both sides are None — the point is they are equal).
-        let sparse = model().with_attention(AttentionCostPolicy::page_sparse());
+        let sparse = model_with(AttentionCostPolicy::page_sparse());
         let budget = PageSparseDecode::lserve().token_budget() as u64;
         assert_eq!(
             sparse.decode_compute_bound_batch_size_at_context(2, budget),
@@ -913,7 +880,7 @@ mod tests {
             at500k < at0,
             "dense saturation should shrink: {at500k} vs {at0}"
         );
-        let sparse = model().with_attention(AttentionCostPolicy::hierarchical());
+        let sparse = model_with(AttentionCostPolicy::hierarchical());
         let sparse500k = sparse.prefill_saturation_tokens_at_context(p, 500_000);
         assert!(
             sparse500k >= at500k,

@@ -8,8 +8,8 @@
 //! fewest used KV slots (`e_min`) and claims it while the latency gain for
 //! the prefill batch (Eq. 3) exceeds the migration cost (Eq. 4).
 
+use super::predict_prefill;
 use crate::types::SchedulerView;
-use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
 
 /// The allocation step's output.
@@ -83,8 +83,8 @@ pub fn allocate(
         }
 
         // Gain (Eq. 3): reduction in summed normalised input latency.
-        let before = predict(view, admitted_lens, instances.len());
-        let after = predict(view, admitted_lens, instances.len() + 1);
+        let before = predict_prefill(view, admitted_lens, instances.len());
+        let after = predict_prefill(view, admitted_lens, instances.len() + 1);
         let gain: f64 = admitted_lens
             .iter()
             .map(|&len| (before - after).max(0.0) / len.max(1) as f64)
@@ -130,16 +130,6 @@ pub fn allocate(
     }
 
     AllocationDecision { instances, drains }
-}
-
-/// Predicted prefill time of the batch on `n` instances.
-fn predict(view: &SchedulerView<'_>, lens: &[u64], n: usize) -> f64 {
-    let parallel = ParallelConfig::new(view.registry.tp(), n.max(1));
-    let ids: Vec<InstanceId> = view.registry.all_ids().into_iter().take(n.max(1)).collect();
-    let link = view.registry.link_between(&ids);
-    view.sib.predict_prefill(lens, parallel, || {
-        view.cost_model.prefill_cost(lens, parallel, link).total()
-    })
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //! both the naive and the monotone-optimised DP are implemented and tested
 //! against each other.
 
+use super::predict_prefill;
 use crate::types::SchedulerView;
-use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
 
 /// One prefill batch produced by the DP: a set of requests bound to a
@@ -169,18 +169,7 @@ fn plan(
 /// Summed input latency of one batch: every request in the batch finishes at
 /// the same time, so the sum is `|batch| * T_iter`.
 fn batch_latency(view: &SchedulerView<'_>, lens: &[u64], num_instances: usize) -> f64 {
-    let parallel = ParallelConfig::new(view.registry.tp(), num_instances.max(1));
-    let ids: Vec<InstanceId> = view
-        .registry
-        .all_ids()
-        .into_iter()
-        .take(num_instances.max(1))
-        .collect();
-    let link = view.registry.link_between(&ids);
-    let t = view.sib.predict_prefill(lens, parallel, || {
-        view.cost_model.prefill_cost(lens, parallel, link).total()
-    });
-    t * lens.len() as f64
+    predict_prefill(view, lens, num_instances) * lens.len() as f64
 }
 
 /// Fallback when the DP finds no feasible cover: greedily pack requests into

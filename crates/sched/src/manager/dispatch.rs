@@ -18,6 +18,7 @@
 //! against the cost inflicted on the delayed decode requests (Eq. 1) and
 //! only borrows when the gain wins.
 
+use super::predict_prefill;
 use crate::types::{PendingRequest, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
@@ -261,23 +262,6 @@ fn saturation_tokens(view: &SchedulerView<'_>, instances: usize) -> u64 {
         // The tipping point is a lower bound on useful batch size; always
         // allow at least one request through.
         .max(1)
-}
-
-/// Predicted prefill iteration time via the SIB's fitted analytical model,
-/// falling back to the roofline model.
-fn predict_prefill(view: &SchedulerView<'_>, lens: &[u64], instances: usize) -> f64 {
-    let parallel = ParallelConfig::new(view.registry.tp(), instances.max(1));
-    let link = view.registry.link_between(
-        &view
-            .registry
-            .all_ids()
-            .into_iter()
-            .take(instances.max(1))
-            .collect::<Vec<_>>(),
-    );
-    view.sib.predict_prefill(lens, parallel, || {
-        view.cost_model.prefill_cost(lens, parallel, link).total()
-    })
 }
 
 /// A set of idle instances hosting the KV of a common set of ready decode

@@ -14,6 +14,7 @@ use crate::pressure::{pressure_actions, PressureConfig};
 use crate::types::{
     Action, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView,
 };
+use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
 use serde::{Deserialize, Serialize};
 
@@ -170,9 +171,9 @@ impl Scheduler for LoongServeScheduler {
             // and the evicted span lands on the drain targets.
             let mut final_targets: Vec<InstanceId> = view
                 .pool
-                .locations_of(drain.request)
-                .into_iter()
-                .map(|(i, _)| i)
+                .locations_ref(drain.request)
+                .iter()
+                .map(|&(i, _)| i)
                 .filter(|&i| i != drain.from)
                 .collect();
             for &t in &drain.targets {
@@ -267,6 +268,21 @@ impl Scheduler for LoongServeScheduler {
     fn scaling_events(&self) -> &[ScalingEvent] {
         &self.events
     }
+}
+
+/// Predicted prefill iteration time of a batch with input lengths `lens` on
+/// the first `instances` instances (at least one): the SIB's fitted
+/// analytical model for that parallel configuration, falling back to the
+/// roofline model when the configuration was never profiled. All three
+/// planning steps price prefill through this one helper.
+fn predict_prefill(view: &SchedulerView<'_>, lens: &[u64], instances: usize) -> f64 {
+    let n = instances.max(1);
+    let parallel = ParallelConfig::new(view.registry.tp(), n);
+    let ids: Vec<InstanceId> = view.registry.all_ids().into_iter().take(n).collect();
+    let link = view.registry.link_between(&ids);
+    view.sib.predict_prefill(lens, parallel, || {
+        view.cost_model.prefill_cost(lens, parallel, link).total()
+    })
 }
 
 #[cfg(test)]

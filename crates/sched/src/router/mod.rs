@@ -260,14 +260,6 @@ impl RouterPolicy {
         ]
     }
 
-    /// Every shipped policy including the passthrough identity — the set
-    /// the reliability suites quantify determinism over.
-    pub fn all_policies_with_passthrough() -> Vec<RouterPolicy> {
-        let mut policies = Self::all_policies();
-        policies.push(RouterPolicy::Passthrough);
-        policies
-    }
-
     /// Builds the router implementing this policy.
     pub fn build(&self) -> Box<dyn Router> {
         match *self {

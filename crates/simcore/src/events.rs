@@ -143,30 +143,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.heap.clear();
     }
-
-    /// Drains all events scheduled at exactly the next timestamp, advancing
-    /// the clock once. Useful for coalescing simultaneous arrivals.
-    pub fn pop_simultaneous(&mut self) -> Vec<Event<E>> {
-        let mut out = Vec::new();
-        self.pop_simultaneous_into(&mut out);
-        out
-    }
-
-    /// Like [`Self::pop_simultaneous`], but clears and fills a caller-owned
-    /// buffer so a hot loop can reuse one allocation across scheduling
-    /// steps. Returns the number of events delivered.
-    pub fn pop_simultaneous_into(&mut self, out: &mut Vec<Event<E>>) -> usize {
-        out.clear();
-        let Some(first) = self.pop() else {
-            return 0;
-        };
-        let t = first.at;
-        out.push(first);
-        while self.peek_time() == Some(t) {
-            out.push(self.pop().expect("peeked event exists"));
-        }
-        out.len()
-    }
 }
 
 #[cfg(test)]
@@ -210,37 +186,6 @@ mod tests {
         q.push(SimTime::from_secs(5.0), ());
         q.pop();
         q.push(SimTime::from_secs(1.0), ());
-    }
-
-    #[test]
-    fn pop_simultaneous_groups_events() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), "a");
-        q.push(SimTime::from_secs(1.0), "b");
-        q.push(SimTime::from_secs(2.0), "c");
-        let batch = q.pop_simultaneous();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_simultaneous_into_reuses_the_buffer() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), "a");
-        q.push(SimTime::from_secs(1.0), "b");
-        q.push(SimTime::from_secs(2.0), "c");
-        let mut buf = vec![Event {
-            at: SimTime::ZERO,
-            seq: 0,
-            payload: "stale",
-        }];
-        assert_eq!(q.pop_simultaneous_into(&mut buf), 2);
-        assert_eq!(buf.len(), 2, "buffer cleared before refill");
-        assert_eq!(buf[0].payload, "a");
-        assert_eq!(q.pop_simultaneous_into(&mut buf), 1);
-        assert_eq!(buf[0].payload, "c");
-        assert_eq!(q.pop_simultaneous_into(&mut buf), 0);
-        assert!(buf.is_empty());
     }
 
     #[test]

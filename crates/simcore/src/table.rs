@@ -124,13 +124,6 @@ impl<T> RequestTable<T> {
         }
     }
 
-    /// Creates an empty table with slab space for ids `0..capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut t = Self::new();
-        t.slots.reserve(capacity);
-        t
-    }
-
     /// Number of requests in the table.
     pub fn len(&self) -> usize {
         self.len
@@ -296,15 +289,6 @@ impl<T> RequestTable<T> {
         }
         self.len -= 1;
         Some(slot.payload)
-    }
-
-    /// Consumes the table, yielding `(id, payload)` in id order.
-    pub fn into_entries(self) -> impl Iterator<Item = (RequestId, T)> {
-        let base = self.base;
-        self.slots
-            .into_iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| slot.map(|s| (RequestId::from(base + i), s.payload)))
     }
 
     /// Checks the index invariants: the live list holds, in strictly
@@ -499,15 +483,6 @@ mod tests {
         assert_eq!(t.class_len(PhaseClass::Pending), 0);
         assert_eq!(t.class_len(PhaseClass::Done), 1);
         assert!(t.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn into_entries_yields_id_order() {
-        let mut t = RequestTable::new();
-        t.insert(RequestId(2), "c");
-        t.insert(RequestId(0), "a");
-        let entries: Vec<(RequestId, &str)> = t.into_entries().collect();
-        assert_eq!(entries, vec![(RequestId(0), "a"), (RequestId(2), "c")]);
     }
 
     #[test]

@@ -167,24 +167,6 @@ impl ReplicaSeries {
             + self.cache_adopts.bins().len()
             + self.cache_evictions.bins().len()) as u64
     }
-
-    /// SLO attainment per completion bin (`hits / completions`; 1.0 for
-    /// bins with no completions, matching the idle-system convention).
-    pub fn attainment_per_bin(&self) -> Vec<f64> {
-        let completions = self.completions.bins();
-        let hits = self.slo_hits.bins();
-        completions
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                if c == 0 {
-                    1.0
-                } else {
-                    hits.get(i).copied().unwrap_or(0) as f64 / c as f64
-                }
-            })
-            .collect()
-    }
 }
 
 /// Fleet-scope event counters (no single replica owns these).
@@ -261,14 +243,5 @@ mod tests {
         assert_eq!(b.mean(0), 1.0);
         b.record(SimTime::from_secs(15.0), 3.0);
         assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn attainment_defaults_to_one_on_empty_bins() {
-        let mut s = ReplicaSeries::new(10.0);
-        s.completions.record(SimTime::from_secs(25.0));
-        s.completions.record(SimTime::from_secs(25.5));
-        s.slo_hits.record(SimTime::from_secs(25.0));
-        assert_eq!(s.attainment_per_bin(), vec![1.0, 1.0, 0.5]);
     }
 }

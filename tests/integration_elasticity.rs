@@ -1,6 +1,7 @@
 //! Integration tests of the elastic scaling mechanisms across crates:
 //! prefill with proactive scale-down feeding multi-master decode through the
-//! unified KV pool, and the migration-based paths the baselines use.
+//! unified KV pool, and the whole-request migration that drains and the
+//! disaggregation baseline use.
 
 use loong_simcore::ids::GroupId;
 use loongserve::prelude::*;
@@ -34,10 +35,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     .expect("fits on one instance");
     let prefill = execute_prefill(&plan, &cost_model, &registry, &mut pool).expect("prefill");
     assert!(prefill.cost.scaling_s > 0.0);
-    assert_eq!(
-        pool.locations_of(RequestId(0)),
-        vec![(InstanceId(0), 200_000)]
-    );
+    assert_eq!(pool.locations_ref(RequestId(0)), [(InstanceId(0), 200_000)]);
 
     // Decode a few iterations on the scaled-down group.
     let mut decode_group = EspGroup::new(GroupId(1), vec![InstanceId(0)]);
@@ -53,22 +51,27 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     }
     assert_eq!(pool.tokens_of(RequestId(0)), 200_005);
 
-    // Scale the decode group up; the existing KV does not move.
-    let before = pool.locations_of(RequestId(0));
-    decode_group = scale_up(&decode_group, &[InstanceId(1)]).expect("scale up");
+    // Scale the decode group up the way the engine executes an
+    // `Action::Decode` that lists more instances and masters; the existing
+    // KV does not move.
+    let before = pool.locations_ref(RequestId(0)).to_vec();
+    let grown = vec![InstanceId(0), InstanceId(1)];
+    decode_group = EspGroup::with_masters(GroupId(2), grown.clone(), grown);
     assert_eq!(decode_group.dop(), 2);
     assert_eq!(
-        pool.locations_of(RequestId(0)),
+        pool.locations_ref(RequestId(0)),
         before,
         "scale-up must not migrate KV"
     );
 
-    // Further decodes may now place new tokens on the new master too.
+    // Further decodes may now place new tokens on the new master too, and
+    // still move none of the existing KV.
     let plan =
         DecodePlan::build(decode_group, &[(RequestId(0), 200_005)], &pool).expect("capacity");
     let out = execute_decode(&plan, &cost_model, &registry, &mut pool).expect("decode");
     assert_eq!(out.generated_tokens, 1);
     assert_eq!(pool.tokens_of(RequestId(0)), 200_006);
+    assert!(pool.instance(InstanceId(0)).used_by(RequestId(0)) >= before[0].1);
 }
 
 #[test]
@@ -95,11 +98,11 @@ fn proactive_scale_down_is_cheaper_than_reactive_migration() {
     let proactive = execute_prefill(&plan, &cost_model, &registry, &mut pool_a).expect("prefill");
 
     // Reactive: prefill without scale-down, then migrate everything to
-    // instance 0.
+    // instance 0 the way the engine executes an `Action::Migrate`.
     let mut pool_b = pool.clone();
     let group = EspGroup::new(GroupId(1), all.clone());
     let plan = PrefillPlan::build(
-        group.clone(),
+        group,
         vec![PrefillRequest {
             id: RequestId(1),
             input_len: tokens,
@@ -109,10 +112,9 @@ fn proactive_scale_down_is_cheaper_than_reactive_migration() {
     )
     .expect("fits");
     let _ = execute_prefill(&plan, &cost_model, &registry, &mut pool_b).expect("prefill");
-    let (_, migration) = reactive_scale_down(
-        &group,
+    let migration = migrate_request(
+        RequestId(1),
         &[InstanceId(0)],
-        &[RequestId(1)],
         &mut pool_b,
         &cost_model,
         &registry,

@@ -77,6 +77,8 @@ proptest! {
         let mut pool = UnifiedKvPool::new(4, 20_000);
         pool.enable_host_tier(30_000);
         let all: Vec<InstanceId> = (0..4u64).map(InstanceId).collect();
+        let registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 2);
+        let cost_model = CostModel::new(ModelConfig::lwm_1m_text());
         let mut live: Vec<RequestId> = Vec::new();
         for (op, req_raw, inst_raw, tokens) in ops {
             let req = RequestId(req_raw);
@@ -104,7 +106,9 @@ proptest! {
                     }
                 }
                 3 => {
-                    let _ = pool.drain_instance(req, inst);
+                    // The manager's drain: move everything off `inst`.
+                    let rest: Vec<InstanceId> = all.iter().copied().filter(|&i| i != inst).collect();
+                    let _ = migrate_request(req, &rest, &mut pool, &cost_model, &registry);
                 }
                 4 => {
                     // A committed plan covers `tokens` across every instance.

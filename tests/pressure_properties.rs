@@ -367,11 +367,9 @@ fn swap_policy_with_tiny_host_falls_back_to_recompute_and_still_terminates() {
         attention: system.attention,
     };
     let registry = InstanceRegistry::build(&system.cluster, tp);
-    let scheduler = SystemKind::LoongServe.build_pressure_scheduler(
-        &registry.all_ids(),
-        None,
-        PressureConfig::swap_to_host(),
-    );
+    let scheduler = SystemKind::LoongServe
+        .scheduler(&registry.all_ids(), None, PressureMode::SwapToHost)
+        .expect("LoongServe handles pressure");
     let outcome = ServingEngine::new(config, scheduler).run(&trace);
     check_conserved(&outcome, &trace);
     assert_eq!(outcome.unfinished, 0, "fallback must still drain the trace");
