@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
-#   ./ci.sh          # everything: build, tests, bench gates, examples, clippy, fmt
+#   ./ci.sh          # everything: build, tests, bench gates, examples, clippy, fmt, rustdoc
 #   ./ci.sh quick    # just the tier-1 gate: release build + tests + perfbench tests
 #
 # Every cargo invocation passes --locked so a drifted Cargo.lock fails loudly
@@ -109,6 +109,14 @@ cargo clippy --all-targets --locked -- -D warnings
 
 step "cargo fmt --check"
 cargo fmt --check
+
+# Deleted items leave dangling intra-doc links that the build, clippy and
+# the tests never see; rustdoc with warnings denied catches them.
+step "cargo doc --no-deps with warnings denied (every workspace crate)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps \
+    -p loong-simcore -p loong-cluster -p loong-model -p loong-kvcache -p loong-esp \
+    -p loong-sched -p loong-workload -p loong-metrics -p loong-trace -p loong-bench \
+    -p loongserve
 
 step "Cargo.lock unchanged"
 check_lockfile

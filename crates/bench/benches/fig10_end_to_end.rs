@@ -33,7 +33,6 @@ fn main() {
             requests_per_run,
             slo,
             seed: 10,
-            parallel: true,
         };
         // DeepSpeed-MII only appears in the ShareGPT row (it fails on >32K
         // prompts in the paper; we mirror the omission).

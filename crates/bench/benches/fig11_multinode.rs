@@ -14,7 +14,6 @@ fn main() {
         requests_per_run: 60,
         slo: SloSpec::default_for_lwm(),
         seed: 11,
-        parallel: true,
     };
     let systems = [
         SystemKind::LoongServe,

@@ -23,7 +23,6 @@ fn main() {
             requests_per_run: 80,
             slo: SloSpec::default_for_lwm(),
             seed: 12,
-            parallel: true,
         };
         let results = compare_systems(
             &SystemKind::figure12_systems(),

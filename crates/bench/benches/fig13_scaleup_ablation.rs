@@ -17,7 +17,6 @@ fn main() {
         requests_per_run: 300,
         slo: SloSpec::default_for_lwm(),
         seed: 13,
-        parallel: true,
     };
     let systems = [SystemKind::LoongServe, SystemKind::LoongServeNoScaleUp];
     let results = compare_systems(&systems, &config, SystemUnderTest::paper_single_node);

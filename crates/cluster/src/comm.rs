@@ -15,7 +15,11 @@
 //! All of these are modelled with the standard alpha-beta (latency +
 //! size/bandwidth) formulation over the bottleneck link of the participating
 //! GPUs, which is the same approach used by NCCL performance models. This
-//! module holds the collectives.
+//! module holds the three collectives the roofline cost model prices:
+//! [`CommModel::ring_allreduce`] for tensor parallelism,
+//! [`CommModel::ring_sendrecv_step`] for the sequence-parallel prefill ring,
+//! and [`CommModel::master_exchange`] for the query scatter and partial
+//! gather of distributed decoding.
 
 use crate::gpu::LinkSpec;
 use serde::{Deserialize, Serialize};
@@ -48,18 +52,6 @@ impl CommModel {
         steps as f64 * self.link.latency + volume / self.link.bandwidth
     }
 
-    /// Time for a ring all-gather where each participant contributes
-    /// `bytes_per_rank` bytes.
-    pub fn ring_allgather(&self, bytes_per_rank: f64, n: usize) -> f64 {
-        assert!(n >= 1, "all-gather needs at least one participant");
-        if n == 1 || bytes_per_rank == 0.0 {
-            return 0.0;
-        }
-        let steps = n - 1;
-        let volume = (n as f64 - 1.0) * bytes_per_rank;
-        steps as f64 * self.link.latency + volume / self.link.bandwidth
-    }
-
     /// Time for one step of the sequence-parallel ring: every instance sends
     /// its current key-value segment of `bytes` bytes to its neighbour while
     /// receiving the previous segment. Send and receive overlap, so the step
@@ -69,16 +61,6 @@ impl CommModel {
             return 0.0;
         }
         self.link.latency + bytes / self.link.bandwidth
-    }
-
-    /// Time for a broadcast of `bytes` from one rank to `n - 1` others using
-    /// a ring pipeline.
-    pub fn broadcast(&self, bytes: f64, n: usize) -> f64 {
-        assert!(n >= 1, "broadcast needs at least one participant");
-        if n == 1 || bytes == 0.0 {
-            return 0.0;
-        }
-        (n - 1) as f64 * self.link.latency + bytes / self.link.bandwidth
     }
 
     /// Time for a scatter/gather where a master exchanges `bytes_per_peer`
@@ -95,31 +77,6 @@ impl CommModel {
     }
 }
 
-/// Summary of communication volume for accounting and reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CommVolume {
-    /// Bytes moved by tensor-parallel all-reduces.
-    pub tp_allreduce_bytes: f64,
-    /// Bytes moved by sequence-parallel ring exchanges.
-    pub sp_ring_bytes: f64,
-    /// Bytes moved by explicit key-value migrations.
-    pub migration_bytes: f64,
-}
-
-impl CommVolume {
-    /// Total bytes moved across all categories.
-    pub fn total(&self) -> f64 {
-        self.tp_allreduce_bytes + self.sp_ring_bytes + self.migration_bytes
-    }
-
-    /// Accumulates another volume record into this one.
-    pub fn add(&mut self, other: &CommVolume) {
-        self.tp_allreduce_bytes += other.tp_allreduce_bytes;
-        self.sp_ring_bytes += other.sp_ring_bytes;
-        self.migration_bytes += other.migration_bytes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,8 +90,6 @@ mod tests {
     fn single_participant_collectives_are_free() {
         let m = nvlink_model();
         assert_eq!(m.ring_allreduce(1e9, 1), 0.0);
-        assert_eq!(m.ring_allgather(1e9, 1), 0.0);
-        assert_eq!(m.broadcast(1e9, 1), 0.0);
         assert_eq!(m.master_exchange(1e9, 1), 0.0);
     }
 
@@ -188,8 +143,6 @@ mod tests {
                 ((t - alpha_only) / alpha_only).abs() < 1e-6,
                 "n={n}: {t} vs alpha {alpha_only}"
             );
-            let g = m.ring_allgather(1.0, n);
-            assert!(((g - (n - 1) as f64 * lat) / g).abs() < 1e-6);
         }
         // Doubling a latency-bound payload barely moves the cost (but the
         // cost itself never decreases with size).
@@ -236,12 +189,8 @@ mod tests {
         let m = nvlink_model();
         // n = 1: no peers, no cost, regardless of size.
         assert_eq!(m.ring_allreduce(f64::MAX, 1), 0.0);
-        assert_eq!(m.ring_allgather(f64::MAX, 1), 0.0);
-        assert_eq!(m.broadcast(f64::MAX, 1), 0.0);
         assert_eq!(m.master_exchange(f64::MAX, 1), 0.0);
         // zero bytes: nothing to move, even across many peers.
-        assert_eq!(m.ring_allgather(0.0, 8), 0.0);
-        assert_eq!(m.broadcast(0.0, 8), 0.0);
         assert_eq!(m.master_exchange(0.0, 8), 0.0);
         // n = 2 is the smallest paying configuration.
         assert!(m.ring_allreduce(1.0, 2) > 0.0);
@@ -262,21 +211,5 @@ mod tests {
         assert!(ib.ring_allreduce(1.0, 8) >= nv.ring_allreduce(1.0, 8));
         assert!(ib.ring_allreduce(1.0 * GB, 8) >= nv.ring_allreduce(1.0 * GB, 8));
         assert!(ib.ring_sendrecv_step(1.0 * GB) >= nv.ring_sendrecv_step(1.0 * GB));
-    }
-
-    #[test]
-    fn comm_volume_accumulates() {
-        let mut v = CommVolume::default();
-        v.add(&CommVolume {
-            tp_allreduce_bytes: 1.0,
-            sp_ring_bytes: 2.0,
-            migration_bytes: 3.0,
-        });
-        v.add(&CommVolume {
-            tp_allreduce_bytes: 1.0,
-            sp_ring_bytes: 2.0,
-            migration_bytes: 3.0,
-        });
-        assert_eq!(v.total(), 12.0);
     }
 }

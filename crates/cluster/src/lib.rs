@@ -10,8 +10,9 @@
 //! * [`gpu`] — device specs (peak FLOP/s, HBM bandwidth, memory) and
 //!   point-to-point link specs,
 //! * [`topology`] — nodes, GPU placement, and link selection between GPUs,
-//! * [`comm`] — alpha-beta cost models for the collectives used by tensor
-//!   parallelism, sequence parallelism and KV-cache migration,
+//! * [`comm`] — alpha-beta cost models for the three collectives of tensor
+//!   and sequence parallelism (a KV-cache migration is one point-to-point
+//!   [`LinkSpec::transfer_time`]),
 //! * [`memory`] — per-GPU memory budgets that size the KV-cache pools.
 //!
 //! # Examples
@@ -33,14 +34,14 @@ pub mod gpu;
 pub mod memory;
 pub mod topology;
 
-pub use comm::{CommModel, CommVolume};
+pub use comm::CommModel;
 pub use gpu::{GpuSpec, LinkSpec, GB, GIB};
 pub use memory::{HostMemoryBudget, MemoryBudget};
 pub use topology::ClusterSpec;
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::comm::{CommModel, CommVolume};
+    pub use crate::comm::CommModel;
     pub use crate::gpu::{GpuSpec, LinkSpec, GB, GIB};
     pub use crate::memory::{HostMemoryBudget, MemoryBudget};
     pub use crate::topology::ClusterSpec;

@@ -4,9 +4,10 @@
 //! own — the request lifecycle, the elastic instances, the unified KV pool,
 //! and the clock — and delegates *policy* to a [`Scheduler`]. At every
 //! scheduling point (a request arrival while resources are idle, or an
-//! iteration/migration completing) it builds a [`SchedulerView`], executes
-//! the returned [`Action`]s through the ESP mechanisms, and advances the
-//! clock by the cost model's predicted iteration latencies.
+//! iteration/migration completing) it builds a
+//! [`SchedulerView`](loong_sched::types::SchedulerView), executes the
+//! returned [`Action`]s through the ESP mechanisms, and advances the clock
+//! by the cost model's predicted iteration latencies.
 //!
 //! The engine is live: requests are admitted as they are routed and the
 //! clock moves only when the engine is advanced, so a fleet keeps one

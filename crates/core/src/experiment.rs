@@ -3,12 +3,13 @@
 //! Each figure in the paper's evaluation is a sweep over offered request
 //! rates for one or more systems. These helpers generate the trace once per
 //! rate (so every system sees exactly the same arrivals and lengths), run
-//! the systems — in parallel across worker threads when asked — and collect
-//! the per-run summaries needed to reproduce the figure.
+//! the rates on the bounded worker pool, and collect the per-run summaries
+//! needed to reproduce the figure.
 
 use crate::systems::{SystemKind, SystemUnderTest};
 use loong_metrics::slo::{goodput, SloPoint, SloSpec};
 use loong_metrics::summary::RunSummary;
+use loong_simcore::pool::run_indexed;
 use loong_simcore::rng::SimRng;
 use loong_workload::arrival::ArrivalProcess;
 use loong_workload::datasets::DatasetKind;
@@ -67,22 +68,6 @@ pub struct SweepConfig {
     /// Seed shared by all runs of the sweep (the trace at each rate is
     /// identical across systems).
     pub seed: u64,
-    /// Run the rates of the sweep on multiple worker threads.
-    pub parallel: bool,
-}
-
-impl SweepConfig {
-    /// A small sweep suitable for tests and examples.
-    pub fn quick(workload: WorkloadSpec, rates: Vec<f64>) -> Self {
-        SweepConfig {
-            workload,
-            rates,
-            requests_per_run: 60,
-            slo: SloSpec::default_for_lwm(),
-            seed: 7,
-            parallel: false,
-        }
-    }
 }
 
 /// The result of sweeping one system over the configured rates.
@@ -103,31 +88,16 @@ pub struct SweepResult {
     pub max_completed_rate: f64,
 }
 
-/// Runs a rate sweep for one system.
+/// Runs a rate sweep for one system, one job per rate on the bounded
+/// worker pool; the summaries come back in rate order.
 pub fn sweep_system(system: &SystemUnderTest, config: &SweepConfig) -> SweepResult {
-    let run_one = |&rate: &f64| -> RunSummary {
+    let summaries: Vec<RunSummary> = run_indexed(config.rates.len(), |i| {
+        let rate = config.rates[i];
         let trace = config
             .workload
             .generate(rate, config.requests_per_run, config.seed);
-        let (summary, _outcome) = system.run(&trace, rate, &config.slo);
-        summary
-    };
-
-    let summaries: Vec<RunSummary> = if config.parallel {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = config
-                .rates
-                .iter()
-                .map(|rate| scope.spawn(move || run_one(rate)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    } else {
-        config.rates.iter().map(run_one).collect()
-    };
+        system.run(&trace, rate, &config.slo).0
+    });
 
     let total = config.requests_per_run.max(1);
     let slo_curve: Vec<SloPoint> = summaries
@@ -184,12 +154,5 @@ mod tests {
             WorkloadSpec::ZipfMixed { exponent: 1.2 }.label(),
             "Mixed Zipf=1.2"
         );
-    }
-
-    #[test]
-    fn quick_sweep_config_is_small() {
-        let c = SweepConfig::quick(WorkloadSpec::Dataset(DatasetKind::ShareGpt), vec![1.0]);
-        assert!(c.requests_per_run <= 100);
-        assert!(!c.parallel);
     }
 }

@@ -541,7 +541,7 @@ impl FleetRun {
 /// A fleet of serving replicas behind a cluster router.
 pub struct FleetEngine {
     config: FleetConfig,
-    router: Box<dyn Router>,
+    router: Router,
 }
 
 impl FleetEngine {
@@ -563,8 +563,8 @@ impl FleetEngine {
     }
 
     /// The router's report label.
-    pub fn router_name(&self) -> String {
-        self.router.name()
+    pub fn router_name(&self) -> &'static str {
+        self.config.policy.label()
     }
 
     /// Routes every request of `trace` in arrival order through the run
@@ -579,7 +579,7 @@ impl FleetEngine {
     pub fn route(&mut self, trace: &Trace) -> Vec<usize> {
         let plan = FleetPlan::fixed(self.config.replicas);
         self.router = self.config.policy.build();
-        let mut st = RunState::new(&self.config, self.router.as_mut(), &plan, None);
+        let mut st = RunState::new(&self.config, &mut self.router, &plan, None);
         trace
             .requests
             .iter()
@@ -608,7 +608,7 @@ impl FleetEngine {
         self.config.replica_system().scheduler(None)?;
         let mut source = stream.peekable();
         self.router = self.config.policy.build();
-        let mut st = RunState::new(&self.config, self.router.as_mut(), plan, recorder);
+        let mut st = RunState::new(&self.config, &mut self.router, plan, recorder);
 
         // Crash instants from the schedule; control instants every
         // `control_interval_s` while arrivals (or pending retries) remain,
@@ -717,7 +717,7 @@ pub(crate) struct RunState<'a> {
     /// One replica's system: every lifetime's engine is built from it.
     system: SystemUnderTest,
     pub(crate) parallel: bool,
-    pub(crate) router: &'a mut dyn Router,
+    pub(crate) router: &'a mut Router,
     pub(crate) rec: Option<&'a mut TraceRecorder>,
     pub(crate) life: Vec<Life>,
     tracker: FleetLoadTracker,
@@ -763,7 +763,7 @@ impl<'a> RunState<'a> {
     /// Fresh state for a validated `plan` on the fleet of `config`.
     fn new(
         config: &FleetConfig,
-        router: &'a mut dyn Router,
+        router: &'a mut Router,
         plan: &'a FleetPlan,
         rec: Option<&'a mut TraceRecorder>,
     ) -> Self {

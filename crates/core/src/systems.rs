@@ -125,7 +125,6 @@ impl SystemKind {
             SystemKind::LoongServe | SystemKind::LoongServeNoScaleUp => {
                 let mut scheduler = LoongServeScheduler::with_config(LoongServeConfig {
                     enable_scale_up: *self == SystemKind::LoongServe,
-                    enable_proactive_scale_down: true,
                 });
                 if let Some(config) = pressure {
                     scheduler = scheduler.with_pressure(config);

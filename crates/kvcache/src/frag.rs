@@ -1,48 +1,12 @@
-//! Fragmentation metrics.
+//! Admission under fragmentation.
 //!
 //! §2.4 and Figure 4 of the paper motivate the unified pool with a
 //! fragmentation argument: under a locality constraint (the whole request
 //! must fit on one instance), a cluster can have plenty of total free memory
-//! yet be unable to admit a long request. These helpers quantify that gap
-//! for reporting and for the admission logic of the locality-constrained
-//! baselines.
+//! yet be unable to admit a long request. These two admission rules state
+//! that gap: the locality-constrained baselines' and the unified pool's.
 
 use crate::unified::UnifiedKvPool;
-use serde::{Deserialize, Serialize};
-
-/// A snapshot of fragmentation-related statistics for a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FragmentationReport {
-    /// Total free slots across all instances.
-    pub total_free: u64,
-    /// Largest free region available on any single instance.
-    pub largest_single_instance_free: u64,
-    /// The largest request admissible under a single-instance locality
-    /// constraint divided by the largest request admissible by the unified
-    /// pool. 1.0 means no fragmentation penalty; values near 0 mean most of
-    /// the free memory is unusable for a long request.
-    pub locality_admissible_fraction: f64,
-}
-
-/// Computes the fragmentation report for the current pool state.
-pub fn fragmentation_report(pool: &UnifiedKvPool) -> FragmentationReport {
-    let total_free = pool.total_free();
-    let largest = pool
-        .free_slots()
-        .into_iter()
-        .map(|(_, f)| f)
-        .max()
-        .unwrap_or(0);
-    FragmentationReport {
-        total_free,
-        largest_single_instance_free: largest,
-        locality_admissible_fraction: if total_free == 0 {
-            1.0
-        } else {
-            largest as f64 / total_free as f64
-        },
-    }
-}
 
 /// Returns true if a request needing `tokens` KV slots can be admitted under
 /// a single-instance locality constraint (the grouped baselines' rule).
@@ -73,28 +37,15 @@ mod tests {
         assert_eq!(pool.total_free(), 6);
         assert!(!admissible_with_locality(&pool, 6));
         assert!(admissible_unified(&pool, 6));
-        let report = fragmentation_report(&pool);
-        assert_eq!(report.largest_single_instance_free, 2);
-        assert!((report.locality_admissible_fraction - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_pool_has_no_fragmentation_penalty() {
-        let pool = UnifiedKvPool::with_capacities(&[10]);
-        let report = fragmentation_report(&pool);
-        assert_eq!(report.total_free, 10);
-        assert_eq!(report.largest_single_instance_free, 10);
-        assert_eq!(report.locality_admissible_fraction, 1.0);
-    }
-
-    #[test]
-    fn full_pool_reports_unity_fraction() {
-        let mut pool = UnifiedKvPool::with_capacities(&[4]);
-        pool.append(RequestId(0), InstanceId(0), 4).expect("room");
-        let report = fragmentation_report(&pool);
-        assert_eq!(report.total_free, 0);
-        assert_eq!(report.locality_admissible_fraction, 1.0);
+        // Each rule still admits what fits: two slots on one instance.
+        assert!(admissible_with_locality(&pool, 2));
+        assert!(!admissible_unified(&pool, 7));
+        // Filled up, both rules admit nothing but the empty request.
+        for i in 0..3 {
+            pool.append(RequestId(i), InstanceId(i), 2).expect("room");
+        }
         assert!(admissible_with_locality(&pool, 0));
+        assert!(!admissible_with_locality(&pool, 1));
         assert!(!admissible_unified(&pool, 1));
     }
 }

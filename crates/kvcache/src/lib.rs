@@ -4,7 +4,8 @@
 //!
 //! * [`pool`] — the per-instance KV slot pool (PagedAttention at block size
 //!   one, as in the paper's implementation §6),
-//! * [`placement`] — token-level placement plans and strategies,
+//! * [`placement`] — token-level placement plans: pack onto the most free
+//!   instance, or spread in proportion to free slots,
 //! * [`unified`] — the unified distributed pool spanning all elastic
 //!   instances, with commit/append/migrate/evict operations and an
 //!   optional host-DRAM swap tier (`swap_out`/`swap_in`),
@@ -12,8 +13,8 @@
 //! * [`prefix`] — the prefix-cache tier: a deterministic hash-chained
 //!   prefix index over the unified pool with ref-counted retention of
 //!   completed requests' KV and atomic `match → adopt` reuse,
-//! * [`frag`] — fragmentation metrics contrasting locality-constrained and
-//!   unified admission (paper §2.4, Figure 4).
+//! * [`frag`] — the locality-constrained and unified admission rules the
+//!   fragmentation argument contrasts (paper §2.4, Figure 4).
 //!
 //! # Examples
 //!
@@ -41,9 +42,7 @@ pub mod pool;
 pub mod prefix;
 pub mod unified;
 
-pub use frag::{
-    admissible_unified, admissible_with_locality, fragmentation_report, FragmentationReport,
-};
+pub use frag::{admissible_unified, admissible_with_locality};
 pub use host::HostKvPool;
 pub use placement::{plan_placement, PlacementPlan, PlacementStrategy};
 pub use pool::{InstanceKvPool, KvError};
@@ -52,9 +51,7 @@ pub use unified::{KvMove, UnifiedKvPool};
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::frag::{
-        admissible_unified, admissible_with_locality, fragmentation_report, FragmentationReport,
-    };
+    pub use crate::frag::{admissible_unified, admissible_with_locality};
     pub use crate::host::HostKvPool;
     pub use crate::placement::{plan_placement, PlacementPlan, PlacementStrategy};
     pub use crate::pool::{InstanceKvPool, KvError};

@@ -5,6 +5,12 @@
 //! places tokens anywhere in the unified pool; baselines are restricted to a
 //! single instance) and consumed by [`crate::unified::UnifiedKvPool`] when
 //! the tokens are committed.
+//!
+//! Placement is token-level (§4.1): a [`PlacementStrategy`] either packs
+//! the tokens onto the instances with the most free slots or spreads them
+//! in proportion to free slots, so a request fits whenever the candidates'
+//! total free slots do — unlike an even split, which fails as soon as one
+//! instance has less than its equal share.
 
 use loong_simcore::ids::{InstanceId, RequestId};
 use serde::{Deserialize, Serialize};
@@ -18,10 +24,6 @@ pub enum PlacementStrategy {
     /// Spread tokens proportionally to each instance's free slots, keeping
     /// utilisation balanced (LoongServe's default for prefill retention).
     Balanced,
-    /// Split tokens as evenly as possible across all candidate instances,
-    /// regardless of their current load (classic static sequence
-    /// parallelism).
-    EvenSplit,
 }
 
 /// The placement of one request's tokens across instances.
@@ -155,28 +157,6 @@ pub fn plan_placement(
             }
             spans
         }
-        PlacementStrategy::EvenSplit => {
-            let n = candidates.len() as u64;
-            let base = tokens / n;
-            let mut remainder = tokens % n;
-            let mut spans = Vec::new();
-            for &(inst, free) in candidates {
-                let mut want = base;
-                if remainder > 0 {
-                    want += 1;
-                    remainder -= 1;
-                }
-                if want > free {
-                    // Even split is infeasible on this instance; the static
-                    // strategies the paper criticises fail exactly here.
-                    return None;
-                }
-                if want > 0 {
-                    spans.push((inst, want));
-                }
-            }
-            spans
-        }
     };
     let plan = PlacementPlan { request, spans };
     debug_assert_eq!(plan.total_tokens(), tokens);
@@ -233,16 +213,7 @@ mod tests {
         // §4.1: a 600K-token request over instances with 100K/200K/400K free
         // slots. Even splitting (200K each) OOMs the first instance, but
         // token-level placement fits.
-        let even = plan_placement(
-            RequestId(0),
-            600_000,
-            &candidates(),
-            PlacementStrategy::EvenSplit,
-        );
-        assert!(
-            even.is_none(),
-            "even split should fail as in the paper's example"
-        );
+        assert!(600_000 / 3 > candidates()[0].1);
         let balanced = plan_placement(
             RequestId(0),
             600_000,
@@ -261,11 +232,7 @@ mod tests {
 
     #[test]
     fn infeasible_when_total_free_is_too_small() {
-        for strategy in [
-            PlacementStrategy::PackMostFree,
-            PlacementStrategy::Balanced,
-            PlacementStrategy::EvenSplit,
-        ] {
+        for strategy in [PlacementStrategy::PackMostFree, PlacementStrategy::Balanced] {
             assert!(plan_placement(RequestId(0), 800_000, &candidates(), strategy).is_none());
         }
     }
@@ -276,20 +243,6 @@ mod tests {
             .expect("empty");
         assert!(plan.spans.is_empty());
         assert_eq!(plan.total_tokens(), 0);
-    }
-
-    #[test]
-    fn even_split_divides_evenly_when_it_fits() {
-        let cands = vec![
-            (InstanceId(0), 1000),
-            (InstanceId(1), 1000),
-            (InstanceId(2), 1000),
-        ];
-        let plan =
-            plan_placement(RequestId(0), 900, &cands, PlacementStrategy::EvenSplit).expect("fits");
-        for inst in 0..3 {
-            assert_eq!(plan.tokens_on(InstanceId(inst)), 300);
-        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   cost API (model + GPU + attention policy),
 //! * [`analytical`] — the paper's α + β·Σl + γ·Σl² model (Eq. 7) with its
 //!   least-squares fit,
-//! * [`sib`] — the Scaling Information Base: profile store, fitted models
-//!   and the thresholds the global manager consults every iteration.
+//! * [`sib`] — the Scaling Information Base: the fitted models and the
+//!   thresholds the global manager consults every iteration.
 //!
 //! # Examples
 //!
@@ -46,7 +46,7 @@ pub use attention::{AttentionCostPolicy, HierarchicalPrefill, PageSparseDecode};
 pub use builder::CostModelBuilder;
 pub use config::ModelConfig;
 pub use roofline::{CostModel, IterationCost, ParallelConfig};
-pub use sib::{ProfileRecord, ScalingInfoBase};
+pub use sib::ScalingInfoBase;
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
@@ -55,5 +55,5 @@ pub mod prelude {
     pub use crate::builder::CostModelBuilder;
     pub use crate::config::ModelConfig;
     pub use crate::roofline::{CostModel, IterationCost, ParallelConfig};
-    pub use crate::sib::{ProfileRecord, ScalingInfoBase};
+    pub use crate::sib::ScalingInfoBase;
 }

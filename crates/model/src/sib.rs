@@ -8,9 +8,10 @@
 //!
 //! The original system stores profiles in SQLite and gathers them with
 //! dedicated profiling tools on real GPUs; here the profiles are produced by
-//! the roofline substrate (optionally perturbed with measurement noise) and
-//! stored as a serde-serialisable structure, preserving the workflow:
-//! profile once, fit, and consult cheap fitted models at scheduling time.
+//! the roofline substrate (optionally perturbed with measurement noise),
+//! fitted as they are drawn and kept only as the fitted models and
+//! thresholds, in memory, preserving the workflow: profile once, fit, and
+//! consult cheap fitted models at scheduling time.
 
 use crate::analytical::{AnalyticalModel, BatchFeatures};
 use crate::config::ModelConfig;
@@ -18,7 +19,6 @@ use crate::roofline::{CostModel, ParallelConfig};
 use loong_cluster::gpu::LinkSpec;
 use loong_simcore::rng::SimRng;
 use rand_like_noise::perturb;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Small helper module so the noise model is easy to audit.
@@ -38,35 +38,13 @@ mod rand_like_noise {
     }
 }
 
-/// One profiled iteration: a batch shape, a parallelism strategy and the
-/// observed prefill latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProfileRecord {
-    /// Parallelism strategy the batch ran under.
-    pub parallel: ParallelConfig,
-    /// Input lengths of the batch.
-    pub input_lens: Vec<u64>,
-    /// Measured (simulated) iteration latency in seconds.
-    pub measured_s: f64,
-}
-
-impl ProfileRecord {
-    /// Summary features of the profiled batch.
-    pub fn features(&self) -> BatchFeatures {
-        BatchFeatures::from_lens(&self.input_lens)
-    }
-}
-
-/// The profile store plus everything fitted/derived from it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Everything fitted and derived from the profiles.
+#[derive(Debug, Clone)]
 pub struct ScalingInfoBase {
-    /// Raw profiling records, grouped by nothing — filtering happens at fit
-    /// time so the same store can serve several parallelism strategies.
-    pub records: Vec<ProfileRecord>,
     /// Fitted analytical models per parallelism strategy.
-    pub prefill_models: HashMap<String, AnalyticalModel>,
+    pub prefill_models: HashMap<ParallelConfig, AnalyticalModel>,
     /// Prefill tipping point (tokens per iteration) per parallelism strategy.
-    pub prefill_saturation_tokens: HashMap<String, u64>,
+    pub prefill_saturation_tokens: HashMap<ParallelConfig, u64>,
     /// Decode compute-bound batch-size threshold per tensor-parallel degree.
     pub decode_compute_bound_bs: HashMap<usize, usize>,
 }
@@ -75,7 +53,6 @@ impl ScalingInfoBase {
     /// Creates an empty SIB.
     pub fn new() -> Self {
         ScalingInfoBase {
-            records: Vec::new(),
             prefill_models: HashMap::new(),
             prefill_saturation_tokens: HashMap::new(),
             decode_compute_bound_bs: HashMap::new(),
@@ -103,20 +80,13 @@ impl ScalingInfoBase {
             for lens in &grid {
                 let ideal = cost_model.prefill_cost(lens, parallel, sp_link).total();
                 let measured = perturb(ideal, noise_amplitude, rng);
-                sib.records.push(ProfileRecord {
-                    parallel,
-                    input_lens: lens.clone(),
-                    measured_s: measured,
-                });
                 samples.push((BatchFeatures::from_lens(lens), measured));
             }
             if let Some(fitted) = AnalyticalModel::fit_features(&samples) {
-                sib.prefill_models.insert(parallel.label(), fitted);
+                sib.prefill_models.insert(parallel, fitted);
             }
-            sib.prefill_saturation_tokens.insert(
-                parallel.label(),
-                cost_model.prefill_saturation_tokens(parallel),
-            );
+            sib.prefill_saturation_tokens
+                .insert(parallel, cost_model.prefill_saturation_tokens(parallel));
             sib.decode_compute_bound_bs
                 .entry(parallel.tp)
                 .or_insert_with(|| cost_model.decode_compute_bound_batch_size(parallel.tp));
@@ -162,7 +132,7 @@ impl ScalingInfoBase {
 
     /// The fitted prefill model for a parallelism strategy, if profiled.
     pub fn prefill_model(&self, parallel: ParallelConfig) -> Option<&AnalyticalModel> {
-        self.prefill_models.get(&parallel.label())
+        self.prefill_models.get(&parallel)
     }
 
     /// Predicted prefill iteration time using the fitted model, falling back
@@ -181,26 +151,13 @@ impl ScalingInfoBase {
 
     /// The prefill tipping point (tokens) for a strategy, if profiled.
     pub fn saturation_tokens(&self, parallel: ParallelConfig) -> Option<u64> {
-        self.prefill_saturation_tokens
-            .get(&parallel.label())
-            .copied()
+        self.prefill_saturation_tokens.get(&parallel).copied()
     }
 
     /// The decode compute-bound batch-size threshold for a tensor-parallel
     /// degree, if profiled.
     pub fn decode_threshold(&self, tp: usize) -> Option<usize> {
         self.decode_compute_bound_bs.get(&tp).copied()
-    }
-
-    /// Serialises the SIB to a JSON string (the stand-in for the paper's
-    /// SQLite store).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Restores a SIB from its JSON form.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
     }
 }
 
@@ -279,22 +236,6 @@ mod tests {
         let sib = ScalingInfoBase::new();
         let t = sib.predict_prefill(&[10_000], ParallelConfig::new(2, 4), || 42.0);
         assert_eq!(t, 42.0);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_models() {
-        let cm = CostModel::new(ModelConfig::lwm_1m_text());
-        let mut rng = SimRng::seed(3);
-        let configs = [ParallelConfig::new(2, 4)];
-        let sib = ScalingInfoBase::profile(&cm, &configs, LinkSpec::nvlink_a800(), 0.0, &mut rng);
-        let json = sib.to_json().expect("serialise");
-        let restored = ScalingInfoBase::from_json(&json).expect("deserialise");
-        let p = ParallelConfig::new(2, 4);
-        assert_eq!(
-            sib.prefill_model(p).unwrap().alpha,
-            restored.prefill_model(p).unwrap().alpha
-        );
-        assert_eq!(sib.records.len(), restored.records.len());
     }
 
     #[test]

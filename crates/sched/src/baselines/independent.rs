@@ -16,7 +16,7 @@
 //! single instance are rejected — the fragmentation weakness §2.4
 //! highlights.
 
-use crate::pressure::{pressure_actions_with_rescue, PressureConfig};
+use crate::pressure::{admission_reserve, pressure_actions_with_rescue, PressureConfig};
 use crate::types::{Action, PendingRequest, Scheduler, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
@@ -75,7 +75,9 @@ impl IndependentInstancesScheduler {
     fn reserved(&self, req: &PendingRequest) -> u64 {
         match &self.pressure {
             None => req.input_len + req.max_output_len,
-            Some(cfg) => cfg.admission_reserve(req.input_len, req.max_output_len),
+            Some(cfg) => {
+                admission_reserve(req.input_len, req.max_output_len, cfg.output_reserve_factor)
+            }
         }
     }
 

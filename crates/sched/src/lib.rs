@@ -3,8 +3,8 @@
 //! Scheduling policies for LoongServe-RS: the LoongServe global manager and
 //! every baseline system used in the paper's evaluation.
 //!
-//! * [`types`] — the [`Scheduler`](types::Scheduler) trait, the view of
-//!   system state schedulers observe, and the actions they emit,
+//! * [`types`] — the [`Scheduler`] trait, the view of system state
+//!   schedulers observe, and the actions they emit,
 //! * [`manager`] — the LoongServe global manager's four-step algorithm
 //!   (dispatching, elastic instance allocation, DP batching, scaling plan
 //!   generation; paper §5),
@@ -13,16 +13,16 @@
 //!   disaggregation, static hybrid TP×SP, and replicated instances,
 //! * [`pressure`] — memory-pressure policies: watermark-driven victim
 //!   selection (preempt-and-recompute vs swap-to-host) and re-admission,
-//! * [`router`] — the fleet tier's cluster router: deterministic policies
-//!   (round-robin, join-shortest-queue, least-KV-load,
-//!   power-of-two-choices) assigning arriving requests to replicas,
+//! * [`router`] — the fleet tier's cluster router: one [`Router`] type over
+//!   five deterministic policies (round-robin, join-shortest-queue,
+//!   least-KV-load, power-of-two-choices, prefix affinity) plus the
+//!   single-replica passthrough, assigning arriving requests to replicas,
 //! * [`reliability`] — the dispatcher's failure handling: health-aware
 //!   candidate sets, per-request retry budgets with exponential backoff,
 //!   and a per-replica count/window circuit breaker,
 //! * [`elastic`] — the elasticity tier's controllers: the target-tracking
-//!   fleet [`Autoscaler`](elastic::Autoscaler) and the saturation-triggered
-//!   [`AdmissionController`](elastic::AdmissionController) with class-priority
-//!   shedding and hysteresis.
+//!   fleet [`Autoscaler`] and the saturation-triggered
+//!   [`AdmissionController`] with class-priority shedding and hysteresis.
 //!
 //! # Examples
 //!

@@ -19,6 +19,7 @@
 //! only borrows when the gain wins.
 
 use super::predict_prefill;
+use crate::pressure::admission_reserve;
 use crate::types::{PendingRequest, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
@@ -38,23 +39,15 @@ pub struct DispatchDecision {
     pub delayed_decodes: Vec<RequestId>,
 }
 
-/// Safety margin multiplied into the declared output bound when reserving KV
-/// slots for future growth. 1.0 reserves the full declared bound.
-const OUTPUT_RESERVE_FACTOR: f64 = 1.0;
-
-/// Runs the dispatching step with the conservative full-output reservation
-/// (no admitted request can ever be evicted).
-pub fn dispatch(view: &SchedulerView<'_>) -> DispatchDecision {
-    dispatch_with_reserve(view, OUTPUT_RESERVE_FACTOR, u64::MAX)
-}
-
-/// Runs the dispatching step reserving only `output_reserve_factor` of each
-/// request's declared output bound (plus at least one slot). Factors below
-/// 1.0 admit optimistically — decode growth can then exhaust the pool, which
-/// is exactly the regime the memory-pressure policies handle.
+/// Runs the dispatching step reserving `output_reserve_factor` of each
+/// request's declared output bound (plus at least one slot; see
+/// [`admission_reserve`]). At 1.0 — the manager without pressure handling —
+/// no admitted request can ever be evicted; factors below 1.0 admit
+/// optimistically, and decode growth can then exhaust the pool, which is
+/// exactly the regime the memory-pressure policies handle.
 /// `admission_budget` caps the total slots this round may commit (pressure
 /// watermark headroom); `u64::MAX` means uncapped.
-pub fn dispatch_with_reserve(
+pub fn dispatch(
     view: &SchedulerView<'_>,
     output_reserve_factor: f64,
     admission_budget: u64,
@@ -109,13 +102,16 @@ pub fn dispatch_with_reserve(
     let mut budget_left = admission_budget;
     let saturation = saturation_tokens(view, candidate_instances.len().max(1));
     let mut remaining: Vec<&PendingRequest> = view.pending.iter().collect();
+    let reserve_of = |req: &PendingRequest| {
+        admission_reserve(req.input_len, req.max_output_len, output_reserve_factor)
+    };
 
     // First pass: admit onto purely idle instances.
     remaining.retain(|req| {
         if admitted_tokens >= saturation {
             return true;
         }
-        let reserve = reserved_slots(req, output_reserve_factor);
+        let reserve = reserve_of(req);
         if reserve <= free_slots && !candidate_instances.is_empty() {
             free_slots -= reserve;
             budget_left -= reserve;
@@ -152,7 +148,7 @@ pub fn dispatch_with_reserve(
                 if admitted_tokens + extra_tokens >= saturation {
                     break;
                 }
-                let reserve = reserved_slots(req, output_reserve_factor);
+                let reserve = reserve_of(req);
                 if reserve <= extra_budget {
                     extra_budget -= reserve;
                     extra_tokens += req.input_len;
@@ -215,7 +211,7 @@ pub fn dispatch_with_reserve(
                 // Borrow this hosting set.
                 free_slots += extra_free;
                 for req in &extra_requests {
-                    let reserve = reserved_slots(req, output_reserve_factor);
+                    let reserve = reserve_of(req);
                     free_slots = free_slots.saturating_sub(reserve);
                     budget_left = budget_left.saturating_sub(reserve);
                     admitted.push(req.id);
@@ -235,15 +231,6 @@ pub fn dispatch_with_reserve(
         candidate_instances,
         delayed_decodes,
     }
-}
-
-/// KV slots to reserve for a request: its prompt plus `factor` of its
-/// declared output bound (with at least one slot for the first generated
-/// token). At factor 1.0 the dispatcher avoids admissions that could force
-/// future evictions, §5.1; below 1.0 eviction becomes the pressure
-/// policies' problem.
-fn reserved_slots(req: &PendingRequest, factor: f64) -> u64 {
-    req.input_len + ((req.max_output_len as f64 * factor).ceil() as u64).max(1)
 }
 
 /// The prefill tipping point in tokens for a group of `instances` instances.
@@ -384,7 +371,7 @@ mod tests {
         let idle: Vec<InstanceId> = f.registry.all_ids();
         let reqs: Vec<PendingRequest> = (0..4).map(|i| pending(i, 100_000)).collect();
         let v = view(&f, &reqs, &[], &idle);
-        let d = dispatch(&v);
+        let d = dispatch(&v, 1.0, u64::MAX);
         assert!(!d.admitted.is_empty());
         // FCFS: the first pending request is always admitted first.
         assert_eq!(d.admitted[0], RequestId(0));
@@ -400,7 +387,7 @@ mod tests {
         // 300K tokens cannot fit in 200K total slots.
         let reqs = vec![pending(0, 300_000)];
         let v = view(&f, &reqs, &[], &idle);
-        let d = dispatch(&v);
+        let d = dispatch(&v, 1.0, u64::MAX);
         assert!(d.admitted.is_empty());
     }
 
@@ -412,7 +399,7 @@ mod tests {
         // a prefix is admitted even though memory would allow all of them.
         let reqs: Vec<PendingRequest> = (0..512).map(|i| pending(i, 1_000)).collect();
         let v = view(&f, &reqs, &[], &idle);
-        let d = dispatch(&v);
+        let d = dispatch(&v, 1.0, u64::MAX);
         assert!(!d.admitted.is_empty());
         assert!(
             d.admitted.len() < 512,
@@ -426,7 +413,7 @@ mod tests {
         let f = fixture();
         let idle: Vec<InstanceId> = f.registry.all_ids();
         let v = view(&f, &[], &[], &idle);
-        let d = dispatch(&v);
+        let d = dispatch(&v, 1.0, u64::MAX);
         assert!(d.admitted.is_empty());
     }
 
@@ -455,7 +442,7 @@ mod tests {
         // With a low average decode latency (gain ~ 0) the borrow is refused.
         let mut v = view(&f, &reqs, &decoding, &idle);
         v.avg_decode_latency_s = 0.0;
-        let d = dispatch(&v);
+        let d = dispatch(&v, 1.0, u64::MAX);
         assert!(d.admitted.is_empty());
         assert!(d.delayed_decodes.is_empty());
 
@@ -463,7 +450,7 @@ mod tests {
         // long time), the gain dominates and the borrow is accepted.
         let mut v = view(&f, &reqs, &decoding, &idle);
         v.avg_decode_latency_s = 1e7;
-        let d = dispatch(&v);
+        let d = dispatch(&v, 1.0, u64::MAX);
         assert_eq!(d.admitted, vec![RequestId(0)]);
         assert!(!d.delayed_decodes.is_empty());
     }

@@ -10,7 +10,7 @@ pub mod batching;
 pub mod dispatch;
 pub mod scaling;
 
-use crate::pressure::{pressure_actions, PressureConfig};
+use crate::pressure::{admission_reserve, pressure_actions, PressureConfig};
 use crate::types::{
     Action, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView,
 };
@@ -24,16 +24,12 @@ pub struct LoongServeConfig {
     /// Whether decode groups may scale up (disabled for the Figure 13a
     /// ablation).
     pub enable_scale_up: bool,
-    /// Whether prefill batches proactively scale down after the prefill
-    /// phase. Disabling keeps every batch at its prefill DoP.
-    pub enable_proactive_scale_down: bool,
 }
 
 impl Default for LoongServeConfig {
     fn default() -> Self {
         LoongServeConfig {
             enable_scale_up: true,
-            enable_proactive_scale_down: true,
         }
     }
 }
@@ -136,15 +132,18 @@ impl Scheduler for LoongServeScheduler {
             // do not block the bypass.
             if view.pool.active_used() == 0 {
                 if let Some(head) = view.pending.first() {
-                    admission_budget = admission_budget
-                        .max(cfg.admission_reserve(head.input_len, head.max_output_len));
+                    admission_budget = admission_budget.max(admission_reserve(
+                        head.input_len,
+                        head.max_output_len,
+                        reserve_factor,
+                    ));
                 }
             }
         }
 
         // Step 1: dispatching.
         let dispatch_decision = if admit {
-            dispatch::dispatch_with_reserve(view, reserve_factor, admission_budget)
+            dispatch::dispatch(view, reserve_factor, admission_budget)
         } else {
             dispatch::DispatchDecision {
                 admitted: Vec::new(),
@@ -218,11 +217,8 @@ impl Scheduler for LoongServeScheduler {
                         .map(|&(_, _, m)| m)
                 })
                 .sum();
-            let retain_on = if self.config.enable_proactive_scale_down {
-                scaling::plan_scale_down(view, &batch.instances, tokens, expected_output)
-            } else {
-                batch.instances.clone()
-            };
+            let retain_on =
+                scaling::plan_scale_down(view, &batch.instances, tokens, expected_output);
             if retain_on.len() < batch.instances.len() {
                 self.events.push(ScalingEvent {
                     at: view.now,
@@ -472,7 +468,6 @@ mod tests {
         }];
         let mut without = LoongServeScheduler::with_config(LoongServeConfig {
             enable_scale_up: false,
-            enable_proactive_scale_down: true,
         });
         let _ = without.schedule(&view(&f));
         assert!(without

@@ -68,7 +68,7 @@ pub fn plan_scale_down(
 /// grouped this round (their KV overlaps unavailable instances).
 ///
 /// A group is a connected component of the ready requests over shared KV
-/// instances, built in view order by [`Components`]. Group order and the
+/// instances, built in view order by `Components`. Group order and the
 /// request order inside a group decide master assignment and finish order:
 /// a request absorbs every earlier group it shares an instance with, lists
 /// itself first and the absorbed groups after it, and the merged group

@@ -104,14 +104,6 @@ impl PressureConfig {
         Ok(())
     }
 
-    /// KV slots to reserve at admission for a pending request: the prompt,
-    /// the configured fraction of the declared output bound, and at least
-    /// one slot for the first generated token.
-    pub fn admission_reserve(&self, input_len: u64, max_output_len: u64) -> u64 {
-        let output = (max_output_len as f64 * self.output_reserve_factor).ceil() as u64;
-        input_len + output.max(1)
-    }
-
     /// Returns true if admission of new prefills should pause: utilisation
     /// at or above the *low* watermark. Admission stopping a band below
     /// eviction is what gives resident decoders growth headroom — pausing
@@ -133,6 +125,16 @@ impl PressureConfig {
         // [`SchedulerView::kv_utilization`]).
         target.saturating_sub(view.pool.active_used())
     }
+}
+
+/// KV slots to reserve at admission for a pending request: the prompt,
+/// `output_reserve_factor` of the declared output bound, and at least one
+/// slot for the first generated token. At factor 1.0 no admitted request
+/// can be forced out by its own decode growth (§5.1); below it, eviction
+/// becomes the pressure policies' problem.
+pub fn admission_reserve(input_len: u64, max_output_len: u64, output_reserve_factor: f64) -> u64 {
+    let output = (max_output_len as f64 * output_reserve_factor).ceil() as u64;
+    input_len + output.max(1)
 }
 
 /// Computes the pressure actions for the current scheduling point: victim
@@ -478,13 +480,9 @@ mod tests {
         bad.high_watermark = 1.5;
         assert!(bad.validate().is_err());
 
-        let cfg = PressureConfig::recompute();
-        assert_eq!(cfg.admission_reserve(100, 64), 101);
-        let mut half = cfg;
-        half.output_reserve_factor = 0.5;
-        assert_eq!(half.admission_reserve(100, 64), 132);
-        let mut full = cfg;
-        full.output_reserve_factor = 1.0;
-        assert_eq!(full.admission_reserve(100, 64), 164);
+        let factor = PressureConfig::recompute().output_reserve_factor;
+        assert_eq!(admission_reserve(100, 64, factor), 101);
+        assert_eq!(admission_reserve(100, 64, 0.5), 132);
+        assert_eq!(admission_reserve(100, 64, 1.0), 164);
     }
 }

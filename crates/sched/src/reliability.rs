@@ -174,7 +174,7 @@ impl CircuitBreaker {
 
 /// The routable candidate set of an `n`-replica fleet: every replica for
 /// which `excluded` returns `false`, in strictly ascending id order — the
-/// shape every [`Router`](crate::router::Router) requires.
+/// shape [`Router::route`](crate::router::Router::route) requires.
 ///
 /// May be empty (all replicas down); the caller owns the fallback, because
 /// only it knows when each replica becomes routable again.

@@ -1,9 +1,11 @@
 //! Request arrival processes.
 //!
 //! Following the paper (§7.1) and prior serving work, request arrivals are
-//! generated by a Poisson process with a configurable rate. A deterministic
-//! uniform process and a bursty on/off process are also provided for
-//! robustness experiments beyond the paper.
+//! generated by a Poisson process with a configurable rate. Two shapes
+//! beyond the paper drive the overload tiers: a Markov-modulated Poisson
+//! process for bursty memory pressure, and a diurnal curve with a flash
+//! crowd for the autoscaler. Every trace draws its instants lazily through
+//! [`ArrivalStream`].
 
 use loong_simcore::distributions::Exponential;
 use loong_simcore::rng::SimRng;
@@ -19,30 +21,13 @@ pub enum ArrivalProcess {
         /// Mean arrival rate in requests per second.
         rate: f64,
     },
-    /// Evenly spaced arrivals with the given rate, useful for deterministic
-    /// debugging.
-    Uniform {
-        /// Arrival rate in requests per second.
-        rate: f64,
-    },
-    /// Alternating bursts and silences: `burst_rate` arrivals/second for
-    /// `burst_secs`, then nothing for `idle_secs`.
-    OnOffBursts {
-        /// Arrival rate during a burst, in requests per second.
-        burst_rate: f64,
-        /// Length of each burst in seconds.
-        burst_secs: f64,
-        /// Length of each idle period in seconds.
-        idle_secs: f64,
-    },
     /// A two-state Markov-modulated Poisson process: the arrival rate
     /// switches between `rate_high` and `rate_low` with exponentially
-    /// distributed sojourn times (means `mean_high_secs` / `mean_low_secs`).
-    /// Unlike [`ArrivalProcess::OnOffBursts`], burst and lull lengths are
-    /// themselves random, which is the standard model for the bursty
-    /// overload traffic that exercises memory-pressure policies. The
-    /// process starts in the high state; `rate_low` may be zero (a pure
-    /// on–off MMPP).
+    /// distributed sojourn times (means `mean_high_secs` / `mean_low_secs`),
+    /// so burst and lull lengths are themselves random — the standard model
+    /// for the bursty overload traffic that exercises memory-pressure
+    /// policies. The process starts in the high state; `rate_low` may be
+    /// zero (a pure on–off MMPP).
     MarkovModulated {
         /// Arrival rate in the high (burst) state, in requests per second.
         rate_high: f64,
@@ -87,17 +72,12 @@ pub enum ArrivalProcess {
     },
 }
 
-/// Incremental generator state of one arrival process — the lazy
-/// counterpart of [`ArrivalProcess::generate`].
+/// The arrival instants of one process, drawn lazily from a seeded RNG.
 ///
-/// Every process variant advances with O(1) state (current clock, burst
-/// window, modulation state), so arrivals can be *streamed*: pulled one at
-/// a time without materialising the whole `Vec<SimTime>`. The stream draws
-/// from its RNG in exactly the order the batch generator does, so for any
-/// seed, `ArrivalStream::new(p, SimRng::seed(s))` yields bit-for-bit the
-/// instants of `p.generate(n, &mut SimRng::seed(s))` — the equivalence the
-/// streaming-trace tier rests on (and the batch generator is implemented
-/// on top of the stream, so the two cannot drift).
+/// Every process variant advances with O(1) state (current clock,
+/// modulation state), so arrivals are *streamed*: pulled one at a time
+/// without materialising the whole `Vec<SimTime>`. For a fixed process and
+/// seed the instants are the same bit for bit on every run.
 ///
 /// The iterator is infinite; callers bound it with `take` or by reading
 /// until a horizon.
@@ -113,10 +93,6 @@ pub struct ArrivalStream {
 enum StreamState {
     /// Running clock.
     Poisson { t: SimTime },
-    /// Number of arrivals already emitted (the instants are a closed form).
-    Uniform { emitted: u64 },
-    /// Running clock and the start of the current burst window.
-    OnOff { t: f64, window_start: f64 },
     /// Running clock, modulation state, and the instant the state flips.
     Mmpp { t: f64, high: bool, window_end: f64 },
     /// Running clock of the homogeneous candidate process being thinned.
@@ -128,29 +104,11 @@ impl ArrivalStream {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid configurations as
-    /// [`ArrivalProcess::generate`].
+    /// Panics on an invalid MMPP or diurnal configuration; the diurnal
+    /// curve's own checks run at the first draw.
     pub fn new(process: ArrivalProcess, mut rng: SimRng) -> Self {
         let state = match process {
             ArrivalProcess::Poisson { .. } => StreamState::Poisson { t: SimTime::ZERO },
-            ArrivalProcess::Uniform { rate } => {
-                assert!(rate > 0.0, "uniform arrival rate must be positive");
-                StreamState::Uniform { emitted: 0 }
-            }
-            ArrivalProcess::OnOffBursts {
-                burst_rate,
-                burst_secs,
-                idle_secs,
-            } => {
-                assert!(
-                    burst_rate > 0.0 && burst_secs > 0.0 && idle_secs >= 0.0,
-                    "invalid burst parameters"
-                );
-                StreamState::OnOff {
-                    t: 0.0,
-                    window_start: 0.0,
-                }
-            }
             ArrivalProcess::MarkovModulated {
                 rate_high,
                 rate_low,
@@ -165,8 +123,7 @@ impl ArrivalStream {
                     mean_high_secs > 0.0 && mean_low_secs > 0.0,
                     "MMPP sojourn means must be positive"
                 );
-                // The batch generator draws the first sojourn before its
-                // loop; drawing it here keeps the draw order identical.
+                // The first sojourn is drawn before any arrival.
                 let window_end = Exponential::new(1.0 / mean_high_secs).sample(&mut rng);
                 StreamState::Mmpp {
                     t: 0.0,
@@ -197,28 +154,6 @@ impl Iterator for ArrivalStream {
                 let exp = Exponential::new(rate);
                 *t += SimDuration::from_secs(exp.sample(&mut self.rng));
                 *t
-            }
-            (StreamState::Uniform { emitted }, ArrivalProcess::Uniform { rate }) => {
-                let gap = SimDuration::from_secs(1.0 / rate);
-                *emitted += 1;
-                SimTime::ZERO + gap * (*emitted as f64)
-            }
-            (
-                StreamState::OnOff { t, window_start },
-                ArrivalProcess::OnOffBursts {
-                    burst_rate,
-                    burst_secs,
-                    idle_secs,
-                },
-            ) => {
-                let exp = Exponential::new(burst_rate);
-                *t += exp.sample(&mut self.rng);
-                // Jump over idle windows.
-                while *t > *window_start + burst_secs {
-                    *window_start += burst_secs + idle_secs;
-                    *t += idle_secs;
-                }
-                SimTime::from_secs(*t)
             }
             (
                 StreamState::Mmpp {
@@ -274,23 +209,6 @@ impl Iterator for ArrivalStream {
 }
 
 impl ArrivalProcess {
-    /// Generates `count` arrival instants starting from time zero.
-    ///
-    /// Implemented by collecting [`ArrivalStream`]: the batch and streaming
-    /// paths share one generator, so they cannot diverge. The caller's RNG
-    /// is advanced exactly as it always was (the stream borrows it for the
-    /// duration of the call).
-    pub fn generate(&self, count: usize, rng: &mut SimRng) -> Vec<SimTime> {
-        // Hand the caller's RNG to the stream, then put it back: `generate`
-        // keeps its historical `&mut` contract while the stream owns its
-        // RNG for the lazy use case.
-        let stream = ArrivalStream::new(*self, std::mem::replace(rng, SimRng::seed(0)));
-        let mut stream = stream;
-        let times: Vec<SimTime> = (&mut stream).take(count).collect();
-        *rng = stream.rng;
-        times
-    }
-
     /// The instantaneous rate λ(t) of a [`ArrivalProcess::DiurnalFlash`]
     /// process, in requests/second (0 for every other variant).
     pub fn diurnal_rate_at(&self, t_s: f64) -> f64 {
@@ -341,12 +259,7 @@ impl ArrivalProcess {
     /// The long-run average rate of the process, in requests per second.
     pub fn mean_rate(&self) -> f64 {
         match *self {
-            ArrivalProcess::Poisson { rate } | ArrivalProcess::Uniform { rate } => rate,
-            ArrivalProcess::OnOffBursts {
-                burst_rate,
-                burst_secs,
-                idle_secs,
-            } => burst_rate * burst_secs / (burst_secs + idle_secs),
+            ArrivalProcess::Poisson { rate } => rate,
             // Time-weighted average over the stationary state distribution,
             // which for a two-state chain is proportional to the sojourn
             // means.
@@ -374,11 +287,16 @@ impl ArrivalProcess {
 mod tests {
     use super::*;
 
+    /// The first `count` instants of `process` under `seed`.
+    fn draw(process: ArrivalProcess, count: usize, seed: u64) -> Vec<SimTime> {
+        ArrivalStream::new(process, SimRng::seed(seed))
+            .take(count)
+            .collect()
+    }
+
     #[test]
     fn poisson_arrivals_are_monotone_and_match_rate() {
-        let mut rng = SimRng::seed(1);
-        let proc = ArrivalProcess::Poisson { rate: 2.0 };
-        let times = proc.generate(5000, &mut rng);
+        let times = draw(ArrivalProcess::Poisson { rate: 2.0 }, 5000, 1);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         let horizon = times.last().unwrap().as_secs();
         let rate = times.len() as f64 / horizon;
@@ -386,40 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_arrivals_are_evenly_spaced() {
-        let mut rng = SimRng::seed(2);
-        let proc = ArrivalProcess::Uniform { rate: 4.0 };
-        let times = proc.generate(8, &mut rng);
-        for (i, t) in times.iter().enumerate() {
-            assert!((t.as_secs() - 0.25 * (i as f64 + 1.0)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn bursty_arrivals_cluster_in_windows() {
-        let mut rng = SimRng::seed(3);
-        let proc = ArrivalProcess::OnOffBursts {
-            burst_rate: 10.0,
-            burst_secs: 1.0,
-            idle_secs: 9.0,
-        };
-        let times = proc.generate(200, &mut rng);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        // No arrival should land inside an idle window.
-        for t in &times {
-            let phase = t.as_secs() % 10.0;
-            assert!(
-                phase <= 1.0 + 1e-9,
-                "arrival at phase {phase} fell in the idle window"
-            );
-        }
-        assert!((proc.mean_rate() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn mean_rate_reported_correctly() {
         assert_eq!(ArrivalProcess::Poisson { rate: 3.0 }.mean_rate(), 3.0);
-        assert_eq!(ArrivalProcess::Uniform { rate: 3.0 }.mean_rate(), 3.0);
     }
 
     fn mmpp() -> ArrivalProcess {
@@ -433,11 +319,11 @@ mod tests {
 
     #[test]
     fn mmpp_is_deterministic_and_monotone() {
-        let a = mmpp().generate(500, &mut SimRng::seed(11));
-        let b = mmpp().generate(500, &mut SimRng::seed(11));
+        let a = draw(mmpp(), 500, 11);
+        let b = draw(mmpp(), 500, 11);
         assert_eq!(a, b, "same seed must reproduce the same arrivals");
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
-        let c = mmpp().generate(500, &mut SimRng::seed(12));
+        let c = draw(mmpp(), 500, 12);
         assert_ne!(a, c, "different seeds should differ");
     }
 
@@ -446,8 +332,7 @@ mod tests {
         // (20*2 + 1*8) / 10 = 4.8 req/s long-run.
         let proc = mmpp();
         assert!((proc.mean_rate() - 4.8).abs() < 1e-12);
-        let mut rng = SimRng::seed(7);
-        let times = proc.generate(20_000, &mut rng);
+        let times = draw(proc, 20_000, 7);
         let horizon = times.last().unwrap().as_secs();
         let rate = times.len() as f64 / horizon;
         assert!(
@@ -468,12 +353,12 @@ mod tests {
             let var = g.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / g.len() as f64;
             var / (mean * mean)
         };
-        let mut rng = SimRng::seed(3);
-        let bursty = cv2(&gaps(&mmpp().generate(20_000, &mut rng)));
-        let mut rng = SimRng::seed(3);
-        let poisson = cv2(&gaps(
-            &ArrivalProcess::Poisson { rate: 4.8 }.generate(20_000, &mut rng),
-        ));
+        let bursty = cv2(&gaps(&draw(mmpp(), 20_000, 3)));
+        let poisson = cv2(&gaps(&draw(
+            ArrivalProcess::Poisson { rate: 4.8 },
+            20_000,
+            3,
+        )));
         assert!(
             bursty > 1.5 && bursty > poisson * 1.3,
             "MMPP cv² {bursty} should exceed Poisson cv² {poisson}"
@@ -489,8 +374,7 @@ mod tests {
             mean_low_secs: 4.0,
         };
         assert!((proc.mean_rate() - 2.0).abs() < 1e-12);
-        let mut rng = SimRng::seed(5);
-        let times = proc.generate(300, &mut rng);
+        let times = draw(proc, 300, 5);
         assert_eq!(times.len(), 300);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -508,11 +392,11 @@ mod tests {
 
     #[test]
     fn diurnal_flash_is_deterministic_and_monotone() {
-        let a = diurnal().generate(2_000, &mut SimRng::seed(31));
-        let b = diurnal().generate(2_000, &mut SimRng::seed(31));
+        let a = draw(diurnal(), 2_000, 31);
+        let b = draw(diurnal(), 2_000, 31);
         assert_eq!(a, b, "same seed must reproduce the same arrivals");
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
-        let c = diurnal().generate(2_000, &mut SimRng::seed(32));
+        let c = draw(diurnal(), 2_000, 32);
         assert_ne!(a, c, "different seeds should differ");
     }
 
@@ -534,7 +418,7 @@ mod tests {
     fn diurnal_arrivals_track_the_rate_curve() {
         // Empirical counts in the trough, at the peak and inside the flash
         // window must order and roughly scale like λ(t).
-        let times = diurnal().generate(6_000, &mut SimRng::seed(8));
+        let times = draw(diurnal(), 6_000, 8);
         let count_in = |lo: f64, hi: f64| -> usize {
             times
                 .iter()
@@ -570,7 +454,7 @@ mod tests {
         // flash_secs = 0 disables the flash entirely.
         assert!((proc.diurnal_rate_at(0.0) - 2.0).abs() < 1e-9);
         assert!((proc.mean_rate() - 4.0).abs() < 1e-12);
-        let times = proc.generate(4_000, &mut SimRng::seed(12));
+        let times = draw(proc, 4_000, 12);
         let horizon = times.last().unwrap().as_secs();
         let rate = times.len() as f64 / horizon;
         assert!(
@@ -590,45 +474,7 @@ mod tests {
             flash_secs: 0.0,
             flash_rate: 0.0,
         };
-        let _ = proc.generate(1, &mut SimRng::seed(1));
-    }
-
-    #[test]
-    fn stream_matches_batch_for_every_variant() {
-        let processes = [
-            ArrivalProcess::Poisson { rate: 2.0 },
-            ArrivalProcess::Uniform { rate: 4.0 },
-            ArrivalProcess::OnOffBursts {
-                burst_rate: 10.0,
-                burst_secs: 1.0,
-                idle_secs: 9.0,
-            },
-            mmpp(),
-            diurnal(),
-        ];
-        for proc in processes {
-            for seed in [1u64, 7, 2024] {
-                let batch = proc.generate(500, &mut SimRng::seed(seed));
-                let streamed: Vec<SimTime> = ArrivalStream::new(proc, SimRng::seed(seed))
-                    .take(500)
-                    .collect();
-                assert_eq!(batch, streamed, "{proc:?} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn stream_leaves_callers_rng_where_batch_did() {
-        // `generate` is implemented over the stream; interleaved use of the
-        // same RNG before and after must keep working.
-        let mut a = SimRng::seed(9);
-        let first = ArrivalProcess::Poisson { rate: 1.0 }.generate(10, &mut a);
-        let after_a = a.uniform01();
-        let mut b = SimRng::seed(9);
-        let second = ArrivalProcess::Poisson { rate: 1.0 }.generate(10, &mut b);
-        let after_b = b.uniform01();
-        assert_eq!(first, second);
-        assert_eq!(after_a.to_bits(), after_b.to_bits());
+        let _ = draw(proc, 1, 1);
     }
 
     #[test]
@@ -640,6 +486,6 @@ mod tests {
             mean_high_secs: 0.0,
             mean_low_secs: 4.0,
         };
-        let _ = proc.generate(1, &mut SimRng::seed(1));
+        let _ = draw(proc, 1, 1);
     }
 }

@@ -98,8 +98,9 @@ impl Trace {
     ///
     /// * **interactive** (the remainder): one ShareGPT-shaped request;
     /// * **long-document**: one L-Eval-shaped request tagged
-    ///   [`TrafficClass::BestEffort`];
-    /// * **multi-turn**: the event starts a [`TrafficClass::Standard`]
+    ///   [`TrafficClass::BestEffort`](crate::request::TrafficClass::BestEffort);
+    /// * **multi-turn**: the event starts a
+    ///   [`TrafficClass::Standard`](crate::request::TrafficClass::Standard)
     ///   conversation whose follow-up turns (growing-context prompts, think
     ///   times, geometric rounds as in [`Trace::generate_multi_turn`])
     ///   arrive *after* the event, so the final trace has at least `count`
@@ -218,16 +219,6 @@ impl Trace {
             total_input_tokens,
             total_output_tokens,
         }
-    }
-
-    /// Serialises the trace to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Restores a trace from JSON.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
     }
 }
 
@@ -556,20 +547,6 @@ mod tests {
             &profile,
             &mut rng,
         );
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut rng = SimRng::seed(8);
-        let trace = Trace::generate(
-            DatasetKind::LvEval,
-            ArrivalProcess::Poisson { rate: 0.1 },
-            20,
-            &mut rng,
-        );
-        let json = trace.to_json().expect("serialise");
-        let restored = Trace::from_json(&json).expect("deserialise");
-        assert_eq!(trace, restored);
     }
 
     #[test]

@@ -92,7 +92,6 @@ fn sweep_produces_monotone_slo_curve_shape() {
         requests_per_run: 50,
         slo: SloSpec::default_for_lwm(),
         seed: 31,
-        parallel: false,
     };
     let result = sweep_system(&system, &config);
     assert_eq!(result.summaries.len(), 3);
