@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
-#   ./ci.sh          # everything: build, tests, bench gates, examples, clippy, fmt, rustdoc
+#   ./ci.sh          # everything: build, tests, allocation budget, bench gates, examples, clippy, fmt, rustdoc
 #   ./ci.sh quick    # just the tier-1 gate: release build + tests + perfbench tests
 #
 # Every cargo invocation passes --locked so a drifted Cargo.lock fails loudly
@@ -60,6 +60,11 @@ smoke_gate() {
     printf '%s\n' "$out" | grep -q "$grep_pattern"
     printf '%s\n' "$out" | cargo run -q --release --locked -p xtask -- bench-gate "$reference"
 }
+
+# Release only: debug builds shadow every scheduling point with the view
+# audit, which allocates by design, so the test is ignored there.
+step "allocation budget (2k-request Mixed run, at most 10 heap allocations per scheduler call)"
+cargo test --release --locked --test alloc_budget
 
 step "engine-scaling perf smoke + gate (1k-request trace vs BENCH_engine.json)"
 smoke_gate engine_scaling "^ENGINE_SCALING requests=1000" BENCH_engine.json

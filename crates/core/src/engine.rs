@@ -538,6 +538,8 @@ struct Live {
     // them again.
     scratch: ViewScratch,
     claimed: Vec<InstanceId>,
+    /// The decode batch of the action being applied: `(id, context)`.
+    batch: Vec<(RequestId, u64)>,
     #[cfg(debug_assertions)]
     audit: audit::ViewAudit,
 }
@@ -566,6 +568,7 @@ impl Live {
             group_ids: IdAllocator::new(),
             scratch: ViewScratch::new(),
             claimed: Vec::new(),
+            batch: Vec::new(),
             #[cfg(debug_assertions)]
             audit: audit::ViewAudit::default(),
         }
@@ -776,17 +779,21 @@ impl Live {
         }
     }
 
-    /// The decode-ready subset of `ids`, with their context lengths.
-    fn decode_batch(&self, ids: &[RequestId]) -> Vec<(RequestId, u64)> {
-        ids.iter()
-            .filter_map(|&id| {
-                let s = self.table.get(id)?;
-                match s.phase {
-                    Phase::DecodeReady { generated } => Some((id, s.request.input_len + generated)),
-                    _ => None,
+    /// Keeps the decode-ready subset of `ids` in place and fills the batch
+    /// buffer with them and their context lengths, in the same order.
+    fn decode_batch(&mut self, ids: &mut Vec<RequestId>) {
+        let (table, batch) = (&self.table, &mut self.batch);
+        batch.clear();
+        ids.retain(|&id| match table.get(id) {
+            Some(s) => match s.phase {
+                Phase::DecodeReady { generated } => {
+                    batch.push((id, s.request.input_len + generated));
+                    true
                 }
-            })
-            .collect()
+                _ => false,
+            },
+            None => false,
+        });
     }
 
     /// Moves a decode-ready request into its in-flight decode iteration.
@@ -1313,13 +1320,13 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
             Action::Decode {
                 instances,
                 masters,
-                requests,
+                mut requests,
             } => {
                 if !live.claimable(&instances) {
                     return;
                 }
-                let decode_batch = live.decode_batch(&requests);
-                if decode_batch.is_empty() {
+                live.decode_batch(&mut requests);
+                if requests.is_empty() {
                     return;
                 }
                 // Each batched request appends one token on a master, so
@@ -1334,10 +1341,9 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 } else {
                     &masters
                 };
-                live.evict_for(evict_on, decode_batch.len() as u64, now, sink);
-                let group =
-                    EspGroup::with_masters(live.group_ids.next(), instances.clone(), masters);
-                let Ok(plan) = DecodePlan::build(group, &decode_batch, &live.pool) else {
+                live.evict_for(evict_on, requests.len() as u64, now, sink);
+                let group = EspGroup::with_masters(live.group_ids.next(), instances, masters);
+                let Ok(plan) = DecodePlan::build(group, &live.batch, &live.pool) else {
                     return;
                 };
                 let Ok(outcome) =
@@ -1347,16 +1353,17 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 };
                 live.out.iterations += 1;
                 let done = now + SimDuration::from_secs(outcome.cost.total());
+                // The group hands the action's instances on to the work item.
+                let instances = plan.group.instances;
                 live.claim(&instances, done);
-                let batch_ids: Vec<RequestId> = decode_batch.iter().map(|&(id, _)| id).collect();
-                for &id in &batch_ids {
+                for &id in &requests {
                     live.start_decoding(id, now, sink);
                 }
                 live.work.push(
                     done,
                     Work::Decode {
                         instances,
-                        requests: batch_ids,
+                        requests,
                     },
                 );
             }
@@ -1364,7 +1371,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 instances,
                 prefill_request,
                 chunk_tokens,
-                decode_requests,
+                mut decode_requests,
             } => {
                 if !live.claimable(&instances) {
                     return;
@@ -1402,15 +1409,12 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 if live.pool.commit(&placement).is_err() {
                     return;
                 }
-                let decode_batch = live.decode_batch(&decode_requests);
-                let decode_lens: Vec<u64> = decode_batch.iter().map(|&(_, len)| len).collect();
-                // Append the decode tokens on the first instance.
+                live.decode_batch(&mut decode_requests);
+                let decode_lens: Vec<u64> = live.batch.iter().map(|&(_, len)| len).collect();
+                // Append the decode tokens on the first instance; the fused
+                // decode step advances only the requests that got a slot.
                 let master = instances[0];
-                let decode_ok: Vec<RequestId> = decode_batch
-                    .iter()
-                    .map(|&(id, _)| id)
-                    .filter(|&id| live.pool.append(id, master, 1).is_ok())
-                    .collect();
+                decode_requests.retain(|&id| live.pool.append(id, master, 1).is_ok());
                 let parallel = ParallelConfig::new(self.registry.tp(), instances.len());
                 let link = self.registry.link_between(&instances);
                 // Adopted tokens are real context: the chunk's attention
@@ -1436,7 +1440,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                     now,
                     sink,
                 );
-                for &id in &decode_ok {
+                for &id in &decode_requests {
                     live.start_decoding(id, now, sink);
                 }
                 live.work.push(
@@ -1445,7 +1449,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                         instances,
                         prefill_request,
                         prefilled_after: prefilled + chunk,
-                        decode_requests: decode_ok,
+                        decode_requests,
                     },
                 );
             }

@@ -77,15 +77,15 @@ impl DecodePlan {
         if requests.is_empty() {
             return Err(DecodePlanError::EmptyBatch);
         }
-        // Remaining free slots per master, updated as requests are assigned.
-        let mut free: Vec<(InstanceId, u64)> = group
+        // Per master: remaining free slots and requests assigned so far,
+        // updated as requests are assigned.
+        let mut free: Vec<(InstanceId, u64, u64)> = group
             .masters
             .iter()
-            .map(|&m| (m, pool.instance(m).free()))
+            .map(|&m| (m, pool.instance(m).free(), 0))
             .collect();
         // Most free slots first so load balances toward emptier masters.
         free.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut assigned_counts: HashMap<InstanceId, u64> = HashMap::new();
         let mut planned = Vec::with_capacity(requests.len());
         for &(id, context_len) in requests {
             // Locality first: the master already holding most of this
@@ -95,29 +95,24 @@ impl DecodePlan {
                 .iter()
                 .copied()
                 .filter(|&m| {
-                    pool.instance(m).used_by(id) > 0 && free.iter().any(|&(fm, f)| fm == m && f > 0)
+                    pool.instance(m).used_by(id) > 0
+                        && free.iter().any(|&(fm, f, _)| fm == m && f > 0)
                 })
                 .max_by_key(|&m| (pool.instance(m).used_by(id), u64::MAX - m.raw()));
             // Otherwise pick the master with the fewest assignments among
             // those with a free slot; break ties toward more free slots.
             let choice = home.or_else(|| {
                 free.iter()
-                    .filter(|(_, f)| *f > 0)
-                    .min_by_key(|(m, f)| {
-                        (
-                            assigned_counts.get(m).copied().unwrap_or(0),
-                            u64::MAX - *f,
-                            m.raw(),
-                        )
-                    })
-                    .map(|&(m, _)| m)
+                    .filter(|&&(_, f, _)| f > 0)
+                    .min_by_key(|&&(m, f, assigned)| (assigned, u64::MAX - f, m.raw()))
+                    .map(|&(m, _, _)| m)
             });
             let Some(master) = choice else {
                 return Err(DecodePlanError::NoMasterCapacity { request: id });
             };
-            *assigned_counts.entry(master).or_insert(0) += 1;
-            if let Some(slot) = free.iter_mut().find(|(m, _)| *m == master) {
+            if let Some(slot) = free.iter_mut().find(|(m, _, _)| *m == master) {
                 slot.1 -= 1;
+                slot.2 += 1;
             }
             planned.push(DecodeRequest {
                 id,
@@ -129,11 +124,6 @@ impl DecodePlan {
             group,
             requests: planned,
         })
-    }
-
-    /// The context lengths of the batch, in request order.
-    pub fn context_lens(&self) -> Vec<u64> {
-        self.requests.iter().map(|r| r.context_len).collect()
     }
 
     /// The batch size.
@@ -186,7 +176,7 @@ pub fn execute_decode(
     let parallel = plan.group.parallel_config(registry);
     let link = registry.link_between(&plan.group.instances);
     let cost = cost_model.decode_cost(
-        &plan.context_lens(),
+        plan.requests.iter().map(|r| &r.context_len),
         parallel,
         plan.group.num_masters().min(plan.batch_size()).max(1),
         link,

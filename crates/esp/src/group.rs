@@ -48,10 +48,13 @@ impl EspGroup {
             !instances.is_empty(),
             "a parallel group needs at least one instance"
         );
-        let mut dedup = instances.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), instances.len(), "duplicate instances in group");
+        assert!(
+            instances
+                .iter()
+                .enumerate()
+                .all(|(k, i)| !instances[..k].contains(i)),
+            "duplicate instances in group"
+        );
         assert!(
             !masters.is_empty(),
             "a parallel group needs at least one master"

@@ -248,12 +248,14 @@ impl CostModel {
     /// Predicted cost of a **decode** iteration.
     ///
     /// `context_lens` are the current sequence lengths (prompt + generated)
-    /// of the requests in the batch; each request produces one new token.
-    /// The group has `parallel.sp` instances of which `masters` drive FFN
-    /// computation and store the newly generated KV (`1 <= masters <= sp`).
-    pub fn decode_cost(
+    /// of the requests in the batch, in batch order; each request produces
+    /// one new token. Any iterator of them prices the same, so a caller
+    /// need not collect them. The group has `parallel.sp` instances of
+    /// which `masters` drive FFN computation and store the newly generated
+    /// KV (`1 <= masters <= sp`).
+    pub fn decode_cost<'a>(
         &self,
-        context_lens: &[u64],
+        context_lens: impl IntoIterator<Item = &'a u64>,
         parallel: ParallelConfig,
         masters: usize,
         sp_link: LinkSpec,
@@ -262,18 +264,21 @@ impl CostModel {
             masters >= 1 && masters <= parallel.sp,
             "masters must be in 1..=sp"
         );
-        if context_lens.is_empty() {
+        let m = &self.model;
+        // One pass over the batch. Per request: the tokens' worth of KV
+        // cache the policy actually streams per step (dense reads the full
+        // context, page-sparse decode caps each request at its token
+        // budget) and the attention FLOPs over it.
+        let (mut requests, mut kv_read_tokens, mut attn_flops) = (0usize, 0.0f64, 0.0f64);
+        for &l in context_lens {
+            requests += 1;
+            kv_read_tokens += self.attention.decode_kv_read_tokens(l as f64);
+            attn_flops += self.attention.decode_attention_flops(m, l as f64);
+        }
+        if requests == 0 {
             return IterationCost::default();
         }
-        let m = &self.model;
-        let batch = context_lens.len() as f64;
-        // Tokens' worth of KV cache the policy actually streams per step;
-        // dense reads the full context, page-sparse decode caps each request
-        // at its token budget.
-        let kv_read_tokens: f64 = context_lens
-            .iter()
-            .map(|&l| self.attention.decode_kv_read_tokens(l as f64))
-            .sum();
+        let batch = requests as f64;
 
         // Dense computation: each master handles batch/masters requests on
         // its tp GPUs; all masters run concurrently, so the critical path is
@@ -289,10 +294,6 @@ impl CostModel {
         // Attention: every instance scans the KV cache stored locally. The
         // cache is spread over all sp instances (token-granularity pool), so
         // each instance streams roughly total/sp of it.
-        let attn_flops: f64 = context_lens
-            .iter()
-            .map(|&l| self.attention.decode_attention_flops(m, l as f64))
-            .sum();
         let attn_flops_time =
             attn_flops / (parallel.sp * parallel.tp) as f64 / self.gpu.effective_flops();
         let kv_bytes_per_gpu =

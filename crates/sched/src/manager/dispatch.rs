@@ -62,14 +62,14 @@ pub fn dispatch(
     let mut purely_idle: Vec<InstanceId> = Vec::new();
     let mut decode_hosting: Vec<InstanceId> = Vec::new();
     for &inst in view.idle_instances {
-        let residents: Vec<&crate::types::DecodingRequest> = view
-            .decoding
-            .iter()
-            .filter(|d| d.kv_instances.contains(&inst))
-            .collect();
-        let resident_tokens: u64 = residents.iter().map(|d| d.context_len).sum();
-        let heavy =
-            resident_tokens > view.pool.instance(inst).capacity() / 10 || residents.len() > 64;
+        let (mut resident_tokens, mut residents) = (0u64, 0usize);
+        for d in view.decoding {
+            if d.kv_instances.contains(&inst) {
+                resident_tokens += d.context_len;
+                residents += 1;
+            }
+        }
+        let heavy = resident_tokens > view.pool.instance(inst).capacity() / 10 || residents > 64;
         if heavy {
             decode_hosting.push(inst);
         } else {

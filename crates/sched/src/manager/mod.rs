@@ -43,6 +43,10 @@ pub struct LoongServeScheduler {
     /// conservative full-output reservation in dispatching and never emits
     /// pressure actions — the golden-pinned behaviour.
     pressure: Option<PressureConfig>,
+    /// Step 4b's input, rebuilt every call: the idle instances no prefill
+    /// or drain claimed.
+    available: Vec<InstanceId>,
+    decode_planner: scaling::DecodeGroupPlanner,
 }
 
 impl LoongServeScheduler {
@@ -57,6 +61,8 @@ impl LoongServeScheduler {
             config,
             events: Vec::new(),
             pressure: None,
+            available: Vec::new(),
+            decode_planner: scaling::DecodeGroupPlanner::default(),
         }
     }
 
@@ -141,16 +147,64 @@ impl Scheduler for LoongServeScheduler {
             }
         }
 
-        // Step 1: dispatching.
-        let dispatch_decision = if admit {
-            dispatch::dispatch(view, reserve_factor, admission_budget)
+        // Steps 1–4a place prefills. With nothing pending, or admission
+        // paused, they provably emit nothing: dispatch admits no request, so
+        // allocation drains no instance, batching forms no batch and no
+        // batch scales down. Skipping them is exact.
+        let claimed = if admit && !view.pending.is_empty() {
+            self.place_prefills(view, reserve_factor, admission_budget, &mut actions)
         } else {
-            dispatch::DispatchDecision {
-                admitted: Vec::new(),
-                candidate_instances: Vec::new(),
-                delayed_decodes: Vec::new(),
-            }
+            Vec::new()
         };
+
+        // Step 4b: decode group formation on whatever is left.
+        self.available.clear();
+        self.available.extend(
+            view.idle_instances
+                .iter()
+                .copied()
+                .filter(|i| !claimed.contains(i)),
+        );
+        let (decode_plans, _) =
+            self.decode_planner
+                .plan(view, &self.available, self.config.enable_scale_up);
+        for plan in decode_plans {
+            if plan.scaled_up_by > 0 {
+                self.events.push(ScalingEvent {
+                    at: view.now,
+                    kind: ScalingEventKind::ScaleUp,
+                    delta_instances: plan.scaled_up_by as i64,
+                });
+            }
+            actions.push(Action::Decode {
+                instances: plan.instances,
+                masters: plan.masters,
+                requests: plan.requests,
+            });
+        }
+
+        actions
+    }
+
+    fn scaling_events(&self) -> &[ScalingEvent] {
+        &self.events
+    }
+}
+
+impl LoongServeScheduler {
+    /// Steps 1–4a: dispatches pending requests, drains the instances the
+    /// allocation claims, batches the admitted requests and plans each
+    /// batch's proactive scale-down, pushing the migrations and prefills
+    /// onto `actions`. Returns the instances those actions touch.
+    fn place_prefills(
+        &mut self,
+        view: &SchedulerView<'_>,
+        reserve_factor: f64,
+        admission_budget: u64,
+        actions: &mut Vec<Action>,
+    ) -> Vec<InstanceId> {
+        // Step 1: dispatching.
+        let dispatch_decision = dispatch::dispatch(view, reserve_factor, admission_budget);
         let admitted_info: Vec<(RequestId, u64, u64)> = dispatch_decision
             .admitted
             .iter()
@@ -163,8 +217,7 @@ impl Scheduler for LoongServeScheduler {
         // Step 2: elastic instance allocation.
         let allocation =
             allocate::allocate(view, &admitted_lens, &dispatch_decision.candidate_instances);
-        let mut prefill_claimed: Vec<InstanceId> = Vec::new();
-        let mut migration_touched: Vec<InstanceId> = Vec::new();
+        let mut claimed: Vec<InstanceId> = Vec::new();
         for drain in &allocation.drains {
             // The drained request keeps whatever KV it already has elsewhere
             // and the evicted span lands on the drain targets.
@@ -180,8 +233,8 @@ impl Scheduler for LoongServeScheduler {
                     final_targets.push(t);
                 }
             }
-            migration_touched.push(drain.from);
-            migration_touched.extend(final_targets.iter().copied());
+            claimed.push(drain.from);
+            claimed.extend(final_targets.iter().copied());
             actions.push(Action::Migrate {
                 request: drain.request,
                 targets: final_targets,
@@ -226,43 +279,14 @@ impl Scheduler for LoongServeScheduler {
                     delta_instances: retain_on.len() as i64 - batch.instances.len() as i64,
                 });
             }
-            prefill_claimed.extend(batch.instances.iter().copied());
+            claimed.extend(batch.instances.iter().copied());
             actions.push(Action::Prefill {
                 instances: batch.instances.clone(),
                 requests: batch.requests.clone(),
                 retain_on,
             });
         }
-
-        // Step 4b: decode group formation on whatever is left.
-        let available: Vec<InstanceId> = view
-            .idle_instances
-            .iter()
-            .copied()
-            .filter(|i| !prefill_claimed.contains(i) && !migration_touched.contains(i))
-            .collect();
-        let (decode_plans, _blocked) =
-            scaling::plan_decode_groups(view, &available, self.config.enable_scale_up);
-        for plan in decode_plans {
-            if plan.scaled_up_by > 0 {
-                self.events.push(ScalingEvent {
-                    at: view.now,
-                    kind: ScalingEventKind::ScaleUp,
-                    delta_instances: plan.scaled_up_by as i64,
-                });
-            }
-            actions.push(Action::Decode {
-                instances: plan.instances,
-                masters: plan.masters,
-                requests: plan.requests,
-            });
-        }
-
-        actions
-    }
-
-    fn scaling_events(&self) -> &[ScalingEvent] {
-        &self.events
+        claimed
     }
 }
 
@@ -270,13 +294,15 @@ impl Scheduler for LoongServeScheduler {
 /// the first `instances` instances (at least one): the SIB's fitted
 /// analytical model for that parallel configuration, falling back to the
 /// roofline model when the configuration was never profiled. All three
-/// planning steps price prefill through this one helper.
+/// planning steps price prefill through this one helper. The engine's SIB
+/// profiles every degree of parallelism up to the instance count, so there
+/// the fallback, and the link it prices, never runs.
 fn predict_prefill(view: &SchedulerView<'_>, lens: &[u64], instances: usize) -> f64 {
     let n = instances.max(1);
     let parallel = ParallelConfig::new(view.registry.tp(), n);
-    let ids: Vec<InstanceId> = view.registry.all_ids().into_iter().take(n).collect();
-    let link = view.registry.link_between(&ids);
     view.sib.predict_prefill(lens, parallel, || {
+        let ids: Vec<InstanceId> = view.registry.all_ids().into_iter().take(n).collect();
+        let link = view.registry.link_between(&ids);
         view.cost_model.prefill_cost(lens, parallel, link).total()
     })
 }
@@ -291,7 +317,9 @@ mod tests {
     use loong_model::config::ModelConfig;
     use loong_model::roofline::CostModel;
     use loong_model::sib::ScalingInfoBase;
+    use loong_simcore::rng::SimRng;
     use loong_simcore::time::SimTime;
+    use rand::Rng;
 
     struct Fixture {
         registry: InstanceRegistry,
@@ -481,6 +509,97 @@ mod tests {
             .scaling_events()
             .iter()
             .any(|e| e.kind == ScalingEventKind::ScaleUp));
+    }
+
+    /// A random manager input on the paper node: decode requests whose KV
+    /// spans one to three instances, some instances filled to their last
+    /// few slots (so decode groups scale up and full masters drop out), a
+    /// pending queue that is empty about half the time (mixing short and
+    /// long prompts so prefills batch, drain and scale down), and a random
+    /// idle subset.
+    fn random_fixture(rng: &mut SimRng) -> Fixture {
+        let mut f = fixture();
+        let capacities: Vec<u64> = (0..4).map(|_| rng.gen_range(20_000..500_000)).collect();
+        f.pool = UnifiedKvPool::with_capacities(&capacities);
+        for id in 0..rng.gen_range(0..12u64) {
+            let span = rng.gen_range(1..=3);
+            let mut kv_instances: Vec<InstanceId> = Vec::new();
+            while kv_instances.len() < span {
+                let inst = InstanceId(rng.gen_range(0..4));
+                if !kv_instances.contains(&inst) {
+                    kv_instances.push(inst);
+                }
+            }
+            kv_instances.sort();
+            let mut context_len = 0;
+            for &inst in &kv_instances {
+                // A quarter of what is free at most, so no instance fills.
+                let tokens = rng.gen_range(1..=(f.pool.instance(inst).free() / 4).min(60_000));
+                f.pool.append(RequestId(id), inst, tokens).expect("room");
+                context_len += tokens;
+            }
+            f.decoding.push(DecodingRequest {
+                id: RequestId(id),
+                context_len,
+                generated: rng.gen_range(1..200),
+                decode_time_s: rng.gen_range(0.0..20.0),
+                kv_instances,
+            });
+        }
+        for inst in (0..4).map(InstanceId) {
+            if rng.gen_bool(0.5) {
+                // KV of work in flight, leaving at most 100 slots free.
+                let leave = rng.gen_range(0..100);
+                let fill = f.pool.instance(inst).free().saturating_sub(leave);
+                if fill > 0 {
+                    f.pool.append(RequestId(1_000), inst, fill).expect("room");
+                }
+            }
+        }
+        if rng.gen_bool(0.5) {
+            for id in 100..rng.gen_range(101..107u64) {
+                let len = if rng.gen_bool(0.3) {
+                    rng.gen_range(20_000..400_000)
+                } else {
+                    rng.gen_range(100..8_000)
+                };
+                f.pending.push(pending(id, len));
+            }
+        }
+        f.idle = (0..4)
+            .filter(|_| rng.gen_bool(0.8))
+            .map(InstanceId)
+            .collect();
+        f
+    }
+
+    #[test]
+    fn a_reused_manager_plans_exactly_like_a_fresh_one() {
+        // The manager keeps its planning buffers across calls; each call
+        // must still depend on its view alone.
+        let mut rng = SimRng::seed(0xdec0de);
+        for enable_scale_up in [true, false] {
+            let config = LoongServeConfig { enable_scale_up };
+            let mut reused = LoongServeScheduler::with_config(config);
+            for call in 0..500 {
+                let f = random_fixture(&mut rng);
+                let mut v = view(&f);
+                v.avg_decode_latency_s = if rng.gen_bool(0.5) { 0.0 } else { 30.0 };
+                let logged = reused.scaling_events().len();
+                let actions = reused.schedule(&v);
+                let mut fresh = LoongServeScheduler::with_config(config);
+                assert_eq!(
+                    actions,
+                    fresh.schedule(&v),
+                    "call {call}, scale-up {enable_scale_up}"
+                );
+                assert_eq!(
+                    &reused.scaling_events()[logged..],
+                    fresh.scaling_events(),
+                    "call {call}, scale-up {enable_scale_up}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   fresh masters, no migration) when its KV pool is nearly full or its
 //!   batch size crosses the compute-bound threshold.
 
-use crate::types::{DecodingRequest, SchedulerView};
+use crate::types::SchedulerView;
 use loong_simcore::ids::{InstanceId, RequestId};
 
 /// A planned decode iteration group.
@@ -60,124 +60,158 @@ pub fn plan_scale_down(
     retained
 }
 
-/// Forms decode groups from the ready decode requests whose KV lives
-/// entirely on `available` (idle, unclaimed, distinct) instances, and
-/// decides per-group scale-up.
+/// Decode-group formation and scale-up over buffers kept from one call to
+/// the next.
 ///
-/// Returns the group plans plus the list of requests that could not be
-/// grouped this round (their KV overlaps unavailable instances).
-///
-/// A group is a connected component of the ready requests over shared KV
-/// instances, built in view order by `Components`. Group order and the
-/// request order inside a group decide master assignment and finish order:
-/// a request absorbs every earlier group it shares an instance with, lists
-/// itself first and the absorbed groups after it, and the merged group
-/// moves to the end of the order.
-pub fn plan_decode_groups(
-    view: &SchedulerView<'_>,
-    available: &[InstanceId],
-    enable_scale_up: bool,
-) -> (Vec<DecodeGroupPlan>, Vec<RequestId>) {
-    // Requests whose KV is fully on available instances can run; others must
-    // wait for their instances to free up. Ids past the widest available one
-    // are unavailable.
-    let width = available.iter().map(|i| i.index() + 1).max().unwrap_or(0);
-    let mut is_available = vec![false; width];
-    for &i in available {
-        is_available[i.index()] = true;
-    }
-    let mut ready: Vec<&DecodingRequest> = Vec::new();
-    let mut blocked_ids = Vec::new();
-    for d in view.decoding {
-        if d.kv_instances
-            .iter()
-            .all(|i| is_available.get(i.index()) == Some(&true))
-        {
-            ready.push(d);
-        } else {
-            blocked_ids.push(d.id);
+/// The manager owns one planner for its whole life, so a steady decode
+/// point allocates only the plans it returns. Every call resets each buffer
+/// before reading it: a plan depends on the view and `available` alone,
+/// never on an earlier call.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeGroupPlanner {
+    /// Per instance id: whether it is in `available`.
+    is_available: Vec<bool>,
+    /// Positions in the view's decoding list of the ready requests.
+    ready: Vec<usize>,
+    components: Components,
+    /// Each component's instances, ascending, in component order.
+    instance_sets: Vec<Vec<InstanceId>>,
+    /// Per instance id: held by a group or drawn by a scale-up.
+    claimed: Vec<bool>,
+    /// The decoding requests the last call could not group.
+    blocked: Vec<RequestId>,
+}
+
+impl DecodeGroupPlanner {
+    /// Forms decode groups from the ready decode requests whose KV lives
+    /// entirely on `available` (idle, unclaimed, distinct) instances, and
+    /// decides per-group scale-up.
+    ///
+    /// Returns the group plans plus the requests that could not be grouped
+    /// this round (their KV overlaps unavailable instances).
+    ///
+    /// A group is a connected component of the ready requests over shared
+    /// KV instances, built in view order by `Components`. Group order and
+    /// the request order inside a group decide master assignment and finish
+    /// order: a request absorbs every earlier group it shares an instance
+    /// with, lists itself first and the absorbed groups after it, and the
+    /// merged group moves to the end of the order.
+    pub fn plan(
+        &mut self,
+        view: &SchedulerView<'_>,
+        available: &[InstanceId],
+        enable_scale_up: bool,
+    ) -> (Vec<DecodeGroupPlan>, &[RequestId]) {
+        // Requests whose KV is fully on available instances can run; others
+        // must wait for their instances to free up. Ids past the widest
+        // available one are unavailable.
+        let width = available.iter().map(|i| i.index() + 1).max().unwrap_or(0);
+        self.is_available.clear();
+        self.is_available.resize(width, false);
+        for &i in available {
+            self.is_available[i.index()] = true;
         }
-    }
-    if ready.is_empty() {
-        return (Vec::new(), blocked_ids);
-    }
-
-    let mut components = Components::new(width, ready.len());
-    for req in &ready {
-        components.add(&req.kv_instances);
-    }
-    let instance_sets = components.instance_sets();
-
-    // Every instance a group holds is claimed, so scale-up never
-    // double-books one; spares are drawn in `available` order.
-    let mut claimed: Vec<bool> = components.owner.iter().map(|&o| o != NONE).collect();
-    let mut spares = available.iter().copied();
-
-    let threshold = view
-        .sib
-        .decode_threshold(view.registry.tp())
-        .unwrap_or_else(|| {
-            // Context 0 = the pure-GEMM threshold: the classic §5.4 trigger.
-            // The policy-aware form exists for experiments that want the
-            // KV-stream term included; dense long contexts make it `None`
-            // (never compute-bound), so the trigger conservatively keeps the
-            // context-free bound here.
-            view.cost_model
-                .decode_compute_bound_batch_size_at_context(view.registry.tp(), 0)
-                .expect("context-free decode threshold is always finite")
-        });
-
-    let mut plans = Vec::with_capacity(instance_sets.len());
-    for (&root, mut instances) in components.order.iter().zip(instance_sets) {
-        let requests: Vec<RequestId> = components.members(root).map(|k| ready[k].id).collect();
-        let batch_size = requests.len();
-        let mut scaled_up_by = 0usize;
-
-        if enable_scale_up {
-            // Memory trigger: the group needs at least one free slot per
-            // request per iteration; keep a comfortable runway of 64
-            // iterations so scale-up happens before the pool is exhausted.
-            let runway_tokens = batch_size as u64 * 64;
-            // Compute trigger: FFN work becomes the bottleneck once the
-            // per-master batch exceeds the profiled threshold.
-            let mut free = view.free_slots_on(&instances);
-            loop {
-                let memory_pressure = free < runway_tokens;
-                let compute_pressure = batch_size > threshold * instances.len();
-                if !memory_pressure && !compute_pressure {
-                    break;
-                }
-                let Some(extra) = spares.find(|i| !claimed[i.index()]) else {
-                    break;
-                };
-                instances.push(extra);
-                claimed[extra.index()] = true;
-                free += view.pool.instance(extra).free();
-                scaled_up_by += 1;
+        self.ready.clear();
+        self.blocked.clear();
+        for (k, d) in view.decoding.iter().enumerate() {
+            if d.kv_instances
+                .iter()
+                .all(|i| self.is_available.get(i.index()) == Some(&true))
+            {
+                self.ready.push(k);
+            } else {
+                self.blocked.push(d.id);
             }
-            instances.sort_unstable();
+        }
+        if self.ready.is_empty() {
+            return (Vec::new(), &self.blocked);
         }
 
-        // Multi-master: every instance with at least one free slot can
-        // absorb new KV; fall back to all instances if none has room (the
-        // engine will surface the capacity error).
-        let mut masters: Vec<InstanceId> = instances
-            .iter()
-            .copied()
-            .filter(|&i| view.pool.instance(i).free() > 0)
-            .collect();
-        if masters.is_empty() {
-            masters = instances.clone();
+        let components = &mut self.components;
+        components.reset(width);
+        for &k in &self.ready {
+            components.add(&view.decoding[k].kv_instances);
         }
+        components.instance_sets(&mut self.instance_sets);
 
-        plans.push(DecodeGroupPlan {
-            instances,
-            masters,
-            requests,
-            scaled_up_by,
-        });
+        // Every instance a group holds is claimed, so scale-up never
+        // double-books one; spares are drawn in `available` order.
+        let claimed = &mut self.claimed;
+        claimed.clear();
+        claimed.extend(components.owner.iter().map(|&o| o != NONE));
+        let mut spares = available.iter().copied();
+
+        let threshold = view
+            .sib
+            .decode_threshold(view.registry.tp())
+            .unwrap_or_else(|| {
+                // Context 0 = the pure-GEMM threshold: the classic §5.4
+                // trigger. The policy-aware form exists for experiments that
+                // want the KV-stream term included; dense long contexts make
+                // it `None` (never compute-bound), so the trigger
+                // conservatively keeps the context-free bound here.
+                view.cost_model
+                    .decode_compute_bound_batch_size_at_context(view.registry.tp(), 0)
+                    .expect("context-free decode threshold is always finite")
+            });
+
+        let mut plans = Vec::with_capacity(components.order.len());
+        for (&root, set) in components.order.iter().zip(&mut self.instance_sets) {
+            let mut instances = std::mem::take(set);
+            let requests: Vec<RequestId> = components
+                .members(root)
+                .map(|k| view.decoding[self.ready[k]].id)
+                .collect();
+            let batch_size = requests.len();
+            let mut scaled_up_by = 0usize;
+
+            if enable_scale_up {
+                // Memory trigger: the group needs at least one free slot per
+                // request per iteration; keep a comfortable runway of 64
+                // iterations so scale-up happens before the pool is
+                // exhausted.
+                let runway_tokens = batch_size as u64 * 64;
+                // Compute trigger: FFN work becomes the bottleneck once the
+                // per-master batch exceeds the profiled threshold.
+                let mut free = view.free_slots_on(&instances);
+                loop {
+                    let memory_pressure = free < runway_tokens;
+                    let compute_pressure = batch_size > threshold * instances.len();
+                    if !memory_pressure && !compute_pressure {
+                        break;
+                    }
+                    let Some(extra) = spares.find(|i| !claimed[i.index()]) else {
+                        break;
+                    };
+                    instances.push(extra);
+                    claimed[extra.index()] = true;
+                    free += view.pool.instance(extra).free();
+                    scaled_up_by += 1;
+                }
+                instances.sort_unstable();
+            }
+
+            // Multi-master: every instance with at least one free slot can
+            // absorb new KV; fall back to all instances if none has room
+            // (the engine will surface the capacity error).
+            let mut masters: Vec<InstanceId> = instances
+                .iter()
+                .copied()
+                .filter(|&i| view.pool.instance(i).free() > 0)
+                .collect();
+            if masters.is_empty() {
+                masters = instances.clone();
+            }
+
+            plans.push(DecodeGroupPlan {
+                instances,
+                masters,
+                requests,
+                scaled_up_by,
+            });
+        }
+        (plans, &self.blocked)
     }
-    (plans, blocked_ids)
 }
 
 /// Marks an empty link.
@@ -202,6 +236,7 @@ struct Node {
 /// Request `k` (in the order [`Components::add`] sees them) is node `k`. A
 /// component is named by its root, which is also the head of its request
 /// list; instance ownership resolves to the root through union-find.
+#[derive(Debug, Clone, Default)]
 struct Components {
     /// Per instance: a node of the component holding it, or `NONE`.
     owner: Vec<u32>,
@@ -213,14 +248,12 @@ struct Components {
 }
 
 impl Components {
-    /// Empty components over instance ids `0..width`, sized for `requests`.
-    fn new(width: usize, requests: usize) -> Self {
-        Components {
-            owner: vec![NONE; width],
-            nodes: Vec::with_capacity(requests),
-            order: Vec::with_capacity(requests),
-            touched: Vec::new(),
-        }
+    /// Empties the components, over instance ids `0..width`.
+    fn reset(&mut self, width: usize) {
+        self.owner.clear();
+        self.owner.resize(width, NONE);
+        self.nodes.clear();
+        self.order.clear();
     }
 
     /// The root of `node`'s component, halving the path on the way.
@@ -285,16 +318,17 @@ impl Components {
         self.nodes[root as usize].pos as usize
     }
 
-    /// Each component's instances, ascending, in component order.
-    fn instance_sets(&mut self) -> Vec<Vec<InstanceId>> {
-        let mut sets = vec![Vec::new(); self.order.len()];
+    /// Fills `sets` with each component's instances, ascending, in
+    /// component order.
+    fn instance_sets(&mut self, sets: &mut Vec<Vec<InstanceId>>) {
+        sets.clear();
+        sets.resize_with(self.order.len(), Vec::new);
         for inst in 0..self.owner.len() {
             if self.owner[inst] != NONE {
                 let root = self.root(self.owner[inst]);
                 sets[self.pos(root)].push(InstanceId::from(inst));
             }
         }
-        sets
     }
 
     /// The requests of the component rooted at `root`, in list order.
@@ -309,7 +343,7 @@ impl Components {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::PendingRequest;
+    use crate::types::{DecodingRequest, PendingRequest};
     use loong_cluster::topology::ClusterSpec;
     use loong_esp::instance::InstanceRegistry;
     use loong_kvcache::unified::UnifiedKvPool;
@@ -367,7 +401,18 @@ mod tests {
         }
     }
 
-    /// The list-based union [`plan_decode_groups`] replaced, kept as the
+    /// Plans with a fresh planner, the blocked list copied out.
+    fn plan_decode_groups(
+        view: &SchedulerView<'_>,
+        available: &[InstanceId],
+        enable_scale_up: bool,
+    ) -> (Vec<DecodeGroupPlan>, Vec<RequestId>) {
+        let mut planner = DecodeGroupPlanner::default();
+        let (plans, blocked) = planner.plan(view, available, enable_scale_up);
+        (plans, blocked.to_vec())
+    }
+
+    /// The list-based union [`DecodeGroupPlanner`] replaced, kept as the
     /// reference its plans must equal.
     fn list_union_reference(
         view: &SchedulerView<'_>,
@@ -548,15 +593,19 @@ mod tests {
     #[test]
     fn index_linked_union_matches_the_list_based_reference() {
         let mut rng = SimRng::seed(0x5ca1e);
+        // One planner across every layout: its buffers shrink and grow
+        // between pool widths and must carry nothing from one call over.
+        let mut planner = DecodeGroupPlanner::default();
         // The paper node, a mid-sized pool, and pools wider than 64 and
         // 128 instances.
-        for instances in [4, 16, 100, 160] {
+        for instances in [4, 16, 100, 160, 4] {
             for _ in 0..150 {
                 let (f, available) = random_layout(&mut rng, instances);
                 let v = view(&f, &available);
                 for scale_up in [true, false] {
+                    let (plans, blocked) = planner.plan(&v, &available, scale_up);
                     assert_eq!(
-                        plan_decode_groups(&v, &available, scale_up),
+                        (plans, blocked.to_vec()),
                         list_union_reference(&v, &available, scale_up),
                         "{instances} instances, scale-up {scale_up}, available {available:?}, \
                          decoding {:?}",
