@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
-#   ./ci.sh          # everything: build, tests, allocation budget, bench gates, examples, clippy, fmt, rustdoc
+#   ./ci.sh          # everything: build, tests, allocation budget, bench gates, examples, clippy, fmt, rustdoc, line count
 #   ./ci.sh quick    # just the tier-1 gate: release build + tests + perfbench tests
 #
 # Every cargo invocation passes --locked so a drifted Cargo.lock fails loudly
@@ -63,7 +63,7 @@ smoke_gate() {
 
 # Release only: debug builds shadow every scheduling point with the view
 # audit, which allocates by design, so the test is ignored there.
-step "allocation budget (2k-request Mixed run, at most 10 heap allocations per scheduler call)"
+step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 10 heap allocations per scheduler call each)"
 cargo test --release --locked --test alloc_budget
 
 step "engine-scaling perf smoke + gate (1k-request trace vs BENCH_engine.json)"
@@ -122,6 +122,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps \
     -p loong-simcore -p loong-cluster -p loong-model -p loong-kvcache -p loong-esp \
     -p loong-sched -p loong-workload -p loong-metrics -p loong-trace -p loong-bench \
     -p loongserve
+
+# Report only: the production-line count ROADMAP quotes, per crate.
+step "production lines under crates/*/src (report only: each file up to its first top-level #[cfg(test)])"
+find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { split(FILENAME, path, "/"); crate = path[2]; counting = 1 }
+    /^#\[cfg\(test\)\]/ { counting = 0 }
+    counting { lines[crate]++; total++ }
+    END {
+        for (crate in lines) printf "%-8s %6d\n", crate, lines[crate] | "sort"
+        close("sort")
+        printf "%-8s %6d\n", "total", total
+    }'
 
 step "Cargo.lock unchanged"
 check_lockfile

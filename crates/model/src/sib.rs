@@ -1,17 +1,21 @@
 //! The Scaling Information Base (SIB).
 //!
 //! LoongServe's global manager consults the SIB before every scheduling
-//! decision (paper §3, §5.5): it holds profiling results for a grid of
-//! batch shapes and parallelism strategies, the analytical models fitted
-//! from them, and derived thresholds such as the prefill "tipping point" and
-//! the decode compute-bound batch size.
+//! decision (paper §3, §5.5). In the paper it holds profiling results for a
+//! grid of batch shapes and parallelism strategies and the analytical models
+//! fitted from them.
 //!
 //! The original system stores profiles in SQLite and gathers them with
 //! dedicated profiling tools on real GPUs; here the profiles are produced by
 //! the roofline substrate (optionally perturbed with measurement noise),
-//! fitted as they are drawn and kept only as the fitted models and
-//! thresholds, in memory, preserving the workflow: profile once, fit, and
-//! consult cheap fitted models at scheduling time.
+//! fitted as they are drawn and kept only as the fitted prefill models, in
+//! memory, preserving the workflow: profile once, fit, and consult cheap
+//! fitted models at scheduling time. The thresholds the manager derives
+//! from the profiles — the prefill "tipping point" and the decode
+//! compute-bound batch size — are the roofline's closed forms
+//! ([`CostModel::prefill_saturation_tokens`],
+//! [`CostModel::decode_compute_bound_batch_size`]), which the manager reads
+//! from the cost model directly.
 
 use crate::analytical::{AnalyticalModel, BatchFeatures};
 use crate::config::ModelConfig;
@@ -38,15 +42,11 @@ mod rand_like_noise {
     }
 }
 
-/// Everything fitted and derived from the profiles.
+/// The analytical models fitted from the profiles.
 #[derive(Debug, Clone)]
 pub struct ScalingInfoBase {
     /// Fitted analytical models per parallelism strategy.
     pub prefill_models: HashMap<ParallelConfig, AnalyticalModel>,
-    /// Prefill tipping point (tokens per iteration) per parallelism strategy.
-    pub prefill_saturation_tokens: HashMap<ParallelConfig, u64>,
-    /// Decode compute-bound batch-size threshold per tensor-parallel degree.
-    pub decode_compute_bound_bs: HashMap<usize, usize>,
 }
 
 impl ScalingInfoBase {
@@ -54,14 +54,11 @@ impl ScalingInfoBase {
     pub fn new() -> Self {
         ScalingInfoBase {
             prefill_models: HashMap::new(),
-            prefill_saturation_tokens: HashMap::new(),
-            decode_compute_bound_bs: HashMap::new(),
         }
     }
 
     /// Profiles a grid of batch shapes under every parallelism strategy in
-    /// `configs`, fits the analytical models, and records the derived
-    /// thresholds.
+    /// `configs` and fits the analytical models.
     ///
     /// `noise_amplitude` adds multiplicative measurement jitter (e.g. 0.02
     /// for ±2%), exercising the robustness of the least-squares fit exactly
@@ -85,11 +82,6 @@ impl ScalingInfoBase {
             if let Some(fitted) = AnalyticalModel::fit_features(&samples) {
                 sib.prefill_models.insert(parallel, fitted);
             }
-            sib.prefill_saturation_tokens
-                .insert(parallel, cost_model.prefill_saturation_tokens(parallel));
-            sib.decode_compute_bound_bs
-                .entry(parallel.tp)
-                .or_insert_with(|| cost_model.decode_compute_bound_batch_size(parallel.tp));
         }
         sib
     }
@@ -148,17 +140,6 @@ impl ScalingInfoBase {
             None => fallback(),
         }
     }
-
-    /// The prefill tipping point (tokens) for a strategy, if profiled.
-    pub fn saturation_tokens(&self, parallel: ParallelConfig) -> Option<u64> {
-        self.prefill_saturation_tokens.get(&parallel).copied()
-    }
-
-    /// The decode compute-bound batch-size threshold for a tensor-parallel
-    /// degree, if profiled.
-    pub fn decode_threshold(&self, tp: usize) -> Option<usize> {
-        self.decode_compute_bound_bs.get(&tp).copied()
-    }
 }
 
 impl Default for ScalingInfoBase {
@@ -200,9 +181,7 @@ mod tests {
                 "missing model for {}",
                 p.label()
             );
-            assert!(sib.saturation_tokens(p).is_some());
         }
-        assert!(sib.decode_threshold(2).is_some());
     }
 
     #[test]

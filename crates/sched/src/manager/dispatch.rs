@@ -27,16 +27,15 @@ use loong_simcore::ids::{InstanceId, RequestId};
 /// The dispatcher's output: which requests enter the prefill phase and which
 /// instances they may use.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchDecision {
-    /// Requests admitted to the prefill phase, in FCFS order.
-    pub admitted: Vec<RequestId>,
+pub struct DispatchDecision<'v> {
+    /// Requests admitted to the prefill phase, in admission order: those
+    /// admitted onto purely idle instances in FCFS order, then each
+    /// borrowed hosting set's in FCFS order.
+    pub admitted: Vec<&'v PendingRequest>,
     /// Instances the prefill phase may use (`E_p`): purely idle instances
     /// plus any decode-hosting instances whose borrowing passed the
     /// gain/cost test.
     pub candidate_instances: Vec<InstanceId>,
-    /// Decode requests that will be delayed because their host instances
-    /// were borrowed.
-    pub delayed_decodes: Vec<RequestId>,
 }
 
 /// Runs the dispatching step reserving `output_reserve_factor` of each
@@ -47,11 +46,11 @@ pub struct DispatchDecision {
 /// exactly the regime the memory-pressure policies handle.
 /// `admission_budget` caps the total slots this round may commit (pressure
 /// watermark headroom); `u64::MAX` means uncapped.
-pub fn dispatch(
-    view: &SchedulerView<'_>,
+pub fn dispatch<'v>(
+    view: &SchedulerView<'v>,
     output_reserve_factor: f64,
     admission_budget: u64,
-) -> DispatchDecision {
+) -> DispatchDecision<'v> {
     // Partition the idle instances into "freely usable" and
     // "decode-hosting". An instance whose resident decode work is light —
     // short contexts that a prefill iteration delays by at most a few tens
@@ -78,17 +77,14 @@ pub fn dispatch(
     }
 
     let mut candidate_instances = purely_idle;
-    let mut admitted: Vec<RequestId> = Vec::new();
-    let mut admitted_lens: Vec<u64> = Vec::new();
-    // Running sum of `admitted_lens`.
+    let mut admitted: Vec<&'v PendingRequest> = Vec::new();
+    // Running sum of the admitted input lengths.
     let mut admitted_tokens = 0u64;
-    let mut delayed_decodes: Vec<RequestId> = Vec::new();
 
     if view.pending.is_empty() {
         return DispatchDecision {
             admitted,
             candidate_instances,
-            delayed_decodes,
         };
     }
 
@@ -100,14 +96,20 @@ pub fn dispatch(
         + view.reclaimable_slots_on(&candidate_instances))
     .min(admission_budget);
     let mut budget_left = admission_budget;
-    let saturation = saturation_tokens(view, candidate_instances.len().max(1));
-    let mut remaining: Vec<&PendingRequest> = view.pending.iter().collect();
+    // The prefill tipping point: fresh prompts attend over no prior prefix,
+    // so it is the roofline's context-0 closed form (any attention policy's
+    // term vanishes there; sparsity shows up in the per-batch cost
+    // predictions instead). It is a lower bound on useful batch size, so at
+    // least one request always gets through.
+    let parallel = ParallelConfig::new(view.registry.tp(), candidate_instances.len().max(1));
+    let saturation = view.cost_model.prefill_saturation_tokens(parallel).max(1);
+    let mut remaining: Vec<&'v PendingRequest> = view.pending.iter().collect();
     let reserve_of = |req: &PendingRequest| {
         admission_reserve(req.input_len, req.max_output_len, output_reserve_factor)
     };
 
     // First pass: admit onto purely idle instances.
-    remaining.retain(|req| {
+    remaining.retain(|&req| {
         if admitted_tokens >= saturation {
             return true;
         }
@@ -115,8 +117,7 @@ pub fn dispatch(
         if reserve <= free_slots && !candidate_instances.is_empty() {
             free_slots -= reserve;
             budget_left -= reserve;
-            admitted.push(req.id);
-            admitted_lens.push(req.input_len);
+            admitted.push(req);
             admitted_tokens += req.input_len;
             false
         } else {
@@ -142,9 +143,9 @@ pub fn dispatch(
             // group's spare slots (on top of any slots still free), within
             // what is left of the admission budget?
             let mut extra_budget = (free_slots + extra_free).min(budget_left);
-            let mut extra_requests: Vec<&PendingRequest> = Vec::new();
+            let mut extra_requests: Vec<&'v PendingRequest> = Vec::new();
             let mut extra_tokens = 0u64;
-            for req in &remaining {
+            for &req in &remaining {
                 if admitted_tokens + extra_tokens >= saturation {
                     break;
                 }
@@ -161,8 +162,11 @@ pub fn dispatch(
 
             // Cost (Eq. 1): the prefill iteration time of the enlarged batch
             // divided by each delayed request's generated output length.
-            let mut all_lens: Vec<u64> = admitted_lens.clone();
-            all_lens.extend(extra_requests.iter().map(|r| r.input_len));
+            let all_lens: Vec<u64> = admitted
+                .iter()
+                .chain(&extra_requests)
+                .map(|r| r.input_len)
+                .collect();
             let enlarged_instances = candidate_instances.len() + group.instances.len();
             let iter_time = predict_prefill(view, &all_lens, enlarged_instances.max(1));
             let cost: f64 = group
@@ -210,18 +214,15 @@ pub fn dispatch(
             if gain > cost {
                 // Borrow this hosting set.
                 free_slots += extra_free;
-                for req in &extra_requests {
+                for &req in &extra_requests {
                     let reserve = reserve_of(req);
                     free_slots = free_slots.saturating_sub(reserve);
                     budget_left = budget_left.saturating_sub(reserve);
-                    admitted.push(req.id);
-                    admitted_lens.push(req.input_len);
+                    admitted.push(req);
                     admitted_tokens += req.input_len;
                 }
-                let admitted_ids: Vec<RequestId> = extra_requests.iter().map(|r| r.id).collect();
-                remaining.retain(|r| !admitted_ids.contains(&r.id));
+                remaining.retain(|r| !extra_requests.iter().any(|e| e.id == r.id));
                 candidate_instances.extend(group.instances.iter().copied());
-                delayed_decodes.extend(group.residents.iter().copied());
             }
         }
     }
@@ -229,26 +230,7 @@ pub fn dispatch(
     DispatchDecision {
         admitted,
         candidate_instances,
-        delayed_decodes,
     }
-}
-
-/// The prefill tipping point in tokens for a group of `instances` instances.
-fn saturation_tokens(view: &SchedulerView<'_>, instances: usize) -> u64 {
-    let parallel = ParallelConfig::new(view.registry.tp(), instances.max(1));
-    view.sib
-        .saturation_tokens(parallel)
-        // Fresh prompts attend over no prior prefix, so the dispatcher asks
-        // the policy-aware roofline at processed context 0 (any policy's
-        // attention term vanishes there; sparsity shows up through the SIB
-        // profile and the per-batch cost predictions instead).
-        .unwrap_or_else(|| {
-            view.cost_model
-                .prefill_saturation_tokens_at_context(parallel, 0)
-        })
-        // The tipping point is a lower bound on useful batch size; always
-        // allow at least one request through.
-        .max(1)
 }
 
 /// A set of idle instances hosting the KV of a common set of ready decode
@@ -374,9 +356,8 @@ mod tests {
         let d = dispatch(&v, 1.0, u64::MAX);
         assert!(!d.admitted.is_empty());
         // FCFS: the first pending request is always admitted first.
-        assert_eq!(d.admitted[0], RequestId(0));
+        assert_eq!(d.admitted[0].id, RequestId(0));
         assert_eq!(d.candidate_instances.len(), 4);
-        assert!(d.delayed_decodes.is_empty());
     }
 
     #[test]
@@ -406,6 +387,18 @@ mod tests {
             "admitted {} of 512",
             d.admitted.len()
         );
+
+        // A head request of exactly the roofline's tipping point fills the
+        // batch, so the next request waits however short it is; one token
+        // shorter, the next request joins it.
+        let tipping = f
+            .cost_model
+            .prefill_saturation_tokens(ParallelConfig::new(2, 4));
+        for (head, admitted) in [(tipping, 1), (tipping - 1, 2)] {
+            let reqs = vec![pending(0, head), pending(1, 100)];
+            let d = dispatch(&view(&f, &reqs, &[], &idle), 1.0, u64::MAX);
+            assert_eq!(d.admitted.len(), admitted, "head of {head} tokens");
+        }
     }
 
     #[test]
@@ -444,14 +437,14 @@ mod tests {
         v.avg_decode_latency_s = 0.0;
         let d = dispatch(&v, 1.0, u64::MAX);
         assert!(d.admitted.is_empty());
-        assert!(d.delayed_decodes.is_empty());
+        assert!(d.candidate_instances.is_empty());
 
         // With a huge average decode latency (requests are waiting a very
         // long time), the gain dominates and the borrow is accepted.
         let mut v = view(&f, &reqs, &decoding, &idle);
         v.avg_decode_latency_s = 1e7;
         let d = dispatch(&v, 1.0, u64::MAX);
-        assert_eq!(d.admitted, vec![RequestId(0)]);
-        assert!(!d.delayed_decodes.is_empty());
+        assert_eq!(d.admitted, [&reqs[0]]);
+        assert!(!d.candidate_instances.is_empty());
     }
 }

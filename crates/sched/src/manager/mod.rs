@@ -11,9 +11,7 @@ pub mod dispatch;
 pub mod scaling;
 
 use crate::pressure::{admission_reserve, pressure_actions, PressureConfig};
-use crate::types::{
-    Action, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView,
-};
+use crate::types::{Action, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
 use serde::{Deserialize, Serialize};
@@ -83,10 +81,6 @@ impl LoongServeScheduler {
     /// The active configuration.
     pub fn config(&self) -> LoongServeConfig {
         self.config
-    }
-
-    fn find_pending<'a>(view: &'a SchedulerView<'_>, id: RequestId) -> Option<&'a PendingRequest> {
-        view.pending.iter().find(|p| p.id == id)
     }
 }
 
@@ -203,20 +197,14 @@ impl LoongServeScheduler {
         admission_budget: u64,
         actions: &mut Vec<Action>,
     ) -> Vec<InstanceId> {
-        // Step 1: dispatching.
-        let dispatch_decision = dispatch::dispatch(view, reserve_factor, admission_budget);
-        let admitted_info: Vec<(RequestId, u64, u64)> = dispatch_decision
-            .admitted
-            .iter()
-            .filter_map(|&id| {
-                Self::find_pending(view, id).map(|p| (id, p.input_len, p.max_output_len))
-            })
-            .collect();
-        let admitted_lens: Vec<u64> = admitted_info.iter().map(|&(_, len, _)| len).collect();
+        // Step 1: dispatching. The admitted requests stay in dispatch order:
+        // allocation's Eq. 3/4 sums run over them in it.
+        let decision = dispatch::dispatch(view, reserve_factor, admission_budget);
+        let admitted = &decision.admitted;
 
         // Step 2: elastic instance allocation.
-        let allocation =
-            allocate::allocate(view, &admitted_lens, &dispatch_decision.candidate_instances);
+        let lens: Vec<u64> = admitted.iter().map(|p| p.input_len).collect();
+        let allocation = allocate::allocate(view, &lens, &decision.candidate_instances);
         let mut claimed: Vec<InstanceId> = Vec::new();
         for drain in &allocation.drains {
             // The drained request keeps whatever KV it already has elsewhere
@@ -242,34 +230,16 @@ impl LoongServeScheduler {
         }
 
         // Step 3: batching.
-        let admitted_pairs: Vec<(RequestId, u64)> = admitted_info
-            .iter()
-            .map(|&(id, len, _)| (id, len))
-            .collect();
-        let batches = batching::batch_requests(view, &admitted_pairs, &allocation.instances);
+        let pairs: Vec<(RequestId, u64)> = admitted.iter().map(|p| (p.id, p.input_len)).collect();
+        let batches = batching::batch_requests(view, &pairs, &allocation.instances);
 
         // Step 4a: proactive scale-down plans for each prefill batch.
         for batch in &batches {
-            let tokens: u64 = batch
-                .requests
-                .iter()
-                .filter_map(|&id| {
-                    admitted_pairs
-                        .iter()
-                        .find(|(r, _)| *r == id)
-                        .map(|&(_, l)| l)
-                })
-                .sum();
-            let expected_output: u64 = batch
-                .requests
-                .iter()
-                .filter_map(|&id| {
-                    admitted_info
-                        .iter()
-                        .find(|(r, _, _)| *r == id)
-                        .map(|&(_, _, m)| m)
-                })
-                .sum();
+            let (mut tokens, mut expected_output) = (0u64, 0u64);
+            for p in admitted.iter().filter(|p| batch.requests.contains(&p.id)) {
+                tokens += p.input_len;
+                expected_output += p.max_output_len;
+            }
             let retain_on =
                 scaling::plan_scale_down(view, &batch.instances, tokens, expected_output);
             if retain_on.len() < batch.instances.len() {
@@ -310,7 +280,7 @@ fn predict_prefill(view: &SchedulerView<'_>, lens: &[u64], instances: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DecodingRequest;
+    use crate::types::{DecodingRequest, PendingRequest};
     use loong_cluster::topology::ClusterSpec;
     use loong_esp::instance::InstanceRegistry;
     use loong_kvcache::unified::UnifiedKvPool;
@@ -600,6 +570,77 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// FNV-1a over `bytes`, continuing from `digest`.
+    fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(digest, |d, &b| {
+            (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn decisions_on_random_views_are_pinned() {
+        // Every call's actions and newly logged scaling events over seeded
+        // random views, folded into one digest, so a refactor of any step
+        // must decide exactly as before. The SIB is profiled the way the
+        // engine profiles it (SP 1–4 at TP 2, 1% noise, a fixed seed).
+        let cost_model = CostModel::new(ModelConfig::lwm_1m_text());
+        let configs: Vec<ParallelConfig> = (1..=4).map(|sp| ParallelConfig::new(2, sp)).collect();
+        let sib = ScalingInfoBase::profile(
+            &cost_model,
+            &configs,
+            ClusterSpec::single_node_a800(8).intra_node_link,
+            0.01,
+            &mut SimRng::seed(2026),
+        );
+        let mut rng = SimRng::seed(0xd1ce);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut seen = std::collections::BTreeSet::new();
+        for enable_scale_up in [true, false] {
+            for pressure in [None, Some(PressureConfig::recompute())] {
+                let mut sched =
+                    LoongServeScheduler::with_config(LoongServeConfig { enable_scale_up });
+                if let Some(pressure) = pressure {
+                    sched = sched.with_pressure(pressure);
+                }
+                for _ in 0..250 {
+                    let mut f = random_fixture(&mut rng);
+                    f.sib = sib.clone();
+                    let mut v = view(&f);
+                    v.avg_decode_latency_s = if rng.gen_bool(0.5) { 0.0 } else { 30.0 };
+                    let logged = sched.scaling_events().len();
+                    let actions = sched.schedule(&v);
+                    let events = &sched.scaling_events()[logged..];
+                    let text = format!("{actions:?}{events:?}");
+                    digest = fnv1a(digest, text.as_bytes());
+                    seen.extend(actions.iter().map(|a| match a {
+                        Action::Prefill { .. } => "prefill",
+                        Action::Decode { .. } => "decode",
+                        Action::Migrate { .. } => "migrate",
+                        Action::Preempt { .. } => "preempt",
+                        _ => "other",
+                    }));
+                    seen.extend(events.iter().map(|e| match e.kind {
+                        ScalingEventKind::ScaleUp => "scale-up",
+                        ScalingEventKind::ProactiveScaleDown => "scale-down",
+                    }));
+                }
+            }
+        }
+        // The views reach every decision the manager makes but rejection.
+        assert_eq!(
+            seen.into_iter().collect::<Vec<_>>(),
+            [
+                "decode",
+                "migrate",
+                "preempt",
+                "prefill",
+                "scale-down",
+                "scale-up"
+            ]
+        );
+        assert_eq!(digest, 0xe308_a7f9_65b9_a799);
     }
 
     #[test]

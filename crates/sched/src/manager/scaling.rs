@@ -71,15 +71,23 @@ pub fn plan_scale_down(
 pub struct DecodeGroupPlanner {
     /// Per instance id: whether it is in `available`.
     is_available: Vec<bool>,
-    /// Positions in the view's decoding list of the ready requests.
-    ready: Vec<usize>,
-    components: Components,
-    /// Each component's instances, ascending, in component order.
-    instance_sets: Vec<Vec<InstanceId>>,
+    /// The groups formed so far, in group order.
+    groups: Vec<Group>,
+    /// Emptied groups, kept for their buffers.
+    recycled: Vec<Group>,
     /// Per instance id: held by a group or drawn by a scale-up.
     claimed: Vec<bool>,
     /// The decoding requests the last call could not group.
     blocked: Vec<RequestId>,
+}
+
+/// One decode group being formed.
+#[derive(Debug, Clone, Default)]
+struct Group {
+    /// The instances holding the members' KV.
+    instances: Vec<InstanceId>,
+    /// The members' positions in the view's decoding list, in group order.
+    members: Vec<usize>,
 }
 
 impl DecodeGroupPlanner {
@@ -91,11 +99,10 @@ impl DecodeGroupPlanner {
     /// this round (their KV overlaps unavailable instances).
     ///
     /// A group is a connected component of the ready requests over shared
-    /// KV instances, built in view order by `Components`. Group order and
-    /// the request order inside a group decide master assignment and finish
-    /// order: a request absorbs every earlier group it shares an instance
-    /// with, lists itself first and the absorbed groups after it, and the
-    /// merged group moves to the end of the order.
+    /// KV instances. Group order and the request order inside a group
+    /// decide master assignment and finish order: each ready request, in
+    /// view order, opens a group listing itself first, absorbs every group
+    /// sharing an instance with it, and the merged group goes last.
     pub fn plan(
         &mut self,
         view: &SchedulerView<'_>,
@@ -111,58 +118,75 @@ impl DecodeGroupPlanner {
         for &i in available {
             self.is_available[i.index()] = true;
         }
-        self.ready.clear();
         self.blocked.clear();
+        for mut group in self.groups.drain(..) {
+            group.instances.clear();
+            group.members.clear();
+            self.recycled.push(group);
+        }
         for (k, d) in view.decoding.iter().enumerate() {
-            if d.kv_instances
+            if !d
+                .kv_instances
                 .iter()
                 .all(|i| self.is_available.get(i.index()) == Some(&true))
             {
-                self.ready.push(k);
-            } else {
                 self.blocked.push(d.id);
+                continue;
             }
+            let mut merged = self.recycled.pop().unwrap_or_default();
+            merged.instances.extend_from_slice(&d.kv_instances);
+            merged.members.push(k);
+            // A front-to-back scan absorbs each overlapping group with
+            // `swap_remove`, so the last group fills the hole and is
+            // checked next.
+            let mut i = 0;
+            while i < self.groups.len() {
+                let overlaps = self.groups[i]
+                    .instances
+                    .iter()
+                    .any(|inst| merged.instances.contains(inst));
+                if overlaps {
+                    let mut absorbed = self.groups.swap_remove(i);
+                    for inst in absorbed.instances.drain(..) {
+                        if !merged.instances.contains(&inst) {
+                            merged.instances.push(inst);
+                        }
+                    }
+                    merged.members.append(&mut absorbed.members);
+                    self.recycled.push(absorbed);
+                } else {
+                    i += 1;
+                }
+            }
+            self.groups.push(merged);
         }
-        if self.ready.is_empty() {
+        if self.groups.is_empty() {
             return (Vec::new(), &self.blocked);
         }
-
-        let components = &mut self.components;
-        components.reset(width);
-        for &k in &self.ready {
-            components.add(&view.decoding[k].kv_instances);
-        }
-        components.instance_sets(&mut self.instance_sets);
 
         // Every instance a group holds is claimed, so scale-up never
         // double-books one; spares are drawn in `available` order.
         let claimed = &mut self.claimed;
         claimed.clear();
-        claimed.extend(components.owner.iter().map(|&o| o != NONE));
+        claimed.resize(width, false);
+        for group in &mut self.groups {
+            group.instances.sort_unstable();
+            for inst in &group.instances {
+                claimed[inst.index()] = true;
+            }
+        }
         let mut spares = available.iter().copied();
-
+        // The roofline's compute-bound decode batch at context 0, the
+        // classic §5.4 trigger: at a dense long context decode is never
+        // compute-bound, so the context-free bound is the conservative one.
         let threshold = view
-            .sib
-            .decode_threshold(view.registry.tp())
-            .unwrap_or_else(|| {
-                // Context 0 = the pure-GEMM threshold: the classic §5.4
-                // trigger. The policy-aware form exists for experiments that
-                // want the KV-stream term included; dense long contexts make
-                // it `None` (never compute-bound), so the trigger
-                // conservatively keeps the context-free bound here.
-                view.cost_model
-                    .decode_compute_bound_batch_size_at_context(view.registry.tp(), 0)
-                    .expect("context-free decode threshold is always finite")
-            });
+            .cost_model
+            .decode_compute_bound_batch_size(view.registry.tp());
 
-        let mut plans = Vec::with_capacity(components.order.len());
-        for (&root, set) in components.order.iter().zip(&mut self.instance_sets) {
-            let mut instances = std::mem::take(set);
-            let requests: Vec<RequestId> = components
-                .members(root)
-                .map(|k| view.decoding[self.ready[k]].id)
-                .collect();
-            let batch_size = requests.len();
+        let mut plans = Vec::with_capacity(self.groups.len());
+        for group in &self.groups {
+            let mut instances = group.instances.clone();
+            let batch_size = group.members.len();
             let mut scaled_up_by = 0usize;
 
             if enable_scale_up {
@@ -172,7 +196,7 @@ impl DecodeGroupPlanner {
                 // exhausted.
                 let runway_tokens = batch_size as u64 * 64;
                 // Compute trigger: FFN work becomes the bottleneck once the
-                // per-master batch exceeds the profiled threshold.
+                // per-master batch exceeds the threshold.
                 let mut free = view.free_slots_on(&instances);
                 loop {
                     let memory_pressure = free < runway_tokens;
@@ -206,137 +230,11 @@ impl DecodeGroupPlanner {
             plans.push(DecodeGroupPlan {
                 instances,
                 masters,
-                requests,
+                requests: group.members.iter().map(|&k| view.decoding[k].id).collect(),
                 scaled_up_by,
             });
         }
         (plans, &self.blocked)
-    }
-}
-
-/// Marks an empty link.
-const NONE: u32 = u32::MAX;
-
-/// One ready request's links in [`Components`].
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    /// Union-find parent; itself at a root.
-    parent: u32,
-    /// The next request of the component's list; `NONE` at its end.
-    next: u32,
-    /// At a root: the last request of the component's list.
-    tail: u32,
-    /// At a root: the component's position in [`Components::order`].
-    pos: u32,
-}
-
-/// The connected components of ready decode requests over shared KV
-/// instances, held as index links.
-///
-/// Request `k` (in the order [`Components::add`] sees them) is node `k`. A
-/// component is named by its root, which is also the head of its request
-/// list; instance ownership resolves to the root through union-find.
-#[derive(Debug, Clone, Default)]
-struct Components {
-    /// Per instance: a node of the component holding it, or `NONE`.
-    owner: Vec<u32>,
-    nodes: Vec<Node>,
-    /// Component roots, in component order.
-    order: Vec<u32>,
-    /// Roots the request being added touches.
-    touched: Vec<u32>,
-}
-
-impl Components {
-    /// Empties the components, over instance ids `0..width`.
-    fn reset(&mut self, width: usize) {
-        self.owner.clear();
-        self.owner.resize(width, NONE);
-        self.nodes.clear();
-        self.order.clear();
-    }
-
-    /// The root of `node`'s component, halving the path on the way.
-    fn root(&mut self, mut node: u32) -> u32 {
-        loop {
-            let parent = self.nodes[node as usize].parent;
-            if parent == node {
-                return node;
-            }
-            let grandparent = self.nodes[parent as usize].parent;
-            self.nodes[node as usize].parent = grandparent;
-            node = grandparent;
-        }
-    }
-
-    /// Adds the next request, whose KV sits on `kv`: it opens a component
-    /// headed by itself, absorbs every component holding one of `kv`, and
-    /// the merged component moves to the end of the order.
-    fn add(&mut self, kv: &[InstanceId]) {
-        let k = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            parent: k,
-            next: NONE,
-            tail: k,
-            pos: 0,
-        });
-        self.touched.clear();
-        for inst in kv {
-            match self.owner[inst.index()] {
-                NONE => self.owner[inst.index()] = k,
-                owner => {
-                    let root = self.root(owner);
-                    if root != k && !self.touched.contains(&root) {
-                        self.touched.push(root);
-                    }
-                }
-            }
-        }
-        // Absorb in the order a front-to-back scan of `order` meets them
-        // when it `swap_remove`s each absorbed component: the last one fills
-        // the hole and is checked next, so every touched component not yet
-        // absorbed sits at or after the scan position, and the scan meets
-        // them in order of their current position.
-        while let Some(j) = (0..self.touched.len()).min_by_key(|&j| self.pos(self.touched[j])) {
-            let absorbed = self.touched.swap_remove(j);
-            let at = self.pos(absorbed);
-            self.order.swap_remove(at);
-            if let Some(&moved) = self.order.get(at) {
-                self.nodes[moved as usize].pos = at as u32;
-            }
-            let tail = self.nodes[k as usize].tail as usize;
-            self.nodes[tail].next = absorbed;
-            self.nodes[k as usize].tail = self.nodes[absorbed as usize].tail;
-            self.nodes[absorbed as usize].parent = k;
-        }
-        self.nodes[k as usize].pos = self.order.len() as u32;
-        self.order.push(k);
-    }
-
-    /// The position of root `root` in the order.
-    fn pos(&self, root: u32) -> usize {
-        self.nodes[root as usize].pos as usize
-    }
-
-    /// Fills `sets` with each component's instances, ascending, in
-    /// component order.
-    fn instance_sets(&mut self, sets: &mut Vec<Vec<InstanceId>>) {
-        sets.clear();
-        sets.resize_with(self.order.len(), Vec::new);
-        for inst in 0..self.owner.len() {
-            if self.owner[inst] != NONE {
-                let root = self.root(self.owner[inst]);
-                sets[self.pos(root)].push(InstanceId::from(inst));
-            }
-        }
-    }
-
-    /// The requests of the component rooted at `root`, in list order.
-    fn members(&self, root: u32) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(root), |&k| {
-            Some(self.nodes[k as usize].next).filter(|&next| next != NONE)
-        })
-        .map(|k| k as usize)
     }
 }
 
@@ -412,8 +310,8 @@ mod tests {
         (plans, blocked.to_vec())
     }
 
-    /// The list-based union [`DecodeGroupPlanner`] replaced, kept as the
-    /// reference its plans must equal.
+    /// The reference [`DecodeGroupPlanner`]'s plans must equal: the same
+    /// grouping rule over owned lists, rebuilt per call.
     fn list_union_reference(
         view: &SchedulerView<'_>,
         available: &[InstanceId],
@@ -465,18 +363,8 @@ mod tests {
             .collect();
 
         let threshold = view
-            .sib
-            .decode_threshold(view.registry.tp())
-            .unwrap_or_else(|| {
-                // Context 0 = the pure-GEMM threshold: the classic §5.4 trigger.
-                // The policy-aware form exists for experiments that want the
-                // KV-stream term included; dense long contexts make it `None`
-                // (never compute-bound), so the trigger conservatively keeps the
-                // context-free bound here.
-                view.cost_model
-                    .decode_compute_bound_batch_size_at_context(view.registry.tp(), 0)
-                    .expect("context-free decode threshold is always finite")
-            });
+            .cost_model
+            .decode_compute_bound_batch_size(view.registry.tp());
 
         let mut plans = Vec::new();
         for (mut instances, requests) in components {
@@ -591,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn index_linked_union_matches_the_list_based_reference() {
+    fn planner_matches_the_list_union_reference() {
         let mut rng = SimRng::seed(0x5ca1e);
         // One planner across every layout: its buffers shrink and grow
         // between pool widths and must carry nothing from one call over.
@@ -726,21 +614,28 @@ mod tests {
 
     #[test]
     fn compute_pressure_triggers_scale_up() {
-        let mut f = fixture();
-        // A very large decode batch resident on one instance crosses the
-        // compute-bound threshold.
-        let threshold = f.cost_model.decode_compute_bound_batch_size(2);
-        for i in 0..(threshold as u64 * 2) {
-            f.pool
-                .append(RequestId(i), InstanceId(0), 10)
-                .expect("room");
-            f.decoding.push(decoding(i, 10, &[0]));
+        // A decode batch resident on one instance, whose pool has room to
+        // spare, gains an instance each time it exceeds the roofline's
+        // compute-bound batch size per instance.
+        let threshold = fixture().cost_model.decode_compute_bound_batch_size(2);
+        for (batch, scaled_up_by) in [
+            (threshold, 0),
+            (threshold + 1, 1),
+            (2 * threshold, 1),
+            (2 * threshold + 1, 2),
+        ] {
+            let mut f = fixture();
+            for i in 0..batch as u64 {
+                f.pool
+                    .append(RequestId(i), InstanceId(0), 10)
+                    .expect("room");
+                f.decoding.push(decoding(i, 10, &[0]));
+            }
+            let idle = f.registry.all_ids();
+            let (plans, _) = plan_decode_groups(&view(&f, &idle), &idle, true);
+            assert_eq!(plans.len(), 1);
+            assert_eq!(plans[0].scaled_up_by, scaled_up_by, "batch {batch}");
         }
-        let idle = f.registry.all_ids();
-        let v = view(&f, &idle);
-        let (plans, _) = plan_decode_groups(&v, &idle, true);
-        assert_eq!(plans.len(), 1);
-        assert!(plans[0].scaled_up_by >= 1);
     }
 
     #[test]

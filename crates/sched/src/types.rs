@@ -97,7 +97,7 @@ pub struct SchedulerView<'a> {
     pub registry: &'a InstanceRegistry,
     /// The roofline cost model.
     pub cost_model: &'a CostModel,
-    /// The scaling information base (profiles, fitted models, thresholds).
+    /// The scaling information base (the fitted prefill models).
     pub sib: &'a ScalingInfoBase,
     /// Mean normalised decode latency of finished requests so far (the
     /// `AvgLat_d` term of Eq. 2); zero until the first request finishes.
@@ -306,8 +306,6 @@ pub enum ScalingEventKind {
     ScaleUp,
     /// A prefill group proactively shrank at the prefill/decode boundary.
     ProactiveScaleDown,
-    /// A decode group shrank with explicit migration.
-    ReactiveScaleDown,
 }
 
 /// A timestamped scaling event emitted by a scheduler.
@@ -374,6 +372,6 @@ mod tests {
             delta_instances: 1,
         };
         assert_eq!(e.kind, ScalingEventKind::ScaleUp);
-        assert_ne!(e.kind, ScalingEventKind::ReactiveScaleDown);
+        assert_ne!(e.kind, ScalingEventKind::ProactiveScaleDown);
     }
 }

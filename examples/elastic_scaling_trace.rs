@@ -39,7 +39,6 @@ fn main() {
         match event.kind {
             ScalingEventKind::ScaleUp => scale_ups.record(event.at),
             ScalingEventKind::ProactiveScaleDown => scale_downs.record(event.at),
-            ScalingEventKind::ReactiveScaleDown => {}
         }
     }
 

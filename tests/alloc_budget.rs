@@ -3,7 +3,8 @@
 //! The manager re-plans at every iteration, so a long Mixed run makes
 //! millions of scheduling points, most of them decode-only. This binary
 //! installs a counting global allocator and holds the steady-state point
-//! to a fixed number of heap allocations per scheduler call.
+//! to a fixed number of heap allocations per scheduler call, on long-context
+//! Mixed traffic and on decode-heavy ShareGPT traffic.
 //!
 //! Debug builds shadow every point with the view audit, which allocates by
 //! design, so the budget is checked in release builds only:
@@ -71,24 +72,41 @@ fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, COUNT.with(Cell::get))
 }
 
+/// Runs `trace` through one paper node under LoongServe and holds the run
+/// to the per-call budget.
+fn assert_within_budget(trace: &Trace) {
+    let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
+    let mut engine = system.build_engine(Some(trace));
+    let (outcome, allocations) = count_allocations(|| engine.run(trace));
+    assert_eq!(outcome.unfinished, 0, "the run resolves every request");
+    let per_call = allocations as f64 / outcome.scheduler_calls as f64;
+    println!(
+        "{}: {allocations} allocations over {} scheduler calls: {per_call:.2} per call",
+        trace.label, outcome.scheduler_calls
+    );
+    assert!(
+        per_call <= BUDGET_PER_CALL,
+        "{per_call:.2} heap allocations per scheduler call, budget {BUDGET_PER_CALL}"
+    );
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "the debug view audit allocates by design; run with --release"
 )]
 fn loongserve_mixed_run_stays_within_its_allocation_budget() {
-    let trace = WorkloadSpec::Dataset(DatasetKind::Mixed).generate(0.15, 2_000, 2026);
-    let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
-    let mut engine = system.build_engine(Some(&trace));
-    let (outcome, allocations) = count_allocations(|| engine.run(&trace));
-    assert_eq!(outcome.unfinished, 0, "the run resolves every request");
-    let per_call = allocations as f64 / outcome.scheduler_calls as f64;
-    println!(
-        "{allocations} allocations over {} scheduler calls: {per_call:.2} per call",
-        outcome.scheduler_calls
-    );
-    assert!(
-        per_call <= BUDGET_PER_CALL,
-        "{per_call:.2} heap allocations per scheduler call, budget {BUDGET_PER_CALL}"
-    );
+    assert_within_budget(&WorkloadSpec::Dataset(DatasetKind::Mixed).generate(0.15, 2_000, 2026));
+}
+
+/// Decode-heavy traffic: short ShareGPT requests at one replica's share of
+/// the `sharegpt-fleet` benchmark load (120 req/s over four replicas), so
+/// decode groups hold tens of requests.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the debug view audit allocates by design; run with --release"
+)]
+fn loongserve_sharegpt_run_stays_within_its_allocation_budget() {
+    assert_within_budget(&WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(30.0, 4_000, 2026));
 }
