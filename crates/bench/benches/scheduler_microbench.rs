@@ -47,7 +47,6 @@ fn fixture(num_pending: usize) -> Fixture {
     let pending: Vec<PendingRequest> = (0..num_pending)
         .map(|i| PendingRequest {
             id: RequestId(i as u64),
-            arrival: SimTime::ZERO,
             input_len: 1_000 + (i as u64 * 37_123) % 150_000,
             prefilled_len: 0,
             max_output_len: 256,
@@ -70,7 +69,6 @@ fn view(f: &Fixture) -> SchedulerView<'_> {
         decoding: &[],
         swapped: &[],
         idle_instances: &f.idle,
-        busy_instances: &[],
         pool: &f.pool,
         registry: &f.registry,
         cost_model: &f.cost_model,

@@ -41,15 +41,15 @@ use loong_sched::types::{
     Action, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, SwappedRequest, ViewScratch,
 };
 use loong_simcore::events::EventQueue;
-use loong_simcore::ids::{ConversationId, GroupId, IdAllocator, InstanceId, RequestId};
+use loong_simcore::ids::{ConversationId, InstanceId, RequestId};
 use loong_simcore::profile;
 use loong_simcore::rng::SimRng;
-use loong_simcore::table::{PhaseClass, RequestTable};
+use loong_simcore::table::RequestTable;
 use loong_simcore::time::{SimDuration, SimTime};
 use loong_trace::{AdmitInfo, Gauges, NoopSink, SpanPhase, Terminal, TraceSink};
 use loong_workload::request::Request;
 use loong_workload::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Static configuration of a serving-engine run.
 #[derive(Debug, Clone)]
@@ -157,7 +157,8 @@ impl EngineConfig {
     }
 }
 
-/// Per-request dynamic state inside the engine.
+/// Per-request dynamic state inside the engine: the one record of where a
+/// request is in its lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 enum Phase {
     /// Waiting in the pending queue; `prefilled` prompt tokens already
@@ -183,30 +184,12 @@ enum Phase {
     Rejected,
 }
 
-impl Phase {
-    /// The coarse class the request table mirrors.
-    fn class(&self) -> PhaseClass {
-        match self {
-            Phase::Pending { .. } => PhaseClass::Pending,
-            Phase::DecodeReady { .. } => PhaseClass::DecodeReady,
-            Phase::Prefilling
-            | Phase::Decoding { .. }
-            | Phase::Migrating { .. }
-            | Phase::SwappingOut { .. }
-            | Phase::SwappingIn { .. } => PhaseClass::InFlight,
-            Phase::Swapped { .. } => PhaseClass::Swapped,
-            Phase::Finished | Phase::Rejected => PhaseClass::Done,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct RequestState {
     request: Request,
     phase: Phase,
     prefill_start: Option<SimTime>,
     first_token: Option<SimTime>,
-    finish: Option<SimTime>,
     preemptions: u32,
     /// Decode checkpoint of a preempt-and-recompute eviction: output tokens
     /// generated before the KV was discarded. The next prefill recomputes
@@ -268,20 +251,21 @@ fn pending_entry(s: &RequestState, prefilled: u64, pool: &UnifiedKvPool) -> Pend
     };
     PendingRequest {
         id: s.request.id,
-        arrival: s.request.arrival,
         input_len: s.effective_input() - cached,
         prefilled_len: prefilled,
         max_output_len: s.remaining_max_output(),
     }
 }
 
-/// Sets a request's phase and keeps the table's class in sync.
+/// Sets a request's phase, retiring it from the table's live list when the
+/// phase is terminal.
 ///
-/// Every phase write in the engine goes through here: the table's live list
-/// is the *only* source of the scheduler view's pending/decoding/swapped
-/// lists, and it holds a request exactly while its class is not Done, so a
-/// direct `phase =` write that skipped the class update would silently
-/// desynchronise them (the debug-build view audit would catch it).
+/// Every phase write in the engine goes through here: the table's live list,
+/// filtered by phase, is the *only* source of the scheduler view's
+/// pending/decoding/swapped lists, and it must drop a request exactly when
+/// the request finishes or is rejected, so a direct `phase =` write of a
+/// terminal phase would leave a resolved request listed (the debug-build
+/// view audit would catch it).
 ///
 /// It is also the tracing chokepoint: each write emits the matching
 /// lifecycle event into the [`TraceSink`] *after* the decision is already
@@ -315,67 +299,22 @@ fn set_phase(
         }
     }
 
-    match &phase {
-        Phase::Finished => sink.on_terminal(now, id, Terminal::Completed),
-        Phase::Rejected => sink.on_terminal(now, id, Terminal::Rejected),
+    let state = table.get_mut(id).expect("known request");
+    let terminal = match &phase {
+        Phase::Finished => Some(Terminal::Completed),
+        Phase::Rejected => Some(Terminal::Rejected),
         other => {
             let span = span_of(other).expect("non-terminal phase has a span");
-            let prev = table.get(id).and_then(|s| span_of(&s.phase));
-            if prev != Some(span) {
+            if span_of(&state.phase) != Some(span) {
                 sink.on_phase(now, id, span);
             }
+            None
         }
-    }
-    let class = phase.class();
-    let state = table.get_mut(id).expect("known request");
+    };
     state.phase = phase;
-    table.set_class(id, class);
-}
-
-/// Incrementally maintained idle/busy partition of the elastic instances.
-///
-/// Replaces the per-point re-filtering of `all_ids()` against a
-/// `busy_until` map: dispatch moves an instance idle→busy, work completion
-/// moves it back, and both sides iterate in instance-id order so the
-/// scheduler view stays bit-for-bit identical to the old sorted rebuild.
-#[derive(Debug)]
-struct InstanceTracker {
-    idle: BTreeSet<InstanceId>,
-    busy: BTreeMap<InstanceId, SimTime>,
-}
-
-impl InstanceTracker {
-    fn new(num_instances: usize) -> Self {
-        InstanceTracker {
-            idle: (0..num_instances).map(InstanceId::from).collect(),
-            busy: BTreeMap::new(),
-        }
-    }
-
-    /// Marks `instance` busy until `until`.
-    fn dispatch(&mut self, instance: InstanceId, until: SimTime) {
-        self.idle.remove(&instance);
-        self.busy.insert(instance, until);
-    }
-
-    /// Marks `instance` idle again once its iteration completes.
-    fn complete(&mut self, instance: InstanceId) {
-        if self.busy.remove(&instance).is_some() {
-            self.idle.insert(instance);
-        }
-    }
-
-    /// When `instance` is busy, the time its iteration ends.
-    #[cfg(debug_assertions)]
-    fn busy_until(&self, instance: InstanceId) -> Option<SimTime> {
-        self.busy.get(&instance).copied()
-    }
-
-    /// Copies the idle and busy sets into the view scratch buffers, in
-    /// instance-id order.
-    fn fill_view(&self, scratch: &mut ViewScratch) {
-        scratch.idle.extend(self.idle.iter().copied());
-        scratch.busy.extend(self.busy.iter().map(|(&i, &t)| (i, t)));
+    if let Some(terminal) = terminal {
+        sink.on_terminal(now, id, terminal);
+        table.retire(id);
     }
 }
 
@@ -524,7 +463,10 @@ struct Live {
     arrivals: EventQueue<RequestId>,
     /// Work in flight, by completion instant.
     work: EventQueue<Work>,
-    instances: InstanceTracker,
+    /// The instances no work occupies, in id order: a claim takes an
+    /// instance out and its work's completion puts it back, so one
+    /// scheduling point's actions can claim each idle instance once.
+    idle: BTreeSet<InstanceId>,
     /// The outcome so far: records in completion order, `unfinished` the
     /// admitted requests not yet resolved, `sim_time` the last instant
     /// processed.
@@ -533,11 +475,9 @@ struct Live {
     /// output tokens, summed.
     backlog_tokens: u64,
     decode_stats: DecodeLatencyStats,
-    group_ids: IdAllocator<GroupId>,
     // Reusable per-point buffers: the steady-state loop never allocates
     // them again.
     scratch: ViewScratch,
-    claimed: Vec<InstanceId>,
     /// The decode batch of the action being applied: `(id, context)`.
     batch: Vec<(RequestId, u64)>,
     #[cfg(debug_assertions)]
@@ -561,13 +501,11 @@ impl Live {
             table: RequestTable::new(),
             arrivals: EventQueue::new(),
             work: EventQueue::new(),
-            instances: InstanceTracker::new(num_instances),
+            idle: (0..num_instances).map(InstanceId::from).collect(),
             out: RunOutcome::default(),
             backlog_tokens: 0,
             decode_stats: DecodeLatencyStats::default(),
-            group_ids: IdAllocator::new(),
             scratch: ViewScratch::new(),
-            claimed: Vec::new(),
             batch: Vec::new(),
             #[cfg(debug_assertions)]
             audit: audit::ViewAudit::default(),
@@ -701,9 +639,8 @@ impl Live {
         if !self.pool.prefix_enabled() {
             return;
         }
-        let head = self.table.iter_class(PhaseClass::Pending).next().map(|id| {
-            let s = self.table.get(id).expect("indexed request exists");
-            PrefixDemand {
+        let head = self.table.iter_live().find_map(|(_, s)| match s.phase {
+            Phase::Pending { .. } => Some(PrefixDemand {
                 conversation: if s.waiting {
                     s.request.conversation
                 } else {
@@ -711,7 +648,8 @@ impl Live {
                 },
                 remaining_input: s.effective_input(),
                 reserve_output: s.remaining_max_output().max(1),
-            }
+            }),
+            _ => None,
         });
         let evicted = self.pool.prefix_evict_point(head);
         self.note_evictions(evicted, now, sink);
@@ -743,16 +681,14 @@ impl Live {
                         kv_instances,
                     });
                 }
-                Phase::Swapped { generated } => scratch.swapped.push(SwappedRequest {
+                Phase::Swapped { .. } => scratch.swapped.push(SwappedRequest {
                     id,
-                    context_len: s.request.input_len + generated,
-                    generated,
                     tokens: pool.swapped_tokens_of(id),
                 }),
                 _ => {}
             }
         }
-        self.instances.fill_view(scratch);
+        scratch.idle.extend(self.idle.iter().copied());
         sink.on_gauges(
             now,
             Gauges {
@@ -763,20 +699,21 @@ impl Live {
         );
     }
 
-    /// Whether every one of `instances` was idle at this point and no
-    /// earlier action of it claimed one.
+    /// Whether every one of `instances` is still idle. Between the view and
+    /// the actions only claims change the idle set, so this is "idle in the
+    /// view and claimed by no earlier action of this point".
     fn claimable(&self, instances: &[InstanceId]) -> bool {
-        instances
-            .iter()
-            .all(|i| !self.claimed.contains(i) && self.scratch.idle.contains(i))
+        instances.iter().all(|i| self.idle.contains(i))
     }
 
-    /// Marks `instances` busy until `done`.
+    /// Takes `instances` out of the idle set; their work completes at `done`.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn claim(&mut self, instances: &[InstanceId], done: SimTime) {
-        for &inst in instances {
-            self.instances.dispatch(inst, done);
-            self.claimed.push(inst);
+        for inst in instances {
+            self.idle.remove(inst);
         }
+        #[cfg(debug_assertions)]
+        self.audit.on_claim(instances, done);
     }
 
     /// Keeps the decode-ready subset of `ids` in place and fills the batch
@@ -830,7 +767,7 @@ impl Live {
     }
 
     /// Applies the effects of a completed piece of work, updating request
-    /// phases and the idle/busy partition as it goes.
+    /// phases and the idle set as it goes.
     fn complete(&mut self, work: Work, now: SimTime, sink: &mut dyn TraceSink) {
         match work {
             Work::Prefill {
@@ -894,9 +831,7 @@ impl Live {
 
     /// Marks the instances of a completed iteration idle again.
     fn release(&mut self, instances: &[InstanceId]) {
-        for &inst in instances {
-            self.instances.complete(inst);
-        }
+        self.idle.extend(instances.iter().copied());
     }
 
     /// One decode iteration completed for `id`: emit a token, finishing the
@@ -921,8 +856,7 @@ impl Live {
 
     fn finish_request(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
         self.resolve(id);
-        let state = self.table.get_mut(id).expect("known request");
-        state.finish = Some(now);
+        let state = self.table.get(id).expect("known request");
         let first_token = state
             .first_token
             .expect("finished requests produced a first token");
@@ -1084,7 +1018,6 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 phase: Phase::Pending { prefilled: 0 },
                 prefill_start: None,
                 first_token: None,
-                finish: None,
                 preemptions: 0,
                 resume_generated: 0,
                 reused: 0,
@@ -1169,8 +1102,8 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     /// its actions.
     ///
     /// Every scheduler-view input is maintained incrementally — the
-    /// [`RequestTable`]'s live list, the idle/busy instance partition, the
-    /// KV residency index, running latency stats — so one point costs
+    /// [`RequestTable`]'s live list, the idle instance set, the KV
+    /// residency index, running latency stats — so one point costs
     /// O(active requests + actions) instead of O(all requests ever seen).
     /// Debug builds shadow every view with a naive full-scan rebuild and
     /// assert equality.
@@ -1204,7 +1137,6 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
         );
         live.out.scheduler_calls += 1;
         let actions = self.scheduler.schedule(&view);
-        self.live.claimed.clear();
         for action in actions {
             self.apply(action, now, sink);
         }
@@ -1288,7 +1220,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                         .prefill_cost(&adopted_lens, parallel, link)
                         .total();
                 }
-                let group = EspGroup::new(live.group_ids.next(), instances.clone());
+                let group = EspGroup::new(instances.clone());
                 let Ok(plan) = PrefillPlan::build(group, prefill_reqs, retain_on, &live.pool)
                 else {
                     return;
@@ -1342,7 +1274,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                     &masters
                 };
                 live.evict_for(evict_on, requests.len() as u64, now, sink);
-                let group = EspGroup::with_masters(live.group_ids.next(), instances, masters);
+                let group = EspGroup::with_masters(instances, masters);
                 let Ok(plan) = DecodePlan::build(group, &live.batch, &live.pool) else {
                     return;
                 };
@@ -1586,22 +1518,26 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 
 /// Debug-build shadow of the incrementally maintained scheduler-view state.
 ///
-/// Every scheduling point, [`ViewAudit::check`] rebuilds the
-/// pending/decoding/idle/busy lists the slow way — a full scan over the
-/// append-only arrival log and over every per-instance pool, exactly the
-/// code the incremental indices replaced — and asserts the scratch buffers
-/// match element for element. Compiled only with debug assertions, so
-/// release builds (and benches) pay nothing; `cargo test` exercises it on
-/// every engine run, including the view-equivalence proptest over random
-/// traces.
+/// Every scheduling point, [`ViewAudit::check`] rebuilds the view the slow
+/// way, from records of its own — the pending/decoding/swapped lists by a
+/// full scan over an append-only arrival log, each decoding entry's KV
+/// instances by asking the residency index about every instance, the idle
+/// set by comparing its own busy-until record of claims with the clock —
+/// and asserts the scratch buffers match element for element. Compiled only
+/// with debug assertions, so release builds (and benches) pay nothing;
+/// `cargo test` exercises it on every engine run, including the
+/// view-equivalence proptest over random traces.
 #[cfg(debug_assertions)]
 mod audit {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[derive(Default)]
     pub(super) struct ViewAudit {
         /// Arrival log, in event order: the old engine's `arrived` vector.
         arrived: Vec<RequestId>,
+        /// Per claimed instance, when its latest claim's work completes.
+        busy_until: BTreeMap<InstanceId, SimTime>,
     }
 
     impl ViewAudit {
@@ -1609,16 +1545,21 @@ mod audit {
             self.arrived.push(id);
         }
 
+        pub(super) fn on_claim(&mut self, instances: &[InstanceId], done: SimTime) {
+            for &inst in instances {
+                self.busy_until.insert(inst, done);
+            }
+        }
+
         pub(super) fn check(&self, live: &Live, registry: &InstanceRegistry, now: SimTime) {
             let (table, pool, scratch) = (&live.table, &live.pool, &live.scratch);
             table
                 .check_invariants()
                 .expect("request-table live list consistent");
-            for (id, s) in table.iter() {
-                assert_eq!(
-                    table.class_of(id),
-                    Some(s.phase.class()),
-                    "request {id}: table class out of sync with phase {:?}",
+            for (id, s) in table.iter_live() {
+                assert!(
+                    !matches!(s.phase, Phase::Finished | Phase::Rejected),
+                    "request {id} is {:?} but still listed live",
                     s.phase
                 );
             }
@@ -1671,10 +1612,10 @@ mod audit {
                                 .first_token
                                 .map(|ft| now.saturating_since(ft).as_secs())
                                 .unwrap_or(0.0),
-                            // The naive path: scan every instance pool.
+                            // The naive path: ask about every instance.
                             kv_instances: (0..pool.num_instances())
                                 .map(InstanceId::from)
-                                .filter(|&i| pool.instance(i).hosts(id))
+                                .filter(|&i| pool.tokens_on(id, i) > 0)
                                 .collect(),
                         }),
                         _ => None,
@@ -1692,10 +1633,8 @@ mod audit {
                 .filter_map(|&id| {
                     let s = table.get(id)?;
                     match s.phase {
-                        Phase::Swapped { generated } => Some(SwappedRequest {
+                        Phase::Swapped { .. } => Some(SwappedRequest {
                             id,
-                            context_len: s.request.input_len + generated,
-                            generated,
                             tokens: pool.host().map(|h| h.swapped_tokens_of(id)).unwrap_or(0),
                         }),
                         _ => None,
@@ -1708,30 +1647,19 @@ mod audit {
             );
 
             // The old engine re-filtered every instance against `busy_until`
-            // with a time comparison; the tracker instead moves instances
-            // between sets on dispatch/complete. Equivalence additionally
-            // proves no stale busy entry (end time <= now) ever survives to
-            // a scheduling point.
+            // with a time comparison; the engine instead moves instances out
+            // of the idle set on a claim and back on completion. Equivalence
+            // also proves no instance whose work ended (end time <= now)
+            // stays out of the idle set at a scheduling point.
             let naive_idle: Vec<InstanceId> = registry
                 .all_ids()
                 .into_iter()
-                .filter(|&i| {
-                    live.instances
-                        .busy_until(i)
-                        .map(|t| t <= now)
-                        .unwrap_or(true)
-                })
+                .filter(|i| self.busy_until.get(i).is_none_or(|&t| t <= now))
                 .collect();
             assert_eq!(
                 scratch.idle, naive_idle,
                 "incremental idle set diverged from busy_until re-filter"
             );
-            for &(inst, until) in &scratch.busy {
-                assert!(
-                    until > now,
-                    "busy view contains stale entry: {inst} ended at {until:?} <= now {now:?}"
-                );
-            }
         }
     }
 }

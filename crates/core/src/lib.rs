@@ -95,9 +95,7 @@ pub mod prelude {
     pub use loong_metrics::prelude::*;
     pub use loong_model::prelude::*;
     pub use loong_sched::prelude::*;
-    pub use loong_simcore::ids::{
-        BatchId, GpuId, GroupId, InstanceId, NodeId, ReplicaId, RequestId,
-    };
+    pub use loong_simcore::ids::{GpuId, InstanceId, NodeId, ReplicaId, RequestId};
     pub use loong_simcore::{ProfileCounters, ProfileReport, SelfProfile};
     pub use loong_simcore::{SimDuration, SimRng, SimTime};
     pub use loong_trace::prelude::*;

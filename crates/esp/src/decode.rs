@@ -14,7 +14,6 @@ use loong_kvcache::unified::UnifiedKvPool;
 use loong_model::roofline::{CostModel, IterationCost};
 use loong_simcore::ids::{InstanceId, RequestId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One request taking part in a decode iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,16 +88,14 @@ impl DecodePlan {
         let mut planned = Vec::with_capacity(requests.len());
         for &(id, context_len) in requests {
             // Locality first: the master already holding most of this
-            // request's KV keeps it, as long as it has a free slot.
-            let home = group
-                .masters
+            // request's KV keeps it, as long as it has a free slot (the
+            // free column lists masters only); the lower id wins a tie.
+            let home = pool
+                .locations_ref(id)
                 .iter()
-                .copied()
-                .filter(|&m| {
-                    pool.instance(m).used_by(id) > 0
-                        && free.iter().any(|&(fm, f, _)| fm == m && f > 0)
-                })
-                .max_by_key(|&m| (pool.instance(m).used_by(id), u64::MAX - m.raw()));
+                .filter(|&&(m, _)| free.iter().any(|&(fm, f, _)| fm == m && f > 0))
+                .max_by_key(|&&(m, tokens)| (tokens, u64::MAX - m.raw()))
+                .map(|&(m, _)| m);
             // Otherwise pick the master with the fewest assignments among
             // those with a free slot; break ties toward more free slots.
             let choice = home.or_else(|| {
@@ -129,15 +126,6 @@ impl DecodePlan {
     /// The batch size.
     pub fn batch_size(&self) -> usize {
         self.requests.len()
-    }
-
-    /// Number of requests assigned to each master.
-    pub fn per_master_load(&self) -> HashMap<InstanceId, u64> {
-        let mut load = HashMap::new();
-        for r in &self.requests {
-            *load.entry(r.master).or_insert(0) += 1;
-        }
-        load
     }
 
     /// Validates the plan's structural invariants.
@@ -195,7 +183,6 @@ mod tests {
     use super::*;
     use loong_cluster::topology::ClusterSpec;
     use loong_model::config::ModelConfig;
-    use loong_simcore::ids::GroupId;
 
     fn setup() -> (InstanceRegistry, CostModel, UnifiedKvPool) {
         let registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 2);
@@ -205,7 +192,7 @@ mod tests {
     }
 
     fn group_of(ids: &[u64]) -> EspGroup {
-        EspGroup::new(GroupId(0), ids.iter().map(|&i| InstanceId(i)).collect())
+        EspGroup::new(ids.iter().map(|&i| InstanceId(i)).collect())
     }
 
     #[test]
@@ -214,9 +201,9 @@ mod tests {
         let group = group_of(&[0, 1]);
         let requests: Vec<(RequestId, u64)> = (0..10).map(|i| (RequestId(i), 1000)).collect();
         let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
-        let load = plan.per_master_load();
-        assert_eq!(load[&InstanceId(0)], 5);
-        assert_eq!(load[&InstanceId(1)], 5);
+        for m in [InstanceId(0), InstanceId(1)] {
+            assert_eq!(plan.requests.iter().filter(|r| r.master == m).count(), 5);
+        }
         assert!(plan.validate().is_ok());
     }
 
@@ -230,6 +217,36 @@ mod tests {
         let requests: Vec<(RequestId, u64)> = (0..4).map(|i| (RequestId(i), 100)).collect();
         let plan = DecodePlan::build(group, &requests, &pool).expect("instance 1 has room");
         assert!(plan.requests.iter().all(|r| r.master == InstanceId(1)));
+    }
+
+    #[test]
+    fn home_master_holds_most_of_the_request_with_lower_ids_winning_ties() {
+        // Masters 0-4; instance 5 is a member but no master. Instance 0 is
+        // full.
+        let mut pool = UnifiedKvPool::with_capacities(&[100, 1_000, 1_000, 1_000, 1_000, 1_000]);
+        for (id, inst, tokens) in [
+            (0, 1, 30),
+            (0, 2, 50),
+            (1, 3, 40),
+            (1, 1, 40),
+            (2, 0, 100),
+            (2, 3, 10),
+            (3, 5, 500),
+        ] {
+            pool.append(RequestId(id), InstanceId(inst), tokens)
+                .expect("room");
+        }
+        let instances: Vec<InstanceId> = (0..6).map(InstanceId).collect();
+        let group = EspGroup::with_masters(instances.clone(), instances[..5].to_vec());
+        let requests: Vec<(RequestId, u64)> = (0..4).map(|i| (RequestId(i), 1_000)).collect();
+        let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
+        let masters: Vec<u64> = plan.requests.iter().map(|r| r.master.raw()).collect();
+        // Request 0: the master holding most of it, not the lowest id.
+        // Request 1: a 40/40 tie goes to the lower id. Request 2: its
+        // largest holder is full, so the next one takes it. Request 3:
+        // only a non-master holds it, so the least-assigned master does.
+        assert_eq!(masters, vec![2, 1, 3, 4]);
+        assert!(plan.validate().is_ok());
     }
 
     #[test]
@@ -273,7 +290,6 @@ mod tests {
         let requests: Vec<(RequestId, u64)> = (0..512).map(|i| (RequestId(i), 64)).collect();
 
         let single_master = EspGroup::with_masters(
-            GroupId(0),
             vec![InstanceId(0), InstanceId(1), InstanceId(2), InstanceId(3)],
             vec![InstanceId(0)],
         );

@@ -10,14 +10,12 @@
 
 use crate::instance::InstanceRegistry;
 use loong_model::roofline::ParallelConfig;
-use loong_simcore::ids::{GroupId, InstanceId};
+use loong_simcore::ids::InstanceId;
 use serde::{Deserialize, Serialize};
 
 /// A set of elastic instances executing one batch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EspGroup {
-    /// Group identifier.
-    pub id: GroupId,
     /// Member instances (unique, order defines the SP ring order).
     pub instances: Vec<InstanceId>,
     /// Master instances for distributed decoding (subset of `instances`).
@@ -32,9 +30,9 @@ impl EspGroup {
     /// # Panics
     ///
     /// Panics if `instances` is empty or contains duplicates.
-    pub fn new(id: GroupId, instances: Vec<InstanceId>) -> Self {
+    pub fn new(instances: Vec<InstanceId>) -> Self {
         let masters = instances.clone();
-        Self::with_masters(id, instances, masters)
+        Self::with_masters(instances, masters)
     }
 
     /// Creates a group with an explicit master set.
@@ -43,7 +41,7 @@ impl EspGroup {
     ///
     /// Panics if `instances` is empty or has duplicates, or `masters` is
     /// empty or not a subset of `instances`.
-    pub fn with_masters(id: GroupId, instances: Vec<InstanceId>, masters: Vec<InstanceId>) -> Self {
+    pub fn with_masters(instances: Vec<InstanceId>, masters: Vec<InstanceId>) -> Self {
         assert!(
             !instances.is_empty(),
             "a parallel group needs at least one instance"
@@ -63,11 +61,7 @@ impl EspGroup {
             masters.iter().all(|m| instances.contains(m)),
             "masters must be members of the group"
         );
-        EspGroup {
-            id,
-            instances,
-            masters,
-        }
+        EspGroup { instances, masters }
     }
 
     /// The degree of parallelism (number of member instances).
@@ -103,10 +97,12 @@ mod tests {
     use loong_cluster::topology::ClusterSpec;
 
     fn group() -> EspGroup {
-        EspGroup::new(
-            GroupId(0),
-            vec![InstanceId(0), InstanceId(1), InstanceId(2), InstanceId(3)],
-        )
+        EspGroup::new(vec![
+            InstanceId(0),
+            InstanceId(1),
+            InstanceId(2),
+            InstanceId(3),
+        ])
     }
 
     #[test]
@@ -123,12 +119,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate instances")]
     fn duplicate_members_rejected() {
-        let _ = EspGroup::new(GroupId(0), vec![InstanceId(0), InstanceId(0)]);
+        let _ = EspGroup::new(vec![InstanceId(0), InstanceId(0)]);
     }
 
     #[test]
     #[should_panic(expected = "at least one master")]
     fn empty_masters_rejected() {
-        let _ = EspGroup::with_masters(GroupId(0), vec![InstanceId(0)], vec![]);
+        let _ = EspGroup::with_masters(vec![InstanceId(0)], vec![]);
     }
 }

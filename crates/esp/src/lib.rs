@@ -26,7 +26,7 @@
 //! use loong_cluster::topology::ClusterSpec;
 //! use loong_kvcache::unified::UnifiedKvPool;
 //! use loong_model::prelude::*;
-//! use loong_simcore::ids::{GroupId, InstanceId, RequestId};
+//! use loong_simcore::ids::{InstanceId, RequestId};
 //!
 //! let registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 2);
 //! let cost_model = CostModel::new(ModelConfig::lwm_1m_text());
@@ -34,7 +34,7 @@
 //!
 //! // Prefill a 100K-token request on all four instances, retaining its KV
 //! // on just the first two (proactive scale-down).
-//! let group = EspGroup::new(GroupId(0), registry.all_ids());
+//! let group = EspGroup::new(registry.all_ids());
 //! let plan = PrefillPlan::build(
 //!     group,
 //!     vec![PrefillRequest { id: RequestId(0), input_len: 100_000 }],

@@ -221,7 +221,6 @@ mod tests {
     use super::*;
     use loong_cluster::topology::ClusterSpec;
     use loong_model::config::ModelConfig;
-    use loong_simcore::ids::GroupId;
 
     fn setup() -> (InstanceRegistry, CostModel, UnifiedKvPool) {
         let registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 2);
@@ -231,7 +230,7 @@ mod tests {
     }
 
     fn group_of(ids: &[u64]) -> EspGroup {
-        EspGroup::new(GroupId(0), ids.iter().map(|&i| InstanceId(i)).collect())
+        EspGroup::new(ids.iter().map(|&i| InstanceId(i)).collect())
     }
 
     #[test]

@@ -137,7 +137,6 @@ mod tests {
     use crate::group::EspGroup;
     use loong_cluster::topology::ClusterSpec;
     use loong_model::config::ModelConfig;
-    use loong_simcore::ids::GroupId;
 
     fn setup() -> (InstanceRegistry, CostModel) {
         (
@@ -193,7 +192,7 @@ mod tests {
             ScalingError::InsufficientTargetCapacity { tokens: 100_000 }
         ));
         // Pool untouched.
-        assert_eq!(pool.instance(InstanceId(2)).used_by(RequestId(0)), 50_000);
+        assert_eq!(pool.tokens_on(RequestId(0), InstanceId(2)), 50_000);
     }
 
     #[test]
@@ -207,16 +206,13 @@ mod tests {
         pool.append(RequestId(0), InstanceId(1), 40_000)
             .expect("room");
         let all: Vec<InstanceId> = (0..4).map(InstanceId).collect();
-        let bigger = EspGroup::with_masters(GroupId(0), all.clone(), all);
+        let bigger = EspGroup::with_masters(all.clone(), all);
         let plan = DecodePlan::build(bigger, &[(RequestId(0), 80_000)], &pool).expect("capacity");
         let out = execute_decode(&plan, &cm, &registry, &mut pool).expect("decode");
         assert_eq!(out.generated_tokens, 1);
         assert_eq!(pool.tokens_of(RequestId(0)), 80_001);
         for i in [InstanceId(0), InstanceId(1)] {
-            assert!(
-                pool.instance(i).used_by(RequestId(0)) >= 40_000,
-                "{i} lost KV"
-            );
+            assert!(pool.tokens_on(RequestId(0), i) >= 40_000, "{i} lost KV");
         }
     }
 

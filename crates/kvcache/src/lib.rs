@@ -2,13 +2,14 @@
 //!
 //! Token-granularity key-value cache management for LoongServe-RS.
 //!
-//! * [`pool`] — the per-instance KV slot pool (PagedAttention at block size
-//!   one, as in the paper's implementation §6),
+//! * [`pool`] — one instance's KV slot capacity and usage (PagedAttention at
+//!   block size one, as in the paper's implementation §6),
 //! * [`placement`] — token-level placement plans: pack onto the most free
 //!   instance, or spread in proportion to free slots,
 //! * [`unified`] — the unified distributed pool spanning all elastic
-//!   instances, with commit/append/migrate/evict operations and an
-//!   optional host-DRAM swap tier (`swap_out`/`swap_in`),
+//!   instances: its residency index is the one record of which instances
+//!   hold how many of each request's tokens; commit/append/migrate/evict
+//!   operations and an optional host-DRAM swap tier (`swap_out`/`swap_in`),
 //! * [`host`] — the host-DRAM pool backing the swap tier,
 //! * [`prefix`] — the prefix-cache tier: a deterministic hash-chained
 //!   prefix index over the unified pool with ref-counted retention of

@@ -2,13 +2,12 @@
 //!
 //! Each elastic instance manages its GPU memory as a pool of token-granular
 //! KV slots (the paper implements this with PagedAttention at a block size
-//! of one token, §6). A pool tracks how many slots each request occupies on
-//! this instance; the cross-instance view lives in
+//! of one token, §6). A pool counts its used and free slots; which requests
+//! hold them, on this instance and across the others, lives in
 //! [`crate::unified::UnifiedKvPool`].
 
 use loong_simcore::ids::{InstanceId, RequestId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Errors returned by pool operations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,7 +93,9 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
-/// The token-granularity KV pool of one elastic instance.
+/// The token-granularity KV pool of one elastic instance: its capacity and
+/// how much of it is used. Which requests hold those slots is recorded once,
+/// in [`crate::unified::UnifiedKvPool`]'s residency index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InstanceKvPool {
     /// The owning instance.
@@ -103,8 +104,6 @@ pub struct InstanceKvPool {
     capacity: u64,
     /// Currently used slots.
     used: u64,
-    /// Slots held per request.
-    per_request: HashMap<RequestId, u64>,
 }
 
 impl InstanceKvPool {
@@ -114,7 +113,6 @@ impl InstanceKvPool {
             instance,
             capacity,
             used: 0,
-            per_request: HashMap::new(),
         }
     }
 
@@ -133,27 +131,8 @@ impl InstanceKvPool {
         self.capacity - self.used
     }
 
-    /// Number of requests holding slots here.
-    pub fn resident_requests(&self) -> usize {
-        self.per_request.len()
-    }
-
-    /// Slots held by `request` on this instance (zero if none).
-    pub fn used_by(&self, request: RequestId) -> u64 {
-        self.per_request.get(&request).copied().unwrap_or(0)
-    }
-
-    /// Returns true if `request` holds any slots here.
-    pub fn hosts(&self, request: RequestId) -> bool {
-        self.per_request.contains_key(&request)
-    }
-
-    /// Allocates `tokens` slots to `request`, growing its existing
-    /// allocation if it already holds slots here.
-    pub fn allocate(&mut self, request: RequestId, tokens: u64) -> Result<(), KvError> {
-        if tokens == 0 {
-            return Ok(());
-        }
+    /// Takes `tokens` free slots.
+    pub fn allocate(&mut self, tokens: u64) -> Result<(), KvError> {
         if tokens > self.free() {
             return Err(KvError::InsufficientCapacity {
                 instance: self.instance,
@@ -161,86 +140,23 @@ impl InstanceKvPool {
                 free: self.free(),
             });
         }
-        *self.per_request.entry(request).or_insert(0) += tokens;
         self.used += tokens;
         Ok(())
     }
 
-    /// Releases all slots held by `request`, returning how many were freed.
-    pub fn release(&mut self, request: RequestId) -> u64 {
-        let freed = self.per_request.remove(&request).unwrap_or(0);
-        self.used -= freed;
-        freed
-    }
-
-    /// Releases `tokens` slots of `request` (used when migrating part of a
-    /// request away from this instance).
-    pub fn release_partial(&mut self, request: RequestId, tokens: u64) -> Result<(), KvError> {
-        let Some(held) = self.per_request.get_mut(&request) else {
-            return Err(KvError::UnknownRequest {
-                instance: self.instance,
-                request,
-            });
-        };
-        assert!(
-            *held >= tokens,
-            "cannot release {tokens} slots: request {request} holds only {held} on {}",
-            self.instance
-        );
-        *held -= tokens;
-        self.used -= tokens;
-        if *held == 0 {
-            self.per_request.remove(&request);
-        }
-        Ok(())
-    }
-
-    /// All requests with slots on this instance, with their slot counts.
-    pub fn residents(&self) -> impl Iterator<Item = (RequestId, u64)> + '_ {
-        self.per_request.iter().map(|(&r, &t)| (r, t))
-    }
-
-    /// Transfers every slot held by `from` to `to` without touching the
-    /// free-slot accounting. This is the mechanism behind atomic prefix
-    /// reuse: a completed request's retained KV becomes the follow-up
-    /// request's KV in place, with no copy and no transient free/alloc
-    /// window another allocation could race into.
+    /// Returns `tokens` used slots to the free pool.
     ///
     /// # Panics
     ///
-    /// Panics if `to` already holds slots here (a request adopts a prefix
-    /// before its first prefill commits anything) or if `from` holds none.
-    pub fn rename(&mut self, from: RequestId, to: RequestId) -> u64 {
+    /// Panics if fewer than `tokens` slots are used.
+    pub fn release(&mut self, tokens: u64) {
         assert!(
-            !self.per_request.contains_key(&to),
-            "{}: rename target {to} already holds KV slots",
-            self.instance
+            tokens <= self.used,
+            "{}: cannot release {tokens} slots, only {} used",
+            self.instance,
+            self.used
         );
-        let tokens = self
-            .per_request
-            .remove(&from)
-            .unwrap_or_else(|| panic!("{}: rename source {from} holds no KV slots", self.instance));
-        self.per_request.insert(to, tokens);
-        tokens
-    }
-
-    /// Checks the internal bookkeeping invariant (used slots equal the sum
-    /// of per-request holdings and never exceed capacity).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        let sum: u64 = self.per_request.values().sum();
-        if sum != self.used {
-            return Err(format!(
-                "{}: per-request sum {sum} != used {}",
-                self.instance, self.used
-            ));
-        }
-        if self.used > self.capacity {
-            return Err(format!(
-                "{}: used {} exceeds capacity {}",
-                self.instance, self.used, self.capacity
-            ));
-        }
-        Ok(())
+        self.used -= tokens;
     }
 }
 
@@ -251,20 +167,18 @@ mod tests {
     #[test]
     fn allocate_and_release_roundtrip() {
         let mut pool = InstanceKvPool::new(InstanceId(0), 100);
-        pool.allocate(RequestId(1), 30).expect("fits");
-        pool.allocate(RequestId(2), 50).expect("fits");
+        pool.allocate(30).expect("fits");
+        pool.allocate(50).expect("fits");
         assert_eq!(pool.free(), 20);
-        assert_eq!(pool.used_by(RequestId(1)), 30);
-        assert_eq!(pool.resident_requests(), 2);
-        assert_eq!(pool.release(RequestId(1)), 30);
+        pool.release(30);
         assert_eq!(pool.free(), 50);
-        assert!(pool.check_invariants().is_ok());
+        assert_eq!(pool.used(), 50);
     }
 
     #[test]
     fn over_allocation_is_rejected() {
         let mut pool = InstanceKvPool::new(InstanceId(0), 10);
-        let err = pool.allocate(RequestId(1), 11).unwrap_err();
+        let err = pool.allocate(11).unwrap_err();
         match err {
             KvError::InsufficientCapacity {
                 requested, free, ..
@@ -281,38 +195,36 @@ mod tests {
     fn incremental_growth_accumulates() {
         let mut pool = InstanceKvPool::new(InstanceId(0), 10);
         for _ in 0..5 {
-            pool.allocate(RequestId(7), 1).expect("fits");
+            pool.allocate(1).expect("fits");
         }
-        assert_eq!(pool.used_by(RequestId(7)), 5);
-        assert!(pool.hosts(RequestId(7)));
+        assert_eq!(pool.used(), 5);
+        assert_eq!(pool.free(), 5);
     }
 
     #[test]
     fn partial_release_shrinks_holding() {
         let mut pool = InstanceKvPool::new(InstanceId(0), 100);
-        pool.allocate(RequestId(1), 40).expect("fits");
-        pool.release_partial(RequestId(1), 10).expect("held");
-        assert_eq!(pool.used_by(RequestId(1)), 30);
-        pool.release_partial(RequestId(1), 30).expect("held");
-        assert!(!pool.hosts(RequestId(1)));
-        assert!(pool.check_invariants().is_ok());
+        pool.allocate(40).expect("fits");
+        pool.release(10);
+        assert_eq!(pool.used(), 30);
+        pool.release(30);
+        assert_eq!(pool.used(), 0);
+        assert_eq!(pool.free(), 100);
     }
 
     #[test]
-    fn partial_release_of_unknown_request_errors() {
+    #[should_panic(expected = "cannot release")]
+    fn releasing_more_than_used_panics() {
         let mut pool = InstanceKvPool::new(InstanceId(0), 100);
-        assert!(matches!(
-            pool.release_partial(RequestId(9), 1),
-            Err(KvError::UnknownRequest { .. })
-        ));
+        pool.allocate(5).expect("fits");
+        pool.release(6);
     }
 
     #[test]
     fn zero_allocation_is_a_noop() {
         let mut pool = InstanceKvPool::new(InstanceId(0), 10);
-        pool.allocate(RequestId(1), 0).expect("trivially fits");
+        pool.allocate(0).expect("trivially fits");
         assert_eq!(pool.used(), 0);
-        assert!(!pool.hosts(RequestId(1)));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! LoongServe treats the KV memory of all elastic instances as one pool
 //! (paper §3, §4): a request's tokens can live on any subset of instances at
 //! single-token granularity, which removes the locality constraint that
-//! causes fragmentation in grouped designs (Figure 4). This module tracks
-//! slot usage across instances, commits placement plans, grows requests
-//! during decoding, migrates spans between instances, and evicts requests.
+//! causes fragmentation in grouped designs (Figure 4). This module keeps the
+//! one record of which instances hold how many of each request's tokens,
+//! commits placement plans, grows requests during decoding, migrates spans
+//! between instances, and evicts requests.
 
 use crate::host::HostKvPool;
 use crate::placement::{plan_placement, PlacementPlan, PlacementStrategy};
@@ -32,12 +33,13 @@ pub struct KvMove {
 /// The cross-instance pool.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnifiedKvPool {
+    /// Per instance: capacity and used slots.
     pools: Vec<InstanceKvPool>,
-    /// Per-request residency index: which instances hold how many of each
-    /// request's tokens, kept sorted by instance id. Maintained on every
-    /// mutation so `locations_ref`/`tokens_of` cost O(#locations) instead of
-    /// a scan over all instances, and `resident_requests` costs O(n)
-    /// instead of O(n²). The `BTreeMap` keeps iteration deterministic.
+    /// The residency index, the only per-request record: which instances
+    /// hold how many of each request's tokens, sorted by instance id, with
+    /// no empty entries. Every mutation updates it with its instance's used
+    /// count, so `locations_ref`/`tokens_of` cost O(#locations). The
+    /// `BTreeMap` keeps iteration in request-id order.
     residency: BTreeMap<RequestId, Vec<(InstanceId, u64)>>,
     /// The optional host-DRAM swap tier. `None` (the default) keeps every
     /// device-side operation on its pre-existing path — the zero-cost-when-
@@ -134,6 +136,28 @@ impl UnifiedKvPool {
         self.locations_ref(request).iter().map(|&(_, t)| t).sum()
     }
 
+    /// Tokens `request` holds on `instance` (zero if none), in
+    /// O(log #locations).
+    pub fn tokens_on(&self, request: RequestId, instance: InstanceId) -> u64 {
+        let locations = self.locations_ref(request);
+        locations
+            .binary_search_by_key(&instance, |&(i, _)| i)
+            .map_or(0, |pos| locations[pos].1)
+    }
+
+    /// The requests holding slots on `instance`, in request-id order: a
+    /// walk of the residency index, O(resident requests).
+    pub fn residents_of(&self, instance: InstanceId) -> impl Iterator<Item = RequestId> + '_ {
+        self.residency
+            .iter()
+            .filter(move |(_, locations)| {
+                locations
+                    .binary_search_by_key(&instance, |&(i, _)| i)
+                    .is_ok()
+            })
+            .map(|(&request, _)| request)
+    }
+
     /// Records `tokens` more slots for `request` on `instance` in the
     /// residency index, keeping each per-request vector sorted by instance.
     fn residency_add(&mut self, request: RequestId, instance: InstanceId, tokens: u64) {
@@ -204,7 +228,7 @@ impl UnifiedKvPool {
         }
         for &(inst, tokens) in &plan.spans {
             self.pools[inst.index()]
-                .allocate(plan.request, tokens)
+                .allocate(tokens)
                 .expect("checked above");
             self.residency_add(plan.request, inst, tokens);
         }
@@ -220,7 +244,7 @@ impl UnifiedKvPool {
         tokens: u64,
     ) -> Result<(), KvError> {
         self.ensure_not_swapped(request)?;
-        self.pools[instance.index()].allocate(request, tokens)?;
+        self.pools[instance.index()].allocate(tokens)?;
         self.residency_add(request, instance, tokens);
         Ok(())
     }
@@ -231,10 +255,10 @@ impl UnifiedKvPool {
         let Some(locations) = self.residency.remove(&request) else {
             return 0;
         };
-        locations
-            .iter()
-            .map(|&(inst, _)| self.pools[inst.index()].release(request))
-            .sum()
+        for &(inst, tokens) in &locations {
+            self.pools[inst.index()].release(tokens);
+        }
+        locations.iter().map(|&(_, tokens)| tokens).sum()
     }
 
     /// Applies a migration: moves `tokens` of `request` from one instance to
@@ -254,8 +278,7 @@ impl UnifiedKvPool {
                 tokens: 0,
             });
         }
-        let held = self.pools[from.index()].used_by(request);
-        if held < tokens {
+        if self.tokens_on(request, from) < tokens {
             return Err(KvError::UnknownRequest {
                 instance: from,
                 request,
@@ -269,9 +292,9 @@ impl UnifiedKvPool {
                 free: self.pools[to.index()].free(),
             });
         }
-        self.pools[from.index()].release_partial(request, tokens)?;
+        self.pools[from.index()].release(tokens);
         self.pools[to.index()]
-            .allocate(request, tokens)
+            .allocate(tokens)
             .expect("capacity checked above");
         self.residency_sub(request, from, tokens);
         self.residency_add(request, to, tokens);
@@ -289,13 +312,11 @@ impl UnifiedKvPool {
         self.residency.keys().copied().collect()
     }
 
-    /// Checks bookkeeping invariants on every instance pool, and that the
-    /// residency index agrees exactly with the per-instance pools.
+    /// Checks the bookkeeping invariants: every residency entry is non-empty,
+    /// sorted by instance and free of zero holdings, and each instance's
+    /// used count equals the index's sum for it and stays within capacity.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for p in &self.pools {
-            p.check_invariants()?;
-        }
-        // Every indexed location must match the owning pool...
+        let mut indexed = vec![0u64; self.pools.len()];
         for (&request, locations) in &self.residency {
             if locations.is_empty() {
                 return Err(format!("residency index holds empty entry for {request}"));
@@ -306,32 +327,29 @@ impl UnifiedKvPool {
                     return Err(format!("residency of {request} not sorted by instance"));
                 }
                 prev = Some(inst);
-                let actual = self.pools[inst.index()].used_by(request);
-                if tokens == 0 || actual != tokens {
+                if tokens == 0 {
                     return Err(format!(
-                        "residency index says {request} holds {tokens} on {inst}, pool says {actual}"
+                        "residency index holds 0 tokens of {request} on {inst}"
                     ));
                 }
+                indexed[inst.index()] += tokens;
             }
         }
-        // ...and every pool holding must be indexed (no stale omissions).
-        for p in &self.pools {
-            for (request, tokens) in p.residents() {
-                let indexed = self
-                    .residency
-                    .get(&request)
-                    .and_then(|l| {
-                        l.binary_search_by_key(&p.instance, |&(i, _)| i)
-                            .ok()
-                            .map(|pos| l[pos].1)
-                    })
-                    .unwrap_or(0);
-                if indexed != tokens {
-                    return Err(format!(
-                        "{}: {request} holds {tokens} slots but residency index says {indexed}",
-                        p.instance
-                    ));
-                }
+        for (p, &tokens) in self.pools.iter().zip(&indexed) {
+            if p.used() != tokens {
+                return Err(format!(
+                    "{}: {} slots used but the residency index holds {tokens}",
+                    p.instance,
+                    p.used()
+                ));
+            }
+            if p.used() > p.capacity() {
+                return Err(format!(
+                    "{}: used {} exceeds capacity {}",
+                    p.instance,
+                    p.used(),
+                    p.capacity()
+                ));
             }
         }
         // The host tier, when enabled, must be internally consistent and
@@ -568,10 +586,10 @@ impl UnifiedKvPool {
     }
 
     /// Atomically adopts `conversation`'s retained prefix for `request`: the
-    /// cached slots are renamed from the finished owner to `request` on every
-    /// instance holding them — no copy, no transient free/alloc window — and
-    /// the entry leaves the index. Returns the adopted token count, or
-    /// `None` when nothing matches a prompt of `prompt_len` tokens.
+    /// finished owner's residency entry moves to `request` — no copy, no
+    /// transient free/alloc window — and the entry leaves the prefix index.
+    /// Returns the adopted token count, or `None` when nothing matches a
+    /// prompt of `prompt_len` tokens.
     ///
     /// # Panics
     ///
@@ -601,9 +619,6 @@ impl UnifiedKvPool {
             .residency
             .remove(&entry.owner)
             .expect("cached owners are device-resident");
-        for &(inst, _) in &locations {
-            self.pools[inst.index()].rename(entry.owner, request);
-        }
         self.residency.insert(request, locations);
         Some(entry.tokens)
     }
@@ -676,7 +691,7 @@ impl UnifiedKvPool {
         };
         cache
             .entries()
-            .map(|(_, e)| self.pools[instance.index()].used_by(e.owner))
+            .map(|(_, e)| self.tokens_on(e.owner, instance))
             .sum()
     }
 
@@ -731,7 +746,7 @@ impl UnifiedKvPool {
             for (conv, entry) in cache.entries() {
                 let holds_here = instances
                     .iter()
-                    .any(|&i| self.pools[i.index()].used_by(entry.owner) > 0);
+                    .any(|&i| self.tokens_on(entry.owner, i) > 0);
                 if !holds_here {
                     continue;
                 }
@@ -821,8 +836,8 @@ mod tests {
             .migrate(RequestId(1), InstanceId(0), InstanceId(2), 20_000)
             .expect("room");
         assert_eq!(mv.tokens, 20_000);
-        assert_eq!(p.instance(InstanceId(0)).used_by(RequestId(1)), 30_000);
-        assert_eq!(p.instance(InstanceId(2)).used_by(RequestId(1)), 20_000);
+        assert_eq!(p.tokens_on(RequestId(1), InstanceId(0)), 30_000);
+        assert_eq!(p.tokens_on(RequestId(1), InstanceId(2)), 20_000);
         assert!(p.check_invariants().is_ok());
     }
 
@@ -835,7 +850,21 @@ mod tests {
             Err(KvError::InsufficientCapacity { .. })
         ));
         // Source untouched on failure.
-        assert_eq!(p.instance(InstanceId(0)).used_by(RequestId(1)), 50);
+        assert_eq!(p.tokens_on(RequestId(1), InstanceId(0)), 50);
+    }
+
+    #[test]
+    fn migrating_tokens_the_source_does_not_hold_errors() {
+        let mut p = pool();
+        p.append(RequestId(1), InstanceId(0), 10).expect("room");
+        for (request, tokens) in [(RequestId(1), 11), (RequestId(9), 1)] {
+            assert!(matches!(
+                p.migrate(request, InstanceId(0), InstanceId(1), tokens),
+                Err(KvError::UnknownRequest { .. })
+            ));
+        }
+        assert_eq!(p.locations_ref(RequestId(1)), [(InstanceId(0), 10)]);
+        assert!(p.check_invariants().is_ok());
     }
 
     #[test]
@@ -844,7 +873,16 @@ mod tests {
         p.append(RequestId(5), InstanceId(0), 10).expect("room");
         p.append(RequestId(5), InstanceId(1), 10).expect("room");
         p.append(RequestId(2), InstanceId(2), 10).expect("room");
-        assert_eq!(p.resident_requests(), vec![RequestId(2), RequestId(5)]);
+        p.append(RequestId(3), InstanceId(0), 10).expect("room");
+        assert_eq!(
+            p.resident_requests(),
+            vec![RequestId(2), RequestId(3), RequestId(5)]
+        );
+        // Per instance, residents come in id order, not append order.
+        let on_0: Vec<RequestId> = p.residents_of(InstanceId(0)).collect();
+        assert_eq!(on_0, vec![RequestId(3), RequestId(5)]);
+        assert_eq!(p.tokens_on(RequestId(5), InstanceId(1)), 10);
+        assert_eq!(p.tokens_on(RequestId(5), InstanceId(2)), 0);
     }
 
     #[test]
@@ -1105,7 +1143,7 @@ mod tests {
         );
         assert!(p.check_invariants().is_ok());
 
-        let held0 = p.instance(InstanceId(0)).used_by(RequestId(7));
+        let held0 = p.tokens_on(RequestId(7), InstanceId(0));
         p.migrate(RequestId(7), InstanceId(0), InstanceId(2), held0)
             .expect("room");
         assert_eq!(p.locations_ref(RequestId(7)).len(), 2);

@@ -222,7 +222,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &[],
             idle_instances: &f.idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -240,7 +239,6 @@ mod tests {
         let mut f = fixture();
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 50_000,
             prefilled_len: 0,
             max_output_len: 128,
@@ -314,7 +312,6 @@ mod tests {
         let mut f = fixture();
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 600_000,
             prefilled_len: 0,
             max_output_len: 128,

@@ -338,7 +338,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &[],
             idle_instances: &f.idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -350,7 +349,6 @@ mod tests {
     fn pending(id: u64, len: u64) -> PendingRequest {
         PendingRequest {
             id: RequestId(id),
-            arrival: SimTime::ZERO,
             input_len: len,
             prefilled_len: 0,
             max_output_len: 128,
@@ -455,8 +453,6 @@ mod tests {
         f.idle = vec![InstanceId(0), InstanceId(1)];
         let swapped = [SwappedRequest {
             id: RequestId(0),
-            context_len: 900,
-            generated: 1,
             tokens: 900,
         }];
         let mut v = view(&f);

@@ -199,7 +199,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &[],
             idle_instances: &f.idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -223,7 +222,6 @@ mod tests {
         }];
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 10_000,
             prefilled_len: 3_000,
             max_output_len: 128,
@@ -251,7 +249,6 @@ mod tests {
         let mut f = fixture();
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 10_000,
             prefilled_len: 9_500,
             max_output_len: 128,
@@ -299,7 +296,6 @@ mod tests {
         let mut f = fixture();
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 2_000_000,
             prefilled_len: 0,
             max_output_len: 128,

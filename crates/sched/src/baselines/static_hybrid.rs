@@ -138,7 +138,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &[],
             idle_instances: &f.idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -152,7 +151,6 @@ mod tests {
         let mut f = fixture();
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 100_000,
             prefilled_len: 0,
             max_output_len: 128,
@@ -203,7 +201,6 @@ mod tests {
         f.idle = vec![InstanceId(0), InstanceId(1)];
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 1_000,
             prefilled_len: 0,
             max_output_len: 128,
@@ -227,7 +224,6 @@ mod tests {
         }];
         f.pending = vec![PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 200_000,
             prefilled_len: 0,
             max_output_len: 128,

@@ -112,19 +112,15 @@ pub fn allocate(
             break;
         }
 
-        // Claim e_min: emit drains for every resident request. Residents
-        // come out of a hash map, so sort them to keep runs reproducible.
+        // Claim e_min: emit drains for every resident request, in request-id
+        // order.
         let target_ids: Vec<InstanceId> = targets.iter().map(|(i, _)| *i).collect();
-        let mut resident: Vec<(RequestId, u64)> = view.pool.instance(e_min).residents().collect();
-        resident.sort_by_key(|&(req, _)| req);
-        for (req, tokens) in resident {
-            if tokens > 0 {
-                drains.push(DrainDirective {
-                    request: req,
-                    from: e_min,
-                    targets: target_ids.clone(),
-                });
-            }
+        for request in view.pool.residents_of(e_min) {
+            drains.push(DrainDirective {
+                request,
+                from: e_min,
+                targets: target_ids.clone(),
+            });
         }
         instances.push(e_min);
     }
@@ -169,7 +165,6 @@ mod tests {
             decoding: &[],
             swapped: &[],
             idle_instances: idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -240,5 +235,24 @@ mod tests {
         assert_eq!(a.drains[0].request, RequestId(50));
         assert_eq!(a.drains[0].from, InstanceId(1));
         assert!(!a.drains[0].targets.is_empty());
+    }
+
+    #[test]
+    fn drains_of_a_claimed_instance_follow_request_ids() {
+        // The claimed instance's residents were appended out of id order;
+        // request 49 lives on the prefill's own instance and stays.
+        let mut f = fixture();
+        for (id, inst) in [(53, 1), (50, 1), (49, 0), (54, 1), (51, 1), (52, 1)] {
+            f.pool
+                .append(RequestId(id), InstanceId(inst), 200)
+                .expect("room");
+        }
+        let idle = vec![InstanceId(0), InstanceId(1)];
+        let v = view(&f, &idle);
+        let a = allocate(&v, &[400_000], &[InstanceId(0)]);
+        assert_eq!(a.instances, vec![InstanceId(0), InstanceId(1)]);
+        let drained: Vec<u64> = a.drains.iter().map(|d| d.request.raw()).collect();
+        assert_eq!(drained, vec![50, 51, 52, 53, 54]);
+        assert!(a.drains.iter().all(|d| d.from == InstanceId(1)));
     }
 }

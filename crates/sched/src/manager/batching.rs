@@ -237,7 +237,6 @@ mod tests {
             decoding: &[],
             swapped: &[],
             idle_instances: &[],
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,

@@ -319,7 +319,6 @@ mod tests {
     fn pending(id: u64, len: u64) -> PendingRequest {
         PendingRequest {
             id: RequestId(id),
-            arrival: SimTime::ZERO,
             input_len: len,
             prefilled_len: 0,
             max_output_len: 256,
@@ -338,7 +337,6 @@ mod tests {
             decoding,
             swapped: &[],
             idle_instances: idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,

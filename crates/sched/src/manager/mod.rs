@@ -159,7 +159,7 @@ impl Scheduler for LoongServeScheduler {
                 .copied()
                 .filter(|i| !claimed.contains(i)),
         );
-        let (decode_plans, _) =
+        let decode_plans =
             self.decode_planner
                 .plan(view, &self.available, self.config.enable_scale_up);
         for plan in decode_plans {
@@ -322,7 +322,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &[],
             idle_instances: &f.idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -334,7 +333,6 @@ mod tests {
     fn pending(id: u64, len: u64) -> PendingRequest {
         PendingRequest {
             id: RequestId(id),
-            arrival: SimTime::ZERO,
             input_len: len,
             prefilled_len: 0,
             max_output_len: 256,

@@ -77,8 +77,6 @@ pub struct DecodeGroupPlanner {
     recycled: Vec<Group>,
     /// Per instance id: held by a group or drawn by a scale-up.
     claimed: Vec<bool>,
-    /// The decoding requests the last call could not group.
-    blocked: Vec<RequestId>,
 }
 
 /// One decode group being formed.
@@ -93,10 +91,8 @@ struct Group {
 impl DecodeGroupPlanner {
     /// Forms decode groups from the ready decode requests whose KV lives
     /// entirely on `available` (idle, unclaimed, distinct) instances, and
-    /// decides per-group scale-up.
-    ///
-    /// Returns the group plans plus the requests that could not be grouped
-    /// this round (their KV overlaps unavailable instances).
+    /// decides per-group scale-up. A request whose KV touches an
+    /// unavailable instance waits for a later call.
     ///
     /// A group is a connected component of the ready requests over shared
     /// KV instances. Group order and the request order inside a group
@@ -108,7 +104,7 @@ impl DecodeGroupPlanner {
         view: &SchedulerView<'_>,
         available: &[InstanceId],
         enable_scale_up: bool,
-    ) -> (Vec<DecodeGroupPlan>, &[RequestId]) {
+    ) -> Vec<DecodeGroupPlan> {
         // Requests whose KV is fully on available instances can run; others
         // must wait for their instances to free up. Ids past the widest
         // available one are unavailable.
@@ -118,7 +114,6 @@ impl DecodeGroupPlanner {
         for &i in available {
             self.is_available[i.index()] = true;
         }
-        self.blocked.clear();
         for mut group in self.groups.drain(..) {
             group.instances.clear();
             group.members.clear();
@@ -130,7 +125,6 @@ impl DecodeGroupPlanner {
                 .iter()
                 .all(|i| self.is_available.get(i.index()) == Some(&true))
             {
-                self.blocked.push(d.id);
                 continue;
             }
             let mut merged = self.recycled.pop().unwrap_or_default();
@@ -161,7 +155,7 @@ impl DecodeGroupPlanner {
             self.groups.push(merged);
         }
         if self.groups.is_empty() {
-            return (Vec::new(), &self.blocked);
+            return Vec::new();
         }
 
         // Every instance a group holds is claimed, so scale-up never
@@ -234,7 +228,7 @@ impl DecodeGroupPlanner {
                 scaled_up_by,
             });
         }
-        (plans, &self.blocked)
+        plans
     }
 }
 
@@ -280,7 +274,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &[],
             idle_instances: idle,
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -299,15 +292,13 @@ mod tests {
         }
     }
 
-    /// Plans with a fresh planner, the blocked list copied out.
+    /// Plans with a fresh planner.
     fn plan_decode_groups(
         view: &SchedulerView<'_>,
         available: &[InstanceId],
         enable_scale_up: bool,
-    ) -> (Vec<DecodeGroupPlan>, Vec<RequestId>) {
-        let mut planner = DecodeGroupPlanner::default();
-        let (plans, blocked) = planner.plan(view, available, enable_scale_up);
-        (plans, blocked.to_vec())
+    ) -> Vec<DecodeGroupPlan> {
+        DecodeGroupPlanner::default().plan(view, available, enable_scale_up)
     }
 
     /// The reference [`DecodeGroupPlanner`]'s plans must equal: the same
@@ -316,16 +307,16 @@ mod tests {
         view: &SchedulerView<'_>,
         available: &[InstanceId],
         enable_scale_up: bool,
-    ) -> (Vec<DecodeGroupPlan>, Vec<RequestId>) {
+    ) -> Vec<DecodeGroupPlan> {
         // Requests whose KV is fully on available instances can run; others must
         // wait for their instances to free up.
-        let (ready, blocked): (Vec<&DecodingRequest>, Vec<&DecodingRequest>) = view
+        let ready: Vec<&DecodingRequest> = view
             .decoding
             .iter()
-            .partition(|d| d.kv_instances.iter().all(|i| available.contains(i)));
-        let blocked_ids = blocked.iter().map(|d| d.id).collect();
+            .filter(|d| d.kv_instances.iter().all(|i| available.contains(i)))
+            .collect();
         if ready.is_empty() {
-            return (Vec::new(), blocked_ids);
+            return Vec::new();
         }
 
         // Union requests into connected components over shared KV instances.
@@ -421,7 +412,7 @@ mod tests {
                 scaled_up_by,
             });
         }
-        (plans, blocked_ids)
+        plans
     }
 
     /// A random decode layout over `instances` instances: skewed KV
@@ -491,9 +482,8 @@ mod tests {
                 let (f, available) = random_layout(&mut rng, instances);
                 let v = view(&f, &available);
                 for scale_up in [true, false] {
-                    let (plans, blocked) = planner.plan(&v, &available, scale_up);
                     assert_eq!(
-                        (plans, blocked.to_vec()),
+                        planner.plan(&v, &available, scale_up),
                         list_union_reference(&v, &available, scale_up),
                         "{instances} instances, scale-up {scale_up}, available {available:?}, \
                          decoding {:?}",
@@ -519,7 +509,7 @@ mod tests {
         ];
         let idle = f.registry.all_ids();
         let v = view(&f, &idle);
-        let (plans, _) = plan_decode_groups(&v, &idle, false);
+        let plans = plan_decode_groups(&v, &idle, false);
         let requests: Vec<Vec<u64>> = plans
             .iter()
             .map(|p| p.requests.iter().map(|r| r.raw()).collect())
@@ -564,8 +554,7 @@ mod tests {
         ];
         let idle = f.registry.all_ids();
         let v = view(&f, &idle);
-        let (plans, blocked) = plan_decode_groups(&v, &idle, true);
-        assert!(blocked.is_empty());
+        let plans = plan_decode_groups(&v, &idle, true);
         assert_eq!(plans.len(), 2);
         let merged = plans
             .iter()
@@ -578,14 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn blocked_requests_are_reported() {
+    fn requests_on_unavailable_instances_get_no_plan() {
         let mut f = fixture();
         f.decoding = vec![decoding(0, 1_000, &[0]), decoding(1, 1_000, &[3])];
         let idle = vec![InstanceId(0), InstanceId(1)];
         let v = view(&f, &idle);
-        let (plans, blocked) = plan_decode_groups(&v, &idle, true);
+        let plans = plan_decode_groups(&v, &idle, true);
         assert_eq!(plans.len(), 1);
-        assert_eq!(blocked, vec![RequestId(1)]);
+        assert_eq!(plans[0].requests, vec![RequestId(0)]);
     }
 
     #[test]
@@ -600,14 +589,14 @@ mod tests {
         f.decoding = vec![decoding(0, 1_000, &[0])];
         let idle = f.registry.all_ids();
         let v = view(&f, &idle);
-        let (plans, _) = plan_decode_groups(&v, &idle, true);
+        let plans = plan_decode_groups(&v, &idle, true);
         assert_eq!(plans.len(), 1);
         assert!(plans[0].scaled_up_by >= 1, "expected a scale-up");
         assert!(plans[0].instances.len() >= 2);
 
         // With scale-up disabled (the Figure 13a ablation) the group stays
         // at one instance.
-        let (plans, _) = plan_decode_groups(&v, &idle, false);
+        let plans = plan_decode_groups(&v, &idle, false);
         assert_eq!(plans[0].instances.len(), 1);
         assert_eq!(plans[0].scaled_up_by, 0);
     }
@@ -632,7 +621,7 @@ mod tests {
                 f.decoding.push(decoding(i, 10, &[0]));
             }
             let idle = f.registry.all_ids();
-            let (plans, _) = plan_decode_groups(&view(&f, &idle), &idle, true);
+            let plans = plan_decode_groups(&view(&f, &idle), &idle, true);
             assert_eq!(plans.len(), 1);
             assert_eq!(plans[0].scaled_up_by, scaled_up_by, "batch {batch}");
         }
@@ -651,7 +640,7 @@ mod tests {
         f.decoding = vec![decoding(0, 1_000, &[0]), decoding(1, 1_000, &[1])];
         let idle = vec![InstanceId(0), InstanceId(1)];
         let v = view(&f, &idle);
-        let (plans, _) = plan_decode_groups(&v, &idle, false);
+        let plans = plan_decode_groups(&v, &idle, false);
         for plan in plans {
             if plan.instances.contains(&InstanceId(0)) && plan.instances.len() == 1 {
                 // Instance 0 is full, but it is the only instance, so it must

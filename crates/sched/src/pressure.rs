@@ -305,7 +305,6 @@ mod tests {
             decoding: &f.decoding,
             swapped: &f.swapped,
             idle_instances: &[],
-            busy_instances: &[],
             pool: &f.pool,
             registry: &f.registry,
             cost_model: &f.cost_model,
@@ -410,14 +409,10 @@ mod tests {
         f.swapped = vec![
             SwappedRequest {
                 id: RequestId(0),
-                context_len: 300,
-                generated: 1,
                 tokens: 300,
             },
             SwappedRequest {
                 id: RequestId(5),
-                context_len: 200,
-                generated: 1,
                 tokens: 200,
             },
         ];

@@ -23,8 +23,6 @@ use serde::{Deserialize, Serialize};
 pub struct PendingRequest {
     /// The request.
     pub id: RequestId,
-    /// Arrival time (the queue is kept in FCFS order).
-    pub arrival: SimTime,
     /// Prompt tokens the prefill still has to process. With the prefix
     /// cache enabled this is the *uncached suffix* (re-matched at every
     /// scheduling point), so admission reservations and the batching DP
@@ -68,10 +66,6 @@ pub struct DecodingRequest {
 pub struct SwappedRequest {
     /// The request.
     pub id: RequestId,
-    /// Context length (prompt + generated) at the time it was swapped out.
-    pub context_len: u64,
-    /// Output tokens generated before the swap-out.
-    pub generated: u64,
     /// KV tokens parked on the host tier.
     pub tokens: u64,
 }
@@ -87,10 +81,8 @@ pub struct SchedulerView<'a> {
     /// Requests parked on the host swap tier, in admission order. Always
     /// empty when the host tier is disabled.
     pub swapped: &'a [SwappedRequest],
-    /// Instances with no iteration in flight.
+    /// Instances with no iteration in flight, sorted by id.
     pub idle_instances: &'a [InstanceId],
-    /// Instances currently executing, with the time their iteration ends.
-    pub busy_instances: &'a [(InstanceId, SimTime)],
     /// The unified KV pool (read-only).
     pub pool: &'a UnifiedKvPool,
     /// The elastic-instance registry.
@@ -107,8 +99,8 @@ pub struct SchedulerView<'a> {
 /// Reusable buffers for assembling a [`SchedulerView`] at every scheduling
 /// point.
 ///
-/// The engine builds the `pending`/`decoding`/`swapped`/`idle`/`busy`
-/// slices thousands of times per simulated second; owning the vectors
+/// The engine builds the `pending`/`decoding`/`swapped`/`idle` slices
+/// thousands of times per simulated second; owning the vectors
 /// across scheduling points keeps the steady-state loop free of per-point
 /// allocations. [`ViewScratch::clear`] resets lengths but keeps capacity,
 /// and keeps each decoding entry's `kv_instances` buffer for
@@ -123,8 +115,6 @@ pub struct ViewScratch {
     pub swapped: Vec<SwappedRequest>,
     /// Idle instances, sorted by id.
     pub idle: Vec<InstanceId>,
-    /// Busy instances with their completion times, sorted by id.
-    pub busy: Vec<(InstanceId, SimTime)>,
     /// Emptied `kv_instances` buffers of earlier decoding entries.
     spare_kv: Vec<Vec<InstanceId>>,
 }
@@ -146,7 +136,6 @@ impl ViewScratch {
         }));
         self.swapped.clear();
         self.idle.clear();
-        self.busy.clear();
     }
 
     /// An empty buffer for a decoding entry's `kv_instances`: one an
@@ -173,7 +162,6 @@ impl ViewScratch {
             decoding: &self.decoding,
             swapped: &self.swapped,
             idle_instances: &self.idle,
-            busy_instances: &self.busy,
             pool,
             registry,
             cost_model,
@@ -258,8 +246,10 @@ pub enum Action {
         /// Decode-phase requests fused into the same iteration.
         decode_requests: Vec<RequestId>,
     },
-    /// Migrate all KV of `request` onto `targets` (reactive migration;
-    /// charged as busy time on the involved instances).
+    /// Migrate all KV of `request` onto `targets` (an instance drain or a
+    /// disaggregation hand-off). The request stalls for the transfer; the
+    /// instances are not claimed, because the copy overlaps their
+    /// computation on a separate stream.
     Migrate {
         /// The request whose KV moves.
         request: RequestId,
@@ -344,7 +334,6 @@ mod tests {
     fn pending_remaining_prefill() {
         let p = PendingRequest {
             id: RequestId(0),
-            arrival: SimTime::ZERO,
             input_len: 100,
             prefilled_len: 30,
             max_output_len: 64,

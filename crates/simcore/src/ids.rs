@@ -1,9 +1,9 @@
 //! Strongly-typed identifiers shared across the workspace.
 //!
 //! The simulator threads many kinds of small integer identifiers through its
-//! data structures (requests, GPUs, instances, parallel groups). Newtype
-//! wrappers keep them from being mixed up at compile time and give the
-//! debugger readable output.
+//! data structures (requests, GPUs, instances, replicas, conversations).
+//! Newtype wrappers keep them from being mixed up at compile time and give
+//! the debugger readable output.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -91,19 +91,6 @@ define_id!(
 );
 
 define_id!(
-    /// Identifier of an ESP parallel group (a set of elastic instances
-    /// executing one batch with sequence parallelism).
-    GroupId,
-    "grp"
-);
-
-define_id!(
-    /// Identifier of a batch formed by a scheduler.
-    BatchId,
-    "batch"
-);
-
-define_id!(
     /// Identifier of a serving replica in a fleet (one full serving engine
     /// with its own cluster node, KV pool and scheduler).
     ReplicaId,
@@ -170,12 +157,12 @@ mod tests {
     fn ids_format_with_prefix() {
         assert_eq!(format!("{}", RequestId(3)), "req3");
         assert_eq!(format!("{:?}", InstanceId(1)), "inst1");
-        assert_eq!(format!("{}", GroupId(7)), "grp7");
+        assert_eq!(format!("{}", ConversationId(7)), "conv7");
     }
 
     #[test]
     fn allocator_is_monotone() {
-        let mut alloc = IdAllocator::<BatchId>::new();
+        let mut alloc = IdAllocator::<RequestId>::new();
         let a = alloc.next();
         let b = alloc.next();
         assert!(b > a);

@@ -58,9 +58,9 @@ pub mod time;
 pub use class::TrafficClass;
 pub use distributions::{Empirical, Exponential, LogNormal, LogUniform, Zipf};
 pub use events::{Event, EventQueue};
-pub use ids::{BatchId, GpuId, GroupId, IdAllocator, InstanceId, NodeId, ReplicaId, RequestId};
+pub use ids::{GpuId, IdAllocator, InstanceId, NodeId, ReplicaId, RequestId};
 pub use pool::{run_indexed, worker_cap};
 pub use profile::{ProfileCounters, ProfileReport, SelfProfile};
 pub use rng::SimRng;
-pub use table::{PhaseClass, RequestTable};
+pub use table::RequestTable;
 pub use time::{SimDuration, SimTime};

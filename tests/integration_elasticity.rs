@@ -3,7 +3,6 @@
 //! unified KV pool, and the whole-request migration that drains and the
 //! disaggregation baseline use.
 
-use loong_simcore::ids::GroupId;
 use loongserve::prelude::*;
 
 fn setup() -> (InstanceRegistry, CostModel, UnifiedKvPool) {
@@ -22,7 +21,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     let all = registry.all_ids();
 
     // Prefill a 200K-token request on all four instances, retaining on one.
-    let group = EspGroup::new(GroupId(0), all.clone());
+    let group = EspGroup::new(all.clone());
     let plan = PrefillPlan::build(
         group,
         vec![PrefillRequest {
@@ -38,7 +37,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     assert_eq!(pool.locations_ref(RequestId(0)), [(InstanceId(0), 200_000)]);
 
     // Decode a few iterations on the scaled-down group.
-    let mut decode_group = EspGroup::new(GroupId(1), vec![InstanceId(0)]);
+    let mut decode_group = EspGroup::new(vec![InstanceId(0)]);
     for step in 0..5u64 {
         let plan = DecodePlan::build(
             decode_group.clone(),
@@ -56,7 +55,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     // KV does not move.
     let before = pool.locations_ref(RequestId(0)).to_vec();
     let grown = vec![InstanceId(0), InstanceId(1)];
-    decode_group = EspGroup::with_masters(GroupId(2), grown.clone(), grown);
+    decode_group = EspGroup::with_masters(grown.clone(), grown);
     assert_eq!(decode_group.dop(), 2);
     assert_eq!(
         pool.locations_ref(RequestId(0)),
@@ -71,7 +70,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     let out = execute_decode(&plan, &cost_model, &registry, &mut pool).expect("decode");
     assert_eq!(out.generated_tokens, 1);
     assert_eq!(pool.tokens_of(RequestId(0)), 200_006);
-    assert!(pool.instance(InstanceId(0)).used_by(RequestId(0)) >= before[0].1);
+    assert!(pool.tokens_on(RequestId(0), InstanceId(0)) >= before[0].1);
 }
 
 #[test]
@@ -84,7 +83,7 @@ fn proactive_scale_down_is_cheaper_than_reactive_migration() {
 
     // Proactive: retention folded into the prefill.
     let mut pool_a = pool.clone();
-    let group = EspGroup::new(GroupId(0), all.clone());
+    let group = EspGroup::new(all.clone());
     let plan = PrefillPlan::build(
         group,
         vec![PrefillRequest {
@@ -100,7 +99,7 @@ fn proactive_scale_down_is_cheaper_than_reactive_migration() {
     // Reactive: prefill without scale-down, then migrate everything to
     // instance 0 the way the engine executes an `Action::Migrate`.
     let mut pool_b = pool.clone();
-    let group = EspGroup::new(GroupId(1), all.clone());
+    let group = EspGroup::new(all.clone());
     let plan = PrefillPlan::build(
         group,
         vec![PrefillRequest {
@@ -143,7 +142,7 @@ fn unified_pool_admits_what_locality_cannot() {
     assert!(!admissible_with_locality(&pool, 600_000));
     assert!(admissible_unified(&pool, 600_000));
 
-    let group = EspGroup::new(GroupId(0), registry.all_ids());
+    let group = EspGroup::new(registry.all_ids());
     let plan = PrefillPlan::build(
         group,
         vec![PrefillRequest {
@@ -162,12 +161,17 @@ fn unified_pool_admits_what_locality_cannot() {
 #[test]
 fn multi_master_decode_balances_new_tokens_across_masters() {
     let (registry, cost_model, mut pool) = setup();
-    let group = EspGroup::new(GroupId(0), registry.all_ids());
+    let group = EspGroup::new(registry.all_ids());
     let requests: Vec<(RequestId, u64)> = (0..64).map(|i| (RequestId(i), 1_000)).collect();
     let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
-    let load = plan.per_master_load();
-    let max = load.values().max().copied().unwrap_or(0);
-    let min = load.values().min().copied().unwrap_or(0);
+    let load: Vec<usize> = plan
+        .group
+        .masters
+        .iter()
+        .map(|&m| plan.requests.iter().filter(|r| r.master == m).count())
+        .collect();
+    let max = load.iter().max().copied().unwrap_or(0);
+    let min = load.iter().min().copied().unwrap_or(0);
     assert!(
         max - min <= 1,
         "per-master load should be near-uniform: {load:?}"

@@ -92,7 +92,7 @@ proptest! {
                 }
                 2 => {
                     let to = InstanceId((inst_raw + 1) % 4);
-                    let held = pool.instance(inst).used_by(req);
+                    let held = pool.tokens_on(req, inst);
                     if held > 0 {
                         let _ = pool.migrate(req, inst, to, held.min(tokens));
                     }

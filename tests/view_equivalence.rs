@@ -1,19 +1,21 @@
 //! View-equivalence properties for the O(active) engine loop.
 //!
-//! The engine maintains its scheduler-view inputs (pending/decoding sets,
-//! idle/busy partition, KV residency) incrementally. Debug builds shadow
-//! every scheduling point with a naive full-scan rebuild — the exact code
-//! the indices replaced — and `assert_eq!` the two (see the `audit` module
-//! in `loongserve::engine`). The properties here drive that audit across
-//! random traces, rates and systems: any divergence between the
-//! incremental view and the O(all-requests) rebuild panics inside the run.
+//! The engine maintains its scheduler-view inputs (pending, decoding and
+//! swapped lists, the idle instance set, KV residency) incrementally. Debug
+//! builds shadow every scheduling point with a naive rebuild from the
+//! audit's own records — an append-only arrival log, a residency query per
+//! instance, a busy-until record of claims — and `assert_eq!` the two (see
+//! the `audit` module in `loongserve::engine`). The properties here drive
+//! that audit across random traces, rates and systems: any divergence
+//! between the incremental view and the O(all-requests) rebuild panics
+//! inside the run.
 //!
-//! A second set of properties checks the `RequestTable` class iteration
-//! and live list directly against a brute-force model (an append-only
-//! arrival log plus a per-request phase map), since the engine only
-//! exercises the transitions its schedulers happen to take.
+//! A second property checks the `RequestTable` live list directly against
+//! a brute-force model (an append-only arrival log plus per-request
+//! admitted and retired flags), since the engine only exercises the
+//! transitions its schedulers happen to take.
 
-use loong_simcore::table::{PhaseClass, RequestTable};
+use loong_simcore::table::RequestTable;
 use loongserve::prelude::*;
 use proptest::prelude::*;
 
@@ -84,84 +86,71 @@ proptest! {
         prop_assert!(outcome.records.len() + outcome.rejected.len() + outcome.unfinished <= count);
     }
 
-    /// `RequestTable` class iteration equals a brute-force scan of an
-    /// append-only arrival log for arbitrary insert/admit/transition/remove
-    /// sequences. Removal is the crash path (`take_unresolved`); a removed
-    /// id may be inserted again and is then admitted at a fresh rank.
+    /// The `RequestTable` live list equals a brute-force scan of an
+    /// append-only arrival log for arbitrary insert/admit/retire/payload
+    /// write/remove sequences, and a payload write never moves a request.
+    /// Retirement is a request finishing or being rejected; removal is the
+    /// crash path (`take_unresolved`), after which a removed id may be
+    /// inserted again and is then admitted at a fresh rank.
     #[test]
     fn request_table_matches_bruteforce_model(
         ops in proptest::collection::vec((0u64..12, 0usize..6), 1..200)
     ) {
-        const CLASSES: [PhaseClass; 5] = [
-            PhaseClass::Pending,
-            PhaseClass::DecodeReady,
-            PhaseClass::InFlight,
-            PhaseClass::Swapped,
-            PhaseClass::Done,
-        ];
         let mut table: RequestTable<u64> = RequestTable::new();
-        // Model: per-id (admitted, class) plus an admission-order log — the
-        // log plays the role of the engine's append-only arrival vector.
-        let mut model: Vec<(RequestId, bool, PhaseClass)> = Vec::new();
+        // Model: per-id (admitted, retired, payload) plus an admission-order
+        // log — the log plays the role of the engine's append-only arrival
+        // vector.
+        let mut model: Vec<(RequestId, bool, bool, u64)> = Vec::new();
         let mut admission_log: Vec<RequestId> = Vec::new();
 
         for (raw, op) in ops {
             let id = RequestId(raw);
-            let known = model.iter().any(|&(i, _, _)| i == id);
+            let known = model.iter().any(|&(i, ..)| i == id);
             match op {
                 0 if !known => {
-                    table.insert(id, raw);
-                    model.push((id, false, PhaseClass::Pending));
+                    table.insert(id, 0);
+                    model.push((id, false, false, 0));
                 }
                 1 if known => {
-                    let entry = model.iter_mut().find(|(i, _, _)| *i == id).unwrap();
+                    let entry = model.iter_mut().find(|(i, ..)| *i == id).unwrap();
                     if !entry.1 {
                         entry.1 = true;
                         admission_log.push(id);
                         table.admit(id);
                     }
                 }
+                4 if known => {
+                    model.iter_mut().find(|(i, ..)| *i == id).unwrap().2 = true;
+                    table.retire(id);
+                }
                 5 if known => {
-                    model.retain(|&(i, _, _)| i != id);
+                    let payload = model.iter().find(|(i, ..)| *i == id).unwrap().3;
+                    model.retain(|&(i, ..)| i != id);
                     admission_log.retain(|&i| i != id);
-                    prop_assert_eq!(table.remove(id), Some(raw));
+                    prop_assert_eq!(table.remove(id), Some(payload));
                 }
                 c if known => {
-                    let class = CLASSES[c % 5];
-                    model.iter_mut().find(|(i, _, _)| *i == id).unwrap().2 = class;
-                    table.set_class(id, class);
+                    // A phase change short of retirement: a payload write.
+                    model.iter_mut().find(|(i, ..)| *i == id).unwrap().3 = c as u64;
+                    *table.get_mut(id).unwrap() = c as u64;
                 }
                 _ => {}
             }
             prop_assert!(table.check_invariants().is_ok());
             prop_assert_eq!(table.len(), model.len());
-            for class in CLASSES {
-                // Naive rebuild: scan the admission log and filter by the
-                // current class — exactly what the old engine loop did.
-                let naive: Vec<RequestId> = admission_log
-                    .iter()
-                    .filter(|&&i| {
-                        model
-                            .iter()
-                            .any(|&(j, admitted, c)| j == i && admitted && c == class)
-                    })
-                    .copied()
-                    .collect();
-                prop_assert_eq!(table.class_len(class), naive.len());
-                let incremental: Vec<RequestId> = table.iter_class(class).collect();
-                prop_assert_eq!(incremental, naive);
-            }
-            // The engine's view pass walks every live class at once.
-            let naive_live: Vec<RequestId> = admission_log
+            // Naive rebuild: scan the admission log for the admitted,
+            // unretired requests — exactly what the old engine loop did.
+            let naive_live: Vec<(RequestId, u64)> = admission_log
                 .iter()
-                .filter(|&&i| {
+                .filter_map(|&i| {
                     model
                         .iter()
-                        .any(|&(j, admitted, c)| j == i && admitted && c != PhaseClass::Done)
+                        .find(|&&(j, admitted, retired, _)| j == i && admitted && !retired)
+                        .map(|&(j, .., payload)| (j, payload))
                 })
-                .copied()
                 .collect();
-            let live: Vec<RequestId> = table.iter_live().map(|(id, _)| id).collect();
+            let live: Vec<(RequestId, u64)> =
+                table.iter_live().map(|(id, &payload)| (id, payload)).collect();
             prop_assert_eq!(live, naive_live);
         }
     }
