@@ -22,10 +22,9 @@
 use loong_cluster::gpu::LinkSpec;
 use loong_cluster::memory::{HostMemoryBudget, MemoryBudget};
 use loong_cluster::topology::ClusterSpec;
-use loong_esp::decode::{execute_decode, DecodePlan};
-use loong_esp::group::EspGroup;
+use loong_esp::decode::execute_decode;
 use loong_esp::instance::InstanceRegistry;
-use loong_esp::prefill::{execute_prefill, PrefillPlan, PrefillRequest};
+use loong_esp::prefill::execute_prefill;
 use loong_esp::scaling::migrate_request;
 use loong_kvcache::placement::PlacementStrategy;
 use loong_kvcache::prefix::{PrefixCacheConfig, PrefixDemand};
@@ -478,7 +477,8 @@ struct Live {
     // Reusable per-point buffers: the steady-state loop never allocates
     // them again.
     scratch: ViewScratch,
-    /// The decode batch of the action being applied: `(id, context)`.
+    /// The batch of the action being applied: `(id, tokens)`, the tokens
+    /// to prefill or the context to decode over.
     batch: Vec<(RequestId, u64)>,
     #[cfg(debug_assertions)]
     audit: audit::ViewAudit,
@@ -1144,7 +1144,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 
     /// Executes one scheduler action through the ESP mechanisms. Actions
     /// that no longer fit the state — an instance already claimed at this
-    /// point, a request that moved on, a plan the pool cannot place — are
+    /// point, a request that moved on, a batch the pool cannot hold — are
     /// skipped.
     fn apply(&mut self, action: Action, now: SimTime, sink: &mut dyn TraceSink) {
         let live = &mut self.live;
@@ -1160,10 +1160,16 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
             }
             Action::Prefill {
                 instances,
-                requests,
+                mut requests,
                 retain_on,
             } => {
                 if !live.claimable(&instances) {
+                    return;
+                }
+                // Only the pending requests form the batch; any other request
+                // the action lists keeps its phase.
+                requests.retain(|&id| matches!(live.phase(id), Some(Phase::Pending { .. })));
+                if requests.is_empty() {
                     return;
                 }
                 // Atomic match → reuse: each untouched request consults the
@@ -1172,29 +1178,20 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // place. The prefill then processes (and the cost model
                 // charges) only the uncached suffix — recompute evictions
                 // still re-prefill their checkpointed tokens too.
-                let mut prefill_reqs: Vec<PrefillRequest> = Vec::new();
+                live.batch.clear();
                 // Per-request (suffix, adopted) pairs of this batch's cache
                 // hits, for cost accounting below.
                 let mut adopted: Vec<(u64, u64)> = Vec::new();
                 for &id in &requests {
-                    if !matches!(live.phase(id), Some(Phase::Pending { .. })) {
-                        continue;
-                    }
                     if let Some((prompt, tokens)) = live.adopt_prefix(id, now, sink) {
                         adopted.push((prompt - tokens, tokens));
                     }
                     let s = live.table.get(id).expect("known request");
-                    prefill_reqs.push(PrefillRequest {
-                        id,
-                        input_len: s.effective_input(),
-                    });
-                }
-                if prefill_reqs.is_empty() {
-                    return;
+                    live.batch.push((id, s.effective_input()));
                 }
                 // Admission counted reclaimable slots as free; make good on
-                // it before planning the retention placement.
-                let needed: u64 = prefill_reqs.iter().map(|r| r.input_len).sum();
+                // it before placing the retained KV.
+                let needed: u64 = live.batch.iter().map(|&(_, tokens)| tokens).sum();
                 live.evict_for(&retain_on, needed, now, sink);
                 // Suffix prefills still attend over their adopted context:
                 // charge the extra attention the plain suffix cost omits
@@ -1220,26 +1217,24 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                         .prefill_cost(&adopted_lens, parallel, link)
                         .total();
                 }
-                let group = EspGroup::new(instances.clone());
-                let Ok(plan) = PrefillPlan::build(group, prefill_reqs, retain_on, &live.pool)
-                else {
-                    return;
-                };
-                let Ok(outcome) =
-                    execute_prefill(&plan, &self.cost_model, &self.registry, &mut live.pool)
-                else {
+                let Ok(cost) = execute_prefill(
+                    &instances,
+                    &live.batch,
+                    &retain_on,
+                    &self.cost_model,
+                    &self.registry,
+                    &mut live.pool,
+                ) else {
                     return;
                 };
                 live.out.iterations += 1;
-                live.out.prefilled_tokens += outcome.retained_tokens;
-                let done = now + SimDuration::from_secs(outcome.cost.total() + context_surcharge_s);
+                live.out.prefilled_tokens += needed;
+                let done = now + SimDuration::from_secs(cost.total() + context_surcharge_s);
                 live.claim(&instances, done);
                 for &id in &requests {
-                    if live.table.contains(id) {
-                        set_phase(&mut live.table, id, Phase::Prefilling, now, sink);
-                        let s = live.table.get_mut(id).expect("known request");
-                        s.prefill_start.get_or_insert(now);
-                    }
+                    set_phase(&mut live.table, id, Phase::Prefilling, now, sink);
+                    let s = live.table.get_mut(id).expect("known request");
+                    s.prefill_start.get_or_insert(now);
                 }
                 live.work.push(
                     done,
@@ -1268,25 +1263,19 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // cache-crowded master stalling its decodes (the pressure
                 // rescue path defers to this eviction for prefix-crowded
                 // instances).
-                let evict_on = if masters.is_empty() {
-                    &instances
-                } else {
-                    &masters
-                };
-                live.evict_for(evict_on, requests.len() as u64, now, sink);
-                let group = EspGroup::with_masters(instances, masters);
-                let Ok(plan) = DecodePlan::build(group, &live.batch, &live.pool) else {
-                    return;
-                };
-                let Ok(outcome) =
-                    execute_decode(&plan, &self.cost_model, &self.registry, &mut live.pool)
-                else {
+                live.evict_for(&masters, requests.len() as u64, now, sink);
+                let Ok(cost) = execute_decode(
+                    &instances,
+                    &masters,
+                    &live.batch,
+                    &self.cost_model,
+                    &self.registry,
+                    &mut live.pool,
+                ) else {
                     return;
                 };
                 live.out.iterations += 1;
-                let done = now + SimDuration::from_secs(outcome.cost.total());
-                // The group hands the action's instances on to the work item.
-                let instances = plan.group.instances;
+                let done = now + SimDuration::from_secs(cost.total());
                 live.claim(&instances, done);
                 for &id in &requests {
                     live.start_decoding(id, now, sink);
@@ -1668,6 +1657,7 @@ mod audit {
 mod tests {
     use super::*;
     use crate::systems::SystemKind;
+    use loong_sched::types::SchedulerView;
     use loong_workload::arrival::ArrivalProcess;
     use loong_workload::datasets::DatasetKind;
 
@@ -1766,6 +1756,57 @@ mod tests {
                 outcome.sim_time
             );
         }
+    }
+
+    /// LoongServe, with a decode-ready request appended to every prefill
+    /// action it emits.
+    struct ListsDecodeReadyInPrefills {
+        inner: Box<dyn Scheduler>,
+        injected: usize,
+    }
+
+    impl Scheduler for ListsDecodeReadyInPrefills {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn schedule(&mut self, view: &SchedulerView<'_>) -> Vec<Action> {
+            let mut actions = self.inner.schedule(view);
+            if let Some(ready) = view.decoding.first() {
+                for action in &mut actions {
+                    if let Action::Prefill { requests, .. } = action {
+                        requests.push(ready.id);
+                        self.injected += 1;
+                    }
+                }
+            }
+            actions
+        }
+
+        fn scaling_events(&self) -> &[ScalingEvent] {
+            self.inner.scaling_events()
+        }
+    }
+
+    #[test]
+    fn a_prefill_action_changes_only_the_requests_it_prefills() {
+        // A decode-ready request listed in a prefill action is not part of
+        // its batch, so it must keep decoding as if it were not listed.
+        let trace = small_trace(10.0, 40, 5);
+        let plain = engine_for(SystemKind::LoongServe).run(&trace);
+        let base = engine_for(SystemKind::LoongServe);
+        let config = base.config.clone();
+        let wrapped = ListsDecodeReadyInPrefills {
+            inner: base.scheduler,
+            injected: 0,
+        };
+        let mut engine = ServingEngine::new(config, Box::new(wrapped));
+        let outcome = engine.run(&trace);
+        assert!(engine.scheduler.injected > 0, "the wrapper never injected");
+        assert_eq!(outcome.records, plain.records);
+        assert_eq!(outcome.iterations, plain.iterations);
+        assert_eq!(outcome.prefilled_tokens, plain.prefilled_tokens);
+        assert_eq!(outcome.scheduler_calls, plain.scheduler_calls);
     }
 
     #[test]

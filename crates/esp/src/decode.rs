@@ -7,175 +7,84 @@
 //! requests assigned to them. Scaling a decode group up therefore needs no
 //! KV movement at all — new instances simply become additional masters.
 
-use crate::group::EspGroup;
 use crate::instance::InstanceRegistry;
-use loong_kvcache::pool::KvError;
+use crate::{group, EspError};
 use loong_kvcache::unified::UnifiedKvPool;
-use loong_model::roofline::{CostModel, IterationCost};
+use loong_model::roofline::{CostModel, IterationCost, ParallelConfig};
 use loong_simcore::ids::{InstanceId, RequestId};
-use serde::{Deserialize, Serialize};
 
-/// One request taking part in a decode iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecodeRequest {
-    /// The request.
-    pub id: RequestId,
-    /// Current context length (prompt + generated so far) in tokens.
-    pub context_len: u64,
-    /// The master instance that drives this request and stores its new KV.
-    pub master: InstanceId,
-}
-
-/// A fully specified decode iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecodePlan {
-    /// The group executing the iteration.
-    pub group: EspGroup,
-    /// The batch, each request bound to a master instance.
-    pub requests: Vec<DecodeRequest>,
-}
-
-/// Errors surfaced while building a decode plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DecodePlanError {
-    /// The batch is empty.
-    EmptyBatch,
-    /// No master has a free KV slot for a request's next token.
-    NoMasterCapacity {
-        /// The request that could not be placed.
-        request: RequestId,
-    },
-}
-
-impl std::fmt::Display for DecodePlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodePlanError::EmptyBatch => write!(f, "decode batch is empty"),
-            DecodePlanError::NoMasterCapacity { request } => {
-                write!(f, "no master instance has a free KV slot for {request}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodePlanError {}
-
-impl DecodePlan {
-    /// Builds a decode plan by assigning each request to a master.
-    ///
-    /// Assignment prefers the master that already holds the request's KV
-    /// (keeping a request's cache on one instance and the query exchange
-    /// volume low) and otherwise follows the paper's rule of keeping the
-    /// number of newly generated KV tokens "as uniform as possible" across
-    /// masters (§5.4), always respecting per-master free KV slots.
-    pub fn build(
-        group: EspGroup,
-        requests: &[(RequestId, u64)],
-        pool: &UnifiedKvPool,
-    ) -> Result<Self, DecodePlanError> {
-        if requests.is_empty() {
-            return Err(DecodePlanError::EmptyBatch);
-        }
-        // Per master: remaining free slots and requests assigned so far,
-        // updated as requests are assigned.
-        let mut free: Vec<(InstanceId, u64, u64)> = group
-            .masters
-            .iter()
-            .map(|&m| (m, pool.instance(m).free(), 0))
-            .collect();
-        // Most free slots first so load balances toward emptier masters.
-        free.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut planned = Vec::with_capacity(requests.len());
-        for &(id, context_len) in requests {
-            // Locality first: the master already holding most of this
-            // request's KV keeps it, as long as it has a free slot (the
-            // free column lists masters only); the lower id wins a tie.
-            let home = pool
-                .locations_ref(id)
-                .iter()
-                .filter(|&&(m, _)| free.iter().any(|&(fm, f, _)| fm == m && f > 0))
-                .max_by_key(|&&(m, tokens)| (tokens, u64::MAX - m.raw()))
-                .map(|&(m, _)| m);
-            // Otherwise pick the master with the fewest assignments among
-            // those with a free slot; break ties toward more free slots.
-            let choice = home.or_else(|| {
-                free.iter()
-                    .filter(|&&(_, f, _)| f > 0)
-                    .min_by_key(|&&(m, f, assigned)| (assigned, u64::MAX - f, m.raw()))
-                    .map(|&(m, _, _)| m)
-            });
-            let Some(master) = choice else {
-                return Err(DecodePlanError::NoMasterCapacity { request: id });
-            };
-            if let Some(slot) = free.iter_mut().find(|(m, _, _)| *m == master) {
-                slot.1 -= 1;
-                slot.2 += 1;
-            }
-            planned.push(DecodeRequest {
-                id,
-                context_len,
-                master,
-            });
-        }
-        Ok(DecodePlan {
-            group,
-            requests: planned,
-        })
-    }
-
-    /// The batch size.
-    pub fn batch_size(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Validates the plan's structural invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        for r in &self.requests {
-            if !self.group.is_master(r.master) {
-                return Err(format!(
-                    "{}: master {} is not a master of the group",
-                    r.id, r.master
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The result of executing one decode iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DecodeOutcome {
-    /// Predicted iteration cost.
-    pub cost: IterationCost,
-    /// Tokens generated (one per request in the batch).
-    pub generated_tokens: u64,
-}
-
-/// Executes a decode plan: appends one KV slot per request on its master and
-/// returns the iteration cost.
+/// Runs one decode iteration of `batch` — `(request, context tokens)` pairs
+/// — on `instances`, appending each request's new token on one of
+/// `masters`, and returns the iteration cost.
+///
+/// Every request's master is chosen before the first append, so an empty
+/// batch or a request no master has a free slot for returns an error with
+/// the pool untouched. The master already holding most of the request's KV
+/// keeps it (keeping a request's cache on one instance and the query
+/// exchange volume low), the lower id winning a tie; otherwise the request
+/// goes to the master with the fewest requests so far, so the newly
+/// generated KV tokens stay "as uniform as possible" across masters (§5.4).
+/// Either way only masters with a free slot count.
+///
+/// # Panics
+///
+/// Panics if `instances` is empty or has duplicates, or `masters` is empty
+/// or not a subset of `instances`.
 pub fn execute_decode(
-    plan: &DecodePlan,
+    instances: &[InstanceId],
+    masters: &[InstanceId],
+    batch: &[(RequestId, u64)],
     cost_model: &CostModel,
     registry: &InstanceRegistry,
     pool: &mut UnifiedKvPool,
-) -> Result<DecodeOutcome, KvError> {
-    plan.validate()
-        .expect("decode plans are validated at construction");
-    let parallel = plan.group.parallel_config(registry);
-    let link = registry.link_between(&plan.group.instances);
-    let cost = cost_model.decode_cost(
-        plan.requests.iter().map(|r| &r.context_len),
-        parallel,
-        plan.group.num_masters().min(plan.batch_size()).max(1),
-        link,
-    );
-    for r in &plan.requests {
-        pool.append(r.id, r.master, 1)?;
+) -> Result<IterationCost, EspError> {
+    group::check(instances, masters);
+    if batch.is_empty() {
+        return Err(EspError::EmptyBatch);
     }
-    Ok(DecodeOutcome {
-        cost,
-        generated_tokens: plan.requests.len() as u64,
-    })
+    // Per master: free slots and requests assigned so far, updated as
+    // requests are assigned.
+    let mut column: Vec<(InstanceId, u64, u64)> = masters
+        .iter()
+        .map(|&m| (m, pool.instance(m).free(), 0))
+        .collect();
+    let mut chosen = Vec::with_capacity(batch.len());
+    for &(id, _) in batch {
+        // The column lists masters only, so KV on other members never
+        // makes a home.
+        let home = pool
+            .locations_ref(id)
+            .iter()
+            .filter(|&&(m, _)| column.iter().any(|&(cm, free, _)| cm == m && free > 0))
+            .max_by_key(|&&(m, tokens)| (tokens, u64::MAX - m.raw()))
+            .map(|&(m, _)| m);
+        // Otherwise the fewest assignments so far, then the most free
+        // slots, then the lower id.
+        let master = home
+            .or_else(|| {
+                column
+                    .iter()
+                    .filter(|&&(_, free, _)| free > 0)
+                    .min_by_key(|&&(m, free, assigned)| (assigned, u64::MAX - free, m.raw()))
+                    .map(|&(m, _, _)| m)
+            })
+            .ok_or(EspError::NoMasterCapacity { request: id })?;
+        if let Some(slot) = column.iter_mut().find(|(m, _, _)| *m == master) {
+            slot.1 -= 1;
+            slot.2 += 1;
+        }
+        chosen.push(master);
+    }
+    let cost = cost_model.decode_cost(
+        batch.iter().map(|(_, context)| context),
+        ParallelConfig::new(registry.tp(), instances.len()),
+        masters.len().min(batch.len()).max(1),
+        registry.link_between(instances),
+    );
+    for (&(id, _), &master) in batch.iter().zip(&chosen) {
+        pool.append(id, master, 1)?;
+    }
+    Ok(cost)
 }
 
 #[cfg(test)]
@@ -191,32 +100,61 @@ mod tests {
         (registry, cost_model, pool)
     }
 
-    fn group_of(ids: &[u64]) -> EspGroup {
-        EspGroup::new(ids.iter().map(|&i| InstanceId(i)).collect())
+    fn ids(raw: &[u64]) -> Vec<InstanceId> {
+        raw.iter().map(|&i| InstanceId(i)).collect()
+    }
+
+    fn batch(n: u64, context: u64) -> Vec<(RequestId, u64)> {
+        (0..n).map(|i| (RequestId(i), context)).collect()
+    }
+
+    /// Decodes `batch` on `instances` with `masters`.
+    fn decode(
+        instances: &[InstanceId],
+        masters: &[InstanceId],
+        batch: &[(RequestId, u64)],
+        pool: &mut UnifiedKvPool,
+    ) -> Result<IterationCost, EspError> {
+        let (registry, cost_model, _) = setup();
+        execute_decode(instances, masters, batch, &cost_model, &registry, pool)
+    }
+
+    /// The instance each request's new token landed on.
+    fn landed(before: &UnifiedKvPool, after: &UnifiedKvPool, n: u64) -> Vec<u64> {
+        (0..n)
+            .map(|r| {
+                let id = RequestId(r);
+                let gained: Vec<u64> = (0..after.num_instances() as u64)
+                    .filter(|&i| {
+                        after.tokens_on(id, InstanceId(i))
+                            == before.tokens_on(id, InstanceId(i)) + 1
+                    })
+                    .collect();
+                assert_eq!(gained.len(), 1, "{id} gained one token on one instance");
+                gained[0]
+            })
+            .collect()
     }
 
     #[test]
     fn masters_are_load_balanced() {
-        let (_registry, _cm, pool) = setup();
-        let group = group_of(&[0, 1]);
-        let requests: Vec<(RequestId, u64)> = (0..10).map(|i| (RequestId(i), 1000)).collect();
-        let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
-        for m in [InstanceId(0), InstanceId(1)] {
-            assert_eq!(plan.requests.iter().filter(|r| r.master == m).count(), 5);
+        let (_, _, mut pool) = setup();
+        let group = ids(&[0, 1]);
+        decode(&group, &group, &batch(10, 1000), &mut pool).expect("capacity");
+        for m in group {
+            assert_eq!(pool.instance(m).used(), 5);
         }
-        assert!(plan.validate().is_ok());
     }
 
     #[test]
     fn full_master_is_skipped() {
-        let (_registry, _cm, _) = setup();
         let mut pool = UnifiedKvPool::with_capacities(&[10, 100_000]);
         // Fill instance 0 completely.
         pool.append(RequestId(99), InstanceId(0), 10).expect("room");
-        let group = group_of(&[0, 1]);
-        let requests: Vec<(RequestId, u64)> = (0..4).map(|i| (RequestId(i), 100)).collect();
-        let plan = DecodePlan::build(group, &requests, &pool).expect("instance 1 has room");
-        assert!(plan.requests.iter().all(|r| r.master == InstanceId(1)));
+        let group = ids(&[0, 1]);
+        decode(&group, &group, &batch(4, 100), &mut pool).expect("instance 1 has room");
+        assert_eq!(pool.instance(InstanceId(0)).used(), 10);
+        assert_eq!(pool.instance(InstanceId(1)).used(), 4);
     }
 
     #[test]
@@ -236,47 +174,73 @@ mod tests {
             pool.append(RequestId(id), InstanceId(inst), tokens)
                 .expect("room");
         }
-        let instances: Vec<InstanceId> = (0..6).map(InstanceId).collect();
-        let group = EspGroup::with_masters(instances.clone(), instances[..5].to_vec());
-        let requests: Vec<(RequestId, u64)> = (0..4).map(|i| (RequestId(i), 1_000)).collect();
-        let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
-        let masters: Vec<u64> = plan.requests.iter().map(|r| r.master.raw()).collect();
+        let before = pool.clone();
+        // Six instances: one per GPU of the node.
+        let registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(8), 1);
+        let (_, cost_model, _) = setup();
+        let instances = ids(&[0, 1, 2, 3, 4, 5]);
+        execute_decode(
+            &instances,
+            &instances[..5],
+            &batch(4, 1_000),
+            &cost_model,
+            &registry,
+            &mut pool,
+        )
+        .expect("capacity");
         // Request 0: the master holding most of it, not the lowest id.
         // Request 1: a 40/40 tie goes to the lower id. Request 2: its
         // largest holder is full, so the next one takes it. Request 3:
         // only a non-master holds it, so the least-assigned master does.
-        assert_eq!(masters, vec![2, 1, 3, 4]);
-        assert!(plan.validate().is_ok());
+        assert_eq!(landed(&before, &pool, 4), vec![2, 1, 3, 4]);
     }
 
     #[test]
     fn no_capacity_anywhere_is_an_error() {
+        // One free slot per master: the first two requests would fit, the
+        // third does not, and nothing is appended.
         let mut pool = UnifiedKvPool::with_capacities(&[2, 2]);
-        pool.append(RequestId(99), InstanceId(0), 2).expect("room");
-        pool.append(RequestId(98), InstanceId(1), 2).expect("room");
-        let group = group_of(&[0, 1]);
-        let err = DecodePlan::build(group, &[(RequestId(0), 10)], &pool).unwrap_err();
-        assert!(matches!(err, DecodePlanError::NoMasterCapacity { .. }));
+        pool.append(RequestId(99), InstanceId(0), 1).expect("room");
+        pool.append(RequestId(98), InstanceId(1), 1).expect("room");
+        let before = pool.clone();
+        let group = ids(&[0, 1]);
+        let err = decode(&group, &group, &batch(3, 10), &mut pool).unwrap_err();
+        assert_eq!(
+            err,
+            EspError::NoMasterCapacity {
+                request: RequestId(2)
+            }
+        );
+        assert_eq!(pool, before, "a refused decode must not touch the pool");
     }
 
     #[test]
     fn empty_batch_is_rejected() {
-        let (_registry, _cm, pool) = setup();
-        let err = DecodePlan::build(group_of(&[0]), &[], &pool).unwrap_err();
-        assert_eq!(err, DecodePlanError::EmptyBatch);
+        let (_, _, mut pool) = setup();
+        let before = pool.clone();
+        let group = ids(&[0]);
+        assert_eq!(
+            decode(&group, &group, &[], &mut pool).unwrap_err(),
+            EspError::EmptyBatch
+        );
+        assert_eq!(pool, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "masters must be members")]
+    fn foreign_master_panics() {
+        let (_, _, mut pool) = setup();
+        let _ = decode(&ids(&[0, 1]), &ids(&[3]), &batch(1, 10), &mut pool);
     }
 
     #[test]
     fn execute_appends_one_token_per_request() {
-        let (registry, cm, mut pool) = setup();
-        let group = group_of(&[0, 1, 2, 3]);
-        let requests: Vec<(RequestId, u64)> = (0..8).map(|i| (RequestId(i), 5_000)).collect();
-        let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
+        let (_, _, mut pool) = setup();
+        let group = ids(&[0, 1, 2, 3]);
         let before = pool.total_used();
-        let outcome = execute_decode(&plan, &cm, &registry, &mut pool).expect("append");
-        assert_eq!(outcome.generated_tokens, 8);
+        let cost = decode(&group, &group, &batch(8, 5_000), &mut pool).expect("append");
         assert_eq!(pool.total_used(), before + 8);
-        assert!(outcome.cost.total() > 0.0);
+        assert!(cost.total() > 0.0);
         for i in 0..8 {
             assert_eq!(pool.tokens_of(RequestId(i)), 1);
         }
@@ -285,46 +249,21 @@ mod tests {
     #[test]
     fn more_masters_speed_up_large_batches() {
         // The multi-master mechanism should show its Figure 14b advantage
-        // end-to-end through the plan/execute path as well.
-        let (registry, cm, pool) = setup();
-        let requests: Vec<(RequestId, u64)> = (0..512).map(|i| (RequestId(i), 64)).collect();
-
-        let single_master = EspGroup::with_masters(
-            vec![InstanceId(0), InstanceId(1), InstanceId(2), InstanceId(3)],
-            vec![InstanceId(0)],
-        );
-        let multi_master = group_of(&[0, 1, 2, 3]);
-
-        let mut pool_a = pool.clone();
-        let mut pool_b = pool;
-        let plan_a = DecodePlan::build(single_master, &requests, &pool_a).expect("capacity");
-        let plan_b = DecodePlan::build(multi_master, &requests, &pool_b).expect("capacity");
-        let cost_a = execute_decode(&plan_a, &cm, &registry, &mut pool_a)
-            .expect("ok")
-            .cost
-            .total();
-        let cost_b = execute_decode(&plan_b, &cm, &registry, &mut pool_b)
-            .expect("ok")
-            .cost
-            .total();
-        assert!(
-            cost_a / cost_b > 1.3,
-            "multi-master speedup {}",
-            cost_a / cost_b
-        );
-    }
-
-    #[test]
-    fn master_validation_catches_foreign_masters() {
-        let plan = DecodePlan {
-            group: group_of(&[0, 1]),
-            requests: vec![DecodeRequest {
-                id: RequestId(0),
-                context_len: 10,
-                master: InstanceId(3),
-            }],
+        // end-to-end through the execution path as well.
+        let (_, _, pool) = setup();
+        let requests = batch(512, 64);
+        let all = ids(&[0, 1, 2, 3]);
+        let cost = |masters: &[InstanceId]| {
+            decode(&all, masters, &requests, &mut pool.clone())
+                .expect("capacity")
+                .total()
         };
-        assert!(plan.validate().is_err());
+        let (single, multi) = (cost(&all[..1]), cost(&all));
+        assert!(
+            single / multi > 1.3,
+            "multi-master speedup {}",
+            single / multi
+        );
     }
 
     #[test]
@@ -337,15 +276,12 @@ mod tests {
         let sparse_cm = CostModel::builder(dense_cm.model.clone())
             .attention(AttentionCostPolicy::page_sparse())
             .build();
-        let group = group_of(&[0, 1, 2, 3]);
+        let group = ids(&[0, 1, 2, 3]);
 
         let run = |cm: &CostModel, context: u64| {
-            let requests: Vec<(RequestId, u64)> = (0..8).map(|i| (RequestId(i), context)).collect();
-            let mut pool = pool.clone();
-            let plan = DecodePlan::build(group.clone(), &requests, &pool).expect("capacity");
-            execute_decode(&plan, cm, &registry, &mut pool)
+            let requests = batch(8, context);
+            execute_decode(&group, &group, &requests, cm, &registry, &mut pool.clone())
                 .expect("append")
-                .cost
                 .total()
         };
 

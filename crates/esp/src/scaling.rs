@@ -14,19 +14,15 @@
 //! it would reach the pool through the same action.
 
 use crate::instance::InstanceRegistry;
+use crate::EspError;
 use loong_kvcache::placement::PlacementStrategy;
-use loong_kvcache::unified::{KvMove, UnifiedKvPool};
+use loong_kvcache::unified::UnifiedKvPool;
 use loong_model::roofline::CostModel;
 use loong_simcore::ids::{InstanceId, RequestId};
-use serde::{Deserialize, Serialize};
 
-/// The outcome of a migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What a migration moved.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MigrationSummary {
-    /// The individual KV moves performed.
-    pub moves: Vec<KvMove>,
-    /// Total tokens moved.
-    pub total_tokens: u64,
     /// Bytes moved across the interconnect.
     pub total_bytes: f64,
     /// Time spent migrating, in seconds (serialised on the bottleneck link,
@@ -35,106 +31,58 @@ pub struct MigrationSummary {
     pub time_s: f64,
 }
 
-impl MigrationSummary {
-    /// A summary describing "nothing moved".
-    pub fn empty() -> Self {
-        MigrationSummary {
-            moves: Vec::new(),
-            total_tokens: 0,
-            total_bytes: 0.0,
-            time_s: 0.0,
-        }
-    }
-
-    fn from_moves(moves: Vec<KvMove>, cost_model: &CostModel, registry: &InstanceRegistry) -> Self {
-        let total_tokens: u64 = moves.iter().map(|m| m.tokens).sum();
-        let mut total_bytes = 0.0;
-        let mut time_s = 0.0;
-        for m in &moves {
-            let link = registry.link_between(&[m.from, m.to]);
-            let bytes = m.tokens as f64 * cost_model.model.kv_bytes_per_token();
-            total_bytes += bytes;
-            time_s += link.transfer_time(bytes);
-        }
-        MigrationSummary {
-            moves,
-            total_tokens,
-            total_bytes,
-            time_s,
-        }
-    }
-}
-
-/// Errors from a migration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScalingError {
-    /// The target instances cannot absorb the KV that has to move.
-    InsufficientTargetCapacity {
-        /// Tokens that needed to move.
-        tokens: u64,
-    },
-}
-
-impl std::fmt::Display for ScalingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScalingError::InsufficientTargetCapacity { tokens } => {
-                write!(
-                    f,
-                    "target instances cannot absorb {tokens} migrated KV tokens"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScalingError {}
-
 /// Migrates *all* KV of `request` onto `targets`: the engine's execution of
 /// `Action::Migrate` (an instance drain or a disaggregation hand-off).
-/// Returns the migration summary, or an error if the targets lack capacity,
-/// in which case the pool is unchanged.
+/// Returns the bytes moved and the transfer time, summed span by span in
+/// the order the spans move, or an error if the targets lack capacity, in
+/// which case the pool is unchanged.
 pub fn migrate_request(
     request: RequestId,
     targets: &[InstanceId],
     pool: &mut UnifiedKvPool,
     cost_model: &CostModel,
     registry: &InstanceRegistry,
-) -> Result<MigrationSummary, ScalingError> {
+) -> Result<MigrationSummary, EspError> {
     let outside: Vec<(InstanceId, u64)> = pool
         .locations_ref(request)
         .iter()
         .copied()
         .filter(|(inst, _)| !targets.contains(inst))
         .collect();
-    let to_move: u64 = outside.iter().map(|(_, t)| t).sum();
-    if to_move == 0 {
-        return Ok(MigrationSummary::empty());
+    let requested: u64 = outside.iter().map(|(_, t)| t).sum();
+    let mut summary = MigrationSummary::default();
+    if requested == 0 {
+        return Ok(summary);
     }
-    let free_on_targets: u64 = pool.free_slots_on(targets).iter().map(|(_, f)| f).sum();
-    if free_on_targets < to_move {
-        return Err(ScalingError::InsufficientTargetCapacity { tokens: to_move });
+    let available: u64 = targets.iter().map(|&i| pool.instance(i).free()).sum();
+    if available < requested {
+        return Err(EspError::InsufficientKvCapacity {
+            requested,
+            available,
+        });
     }
-    let mut moves = Vec::new();
     for (from, tokens) in outside {
         let placement = pool
             .plan(request, tokens, targets, PlacementStrategy::PackMostFree)
-            .ok_or(ScalingError::InsufficientTargetCapacity { tokens: to_move })?;
+            .ok_or(EspError::InsufficientKvCapacity {
+                requested,
+                available,
+            })?;
         for (to, chunk) in placement.spans {
-            let mv = pool
-                .migrate(request, from, to, chunk)
+            pool.migrate(request, from, to, chunk)
                 .expect("feasibility checked above");
-            moves.push(mv);
+            let bytes = chunk as f64 * cost_model.model.kv_bytes_per_token();
+            summary.total_bytes += bytes;
+            summary.time_s += registry.link_between(&[from, to]).transfer_time(bytes);
         }
     }
-    Ok(MigrationSummary::from_moves(moves, cost_model, registry))
+    Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{execute_decode, DecodePlan};
-    use crate::group::EspGroup;
+    use crate::decode::execute_decode;
     use loong_cluster::topology::ClusterSpec;
     use loong_model::config::ModelConfig;
 
@@ -159,9 +107,11 @@ mod tests {
         let retain = [InstanceId(0), InstanceId(1)];
         let summary =
             migrate_request(RequestId(0), &retain, &mut pool, &cm, &registry).expect("capacity");
-        assert_eq!(summary.total_tokens, 100_000);
+        assert_eq!(
+            summary.total_bytes,
+            100_000.0 * cm.model.kv_bytes_per_token()
+        );
         assert!(summary.time_s > 0.0);
-        assert!(summary.total_bytes > 0.0);
         assert_eq!(pool.instance(InstanceId(2)).used(), 0);
         assert_eq!(pool.instance(InstanceId(3)).used(), 0);
         assert_eq!(pool.tokens_of(RequestId(0)), 200_000);
@@ -179,6 +129,7 @@ mod tests {
             pool.append(RequestId(0), InstanceId(i), 50_000)
                 .expect("room");
         }
+        let before = pool.clone();
         let err = migrate_request(
             RequestId(0),
             &[InstanceId(0), InstanceId(1)],
@@ -187,12 +138,14 @@ mod tests {
             &registry,
         )
         .unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            ScalingError::InsufficientTargetCapacity { tokens: 100_000 }
-        ));
-        // Pool untouched.
-        assert_eq!(pool.tokens_on(RequestId(0), InstanceId(2)), 50_000);
+            EspError::InsufficientKvCapacity {
+                requested: 100_000,
+                available: 20_000
+            }
+        );
+        assert_eq!(pool, before, "a refused migration must not touch the pool");
     }
 
     #[test]
@@ -206,10 +159,15 @@ mod tests {
         pool.append(RequestId(0), InstanceId(1), 40_000)
             .expect("room");
         let all: Vec<InstanceId> = (0..4).map(InstanceId).collect();
-        let bigger = EspGroup::with_masters(all.clone(), all);
-        let plan = DecodePlan::build(bigger, &[(RequestId(0), 80_000)], &pool).expect("capacity");
-        let out = execute_decode(&plan, &cm, &registry, &mut pool).expect("decode");
-        assert_eq!(out.generated_tokens, 1);
+        execute_decode(
+            &all,
+            &all,
+            &[(RequestId(0), 80_000)],
+            &cm,
+            &registry,
+            &mut pool,
+        )
+        .expect("decode");
         assert_eq!(pool.tokens_of(RequestId(0)), 80_001);
         for i in [InstanceId(0), InstanceId(1)] {
             assert!(pool.tokens_on(RequestId(0), i) >= 40_000, "{i} lost KV");
@@ -232,7 +190,10 @@ mod tests {
             &registry,
         )
         .expect("capacity");
-        assert_eq!(summary.total_tokens, 80_000);
+        assert_eq!(
+            summary.total_bytes,
+            80_000.0 * cm.model.kv_bytes_per_token()
+        );
         assert_eq!(pool.instance(InstanceId(0)).used(), 0);
         assert_eq!(pool.tokens_of(RequestId(5)), 80_000);
         // Migration of ~80K tokens (~40 GB) over NVLink should cost on the
@@ -248,7 +209,6 @@ mod tests {
             .expect("room");
         let summary = migrate_request(RequestId(5), &[InstanceId(2)], &mut pool, &cm, &registry)
             .expect("noop");
-        assert_eq!(summary.total_tokens, 0);
-        assert_eq!(summary.time_s, 0.0);
+        assert_eq!(summary, MigrationSummary::default());
     }
 }

@@ -48,7 +48,7 @@ pub use host::HostKvPool;
 pub use placement::{plan_placement, PlacementPlan, PlacementStrategy};
 pub use pool::{InstanceKvPool, KvError};
 pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixDemand, PrefixEntry};
-pub use unified::{KvMove, UnifiedKvPool};
+pub use unified::UnifiedKvPool;
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
@@ -57,5 +57,5 @@ pub mod prelude {
     pub use crate::placement::{plan_placement, PlacementPlan, PlacementStrategy};
     pub use crate::pool::{InstanceKvPool, KvError};
     pub use crate::prefix::{PrefixCache, PrefixCacheConfig, PrefixDemand, PrefixEntry};
-    pub use crate::unified::{KvMove, UnifiedKvPool};
+    pub use crate::unified::UnifiedKvPool;
 }

@@ -17,19 +17,6 @@ use loong_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// A KV migration of part of one request between two instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KvMove {
-    /// Request whose tokens move.
-    pub request: RequestId,
-    /// Source instance.
-    pub from: InstanceId,
-    /// Destination instance.
-    pub to: InstanceId,
-    /// Number of tokens moved.
-    pub tokens: u64,
-}
-
 /// The cross-instance pool.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnifiedKvPool {
@@ -262,21 +249,16 @@ impl UnifiedKvPool {
     }
 
     /// Applies a migration: moves `tokens` of `request` from one instance to
-    /// another. Returns the move record for communication accounting.
+    /// another. A failed move leaves the pool untouched.
     pub fn migrate(
         &mut self,
         request: RequestId,
         from: InstanceId,
         to: InstanceId,
         tokens: u64,
-    ) -> Result<KvMove, KvError> {
+    ) -> Result<(), KvError> {
         if tokens == 0 {
-            return Ok(KvMove {
-                request,
-                from,
-                to,
-                tokens: 0,
-            });
+            return Ok(());
         }
         if self.tokens_on(request, from) < tokens {
             return Err(KvError::UnknownRequest {
@@ -298,18 +280,7 @@ impl UnifiedKvPool {
             .expect("capacity checked above");
         self.residency_sub(request, from, tokens);
         self.residency_add(request, to, tokens);
-        Ok(KvMove {
-            request,
-            from,
-            to,
-            tokens,
-        })
-    }
-
-    /// All requests resident anywhere in the pool, sorted by id. Served
-    /// from the residency index in O(n) — no per-id dedup scan.
-    pub fn resident_requests(&self) -> Vec<RequestId> {
-        self.residency.keys().copied().collect()
+        Ok(())
     }
 
     /// Checks the bookkeeping invariants: every residency entry is non-empty,
@@ -832,10 +803,8 @@ mod tests {
     fn migrate_moves_tokens_between_instances() {
         let mut p = pool();
         p.append(RequestId(1), InstanceId(0), 50_000).expect("room");
-        let mv = p
-            .migrate(RequestId(1), InstanceId(0), InstanceId(2), 20_000)
+        p.migrate(RequestId(1), InstanceId(0), InstanceId(2), 20_000)
             .expect("room");
-        assert_eq!(mv.tokens, 20_000);
         assert_eq!(p.tokens_on(RequestId(1), InstanceId(0)), 30_000);
         assert_eq!(p.tokens_on(RequestId(1), InstanceId(2)), 20_000);
         assert!(p.check_invariants().is_ok());
@@ -874,13 +843,19 @@ mod tests {
         p.append(RequestId(5), InstanceId(1), 10).expect("room");
         p.append(RequestId(2), InstanceId(2), 10).expect("room");
         p.append(RequestId(3), InstanceId(0), 10).expect("room");
+        // Each instance lists each of its residents once, in id order, not
+        // append order.
+        let residents: Vec<Vec<RequestId>> = (0..3)
+            .map(|i| p.residents_of(InstanceId(i)).collect())
+            .collect();
         assert_eq!(
-            p.resident_requests(),
-            vec![RequestId(2), RequestId(3), RequestId(5)]
+            residents,
+            [
+                vec![RequestId(3), RequestId(5)],
+                vec![RequestId(5)],
+                vec![RequestId(2)]
+            ]
         );
-        // Per instance, residents come in id order, not append order.
-        let on_0: Vec<RequestId> = p.residents_of(InstanceId(0)).collect();
-        assert_eq!(on_0, vec![RequestId(3), RequestId(5)]);
         assert_eq!(p.tokens_on(RequestId(5), InstanceId(1)), 10);
         assert_eq!(p.tokens_on(RequestId(5), InstanceId(2)), 0);
     }
@@ -1160,7 +1135,8 @@ mod tests {
 
         assert_eq!(p.release(RequestId(7)), 250_005);
         assert!(p.locations_ref(RequestId(7)).is_empty());
-        assert_eq!(p.resident_requests(), Vec::<RequestId>::new());
+        // With the invariants holding, an empty pool means an empty index.
+        assert_eq!(p.total_used(), 0);
         assert!(p.check_invariants().is_ok());
     }
 }

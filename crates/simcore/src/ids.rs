@@ -142,11 +142,6 @@ impl<T: From<u64>> IdAllocator<T> {
         self.next += 1;
         T::from(id)
     }
-
-    /// The number of identifiers allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,8 @@ mod tests {
         let a = alloc.next();
         let b = alloc.next();
         assert!(b > a);
-        assert_eq!(alloc.allocated(), 2);
+        // Two allocations so far: the next id is the third.
+        assert_eq!(alloc.next(), RequestId(2));
     }
 
     #[test]

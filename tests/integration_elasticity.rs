@@ -21,54 +21,48 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
     let all = registry.all_ids();
 
     // Prefill a 200K-token request on all four instances, retaining on one.
-    let group = EspGroup::new(all.clone());
-    let plan = PrefillPlan::build(
-        group,
-        vec![PrefillRequest {
-            id: RequestId(0),
-            input_len: 200_000,
-        }],
-        vec![InstanceId(0)],
-        &pool,
+    let cost = execute_prefill(
+        &all,
+        &[(RequestId(0), 200_000)],
+        &[InstanceId(0)],
+        &cost_model,
+        &registry,
+        &mut pool,
     )
     .expect("fits on one instance");
-    let prefill = execute_prefill(&plan, &cost_model, &registry, &mut pool).expect("prefill");
-    assert!(prefill.cost.scaling_s > 0.0);
+    assert!(cost.scaling_s > 0.0);
     assert_eq!(pool.locations_ref(RequestId(0)), [(InstanceId(0), 200_000)]);
 
     // Decode a few iterations on the scaled-down group.
-    let mut decode_group = EspGroup::new(vec![InstanceId(0)]);
+    let single = [InstanceId(0)];
     for step in 0..5u64 {
-        let plan = DecodePlan::build(
-            decode_group.clone(),
+        execute_decode(
+            &single,
+            &single,
             &[(RequestId(0), 200_000 + step)],
-            &pool,
+            &cost_model,
+            &registry,
+            &mut pool,
         )
         .expect("capacity");
-        let out = execute_decode(&plan, &cost_model, &registry, &mut pool).expect("decode");
-        assert_eq!(out.generated_tokens, 1);
     }
     assert_eq!(pool.tokens_of(RequestId(0)), 200_005);
 
     // Scale the decode group up the way the engine executes an
-    // `Action::Decode` that lists more instances and masters; the existing
-    // KV does not move.
+    // `Action::Decode` that lists more instances and masters: new tokens
+    // may now land on the new master too, and none of the existing KV
+    // moves.
     let before = pool.locations_ref(RequestId(0)).to_vec();
-    let grown = vec![InstanceId(0), InstanceId(1)];
-    decode_group = EspGroup::with_masters(grown.clone(), grown);
-    assert_eq!(decode_group.dop(), 2);
-    assert_eq!(
-        pool.locations_ref(RequestId(0)),
-        before,
-        "scale-up must not migrate KV"
-    );
-
-    // Further decodes may now place new tokens on the new master too, and
-    // still move none of the existing KV.
-    let plan =
-        DecodePlan::build(decode_group, &[(RequestId(0), 200_005)], &pool).expect("capacity");
-    let out = execute_decode(&plan, &cost_model, &registry, &mut pool).expect("decode");
-    assert_eq!(out.generated_tokens, 1);
+    let grown = [InstanceId(0), InstanceId(1)];
+    execute_decode(
+        &grown,
+        &grown,
+        &[(RequestId(0), 200_005)],
+        &cost_model,
+        &registry,
+        &mut pool,
+    )
+    .expect("capacity");
     assert_eq!(pool.tokens_of(RequestId(0)), 200_006);
     assert!(pool.tokens_on(RequestId(0), InstanceId(0)) >= before[0].1);
 }
@@ -82,35 +76,28 @@ fn proactive_scale_down_is_cheaper_than_reactive_migration() {
     let tokens = 300_000u64;
 
     // Proactive: retention folded into the prefill.
-    let mut pool_a = pool.clone();
-    let group = EspGroup::new(all.clone());
-    let plan = PrefillPlan::build(
-        group,
-        vec![PrefillRequest {
-            id: RequestId(0),
-            input_len: tokens,
-        }],
-        vec![InstanceId(0)],
-        &pool_a,
+    let proactive = execute_prefill(
+        &all,
+        &[(RequestId(0), tokens)],
+        &[InstanceId(0)],
+        &cost_model,
+        &registry,
+        &mut pool.clone(),
     )
     .expect("fits");
-    let proactive = execute_prefill(&plan, &cost_model, &registry, &mut pool_a).expect("prefill");
 
     // Reactive: prefill without scale-down, then migrate everything to
     // instance 0 the way the engine executes an `Action::Migrate`.
     let mut pool_b = pool.clone();
-    let group = EspGroup::new(all.clone());
-    let plan = PrefillPlan::build(
-        group,
-        vec![PrefillRequest {
-            id: RequestId(1),
-            input_len: tokens,
-        }],
-        all.clone(),
-        &pool_b,
+    execute_prefill(
+        &all,
+        &[(RequestId(1), tokens)],
+        &all,
+        &cost_model,
+        &registry,
+        &mut pool_b,
     )
     .expect("fits");
-    let _ = execute_prefill(&plan, &cost_model, &registry, &mut pool_b).expect("prefill");
     let migration = migrate_request(
         RequestId(1),
         &[InstanceId(0)],
@@ -121,13 +108,13 @@ fn proactive_scale_down_is_cheaper_than_reactive_migration() {
     .expect("capacity");
 
     assert!(
-        proactive.cost.scaling_s < migration.time_s / 3.0,
+        proactive.scaling_s < migration.time_s / 3.0,
         "proactive retention ({}) should be several times cheaper than reactive migration ({})",
-        proactive.cost.scaling_s,
+        proactive.scaling_s,
         migration.time_s
     );
     // And it stays a negligible fraction of the prefill itself (Figure 14a).
-    assert!(proactive.cost.scaling_s / proactive.cost.total() < 0.02);
+    assert!(proactive.scaling_s / proactive.total() < 0.02);
 }
 
 #[test]
@@ -142,45 +129,35 @@ fn unified_pool_admits_what_locality_cannot() {
     assert!(!admissible_with_locality(&pool, 600_000));
     assert!(admissible_unified(&pool, 600_000));
 
-    let group = EspGroup::new(registry.all_ids());
-    let plan = PrefillPlan::build(
-        group,
-        vec![PrefillRequest {
-            id: RequestId(1),
-            input_len: 600_000,
-        }],
-        vec![InstanceId(0), InstanceId(1), InstanceId(2)],
-        &pool,
+    execute_prefill(
+        &registry.all_ids(),
+        &[(RequestId(1), 600_000)],
+        &[InstanceId(0), InstanceId(1), InstanceId(2)],
+        &cost_model,
+        &registry,
+        &mut pool,
     )
     .expect("unified pool admits the request");
-    let mut pool2 = pool.clone();
-    execute_prefill(&plan, &cost_model, &registry, &mut pool2).expect("prefill");
-    assert_eq!(pool2.tokens_of(RequestId(1)), 600_000);
+    assert_eq!(pool.tokens_of(RequestId(1)), 600_000);
 }
 
 #[test]
 fn multi_master_decode_balances_new_tokens_across_masters() {
     let (registry, cost_model, mut pool) = setup();
-    let group = EspGroup::new(registry.all_ids());
+    let all = registry.all_ids();
     let requests: Vec<(RequestId, u64)> = (0..64).map(|i| (RequestId(i), 1_000)).collect();
-    let plan = DecodePlan::build(group, &requests, &pool).expect("capacity");
-    let load: Vec<usize> = plan
-        .group
-        .masters
-        .iter()
-        .map(|&m| plan.requests.iter().filter(|r| r.master == m).count())
-        .collect();
+    execute_decode(&all, &all, &requests, &cost_model, &registry, &mut pool).expect("decode");
+    // The pool started empty, so each master's used slots are the new
+    // tokens it received: every master got some, and near-uniformly many.
+    let load: Vec<u64> = all.iter().map(|&m| pool.instance(m).used()).collect();
     let max = load.iter().max().copied().unwrap_or(0);
     let min = load.iter().min().copied().unwrap_or(0);
+    assert!(min > 0, "a master received no new KV: {load:?}");
     assert!(
         max - min <= 1,
         "per-master load should be near-uniform: {load:?}"
     );
-    execute_decode(&plan, &cost_model, &registry, &mut pool).expect("decode");
-    // Every master received some of the newly generated tokens.
-    for inst in registry.all_ids() {
-        assert!(pool.instance(inst).used() > 0, "{inst} received no new KV");
-    }
+    assert_eq!(load.iter().sum::<u64>(), 64);
 }
 
 #[test]
@@ -197,7 +174,10 @@ fn drain_instance_frees_it_for_prefill_without_losing_tokens() {
         &registry,
     )
     .expect("capacity");
-    assert_eq!(summary.total_tokens, 50_000);
+    assert_eq!(
+        summary.total_bytes,
+        50_000.0 * cost_model.model.kv_bytes_per_token()
+    );
     assert_eq!(pool.instance(InstanceId(2)).used(), 0);
     assert_eq!(pool.tokens_of(RequestId(7)), 50_000);
     assert!(pool.check_invariants().is_ok());

@@ -136,8 +136,8 @@ proptest! {
                 pool.release(req);
             }
         }
-        let leftover: u64 = pool.resident_requests().iter().map(|&r| pool.tokens_of(r)).sum();
-        prop_assert_eq!(pool.total_used(), leftover);
+        prop_assert!(pool.check_invariants().is_ok());
+        prop_assert_eq!(pool.total_used(), 0);
         prop_assert_eq!(pool.total_swapped(), 0);
     }
 
