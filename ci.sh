@@ -63,8 +63,10 @@ smoke_gate() {
 
 # Release only: debug builds shadow every scheduling point with the view
 # audit, which allocates by design, so the test is ignored there.
+# --nocapture prints each run's allocations per scheduler call, the figures
+# DESIGN.md quotes, into the log.
 step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 10 heap allocations per scheduler call each)"
-cargo test --release --locked --test alloc_budget
+cargo test --release --locked --test alloc_budget -- --nocapture
 
 step "engine-scaling perf smoke + gate (1k-request trace vs BENCH_engine.json)"
 smoke_gate engine_scaling "^ENGINE_SCALING requests=1000" BENCH_engine.json

@@ -104,22 +104,6 @@ impl ClusterSpec {
         spec
     }
 
-    /// Replaces the host-tier parameters (per-node DRAM and the device↔host
-    /// link), validating the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting spec fails validation (non-positive host
-    /// memory).
-    pub fn with_host(mut self, host_memory_bytes: f64, host_link: LinkSpec) -> Self {
-        self.host_memory_bytes = host_memory_bytes;
-        self.host_link = host_link;
-        if let Err(err) = self.validate() {
-            panic!("invalid host tier: {err}");
-        }
-        self
-    }
-
     /// Total number of GPUs in the cluster.
     pub fn total_gpus(&self) -> usize {
         self.nodes * self.gpus_per_node
@@ -286,10 +270,9 @@ mod tests {
         let c = ClusterSpec::single_node_a800(8);
         assert_eq!(c.host_memory_bytes, ClusterSpec::DEFAULT_HOST_MEMORY_BYTES);
         assert_eq!(c.host_link, LinkSpec::pcie_gen4_x16());
-        let big = c.clone().with_host(
-            2.0 * ClusterSpec::DEFAULT_HOST_MEMORY_BYTES,
-            LinkSpec::new(50e9, 5e-6),
-        );
+        let mut big = c.clone();
+        big.host_memory_bytes = 2.0 * ClusterSpec::DEFAULT_HOST_MEMORY_BYTES;
+        big.host_link = LinkSpec::new(50e9, 5e-6);
         assert!(big.validate().is_ok());
         assert_eq!(big.host_link.bandwidth, 50e9);
     }
@@ -297,7 +280,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "host_memory_bytes")]
     fn with_host_rejects_non_positive_memory() {
-        let _ = ClusterSpec::single_node_a800(8).with_host(0.0, LinkSpec::pcie_gen4_x16());
+        let mut c = ClusterSpec::single_node_a800(8);
+        c.host_memory_bytes = 0.0;
+        if let Err(err) = c.validate() {
+            panic!("invalid host tier: {err}");
+        }
     }
 
     #[test]

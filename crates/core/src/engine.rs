@@ -37,7 +37,7 @@ use loong_model::config::ModelConfig;
 use loong_model::roofline::{CostModel, ParallelConfig};
 use loong_model::sib::ScalingInfoBase;
 use loong_sched::types::{
-    Action, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, SwappedRequest, ViewScratch,
+    Action, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, ViewScratch,
 };
 use loong_simcore::events::EventQueue;
 use loong_simcore::ids::{ConversationId, InstanceId, RequestId};
@@ -111,15 +111,6 @@ impl HostSwapConfig {
         );
         HostSwapConfig {
             capacity_tokens: budget.kv_slot_capacity(),
-            link: cluster.host_link,
-        }
-    }
-
-    /// An explicitly sized tier over the cluster's host link (small hosts
-    /// for fallback tests, huge ones for stress scenarios).
-    pub fn with_tokens(cluster: &ClusterSpec, capacity_tokens: u64) -> Self {
-        HostSwapConfig {
-            capacity_tokens,
             link: cluster.host_link,
         }
     }
@@ -253,6 +244,25 @@ fn pending_entry(s: &RequestState, prefilled: u64, pool: &UnifiedKvPool) -> Pend
         input_len: s.effective_input() - cached,
         prefilled_len: prefilled,
         max_output_len: s.remaining_max_output(),
+    }
+}
+
+/// Builds the scheduler-view entry for decode-ready request `id`, which has
+/// generated `generated` tokens.
+fn decoding_entry(
+    id: RequestId,
+    s: &RequestState,
+    generated: u64,
+    now: SimTime,
+) -> DecodingRequest {
+    DecodingRequest {
+        id,
+        context_len: s.request.input_len + generated,
+        generated,
+        decode_time_s: s
+            .first_token
+            .map(|ft| now.saturating_since(ft).as_secs())
+            .unwrap_or(0.0),
     }
 }
 
@@ -657,8 +667,8 @@ impl Live {
 
     /// Assembles the scheduler view in one pass over the table's live list —
     /// requests in admission order, instances in id order, identical to a
-    /// full rebuild — and samples the gauges. Decoding entries reuse the
-    /// previous point's instance buffers.
+    /// full rebuild — and samples the gauges. Where KV lives is not copied:
+    /// schedulers read it from the pool.
     fn fill_view(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
         let (table, pool, scratch) = (&self.table, &self.pool, &mut self.scratch);
         scratch.clear();
@@ -668,23 +678,9 @@ impl Live {
                     scratch.pending.push(pending_entry(s, prefilled, pool))
                 }
                 Phase::DecodeReady { generated } => {
-                    let mut kv_instances = scratch.kv_buffer();
-                    kv_instances.extend(pool.locations_ref(id).iter().map(|&(i, _)| i));
-                    scratch.decoding.push(DecodingRequest {
-                        id,
-                        context_len: s.request.input_len + generated,
-                        generated,
-                        decode_time_s: s
-                            .first_token
-                            .map(|ft| now.saturating_since(ft).as_secs())
-                            .unwrap_or(0.0),
-                        kv_instances,
-                    });
+                    scratch.decoding.push(decoding_entry(id, s, generated, now))
                 }
-                Phase::Swapped { .. } => scratch.swapped.push(SwappedRequest {
-                    id,
-                    tokens: pool.swapped_tokens_of(id),
-                }),
+                Phase::Swapped { .. } => scratch.swapped.push(id),
                 _ => {}
             }
         }
@@ -960,11 +956,6 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     /// The instance registry used by this engine.
     pub fn registry(&self) -> &InstanceRegistry {
         &self.registry
-    }
-
-    /// The scheduler's report label.
-    pub fn scheduler_name(&self) -> String {
-        self.scheduler.name()
     }
 
     /// Runs the engine over a trace and returns the outcome.
@@ -1319,15 +1310,16 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 let needed = chunk + decode_requests.len() as u64;
                 live.evict_for(&instances, needed, now, sink);
                 // Reserve KV for the chunk on the executing instances.
-                let Some(placement) = live.pool.plan(
-                    prefill_request,
-                    chunk,
-                    &instances,
-                    PlacementStrategy::PackMostFree,
-                ) else {
-                    return;
-                };
-                if live.pool.commit(&placement).is_err() {
+                if live
+                    .pool
+                    .place(
+                        prefill_request,
+                        chunk,
+                        &instances,
+                        PlacementStrategy::PackMostFree,
+                    )
+                    .is_err()
+                {
                     return;
                 }
                 live.decode_batch(&mut decode_requests);
@@ -1509,12 +1501,12 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 ///
 /// Every scheduling point, [`ViewAudit::check`] rebuilds the view the slow
 /// way, from records of its own — the pending/decoding/swapped lists by a
-/// full scan over an append-only arrival log, each decoding entry's KV
-/// instances by asking the residency index about every instance, the idle
-/// set by comparing its own busy-until record of claims with the clock —
-/// and asserts the scratch buffers match element for element. Compiled only
-/// with debug assertions, so release builds (and benches) pay nothing;
-/// `cargo test` exercises it on every engine run, including the
+/// full scan over an append-only arrival log, the idle set by comparing its
+/// own busy-until record of claims with the clock — and asserts the scratch
+/// buffers match element for element. The pool's residency index, which
+/// schedulers read KV placement from, must pass its own invariant check.
+/// Compiled only with debug assertions, so release builds (and benches) pay
+/// nothing; `cargo test` exercises it on every engine run, including the
 /// view-equivalence proptest over random traces.
 #[cfg(debug_assertions)]
 mod audit {
@@ -1593,20 +1585,9 @@ mod audit {
                 .filter_map(|&id| {
                     let s = table.get(id)?;
                     match s.phase {
-                        Phase::DecodeReady { generated } => Some(DecodingRequest {
-                            id,
-                            context_len: s.request.input_len + generated,
-                            generated,
-                            decode_time_s: s
-                                .first_token
-                                .map(|ft| now.saturating_since(ft).as_secs())
-                                .unwrap_or(0.0),
-                            // The naive path: ask about every instance.
-                            kv_instances: (0..pool.num_instances())
-                                .map(InstanceId::from)
-                                .filter(|&i| pool.tokens_on(id, i) > 0)
-                                .collect(),
-                        }),
+                        Phase::DecodeReady { generated } => {
+                            Some(decoding_entry(id, s, generated, now))
+                        }
                         _ => None,
                     }
                 })
@@ -1616,18 +1597,14 @@ mod audit {
                 "incremental decoding view diverged from full-scan rebuild"
             );
 
-            let naive_swapped: Vec<SwappedRequest> = self
+            let naive_swapped: Vec<RequestId> = self
                 .arrived
                 .iter()
-                .filter_map(|&id| {
-                    let s = table.get(id)?;
-                    match s.phase {
-                        Phase::Swapped { .. } => Some(SwappedRequest {
-                            id,
-                            tokens: pool.host().map(|h| h.swapped_tokens_of(id)).unwrap_or(0),
-                        }),
-                        _ => None,
-                    }
+                .copied()
+                .filter(|&id| {
+                    table
+                        .get(id)
+                        .is_some_and(|s| matches!(s.phase, Phase::Swapped { .. }))
                 })
                 .collect();
             assert_eq!(
@@ -1719,7 +1696,7 @@ mod tests {
     #[test]
     fn scheduler_name_is_exposed() {
         let engine = engine_for(SystemKind::Vllm);
-        assert!(engine.scheduler_name().contains("vLLM"));
+        assert!(engine.scheduler.name().contains("vLLM"));
         assert_eq!(engine.registry().num_instances(), 1);
     }
 

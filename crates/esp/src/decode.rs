@@ -28,8 +28,8 @@ use loong_simcore::ids::{InstanceId, RequestId};
 ///
 /// # Panics
 ///
-/// Panics if `instances` is empty or has duplicates, or `masters` is empty
-/// or not a subset of `instances`.
+/// Panics if `instances` is empty or has duplicates, or `masters` is empty,
+/// has duplicates or is not a subset of `instances`.
 pub fn execute_decode(
     instances: &[InstanceId],
     masters: &[InstanceId],
@@ -124,7 +124,7 @@ mod tests {
         (0..n)
             .map(|r| {
                 let id = RequestId(r);
-                let gained: Vec<u64> = (0..after.num_instances() as u64)
+                let gained: Vec<u64> = (0..after.free_slots().len() as u64)
                     .filter(|&i| {
                         after.tokens_on(id, InstanceId(i))
                             == before.tokens_on(id, InstanceId(i)) + 1

@@ -8,29 +8,35 @@ use loong_simcore::ids::InstanceId;
 ///
 /// # Panics
 ///
-/// Panics if `instances` is empty or has duplicates, or `masters` is empty
-/// or not a subset of `instances`: the scheduler emitted a malformed
-/// action.
+/// Panics if `instances` is empty or has duplicates, or `masters` is empty,
+/// has duplicates or is not a subset of `instances`: the scheduler emitted
+/// a malformed action.
 pub(crate) fn check(instances: &[InstanceId], masters: &[InstanceId]) {
     assert!(
         !instances.is_empty(),
         "a parallel group needs at least one instance"
     );
     assert!(
-        instances
-            .iter()
-            .enumerate()
-            .all(|(k, i)| !instances[..k].contains(i)),
+        repeated(instances).is_none(),
         "duplicate instances in group"
     );
     assert!(
         !masters.is_empty(),
         "a parallel group needs at least one master"
     );
+    assert!(repeated(masters).is_none(), "duplicate masters in group");
     assert!(
         masters.iter().all(|m| instances.contains(m)),
         "masters must be members of the group"
     );
+}
+
+/// The first instance `ids` lists a second time, if any.
+pub(crate) fn repeated(ids: &[InstanceId]) -> Option<InstanceId> {
+    ids.iter()
+        .enumerate()
+        .find(|&(k, i)| ids[..k].contains(i))
+        .map(|(_, &i)| i)
 }
 
 #[cfg(test)]
@@ -69,5 +75,11 @@ mod tests {
     #[should_panic(expected = "at least one master")]
     fn empty_masters_rejected() {
         check(&[InstanceId(0)], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate masters")]
+    fn duplicate_masters_rejected() {
+        check(&group(), &[InstanceId(0), InstanceId(0)]);
     }
 }

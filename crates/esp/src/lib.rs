@@ -94,7 +94,7 @@ pub enum EspError {
         /// The request that could not be placed.
         request: RequestId,
     },
-    /// The pool refused a commit.
+    /// The pool refused a placement, an append or a migration.
     Kv(KvError),
 }
 

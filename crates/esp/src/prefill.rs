@@ -21,7 +21,7 @@ use loong_simcore::ids::{InstanceId, RequestId};
 /// when that is a strict subset), and returns the iteration cost, including
 /// the scale-down overhead.
 ///
-/// Every check comes before the first commit: an empty batch, a retained
+/// Every check comes before the first placement: an empty batch, a retained
 /// set that is empty, repeats an instance or leaves the group, and retained
 /// instances short of free slots each return an error with the pool
 /// untouched. The requests are then placed largest first (the lower id on
@@ -44,10 +44,8 @@ pub fn execute_prefill(
         return Err(EspError::EmptyBatch);
     }
     if retain_on.is_empty()
-        || !retain_on
-            .iter()
-            .enumerate()
-            .all(|(k, i)| instances.contains(i) && !retain_on[..k].contains(i))
+        || group::repeated(retain_on).is_some()
+        || !retain_on.iter().all(|i| instances.contains(i))
     {
         return Err(EspError::InvalidRetention);
     }
@@ -68,10 +66,7 @@ pub fn execute_prefill(
     let mut order: Vec<(RequestId, u64)> = batch.to_vec();
     order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     for (id, len) in order {
-        let placement = pool
-            .plan(id, len, retain_on, PlacementStrategy::Balanced)
-            .expect("the retained instances have room for the whole batch");
-        pool.commit(&placement)?;
+        pool.place(id, len, retain_on, PlacementStrategy::Balanced)?;
     }
     Ok(cost)
 }

@@ -14,8 +14,9 @@
 //! it would reach the pool through the same action.
 
 use crate::instance::InstanceRegistry;
-use crate::EspError;
-use loong_kvcache::placement::PlacementStrategy;
+use crate::{group, EspError};
+use loong_kvcache::placement::{plan_placement, PlacementStrategy};
+use loong_kvcache::pool::KvError;
 use loong_kvcache::unified::UnifiedKvPool;
 use loong_model::roofline::CostModel;
 use loong_simcore::ids::{InstanceId, RequestId};
@@ -34,8 +35,8 @@ pub struct MigrationSummary {
 /// Migrates *all* KV of `request` onto `targets`: the engine's execution of
 /// `Action::Migrate` (an instance drain or a disaggregation hand-off).
 /// Returns the bytes moved and the transfer time, summed span by span in
-/// the order the spans move, or an error if the targets lack capacity, in
-/// which case the pool is unchanged.
+/// the order the spans move, or an error if the targets repeat an instance
+/// or lack capacity, in which case the pool is unchanged.
 pub fn migrate_request(
     request: RequestId,
     targets: &[InstanceId],
@@ -43,6 +44,9 @@ pub fn migrate_request(
     cost_model: &CostModel,
     registry: &InstanceRegistry,
 ) -> Result<MigrationSummary, EspError> {
+    if let Some(instance) = group::repeated(targets) {
+        return Err(KvError::RepeatedCandidate { instance }.into());
+    }
     let outside: Vec<(InstanceId, u64)> = pool
         .locations_ref(request)
         .iter()
@@ -62,13 +66,13 @@ pub fn migrate_request(
         });
     }
     for (from, tokens) in outside {
-        let placement = pool
-            .plan(request, tokens, targets, PlacementStrategy::PackMostFree)
-            .ok_or(EspError::InsufficientKvCapacity {
-                requested,
-                available,
-            })?;
-        for (to, chunk) in placement.spans {
+        let spans = plan_placement(
+            tokens,
+            &pool.free_slots_on(targets),
+            PlacementStrategy::PackMostFree,
+        )
+        .expect("the targets have room for every span");
+        for (to, chunk) in spans {
             pool.migrate(request, from, to, chunk)
                 .expect("feasibility checked above");
             let bytes = chunk as f64 * cost_model.model.kv_bytes_per_token();
@@ -146,6 +150,31 @@ mod tests {
             }
         );
         assert_eq!(pool, before, "a refused migration must not touch the pool");
+    }
+
+    #[test]
+    fn repeated_targets_are_refused_before_any_move() {
+        // Counted twice, instance 1's 6 free slots would seem to hold all 10
+        // tokens, and the migration would fail after moving some of them.
+        let (registry, cm) = setup();
+        let mut pool = UnifiedKvPool::with_capacities(&[100, 6]);
+        pool.append(RequestId(0), InstanceId(0), 10).expect("room");
+        let before = pool.clone();
+        let err = migrate_request(
+            RequestId(0),
+            &[InstanceId(1), InstanceId(1)],
+            &mut pool,
+            &cm,
+            &registry,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            EspError::Kv(KvError::RepeatedCandidate {
+                instance: InstanceId(1)
+            })
+        );
+        assert_eq!(pool, before);
     }
 
     #[test]

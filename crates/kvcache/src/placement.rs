@@ -1,10 +1,9 @@
-//! Token-level KV placement plans.
+//! Token-level KV placement.
 //!
-//! A placement plan says, for one request, how many of its KV tokens land on
-//! which elastic instance. Plans are produced by schedulers (LoongServe
-//! places tokens anywhere in the unified pool; baselines are restricted to a
-//! single instance) and consumed by [`crate::unified::UnifiedKvPool`] when
-//! the tokens are committed.
+//! A placement says, for one request, how many of its KV tokens land on
+//! which elastic instance. [`crate::unified::UnifiedKvPool::place`] plans
+//! and allocates one in a single call; [`plan_placement`] computes the
+//! spans alone, for a caller that prices each span before moving it.
 //!
 //! Placement is token-level (§4.1): a [`PlacementStrategy`] either packs
 //! the tokens onto the instances with the most free slots or spreads them
@@ -12,7 +11,7 @@
 //! total free slots do — unlike an even split, which fails as soon as one
 //! instance has less than its equal share.
 
-use loong_simcore::ids::{InstanceId, RequestId};
+use loong_simcore::ids::InstanceId;
 use serde::{Deserialize, Serialize};
 
 /// How tokens should be spread across candidate instances.
@@ -26,69 +25,22 @@ pub enum PlacementStrategy {
     Balanced,
 }
 
-/// The placement of one request's tokens across instances.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlacementPlan {
-    /// The request being placed.
-    pub request: RequestId,
-    /// `(instance, tokens)` spans; instances are unique and tokens are
-    /// positive.
-    pub spans: Vec<(InstanceId, u64)>,
-}
-
-impl PlacementPlan {
-    /// Total tokens covered by the plan.
-    pub fn total_tokens(&self) -> u64 {
-        self.spans.iter().map(|(_, t)| t).sum()
-    }
-
-    /// The instances the plan touches.
-    pub fn instances(&self) -> Vec<InstanceId> {
-        self.spans.iter().map(|&(i, _)| i).collect()
-    }
-
-    /// Tokens placed on a given instance (zero if none).
-    pub fn tokens_on(&self, instance: InstanceId) -> u64 {
-        self.spans
-            .iter()
-            .find(|&&(i, _)| i == instance)
-            .map(|&(_, t)| t)
-            .unwrap_or(0)
-    }
-
-    /// Validates structural invariants: unique instances, positive spans.
-    pub fn validate(&self) -> Result<(), String> {
-        let mut seen = Vec::new();
-        for &(inst, tokens) in &self.spans {
-            if tokens == 0 {
-                return Err(format!("{}: zero-token span on {inst}", self.request));
-            }
-            if seen.contains(&inst) {
-                return Err(format!("{}: duplicate instance {inst}", self.request));
-            }
-            seen.push(inst);
-        }
-        Ok(())
-    }
-}
-
 /// Computes a placement of `tokens` tokens over `candidates`, where each
-/// candidate is `(instance, free_slots)`, using the given strategy.
+/// candidate is `(instance, free_slots)` and no instance repeats, using
+/// the given strategy. Returns `(instance, tokens)` spans: each instance at
+/// most once, each span positive and within its instance's free slots, and
+/// the spans summing to `tokens` (no spans for zero tokens).
 ///
 /// Returns `None` if the candidates' combined free slots cannot hold the
 /// request — the caller then either rejects the request or widens the
 /// candidate set (exactly the decision LoongServe's dispatcher makes).
 pub fn plan_placement(
-    request: RequestId,
     tokens: u64,
     candidates: &[(InstanceId, u64)],
     strategy: PlacementStrategy,
-) -> Option<PlacementPlan> {
+) -> Option<Vec<(InstanceId, u64)>> {
     if tokens == 0 {
-        return Some(PlacementPlan {
-            request,
-            spans: Vec::new(),
-        });
+        return Some(Vec::new());
     }
     let total_free: u64 = candidates.iter().map(|(_, f)| f).sum();
     if total_free < tokens || candidates.is_empty() {
@@ -158,10 +110,8 @@ pub fn plan_placement(
             spans
         }
     };
-    let plan = PlacementPlan { request, spans };
-    debug_assert_eq!(plan.total_tokens(), tokens);
-    debug_assert!(plan.validate().is_ok());
-    Some(plan)
+    debug_assert_eq!(spans.iter().map(|&(_, t)| t).sum::<u64>(), tokens);
+    Some(spans)
 }
 
 #[cfg(test)]
@@ -176,36 +126,41 @@ mod tests {
         ]
     }
 
+    /// Tokens the spans place on `instance` (zero if none).
+    fn tokens_on(spans: &[(InstanceId, u64)], instance: InstanceId) -> u64 {
+        spans
+            .iter()
+            .filter(|&&(i, _)| i == instance)
+            .map(|&(_, t)| t)
+            .sum()
+    }
+
+    fn total(spans: &[(InstanceId, u64)]) -> u64 {
+        spans.iter().map(|&(_, t)| t).sum()
+    }
+
     #[test]
     fn pack_most_free_uses_fewest_instances() {
-        let plan = plan_placement(
-            RequestId(0),
-            350_000,
-            &candidates(),
-            PlacementStrategy::PackMostFree,
-        )
-        .expect("fits");
-        assert_eq!(plan.total_tokens(), 350_000);
-        assert_eq!(plan.spans[0], (InstanceId(2), 350_000));
-        assert_eq!(plan.spans.len(), 1);
+        let spans =
+            plan_placement(350_000, &candidates(), PlacementStrategy::PackMostFree).expect("fits");
+        assert_eq!(spans, [(InstanceId(2), 350_000)]);
     }
 
     #[test]
     fn balanced_spreads_proportionally() {
-        let plan = plan_placement(
-            RequestId(0),
-            350_000,
-            &candidates(),
-            PlacementStrategy::Balanced,
-        )
-        .expect("fits");
-        assert_eq!(plan.total_tokens(), 350_000);
+        let spans =
+            plan_placement(350_000, &candidates(), PlacementStrategy::Balanced).expect("fits");
+        assert_eq!(total(&spans), 350_000);
         // Instance 2 has 4x the free slots of instance 0, so it should take
         // roughly 4x the tokens.
-        let t0 = plan.tokens_on(InstanceId(0));
-        let t2 = plan.tokens_on(InstanceId(2));
+        let t0 = tokens_on(&spans, InstanceId(0));
+        let t2 = tokens_on(&spans, InstanceId(2));
         assert!(t2 > 3 * t0, "t0={t0} t2={t2}");
-        assert!(plan.validate().is_ok());
+        // Each instance once, each span positive.
+        for (k, &(inst, tokens)) in spans.iter().enumerate() {
+            assert!(tokens > 0);
+            assert!(spans[..k].iter().all(|&(i, _)| i != inst));
+        }
     }
 
     #[test]
@@ -214,48 +169,23 @@ mod tests {
         // slots. Even splitting (200K each) OOMs the first instance, but
         // token-level placement fits.
         assert!(600_000 / 3 > candidates()[0].1);
-        let balanced = plan_placement(
-            RequestId(0),
-            600_000,
-            &candidates(),
-            PlacementStrategy::Balanced,
-        );
-        assert!(balanced.is_some(), "token-level placement should succeed");
-        let packed = plan_placement(
-            RequestId(0),
-            600_000,
-            &candidates(),
-            PlacementStrategy::PackMostFree,
-        );
-        assert_eq!(packed.expect("fits").total_tokens(), 600_000);
+        for strategy in [PlacementStrategy::Balanced, PlacementStrategy::PackMostFree] {
+            let spans = plan_placement(600_000, &candidates(), strategy)
+                .expect("token-level placement should succeed");
+            assert_eq!(total(&spans), 600_000);
+        }
     }
 
     #[test]
     fn infeasible_when_total_free_is_too_small() {
         for strategy in [PlacementStrategy::PackMostFree, PlacementStrategy::Balanced] {
-            assert!(plan_placement(RequestId(0), 800_000, &candidates(), strategy).is_none());
+            assert!(plan_placement(800_000, &candidates(), strategy).is_none());
         }
     }
 
     #[test]
     fn zero_tokens_yields_empty_plan() {
-        let plan = plan_placement(RequestId(0), 0, &candidates(), PlacementStrategy::Balanced)
-            .expect("empty");
-        assert!(plan.spans.is_empty());
-        assert_eq!(plan.total_tokens(), 0);
-    }
-
-    #[test]
-    fn validation_rejects_duplicates_and_zero_spans() {
-        let bad = PlacementPlan {
-            request: RequestId(0),
-            spans: vec![(InstanceId(0), 1), (InstanceId(0), 2)],
-        };
-        assert!(bad.validate().is_err());
-        let zero = PlacementPlan {
-            request: RequestId(0),
-            spans: vec![(InstanceId(0), 0)],
-        };
-        assert!(zero.validate().is_err());
+        let spans = plan_placement(0, &candidates(), PlacementStrategy::Balanced).expect("empty");
+        assert!(spans.is_empty());
     }
 }

@@ -49,12 +49,18 @@ pub enum KvError {
         /// The request that had nothing to move.
         request: RequestId,
     },
-    /// No feasible device placement exists for a swap-in.
-    NoSwapInPlacement {
+    /// The candidate instances lack the free slots for a placement (a
+    /// prefill's or a swap-in's).
+    NoPlacement {
         /// The request whose KV could not be placed.
         request: RequestId,
         /// Tokens that needed placing.
         requested: u64,
+    },
+    /// The candidate instances of a placement list an instance twice.
+    RepeatedCandidate {
+        /// The repeated instance.
+        instance: InstanceId,
     },
 }
 
@@ -83,10 +89,13 @@ impl std::fmt::Display for KvError {
             KvError::NothingToSwap { request } => {
                 write!(f, "request {request} holds no KV slots to swap")
             }
-            KvError::NoSwapInPlacement { request, requested } => write!(
+            KvError::NoPlacement { request, requested } => write!(
                 f,
-                "no feasible placement for swapping {requested} KV slots of {request} back in"
+                "no feasible placement for {requested} KV slots of {request}"
             ),
+            KvError::RepeatedCandidate { instance } => {
+                write!(f, "{instance} appears twice among the placement candidates")
+            }
         }
     }
 }

@@ -5,11 +5,11 @@
 //! single-token granularity, which removes the locality constraint that
 //! causes fragmentation in grouped designs (Figure 4). This module keeps the
 //! one record of which instances hold how many of each request's tokens,
-//! commits placement plans, grows requests during decoding, migrates spans
-//! between instances, and evicts requests.
+//! places requests, grows them during decoding, migrates spans between
+//! instances, and evicts requests.
 
 use crate::host::HostKvPool;
-use crate::placement::{plan_placement, PlacementPlan, PlacementStrategy};
+use crate::placement::{plan_placement, PlacementStrategy};
 use crate::pool::{InstanceKvPool, KvError};
 use crate::prefix::{PrefixCache, PrefixCacheConfig, PrefixDemand};
 use loong_simcore::ids::{ConversationId, InstanceId, RequestId};
@@ -65,11 +65,6 @@ impl UnifiedKvPool {
             host: None,
             prefix: None,
         }
-    }
-
-    /// Number of instances in the pool.
-    pub fn num_instances(&self) -> usize {
-        self.pools.len()
     }
 
     /// The per-instance pool for `instance`.
@@ -184,40 +179,36 @@ impl UnifiedKvPool {
         }
     }
 
-    /// Plans a placement of `tokens` for `request` restricted to
-    /// `candidates`, without committing it.
-    pub fn plan(
-        &self,
+    /// Places `tokens` new KV slots for `request` on `candidates` with
+    /// `strategy` (see [`plan_placement`]). Returns an error, with the pool
+    /// unchanged, if the request is swapped out, `candidates` repeat an
+    /// instance, or their free slots fall short.
+    pub fn place(
+        &mut self,
         request: RequestId,
         tokens: u64,
         candidates: &[InstanceId],
         strategy: PlacementStrategy,
-    ) -> Option<PlacementPlan> {
-        plan_placement(request, tokens, &self.free_slots_on(candidates), strategy)
-    }
-
-    /// Commits a placement plan, allocating its spans.
-    pub fn commit(&mut self, plan: &PlacementPlan) -> Result<(), KvError> {
-        plan.validate()
-            .expect("placement plans are validated at construction");
-        self.ensure_not_swapped(plan.request)?;
-        // Two-phase: check everything fits before mutating so a failed
-        // commit leaves the pool untouched.
-        for &(inst, tokens) in &plan.spans {
-            let pool = &self.pools[inst.index()];
-            if tokens > pool.free() {
-                return Err(KvError::InsufficientCapacity {
-                    instance: inst,
-                    requested: tokens,
-                    free: pool.free(),
-                });
-            }
+    ) -> Result<(), KvError> {
+        self.ensure_not_swapped(request)?;
+        if let Some((_, &instance)) = candidates
+            .iter()
+            .enumerate()
+            .find(|&(k, i)| candidates[..k].contains(i))
+        {
+            return Err(KvError::RepeatedCandidate { instance });
         }
-        for &(inst, tokens) in &plan.spans {
+        let spans = plan_placement(tokens, &self.free_slots_on(candidates), strategy).ok_or(
+            KvError::NoPlacement {
+                request,
+                requested: tokens,
+            },
+        )?;
+        for (inst, tokens) in spans {
             self.pools[inst.index()]
                 .allocate(tokens)
-                .expect("checked above");
-            self.residency_add(plan.request, inst, tokens);
+                .expect("planned within free slots");
+            self.residency_add(request, inst, tokens);
         }
         Ok(())
     }
@@ -383,11 +374,6 @@ impl UnifiedKvPool {
         self.host.as_ref()
     }
 
-    /// Returns true if the host swap tier is enabled.
-    pub fn host_enabled(&self) -> bool {
-        self.host.is_some()
-    }
-
     /// Tokens `request` has parked on the host tier (zero when the tier is
     /// disabled or the request is device-resident).
     pub fn swapped_tokens_of(&self, request: RequestId) -> u64 {
@@ -455,31 +441,29 @@ impl UnifiedKvPool {
         Ok(tokens)
     }
 
-    /// Restores `request` from the host tier onto `candidates`, planning a
-    /// fresh device placement with `strategy`. Returns the number of tokens
-    /// moved; on error nothing changes.
+    /// Restores `request` from the host tier onto `candidates`, placing it
+    /// afresh with `strategy`. Returns the number of tokens moved; on error
+    /// nothing changes.
     pub fn swap_in(
         &mut self,
         request: RequestId,
         candidates: &[InstanceId],
         strategy: PlacementStrategy,
     ) -> Result<u64, KvError> {
-        let Some(host) = &self.host else {
-            return Err(KvError::HostTierDisabled);
-        };
+        // Detach the tier while placing: the request is still parked on it,
+        // and `place` refuses parked requests.
+        let mut host = self.host.take().ok_or(KvError::HostTierDisabled)?;
         let tokens = host.swapped_tokens_of(request);
-        if tokens == 0 {
-            return Err(KvError::NothingToSwap { request });
+        let placed = if tokens == 0 {
+            Err(KvError::NothingToSwap { request })
+        } else {
+            self.place(request, tokens, candidates, strategy)
+        };
+        if placed.is_ok() {
+            host.release(request);
         }
-        let plan = plan_placement(request, tokens, &self.free_slots_on(candidates), strategy)
-            .ok_or(KvError::NoSwapInPlacement {
-                request,
-                requested: tokens,
-            })?;
-        self.host.as_mut().expect("checked above").release(request);
-        self.commit(&plan)
-            .expect("placement planned against current free slots");
-        Ok(tokens)
+        self.host = Some(host);
+        placed.map(|()| tokens)
     }
 
     // ---- Prefix-cache tier --------------------------------------------------
@@ -759,18 +743,13 @@ mod tests {
         UnifiedKvPool::with_capacities(&[100_000, 200_000, 400_000])
     }
 
+    const ALL: [InstanceId; 3] = [InstanceId(0), InstanceId(1), InstanceId(2)];
+
     #[test]
     fn commit_and_release_roundtrip() {
         let mut p = pool();
-        let plan = p
-            .plan(
-                RequestId(0),
-                600_000,
-                &[InstanceId(0), InstanceId(1), InstanceId(2)],
-                PlacementStrategy::Balanced,
-            )
+        p.place(RequestId(0), 600_000, &ALL, PlacementStrategy::Balanced)
             .expect("fits in unified pool");
-        p.commit(&plan).expect("commit");
         assert_eq!(p.tokens_of(RequestId(0)), 600_000);
         assert_eq!(p.total_free(), 100_000);
         assert_eq!(p.release(RequestId(0)), 600_000);
@@ -781,13 +760,77 @@ mod tests {
     #[test]
     fn failed_commit_leaves_pool_untouched() {
         let mut p = pool();
-        // Hand-craft a plan that exceeds instance 0's capacity.
-        let plan = PlacementPlan {
-            request: RequestId(0),
-            spans: vec![(InstanceId(0), 150_000)],
-        };
-        assert!(p.commit(&plan).is_err());
-        assert_eq!(p.total_used(), 0);
+        p.enable_host_tier(1_000);
+        p.append(RequestId(1), InstanceId(0), 10).expect("room");
+        p.swap_out(RequestId(1)).expect("host room");
+        p.append(RequestId(2), InstanceId(1), 50_000).expect("room");
+        let before = p.clone();
+        let strategy = PlacementStrategy::PackMostFree;
+        // A request parked on the host tier.
+        assert_eq!(
+            p.place(RequestId(1), 5, &ALL, strategy),
+            Err(KvError::AlreadySwapped {
+                request: RequestId(1)
+            })
+        );
+        // Candidates that repeat an instance.
+        let repeated = [InstanceId(2), InstanceId(0), InstanceId(2)];
+        assert_eq!(
+            p.place(RequestId(3), 5, &repeated, strategy),
+            Err(KvError::RepeatedCandidate {
+                instance: InstanceId(2)
+            })
+        );
+        // Free slots short by one: 100K + 150K on instances 0 and 1.
+        assert_eq!(
+            p.place(
+                RequestId(3),
+                250_001,
+                &[InstanceId(0), InstanceId(1)],
+                strategy
+            ),
+            Err(KvError::NoPlacement {
+                request: RequestId(3),
+                requested: 250_001
+            })
+        );
+        assert_eq!(p, before);
+        // The same slots to the token fit.
+        p.place(
+            RequestId(3),
+            250_000,
+            &[InstanceId(0), InstanceId(1)],
+            strategy,
+        )
+        .expect("exactly fits");
+        assert_eq!(p.instance(InstanceId(0)).free(), 0);
+        assert_eq!(p.instance(InstanceId(1)).free(), 0);
+        assert!(p.check_invariants().is_ok());
+    }
+
+    /// Reproduces Figure 4: six free slots spread over three instances, yet
+    /// no instance can host a six-token request under a locality
+    /// constraint; the unified pool places it at token granularity.
+    #[test]
+    fn figure4_locality_blocks_but_unified_admits() {
+        let mut pool = UnifiedKvPool::with_capacities(&[4, 3, 3]);
+        pool.append(RequestId(0), InstanceId(0), 2).expect("room");
+        pool.append(RequestId(1), InstanceId(1), 1).expect("room");
+        pool.append(RequestId(2), InstanceId(2), 1).expect("room");
+        let largest_free = |p: &UnifiedKvPool| p.free_slots().iter().map(|&(_, f)| f).max();
+        // Free: 2, 2, 2 — six in total, two at most on one instance.
+        assert_eq!(largest_free(&pool), Some(2));
+        assert_eq!(pool.total_free(), 6);
+        let strategy = PlacementStrategy::PackMostFree;
+        assert!(pool.place(RequestId(3), 7, &ALL, strategy).is_err());
+        pool.place(RequestId(3), 6, &ALL, strategy)
+            .expect("the unified pool admits what locality cannot");
+        // Filled up, neither rule admits anything but the empty request.
+        assert_eq!(largest_free(&pool), Some(0));
+        assert_eq!(pool.total_free(), 0);
+        pool.place(RequestId(4), 0, &ALL, strategy)
+            .expect("nothing to place");
+        assert!(pool.check_invariants().is_ok());
     }
 
     #[test]
@@ -864,15 +907,8 @@ mod tests {
     fn swap_out_and_in_roundtrip_preserves_tokens() {
         let mut p = pool();
         p.enable_host_tier(1_000_000);
-        let plan = p
-            .plan(
-                RequestId(4),
-                250_000,
-                &[InstanceId(0), InstanceId(1), InstanceId(2)],
-                PlacementStrategy::Balanced,
-            )
+        p.place(RequestId(4), 250_000, &ALL, PlacementStrategy::Balanced)
             .expect("fits");
-        p.commit(&plan).expect("commit");
         let moved = p.swap_out(RequestId(4)).expect("host has room");
         assert_eq!(moved, 250_000);
         assert_eq!(p.tokens_of(RequestId(4)), 0);
@@ -886,11 +922,7 @@ mod tests {
             Err(KvError::AlreadySwapped { .. })
         ));
         let restored = p
-            .swap_in(
-                RequestId(4),
-                &[InstanceId(0), InstanceId(1), InstanceId(2)],
-                PlacementStrategy::PackMostFree,
-            )
+            .swap_in(RequestId(4), &ALL, PlacementStrategy::PackMostFree)
             .expect("device has room");
         assert_eq!(restored, 250_000);
         assert_eq!(p.tokens_of(RequestId(4)), 250_000);
@@ -935,14 +967,16 @@ mod tests {
         q.append(RequestId(2), InstanceId(0), 80).expect("room");
         q.swap_out(RequestId(2)).expect("fits on host");
         q.append(RequestId(3), InstanceId(0), 60).expect("room");
+        let before = q.clone();
         assert!(matches!(
             q.swap_in(
                 RequestId(2),
                 &[InstanceId(0)],
                 PlacementStrategy::PackMostFree
             ),
-            Err(KvError::NoSwapInPlacement { requested: 80, .. })
+            Err(KvError::NoPlacement { requested: 80, .. })
         ));
+        assert_eq!(q, before);
         assert_eq!(q.swapped_tokens_of(RequestId(2)), 80);
         assert!(q.check_invariants().is_ok());
     }
@@ -953,9 +987,8 @@ mod tests {
         assert_eq!(p.device_utilization(), 0.0);
         p.append(RequestId(0), InstanceId(0), 100).expect("room");
         assert!((p.device_utilization() - 0.5).abs() < 1e-12);
-        assert!(!p.host_enabled());
+        assert!(p.host().is_none());
         p.enable_host_tier(50);
-        assert!(p.host_enabled());
         assert_eq!(p.host().expect("enabled").capacity(), 50);
     }
 
@@ -1100,21 +1133,14 @@ mod tests {
     #[test]
     fn residency_index_tracks_all_mutations() {
         let mut p = pool();
-        let plan = p
-            .plan(
-                RequestId(7),
-                250_000,
-                &[InstanceId(0), InstanceId(1), InstanceId(2)],
-                PlacementStrategy::Balanced,
-            )
+        p.place(RequestId(7), 250_000, &ALL, PlacementStrategy::Balanced)
             .expect("fits");
-        p.commit(&plan).expect("commit");
         p.append(RequestId(7), InstanceId(0), 5).expect("room");
         let before = p.locations_ref(RequestId(7));
         assert_eq!(
             before.iter().map(|&(_, t)| t).sum::<u64>(),
             250_005,
-            "index covers commit + append"
+            "index covers place + append"
         );
         assert!(p.check_invariants().is_ok());
 

@@ -67,15 +67,6 @@ impl ElasticityStats {
     pub fn shed_total(&self) -> u64 {
         self.shed_interactive + self.shed_standard + self.shed_best_effort
     }
-
-    /// Mean drain duration in sim-seconds (0 when nothing drained).
-    pub fn mean_drain_s(&self) -> f64 {
-        if self.drains_completed == 0 {
-            0.0
-        } else {
-            self.total_drain_s / self.drains_completed as f64
-        }
-    }
 }
 
 /// The headline efficiency metric of the elasticity tier: completions that
@@ -128,7 +119,6 @@ mod tests {
         let s = ElasticityStats::default();
         assert!(s.is_zero());
         assert_eq!(s.shed_total(), 0);
-        assert_eq!(s.mean_drain_s(), 0.0);
     }
 
     #[test]
@@ -146,7 +136,6 @@ mod tests {
         };
         assert!(!s.is_zero());
         assert_eq!(s.shed_total(), 10);
-        assert!((s.mean_drain_s() - 15.0).abs() < 1e-9);
     }
 
     #[test]

@@ -126,10 +126,11 @@ impl Scheduler for DistServeScheduler {
         // can continue (reactive migration, charged on the interconnect).
         let mut migrating: Vec<RequestId> = Vec::new();
         for d in view.decoding {
-            let on_prefill_side = d
-                .kv_instances
+            let on_prefill_side = view
+                .pool
+                .locations_ref(d.id)
                 .iter()
-                .any(|i| self.prefill_instances.contains(i));
+                .any(|(i, _)| self.prefill_instances.contains(i));
             if !on_prefill_side {
                 continue;
             }
@@ -163,7 +164,7 @@ impl Scheduler for DistServeScheduler {
                 .decoding
                 .iter()
                 .filter(|d| !migrating.contains(&d.id))
-                .filter(|d| d.kv_instances.iter().all(|&i| i == inst) && !d.kv_instances.is_empty())
+                .filter(|d| matches!(view.pool.locations_ref(d.id), [(i, _)] if *i == inst))
                 .map(|d| d.id)
                 .collect();
             if !requests.is_empty() {
@@ -267,7 +268,6 @@ mod tests {
             context_len: 40_000,
             generated: 1,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         let mut s = scheduler(&f);
         let actions = s.schedule(&view(&f));
@@ -294,7 +294,6 @@ mod tests {
             context_len: 40_000,
             generated: 2,
             decode_time_s: 0.1,
-            kv_instances: vec![InstanceId(1)],
         }];
         let mut s = scheduler(&f);
         let actions = s.schedule(&view(&f));

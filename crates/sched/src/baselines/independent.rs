@@ -262,7 +262,7 @@ impl Scheduler for IndependentInstancesScheduler {
         // Decode on the remaining idle instances (prefill has priority).
         let mut decode_per_instance: BTreeMap<InstanceId, Vec<RequestId>> = BTreeMap::new();
         for d in view.decoding {
-            let Some(&inst) = d.kv_instances.first() else {
+            let Some(&(inst, _)) = view.pool.locations_ref(d.id).first() else {
                 continue;
             };
             if used.contains(&inst) || !view.idle_instances.contains(&inst) {
@@ -421,7 +421,6 @@ mod tests {
             context_len: 500,
             generated: 3,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         let mut s = IndependentInstancesScheduler::vllm();
         let actions = s.schedule(&view(&f));
@@ -431,7 +430,6 @@ mod tests {
     #[test]
     fn swap_in_is_rewritten_to_a_single_replica_or_deferred() {
         use crate::pressure::PressureConfig;
-        use crate::types::SwappedRequest;
         // Two replicas with 600 and 500 free slots; a 900-token swapped
         // request must NOT be split across them (strict locality): the
         // swap-in is deferred until one replica can hold it whole.
@@ -451,10 +449,7 @@ mod tests {
             .append(RequestId(2), InstanceId(1), 500)
             .expect("room");
         f.idle = vec![InstanceId(0), InstanceId(1)];
-        let swapped = [SwappedRequest {
-            id: RequestId(0),
-            tokens: 900,
-        }];
+        let swapped = [RequestId(0)];
         let mut v = view(&f);
         v.swapped = &swapped;
         let mut s = IndependentInstancesScheduler::replicated()
@@ -495,7 +490,6 @@ mod tests {
             context_len: 500,
             generated: 3,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         f.pending = vec![pending(1, 50_000)];
         let mut s = IndependentInstancesScheduler::vllm();

@@ -112,7 +112,12 @@ impl Scheduler for SplitFuseScheduler {
             let decode_here: Vec<RequestId> = view
                 .decoding
                 .iter()
-                .filter(|d| d.kv_instances.first() == Some(&inst))
+                .filter(|d| {
+                    view.pool
+                        .locations_ref(d.id)
+                        .first()
+                        .is_some_and(|&(i, _)| i == inst)
+                })
                 .map(|d| d.id)
                 .collect();
 
@@ -218,7 +223,6 @@ mod tests {
             context_len: 400,
             generated: 2,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         f.pending = vec![PendingRequest {
             id: RequestId(0),
@@ -272,7 +276,6 @@ mod tests {
             context_len: 400,
             generated: 2,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         let mut s = SplitFuseScheduler::lightllm_for_workload(8_000.0, 200.0);
         let actions = s.schedule(&view(&f));

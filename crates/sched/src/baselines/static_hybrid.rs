@@ -185,7 +185,6 @@ mod tests {
             context_len: 100,
             generated: 2,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         let mut s = StaticHybridScheduler::new();
         let actions = s.schedule(&view(&f));
@@ -220,7 +219,6 @@ mod tests {
             context_len: 100,
             generated: 2,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         f.pending = vec![PendingRequest {
             id: RequestId(0),

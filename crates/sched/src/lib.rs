@@ -61,7 +61,7 @@ pub use reliability::{healthy_candidates, CircuitBreaker, CircuitBreakerConfig, 
 pub use router::{all_replicas, FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy};
 pub use types::{
     Action, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler,
-    SchedulerView, SwappedRequest,
+    SchedulerView,
 };
 
 /// Convenient glob-import of the most commonly used types.
@@ -86,6 +86,6 @@ pub mod prelude {
     };
     pub use crate::types::{
         Action, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler,
-        SchedulerView, SwappedRequest,
+        SchedulerView,
     };
 }

@@ -63,7 +63,7 @@ pub fn dispatch<'v>(
     for &inst in view.idle_instances {
         let (mut resident_tokens, mut residents) = (0u64, 0usize);
         for d in view.decoding {
-            if d.kv_instances.contains(&inst) {
+            if view.pool.tokens_on(d.id, inst) > 0 {
                 resident_tokens += d.context_len;
                 residents += 1;
             }
@@ -258,13 +258,13 @@ fn group_hosting_instances(view: &SchedulerView<'_>, hosting: &[InstanceId]) -> 
         while changed {
             changed = false;
             for d in view.decoding {
-                let touches = d.kv_instances.iter().any(|i| instances.contains(i));
-                if touches {
+                let kv = view.pool.locations_ref(d.id);
+                if kv.iter().any(|(i, _)| instances.contains(i)) {
                     if !residents.contains(&d.id) {
                         residents.push(d.id);
                         changed = true;
                     }
-                    for &i in &d.kv_instances {
+                    for &(i, _) in kv {
                         if hosting.contains(&i) && !instances.contains(&i) {
                             instances.push(i);
                             changed = true;
@@ -425,7 +425,6 @@ mod tests {
                 context_len: 100_000,
                 generated: 50,
                 decode_time_s: 1.0,
-                kv_instances: vec![InstanceId(i)],
             })
             .collect();
         let reqs = vec![pending(0, 200_000)];

@@ -383,7 +383,6 @@ mod tests {
                 context_len: 1_000,
                 generated: 1,
                 decode_time_s: 0.0,
-                kv_instances: vec![InstanceId(i % 2)],
             });
         }
         let mut sched = LoongServeScheduler::new();
@@ -412,7 +411,6 @@ mod tests {
                 context_len: 2_000,
                 generated: 4,
                 decode_time_s: 0.1,
-                kv_instances: vec![InstanceId(i)],
             });
         }
         let mut sched = LoongServeScheduler::new();
@@ -460,7 +458,6 @@ mod tests {
             context_len: 1_000,
             generated: 1,
             decode_time_s: 0.0,
-            kv_instances: vec![InstanceId(0)],
         }];
         let mut without = LoongServeScheduler::with_config(LoongServeConfig {
             enable_scale_up: false,
@@ -491,16 +488,16 @@ mod tests {
         f.pool = UnifiedKvPool::with_capacities(&capacities);
         for id in 0..rng.gen_range(0..12u64) {
             let span = rng.gen_range(1..=3);
-            let mut kv_instances: Vec<InstanceId> = Vec::new();
-            while kv_instances.len() < span {
+            let mut kv: Vec<InstanceId> = Vec::new();
+            while kv.len() < span {
                 let inst = InstanceId(rng.gen_range(0..4));
-                if !kv_instances.contains(&inst) {
-                    kv_instances.push(inst);
+                if !kv.contains(&inst) {
+                    kv.push(inst);
                 }
             }
-            kv_instances.sort();
+            kv.sort();
             let mut context_len = 0;
-            for &inst in &kv_instances {
+            for &inst in &kv {
                 // A quarter of what is free at most, so no instance fills.
                 let tokens = rng.gen_range(1..=(f.pool.instance(inst).free() / 4).min(60_000));
                 f.pool.append(RequestId(id), inst, tokens).expect("room");
@@ -511,7 +508,6 @@ mod tests {
                 context_len,
                 generated: rng.gen_range(1..200),
                 decode_time_s: rng.gen_range(0.0..20.0),
-                kv_instances,
             });
         }
         for inst in (0..4).map(InstanceId) {

@@ -120,15 +120,15 @@ impl DecodeGroupPlanner {
             self.recycled.push(group);
         }
         for (k, d) in view.decoding.iter().enumerate() {
-            if !d
-                .kv_instances
+            let kv = view.pool.locations_ref(d.id);
+            if !kv
                 .iter()
-                .all(|i| self.is_available.get(i.index()) == Some(&true))
+                .all(|(i, _)| self.is_available.get(i.index()) == Some(&true))
             {
                 continue;
             }
             let mut merged = self.recycled.pop().unwrap_or_default();
-            merged.instances.extend_from_slice(&d.kv_instances);
+            merged.instances.extend(kv.iter().map(|&(i, _)| i));
             merged.members.push(k);
             // A front-to-back scan absorbs each overlapping group with
             // `swap_remove`, so the last group fills the hole and is
@@ -282,14 +282,23 @@ mod tests {
         }
     }
 
-    fn decoding(id: u64, context: u64, kv: &[u64]) -> DecodingRequest {
+    fn decoding(id: u64, context: u64) -> DecodingRequest {
         DecodingRequest {
             id: RequestId(id),
             context_len: context,
             generated: 1,
             decode_time_s: 0.0,
-            kv_instances: kv.iter().map(|&i| InstanceId(i)).collect(),
         }
+    }
+
+    /// Adds decode-ready request `id` holding one KV token on each of `kv`.
+    fn add_decoding(f: &mut Fixture, id: u64, kv: &[u64]) {
+        for &i in kv {
+            f.pool
+                .append(RequestId(id), InstanceId(i), 1)
+                .expect("room");
+        }
+        f.decoding.push(decoding(id, 1_000));
     }
 
     /// Plans with a fresh planner.
@@ -310,10 +319,17 @@ mod tests {
     ) -> Vec<DecodeGroupPlan> {
         // Requests whose KV is fully on available instances can run; others must
         // wait for their instances to free up.
+        let holders = |d: &DecodingRequest| -> Vec<InstanceId> {
+            view.pool
+                .locations_ref(d.id)
+                .iter()
+                .map(|&(i, _)| i)
+                .collect()
+        };
         let ready: Vec<&DecodingRequest> = view
             .decoding
             .iter()
-            .filter(|d| d.kv_instances.iter().all(|i| available.contains(i)))
+            .filter(|d| holders(d).iter().all(|i| available.contains(i)))
             .collect();
         if ready.is_empty() {
             return Vec::new();
@@ -322,7 +338,7 @@ mod tests {
         // Union requests into connected components over shared KV instances.
         let mut components: Vec<(Vec<InstanceId>, Vec<&DecodingRequest>)> = Vec::new();
         for req in ready {
-            let mut merged_instances: Vec<InstanceId> = req.kv_instances.clone();
+            let mut merged_instances: Vec<InstanceId> = holders(req);
             let mut merged_requests = vec![req];
             // Pull in every existing component that shares an instance.
             let mut i = 0;
@@ -423,39 +439,50 @@ mod tests {
         let gpus = instances * 2;
         let mut f = fixture();
         f.registry = InstanceRegistry::build(&ClusterSpec::single_node_a800(gpus), 2);
-        let capacities: Vec<u64> = (0..instances).map(|_| rng.gen_range(0..4_000)).collect();
-        f.pool = UnifiedKvPool::with_capacities(&capacities);
-        for (i, &cap) in capacities.iter().enumerate() {
-            // Some instances end up full, most part-used.
-            let used = if rng.gen_bool(0.2) {
-                cap
-            } else {
-                rng.gen_range(0..=cap)
-            };
-            if used > 0 {
-                f.pool
-                    .append(RequestId(1_000_000 + i as u64), InstanceId::from(i), used)
-                    .expect("room");
-            }
-        }
         // A few hot instances draw most of the KV, so requests spanning
         // two of them merge groups formed earlier.
         let hot = rng.gen_range(1..=instances.min(6));
         let requests = rng.gen_range(1..=3 * instances.min(40));
-        for id in 0..requests as u64 {
-            let span: usize = [0, 1, 1, 1, 2, 2, 3][rng.gen_range(0..7usize)];
-            let mut kv: Vec<u64> = Vec::new();
-            while kv.len() < span {
-                let pick = if rng.gen_bool(0.6) {
-                    rng.gen_range(0..hot)
-                } else {
-                    rng.gen_range(0..instances)
-                } as u64;
-                if !kv.contains(&pick) {
-                    kv.push(pick);
+        let spans: Vec<Vec<u64>> = (0..requests)
+            .map(|_| {
+                let span: usize = [0, 1, 1, 1, 2, 2, 3][rng.gen_range(0..7usize)];
+                let mut kv: Vec<u64> = Vec::new();
+                while kv.len() < span {
+                    let pick = if rng.gen_bool(0.6) {
+                        rng.gen_range(0..hot)
+                    } else {
+                        rng.gen_range(0..instances)
+                    } as u64;
+                    if !kv.contains(&pick) {
+                        kv.push(pick);
+                    }
                 }
+                kv
+            })
+            .collect();
+        // Room for each request's token on each of its instances, and up
+        // to 4,000 slots more.
+        let mut capacities: Vec<u64> = (0..instances).map(|_| rng.gen_range(0..4_000)).collect();
+        for &i in spans.iter().flatten() {
+            capacities[i as usize] += 1;
+        }
+        f.pool = UnifiedKvPool::with_capacities(&capacities);
+        for (id, kv) in spans.iter().enumerate() {
+            add_decoding(&mut f, id as u64, kv);
+        }
+        for i in (0..instances).map(InstanceId::from) {
+            // Some instances end up full, most part-used.
+            let free = f.pool.instance(i).free();
+            let used = if rng.gen_bool(0.2) {
+                free
+            } else {
+                rng.gen_range(0..=free)
+            };
+            if used > 0 {
+                f.pool
+                    .append(RequestId(1_000_000 + i.raw()), i, used)
+                    .expect("room");
             }
-            f.decoding.push(decoding(id, 1_000, &kv));
         }
         let mut available: Vec<InstanceId> = (0..instances)
             .filter(|_| rng.gen_bool(0.85))
@@ -500,13 +527,9 @@ mod tests {
         // Groups [0], [1], [2], [3] form in order; request 4 bridges
         // instances 0 and 3. The scan absorbs group 0, whose slot group 3
         // fills and is absorbed next, leaving [2, 1] ahead of the merge.
-        f.decoding = vec![
-            decoding(0, 1_000, &[0]),
-            decoding(1, 1_000, &[1]),
-            decoding(2, 1_000, &[2]),
-            decoding(3, 1_000, &[3]),
-            decoding(4, 1_000, &[3, 0]),
-        ];
+        for (id, kv) in [(0, &[0][..]), (1, &[1]), (2, &[2]), (3, &[3]), (4, &[3, 0])] {
+            add_decoding(&mut f, id, kv);
+        }
         let idle = f.registry.all_ids();
         let v = view(&f, &idle);
         let plans = plan_decode_groups(&v, &idle, false);
@@ -547,11 +570,9 @@ mod tests {
     #[test]
     fn decode_groups_merge_overlapping_requests() {
         let mut f = fixture();
-        f.decoding = vec![
-            decoding(0, 1_000, &[0]),
-            decoding(1, 1_000, &[0, 1]),
-            decoding(2, 1_000, &[2]),
-        ];
+        for (id, kv) in [(0, &[0][..]), (1, &[0, 1]), (2, &[2])] {
+            add_decoding(&mut f, id, kv);
+        }
         let idle = f.registry.all_ids();
         let v = view(&f, &idle);
         let plans = plan_decode_groups(&v, &idle, true);
@@ -569,7 +590,8 @@ mod tests {
     #[test]
     fn requests_on_unavailable_instances_get_no_plan() {
         let mut f = fixture();
-        f.decoding = vec![decoding(0, 1_000, &[0]), decoding(1, 1_000, &[3])];
+        add_decoding(&mut f, 0, &[0]);
+        add_decoding(&mut f, 1, &[3]);
         let idle = vec![InstanceId(0), InstanceId(1)];
         let v = view(&f, &idle);
         let plans = plan_decode_groups(&v, &idle, true);
@@ -586,7 +608,7 @@ mod tests {
         f.pool
             .append(RequestId(0), InstanceId(0), 1_000)
             .expect("room");
-        f.decoding = vec![decoding(0, 1_000, &[0])];
+        f.decoding = vec![decoding(0, 1_000)];
         let idle = f.registry.all_ids();
         let v = view(&f, &idle);
         let plans = plan_decode_groups(&v, &idle, true);
@@ -618,7 +640,7 @@ mod tests {
                 f.pool
                     .append(RequestId(i), InstanceId(0), 10)
                     .expect("room");
-                f.decoding.push(decoding(i, 10, &[0]));
+                f.decoding.push(decoding(i, 10));
             }
             let idle = f.registry.all_ids();
             let plans = plan_decode_groups(&view(&f, &idle), &idle, true);
@@ -637,7 +659,7 @@ mod tests {
         f.pool
             .append(RequestId(1), InstanceId(1), 1_000)
             .expect("room");
-        f.decoding = vec![decoding(0, 1_000, &[0]), decoding(1, 1_000, &[1])];
+        f.decoding = vec![decoding(0, 1_000), decoding(1, 1_000)];
         let idle = vec![InstanceId(0), InstanceId(1)];
         let v = view(&f, &idle);
         let plans = plan_decode_groups(&v, &idle, false);

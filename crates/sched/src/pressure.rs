@@ -231,7 +231,9 @@ fn pressure_actions_impl(
                 continue;
             }
             if let Some(d) = view.decoding.iter().rev().find(|d| {
-                Some(d.id) != oldest && !victims.contains(&d.id) && d.kv_instances.contains(&inst)
+                Some(d.id) != oldest
+                    && !victims.contains(&d.id)
+                    && view.pool.tokens_on(d.id, inst) > 0
             }) {
                 let tokens = view.pool.tokens_of(d.id);
                 if tokens == 0 {
@@ -247,11 +249,11 @@ fn pressure_actions_impl(
         // Re-admit the oldest swapped request, one per scheduling point,
         // when it fits below the high watermark (or unconditionally into an
         // empty pool, so oversized requests can always return eventually).
-        if let Some(s) = view.swapped.first() {
+        if let Some(&request) = view.swapped.first() {
             let head_used = (config.high_watermark * capacity as f64).floor() as u64;
-            if used + s.tokens <= head_used || used == 0 {
+            if used + view.pool.swapped_tokens_of(request) <= head_used || used == 0 {
                 actions.push(Action::SwapIn {
-                    request: s.id,
+                    request,
                     targets: view.registry.all_ids(),
                 });
             }
@@ -263,7 +265,7 @@ fn pressure_actions_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{DecodingRequest, SwappedRequest};
+    use crate::types::DecodingRequest;
     use loong_cluster::topology::ClusterSpec;
     use loong_esp::instance::InstanceRegistry;
     use loong_kvcache::unified::UnifiedKvPool;
@@ -279,7 +281,7 @@ mod tests {
         sib: ScalingInfoBase,
         pool: UnifiedKvPool,
         decoding: Vec<DecodingRequest>,
-        swapped: Vec<SwappedRequest>,
+        swapped: Vec<RequestId>,
     }
 
     fn fixture(capacity: u64, host: Option<u64>) -> Fixture {
@@ -325,7 +327,6 @@ mod tests {
                 context_len: tokens,
                 generated: 1,
                 decode_time_s: 0.0,
-                kv_instances: vec![InstanceId(i % 4)],
             });
         }
     }
@@ -389,7 +390,6 @@ mod tests {
             context_len: 3_900,
             generated: 1,
             decode_time_s: 0.0,
-            kv_instances: (0..4u64).map(InstanceId).collect(),
         });
         let cfg = PressureConfig::recompute();
         assert!(pressure_actions(&view(&f), &cfg).is_empty());
@@ -406,16 +406,7 @@ mod tests {
         f.pool.swap_out(RequestId(5)).expect("host room");
         f.decoding.retain(|d| d.id != RequestId(0));
         // Admission order: 0 first, then 5.
-        f.swapped = vec![
-            SwappedRequest {
-                id: RequestId(0),
-                tokens: 300,
-            },
-            SwappedRequest {
-                id: RequestId(5),
-                tokens: 200,
-            },
-        ];
+        f.swapped = vec![RequestId(0), RequestId(5)];
         let cfg = PressureConfig::swap_to_host();
         let actions = pressure_actions(&view(&f), &cfg);
         assert_eq!(actions.len(), 1, "one re-admission per scheduling point");
@@ -423,6 +414,21 @@ mod tests {
             &actions[0],
             Action::SwapIn { request, .. } if *request == RequestId(0)
         ));
+
+        // It returns only while its parked tokens fit under the high
+        // watermark: 1,000 onto 2,900 of 4,000 used slots would reach 97.5%.
+        let mut g = fixture(1_000, Some(10_000));
+        g.pool
+            .append(RequestId(7), InstanceId(2), 1_000)
+            .expect("room");
+        g.pool.swap_out(RequestId(7)).expect("host room");
+        for (inst, tokens) in [(0, 1_000), (1, 1_000), (3, 900)] {
+            g.pool
+                .append(RequestId(8), InstanceId(inst), tokens)
+                .expect("room");
+        }
+        g.swapped = vec![RequestId(7)];
+        assert!(pressure_actions(&view(&g), &cfg).is_empty());
     }
 
     #[test]
@@ -442,7 +448,6 @@ mod tests {
                 context_len: tokens,
                 generated: 1,
                 decode_time_s: 0.0,
-                kv_instances: vec![InstanceId(inst)],
             });
         }
         let cfg = PressureConfig::recompute();

@@ -44,8 +44,9 @@ impl PendingRequest {
 }
 
 /// A request in the decode phase that is ready for its next iteration (not
-/// currently executing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// currently executing). The instances holding its KV are the pool's
+/// record: `view.pool.locations_ref(id)`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecodingRequest {
     /// The request.
     pub id: RequestId,
@@ -56,21 +57,14 @@ pub struct DecodingRequest {
     /// Time already spent in the decode phase, in seconds (used by the
     /// dispatching gain/cost estimate, Eq. 2).
     pub decode_time_s: f64,
-    /// Instances currently holding this request's KV tokens.
-    pub kv_instances: Vec<InstanceId>,
-}
-
-/// A request whose KV cache is parked on the host-DRAM swap tier, waiting
-/// for memory pressure to clear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SwappedRequest {
-    /// The request.
-    pub id: RequestId,
-    /// KV tokens parked on the host tier.
-    pub tokens: u64,
 }
 
 /// Everything a scheduler may observe when making a decision.
+///
+/// Where KV lives is read from `pool`, the one record of it: the instances
+/// holding a request's KV (`pool.locations_ref`, sorted by instance id),
+/// its tokens on one instance (`pool.tokens_on`) and the tokens it has
+/// parked on the host tier (`pool.swapped_tokens_of`).
 pub struct SchedulerView<'a> {
     /// Current simulated time.
     pub now: SimTime,
@@ -80,7 +74,7 @@ pub struct SchedulerView<'a> {
     pub decoding: &'a [DecodingRequest],
     /// Requests parked on the host swap tier, in admission order. Always
     /// empty when the host tier is disabled.
-    pub swapped: &'a [SwappedRequest],
+    pub swapped: &'a [RequestId],
     /// Instances with no iteration in flight, sorted by id.
     pub idle_instances: &'a [InstanceId],
     /// The unified KV pool (read-only).
@@ -102,9 +96,8 @@ pub struct SchedulerView<'a> {
 /// The engine builds the `pending`/`decoding`/`swapped`/`idle` slices
 /// thousands of times per simulated second; owning the vectors
 /// across scheduling points keeps the steady-state loop free of per-point
-/// allocations. [`ViewScratch::clear`] resets lengths but keeps capacity,
-/// and keeps each decoding entry's `kv_instances` buffer for
-/// [`ViewScratch::kv_buffer`] to hand out again at the next point.
+/// allocations. The entries are plain values — KV placement stays in the
+/// pool — so [`ViewScratch::clear`] only resets lengths, keeping capacity.
 #[derive(Debug, Default)]
 pub struct ViewScratch {
     /// Pending requests, in arrival order.
@@ -112,11 +105,9 @@ pub struct ViewScratch {
     /// Decode-ready requests, in arrival order.
     pub decoding: Vec<DecodingRequest>,
     /// Swapped-out requests, in arrival order.
-    pub swapped: Vec<SwappedRequest>,
+    pub swapped: Vec<RequestId>,
     /// Idle instances, sorted by id.
     pub idle: Vec<InstanceId>,
-    /// Emptied `kv_instances` buffers of earlier decoding entries.
-    spare_kv: Vec<Vec<InstanceId>>,
 }
 
 impl ViewScratch {
@@ -125,24 +116,12 @@ impl ViewScratch {
         Self::default()
     }
 
-    /// Clears every buffer, retaining capacity — the decoding entries'
-    /// instance buffers included — for reuse.
+    /// Clears every buffer, retaining capacity for reuse.
     pub fn clear(&mut self) {
         self.pending.clear();
-        self.spare_kv.extend(self.decoding.drain(..).map(|d| {
-            let mut kv = d.kv_instances;
-            kv.clear();
-            kv
-        }));
+        self.decoding.clear();
         self.swapped.clear();
         self.idle.clear();
-    }
-
-    /// An empty buffer for a decoding entry's `kv_instances`: one an
-    /// earlier point cleared when there is one, so a steady decode batch
-    /// allocates none.
-    pub fn kv_buffer(&mut self) -> Vec<InstanceId> {
-        self.spare_kv.pop().unwrap_or_default()
     }
 
     /// Assembles a [`SchedulerView`] over the current buffer contents.

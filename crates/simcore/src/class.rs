@@ -38,15 +38,6 @@ impl TrafficClass {
         ]
     }
 
-    /// Shed priority: lower ranks are shed earlier under saturation.
-    pub fn shed_rank(&self) -> u8 {
-        match self {
-            TrafficClass::BestEffort => 0,
-            TrafficClass::Standard => 1,
-            TrafficClass::Interactive => 2,
-        }
-    }
-
     /// Multiplier applied to the base [`SloSpec`] when judging this class:
     /// interactive requests are held to the base SLO, standard traffic to
     /// 2× and best-effort to 4× — looser classes trade latency for

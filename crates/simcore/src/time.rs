@@ -115,16 +115,6 @@ impl SimDuration {
         SimDuration(secs)
     }
 
-    /// Creates a duration of `ms` milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms * 1e-3)
-    }
-
-    /// Creates a duration of `us` microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us * 1e-6)
-    }
-
     /// Returns the duration in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
@@ -317,7 +307,7 @@ mod tests {
     #[test]
     fn time_arithmetic_roundtrips() {
         let t0 = SimTime::from_secs(1.0);
-        let d = SimDuration::from_millis(250.0);
+        let d = SimDuration::from_secs(0.25);
         let t1 = t0 + d;
         assert_eq!(t1.as_secs(), 1.25);
         assert_eq!((t1 - t0).as_millis(), 250.0);
@@ -360,8 +350,8 @@ mod tests {
 
     #[test]
     fn display_chooses_unit() {
-        assert_eq!(format!("{}", SimDuration::from_micros(12.0)), "12.0us");
-        assert_eq!(format!("{}", SimDuration::from_millis(12.0)), "12.00ms");
+        assert_eq!(format!("{}", SimDuration::from_secs(12e-6)), "12.0us");
+        assert_eq!(format!("{}", SimDuration::from_secs(12e-3)), "12.00ms");
         assert_eq!(format!("{}", SimDuration::from_secs(12.0)), "12.000s");
     }
 

@@ -198,23 +198,6 @@ impl FailureSchedule {
         times
     }
 
-    /// The up-intervals of `replica` as `(start, end)` pairs in time
-    /// order; `end == None` is the final interval running to the end of
-    /// the simulation. A replica scripted to be "born dead" (crash at
-    /// time zero) still yields its leading empty `[0, 0)` interval — the
-    /// reliability tier routes around it via [`FailureSchedule::is_down`],
-    /// never through the empty segment.
-    pub fn up_segments(&self, replica: ReplicaId) -> Vec<(SimTime, Option<SimTime>)> {
-        let mut segments = Vec::new();
-        let mut start = SimTime::ZERO;
-        for e in self.events.iter().filter(|e| e.replica == replica) {
-            segments.push((start, Some(e.crash)));
-            start = e.recover;
-        }
-        segments.push((start, None));
-        segments
-    }
-
     fn validate(&self) {
         for pair in self.events.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
@@ -293,19 +276,24 @@ mod tests {
             FailureEvent::new(ReplicaId(0), t(5.0), t(8.0)),
             FailureEvent::new(ReplicaId(0), t(20.0), t(21.0)),
         ]);
-        assert_eq!(
-            schedule.up_segments(ReplicaId(0)),
-            vec![
-                (SimTime::ZERO, Some(t(5.0))),
-                (t(8.0), Some(t(20.0))),
-                (t(21.0), None),
-            ]
-        );
-        // An untouched replica has one unbounded segment.
-        assert_eq!(
-            schedule.up_segments(ReplicaId(1)),
-            vec![(SimTime::ZERO, None)]
-        );
+        // Up on [0, 5), [8, 20) and from 21 on; down in between.
+        for (at, down) in [
+            (0.0, false),
+            (4.9, false),
+            (5.0, true),
+            (7.9, true),
+            (8.0, false),
+            (19.9, false),
+            (20.0, true),
+            (21.0, false),
+            (1e6, false),
+        ] {
+            assert_eq!(schedule.is_down(ReplicaId(0), t(at)), down, "at {at}");
+        }
+        assert_eq!(schedule.next_up(ReplicaId(0), t(5.0)), t(8.0));
+        assert_eq!(schedule.next_up(ReplicaId(0), t(20.0)), t(21.0));
+        // An untouched replica is never down.
+        assert!(!schedule.is_down(ReplicaId(1), t(5.0)));
     }
 
     #[test]

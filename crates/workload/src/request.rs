@@ -132,18 +132,6 @@ impl Request {
     pub fn total_tokens(&self) -> u64 {
         self.input_len + self.output_len
     }
-
-    /// Worst-case tokens the request may hold in the KV cache, based on the
-    /// declared output bound.
-    pub fn max_total_tokens(&self) -> u64 {
-        self.input_len + self.max_output_len
-    }
-
-    /// Sequence length (prompt + generated so far) after `generated` output
-    /// tokens have been produced.
-    pub fn context_len_after(&self, generated: u64) -> u64 {
-        self.input_len + generated.min(self.output_len)
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +143,6 @@ mod tests {
         let r = Request::new(RequestId(1), SimTime::ZERO, 100, 37);
         assert!(r.max_output_len >= 37);
         assert_eq!(r.total_tokens(), 137);
-        assert!(r.max_total_tokens() >= r.total_tokens());
         assert_eq!(r.conversation, None);
         assert_eq!(r.turn, 0);
     }
@@ -179,20 +166,17 @@ mod tests {
 
     #[test]
     fn shed_ranks_order_best_effort_first_and_scales_loosen() {
-        let all = TrafficClass::all();
-        assert_eq!(all[0], TrafficClass::BestEffort);
-        assert!(all.windows(2).all(|w| w[0].shed_rank() < w[1].shed_rank()));
+        assert_eq!(
+            TrafficClass::all(),
+            [
+                TrafficClass::BestEffort,
+                TrafficClass::Standard,
+                TrafficClass::Interactive
+            ]
+        );
         assert!(TrafficClass::Interactive.slo_scale() < TrafficClass::Standard.slo_scale());
         assert!(TrafficClass::Standard.slo_scale() < TrafficClass::BestEffort.slo_scale());
         assert_eq!(TrafficClass::BestEffort.label(), "best-effort");
-    }
-
-    #[test]
-    fn context_len_saturates_at_completion() {
-        let r = Request::new(RequestId(1), SimTime::ZERO, 100, 10);
-        assert_eq!(r.context_len_after(0), 100);
-        assert_eq!(r.context_len_after(5), 105);
-        assert_eq!(r.context_len_after(50), 110);
     }
 
     #[test]

@@ -126,8 +126,10 @@ fn unified_pool_admits_what_locality_cannot() {
     pool.append(RequestId(99), InstanceId(3), 400_000)
         .expect("room");
 
-    assert!(!admissible_with_locality(&pool, 600_000));
-    assert!(admissible_unified(&pool, 600_000));
+    // No single instance can hold the request, the pool's free total can.
+    let largest_free = pool.free_slots().iter().map(|&(_, free)| free).max();
+    assert_eq!(largest_free, Some(400_000));
+    assert_eq!(pool.total_free(), 700_000);
 
     execute_prefill(
         &registry.all_ids(),

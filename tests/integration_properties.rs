@@ -28,8 +28,9 @@ fn ci_config(cases: u32) -> ProptestConfig {
 proptest! {
     #![proptest_config(ci_config(64))]
 
-    /// Any feasible placement plan covers exactly the requested tokens, uses
-    /// only candidate instances, and never exceeds any instance's free slots.
+    /// Any feasible placement covers exactly the requested tokens with
+    /// positive spans on distinct candidate instances, and never exceeds
+    /// any instance's free slots.
     #[test]
     fn placement_plans_are_exact_and_feasible(
         tokens in 0u64..2_000_000,
@@ -43,13 +44,17 @@ proptest! {
             .map(|(i, &f)| (InstanceId::from(i), f))
             .collect();
         let total: u64 = frees.iter().sum();
-        match plan_placement(RequestId(0), tokens, &candidates, strategy) {
-            Some(plan) => {
-                prop_assert_eq!(plan.total_tokens(), tokens);
-                prop_assert!(plan.validate().is_ok());
-                for (inst, t) in &plan.spans {
-                    let free = candidates.iter().find(|(i, _)| i == inst).unwrap().1;
-                    prop_assert!(*t <= free, "span {} exceeds free {}", t, free);
+        match plan_placement(tokens, &candidates, strategy) {
+            Some(spans) => {
+                prop_assert_eq!(spans.iter().map(|&(_, t)| t).sum::<u64>(), tokens);
+                for (k, &(inst, t)) in spans.iter().enumerate() {
+                    prop_assert!(t > 0, "zero-token span on {}", inst);
+                    prop_assert!(
+                        spans[..k].iter().all(|&(i, _)| i != inst),
+                        "{} spanned twice", inst
+                    );
+                    let free = candidates.iter().find(|&&(i, _)| i == inst).unwrap().1;
+                    prop_assert!(t <= free, "span {} exceeds free {}", t, free);
                 }
             }
             None => {
@@ -61,7 +66,8 @@ proptest! {
 
     /// The unified pool's bookkeeping — both residency indexes and the
     /// host swap tier — stays consistent under arbitrary interleavings of
-    /// commit/append/migrate/release/swap_out/swap_in/drain.
+    /// place/append/migrate/release/swap_out/swap_in/drain, and a refused
+    /// placement or drain leaves the pool as it was.
     #[test]
     fn unified_pool_invariants_hold_under_random_operations(
         ops in proptest::collection::vec((0u8..7, 0u64..6, 0u64..4, 1u64..5_000), 1..80)
@@ -100,14 +106,21 @@ proptest! {
                 3 => {
                     // The manager's drain: move everything off `inst`.
                     let rest: Vec<InstanceId> = all.iter().copied().filter(|&i| i != inst).collect();
-                    let _ = migrate_request(req, &rest, &mut pool, &cost_model, &registry);
+                    let before = pool.clone();
+                    if migrate_request(req, &rest, &mut pool, &cost_model, &registry).is_err() {
+                        prop_assert_eq!(&pool, &before);
+                    }
                 }
                 4 => {
-                    // A committed plan covers `tokens` across every instance.
-                    if let Some(plan) = pool.plan(req, tokens, &all, PlacementStrategy::Balanced) {
-                        if pool.commit(&plan).is_ok() && !live.contains(&req) {
-                            live.push(req);
+                    // A placement spreads `tokens` across every instance.
+                    let before = pool.clone();
+                    match pool.place(req, tokens, &all, PlacementStrategy::Balanced) {
+                        Ok(()) => {
+                            if !live.contains(&req) {
+                                live.push(req);
+                            }
                         }
+                        Err(_) => prop_assert_eq!(&pool, &before),
                     }
                 }
                 5 => {

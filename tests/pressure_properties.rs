@@ -361,7 +361,10 @@ fn swap_policy_with_tiny_host_falls_back_to_recompute_and_still_terminates() {
         sib_noise: 0.01,
         seed: system.seed,
         max_sim_time: Some(SimDuration::from_secs(WATCHDOG_S)),
-        host_swap: Some(HostSwapConfig::with_tokens(&system.cluster, 600)),
+        host_swap: Some(HostSwapConfig {
+            capacity_tokens: 600,
+            link: system.cluster.host_link,
+        }),
         kv_capacity_override: Some(1_500),
         prefix_cache: None,
         attention: system.attention,

@@ -1,11 +1,12 @@
 //! View-equivalence properties for the O(active) engine loop.
 //!
 //! The engine maintains its scheduler-view inputs (pending, decoding and
-//! swapped lists, the idle instance set, KV residency) incrementally. Debug
-//! builds shadow every scheduling point with a naive rebuild from the
-//! audit's own records — an append-only arrival log, a residency query per
-//! instance, a busy-until record of claims — and `assert_eq!` the two (see
-//! the `audit` module in `loongserve::engine`). The properties here drive
+//! swapped lists, the idle instance set) incrementally; schedulers read KV
+//! residency from the pool's index, whose invariants are checked at every
+//! point. Debug builds shadow every scheduling point with a naive rebuild
+//! from the audit's own records — an append-only arrival log and a
+//! busy-until record of claims — and `assert_eq!` the two (see the `audit`
+//! module in `loongserve::engine`). The properties here drive
 //! that audit across random traces, rates and systems: any divergence
 //! between the incremental view and the O(all-requests) rebuild panics
 //! inside the run.
