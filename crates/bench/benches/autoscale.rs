@@ -9,7 +9,10 @@
 //! the flash wastes replica-seconds through the trough; a static fleet
 //! sized for the trough melts in the flash; the autoscaled fleet must beat
 //! both, and shedding must hold interactive SLO attainment through the
-//! burst. Both claims are asserted inline on every run.
+//! burst. Both claims are asserted inline on every run, as are the
+//! elastic fleet paying fewer replica-seconds than the flash-sized one and
+//! shedding dropping best-effort work before interactive. Each row also
+//! reports SLO attainment and sheds per traffic class (report-only).
 //!
 //! Invocation (harness = false):
 //!
@@ -38,6 +41,13 @@ const PERIOD_S: f64 = 300.0;
 const FLASH_START_S: f64 = 80.0;
 const FLASH_SECS: f64 = 50.0;
 const FLASH_RATE: f64 = 8.0;
+
+/// The per-class columns' order.
+const CLASSES: [TrafficClass; 3] = [
+    TrafficClass::Interactive,
+    TrafficClass::Standard,
+    TrafficClass::BestEffort,
+];
 
 fn arrivals() -> ArrivalProcess {
     ArrivalProcess::DiurnalFlash {
@@ -94,6 +104,11 @@ struct Sample {
     /// Scheduling points the engines executed per scheduler call the
     /// outcome reports: 1.0 unless some of the work was simulated twice.
     replay_ratio: f64,
+    /// SLO attainment of each class's completed requests, in [`CLASSES`]
+    /// order, each judged by its class-scaled SLO.
+    class_attainment: [f64; 3],
+    /// Requests shed per class, in [`CLASSES`] order.
+    class_shed: [u64; 3],
 }
 
 /// SLO attainment of the interactive requests that arrived during the
@@ -107,52 +122,26 @@ fn interactive_flash_attainment(trace: &Trace, records: &[RequestRecord], slo: &
         .filter(|r| r.class == TrafficClass::Interactive && window.contains(&r.arrival.as_secs()))
         .map(|r| r.id)
         .collect();
-    let burst: Vec<RequestRecord> = records
-        .iter()
-        .filter(|r| burst_ids.contains(&r.id))
-        .copied()
-        .collect();
     if burst_ids.is_empty() {
         return 1.0;
     }
     // Non-completions count against the burst: attainment over arrivals,
     // not over survivors.
-    let met = burst.iter().filter(|r| slo.met_by(r)).count();
+    let met = records
+        .iter()
+        .filter(|r| burst_ids.contains(&r.id) && slo.met_by(r))
+        .count();
     met as f64 / burst_ids.len() as f64
 }
 
-fn static_fleet(n: usize, trace: &Trace, slo: &SloSpec) -> Sample {
-    let mut config =
-        FleetConfig::paper_fleet(SystemKind::LoongServe, n, RouterPolicy::JoinShortestQueue);
-    config.parallel = true;
-    let mut engine = FleetEngine::new(config);
-    let stream = TraceStream::from_trace(trace.clone());
-    let start = Instant::now();
-    let profile = SelfProfile::start();
-    let outcome = engine.run(stream, &FleetPlan::fixed(n), None);
-    let outcome = outcome.expect("valid plan").fleet;
-    let sched_points = profile.report().counters.sched_points;
-    let wall_s = start.elapsed().as_secs_f64();
-    let replica_seconds = n as f64 * outcome.sim_time.as_secs();
-    Sample {
-        label: format!("static x{n}"),
-        wall_s,
-        completed: outcome.records.len(),
-        shed: 0,
-        replica_seconds,
-        goodput_per_rs: slo_goodput_per_replica_second(&outcome.records, slo, replica_seconds),
-        interactive_flash_attainment: interactive_flash_attainment(trace, &outcome.records, slo),
-        makespan_s: outcome.sim_time.as_secs(),
-        scale_ups: 0,
-        scale_downs: 0,
-        replay_ratio: sched_points as f64 / outcome.scheduler_calls as f64,
-    }
-}
-
-fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, plan: &FleetPlan) -> Sample {
+/// Runs `plan` on a fleet of `replicas`. A static plan pays for every
+/// replica over the whole makespan, an elastic one for the replica-seconds
+/// its ledger records.
+fn run_fleet(label: &str, replicas: usize, trace: &Trace, plan: &FleetPlan) -> Sample {
+    let slo = &SloSpec::default_for_lwm();
     let mut config = FleetConfig::paper_fleet(
         SystemKind::LoongServe,
-        MAX_REPLICAS,
+        replicas,
         RouterPolicy::JoinShortestQueue,
     );
     // Pooled era execution; serial-equivalent per streaming_properties.
@@ -161,34 +150,41 @@ fn elastic_fleet(label: &str, trace: &Trace, slo: &SloSpec, plan: &FleetPlan) ->
     let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
     let profile = SelfProfile::start();
-    let outcome = engine.run(stream, plan, None).expect("valid plan");
+    let run = engine.run(stream, plan, None).expect("valid plan");
     let sched_points = profile.report().counters.sched_points;
     let wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
-        outcome.total_requests(),
+        run.total_requests(),
         trace.len(),
         "{label}: exactly-once accounting must hold"
     );
+    let records = &run.fleet.records;
+    let makespan_s = run.fleet.sim_time.as_secs();
+    let e = &run.elasticity;
+    let replica_seconds = if plan.autoscaler.is_elastic() {
+        e.replica_seconds
+    } else {
+        replicas as f64 * makespan_s
+    };
+    let attainment = run.class_attainment(slo);
+    let class_attainment = CLASSES.map(|class| {
+        let found = attainment.iter().find(|(c, _)| *c == class);
+        found.expect("every class is reported").1
+    });
     Sample {
         label: label.to_string(),
         wall_s,
-        completed: outcome.fleet.records.len(),
-        shed: outcome.shed.len(),
-        replica_seconds: outcome.elasticity.replica_seconds,
-        goodput_per_rs: slo_goodput_per_replica_second(
-            &outcome.fleet.records,
-            slo,
-            outcome.elasticity.replica_seconds,
-        ),
-        interactive_flash_attainment: interactive_flash_attainment(
-            trace,
-            &outcome.fleet.records,
-            slo,
-        ),
-        makespan_s: outcome.fleet.sim_time.as_secs(),
-        scale_ups: outcome.elasticity.scale_up_events,
-        scale_downs: outcome.elasticity.scale_down_events,
-        replay_ratio: sched_points as f64 / outcome.fleet.scheduler_calls as f64,
+        completed: records.len(),
+        shed: run.shed.len(),
+        replica_seconds,
+        goodput_per_rs: slo_goodput_per_replica_second(records, slo, replica_seconds),
+        interactive_flash_attainment: interactive_flash_attainment(trace, records, slo),
+        makespan_s,
+        scale_ups: e.scale_up_events,
+        scale_downs: e.scale_down_events,
+        replay_ratio: sched_points as f64 / run.fleet.scheduler_calls as f64,
+        class_attainment,
+        class_shed: [e.shed_interactive, e.shed_standard, e.shed_best_effort],
     }
 }
 
@@ -210,7 +206,6 @@ fn main() {
         &MixedClassProfile::overload_mix(),
         &mut rng,
     );
-    let slo = SloSpec::default_for_lwm();
     println!(
         "trace: {} requests (diurnal {TROUGH_RATE}-{PEAK_RATE}/s, period {PERIOD_S} s; \
          flash {FLASH_RATE}/s at {FLASH_START_S} s for {FLASH_SECS} s)",
@@ -218,22 +213,21 @@ fn main() {
     );
 
     let mut samples: Vec<Sample> = (1..=MAX_REPLICAS)
-        .map(|n| static_fleet(n, &trace, &slo))
+        .map(|n| run_fleet(&format!("static x{n}"), n, &trace, &FleetPlan::fixed(n)))
         .collect();
-    samples.push(elastic_fleet("autoscaled", &trace, &slo, &elastic_cfg()));
-    samples.push(elastic_fleet(
-        "autoscaled+shed",
-        &trace,
-        &slo,
-        &elastic_cfg().with_admission(admission()),
-    ));
+    let shedding = elastic_cfg().with_admission(admission());
+    for (label, plan) in [("autoscaled", elastic_cfg()), ("autoscaled+shed", shedding)] {
+        samples.push(run_fleet(label, MAX_REPLICAS, &trace, &plan));
+    }
 
     let mut csv = String::from(
         "scenario,wall_s,completed,shed,replica_seconds,goodput_per_replica_second,\
-         interactive_flash_attainment,makespan_s,scale_ups,scale_downs,replay_ratio\n",
+         interactive_flash_attainment,makespan_s,scale_ups,scale_downs,replay_ratio,\
+         attain_interactive,attain_standard,attain_best_effort,\
+         shed_interactive,shed_standard,shed_best_effort\n",
     );
     println!(
-        "{:>16} {:>8} {:>10} {:>6} {:>11} {:>14} {:>12} {:>10} {:>7} {:>7} {:>7}",
+        "{:>16} {:>8} {:>10} {:>6} {:>11} {:>14} {:>12} {:>10} {:>7} {:>7} {:>7} {:>17} {:>15}",
         "scenario",
         "wall_s",
         "completed",
@@ -244,11 +238,16 @@ fn main() {
         "makespan_s",
         "ups",
         "downs",
-        "replay"
+        "replay",
+        "attain int/std/be",
+        "shed int/std/be"
     );
     for s in &samples {
+        let attain = s.class_attainment.map(|a| format!("{a:.3}"));
+        let shed = s.class_shed.map(|n| n.to_string());
         println!(
-            "{:>16} {:>8.3} {:>10} {:>6} {:>11.1} {:>14.5} {:>12.3} {:>10.1} {:>7} {:>7} {:>7.3}",
+            "{:>16} {:>8.3} {:>10} {:>6} {:>11.1} {:>14.5} {:>12.3} {:>10.1} {:>7} {:>7} {:>7.3} \
+             {:>17} {:>15}",
             s.label,
             s.wall_s,
             s.completed,
@@ -259,10 +258,12 @@ fn main() {
             s.makespan_s,
             s.scale_ups,
             s.scale_downs,
-            s.replay_ratio
+            s.replay_ratio,
+            attain.join("/"),
+            shed.join("/")
         );
         csv.push_str(&format!(
-            "{},{:.6},{},{},{:.3},{:.6},{:.6},{:.3},{},{},{:.4}\n",
+            "{},{:.6},{},{},{:.3},{:.6},{:.6},{:.3},{},{},{:.4},{:.6},{:.6},{:.6},{}\n",
             s.label,
             s.wall_s,
             s.completed,
@@ -273,7 +274,11 @@ fn main() {
             s.makespan_s,
             s.scale_ups,
             s.scale_downs,
-            s.replay_ratio
+            s.replay_ratio,
+            s.class_attainment[0],
+            s.class_attainment[1],
+            s.class_attainment[2],
+            shed.join(",")
         ));
     }
 
@@ -282,6 +287,8 @@ fn main() {
         .iter()
         .max_by(|a, b| a.goodput_per_rs.total_cmp(&b.goodput_per_rs))
         .expect("static fleets exist");
+    let trough_sized = &samples[0];
+    let flash_sized = &samples[MAX_REPLICAS - 1];
     let autoscaled = &samples[MAX_REPLICAS];
     let shed = &samples[MAX_REPLICAS + 1];
     assert!(
@@ -303,6 +310,16 @@ fn main() {
         autoscaled.scale_downs >= 1,
         "the trough must trigger scale-down"
     );
+    assert!(
+        autoscaled.replica_seconds < flash_sized.replica_seconds,
+        "autoscaling must pay fewer replica-seconds than the flash-sized fleet"
+    );
+    // Shedding is class-priority: it drops best-effort work before
+    // interactive, and interactive attainment beats the melting
+    // trough-sized fleet's.
+    assert!(shed.shed > 0, "the flash must trigger shedding");
+    assert!(shed.class_shed[2] >= shed.class_shed[0]);
+    assert!(shed.class_attainment[0] > trough_sized.class_attainment[0]);
 
     // The line CI greps for in the autoscale smoke step.
     println!(

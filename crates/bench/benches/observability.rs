@@ -16,7 +16,7 @@
 //! traced arm stays within 10% of the untraced one. The arms run in
 //! interleaved rounds that alternate which goes first; each round's
 //! traced/untraced wall ratio cancels the ambient load its two adjacent
-//! runs share, and the gate reads the median ratio over seven rounds, so a
+//! runs share, and the gate reads the median ratio over eight rounds, so a
 //! slow episode in one run cannot trip it. The recorder's
 //! residency ledger (sampled requests, spans, series bins, peak open
 //! state) is deterministic and gated against `BENCH_obs.json`; wall-clock
@@ -26,7 +26,7 @@
 //!
 //! ```text
 //! cargo bench --bench observability            # 100k requests, 2 rounds
-//! cargo bench --bench observability -- --smoke # 20k requests, 7 rounds, <10% assert
+//! cargo bench --bench observability -- --smoke # 20k requests, 8 rounds, <10% assert
 //! ```
 
 use loong_bench::banner;
@@ -109,7 +109,7 @@ fn run_arm(count: usize, traced: bool) -> (f64, String, Option<TraceRecorder>) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let (count, rounds) = if smoke { (SMOKE_COUNT, 7) } else { (COUNT, 2) };
+    let (count, rounds) = if smoke { (SMOKE_COUNT, 8) } else { (COUNT, 2) };
 
     banner(&format!(
         "Observability overhead — ShareGPT @ {RATE} req/s, {count} requests streamed, \

@@ -7,7 +7,10 @@
 //! prompt tokens (strictly smaller with the cache), predicted prefill
 //! seconds saved, and the resulting makespan. Outcome equivalence (same
 //! completed set, same per-request outputs) is asserted inline: the cache
-//! must change *work*, never *results*.
+//! must change *work*, never *results*. The same trace then runs through a
+//! 2-replica fleet with the cache on every replica, under prefix-affinity
+//! and round-robin routing (report-only): affinity keeps a conversation's
+//! turns on the replica that retains its prefix, round-robin scatters them.
 //!
 //! Invocation (harness = false):
 //!
@@ -40,15 +43,24 @@ struct Sample {
     cache: CacheStats,
 }
 
-fn run_once(label: &'static str, trace: &Trace, cache: bool) -> Sample {
-    let mut system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
-    if cache {
-        system = system.with_prefix_cache(PrefixCacheConfig::default());
-    }
-    let mut engine = system.build_engine(Some(trace));
+/// Serves `trace` on a LoongServe fleet of `replicas` routed by `policy`,
+/// with the prefix cache on every replica or on none. One replica behind
+/// passthrough routing is the bare engine bit for bit, with the cache off
+/// (`tests/fleet_equivalence.rs`) and on (`tests/prefix_properties.rs`).
+fn run(
+    label: &'static str,
+    trace: &Trace,
+    cache: bool,
+    replicas: usize,
+    policy: RouterPolicy,
+) -> Sample {
+    let mut config = FleetConfig::paper_fleet(SystemKind::LoongServe, replicas, policy);
+    config.prefix_cache = cache.then(PrefixCacheConfig::default);
+    let stream = TraceStream::from_trace(trace.clone());
     let start = Instant::now();
-    let outcome = engine.run(trace);
+    let run = FleetEngine::new(config).run(stream, &FleetPlan::fixed(replicas), None);
     let wall_s = start.elapsed().as_secs_f64();
+    let outcome = run.expect("valid plan").fleet;
     let summary = RunSummary::from_records(
         label,
         &trace.label,
@@ -62,7 +74,11 @@ fn run_once(label: &'static str, trace: &Trace, cache: bool) -> Sample {
         makespan_s: summary.makespan_s,
         completed: summary.completed,
         unfinished: outcome.unfinished,
-        prefilled_tokens: outcome.prefilled_tokens,
+        prefilled_tokens: outcome
+            .per_replica
+            .iter()
+            .map(|r| r.outcome.prefilled_tokens)
+            .sum(),
         cache: outcome.cache,
     }
 }
@@ -95,8 +111,10 @@ fn main() {
         trace.stats().total_input_tokens
     );
 
-    let off = run_once("cache-off", &trace, false);
-    let on = run_once("cache-on", &trace, true);
+    let off = run("cache-off", &trace, false, 1, RouterPolicy::Passthrough);
+    let on = run("cache-on", &trace, true, 1, RouterPolicy::Passthrough);
+    let affinity = run("2x-affinity", &trace, true, 2, RouterPolicy::PrefixAffinity);
+    let round_robin = run("2x-rr", &trace, true, 2, RouterPolicy::RoundRobin);
 
     // Reuse correctness, asserted on every bench run: identical service,
     // strictly less prefill work, and exact token conservation.
@@ -118,7 +136,7 @@ fn main() {
         "cache,wall_s,makespan_s,completed,prefilled_tokens,hits,lookups,reused_tokens,saved_prefill_s,evicted_tokens\n",
     );
     println!(
-        "{:>10} {:>8} {:>11} {:>10} {:>17} {:>9} {:>14} {:>15} {:>14}",
+        "{:>11} {:>8} {:>11} {:>10} {:>17} {:>9} {:>14} {:>15} {:>14}",
         "cache",
         "wall_s",
         "makespan_s",
@@ -129,9 +147,9 @@ fn main() {
         "saved_prefill_s",
         "evicted_tokens"
     );
-    for s in [&off, &on] {
+    for s in [&off, &on, &affinity, &round_robin] {
         println!(
-            "{:>10} {:>8.3} {:>11.1} {:>10} {:>17} {:>9.3} {:>14} {:>15.3} {:>14}",
+            "{:>11} {:>8.3} {:>11.1} {:>10} {:>17} {:>9.3} {:>14} {:>15.3} {:>14}",
             s.label,
             s.wall_s,
             s.makespan_s,

@@ -4,10 +4,11 @@
 //! seeded MTBF/MTTR failure schedule, once per casualty policy — fail-fast
 //! (no retries), a three-attempt exponential retry budget, and retries
 //! plus a per-replica circuit breaker — with an armed-but-idle run as the
-//! baseline. Reports completions, terminal failures, availability,
-//! recovered requests, re-prefilled prompt tokens (the crash tax under
-//! long contexts) and breaker trips. Exactly-once accounting is asserted
-//! inline on every run.
+//! baseline. Reports completions, terminal failures, availability, the
+//! worst SLA window's availability (report-only: the outage as an operator
+//! sees it), recovered requests, re-prefilled prompt tokens (the crash tax
+//! under long contexts) and breaker trips. Exactly-once accounting is
+//! asserted inline on every run.
 //!
 //! Invocation (harness = false):
 //!
@@ -42,6 +43,15 @@ impl Sample {
         let completed = self.outcome.fleet.records.len() as f64;
         let failed = self.outcome.failed.len() as f64;
         completed / (completed + failed).max(1.0)
+    }
+
+    /// The lowest success ratio over the run's SLA windows.
+    fn worst_window(&self) -> f64 {
+        self.outcome
+            .sla_windows
+            .iter()
+            .map(|w| w.success_ratio())
+            .fold(1.0, f64::min)
     }
 }
 
@@ -99,52 +109,38 @@ fn main() {
 
     let retry = RetryPolicy::exponential(3, 0.5);
     let breaker = CircuitBreakerConfig::new(2, 20.0, 15.0);
-    let idle = run(
-        "armed-idle",
-        &trace,
-        &FleetPlan::fixed(REPLICAS)
-            .with_retry(retry)
-            .with_breaker(breaker),
-    );
-    let fail_fast = run(
-        "fail-fast",
-        &trace,
-        &FleetPlan::fixed(REPLICAS).with_schedule(schedule.clone()),
-    );
-    let retried = run(
-        "retry-x3",
-        &trace,
-        &FleetPlan::fixed(REPLICAS)
-            .with_schedule(schedule.clone())
-            .with_retry(retry),
-    );
-    let breakered = run(
-        "retry+breaker",
-        &trace,
-        &FleetPlan::fixed(REPLICAS)
-            .with_schedule(schedule)
-            .with_retry(retry)
-            .with_breaker(breaker),
-    );
+    let fixed = FleetPlan::fixed(REPLICAS);
+    let crashing = fixed.clone().with_schedule(schedule);
+    let retrying = crashing.clone().with_retry(retry);
+    let [idle, fail_fast, retried, breakered] = [
+        ("armed-idle", fixed.with_retry(retry).with_breaker(breaker)),
+        ("fail-fast", crashing),
+        ("retry-x3", retrying.clone()),
+        ("retry+breaker", retrying.with_breaker(breaker)),
+    ]
+    .map(|(label, plan)| run(label, &trace, &plan));
 
     // The tier's headline contract, asserted on every bench run.
     assert!(idle.outcome.reliability.is_zero());
     assert_eq!(idle.availability(), 1.0);
+    assert_eq!(idle.worst_window(), 1.0);
     assert!(!fail_fast.outcome.failed.is_empty(), "crashes must bite");
     assert!(retried.availability() >= fail_fast.availability());
     assert!(retried.outcome.reliability.re_prefilled_tokens > 0);
+    assert!(breakered.availability() >= fail_fast.availability());
 
     let mut csv = String::from(
-        "scenario,wall_s,completed,failed,availability,failed_attempts,retries_scheduled,\
-         recovered,re_prefilled_tokens,breaker_opens,makespan_s\n",
+        "scenario,wall_s,completed,failed,availability,worst_window,failed_attempts,\
+         retries_scheduled,recovered,re_prefilled_tokens,breaker_opens,makespan_s\n",
     );
     println!(
-        "{:>14} {:>8} {:>10} {:>7} {:>13} {:>9} {:>11} {:>13} {:>9} {:>11}",
+        "{:>14} {:>8} {:>10} {:>7} {:>13} {:>12} {:>9} {:>11} {:>13} {:>9} {:>11}",
         "scenario",
         "wall_s",
         "completed",
         "failed",
         "availability",
+        "worst_window",
         "recovered",
         "re-prefill",
         "breaker_opens",
@@ -154,12 +150,13 @@ fn main() {
     for s in [&idle, &fail_fast, &retried, &breakered] {
         let r = &s.outcome.reliability;
         println!(
-            "{:>14} {:>8.3} {:>10} {:>7} {:>13.4} {:>9} {:>11} {:>13} {:>9} {:>11.1}",
+            "{:>14} {:>8.3} {:>10} {:>7} {:>13.4} {:>12.4} {:>9} {:>11} {:>13} {:>9} {:>11.1}",
             s.label,
             s.wall_s,
             s.outcome.fleet.records.len(),
             s.outcome.failed.len(),
             s.availability(),
+            s.worst_window(),
             r.recovered_requests,
             r.re_prefilled_tokens,
             r.breaker_opens,
@@ -167,12 +164,13 @@ fn main() {
             s.outcome.fleet.sim_time.as_secs()
         );
         csv.push_str(&format!(
-            "{},{:.6},{},{},{:.6},{},{},{},{},{},{:.3}\n",
+            "{},{:.6},{},{},{:.6},{:.6},{},{},{},{},{},{:.3}\n",
             s.label,
             s.wall_s,
             s.outcome.fleet.records.len(),
             s.outcome.failed.len(),
             s.availability(),
+            s.worst_window(),
             r.failed_attempts,
             r.retries_scheduled,
             r.recovered_requests,

@@ -11,7 +11,8 @@
 //!    stops paying once decode is sublinear in context.
 //! 3. **Goodput ablation** (full engine, and a 2-replica fleet in full
 //!    mode): LoongServe on the Mixed long-context workload under each
-//!    policy, plus a dense vLLM baseline in full mode.
+//!    policy, plus a dense vLLM baseline in full mode. Every policy's
+//!    engine run must drain the trace (asserted).
 //!
 //! `--smoke` runs the reduced configuration CI uses and emits one
 //! BENCH_SMOKE_JSON line gated against BENCH_sparse.json.
@@ -174,6 +175,7 @@ fn main() {
             summary.slo_attainment,
             outcome.unfinished
         );
+        assert_eq!(outcome.unfinished, 0, "{} left work behind", policy.label());
         csv.push_str(&format!(
             "engine_goodput,{},throughput_rps,{:.6}\n",
             policy_tag(policy),

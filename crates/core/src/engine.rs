@@ -926,6 +926,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     pub fn new(config: EngineConfig, scheduler: Box<S>) -> Self {
         config.cluster.validate().expect("valid cluster");
         config.model.validate().expect("valid model");
+        config.attention.validate().expect("valid attention policy");
         let registry = InstanceRegistry::build(&config.cluster, config.tp);
         let cost_model = CostModel::builder(config.model.clone())
             .gpu(config.cluster.gpu.clone())
@@ -1633,7 +1634,8 @@ mod audit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::systems::SystemKind;
+    use crate::systems::{SystemKind, SystemUnderTest};
+    use loong_model::attention::HierarchicalPrefill;
     use loong_sched::types::SchedulerView;
     use loong_workload::arrival::ArrivalProcess;
     use loong_workload::datasets::DatasetKind;
@@ -1795,5 +1797,16 @@ mod tests {
         let ob = b.run(&trace);
         assert_eq!(oa.records, ob.records);
         assert_eq!(oa.iterations, ob.iterations);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid attention policy")]
+    fn invalid_attention_policy_is_rejected_at_construction() {
+        let attention = AttentionCostPolicy::HierarchicalPrefill(HierarchicalPrefill {
+            budget_tokens: 0,
+            ..HierarchicalPrefill::lserve()
+        });
+        let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
+        let _ = system.with_attention(attention).build_engine(None);
     }
 }

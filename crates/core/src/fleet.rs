@@ -594,8 +594,9 @@ impl FleetEngine {
     /// the fleet makespan. See the module docs for the execution model.
     ///
     /// Returns an error, before any request is pulled, when
-    /// [`FleetPlan::validate`] rejects the plan for this fleet or the
-    /// fleet's system has no scheduler for its pressure mode.
+    /// [`FleetPlan::validate`] rejects the plan for this fleet, the model or
+    /// the attention policy is invalid, or the fleet's system has no
+    /// scheduler for its pressure mode.
     pub fn run(
         &mut self,
         stream: TraceStream,
@@ -603,6 +604,9 @@ impl FleetEngine {
         recorder: Option<&mut TraceRecorder>,
     ) -> Result<FleetRun, String> {
         plan.validate(self.config.replicas)?;
+        // Replica engines are built mid-run, where these would panic.
+        self.config.model.validate()?;
+        self.config.attention.validate()?;
         // Replica lifetimes build their schedulers on pool workers; build
         // one here so an unsupported pressure mode errs before the run.
         self.config.replica_system().scheduler(None)?;
@@ -1119,6 +1123,7 @@ fn map_slots<R: Send>(
 mod tests {
     use super::*;
     use crate::experiment::WorkloadSpec;
+    use loong_model::attention::PageSparseDecode;
     use loong_workload::datasets::DatasetKind;
 
     fn small_trace(count: usize, seed: u64) -> Trace {
@@ -1253,5 +1258,37 @@ mod tests {
                 format!("{} has no pressure-aware scheduler", system.label())
             );
         }
+    }
+
+    /// A 2-replica fleet run whose configuration `edit` has changed.
+    fn run_edited(edit: impl FnOnce(&mut FleetConfig)) -> Result<FleetRun, String> {
+        let mut config =
+            FleetConfig::paper_fleet(SystemKind::LoongServe, 2, RouterPolicy::RoundRobin);
+        edit(&mut config);
+        let stream = TraceStream::from_trace(small_trace(8, 1));
+        FleetEngine::new(config).run(stream, &FleetPlan::fixed(2), None)
+    }
+
+    #[test]
+    fn invalid_model_is_rejected_before_the_run() {
+        // Once panicked mid-run, when the first replica engine was built.
+        let err = run_edited(|c| c.model.num_layers = 0).expect_err("invalid model");
+        assert!(
+            err.contains("layers/hidden/heads must be positive"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn invalid_attention_policy_is_rejected_before_the_run() {
+        // Once ran to completion with zero-token pages.
+        let err = run_edited(|c| {
+            c.attention = AttentionCostPolicy::PageSparseDecode(PageSparseDecode {
+                page_tokens: 0,
+                ..PageSparseDecode::lserve()
+            })
+        })
+        .expect_err("invalid attention policy");
+        assert!(err.contains("page-sparse decode"), "{err}");
     }
 }

@@ -110,7 +110,7 @@ impl AutoscalerConfig {
                 self.scale_down_backlog_tokens, self.scale_up_backlog_tokens
             ));
         }
-        if self.cooldown_s < 0.0 || self.provisioning_delay_s < 0.0 {
+        if !(self.cooldown_s >= 0.0 && self.provisioning_delay_s >= 0.0) {
             return Err("cooldown and provisioning delay must be non-negative".to_string());
         }
         if !self.provisioning_delay_s.is_finite() {
@@ -291,10 +291,10 @@ impl AdmissionConfig {
         {
             return Err("replica capacity and service rate must be positive".to_string());
         }
-        if self.deadline_interactive_s <= 0.0
-            || self.deadline_standard_s < self.deadline_interactive_s
-            || self.deadline_best_effort_s < self.deadline_standard_s
-        {
+        let deadlines_ok = self.deadline_interactive_s > 0.0
+            && self.deadline_standard_s >= self.deadline_interactive_s
+            && self.deadline_best_effort_s >= self.deadline_standard_s;
+        if !deadlines_ok {
             return Err(
                 "deadlines must be positive and loosen with the class (interactive <= \
                  standard <= best-effort)"
@@ -517,6 +517,15 @@ mod tests {
     }
 
     #[test]
+    fn nan_cooldown_rejected() {
+        // Once validated, then switched the cooldown off: no elapsed time
+        // compares below NaN.
+        let mut config = AutoscalerConfig::overload_defaults(1, 2);
+        config.cooldown_s = f64::NAN;
+        assert!(config.validate().is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "dead band")]
     fn inverted_backlog_thresholds_rejected() {
         let mut config = AutoscalerConfig::overload_defaults(1, 2);
@@ -610,6 +619,21 @@ mod tests {
         }
         assert!(!ctl.is_shedding());
         assert_eq!(ctl.transitions(), 0);
+    }
+
+    #[test]
+    fn nan_deadlines_rejected() {
+        // Once validated, then switched deadline shedding off for the
+        // class: no estimated wait compares above NaN.
+        for class in TrafficClass::all() {
+            let mut config = AdmissionConfig::overload_defaults();
+            match class {
+                TrafficClass::Interactive => config.deadline_interactive_s = f64::NAN,
+                TrafficClass::Standard => config.deadline_standard_s = f64::NAN,
+                TrafficClass::BestEffort => config.deadline_best_effort_s = f64::NAN,
+            }
+            assert!(config.validate().is_err(), "NaN {} deadline", class.label());
+        }
     }
 
     #[test]

@@ -181,10 +181,6 @@ struct PendingRetry {
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     cfg: TraceConfig,
-    /// Replica key this recorder's replica-agnostic events file under:
-    /// always 0 (bare engines and engine-lifetime children; fleet merges
-    /// re-key at absorb time).
-    replica_tag: u64,
     /// Ids that have been scheduled for retry at least once, ever. A
     /// lifetime's recorder learns them via [`TraceRecorder::note_retried`]
     /// as retries are handed to its engine.
@@ -215,7 +211,6 @@ impl TraceRecorder {
     pub fn new(cfg: TraceConfig) -> Self {
         TraceRecorder {
             cfg,
-            replica_tag: 0,
             retried: BTreeSet::new(),
             open: BTreeMap::new(),
             spans: Vec::new(),
@@ -595,7 +590,9 @@ impl TraceSink for TraceRecorder {
                 output_len: info.output_len,
                 phase: SpanPhase::Queued,
                 phase_start: at,
-                replica: self.replica_tag,
+                // Engine events file under replica 0 until a fleet's
+                // `merge_child` re-keys them.
+                replica: 0,
                 sampled,
                 retry,
             },
@@ -653,16 +650,12 @@ impl TraceSink for TraceRecorder {
     }
 
     fn on_cache_evict(&mut self, at: SimTime, entries: u64, _tokens: u64) {
-        let tag = self.replica_tag;
-        self.series_mut(tag)
-            .cache_evictions
-            .record_many(at, entries);
+        self.series_mut(0).cache_evictions.record_many(at, entries);
     }
 
     fn on_gauges(&mut self, at: SimTime, gauges: Gauges) {
         self.gauge_samples += 1;
-        let tag = self.replica_tag;
-        let sr = self.series_mut(tag);
+        let sr = self.series_mut(0);
         sr.queue_depth.record(at, gauges.queue_depth as f64);
         sr.batch_size.record(at, gauges.batch_size as f64);
         sr.kv_utilization.record(at, gauges.kv_utilization);

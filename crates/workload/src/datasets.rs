@@ -211,20 +211,26 @@ impl MultiTurnProfile {
         }
     }
 
-    /// Validates ranges.
+    /// Validates ranges: every mean must give its sampler a finite,
+    /// positive exponential rate.
     pub fn validate(&self) -> Result<(), String> {
-        if self.mean_rounds < 1.0 {
+        // Above one round `sample_rounds` draws at rate -ln(1 - 1/mean),
+        // which NaN, infinite and huge means leave at NaN or zero.
+        let rounds_rate = -(1.0 - 1.0 / self.mean_rounds).ln();
+        if !(self.mean_rounds == 1.0 || (self.mean_rounds > 1.0 && rounds_rate > 0.0)) {
             return Err(format!(
-                "mean rounds must be at least 1, got {}",
+                "mean rounds must be at least 1 and small enough for a positive \
+                 geometric rate, got {}",
                 self.mean_rounds
             ));
         }
         if self.max_rounds == 0 {
             return Err("max rounds must be positive".to_string());
         }
-        if self.mean_think_s <= 0.0 {
+        let think_rate = 1.0 / self.mean_think_s;
+        if !(think_rate.is_finite() && think_rate > 0.0) {
             return Err(format!(
-                "mean think time must be positive, got {}",
+                "mean think time must be finite and positive, got {}",
                 self.mean_think_s
             ));
         }
@@ -241,8 +247,8 @@ impl MultiTurnProfile {
             return 1;
         }
         let rate = -(1.0 - p).ln();
-        let rounds = 1 + Exponential::new(rate).sample(rng).floor() as u32;
-        rounds.min(self.max_rounds)
+        let extra = Exponential::new(rate).sample(rng).floor() as u32;
+        extra.saturating_add(1).min(self.max_rounds)
     }
 
     /// Samples the think time before a follow-up turn, in seconds. The
@@ -513,6 +519,38 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_think_times_are_rejected() {
+        // Once accepted, then panicked in `Exponential::new` at the first
+        // follow-up turn a stream produced.
+        let ok = MultiTurnProfile::sharegpt();
+        for mean_think_s in [f64::INFINITY, f64::NAN, 1e-320] {
+            let profile = MultiTurnProfile { mean_think_s, ..ok };
+            assert!(profile.validate().is_err(), "{mean_think_s} accepted");
+        }
+    }
+
+    #[test]
+    fn round_means_that_would_panic_are_rejected() {
+        // Once accepted, then panicked in `Exponential::new` at the first
+        // conversation a stream started.
+        let ok = MultiTurnProfile::sharegpt();
+        for mean_rounds in [f64::INFINITY, f64::NAN, 1e17] {
+            let profile = MultiTurnProfile { mean_rounds, ..ok };
+            assert!(profile.validate().is_err(), "{mean_rounds} accepted");
+        }
+        // Every accepted mean samples, however long its tail.
+        for mean_rounds in [1.0, 1.0 + f64::EPSILON, 3.5, 1e9, 1e15] {
+            let profile = MultiTurnProfile { mean_rounds, ..ok };
+            assert!(profile.validate().is_ok(), "{mean_rounds} rejected");
+            let mut rng = SimRng::seed(7);
+            for _ in 0..64 {
+                let rounds = profile.sample_rounds(&mut rng);
+                assert!((1..=profile.max_rounds).contains(&rounds));
+            }
+        }
     }
 
     #[test]

@@ -605,6 +605,67 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every field of every request the streams emit, in
+    /// order.
+    fn digest(streams: impl IntoIterator<Item = TraceStream>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in streams.into_iter().flatten() {
+            for word in [
+                r.id.raw(),
+                r.arrival.as_secs().to_bits(),
+                r.input_len,
+                r.output_len,
+                r.max_output_len,
+                r.conversation.map_or(u64::MAX, |c| c.raw()),
+                u64::from(r.turn),
+                r.class as u64,
+            ] {
+                h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// A bursty arrival process for the golden digests, beside Poisson.
+    fn bursty() -> ArrivalProcess {
+        ArrivalProcess::MarkovModulated {
+            rate_high: 4.0,
+            rate_low: 0.25,
+            mean_high_secs: 10.0,
+            mean_low_secs: 20.0,
+        }
+    }
+
+    #[test]
+    fn multi_turn_generator_output_is_pinned() {
+        // Pins what the generator produces, not only that streaming it
+        // matches collecting it: a reordered RNG fork moves this digest.
+        let profile = MultiTurnProfile::sharegpt();
+        let streams = [poisson(0.5), bursty()].into_iter().flat_map(|arrivals| {
+            [21u64, 77].map(|seed| {
+                TraceStream::multi_turn(
+                    DatasetKind::ShareGpt,
+                    &profile,
+                    arrivals,
+                    40,
+                    &mut SimRng::seed(seed),
+                )
+            })
+        });
+        assert_eq!(digest(streams), 0xa2af_ea0f_0275_7502);
+    }
+
+    #[test]
+    fn mixed_class_generator_output_is_pinned() {
+        let profile = MixedClassProfile::overload_mix();
+        let streams = [poisson(2.0), bursty()].into_iter().flat_map(|arrivals| {
+            [31u64, 55].map(|seed| {
+                TraceStream::mixed_classes(arrivals, 150, &profile, &mut SimRng::seed(seed))
+            })
+        });
+        assert_eq!(digest(streams), 0xbc0a_bdf9_2a7d_45c1);
+    }
+
     #[test]
     fn stream_emits_in_arrival_id_order() {
         let stream = TraceStream::mixed_classes(
