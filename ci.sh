@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full verification gate for LoongServe-RS. Run from the repo root.
 #
-#   ./ci.sh          # everything: build, tests, allocation budget, bench gates, examples, clippy, fmt, rustdoc, line counts
+#   ./ci.sh          # everything: build, tests, allocation budget, bench gates, examples, figure benches, clippy, fmt, rustdoc, line counts
 #   ./ci.sh quick    # just the tier-1 gate: release build + tests + perfbench tests
 #
 # Every cargo invocation passes --locked so a drifted Cargo.lock fails loudly
@@ -106,6 +106,14 @@ for source in examples/*.rs; do
     example=$(basename "$source" .rs)
     echo "--- example: $example"
     LOONG_SMOKE=1 cargo run -q --release --locked --example "$example" > /dev/null
+done
+
+# Report only: these three benches are the only programs that run all eight
+# systems at figure settings, so a panic in any system fails CI here. Their
+# tables print to the log; the numbers are not gated.
+step "figure benches over every system (report only: Fig. 10, 11 and 12 tables and CSVs)"
+for bench in fig10_end_to_end fig11_multinode fig12_goodput_ablation; do
+    cargo bench --locked --bench "$bench"
 done
 
 step "trace-check the trace_export example's Perfetto export"

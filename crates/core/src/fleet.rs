@@ -594,9 +594,8 @@ impl FleetEngine {
     /// the fleet makespan. See the module docs for the execution model.
     ///
     /// Returns an error, before any request is pulled, when
-    /// [`FleetPlan::validate`] rejects the plan for this fleet, the model or
-    /// the attention policy is invalid, or the fleet's system has no
-    /// scheduler for its pressure mode.
+    /// [`FleetPlan::validate`] rejects the plan for this fleet or
+    /// [`SystemUnderTest::validate`] rejects the system every replica runs.
     pub fn run(
         &mut self,
         stream: TraceStream,
@@ -604,12 +603,9 @@ impl FleetEngine {
         recorder: Option<&mut TraceRecorder>,
     ) -> Result<FleetRun, String> {
         plan.validate(self.config.replicas)?;
-        // Replica engines are built mid-run, where these would panic.
-        self.config.model.validate()?;
-        self.config.attention.validate()?;
-        // Replica lifetimes build their schedulers on pool workers; build
-        // one here so an unsupported pressure mode errs before the run.
-        self.config.replica_system().scheduler(None)?;
+        // Replica engines are built mid-run, on pool workers, where an
+        // invalid system would panic.
+        self.config.replica_system().validate()?;
         let mut source = stream.peekable();
         self.router = self.config.policy.build();
         let mut st = RunState::new(&self.config, &mut self.router, plan, recorder);
@@ -1277,6 +1273,40 @@ mod tests {
             err.contains("layers/hidden/heads must be positive"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn invalid_prefix_cache_is_rejected_before_the_run() {
+        // Once panicked when the first replica engine was built.
+        let err = run_edited(|c| {
+            c.prefix_cache = Some(PrefixCacheConfig {
+                block_tokens: 0,
+                ..PrefixCacheConfig::default()
+            })
+        })
+        .expect_err("invalid prefix cache");
+        assert!(err.contains("block size must be positive"), "{err}");
+    }
+
+    #[test]
+    fn tp_that_does_not_divide_the_node_is_rejected_before_the_run() {
+        // LoongServe's TP=2 on a 1-GPU node once panicked building the
+        // instance registry.
+        let err = run_edited(|c| c.cluster = ClusterSpec::single_node_a800(1))
+            .expect_err("TP=2 does not fit one GPU");
+        assert_eq!(err, "LoongServe: tp=2 must divide the 1 GPUs per node");
+    }
+
+    #[test]
+    fn disaggregation_without_two_instances_is_rejected_before_the_run() {
+        // DistServe on a 1-GPU node once panicked splitting one instance
+        // into a prefill and a decode half.
+        let err = run_edited(|c| {
+            c.system = SystemKind::DistServe;
+            c.cluster = ClusterSpec::single_node_a800(1);
+        })
+        .expect_err("one instance cannot be split");
+        assert!(err.contains("needs at least two instances, got 1"), "{err}");
     }
 
     #[test]

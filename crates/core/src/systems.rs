@@ -13,9 +13,7 @@ use loong_metrics::slo::SloSpec;
 use loong_metrics::summary::RunSummary;
 use loong_model::attention::AttentionCostPolicy;
 use loong_model::config::ModelConfig;
-use loong_sched::baselines::{
-    DistServeScheduler, IndependentInstancesScheduler, SplitFuseScheduler, StaticHybridScheduler,
-};
+use loong_sched::baselines::{BaselineScheduler, Layout};
 use loong_sched::manager::{LoongServeConfig, LoongServeScheduler};
 use loong_sched::pressure::PressureConfig;
 use loong_sched::types::Scheduler;
@@ -111,9 +109,12 @@ impl SystemKind {
     }
 
     /// Builds the scheduler for this system under `pressure`: the one
-    /// construction path. Errs, naming the system, when `pressure` is not
-    /// [`PressureMode::Off`] and the system has no pressure-aware scheduler
-    /// (the chunked-prefill, disaggregation and static-hybrid baselines).
+    /// construction path. Each static system is a [`BaselineScheduler`]
+    /// over its [`Layout`], named by [`SystemKind::label`]. Errs, naming
+    /// the system, when `pressure` is not [`PressureMode::Off`] and the
+    /// system has no pressure-aware scheduler (the chunked-prefill,
+    /// disaggregation and static-hybrid baselines), and when DistServe has
+    /// fewer than two instances to split.
     pub fn scheduler(
         &self,
         instances: &[InstanceId],
@@ -121,7 +122,7 @@ impl SystemKind {
         pressure: PressureMode,
     ) -> Result<Box<dyn Scheduler + Send>, String> {
         let pressure = pressure.config();
-        Ok(match self {
+        let layout = match self {
             SystemKind::LoongServe | SystemKind::LoongServeNoScaleUp => {
                 let mut scheduler = LoongServeScheduler::with_config(LoongServeConfig {
                     enable_scale_up: *self == SystemKind::LoongServe,
@@ -129,23 +130,12 @@ impl SystemKind {
                 if let Some(config) = pressure {
                     scheduler = scheduler.with_pressure(config);
                 }
-                Box::new(scheduler)
+                return Ok(Box::new(scheduler));
             }
-            SystemKind::Vllm | SystemKind::Replicated => {
-                let mut scheduler = if *self == SystemKind::Vllm {
-                    IndependentInstancesScheduler::vllm()
-                } else {
-                    IndependentInstancesScheduler::replicated()
-                };
-                if let Some(config) = pressure {
-                    scheduler = scheduler.with_pressure(config);
-                }
-                Box::new(scheduler)
-            }
-            _ if pressure.is_some() => {
-                return Err(format!("{} has no pressure-aware scheduler", self.label()))
-            }
-            SystemKind::DeepSpeedMii => Box::new(SplitFuseScheduler::deepspeed_mii()),
+            SystemKind::Vllm | SystemKind::Replicated => Layout::PerInstance,
+            SystemKind::DeepSpeedMii => Layout::Chunked {
+                chunk_tokens: Layout::DEFAULT_CHUNK_TOKENS,
+            },
             SystemKind::LightLlmSplitFuse => {
                 let (mean_in, mean_out) = trace
                     .map(|t| {
@@ -153,11 +143,20 @@ impl SystemKind {
                         (s.mean_input_len.max(1.0), s.mean_output_len.max(1.0))
                     })
                     .unwrap_or((8_192.0, 256.0));
-                Box::new(SplitFuseScheduler::lightllm_for_workload(mean_in, mean_out))
+                Layout::Chunked {
+                    chunk_tokens: Layout::ideal_chunk_tokens(mean_in, mean_out),
+                }
             }
-            SystemKind::DistServe => Box::new(DistServeScheduler::from_instances(instances)),
-            SystemKind::StaticHybrid => Box::new(StaticHybridScheduler::new()),
-        })
+            SystemKind::DistServe => {
+                Layout::disaggregated(instances).map_err(|e| format!("{}: {e}", self.label()))?
+            }
+            SystemKind::StaticHybrid => Layout::OneGroup,
+        };
+        let scheduler = BaselineScheduler::new(self.label(), layout);
+        Ok(Box::new(match pressure {
+            Some(config) => scheduler.with_pressure(config)?,
+            None => scheduler,
+        }))
     }
 }
 
@@ -267,6 +266,28 @@ impl SystemUnderTest {
             cluster: ClusterSpec::two_node_a800(),
             ..Self::paper_single_node(kind)
         }
+    }
+
+    /// Checks everything a run would otherwise panic on mid-way: the
+    /// cluster, that the system's TP divides the GPUs per node, the model,
+    /// the attention policy, the prefix cache, and that the system has a
+    /// scheduler for its pressure mode on this cluster.
+    pub fn validate(&self) -> Result<(), String> {
+        self.cluster.validate()?;
+        let gpus = self.cluster.gpus_per_node;
+        let tp = self.kind.tp(gpus);
+        if !gpus.is_multiple_of(tp) {
+            let label = self.kind.label();
+            return Err(format!(
+                "{label}: tp={tp} must divide the {gpus} GPUs per node"
+            ));
+        }
+        self.model.validate()?;
+        self.attention.validate()?;
+        if let Some(prefix) = &self.prefix_cache {
+            prefix.validate()?;
+        }
+        self.scheduler(None).map(drop)
     }
 
     /// Builds the serving engine for this system.

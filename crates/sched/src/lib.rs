@@ -8,9 +8,11 @@
 //! * [`manager`] — the LoongServe global manager's four-step algorithm
 //!   (dispatching, elastic instance allocation, DP batching, scaling plan
 //!   generation; paper §5),
-//! * [`baselines`] — vLLM-style static tensor parallelism, chunked prefill
-//!   (DeepSpeed-MII / LightLLM SplitFuse), DistServe-style prefill–decode
-//!   disaggregation, static hybrid TP×SP, and replicated instances,
+//! * [`baselines`] — every static-parallelism baseline as one
+//!   [`BaselineScheduler`] over a per-system [`Layout`]: per-instance
+//!   engines (vLLM-style static tensor parallelism, replicated instances),
+//!   chunked prefill (DeepSpeed-MII / LightLLM SplitFuse), DistServe-style
+//!   prefill–decode disaggregation, and one static TP×SP group,
 //! * [`pressure`] — memory-pressure policies: watermark-driven victim
 //!   selection (preempt-and-recompute vs swap-to-host) and re-admission,
 //! * [`router`] — the fleet tier's cluster router: one [`Router`] type over
@@ -30,9 +32,16 @@
 //! use loong_sched::prelude::*;
 //!
 //! let loongserve = LoongServeScheduler::new();
-//! let vllm = IndependentInstancesScheduler::vllm();
+//! let vllm = BaselineScheduler::new("vLLM (TP=8)", Layout::PerInstance);
 //! assert_eq!(loongserve.name(), "LoongServe");
 //! assert!(vllm.name().contains("vLLM"));
+//!
+//! // Only the per-instance layout handles memory pressure.
+//! let mii = BaselineScheduler::new(
+//!     "DeepSpeed-MII",
+//!     Layout::Chunked { chunk_tokens: Layout::DEFAULT_CHUNK_TOKENS },
+//! );
+//! assert!(mii.with_pressure(PressureConfig::recompute()).is_err());
 //! ```
 
 #![warn(missing_docs)]
@@ -46,9 +55,7 @@ pub mod reliability;
 pub mod router;
 pub mod types;
 
-pub use baselines::{
-    DistServeScheduler, IndependentInstancesScheduler, SplitFuseScheduler, StaticHybridScheduler,
-};
+pub use baselines::{BaselineScheduler, Layout};
 pub use elastic::{
     AdmissionConfig, AdmissionController, AdmissionDecision, Autoscaler, AutoscalerConfig,
     FleetSignals, ScaleDecision, ShedReason,
@@ -66,10 +73,7 @@ pub use types::{
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::baselines::{
-        DistServeScheduler, IndependentInstancesScheduler, SplitFuseScheduler,
-        StaticHybridScheduler,
-    };
+    pub use crate::baselines::{BaselineScheduler, Layout};
     pub use crate::elastic::{
         AdmissionConfig, AdmissionController, AdmissionDecision, Autoscaler, AutoscalerConfig,
         FleetSignals, ScaleDecision, ShedReason,

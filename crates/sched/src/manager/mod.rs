@@ -10,6 +10,7 @@ pub mod batching;
 pub mod dispatch;
 pub mod scaling;
 
+use crate::baselines::reject_oversized;
 use crate::pressure::{admission_reserve, pressure_actions, PressureConfig};
 use crate::types::{Action, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView};
 use loong_model::roofline::ParallelConfig;
@@ -99,18 +100,8 @@ impl Scheduler for LoongServeScheduler {
         let mut actions: Vec<Action> = Vec::new();
 
         // Reject requests that can never be served even by the whole pool.
-        for p in view.pending {
-            if p.input_len + p.max_output_len > view.pool.total_capacity() {
-                actions.push(Action::Reject {
-                    request: p.id,
-                    reason: format!(
-                        "request needs {} KV slots but the cluster only has {}",
-                        p.input_len + p.max_output_len,
-                        view.pool.total_capacity()
-                    ),
-                });
-            }
-        }
+        let capacity = view.pool.total_capacity();
+        reject_oversized(view, capacity, "the cluster", "", &mut actions);
 
         // Memory-pressure handling (when enabled): evict victims above the
         // high watermark, re-admit swapped requests below the low one, and

@@ -35,7 +35,8 @@ pub fn worker_cap(jobs: usize) -> usize {
 /// calling thread, so serial and parallel execution are bit-identical by
 /// construction.
 ///
-/// Panics in a job are propagated to the caller.
+/// A panic in a job is propagated to the caller with its own payload, so
+/// its message survives the pool.
 pub fn run_indexed<T, F>(jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -65,7 +66,10 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect()
     });
     let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
@@ -101,6 +105,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_job_keeps_its_message() {
+        // On a host with more than one core the jobs run on worker
+        // threads, whose panics the pool must re-raise unchanged.
+        let caught = std::panic::catch_unwind(|| {
+            run_indexed(8, |i| {
+                assert!(i != 5, "job {i} failed");
+                i
+            })
+        });
+        let payload = caught.expect_err("the job's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("job 5 failed"));
+    }
 
     #[test]
     fn results_come_back_in_index_order() {

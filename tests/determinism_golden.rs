@@ -2,12 +2,13 @@
 //!
 //! These pin a 64-bit digest of the full [`RunOutcome`] — every record
 //! timestamp bit, every rejection, every scaling event — for identically
-//! seeded runs of LoongServe and one baseline. The constants were captured
-//! from the engine *before* the incremental scheduler-view refactor; the
-//! refactored engine must reproduce them bit-for-bit, which is the
-//! acceptance oracle for "O(active) bookkeeping changes no decision".
+//! seeded runs of every system. The digests live in one table,
+//! `golden_util::ENGINE_GOLDENS`; a refactor must reproduce them
+//! bit-for-bit, which is the acceptance oracle for "this change moves no
+//! decision".
 //!
-//! To re-capture after an *intentional* behaviour change, run:
+//! To re-capture after an *intentional* behaviour change, run (it prints
+//! the whole table):
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test --test determinism_golden -- --nocapture
@@ -17,7 +18,15 @@ use loongserve::prelude::*;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::outcome_digest;
+use golden_util::{
+    outcome_digest, EngineGolden, Scenario, ENGINE_GOLDENS, LOONGSERVE_MIXED, LOONGSERVE_SHAREGPT,
+    VLLM_SHAREGPT,
+};
+
+fn run(golden: &EngineGolden) -> RunOutcome {
+    let (trace, system) = golden.setup();
+    system.build_engine(Some(&trace)).run(&trace)
+}
 
 fn run_digest(kind: SystemKind, dataset: DatasetKind, rate: f64, count: usize, seed: u64) -> u64 {
     let trace = WorkloadSpec::Dataset(dataset).generate(rate, count, seed);
@@ -26,35 +35,44 @@ fn run_digest(kind: SystemKind, dataset: DatasetKind, rate: f64, count: usize, s
     outcome_digest(&engine.run(&trace))
 }
 
-fn check(label: &str, expected: u64, actual: u64) {
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        println!("GOLDEN {label} = 0x{actual:016x}");
-        return;
-    }
-    assert_eq!(
-        actual, expected,
-        "{label}: RunOutcome digest changed: expected 0x{expected:016x}, got 0x{actual:016x}. \
-         Engine bookkeeping refactors must be bit-for-bit neutral; re-capture with \
-         GOLDEN_PRINT=1 only for intentional behaviour changes."
-    );
-}
-
 #[test]
 fn loongserve_sharegpt_outcome_is_pinned() {
-    let actual = run_digest(SystemKind::LoongServe, DatasetKind::ShareGpt, 6.0, 80, 4242);
-    check("loongserve_sharegpt", GOLDEN_LOONGSERVE_SHAREGPT, actual);
+    LOONGSERVE_SHAREGPT.check(outcome_digest(&run(&LOONGSERVE_SHAREGPT)));
 }
 
 #[test]
 fn loongserve_mixed_outcome_is_pinned() {
-    let actual = run_digest(SystemKind::LoongServe, DatasetKind::Mixed, 0.8, 40, 77);
-    check("loongserve_mixed", GOLDEN_LOONGSERVE_MIXED, actual);
+    LOONGSERVE_MIXED.check(outcome_digest(&run(&LOONGSERVE_MIXED)));
 }
 
 #[test]
 fn vllm_baseline_outcome_is_pinned() {
-    let actual = run_digest(SystemKind::Vllm, DatasetKind::ShareGpt, 6.0, 80, 4242);
-    check("vllm_sharegpt", GOLDEN_VLLM_SHAREGPT, actual);
+    VLLM_SHAREGPT.check(outcome_digest(&run(&VLLM_SHAREGPT)));
+}
+
+#[test]
+fn every_system_outcome_is_pinned() {
+    for golden in ENGINE_GOLDENS {
+        let outcome = run(golden);
+        golden.check(outcome_digest(&outcome));
+        // Each scenario still reaches the path it is there to pin.
+        let label = golden.label();
+        match golden.scenario {
+            Scenario::MixedTight => {
+                let rejected = outcome.rejected.len();
+                assert!((2..=9).contains(&rejected), "{label}: {rejected} rejected");
+            }
+            Scenario::MultiTurnPrefix => {
+                assert_eq!(outcome.records.len(), 109, "{label}");
+                let hits = outcome.cache.hits;
+                assert!((72..=74).contains(&hits), "{label}: {hits} cache hits");
+            }
+            Scenario::Pressured(_) => {
+                assert!(!outcome.pressure.is_zero(), "{label}: no pressure");
+            }
+            _ => {}
+        }
+    }
 }
 
 #[test]
@@ -63,9 +81,3 @@ fn repeated_runs_reproduce_the_digest() {
     let b = run_digest(SystemKind::LoongServe, DatasetKind::ShareGpt, 6.0, 40, 9);
     assert_eq!(a, b, "identical seeds must reproduce identical outcomes");
 }
-
-// Captured from the pre-refactor engine (HashMap states + full-scan view
-// rebuild) at commit a66a012; see module docs for the re-capture procedure.
-const GOLDEN_LOONGSERVE_SHAREGPT: u64 = 0x313d_174f_011c_a40b;
-const GOLDEN_LOONGSERVE_MIXED: u64 = 0xe045_5f8a_c734_c8e8;
-const GOLDEN_VLLM_SHAREGPT: u64 = 0x9fe5_405f_ae70_e47a;

@@ -22,7 +22,9 @@ use std::collections::BTreeSet;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::outcome_digest;
+use golden_util::{
+    outcome_digest, EngineGolden, LOONGSERVE_MIXED, LOONGSERVE_SHAREGPT, VLLM_SHAREGPT,
+};
 
 const PROPTEST_SEED: u64 = 0x0b5e_71ab_0808_2026;
 
@@ -133,99 +135,40 @@ fn assert_ledger_consistent(rec: &TraceRecorder) {
 // reproduce the exact digests captured before the tracing tier existed.
 // ---------------------------------------------------------------------------
 
-// Same constants as `tests/determinism_golden.rs` (captured at commit
-// a66a012): the traced run path must not move a single bit.
-const GOLDEN_LOONGSERVE_SHAREGPT: u64 = 0x313d_174f_011c_a40b;
-const GOLDEN_LOONGSERVE_MIXED: u64 = 0xe045_5f8a_c734_c8e8;
-const GOLDEN_VLLM_SHAREGPT: u64 = 0x9fe5_405f_ae70_e47a;
-
-fn traced_digest(
-    kind: SystemKind,
-    dataset: DatasetKind,
-    rate: f64,
-    count: usize,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> u64 {
-    let trace = WorkloadSpec::Dataset(dataset).generate(rate, count, seed);
-    let system = SystemUnderTest::paper_single_node(kind);
+/// The golden run traced through `sink`.
+fn traced_digest(golden: &EngineGolden, sink: &mut dyn TraceSink) -> u64 {
+    let (trace, system) = golden.setup();
     let mut engine = system.build_engine(Some(&trace));
     outcome_digest(&engine.run_traced(&trace, sink))
 }
 
+const PINNED: [EngineGolden; 3] = [LOONGSERVE_SHAREGPT, LOONGSERVE_MIXED, VLLM_SHAREGPT];
+
 #[test]
 fn noop_sink_reproduces_pinned_goldens() {
-    let cases = [
-        (
-            SystemKind::LoongServe,
-            DatasetKind::ShareGpt,
-            6.0,
-            80,
-            4242,
-            GOLDEN_LOONGSERVE_SHAREGPT,
-        ),
-        (
-            SystemKind::LoongServe,
-            DatasetKind::Mixed,
-            0.8,
-            40,
-            77,
-            GOLDEN_LOONGSERVE_MIXED,
-        ),
-        (
-            SystemKind::Vllm,
-            DatasetKind::ShareGpt,
-            6.0,
-            80,
-            4242,
-            GOLDEN_VLLM_SHAREGPT,
-        ),
-    ];
-    for (kind, dataset, rate, count, seed, expected) in cases {
-        let actual = traced_digest(kind, dataset, rate, count, seed, &mut NoopSink);
+    for golden in &PINNED {
+        let (actual, expected) = (traced_digest(golden, &mut NoopSink), golden.digest);
         assert_eq!(
-            actual, expected,
-            "{kind:?}/{dataset:?}: the armed no-op sink moved the golden digest \
-             (expected 0x{expected:016x}, got 0x{actual:016x})"
+            actual,
+            expected,
+            "{}: the armed no-op sink moved the golden digest \
+             (expected 0x{expected:016x}, got 0x{actual:016x})",
+            golden.label()
         );
     }
 }
 
 #[test]
 fn recording_sink_reproduces_pinned_goldens() {
-    let cases = [
-        (
-            SystemKind::LoongServe,
-            DatasetKind::ShareGpt,
-            6.0,
-            80,
-            4242,
-            GOLDEN_LOONGSERVE_SHAREGPT,
-        ),
-        (
-            SystemKind::LoongServe,
-            DatasetKind::Mixed,
-            0.8,
-            40,
-            77,
-            GOLDEN_LOONGSERVE_MIXED,
-        ),
-        (
-            SystemKind::Vllm,
-            DatasetKind::ShareGpt,
-            6.0,
-            80,
-            4242,
-            GOLDEN_VLLM_SHAREGPT,
-        ),
-    ];
-    for (kind, dataset, rate, count, seed, expected) in cases {
+    for golden in &PINNED {
         let mut rec = full_recorder();
-        let actual = traced_digest(kind, dataset, rate, count, seed, &mut rec);
+        let (actual, expected) = (traced_digest(golden, &mut rec), golden.digest);
         assert_eq!(
-            actual, expected,
-            "{kind:?}/{dataset:?}: the full recorder moved the golden digest \
-             (expected 0x{expected:016x}, got 0x{actual:016x})"
+            actual,
+            expected,
+            "{}: the full recorder moved the golden digest \
+             (expected 0x{expected:016x}, got 0x{actual:016x})",
+            golden.label()
         );
         // The recorder actually observed the run, not just stayed empty.
         assert!(rec.ledger().requests_seen > 0);

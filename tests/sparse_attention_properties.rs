@@ -19,7 +19,10 @@ use proptest::prelude::*;
 
 #[path = "golden_util.rs"]
 mod golden_util;
-use golden_util::{fleet_digest, outcome_digest};
+use golden_util::{
+    fleet_digest, outcome_digest, EngineGolden, FLEET_2X_ROUND_ROBIN, FLEET_4X_JSQ,
+    LOONGSERVE_MIXED, LOONGSERVE_SHAREGPT, VLLM_SHAREGPT,
+};
 
 /// Fixed RNG seed so CI runs are bit-for-bit reproducible.
 const PROPTEST_SEED: u64 = 0x5041_5253_4552_0a17;
@@ -33,35 +36,12 @@ fn ci_config(cases: u32) -> ProptestConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Dense neutrality: the pinned goldens, reproduced with the policy selected
-// explicitly. Constants are in lockstep with `tests/determinism_golden.rs`
-// (engine) and `tests/fleet_equivalence.rs` / `tests/reliability_properties.rs`
-// / `tests/elasticity_properties.rs` (fleet tiers); re-capture only via those
-// suites' GOLDEN_PRINT procedures.
+// Dense neutrality: the pinned goldens of `golden_util.rs`, reproduced with
+// the policy selected explicitly.
 // ---------------------------------------------------------------------------
-
-const GOLDEN_LOONGSERVE_SHAREGPT: u64 = 0x313d_174f_011c_a40b;
-const GOLDEN_LOONGSERVE_MIXED: u64 = 0xe045_5f8a_c734_c8e8;
-const GOLDEN_VLLM_SHAREGPT: u64 = 0x9fe5_405f_ae70_e47a;
-const GOLDEN_FLEET_2X_ROUND_ROBIN: u64 = 0xb4a0_4cc9_72b0_c57f;
-const GOLDEN_FLEET_4X_JSQ: u64 = 0x3598_362b_d2d5_f0d0;
 
 fn sharegpt_trace(rate: f64, count: usize, seed: u64) -> Trace {
     WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(rate, count, seed)
-}
-
-fn run_digest_with_policy(
-    kind: SystemKind,
-    dataset: DatasetKind,
-    rate: f64,
-    count: usize,
-    seed: u64,
-    policy: AttentionCostPolicy,
-) -> u64 {
-    let trace = WorkloadSpec::Dataset(dataset).generate(rate, count, seed);
-    let system = SystemUnderTest::paper_single_node(kind).with_attention(policy);
-    let mut engine = system.build_engine(Some(&trace));
-    outcome_digest(&engine.run(&trace))
 }
 
 /// An explicitly Dense fleet's run of the 80-request golden trace at
@@ -77,46 +57,21 @@ fn dense_run(replicas: usize, policy: RouterPolicy, rate: f64, plan: &FleetPlan)
         .expect("valid plan")
 }
 
+/// The digest of `golden`'s run under the attention `policy`.
+fn digest_with_policy(golden: &EngineGolden, policy: AttentionCostPolicy) -> u64 {
+    let (trace, system) = golden.setup();
+    let mut engine = system.with_attention(policy).build_engine(Some(&trace));
+    outcome_digest(&engine.run(&trace))
+}
+
 #[test]
 fn explicit_dense_reproduces_engine_goldens() {
-    for (label, expected, kind, dataset, rate) in [
-        (
-            "loongserve_sharegpt",
-            GOLDEN_LOONGSERVE_SHAREGPT,
-            SystemKind::LoongServe,
-            DatasetKind::ShareGpt,
-            6.0,
-        ),
-        (
-            "loongserve_mixed",
-            GOLDEN_LOONGSERVE_MIXED,
-            SystemKind::LoongServe,
-            DatasetKind::Mixed,
-            0.8,
-        ),
-        (
-            "vllm_sharegpt",
-            GOLDEN_VLLM_SHAREGPT,
-            SystemKind::Vllm,
-            DatasetKind::ShareGpt,
-            6.0,
-        ),
-    ] {
-        let count = if dataset == DatasetKind::Mixed {
-            40
-        } else {
-            80
-        };
-        let seed = if dataset == DatasetKind::Mixed {
-            77
-        } else {
-            4242
-        };
-        let actual =
-            run_digest_with_policy(kind, dataset, rate, count, seed, AttentionCostPolicy::Dense);
+    for golden in [LOONGSERVE_SHAREGPT, LOONGSERVE_MIXED, VLLM_SHAREGPT] {
         assert_eq!(
-            actual, expected,
-            "{label}: explicit Dense diverged from the pinned golden"
+            digest_with_policy(&golden, AttentionCostPolicy::Dense),
+            golden.digest,
+            "{}: explicit Dense diverged from the pinned golden",
+            golden.label()
         );
     }
 }
@@ -126,7 +81,7 @@ fn explicit_dense_reproduces_fleet_goldens() {
     let outcome = dense_run(2, RouterPolicy::RoundRobin, 12.0, &FleetPlan::fixed(2)).fleet;
     assert_eq!(
         fleet_digest(&outcome),
-        GOLDEN_FLEET_2X_ROUND_ROBIN,
+        FLEET_2X_ROUND_ROBIN.digest,
         "explicit Dense moved the 2x round-robin fleet golden"
     );
     let outcome = dense_run(
@@ -138,7 +93,7 @@ fn explicit_dense_reproduces_fleet_goldens() {
     .fleet;
     assert_eq!(
         fleet_digest(&outcome),
-        GOLDEN_FLEET_4X_JSQ,
+        FLEET_4X_JSQ.digest,
         "explicit Dense moved the 4x JSQ fleet golden"
     );
 }
@@ -151,7 +106,7 @@ fn explicit_dense_reproduces_reliable_golden() {
     let outcome = dense_run(2, RouterPolicy::RoundRobin, 12.0, &plan);
     assert_eq!(
         fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_2X_ROUND_ROBIN,
+        FLEET_2X_ROUND_ROBIN.digest,
         "explicit Dense moved the armed-idle reliable golden"
     );
 }
@@ -161,7 +116,7 @@ fn explicit_dense_reproduces_elastic_golden() {
     let outcome = dense_run(2, RouterPolicy::RoundRobin, 12.0, &FleetPlan::armed_idle(2));
     assert_eq!(
         fleet_digest(&outcome.fleet),
-        GOLDEN_FLEET_2X_ROUND_ROBIN,
+        FLEET_2X_ROUND_ROBIN.digest,
         "explicit Dense moved the armed-idle elastic golden"
     );
 }
@@ -313,22 +268,8 @@ fn sparse_policies_change_behaviour_when_contexts_are_long() {
     // The policy is not a no-op: on a long-context workload the page-sparse
     // run must diverge from dense (cheaper decode iterations change
     // timestamps and scheduling decisions).
-    let dense = run_digest_with_policy(
-        SystemKind::LoongServe,
-        DatasetKind::Mixed,
-        0.8,
-        40,
-        77,
-        AttentionCostPolicy::Dense,
-    );
-    let sparse = run_digest_with_policy(
-        SystemKind::LoongServe,
-        DatasetKind::Mixed,
-        0.8,
-        40,
-        77,
-        AttentionCostPolicy::page_sparse(),
-    );
+    let dense = digest_with_policy(&LOONGSERVE_MIXED, AttentionCostPolicy::Dense);
+    let sparse = digest_with_policy(&LOONGSERVE_MIXED, AttentionCostPolicy::page_sparse());
     assert_ne!(
         dense, sparse,
         "page-sparse decode should alter long-context runs"
