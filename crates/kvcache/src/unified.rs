@@ -14,20 +14,100 @@ use crate::pool::{InstanceKvPool, KvError};
 use crate::prefix::{PrefixCache, PrefixCacheConfig, PrefixDemand};
 use loong_simcore::ids::{ConversationId, InstanceId, RequestId};
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+
+/// The residency index: a slab with one slot per request id from `base`
+/// on, each listing which instances hold how many of that request's
+/// tokens, sorted by instance id, with no zero holdings. A request that
+/// holds nothing has an empty slot or none. The front slot is never empty:
+/// as the oldest residents release, their slots are dropped, so the slab
+/// spans the ids from the oldest resident to the newest one seen since.
+/// Ids are dense within that window (the workload generator allocates them
+/// in order); sparse ids work but widen the slab.
+#[derive(Debug, Clone, Default)]
+struct Residency {
+    /// `slots[k]` lists the holdings of request `base + k`.
+    slots: VecDeque<Vec<(InstanceId, u64)>>,
+    base: usize,
+}
+
+impl Residency {
+    /// The slab position of `request`; out of range below the window.
+    fn pos(&self, request: RequestId) -> usize {
+        request.index().wrapping_sub(self.base)
+    }
+
+    /// The holdings of `request`, empty if it holds nothing.
+    fn get(&self, request: RequestId) -> &[(InstanceId, u64)] {
+        self.slots.get(self.pos(request)).map_or(&[], Vec::as_slice)
+    }
+
+    /// The slot of a resident `request`.
+    fn get_mut(&mut self, request: RequestId) -> Option<&mut Vec<(InstanceId, u64)>> {
+        let pos = self.pos(request);
+        self.slots.get_mut(pos)
+    }
+
+    /// The slot of `request`, widening the slab to cover it. The caller
+    /// fills it, so the front stays non-empty.
+    fn slot(&mut self, request: RequestId) -> &mut Vec<(InstanceId, u64)> {
+        let id = request.index();
+        if self.slots.is_empty() {
+            self.base = id;
+        } else if id < self.base {
+            for _ in id..self.base {
+                self.slots.push_front(Vec::new());
+            }
+            self.base = id;
+        }
+        let pos = id - self.base;
+        if pos >= self.slots.len() {
+            self.slots.resize_with(pos + 1, Vec::new);
+        }
+        &mut self.slots[pos]
+    }
+
+    /// Takes every holding of `request`, leaving its slot empty.
+    fn take(&mut self, request: RequestId) -> Vec<(InstanceId, u64)> {
+        let locations = self.get_mut(request).map(std::mem::take);
+        self.trim_front();
+        locations.unwrap_or_default()
+    }
+
+    /// Drops the empty slots at the front.
+    fn trim_front(&mut self) {
+        while self.slots.front().is_some_and(Vec::is_empty) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Every resident request with its holdings, in request-id order.
+    fn iter(&self) -> impl Iterator<Item = (RequestId, &[(InstanceId, u64)])> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, locations)| !locations.is_empty())
+            .map(|(k, locations)| (RequestId::from(self.base + k), locations.as_slice()))
+    }
+}
+
+/// Equal holdings, whatever the slab widths.
+impl PartialEq for Residency {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
 
 /// The cross-instance pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnifiedKvPool {
     /// Per instance: capacity and used slots.
     pools: Vec<InstanceKvPool>,
-    /// The residency index, the only per-request record: which instances
-    /// hold how many of each request's tokens, sorted by instance id, with
-    /// no empty entries. Every mutation updates it with its instance's used
-    /// count, so `locations_ref`/`tokens_of` cost O(#locations). The
-    /// `BTreeMap` keeps iteration in request-id order.
-    residency: BTreeMap<RequestId, Vec<(InstanceId, u64)>>,
+    /// The residency index, the only per-request record. Every mutation
+    /// updates it with its instance's used count; a request's holdings are
+    /// one slab index away.
+    residency: Residency,
     /// The optional host-DRAM swap tier. `None` (the default) keeps every
     /// device-side operation on its pre-existing path — the zero-cost-when-
     /// disabled invariant the golden digests pin.
@@ -46,7 +126,7 @@ impl UnifiedKvPool {
             pools: (0..instances)
                 .map(|i| InstanceKvPool::new(InstanceId::from(i), capacity_per_instance))
                 .collect(),
-            residency: BTreeMap::new(),
+            residency: Residency::default(),
             host: None,
             prefix: None,
         }
@@ -61,7 +141,7 @@ impl UnifiedKvPool {
                 .enumerate()
                 .map(|(i, &c)| InstanceKvPool::new(InstanceId::from(i), c))
                 .collect(),
-            residency: BTreeMap::new(),
+            residency: Residency::default(),
             host: None,
             prefix: None,
         }
@@ -105,12 +185,9 @@ impl UnifiedKvPool {
     }
 
     /// Tokens `request` holds on each instance, sorted by instance id: a
-    /// borrowed view of the residency index, in O(#locations).
+    /// borrowed view of the residency index, in O(1).
     pub fn locations_ref(&self, request: RequestId) -> &[(InstanceId, u64)] {
-        self.residency
-            .get(&request)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.residency.get(request)
     }
 
     /// Total tokens `request` holds across the pool, in O(#locations).
@@ -128,7 +205,7 @@ impl UnifiedKvPool {
     }
 
     /// The requests holding slots on `instance`, in request-id order: a
-    /// walk of the residency index, O(resident requests).
+    /// walk of the residency index, O(slab width).
     pub fn residents_of(&self, instance: InstanceId) -> impl Iterator<Item = RequestId> + '_ {
         self.residency
             .iter()
@@ -137,7 +214,7 @@ impl UnifiedKvPool {
                     .binary_search_by_key(&instance, |&(i, _)| i)
                     .is_ok()
             })
-            .map(|(&request, _)| request)
+            .map(|(request, _)| request)
     }
 
     /// Records `tokens` more slots for `request` on `instance` in the
@@ -146,7 +223,7 @@ impl UnifiedKvPool {
         if tokens == 0 {
             return;
         }
-        let locations = self.residency.entry(request).or_default();
+        let locations = self.residency.slot(request);
         match locations.binary_search_by_key(&instance, |&(i, _)| i) {
             Ok(pos) => locations[pos].1 += tokens,
             Err(pos) => locations.insert(pos, (instance, tokens)),
@@ -154,14 +231,16 @@ impl UnifiedKvPool {
     }
 
     /// Removes `tokens` slots of `request` on `instance` from the residency
-    /// index, dropping empty entries.
+    /// index, dropping an emptied entry. Its one caller, `migrate`, records
+    /// the moved tokens at their destination first, so the request's slot
+    /// never empties here.
     fn residency_sub(&mut self, request: RequestId, instance: InstanceId, tokens: u64) {
         if tokens == 0 {
             return;
         }
         let locations = self
             .residency
-            .get_mut(&request)
+            .get_mut(request)
             .expect("residency index tracks every resident request");
         let pos = locations
             .binary_search_by_key(&instance, |&(i, _)| i)
@@ -173,9 +252,6 @@ impl UnifiedKvPool {
         locations[pos].1 -= tokens;
         if locations[pos].1 == 0 {
             locations.remove(pos);
-        }
-        if locations.is_empty() {
-            self.residency.remove(&request);
         }
     }
 
@@ -230,9 +306,7 @@ impl UnifiedKvPool {
     /// Releases every slot held by `request`, returning the total freed.
     /// Only the instances the residency index names are touched.
     pub fn release(&mut self, request: RequestId) -> u64 {
-        let Some(locations) = self.residency.remove(&request) else {
-            return 0;
-        };
+        let locations = self.residency.take(request);
         for &(inst, tokens) in &locations {
             self.pools[inst.index()].release(tokens);
         }
@@ -269,20 +343,25 @@ impl UnifiedKvPool {
         self.pools[to.index()]
             .allocate(tokens)
             .expect("capacity checked above");
-        self.residency_sub(request, from, tokens);
+        // Destination first, so the request's slot never empties.
         self.residency_add(request, to, tokens);
+        self.residency_sub(request, from, tokens);
         Ok(())
     }
 
-    /// Checks the bookkeeping invariants: every residency entry is non-empty,
-    /// sorted by instance and free of zero holdings, and each instance's
-    /// used count equals the index's sum for it and stays within capacity.
+    /// Checks the bookkeeping invariants: the residency slab's front slot
+    /// is non-empty, every entry is sorted by instance and free of zero
+    /// holdings, and each instance's used count equals the index's sum for
+    /// it and stays within capacity.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.residency.slots.front().is_some_and(Vec::is_empty) {
+            return Err(format!(
+                "residency slab starts with an empty slot for {}",
+                RequestId::from(self.residency.base)
+            ));
+        }
         let mut indexed = vec![0u64; self.pools.len()];
-        for (&request, locations) in &self.residency {
-            if locations.is_empty() {
-                return Err(format!("residency index holds empty entry for {request}"));
-            }
+        for (request, locations) in self.residency.iter() {
             let mut prev: Option<InstanceId> = None;
             for &(inst, tokens) in locations {
                 if prev.is_some_and(|p| p >= inst) {
@@ -319,7 +398,7 @@ impl UnifiedKvPool {
         if let Some(host) = &self.host {
             host.check_invariants()?;
             for request in host.swapped_requests() {
-                if self.residency.contains_key(&request) {
+                if !self.locations_ref(request).is_empty() {
                     return Err(format!(
                         "{request} is both device-resident and swapped to the host tier"
                     ));
@@ -561,7 +640,7 @@ impl UnifiedKvPool {
             return None;
         }
         assert!(
-            !self.residency.contains_key(&request),
+            self.locations_ref(request).is_empty(),
             "{request} must adopt its prefix before holding any KV"
         );
         let entry = self
@@ -570,11 +649,9 @@ impl UnifiedKvPool {
             .expect("checked above")
             .remove(conversation)
             .expect("matched above");
-        let locations = self
-            .residency
-            .remove(&entry.owner)
-            .expect("cached owners are device-resident");
-        self.residency.insert(request, locations);
+        let locations = self.residency.take(entry.owner);
+        assert!(!locations.is_empty(), "cached owners are device-resident");
+        *self.residency.slot(request) = locations;
         Some(entry.tokens)
     }
 
@@ -1164,5 +1241,137 @@ mod tests {
         // With the invariants holding, an empty pool means an empty index.
         assert_eq!(p.total_used(), 0);
         assert!(p.check_invariants().is_ok());
+    }
+
+    /// The slab's first id and width.
+    fn window(p: &UnifiedKvPool) -> (usize, usize) {
+        (p.residency.base, p.residency.slots.len())
+    }
+
+    #[test]
+    fn an_id_below_the_window_places_reads_and_releases() {
+        let mut p = pool();
+        p.append(RequestId(10), InstanceId(0), 10).expect("room");
+        p.append(RequestId(12), InstanceId(1), 10).expect("room");
+        assert_eq!(window(&p), (10, 3));
+        // A fleet retry re-admits an older id on this replica.
+        p.place(
+            RequestId(3),
+            6,
+            &[InstanceId(0)],
+            PlacementStrategy::PackMostFree,
+        )
+        .expect("room");
+        assert_eq!(window(&p), (3, 10));
+        assert_eq!(p.tokens_of(RequestId(3)), 6);
+        assert_eq!(
+            p.residents_of(InstanceId(0)).collect::<Vec<_>>(),
+            [RequestId(3), RequestId(10)]
+        );
+        assert!(p.check_invariants().is_ok());
+        assert_eq!(p.release(RequestId(3)), 6);
+        assert!(p.locations_ref(RequestId(3)).is_empty());
+        assert_eq!(window(&p), (10, 3));
+        assert!(p.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn releasing_the_oldest_resident_trims_the_front() {
+        let mut p = pool();
+        for id in [1, 2, 3] {
+            p.append(RequestId(id), InstanceId(0), 10).expect("room");
+        }
+        p.append(RequestId(2), InstanceId(1), 10).expect("room");
+        // A release inside the window leaves an empty slot behind.
+        assert_eq!(p.release(RequestId(2)), 20);
+        assert_eq!(window(&p), (1, 3));
+        assert_eq!(
+            p.residents_of(InstanceId(0)).collect::<Vec<_>>(),
+            [RequestId(1), RequestId(3)]
+        );
+        // Releasing the oldest drops every empty slot at the front.
+        p.release(RequestId(1));
+        assert_eq!(window(&p), (3, 1));
+        assert_eq!(
+            p.residents_of(InstanceId(0)).collect::<Vec<_>>(),
+            [RequestId(3)]
+        );
+        assert!(p.check_invariants().is_ok());
+        p.release(RequestId(3));
+        assert_eq!(window(&p).1, 0);
+        assert!(p.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn pools_with_equal_holdings_compare_equal_whatever_their_widths() {
+        let mut wide = pool();
+        wide.enable_host_tier(1_000);
+        wide.append(RequestId(1), InstanceId(0), 10).expect("room");
+        wide.append(RequestId(9), InstanceId(1), 10).expect("room");
+        wide.release(RequestId(9));
+        let mut narrow = pool();
+        narrow.enable_host_tier(1_000);
+        narrow
+            .append(RequestId(1), InstanceId(0), 10)
+            .expect("room");
+        assert_ne!(window(&wide), window(&narrow));
+        assert_eq!(wide, narrow);
+        narrow.append(RequestId(1), InstanceId(0), 1).expect("room");
+        assert_ne!(wide, narrow);
+
+        // Refused calls for ids above, inside and below the window leave a
+        // pool equal to its clone.
+        let before = wide.clone();
+        let strategy = PlacementStrategy::PackMostFree;
+        assert!(wide.place(RequestId(50), 800_000, &ALL, strategy).is_err());
+        assert!(wide
+            .migrate(RequestId(5), InstanceId(0), InstanceId(1), 1)
+            .is_err());
+        assert!(wide
+            .migrate(RequestId(0), InstanceId(0), InstanceId(1), 1)
+            .is_err());
+        assert!(wide.swap_in(RequestId(60), &ALL, strategy).is_err());
+        assert_eq!(wide, before);
+        assert!(wide.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn prefix_adopt_moves_an_entry_to_a_higher_id() {
+        let mut p = pool();
+        p.enable_prefix_cache(PrefixCacheConfig::default());
+        let conv = ConversationId(4);
+        p.append(RequestId(1), InstanceId(2), 10).expect("room");
+        p.append(RequestId(2), InstanceId(0), 300).expect("room");
+        p.append(RequestId(2), InstanceId(1), 200).expect("room");
+        p.prefix_retain(RequestId(2), conv, SimTime::from_secs(1.0));
+        assert_eq!(p.prefix_adopt(RequestId(40), conv, 600), Some(500));
+        assert!(p.locations_ref(RequestId(2)).is_empty());
+        assert_eq!(
+            p.locations_ref(RequestId(40)),
+            [(InstanceId(0), 300), (InstanceId(1), 200)]
+        );
+        assert_eq!(window(&p), (1, 40));
+        assert_eq!(
+            p.residents_of(InstanceId(0)).collect::<Vec<_>>(),
+            [RequestId(40)]
+        );
+        assert!(p.check_invariants().is_ok());
+        // With the oldest resident gone, the window starts at the adopter.
+        p.release(RequestId(1));
+        assert_eq!(window(&p), (40, 1));
+        assert!(p.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn check_invariants_rejects_an_empty_front_slot() {
+        let mut p = pool();
+        p.append(RequestId(5), InstanceId(0), 10).expect("room");
+        let clean = p.clone();
+        p.residency.slots.push_front(Vec::new());
+        p.residency.base -= 1;
+        let err = p.check_invariants().expect_err("empty front slot");
+        assert!(err.contains("empty slot for req4"), "{err}");
+        // Equality reads holdings only.
+        assert_eq!(p, clean);
     }
 }

@@ -37,7 +37,7 @@
 //!   that of sequence parallelism itself.
 
 use crate::pressure::{admission_reserve, pressure_actions_with_rescue, PressureConfig};
-use crate::types::{Action, Scheduler, SchedulerView};
+use crate::types::{Action, PendingRequest, Scheduler, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
 use std::collections::{BTreeMap, HashMap};
@@ -228,18 +228,18 @@ fn saturation(view: &SchedulerView<'_>, sp: usize) -> u64 {
     view.cost_model.prefill_saturation_tokens(parallel)
 }
 
-/// FCFS admission onto one group: the pending requests, oldest first,
+/// FCFS admission onto one group: the `pending` requests, oldest first,
 /// within `limit` that the group's `free` KV slots can hold (each reserving
 /// prompt plus declared output), until the batch reaches `saturation`.
-fn admit_fcfs(
-    view: &SchedulerView<'_>,
+fn admit_fcfs<'p>(
+    pending: impl IntoIterator<Item = &'p PendingRequest>,
     limit: u64,
     mut free: u64,
     saturation: u64,
 ) -> Vec<RequestId> {
     let mut tokens = 0u64;
     let mut batch = Vec::new();
-    for p in view.pending {
+    for p in pending {
         let needed = p.input_len + p.max_output_len;
         if needed > limit || tokens >= saturation || needed > free {
             continue;
@@ -486,11 +486,14 @@ fn disaggregated(
     actions: &mut Vec<Action>,
 ) {
     // Each idle prefill instance takes the oldest pending requests that
-    // fit it.
+    // fit it and no earlier instance took.
     let saturation = saturation(view, 1);
+    let mut admitted: Vec<RequestId> = Vec::new();
     for &inst in prefill.iter().filter(|i| view.idle_instances.contains(i)) {
-        let requests = admit_fcfs(view, limit, view.pool.instance(inst).free(), saturation);
+        let untaken = view.pending.iter().filter(|p| !admitted.contains(&p.id));
+        let requests = admit_fcfs(untaken, limit, view.pool.instance(inst).free(), saturation);
         if !requests.is_empty() {
+            admitted.extend(&requests);
             actions.push(prefill_on(vec![inst], requests));
         }
     }
@@ -545,7 +548,7 @@ fn one_group(
     actions: &mut Vec<Action>,
 ) {
     let saturation = saturation(view, all.len());
-    let requests = admit_fcfs(view, limit, view.free_slots_on(&all), saturation);
+    let requests = admit_fcfs(view.pending, limit, view.free_slots_on(&all), saturation);
     if !requests.is_empty() {
         actions.push(prefill_on(all, requests));
         return;
@@ -560,7 +563,7 @@ fn one_group(
 #[cfg(test)]
 mod fixture {
     pub(super) use super::*;
-    pub(super) use crate::types::{DecodingRequest, PendingRequest};
+    pub(super) use crate::types::DecodingRequest;
     use loong_cluster::topology::ClusterSpec;
     use loong_esp::instance::InstanceRegistry;
     use loong_kvcache::unified::UnifiedKvPool;
@@ -725,6 +728,37 @@ mod distserve {
             let (mut f, layout) = node();
             f.pending = vec![pending(0, 600_000, 0)];
             assert!(has(&f.schedule(layout), is_reject));
+        }
+
+        #[test]
+        fn each_request_is_admitted_by_one_prefill_instance() {
+            // TP=2: instances 0 and 1 prefill, 2 and 3 decode. Instance 0
+            // has room for one of the two requests.
+            let mut f = fixture(2, 500_000);
+            let layout = Layout::disaggregated(&f.registry.all_ids()).expect("four instances");
+            f.pool
+                .append(RequestId(9), InstanceId(0), 440_000)
+                .expect("room");
+            f.pending = vec![pending(0, 50_000, 0), pending(1, 50_000, 0)];
+            let prefills: Vec<(Vec<InstanceId>, Vec<RequestId>)> = f
+                .schedule(layout)
+                .into_iter()
+                .filter_map(|a| match a {
+                    Action::Prefill {
+                        instances,
+                        requests,
+                        ..
+                    } => Some((instances, requests)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                prefills,
+                vec![
+                    (vec![InstanceId(0)], vec![RequestId(0)]),
+                    (vec![InstanceId(1)], vec![RequestId(1)]),
+                ]
+            );
         }
 
         #[test]

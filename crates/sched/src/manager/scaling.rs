@@ -98,7 +98,10 @@ impl DecodeGroupPlanner {
     /// KV instances. Group order and the request order inside a group
     /// decide master assignment and finish order: each ready request, in
     /// view order, opens a group listing itself first, absorbs every group
-    /// sharing an instance with it, and the merged group goes last.
+    /// sharing an instance with it, and the merged group goes last. Groups
+    /// are pairwise disjoint, so a request whose KV lies wholly on the last
+    /// group's instances would absorb that group alone; it joins the group
+    /// at its head in one step instead.
     pub fn plan(
         &mut self,
         view: &SchedulerView<'_>,
@@ -126,6 +129,13 @@ impl DecodeGroupPlanner {
                 .all(|(i, _)| self.is_available.get(i.index()) == Some(&true))
             {
                 continue;
+            }
+            // A request holding no KV overlaps no group and opens its own.
+            if let Some(last) = self.groups.last_mut() {
+                if !kv.is_empty() && kv.iter().all(|(i, _)| last.instances.contains(i)) {
+                    last.members.insert(0, k);
+                    continue;
+                }
             }
             let mut merged = self.recycled.pop().unwrap_or_default();
             merged.instances.extend(kv.iter().map(|&(i, _)| i));
@@ -478,9 +488,11 @@ mod tests {
             } else {
                 rng.gen_range(0..=free)
             };
+            // The filler's owner takes the next free id: the pool's slab
+            // spans the ids in use, so a far-off id would widen it.
             if used > 0 {
                 f.pool
-                    .append(RequestId(1_000_000 + i.raw()), i, used)
+                    .append(RequestId((requests + i.index()) as u64), i, used)
                     .expect("room");
             }
         }
@@ -539,6 +551,39 @@ mod tests {
             .collect();
         assert_eq!(requests, vec![vec![2], vec![1], vec![4, 0, 3]]);
         assert_eq!(plans[2].instances, vec![InstanceId(0), InstanceId(3)]);
+    }
+
+    /// The request lists of the plans for every instance idle.
+    fn planned_requests(f: &Fixture) -> Vec<Vec<u64>> {
+        let idle = f.registry.all_ids();
+        let v = view(f, &idle);
+        let plans = plan_decode_groups(&v, &idle, false);
+        assert_eq!(plans, list_union_reference(&v, &idle, false));
+        plans
+            .iter()
+            .map(|p| p.requests.iter().map(|r| r.raw()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn requests_joining_the_last_group_come_out_newest_first() {
+        let mut f = fixture();
+        for id in 1..=3 {
+            add_decoding(&mut f, id, &[0]);
+        }
+        assert_eq!(planned_requests(&f), vec![vec![3, 2, 1]]);
+    }
+
+    #[test]
+    fn a_request_without_kv_opens_its_own_group() {
+        let mut f = fixture();
+        // Request 2 holds no KV: its empty holdings lie on the last group's
+        // instances, yet it opens a group of its own, and request 3 then
+        // absorbs request 1's group past it.
+        for (id, kv) in [(1, &[0][..]), (2, &[]), (3, &[0])] {
+            add_decoding(&mut f, id, kv);
+        }
+        assert_eq!(planned_requests(&f), vec![vec![2], vec![3, 1]]);
     }
 
     #[test]

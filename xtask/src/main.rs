@@ -1,6 +1,6 @@
 //! Repository automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! Two tasks:
+//! Three tasks:
 //!
 //! * `bench-gate <BENCH_*.json>` — the perf-regression gate. Reads a
 //!   bench's `--smoke` output from stdin, extracts its `BENCH_SMOKE_JSON`
@@ -22,9 +22,15 @@
 //!   instant count) — the cross-validation hook against the recorder's
 //!   `TraceLedger`.
 //!
+//! * `perf-pairs <parent-dir> <change-dir> <workload> <pairs>` — alternating
+//!   `BENCHMARK.json` runs of two checkouts on one host, summarised per
+//!   end-to-end metric (see [`perf_pairs`]).
+//!
 //! Only simulated quantities (completed counts, iterations, simulated
 //! seconds, token counts) are gated — wall-clock throughput varies across
 //! runners far beyond any useful tolerance and stays report-only.
+
+mod perf_pairs;
 
 use serde::Value;
 use std::io::Read;
@@ -35,10 +41,14 @@ fn main() -> ExitCode {
     match args.as_slice() {
         [task, reference] if task == "bench-gate" => bench_gate(reference),
         [task, trace] if task == "trace-check" => trace_check(trace),
+        [task, parent, change, workload, pairs] if task == "perf-pairs" => {
+            perf_pairs::perf_pairs(parent, change, workload, pairs)
+        }
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- bench-gate <BENCH_*.json>  (smoke output on stdin)\n\
-                 \x20      cargo run -p xtask -- trace-check <trace.perfetto.json>"
+                 \x20      cargo run -p xtask -- trace-check <trace.perfetto.json>\n\
+                 \x20      cargo run -p xtask -- perf-pairs <parent-dir> <change-dir> <workload> <pairs>"
             );
             ExitCode::from(2)
         }
