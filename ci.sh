@@ -65,7 +65,7 @@ smoke_gate() {
 # audit, which allocates by design, so the test is ignored there.
 # --nocapture prints each run's allocations per scheduler call, the figures
 # DESIGN.md quotes, into the log.
-step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 10 heap allocations per scheduler call each)"
+step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 5.4 and 6.4 heap allocations per scheduler call)"
 cargo test --release --locked --test alloc_budget -- --nocapture
 
 step "engine-scaling perf smoke + gate (1k-request trace vs BENCH_engine.json)"

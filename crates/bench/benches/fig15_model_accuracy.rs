@@ -42,7 +42,7 @@ fn main() {
         for &bs in &batch_sizes {
             for &len in &lens {
                 // Keep the total token count within the context window.
-                if bs as u64 * len > cm.model.max_context_len as u64 {
+                if bs as u64 * len > cm.model().max_context_len as u64 {
                     continue;
                 }
                 let batch = vec![len; bs];

@@ -22,7 +22,7 @@
 use loong_cluster::gpu::LinkSpec;
 use loong_cluster::memory::{HostMemoryBudget, MemoryBudget};
 use loong_cluster::topology::ClusterSpec;
-use loong_esp::decode::execute_decode;
+use loong_esp::decode::{execute_decode, DecodeBuffer};
 use loong_esp::instance::InstanceRegistry;
 use loong_esp::prefill::execute_prefill;
 use loong_esp::scaling::migrate_request;
@@ -48,7 +48,6 @@ use loong_simcore::time::{SimDuration, SimTime};
 use loong_trace::{AdmitInfo, Gauges, NoopSink, SpanPhase, Terminal, TraceSink};
 use loong_workload::request::Request;
 use loong_workload::trace::Trace;
-use std::collections::BTreeSet;
 
 /// Static configuration of a serving-engine run.
 #[derive(Debug, Clone)]
@@ -472,10 +471,10 @@ struct Live {
     arrivals: EventQueue<RequestId>,
     /// Work in flight, by completion instant.
     work: EventQueue<Work>,
-    /// The instances no work occupies, in id order: a claim takes an
-    /// instance out and its work's completion puts it back, so one
-    /// scheduling point's actions can claim each idle instance once.
-    idle: BTreeSet<InstanceId>,
+    /// Per instance id: whether no work occupies it. A claim clears the
+    /// flag and its work's completion sets it again, so one scheduling
+    /// point's actions can claim each idle instance once.
+    idle: Vec<bool>,
     /// The outcome so far: records in completion order, `unfinished` the
     /// admitted requests not yet resolved, `sim_time` the last instant
     /// processed.
@@ -490,6 +489,8 @@ struct Live {
     /// The batch of the action being applied: `(id, tokens)`, the tokens
     /// to prefill or the context to decode over.
     batch: Vec<(RequestId, u64)>,
+    /// `execute_decode`'s per-master counts.
+    decode_buffer: DecodeBuffer,
     #[cfg(debug_assertions)]
     audit: audit::ViewAudit,
 }
@@ -511,12 +512,13 @@ impl Live {
             table: RequestTable::new(),
             arrivals: EventQueue::new(),
             work: EventQueue::new(),
-            idle: (0..num_instances).map(InstanceId::from).collect(),
+            idle: vec![true; num_instances],
             out: RunOutcome::default(),
             backlog_tokens: 0,
             decode_stats: DecodeLatencyStats::default(),
             scratch: ViewScratch::new(),
             batch: Vec::new(),
+            decode_buffer: DecodeBuffer::default(),
             #[cfg(debug_assertions)]
             audit: audit::ViewAudit::default(),
         }
@@ -684,7 +686,13 @@ impl Live {
                 _ => {}
             }
         }
-        scratch.idle.extend(self.idle.iter().copied());
+        scratch.idle.extend(
+            self.idle
+                .iter()
+                .enumerate()
+                .filter(|&(_, &idle)| idle)
+                .map(|(i, _)| InstanceId::from(i)),
+        );
         sink.on_gauges(
             now,
             Gauges {
@@ -696,17 +704,19 @@ impl Live {
     }
 
     /// Whether every one of `instances` is still idle. Between the view and
-    /// the actions only claims change the idle set, so this is "idle in the
-    /// view and claimed by no earlier action of this point".
+    /// the actions only claims change the idle flags, so this is "idle in
+    /// the view and claimed by no earlier action of this point".
     fn claimable(&self, instances: &[InstanceId]) -> bool {
-        instances.iter().all(|i| self.idle.contains(i))
+        instances
+            .iter()
+            .all(|i| self.idle.get(i.index()) == Some(&true))
     }
 
-    /// Takes `instances` out of the idle set; their work completes at `done`.
+    /// Marks `instances` busy; their work completes at `done`.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn claim(&mut self, instances: &[InstanceId], done: SimTime) {
         for inst in instances {
-            self.idle.remove(inst);
+            self.idle[inst.index()] = false;
         }
         #[cfg(debug_assertions)]
         self.audit.on_claim(instances, done);
@@ -763,7 +773,7 @@ impl Live {
     }
 
     /// Applies the effects of a completed piece of work, updating request
-    /// phases and the idle set as it goes.
+    /// phases and the idle flags as it goes.
     fn complete(&mut self, work: Work, now: SimTime, sink: &mut dyn TraceSink) {
         match work {
             Work::Prefill {
@@ -827,7 +837,9 @@ impl Live {
 
     /// Marks the instances of a completed iteration idle again.
     fn release(&mut self, instances: &[InstanceId]) {
-        self.idle.extend(instances.iter().copied());
+        for inst in instances {
+            self.idle[inst.index()] = true;
+        }
     }
 
     /// One decode iteration completed for `id`: emit a token, finishing the
@@ -1037,10 +1049,16 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
         self.advance(sink, |_| true);
     }
 
+    /// Processes the scheduling points `go` admits, then hands their count
+    /// and the events they popped to [`profile`] in one go.
     fn advance(&mut self, sink: &mut dyn TraceSink, go: impl Fn(SimTime) -> bool) {
+        let (mut points, mut events) = (0u64, 0u64);
         while let Some(now) = self.live.next_instant().filter(|&t| go(t)) {
-            self.step(now, sink);
+            events += self.step(now, sink);
+            points += 1;
         }
+        profile::add_sched_points(points);
+        profile::add_events_popped(events);
     }
 
     /// The observable state between advances.
@@ -1091,15 +1109,15 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 
     /// One scheduling point at `now`: the instant's arrivals, then the work
     /// completing at it, prefix-cache housekeeping, one scheduler call and
-    /// its actions.
+    /// its actions. Returns the events it popped.
     ///
     /// Every scheduler-view input is maintained incrementally — the
-    /// [`RequestTable`]'s live list, the idle instance set, the KV
+    /// [`RequestTable`]'s live list, the idle instance flags, the KV
     /// residency index, running latency stats — so one point costs
     /// O(active requests + actions) instead of O(all requests ever seen).
     /// Debug builds shadow every view with a naive full-scan rebuild and
     /// assert equality.
-    fn step(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+    fn step(&mut self, now: SimTime, sink: &mut dyn TraceSink) -> u64 {
         let live = &mut self.live;
         live.out.sim_time = now;
         let mut events = 0u64;
@@ -1113,8 +1131,6 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
             live.complete(work, now, sink);
             events += 1;
         }
-        profile::add_events_popped(events);
-        profile::add_sched_points(1);
         live.evict_for_head(now, sink);
         live.fill_view(now, sink);
         #[cfg(debug_assertions)]
@@ -1132,6 +1148,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
         for action in actions {
             self.apply(action, now, sink);
         }
+        events
     }
 
     /// Executes one scheduler action through the ESP mechanisms. Actions
@@ -1263,6 +1280,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                     &self.cost_model,
                     &self.registry,
                     &mut live.pool,
+                    &mut live.decode_buffer,
                 ) else {
                     return;
                 };
@@ -1442,7 +1460,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // Device slots free immediately (the DMA drains
                 // asynchronously); the request itself stalls for the D2H
                 // transfer before it is parked.
-                let bytes = tokens as f64 * self.config.model.kv_bytes_per_token();
+                let bytes = tokens as f64 * self.cost_model.kv_bytes_per_token();
                 let transfer_s = host.link.transfer_time(bytes).max(1e-6);
                 set_phase(
                     &mut live.table,
@@ -1479,7 +1497,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // Device slots are reserved now (no oversubscription while
                 // the H2D transfer is in flight); the request resumes
                 // decoding when it completes.
-                let bytes = tokens as f64 * self.config.model.kv_bytes_per_token();
+                let bytes = tokens as f64 * self.cost_model.kv_bytes_per_token();
                 let transfer_s = host.link.transfer_time(bytes).max(1e-6);
                 set_phase(
                     &mut live.table,
@@ -1502,7 +1520,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
 ///
 /// Every scheduling point, [`ViewAudit::check`] rebuilds the view the slow
 /// way, from records of its own — the pending/decoding/swapped lists by a
-/// full scan over an append-only arrival log, the idle set by comparing its
+/// full scan over an append-only arrival log, the idle list by comparing its
 /// own busy-until record of claims with the clock — and asserts the scratch
 /// buffers match element for element. The pool's residency index, which
 /// schedulers read KV placement from, must pass its own invariant check.
@@ -1614,10 +1632,10 @@ mod audit {
             );
 
             // The old engine re-filtered every instance against `busy_until`
-            // with a time comparison; the engine instead moves instances out
-            // of the idle set on a claim and back on completion. Equivalence
-            // also proves no instance whose work ended (end time <= now)
-            // stays out of the idle set at a scheduling point.
+            // with a time comparison; the engine instead clears an
+            // instance's idle flag on a claim and sets it on completion.
+            // Equivalence also proves no instance whose work ended (end
+            // time <= now) stays busy at a scheduling point.
             let naive_idle: Vec<InstanceId> = registry
                 .all_ids()
                 .into_iter()
@@ -1625,7 +1643,7 @@ mod audit {
                 .collect();
             assert_eq!(
                 scratch.idle, naive_idle,
-                "incremental idle set diverged from busy_until re-filter"
+                "incremental idle flags diverged from busy_until re-filter"
             );
         }
     }

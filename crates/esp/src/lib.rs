@@ -66,7 +66,7 @@ pub mod instance;
 pub mod prefill;
 pub mod scaling;
 
-pub use decode::execute_decode;
+pub use decode::{execute_decode, DecodeBuffer};
 pub use instance::{ElasticInstance, InstanceRegistry};
 pub use prefill::execute_prefill;
 pub use scaling::{migrate_request, MigrationSummary};
@@ -127,7 +127,7 @@ impl From<KvError> for EspError {
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::decode::execute_decode;
+    pub use crate::decode::{execute_decode, DecodeBuffer};
     pub use crate::instance::{ElasticInstance, InstanceRegistry};
     pub use crate::prefill::execute_prefill;
     pub use crate::scaling::{migrate_request, MigrationSummary};

@@ -260,7 +260,7 @@ mod tests {
         // policy-reduced local attention) and never more expensive.
         use loong_model::attention::AttentionCostPolicy;
         let (registry, dense_cm, pool) = setup();
-        let sparse_cm = CostModel::builder(dense_cm.model.clone())
+        let sparse_cm = CostModel::builder(dense_cm.model().clone())
             .attention(AttentionCostPolicy::hierarchical())
             .build();
         let run = |cm: &CostModel| {

@@ -75,7 +75,7 @@ pub fn migrate_request(
         for (to, chunk) in spans {
             pool.migrate(request, from, to, chunk)
                 .expect("feasibility checked above");
-            let bytes = chunk as f64 * cost_model.model.kv_bytes_per_token();
+            let bytes = chunk as f64 * cost_model.kv_bytes_per_token();
             summary.total_bytes += bytes;
             summary.time_s += registry.link_between(&[from, to]).transfer_time(bytes);
         }
@@ -86,7 +86,7 @@ pub fn migrate_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::execute_decode;
+    use crate::decode::{execute_decode, DecodeBuffer};
     use loong_cluster::topology::ClusterSpec;
     use loong_model::config::ModelConfig;
 
@@ -111,10 +111,7 @@ mod tests {
         let retain = [InstanceId(0), InstanceId(1)];
         let summary =
             migrate_request(RequestId(0), &retain, &mut pool, &cm, &registry).expect("capacity");
-        assert_eq!(
-            summary.total_bytes,
-            100_000.0 * cm.model.kv_bytes_per_token()
-        );
+        assert_eq!(summary.total_bytes, 100_000.0 * cm.kv_bytes_per_token());
         assert!(summary.time_s > 0.0);
         assert_eq!(pool.instance(InstanceId(2)).used(), 0);
         assert_eq!(pool.instance(InstanceId(3)).used(), 0);
@@ -195,6 +192,7 @@ mod tests {
             &cm,
             &registry,
             &mut pool,
+            &mut DecodeBuffer::default(),
         )
         .expect("decode");
         assert_eq!(pool.tokens_of(RequestId(0)), 80_001);
@@ -219,10 +217,7 @@ mod tests {
             &registry,
         )
         .expect("capacity");
-        assert_eq!(
-            summary.total_bytes,
-            80_000.0 * cm.model.kv_bytes_per_token()
-        );
+        assert_eq!(summary.total_bytes, 80_000.0 * cm.kv_bytes_per_token());
         assert_eq!(pool.instance(InstanceId(0)).used(), 0);
         assert_eq!(pool.tokens_of(RequestId(5)), 80_000);
         // Migration of ~80K tokens (~40 GB) over NVLink should cost on the

@@ -21,7 +21,7 @@ use loong_cluster::gpu::{GpuSpec, LinkSpec};
 /// let cm = CostModel::builder(ModelConfig::lwm_1m_text())
 ///     .attention(AttentionCostPolicy::page_sparse())
 ///     .build();
-/// assert_eq!(cm.attention.label(), "page-sparse-decode");
+/// assert_eq!(cm.attention().label(), "page-sparse-decode");
 /// ```
 ///
 /// [`CostModel::new`]: crate::roofline::CostModel::new
@@ -56,12 +56,12 @@ impl CostModelBuilder {
 
     /// Builds the [`CostModel`].
     pub fn build(self) -> CostModel {
-        CostModel {
-            model: self.model,
-            gpu: self.gpu,
-            intra_instance_link: LinkSpec::nvlink_a800(),
-            attention: self.attention,
-        }
+        CostModel::from_parts(
+            self.model,
+            self.gpu,
+            LinkSpec::nvlink_a800(),
+            self.attention,
+        )
     }
 }
 
@@ -84,8 +84,8 @@ mod tests {
             .gpu(gpu.clone())
             .attention(AttentionCostPolicy::hierarchical())
             .build();
-        assert_eq!(cm.gpu, gpu);
-        assert_eq!(cm.attention.label(), "hierarchical-prefill");
-        assert_eq!(cm.model, ModelConfig::llama2_7b());
+        assert_eq!(cm.gpu(), &gpu);
+        assert_eq!(cm.attention().label(), "hierarchical-prefill");
+        assert_eq!(cm.model(), &ModelConfig::llama2_7b());
     }
 }

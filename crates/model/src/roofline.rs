@@ -102,18 +102,27 @@ const PER_ITERATION_OVERHEAD_S: f64 = 2e-3;
 
 /// The roofline cost model: model architecture + GPU + intra-instance link
 /// + attention-cost policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The model and GPU terms every pricing call reads (weight bytes, linear
+/// FLOPs and KV bytes per token, effective FLOP/s and bandwidth) are
+/// derived once, when the model is built. The parts they derive from are
+/// read-only, so nothing can make them stale.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    /// Transformer architecture being served.
-    pub model: ModelConfig,
-    /// GPU device model.
-    pub gpu: GpuSpec,
-    /// Link between GPUs of the same elastic instance (always intra-node in
-    /// LoongServe: instances never span nodes).
-    pub intra_instance_link: LinkSpec,
-    /// Attention-cost policy pricing every attention FLOP and KV-read term
-    /// (dense, page-sparse decode, or hierarchical prefill).
-    pub attention: AttentionCostPolicy,
+    model: ModelConfig,
+    gpu: GpuSpec,
+    intra_instance_link: LinkSpec,
+    attention: AttentionCostPolicy,
+    /// `model.weight_bytes()`, unsharded.
+    weight_bytes: f64,
+    /// `model.linear_flops_per_token()`.
+    linear_flops_per_token: f64,
+    /// `model.kv_bytes_per_token()`.
+    kv_bytes_per_token: f64,
+    /// `gpu.effective_flops()`.
+    effective_flops: f64,
+    /// `gpu.effective_bandwidth()`.
+    effective_bandwidth: f64,
 }
 
 impl CostModel {
@@ -127,6 +136,62 @@ impl CostModel {
     /// assemble a cost model with a non-default GPU or attention policy.
     pub fn builder(model: ModelConfig) -> CostModelBuilder {
         CostModelBuilder::new(model)
+    }
+
+    /// Assembles the model from its parts and derives the terms every
+    /// pricing call reads.
+    pub(crate) fn from_parts(
+        model: ModelConfig,
+        gpu: GpuSpec,
+        intra_instance_link: LinkSpec,
+        attention: AttentionCostPolicy,
+    ) -> Self {
+        CostModel {
+            weight_bytes: model.weight_bytes(),
+            linear_flops_per_token: model.linear_flops_per_token(),
+            kv_bytes_per_token: model.kv_bytes_per_token(),
+            effective_flops: gpu.effective_flops(),
+            effective_bandwidth: gpu.effective_bandwidth(),
+            model,
+            gpu,
+            intra_instance_link,
+            attention,
+        }
+    }
+
+    /// Transformer architecture being served.
+    pub fn model(&self) -> &ModelConfig {
+        &self.model
+    }
+
+    /// GPU device model.
+    pub fn gpu(&self) -> &GpuSpec {
+        &self.gpu
+    }
+
+    /// Link between GPUs of the same elastic instance (always intra-node in
+    /// LoongServe: instances never span nodes).
+    pub fn intra_instance_link(&self) -> LinkSpec {
+        self.intra_instance_link
+    }
+
+    /// Attention-cost policy pricing every attention FLOP and KV-read term
+    /// (dense, page-sparse decode, or hierarchical prefill).
+    pub fn attention(&self) -> AttentionCostPolicy {
+        self.attention
+    }
+
+    /// Key-value cache bytes per token across the whole model:
+    /// [`ModelConfig::kv_bytes_per_token`], derived once.
+    pub fn kv_bytes_per_token(&self) -> f64 {
+        self.kv_bytes_per_token
+    }
+
+    /// [`ModelConfig::weight_bytes_per_gpu`] over the weight bytes derived
+    /// at build.
+    fn weight_bytes_per_gpu(&self, tp: usize) -> f64 {
+        assert!(tp >= 1, "tensor parallel degree must be >= 1");
+        self.weight_bytes / tp as f64
     }
 
     /// Extra attention time a prefill of `suffix` tokens pays for attending
@@ -153,7 +218,7 @@ impl CostModel {
             .attention
             .prefill_attention_flops(m, suffix, context as f64 + suffix)
             - self.attention.prefill_attention_flops(m, suffix, suffix);
-        extra.max(0.0) / gpus / self.gpu.effective_flops()
+        extra.max(0.0) / gpus / self.effective_flops
     }
 
     /// Predicted cost of a **prefill** iteration.
@@ -177,7 +242,7 @@ impl CostModel {
 
         // Compute: dense projections/FFN are linear in tokens; attention is
         // quadratic per request.
-        let linear_flops = m.linear_flops_per_token() * total_tokens;
+        let linear_flops = self.linear_flops_per_token * total_tokens;
         let attn_flops: f64 = input_lens
             .iter()
             .map(|&l| {
@@ -185,11 +250,10 @@ impl CostModel {
                     .prefill_attention_flops(m, l as f64, l as f64)
             })
             .sum();
-        let linear_time = linear_flops / gpus / self.gpu.effective_flops();
-        let attn_time = attn_flops / gpus / self.gpu.effective_flops();
+        let linear_time = linear_flops / gpus / self.effective_flops;
+        let attn_time = attn_flops / gpus / self.effective_flops;
         // Weights must be streamed from HBM at least once per iteration.
-        let weight_stream_time =
-            m.weight_bytes_per_gpu(parallel.tp) / self.gpu.effective_bandwidth();
+        let weight_stream_time = self.weight_bytes_per_gpu(parallel.tp) / self.effective_bandwidth;
         let compute_s = linear_time.max(weight_stream_time) + attn_time;
 
         // Tensor-parallel all-reduces: two per layer over the activations of
@@ -241,8 +305,8 @@ impl CostModel {
         retained_tokens: u64,
         parallel: ParallelConfig,
     ) -> f64 {
-        let bytes = retained_tokens as f64 * self.model.kv_bytes_per_token() / parallel.tp as f64;
-        bytes / self.gpu.effective_bandwidth()
+        let bytes = retained_tokens as f64 * self.kv_bytes_per_token / parallel.tp as f64;
+        bytes / self.effective_bandwidth
     }
 
     /// Predicted cost of a **decode** iteration.
@@ -284,21 +348,20 @@ impl CostModel {
         // its tp GPUs; all masters run concurrently, so the critical path is
         // one master's share.
         let tokens_per_master = batch / masters as f64;
-        let linear_flops = m.linear_flops_per_token() * tokens_per_master;
-        let linear_time = linear_flops / parallel.tp as f64 / self.gpu.effective_flops();
+        let linear_flops = self.linear_flops_per_token * tokens_per_master;
+        let linear_time = linear_flops / parallel.tp as f64 / self.effective_flops;
         // Decode is usually bound by streaming the weight shard from HBM.
-        let weight_stream_time =
-            m.weight_bytes_per_gpu(parallel.tp) / self.gpu.effective_bandwidth();
+        let weight_stream_time = self.weight_bytes_per_gpu(parallel.tp) / self.effective_bandwidth;
         let dense_time = linear_time.max(weight_stream_time);
 
         // Attention: every instance scans the KV cache stored locally. The
         // cache is spread over all sp instances (token-granularity pool), so
         // each instance streams roughly total/sp of it.
         let attn_flops_time =
-            attn_flops / (parallel.sp * parallel.tp) as f64 / self.gpu.effective_flops();
+            attn_flops / (parallel.sp * parallel.tp) as f64 / self.effective_flops;
         let kv_bytes_per_gpu =
-            kv_read_tokens * m.kv_bytes_per_token() / parallel.sp as f64 / parallel.tp as f64;
-        let kv_stream_time = kv_bytes_per_gpu / self.gpu.effective_bandwidth();
+            kv_read_tokens * self.kv_bytes_per_token / parallel.sp as f64 / parallel.tp as f64;
+        let kv_stream_time = kv_bytes_per_gpu / self.effective_bandwidth;
         let attn_time = attn_flops_time.max(kv_stream_time);
 
         let compute_s = dense_time + attn_time;
@@ -371,10 +434,9 @@ impl CostModel {
         let decode_batch = decode_context_lens.len() as f64;
 
         // Dense work: the chunk plus one token per fused decode request.
-        let linear_flops = m.linear_flops_per_token() * (chunk + decode_batch);
-        let linear_time = linear_flops / gpus / self.gpu.effective_flops();
-        let weight_stream_time =
-            m.weight_bytes_per_gpu(parallel.tp) / self.gpu.effective_bandwidth();
+        let linear_flops = self.linear_flops_per_token * (chunk + decode_batch);
+        let linear_time = linear_flops / gpus / self.effective_flops;
+        let weight_stream_time = self.weight_bytes_per_gpu(parallel.tp) / self.effective_bandwidth;
 
         // Attention: the chunk attends to the whole processed prefix; fused
         // decode requests each attend to their full context.
@@ -383,7 +445,7 @@ impl CostModel {
             .iter()
             .map(|&l| self.attention.decode_attention_flops(m, l as f64))
             .sum();
-        let attn_flops_time = (chunk_attn + decode_attn) / gpus / self.gpu.effective_flops();
+        let attn_flops_time = (chunk_attn + decode_attn) / gpus / self.effective_flops;
         // The prefix KV and the decode KV must be streamed from HBM — both
         // read sets capped by the policy.
         let kv_bytes_per_gpu = (self.attention.chunk_kv_read_tokens(chunk, context)
@@ -391,9 +453,9 @@ impl CostModel {
                 .iter()
                 .map(|&l| self.attention.decode_kv_read_tokens(l as f64))
                 .sum::<f64>())
-            * m.kv_bytes_per_token()
+            * self.kv_bytes_per_token
             / gpus;
-        let kv_stream_time = kv_bytes_per_gpu / self.gpu.effective_bandwidth();
+        let kv_stream_time = kv_bytes_per_gpu / self.effective_bandwidth;
         let attn_time = attn_flops_time.max(kv_stream_time);
 
         let compute_s = linear_time.max(weight_stream_time) + attn_time;
@@ -459,13 +521,13 @@ impl CostModel {
         tp: usize,
         context_len: u64,
     ) -> Option<usize> {
-        let weight_time = self.model.weight_bytes_per_gpu(tp) / self.gpu.effective_bandwidth();
-        let flops_per_token_per_gpu = self.model.linear_flops_per_token() / tp as f64;
-        let time_per_token = flops_per_token_per_gpu / self.gpu.effective_flops();
+        let weight_time = self.weight_bytes_per_gpu(tp) / self.effective_bandwidth;
+        let flops_per_token_per_gpu = self.linear_flops_per_token / tp as f64;
+        let time_per_token = flops_per_token_per_gpu / self.effective_flops;
         let kv_time_per_request = self.attention.decode_kv_read_tokens(context_len as f64)
-            * self.model.kv_bytes_per_token()
+            * self.kv_bytes_per_token
             / tp as f64
-            / self.gpu.effective_bandwidth();
+            / self.effective_bandwidth;
         if time_per_token <= kv_time_per_request {
             return None;
         }
@@ -504,10 +566,9 @@ impl CostModel {
         parallel: ParallelConfig,
         processed_context: u64,
     ) -> u64 {
-        let weight_time =
-            self.model.weight_bytes_per_gpu(parallel.tp) / self.gpu.effective_bandwidth();
+        let weight_time = self.weight_bytes_per_gpu(parallel.tp) / self.effective_bandwidth;
         let gpus = parallel.total_gpus() as f64;
-        let flops_per_token_per_gpu = self.model.linear_flops_per_token() / gpus;
+        let flops_per_token_per_gpu = self.linear_flops_per_token / gpus;
         // Marginal attention FLOPs of one more token over the prefix, as
         // priced by the policy; exactly zero at context 0.
         let attn_extra = (self.attention.prefill_attention_flops(
@@ -520,7 +581,7 @@ impl CostModel {
         .max(0.0);
         let attn_per_token_per_gpu = attn_extra / gpus;
         let time_per_token =
-            (flops_per_token_per_gpu + attn_per_token_per_gpu) / self.gpu.effective_flops();
+            (flops_per_token_per_gpu + attn_per_token_per_gpu) / self.effective_flops;
         let roofline_tokens = (weight_time / time_per_token).ceil().max(1.0);
         let fixed_overhead =
             PER_ITERATION_OVERHEAD_S + self.model.num_layers as f64 * self.gpu.per_layer_overhead_s;
@@ -673,7 +734,7 @@ mod tests {
         // decode iteration.
         let cm = model();
         let p = ParallelConfig::new(2, 4);
-        let migrate = nvlink().transfer_time(500_000.0 * cm.model.kv_bytes_per_token());
+        let migrate = nvlink().transfer_time(500_000.0 * cm.kv_bytes_per_token());
         let decode = cm.decode_cost(&[500_000], p, 1, nvlink()).total();
         assert!(
             migrate > 3.0 * decode,

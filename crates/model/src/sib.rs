@@ -71,7 +71,7 @@ impl ScalingInfoBase {
         rng: &mut SimRng,
     ) -> Self {
         let mut sib = ScalingInfoBase::new();
-        let grid = Self::default_profile_grid(&cost_model.model);
+        let grid = Self::default_profile_grid(cost_model.model());
         for &parallel in configs {
             let mut samples: Vec<(BatchFeatures, f64)> = Vec::new();
             for lens in &grid {

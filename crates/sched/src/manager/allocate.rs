@@ -92,7 +92,7 @@ pub fn allocate(
 
         // Cost (Eq. 4): migration volume over the average link bandwidth,
         // normalised the same way.
-        let volume_bytes = used_tokens as f64 * view.cost_model.model.kv_bytes_per_token();
+        let volume_bytes = used_tokens as f64 * view.cost_model.kv_bytes_per_token();
         let link = view.registry.link_between(&{
             let mut v = vec![e_min];
             v.extend(targets.iter().map(|(i, _)| *i));

@@ -64,9 +64,9 @@ pub fn plan_scale_down(
 /// the next.
 ///
 /// The manager owns one planner for its whole life, so a steady decode
-/// point allocates only the plans it returns. Every call resets each buffer
-/// before reading it: a plan depends on the view and `available` alone,
-/// never on an earlier call.
+/// point allocates only each plan's three lists, which its action takes
+/// over. Every call resets each buffer before reading it: a plan depends on
+/// the view and `available` alone, never on an earlier call.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeGroupPlanner {
     /// Per instance id: whether it is in `available`.
@@ -77,6 +77,9 @@ pub struct DecodeGroupPlanner {
     recycled: Vec<Group>,
     /// Per instance id: held by a group or drawn by a scale-up.
     claimed: Vec<bool>,
+    /// The plans of the current call. Empty between calls: the caller's
+    /// drain takes them all.
+    plans: Vec<DecodeGroupPlan>,
 }
 
 /// One decode group being formed.
@@ -102,12 +105,15 @@ impl DecodeGroupPlanner {
     /// are pairwise disjoint, so a request whose KV lies wholly on the last
     /// group's instances would absorb that group alone; it joins the group
     /// at its head in one step instead.
+    ///
+    /// The plans come out in group order, moved out of a buffer the planner
+    /// keeps.
     pub fn plan(
         &mut self,
         view: &SchedulerView<'_>,
         available: &[InstanceId],
         enable_scale_up: bool,
-    ) -> Vec<DecodeGroupPlan> {
+    ) -> std::vec::Drain<'_, DecodeGroupPlan> {
         // Requests whose KV is fully on available instances can run; others
         // must wait for their instances to free up. Ids past the widest
         // available one are unavailable.
@@ -165,7 +171,7 @@ impl DecodeGroupPlanner {
             self.groups.push(merged);
         }
         if self.groups.is_empty() {
-            return Vec::new();
+            return self.plans.drain(..);
         }
 
         // Every instance a group holds is claimed, so scale-up never
@@ -187,7 +193,6 @@ impl DecodeGroupPlanner {
             .cost_model
             .decode_compute_bound_batch_size(view.registry.tp());
 
-        let mut plans = Vec::with_capacity(self.groups.len());
         for group in &self.groups {
             let mut instances = group.instances.clone();
             let batch_size = group.members.len();
@@ -231,14 +236,14 @@ impl DecodeGroupPlanner {
                 masters = instances.clone();
             }
 
-            plans.push(DecodeGroupPlan {
+            self.plans.push(DecodeGroupPlan {
                 instances,
                 masters,
                 requests: group.members.iter().map(|&k| view.decoding[k].id).collect(),
                 scaled_up_by,
             });
         }
-        plans
+        self.plans.drain(..)
     }
 }
 
@@ -317,7 +322,9 @@ mod tests {
         available: &[InstanceId],
         enable_scale_up: bool,
     ) -> Vec<DecodeGroupPlan> {
-        DecodeGroupPlanner::default().plan(view, available, enable_scale_up)
+        DecodeGroupPlanner::default()
+            .plan(view, available, enable_scale_up)
+            .collect()
     }
 
     /// The reference [`DecodeGroupPlanner`]'s plans must equal: the same
@@ -522,7 +529,7 @@ mod tests {
                 let v = view(&f, &available);
                 for scale_up in [true, false] {
                     assert_eq!(
-                        planner.plan(&v, &available, scale_up),
+                        planner.plan(&v, &available, scale_up).collect::<Vec<_>>(),
                         list_union_reference(&v, &available, scale_up),
                         "{instances} instances, scale-up {scale_up}, available {available:?}, \
                          decoding {:?}",

@@ -4,7 +4,11 @@
 //! millions of scheduling points, most of them decode-only. This binary
 //! installs a counting global allocator and holds the steady-state point
 //! to a fixed number of heap allocations per scheduler call, on long-context
-//! Mixed traffic and on decode-heavy ShareGPT traffic.
+//! Mixed traffic and on decode-heavy ShareGPT traffic. A one-group
+//! decode-only point allocates four times: the action list and the decode
+//! action's instances, masters and requests. Each arm's budget is its
+//! reading plus about 10%, so a regression of one allocation on every
+//! decode point fails it.
 //!
 //! Debug builds shadow every point with the view audit, which allocates by
 //! design, so the budget is checked in release builds only:
@@ -16,9 +20,6 @@
 use loongserve::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-
-/// Allocations plus reallocations each run may make per scheduler call.
-const BUDGET_PER_CALL: f64 = 10.0;
 
 /// Counts allocations and reallocations made on threads that switched
 /// counting on; every other thread allocates uncounted.
@@ -73,8 +74,8 @@ fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Runs `trace` through one paper node under LoongServe and holds the run
-/// to the per-call budget.
-fn assert_within_budget(trace: &Trace) {
+/// to `budget` allocations plus reallocations per scheduler call.
+fn assert_within_budget(trace: &Trace, budget: f64) {
     let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
     let mut engine = system.build_engine(Some(trace));
     let (outcome, allocations) = count_allocations(|| engine.run(trace));
@@ -85,8 +86,8 @@ fn assert_within_budget(trace: &Trace) {
         trace.label, outcome.scheduler_calls
     );
     assert!(
-        per_call <= BUDGET_PER_CALL,
-        "{per_call:.2} heap allocations per scheduler call, budget {BUDGET_PER_CALL}"
+        per_call <= budget,
+        "{per_call:.2} heap allocations per scheduler call, budget {budget}"
     );
 }
 
@@ -96,7 +97,11 @@ fn assert_within_budget(trace: &Trace) {
     ignore = "the debug view audit allocates by design; run with --release"
 )]
 fn loongserve_mixed_run_stays_within_its_allocation_budget() {
-    assert_within_budget(&WorkloadSpec::Dataset(DatasetKind::Mixed).generate(0.15, 2_000, 2026));
+    // Reads 4.92.
+    assert_within_budget(
+        &WorkloadSpec::Dataset(DatasetKind::Mixed).generate(0.15, 2_000, 2026),
+        5.4,
+    );
 }
 
 /// Decode-heavy traffic: short ShareGPT requests at one replica's share of
@@ -108,5 +113,9 @@ fn loongserve_mixed_run_stays_within_its_allocation_budget() {
     ignore = "the debug view audit allocates by design; run with --release"
 )]
 fn loongserve_sharegpt_run_stays_within_its_allocation_budget() {
-    assert_within_budget(&WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(30.0, 4_000, 2026));
+    // Reads 5.81.
+    assert_within_budget(
+        &WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(30.0, 4_000, 2026),
+        6.4,
+    );
 }

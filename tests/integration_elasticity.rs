@@ -43,6 +43,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
             &cost_model,
             &registry,
             &mut pool,
+            &mut DecodeBuffer::default(),
         )
         .expect("capacity");
     }
@@ -61,6 +62,7 @@ fn prefill_scale_down_then_decode_then_scale_up_lifecycle() {
         &cost_model,
         &registry,
         &mut pool,
+        &mut DecodeBuffer::default(),
     )
     .expect("capacity");
     assert_eq!(pool.tokens_of(RequestId(0)), 200_006);
@@ -148,7 +150,16 @@ fn multi_master_decode_balances_new_tokens_across_masters() {
     let (registry, cost_model, mut pool) = setup();
     let all = registry.all_ids();
     let requests: Vec<(RequestId, u64)> = (0..64).map(|i| (RequestId(i), 1_000)).collect();
-    execute_decode(&all, &all, &requests, &cost_model, &registry, &mut pool).expect("decode");
+    execute_decode(
+        &all,
+        &all,
+        &requests,
+        &cost_model,
+        &registry,
+        &mut pool,
+        &mut DecodeBuffer::default(),
+    )
+    .expect("decode");
     // The pool started empty, so each master's used slots are the new
     // tokens it received: every master got some, and near-uniformly many.
     let load: Vec<u64> = all.iter().map(|&m| pool.instance(m).used()).collect();
@@ -178,7 +189,7 @@ fn drain_instance_frees_it_for_prefill_without_losing_tokens() {
     .expect("capacity");
     assert_eq!(
         summary.total_bytes,
-        50_000.0 * cost_model.model.kv_bytes_per_token()
+        50_000.0 * cost_model.kv_bytes_per_token()
     );
     assert_eq!(pool.instance(InstanceId(2)).used(), 0);
     assert_eq!(pool.tokens_of(RequestId(7)), 50_000);

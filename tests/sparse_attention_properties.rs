@@ -157,7 +157,7 @@ proptest! {
         let link = LinkSpec::nvlink_a800();
         let masters = if masters_sel == 0 { 1 } else { parallel.sp };
         for cm in &sparse_models {
-            let label = cm.attention.label();
+            let label = cm.attention().label();
             let (s, d) = (
                 cm.prefill_cost(&lens, parallel, link).total(),
                 dense.prefill_cost(&lens, parallel, link).total(),

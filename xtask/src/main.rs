@@ -22,9 +22,10 @@
 //!   instant count) — the cross-validation hook against the recorder's
 //!   `TraceLedger`.
 //!
-//! * `perf-pairs <parent-dir> <change-dir> <workload> <pairs>` — alternating
-//!   `BENCHMARK.json` runs of two checkouts on one host, summarised per
-//!   end-to-end metric (see [`perf_pairs`]).
+//! * `perf-pairs <parent-dir> <change-dir> <workload> <pairs> [seed]` —
+//!   alternating `BENCHMARK.json` runs of two checkouts on one host, at
+//!   perfbench's seed 2026 or the given one, summarised per end-to-end
+//!   metric (see [`perf_pairs`]).
 //!
 //! Only simulated quantities (completed counts, iterations, simulated
 //! seconds, token counts) are gated — wall-clock throughput varies across
@@ -41,14 +42,17 @@ fn main() -> ExitCode {
     match args.as_slice() {
         [task, reference] if task == "bench-gate" => bench_gate(reference),
         [task, trace] if task == "trace-check" => trace_check(trace),
-        [task, parent, change, workload, pairs] if task == "perf-pairs" => {
-            perf_pairs::perf_pairs(parent, change, workload, pairs)
+        [task, parent, change, workload, pairs, seed @ ..]
+            if task == "perf-pairs" && seed.len() <= 1 =>
+        {
+            let seed = seed.first().map(String::as_str);
+            perf_pairs::perf_pairs(parent, change, workload, pairs, seed)
         }
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- bench-gate <BENCH_*.json>  (smoke output on stdin)\n\
                  \x20      cargo run -p xtask -- trace-check <trace.perfetto.json>\n\
-                 \x20      cargo run -p xtask -- perf-pairs <parent-dir> <change-dir> <workload> <pairs>"
+                 \x20      cargo run -p xtask -- perf-pairs <parent-dir> <change-dir> <workload> <pairs> [seed]"
             );
             ExitCode::from(2)
         }

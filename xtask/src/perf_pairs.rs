@@ -1,9 +1,11 @@
-//! `perf-pairs <parent-dir> <change-dir> <workload> <pairs>`: alternating
-//! perfbench runs of two checkouts on one host.
+//! `perf-pairs <parent-dir> <change-dir> <workload> <pairs> [seed]`:
+//! alternating perfbench runs of two checkouts on one host.
 //!
 //! Each run is `BENCHMARK.json`'s command (read from the change's
 //! checkout) in the checkout's own directory, untraced, for the file's
-//! `run_seconds`, with one seed for every run. Pair `i` runs the parent
+//! `run_seconds`, with one seed for every run: perfbench's default 2026
+//! unless the optional seed says otherwise, so a claim built on one seed
+//! can be re-checked on a held-out one. Pair `i` runs the parent
 //! first when `i` is even and the change first when it is odd, so a drift
 //! in the host's speed lands on both sides. For every end-to-end metric
 //! the report prints each side's quartiles and median, the ratio of the
@@ -16,8 +18,8 @@ use serde::Value;
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-/// The seed every run uses: perfbench's default.
-const SEED: &str = "2026";
+/// The seed every run uses unless one is given: perfbench's default.
+const DEFAULT_SEED: &str = "2026";
 
 /// One end-to-end metric `BENCHMARK.json` declares.
 struct Metric {
@@ -25,8 +27,15 @@ struct Metric {
     higher_is_better: bool,
 }
 
-pub fn perf_pairs(parent: &str, change: &str, workload: &str, pairs: &str) -> ExitCode {
-    match perf_pairs_inner([parent, change], workload, pairs) {
+pub fn perf_pairs(
+    parent: &str,
+    change: &str,
+    workload: &str,
+    pairs: &str,
+    seed: Option<&str>,
+) -> ExitCode {
+    let seed = seed.unwrap_or(DEFAULT_SEED);
+    match perf_pairs_inner([parent, change], workload, pairs, seed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("perf-pairs: {message}");
@@ -35,12 +44,20 @@ pub fn perf_pairs(parent: &str, change: &str, workload: &str, pairs: &str) -> Ex
     }
 }
 
-fn perf_pairs_inner(dirs: [&str; 2], workload: &str, pairs: &str) -> Result<(), String> {
+fn perf_pairs_inner(
+    dirs: [&str; 2],
+    workload: &str,
+    pairs: &str,
+    seed: &str,
+) -> Result<(), String> {
     let pairs: usize = pairs
         .parse()
         .ok()
         .filter(|&n| n > 0)
         .ok_or_else(|| format!("<pairs> must be a positive integer, got `{pairs}`"))?;
+    if seed.parse::<u64>().is_err() {
+        return Err(format!("[seed] must be an unsigned integer, got `{seed}`"));
+    }
     let spec_path = Path::new(dirs[1]).join("BENCHMARK.json");
     let spec_name = spec_path.display().to_string();
     let spec_text =
@@ -90,7 +107,7 @@ fn perf_pairs_inner(dirs: [&str; 2], workload: &str, pairs: &str) -> Result<(), 
         "--trace",
         "0",
         "--seed",
-        SEED,
+        seed,
     ];
     // runs[side][pair]: the metrics object of one run; side 0 is the parent.
     let mut runs: [Vec<Value>; 2] = [Vec::new(), Vec::new()];
@@ -112,7 +129,7 @@ fn perf_pairs_inner(dirs: [&str; 2], workload: &str, pairs: &str) -> Result<(), 
     }
 
     println!(
-        "perf-pairs: {workload}, {pairs} alternating pairs, {seconds} s per run, seed {SEED}\n\
+        "perf-pairs: {workload}, {pairs} alternating pairs, {seconds} s per run, seed {seed}\n\
          parent {}\nchange {}",
         dirs[0], dirs[1]
     );
