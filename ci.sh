@@ -131,7 +131,7 @@ step "cargo doc --no-deps with warnings denied (every workspace crate)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps \
     -p loong-simcore -p loong-cluster -p loong-model -p loong-kvcache -p loong-esp \
     -p loong-sched -p loong-workload -p loong-metrics -p loong-trace -p loong-bench \
-    -p loongserve
+    -p loongserve -p xtask
 
 # Report only: the two line counts ROADMAP quotes as its baseline.
 step "line counts (report only: production lines under crates/*/src per crate, each file up to its first top-level #[cfg(test)]; then all non-vendored Rust)"

@@ -22,11 +22,10 @@
 //! gather of distributed decoding.
 
 use crate::gpu::LinkSpec;
-use serde::{Deserialize, Serialize};
 
 /// Cost model for collectives over a set of peers connected by a given
 /// bottleneck link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     /// The bottleneck link between any two participants.
     pub link: LinkSpec,

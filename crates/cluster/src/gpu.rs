@@ -6,8 +6,6 @@
 //! factors that account for kernels not reaching peak. The default spec
 //! models the NVIDIA A800 80GB SXM used in the paper's testbed.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bytes in one gibibyte.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
@@ -25,7 +23,7 @@ pub const GB: f64 = 1e9;
 /// assert!(gpu.memory_bytes > 70.0 * 1024.0 * 1024.0 * 1024.0);
 /// assert!(gpu.effective_flops() < gpu.peak_flops);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Human-readable device name.
     pub name: String,
@@ -116,7 +114,7 @@ impl Default for GpuSpec {
 ///
 /// Communication time for a message of `bytes` over a link is
 /// `latency + bytes / bandwidth` (the classic alpha-beta model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Sustained bandwidth in bytes/s.
     pub bandwidth: f64,
@@ -163,15 +161,6 @@ impl LinkSpec {
             return 0.0;
         }
         self.latency + bytes / self.bandwidth
-    }
-
-    /// Returns the slower (bottleneck) of two links: the minimum bandwidth
-    /// and the maximum latency.
-    pub fn bottleneck(&self, other: &LinkSpec) -> LinkSpec {
-        LinkSpec {
-            bandwidth: self.bandwidth.min(other.bandwidth),
-            latency: self.latency.max(other.latency),
-        }
     }
 }
 
@@ -231,14 +220,5 @@ mod tests {
         let ib = LinkSpec::infiniband_4x200g();
         let bytes = 1.0 * GB;
         assert!(nv.transfer_time(bytes) < ib.transfer_time(bytes));
-    }
-
-    #[test]
-    fn bottleneck_takes_worst_of_both() {
-        let nv = LinkSpec::nvlink_a800();
-        let ib = LinkSpec::infiniband_4x200g();
-        let b = nv.bottleneck(&ib);
-        assert_eq!(b.bandwidth, ib.bandwidth);
-        assert_eq!(b.latency, ib.latency);
     }
 }

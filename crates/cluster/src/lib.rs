@@ -9,7 +9,8 @@
 //!
 //! * [`gpu`] — device specs (peak FLOP/s, HBM bandwidth, memory) and
 //!   point-to-point link specs,
-//! * [`topology`] — nodes, GPU placement, and link selection between GPUs,
+//! * [`topology`] — nodes, GPU placement, and the links within and across
+//!   nodes,
 //! * [`comm`] — alpha-beta cost models for the three collectives of tensor
 //!   and sequence parallelism (a KV-cache migration is one point-to-point
 //!   [`LinkSpec::transfer_time`]),
@@ -21,7 +22,7 @@
 //! use loong_cluster::prelude::*;
 //!
 //! let cluster = ClusterSpec::single_node_a800(8);
-//! let comm = CommModel::new(cluster.bottleneck_link(&cluster.all_gpus()));
+//! let comm = CommModel::new(cluster.intra_node_link);
 //! // An 8-way all-reduce of 64 MiB takes well under a millisecond on NVLink.
 //! assert!(comm.ring_allreduce(64.0 * 1024.0 * 1024.0, 8) < 1e-3);
 //! ```

@@ -8,7 +8,6 @@
 //! pools.
 
 use crate::gpu::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Memory budget of a single GPU participating in an elastic instance.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let budget = MemoryBudget::new(&GpuSpec::a800_80gb(), 7e9 * 2.0 / 2.0, 0.10, 65536.0);
 /// assert!(budget.kv_slot_capacity() > 100_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBudget {
     /// Total device memory in bytes.
     pub total_bytes: f64,
@@ -119,7 +118,7 @@ impl MemoryBudget {
 /// let budget = HostMemoryBudget::new(1024.0 * 1024.0 * 1024.0 * 1024.0, 0.5, 524_288.0);
 /// assert_eq!(budget.kv_slot_capacity(), 1_048_576);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostMemoryBudget {
     /// Total host DRAM in bytes.
     pub total_bytes: f64,

@@ -3,12 +3,12 @@
 //! The paper's testbed is one (and for Figure 11, two) server(s) with eight
 //! A800 GPUs each, fully connected by NVLink within a node and by four
 //! 200 Gbps InfiniBand NICs across nodes. [`ClusterSpec`] captures exactly
-//! this shape and answers "what link connects GPU *a* to GPU *b*?", which
-//! the communication cost models in [`crate::comm`] build on.
+//! this shape: the GPUs on each node and the two links, one within a node
+//! and one across nodes, that the communication cost models in
+//! [`crate::comm`] are priced over.
 
 use crate::gpu::{GpuSpec, LinkSpec, GIB};
 use loong_simcore::ids::{GpuId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Static description of a homogeneous GPU cluster.
 ///
@@ -16,12 +16,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use loong_cluster::topology::ClusterSpec;
+/// use loong_simcore::ids::{GpuId, NodeId};
 ///
-/// let cluster = ClusterSpec::single_node_a800(8);
-/// assert_eq!(cluster.total_gpus(), 8);
-/// assert_eq!(cluster.node_of(loong_simcore::ids::GpuId(3)), loong_simcore::ids::NodeId(0));
+/// let cluster = ClusterSpec::two_node_a800();
+/// assert_eq!(cluster.total_gpus(), 16);
+/// assert_eq!(cluster.gpus_on_node(NodeId(1))[0], GpuId(8));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of server nodes.
     pub nodes: usize,
@@ -109,21 +110,6 @@ impl ClusterSpec {
         self.nodes * self.gpus_per_node
     }
 
-    /// The node hosting `gpu`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GPU index is out of range.
-    pub fn node_of(&self, gpu: GpuId) -> NodeId {
-        let idx = gpu.index();
-        assert!(
-            idx < self.total_gpus(),
-            "GPU {gpu} out of range (total {})",
-            self.total_gpus()
-        );
-        NodeId((idx / self.gpus_per_node) as u64)
-    }
-
     /// All GPU identifiers on `node`.
     pub fn gpus_on_node(&self, node: NodeId) -> Vec<GpuId> {
         let n = node.index();
@@ -136,48 +122,6 @@ impl ClusterSpec {
         (start..start + self.gpus_per_node)
             .map(GpuId::from)
             .collect()
-    }
-
-    /// All GPU identifiers in the cluster, in index order.
-    pub fn all_gpus(&self) -> Vec<GpuId> {
-        (0..self.total_gpus()).map(GpuId::from).collect()
-    }
-
-    /// The link connecting two GPUs: NVLink if they share a node, the
-    /// inter-node fabric otherwise. A GPU talking to itself has an
-    /// effectively infinite-bandwidth, zero-latency path, approximated by
-    /// the intra-node link.
-    pub fn link_between(&self, a: GpuId, b: GpuId) -> LinkSpec {
-        if self.node_of(a) == self.node_of(b) {
-            self.intra_node_link
-        } else {
-            self.inter_node_link
-        }
-    }
-
-    /// The bottleneck link among a set of GPUs, i.e. the link a ring
-    /// collective spanning all of them is limited by.
-    ///
-    /// Returns the intra-node link for an empty or single-GPU set.
-    pub fn bottleneck_link(&self, gpus: &[GpuId]) -> LinkSpec {
-        let mut worst = self.intra_node_link;
-        for (i, &a) in gpus.iter().enumerate() {
-            for &b in &gpus[i + 1..] {
-                worst = worst.bottleneck(&self.link_between(a, b));
-            }
-        }
-        worst
-    }
-
-    /// Returns true if all GPUs in the set are on the same node.
-    pub fn is_single_node(&self, gpus: &[GpuId]) -> bool {
-        match gpus.first() {
-            None => true,
-            Some(&first) => {
-                let node = self.node_of(first);
-                gpus.iter().all(|&g| self.node_of(g) == node)
-            }
-        }
     }
 
     /// Validates the topology parameters.
@@ -208,54 +152,26 @@ mod tests {
     #[test]
     fn single_node_maps_all_gpus_to_node_zero() {
         let c = ClusterSpec::single_node_a800(8);
-        for g in c.all_gpus() {
-            assert_eq!(c.node_of(g), NodeId(0));
-        }
-        assert!(c.is_single_node(&c.all_gpus()));
+        let all: Vec<GpuId> = (0..8usize).map(GpuId::from).collect();
+        assert_eq!(c.gpus_on_node(NodeId(0)), all);
     }
 
     #[test]
     fn two_node_splits_gpus() {
         let c = ClusterSpec::two_node_a800();
         assert_eq!(c.total_gpus(), 16);
-        assert_eq!(c.node_of(GpuId(7)), NodeId(0));
-        assert_eq!(c.node_of(GpuId(8)), NodeId(1));
+        assert_eq!(c.gpus_on_node(NodeId(0)).last(), Some(&GpuId(7)));
+        assert_eq!(c.gpus_on_node(NodeId(1)).first(), Some(&GpuId(8)));
         assert_eq!(c.gpus_on_node(NodeId(1)).len(), 8);
-        assert!(!c.is_single_node(&[GpuId(7), GpuId(8)]));
     }
 
     #[test]
     fn link_selection_matches_topology() {
+        // The testbed's NVLink within a node, InfiniBand across nodes.
         let c = ClusterSpec::two_node_a800();
-        let intra = c.link_between(GpuId(0), GpuId(1));
-        let inter = c.link_between(GpuId(0), GpuId(15));
-        assert!(intra.bandwidth > inter.bandwidth);
-    }
-
-    #[test]
-    fn bottleneck_link_spans_nodes() {
-        let c = ClusterSpec::two_node_a800();
-        let all: Vec<GpuId> = c.all_gpus();
-        let b = c.bottleneck_link(&all);
-        assert_eq!(b.bandwidth, c.inter_node_link.bandwidth);
-        let node0 = c.gpus_on_node(NodeId(0));
-        let b0 = c.bottleneck_link(&node0);
-        assert_eq!(b0.bandwidth, c.intra_node_link.bandwidth);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_gpu_panics() {
-        let c = ClusterSpec::single_node_a800(8);
-        let _ = c.node_of(GpuId(8));
-    }
-
-    #[test]
-    fn empty_set_is_single_node() {
-        let c = ClusterSpec::single_node_a800(8);
-        assert!(c.is_single_node(&[]));
-        let b = c.bottleneck_link(&[]);
-        assert_eq!(b.bandwidth, c.intra_node_link.bandwidth);
+        assert_eq!(c.intra_node_link, LinkSpec::nvlink_a800());
+        assert_eq!(c.inter_node_link, LinkSpec::infiniband_4x200g());
+        assert!(c.intra_node_link.bandwidth > c.inter_node_link.bandwidth);
     }
 
     #[test]
@@ -354,34 +270,13 @@ mod tests {
             LinkSpec::infiniband_4x200g(),
         );
         // Node boundaries at GPU indices 0..4, 4..8, 8..12.
-        assert_eq!(c.node_of(GpuId(0)), NodeId(0));
-        assert_eq!(c.node_of(GpuId(3)), NodeId(0));
-        assert_eq!(c.node_of(GpuId(4)), NodeId(1));
-        assert_eq!(c.node_of(GpuId(11)), NodeId(2));
-        assert_eq!(
-            c.gpus_on_node(NodeId(2)),
-            vec![GpuId(8), GpuId(9), GpuId(10), GpuId(11)]
-        );
-        // Per-node GPU sets are single-node; any cross-node set is not.
-        for node in 0..3 {
-            assert!(c.is_single_node(&c.gpus_on_node(NodeId(node as u64))));
+        for node in 0..3usize {
+            let gpus: Vec<GpuId> = (4 * node..4 * node + 4).map(GpuId::from).collect();
+            assert_eq!(c.gpus_on_node(NodeId::from(node)), gpus);
         }
-        assert!(!c.is_single_node(&[GpuId(3), GpuId(4)]));
-        assert!(!c.is_single_node(&[GpuId(0), GpuId(5), GpuId(9)]));
-        // Bottleneck: intra-node within a node, inter-node as soon as the
-        // set spans a boundary.
-        let b_intra = c.bottleneck_link(&c.gpus_on_node(NodeId(1)));
-        assert_eq!(b_intra.bandwidth, c.intra_node_link.bandwidth);
-        let b_cross = c.bottleneck_link(&[GpuId(0), GpuId(4), GpuId(8)]);
-        assert_eq!(b_cross.bandwidth, c.inter_node_link.bandwidth);
-    }
-
-    #[test]
-    fn single_gpu_set_bottleneck_is_intra_node() {
-        let c = ClusterSpec::two_node_a800();
-        let b = c.bottleneck_link(&[GpuId(9)]);
-        assert_eq!(b.bandwidth, c.intra_node_link.bandwidth);
-        assert!(c.is_single_node(&[GpuId(9)]));
+        // The spec keeps the links it was built with.
+        assert_eq!(c.intra_node_link, LinkSpec::nvlink_a800());
+        assert_eq!(c.inter_node_link, LinkSpec::infiniband_4x200g());
     }
 
     #[test]

@@ -14,10 +14,9 @@ use loong_simcore::rng::SimRng;
 use loong_workload::arrival::ArrivalProcess;
 use loong_workload::datasets::DatasetKind;
 use loong_workload::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// The workload side of an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadSpec {
     /// One of the standard datasets.
     Dataset(DatasetKind),
@@ -71,7 +70,7 @@ pub struct SweepConfig {
 }
 
 /// The result of sweeping one system over the configured rates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     /// The system's report label.
     pub system: String,

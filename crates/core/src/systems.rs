@@ -20,10 +20,9 @@ use loong_sched::types::Scheduler;
 use loong_simcore::ids::InstanceId;
 use loong_simcore::time::SimDuration;
 use loong_workload::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// The serving systems reproduced from the paper's evaluation (§7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// LoongServe with elastic sequence parallelism (TP=2, ESP up to the
     /// instance count).
@@ -168,7 +167,7 @@ impl SystemKind {
 /// and trade memory under pressure — for compute (`Recompute`, the
 /// vLLM-style baseline) or for PCIe bandwidth (`SwapToHost`, which also
 /// enables the host-DRAM tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PressureMode {
     /// No pressure handling (conservative admission; the default).
     Off,

@@ -9,10 +9,9 @@
 use loong_cluster::gpu::LinkSpec;
 use loong_cluster::topology::ClusterSpec;
 use loong_simcore::ids::{GpuId, InstanceId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A model replica bound to a fixed set of GPUs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElasticInstance {
     /// Instance identifier.
     pub id: InstanceId,
@@ -42,7 +41,7 @@ impl ElasticInstance {
 /// assert_eq!(reg.num_instances(), 4);
 /// assert_eq!(reg.tp(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRegistry {
     cluster: ClusterSpec,
     instances: Vec<ElasticInstance>,
@@ -169,12 +168,8 @@ mod tests {
         assert_eq!(reg.num_instances(), 8);
         for id in reg.all_ids() {
             let inst = reg.get(id);
-            let nodes: Vec<NodeId> = inst
-                .gpus
-                .iter()
-                .map(|&g| reg.cluster().node_of(g))
-                .collect();
-            assert!(nodes.iter().all(|&n| n == inst.node));
+            let node_gpus = reg.cluster().gpus_on_node(inst.node);
+            assert!(inst.gpus.iter().all(|g| node_gpus.contains(g)));
         }
     }
 

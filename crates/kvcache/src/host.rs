@@ -15,11 +15,10 @@
 
 use crate::pool::KvError;
 use loong_simcore::ids::RequestId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The token-granularity host-DRAM pool of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostKvPool {
     /// Total slot capacity (tokens).
     capacity: u64,

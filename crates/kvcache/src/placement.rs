@@ -12,10 +12,9 @@
 //! instance has less than its equal share.
 
 use loong_simcore::ids::InstanceId;
-use serde::{Deserialize, Serialize};
 
 /// How tokens should be spread across candidate instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementStrategy {
     /// Fill the instance with the most free slots first, then the next, …
     /// Minimises the number of instances touched.

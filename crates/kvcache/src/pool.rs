@@ -7,10 +7,9 @@
 //! [`crate::unified::UnifiedKvPool`].
 
 use loong_simcore::ids::{InstanceId, RequestId};
-use serde::{Deserialize, Serialize};
 
 /// Errors returned by pool operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvError {
     /// The instance does not have enough free slots for the allocation.
     InsufficientCapacity {
@@ -105,7 +104,7 @@ impl std::error::Error for KvError {}
 /// The token-granularity KV pool of one elastic instance: its capacity and
 /// how much of it is used. Which requests hold those slots is recorded once,
 /// in [`crate::unified::UnifiedKvPool`]'s residency index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceKvPool {
     /// The owning instance.
     pub instance: InstanceId,

@@ -43,11 +43,10 @@
 
 use loong_simcore::ids::{ConversationId, RequestId};
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tunables of the prefix-cache tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefixCacheConfig {
     /// Device utilisation above which unpinned retained prefixes are
     /// evicted (LRU by retention time). Kept below the memory-pressure
@@ -86,7 +85,7 @@ impl PrefixCacheConfig {
 
 /// One retained prefix: the KV of a completed conversation turn, still
 /// resident in the device pool under the finished request's id.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefixEntry {
     /// The finished request whose slots hold the prefix.
     pub owner: RequestId,
@@ -115,7 +114,7 @@ pub struct PrefixDemand {
 /// live there); this type carries the index, the waiter pins and the
 /// eviction policy. All maps are `BTreeMap`s so iteration — and therefore
 /// eviction order — is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefixCache {
     config: PrefixCacheConfig,
     entries: BTreeMap<ConversationId, PrefixEntry>,
@@ -268,27 +267,25 @@ impl PrefixCache {
         entry
     }
 
-    /// The next eviction victim: the least-recently-retained entry, with
-    /// pinned entries (live waiters) considered only when `allow_pinned`,
-    /// and `protect` never considered. Ties break towards the lowest
-    /// conversation id; the scan order is the `BTreeMap`'s, so the choice
-    /// is deterministic.
+    /// The next eviction victim among the entries `eligible` accepts:
+    /// unpinned entries before pinned ones (live waiters), which are
+    /// considered only when `allow_pinned`, then the least-recently
+    /// retained, then the lowest conversation id. Every eviction site picks
+    /// its victim here, so the order is written once.
     pub(crate) fn eviction_victim(
         &self,
         allow_pinned: bool,
-        protect: Option<ConversationId>,
+        eligible: impl Fn(ConversationId, &PrefixEntry) -> bool,
     ) -> Option<ConversationId> {
         let mut best: Option<(bool, SimTime, ConversationId)> = None;
         for (&conv, entry) in &self.entries {
-            if protect == Some(conv) {
+            if !eligible(conv, entry) {
                 continue;
             }
             let pinned = self.waiters(conv) > 0;
             if pinned && !allow_pinned {
                 continue;
             }
-            // Unpinned entries are always preferred over pinned ones, then
-            // LRU by retention time, then lowest conversation id.
             let key = (pinned, entry.retained_at, conv);
             if best.map(|b| key < b).unwrap_or(true) {
                 best = Some(key);
@@ -378,18 +375,20 @@ mod tests {
         let mut c = cache();
         c.insert(ConversationId(0), RequestId(0), 10, SimTime::from_secs(2.0));
         c.insert(ConversationId(1), RequestId(1), 10, SimTime::from_secs(1.0));
+        let any = |_: ConversationId, _: &PrefixEntry| true;
         // LRU: conversation 1 was retained first.
-        assert_eq!(c.eviction_victim(false, None), Some(ConversationId(1)));
+        assert_eq!(c.eviction_victim(false, any), Some(ConversationId(1)));
         c.waiter_add(ConversationId(1));
         // Pinned: the unpinned entry is preferred even though it is newer.
-        assert_eq!(c.eviction_victim(false, None), Some(ConversationId(0)));
+        assert_eq!(c.eviction_victim(false, any), Some(ConversationId(0)));
+        assert_eq!(c.eviction_victim(true, any), Some(ConversationId(0)));
         // With only pinned entries left, eviction needs allow_pinned.
         c.waiter_add(ConversationId(0));
-        assert_eq!(c.eviction_victim(false, None), None);
-        assert_eq!(c.eviction_victim(true, None), Some(ConversationId(1)));
-        // The protected conversation is never chosen.
+        assert_eq!(c.eviction_victim(false, any), None);
+        assert_eq!(c.eviction_victim(true, any), Some(ConversationId(1)));
+        // An entry the filter rejects is never chosen.
         assert_eq!(
-            c.eviction_victim(true, Some(ConversationId(1))),
+            c.eviction_victim(true, |conv, _| conv != ConversationId(1)),
             Some(ConversationId(0))
         );
         c.waiter_drop(ConversationId(1));

@@ -674,7 +674,7 @@ impl UnifiedKvPool {
                 .prefix
                 .as_ref()
                 .expect("checked above")
-                .eviction_victim(false, None)
+                .eviction_victim(false, |_, _| true)
             else {
                 break;
             };
@@ -691,10 +691,11 @@ impl UnifiedKvPool {
             // reject or queue it) must not flush the whole cache.
             if demand <= self.total_capacity() {
                 while self.total_free() < demand {
-                    let cache = self.prefix.as_ref().expect("checked above");
-                    let Some(victim) = cache
-                        .eviction_victim(false, head.conversation)
-                        .or_else(|| cache.eviction_victim(true, head.conversation))
+                    let Some(victim) = self
+                        .prefix
+                        .as_ref()
+                        .expect("checked above")
+                        .eviction_victim(true, |conv, _| Some(conv) != head.conversation)
                     else {
                         break;
                     };
@@ -773,21 +774,16 @@ impl UnifiedKvPool {
             if free >= needed {
                 break;
             }
-            let cache = self.prefix.as_ref().expect("checked above");
-            let mut best: Option<(bool, SimTime, ConversationId)> = None;
-            for (conv, entry) in cache.entries() {
-                let holds_here = instances
-                    .iter()
-                    .any(|&i| self.tokens_on(entry.owner, i) > 0);
-                if !holds_here {
-                    continue;
-                }
-                let key = (cache.waiters(conv) > 0, entry.retained_at, conv);
-                if best.map(|b| key < b).unwrap_or(true) {
-                    best = Some(key);
-                }
-            }
-            let Some((_, _, victim)) = best else {
+            let Some(victim) = self
+                .prefix
+                .as_ref()
+                .expect("checked above")
+                .eviction_victim(true, |_, entry| {
+                    instances
+                        .iter()
+                        .any(|&i| self.tokens_on(entry.owner, i) > 0)
+                })
+            else {
                 break;
             };
             tokens += self.prefix_evict_one(victim);

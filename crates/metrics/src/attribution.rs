@@ -12,10 +12,9 @@
 //! [`FleetSummary`]: crate::fleet::FleetSummary
 
 use loong_simcore::class::TrafficClass;
-use serde::{Deserialize, Serialize};
 
 /// Simulated seconds a set of requests spent in each lifecycle phase.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct PhaseSeconds {
     /// Waiting for admission or dispatch (including decode-batch waits
     /// before the first token).
@@ -66,7 +65,7 @@ impl PhaseSeconds {
 }
 
 /// Per-class time attribution for one run (engine or fleet scope).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TimeAttribution {
     /// Interactive (chat-style) traffic.
     pub interactive: PhaseSeconds,

@@ -8,10 +8,8 @@
 //! reused a prefix — reports the all-zero record, the observable half of
 //! the tier's zero-cost-when-disabled invariant.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of prefix-cache activity for one run (or one fleet replica).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Prefill dispatches of conversation-tagged requests that consulted
     /// the prefix index.

@@ -12,7 +12,6 @@
 
 use crate::record::RequestRecord;
 use crate::slo::SloSpec;
-use serde::{Deserialize, Serialize};
 
 /// Whole-run elasticity counters of one fleet run.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// `min/max_active_replicas` bounds are set even when no scale event or
 /// shed decision ever fires. The event counters (scale-ups, drains,
 /// provisioning, sheds) stay zero for an armed-but-idle tier.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ElasticityStats {
     /// Scale-up decisions that activated at least one replica.
     pub scale_up_events: u64,
@@ -152,17 +151,5 @@ mod tests {
         assert_eq!(slo_goodput_per_replica_second(&records, &slo(), 0.0), 0.0);
         assert_eq!(slo_goodput_per_replica_second(&records, &slo(), -1.0), 0.0);
         assert_eq!(slo_goodput_per_replica_second(&[], &slo(), 10.0), 0.0);
-    }
-
-    #[test]
-    fn stats_serialise() {
-        let s = ElasticityStats {
-            replica_seconds: 123.5,
-            min_active_replicas: 1,
-            max_active_replicas: 4,
-            ..ElasticityStats::default()
-        };
-        let json = serde_json::to_string(&s).expect("serialise");
-        assert_eq!(s, serde_json::from_str(&json).expect("deserialise"));
     }
 }

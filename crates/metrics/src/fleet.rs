@@ -14,11 +14,10 @@ use crate::record::RequestRecord;
 use crate::reliability::{ReliabilityStats, SlaWindow};
 use crate::slo::SloSpec;
 use crate::summary::RunSummary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated metrics of one fleet run: the merged view plus a per-replica
 /// breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// Metrics over the union of every replica's records. Makespan — and
     /// therefore throughput — spans the whole fleet: earliest arrival to

@@ -3,8 +3,6 @@
 //! Small, dependency-free statistics used throughout the experiment
 //! harness: means, percentiles and a compact summary of a latency sample.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean of a slice, or zero for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -40,7 +38,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 }
 
 /// A compact summary of a latency distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

@@ -7,10 +7,8 @@
 //! reports the all-zero record — the observable half of the subsystem's
 //! zero-cost-when-disabled invariant.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of memory-pressure activity for one run (or one fleet replica).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PressureStats {
     /// Preempt-and-recompute evictions performed (distinct from per-record
     /// `preemptions`, which also counts decode migrations).

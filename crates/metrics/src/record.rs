@@ -8,10 +8,9 @@
 use loong_simcore::class::TrafficClass;
 use loong_simcore::ids::RequestId;
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The lifecycle timestamps and sizes of one served request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// Request identifier.
     pub id: RequestId,

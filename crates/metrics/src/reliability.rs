@@ -12,14 +12,13 @@
 
 use crate::record::RequestRecord;
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Whole-run reliability counters of one fleet run.
 ///
 /// All-zero when the reliability tier is armed but no failure fires —
 /// mirroring [`PressureStats`](crate::pressure::PressureStats), an armed
 /// but idle tier leaves no trace in the rollup.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReliabilityStats {
     /// Replica crash events that struck during the run.
     pub crashes: u64,
@@ -74,7 +73,7 @@ impl ReliabilityStats {
 
 /// One availability window: the requests that *resolved* — completed or
 /// terminally failed — within `[start_s, end_s)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlaWindow {
     /// Window start on the sim clock, in seconds (inclusive).
     pub start_s: f64,

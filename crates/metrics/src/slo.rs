@@ -7,10 +7,9 @@
 //! least 90% of requests meet the SLO.
 
 use crate::record::RequestRecord;
-use serde::{Deserialize, Serialize};
 
 /// A latency service-level objective on normalised latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Maximum acceptable normalised per-token latency (s/token).
     pub per_token_s: f64,
@@ -65,7 +64,7 @@ impl SloSpec {
 
 /// A single point on a rate-sweep curve: the offered load and the fraction
 /// of requests that met the SLO at that load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloPoint {
     /// Offered request rate in requests/second.
     pub request_rate: f64,

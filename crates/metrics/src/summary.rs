@@ -11,10 +11,9 @@ use crate::latency::LatencySummary;
 use crate::pressure::PressureStats;
 use crate::record::RequestRecord;
 use crate::slo::SloSpec;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated metrics of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Label of the serving system that produced the run.
     pub system: String,

@@ -9,7 +9,6 @@
 //! bin boundaries.
 
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Maps an instant to its bin under half-open `[i·w, (i+1)·w)` semantics.
 ///
@@ -33,7 +32,7 @@ pub fn bin_index(bin_width_s: f64, t: SimTime) -> usize {
 }
 
 /// Counts events in fixed-width time bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedCounter {
     /// Width of each bin in seconds.
     bin_width_s: f64,

@@ -13,11 +13,9 @@
 //! implements the model, the least-squares fit (via the 3×3 normal
 //! equations), and error metrics used to reproduce Figure 15.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary features of a prefill batch: the number of requests, the sum of
 /// input lengths and the sum of squared input lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchFeatures {
     /// Number of requests in the batch.
     pub batch_size: usize,
@@ -41,7 +39,7 @@ impl BatchFeatures {
 }
 
 /// The fitted α + β·Σl + γ·Σl² model for one parallelism strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticalModel {
     /// Constant overhead (seconds).
     pub alpha: f64,

@@ -44,7 +44,6 @@
 //! [`CostModel`]: crate::roofline::CostModel
 
 use crate::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// LServe-style page-sparse streaming **decode**: every decode step attends
 /// over an always-kept streaming sink prefix and recent window plus a fixed
@@ -55,7 +54,7 @@ use serde::{Deserialize, Serialize};
 /// query with two landmark key vectors (per-page min/max summaries). The
 /// landmark tensors are two orders of magnitude smaller than the KV cache
 /// and stay cache-resident, so they add no HBM KV-read bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageSparseDecode {
     /// Tokens per KV page (the selection granularity).
     pub page_tokens: usize,
@@ -133,7 +132,7 @@ impl PageSparseDecode {
 /// cache-resident. Chunked prefills additionally stop re-streaming the
 /// whole processed prefix from HBM: each query block reads at most its
 /// budget of selected pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchicalPrefill {
     /// Tokens per logical KV page at the prefill selection level.
     pub page_tokens: usize,
@@ -221,7 +220,7 @@ impl HierarchicalPrefill {
 /// reducing FLOPs alone would change nothing.
 ///
 /// [`CostModel`]: crate::roofline::CostModel
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AttentionCostPolicy {
     /// Dense causal attention (the default; pinned by the golden digests).
     #[default]
@@ -452,15 +451,6 @@ mod tests {
             m.attention_flops(1.0, 5_000.0)
         );
         assert_eq!(AttentionCostPolicy::ablation_set().len(), 3);
-    }
-
-    #[test]
-    fn policies_serialise_roundtrip() {
-        for p in AttentionCostPolicy::ablation_set() {
-            let json = serde_json::to_string(&p).expect("serialise");
-            let back: AttentionCostPolicy = serde_json::from_str(&json).expect("deserialise");
-            assert_eq!(p, back);
-        }
     }
 
     #[test]

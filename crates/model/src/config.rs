@@ -13,8 +13,6 @@
 //! it, the sparse policies cap it at a budget. This module only supplies
 //! the raw dense FLOP counts the policies build on.
 
-use serde::{Deserialize, Serialize};
-
 /// Architectural description of a decoder-only transformer.
 ///
 /// # Examples
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let gib = m.kv_bytes_per_token() * 1_000_000.0 / (1024.0 * 1024.0 * 1024.0);
 /// assert!((gib - 488.0).abs() < 2.0, "got {gib} GiB");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable model name.
     pub name: String,

@@ -25,14 +25,13 @@ use crate::builder::CostModelBuilder;
 use crate::config::ModelConfig;
 use loong_cluster::comm::CommModel;
 use loong_cluster::gpu::{GpuSpec, LinkSpec};
-use serde::{Deserialize, Serialize};
 
 /// Degree-of-parallelism configuration of one ESP parallel group.
 ///
 /// `tp` GPUs form one elastic instance (tensor parallelism); `sp` elastic
 /// instances form the group (sequence parallelism). The paper's single-node
 /// LoongServe configuration is `tp = 2, sp <= 4`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Tensor-parallel degree inside each elastic instance.
     pub tp: usize,
@@ -67,7 +66,7 @@ impl ParallelConfig {
 }
 
 /// Breakdown of one iteration's predicted latency, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationCost {
     /// Compute time (GEMMs + attention), already floored by HBM streaming.
     pub compute_s: f64,

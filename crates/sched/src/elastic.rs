@@ -22,10 +22,9 @@
 //! fleet bit for bit.
 
 use loong_workload::request::TrafficClass;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of the fleet [`Autoscaler`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// The fleet never shrinks below this many active replicas.
     pub min_replicas: usize,
@@ -125,7 +124,7 @@ impl AutoscalerConfig {
 
 /// What the autoscaler observes at one control boundary: the fleet's state
 /// over the window that just closed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSignals {
     /// SLO attainment of requests finishing in the window (1.0 when the
     /// window saw no completions — an idle fleet is not a missed SLO).
@@ -139,7 +138,7 @@ pub struct FleetSignals {
 }
 
 /// One autoscaler decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Stay at the current size.
     Hold,
@@ -219,7 +218,7 @@ impl Autoscaler {
 }
 
 /// Static configuration of the [`AdmissionController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Shedding switches **on** when fleet backlog reaches this multiple of
     /// total capacity (`replica_capacity_tokens × ready replicas`).
@@ -306,7 +305,7 @@ impl AdmissionConfig {
 }
 
 /// Why a request was shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The fleet is saturated and the request's class is shed under
     /// class-priority shedding.
@@ -317,7 +316,7 @@ pub enum ShedReason {
 }
 
 /// One admission decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
     /// Route the request.
     Admit,
@@ -659,15 +658,5 @@ mod tests {
             ctl.admit(TrafficClass::BestEffort, backlog, 1),
             AdmissionDecision::Shed(ShedReason::Saturated)
         );
-    }
-
-    #[test]
-    fn configs_serialise() {
-        let a = AutoscalerConfig::overload_defaults(1, 8);
-        let json = serde_json::to_string(&a).expect("serialise");
-        assert_eq!(a, serde_json::from_str(&json).expect("deserialise"));
-        let c = AdmissionConfig::overload_defaults();
-        let json = serde_json::to_string(&c).expect("serialise");
-        assert_eq!(c, serde_json::from_str(&json).expect("deserialise"));
     }
 }

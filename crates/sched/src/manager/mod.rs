@@ -15,10 +15,9 @@ use crate::pressure::{admission_reserve, pressure_actions, PressureConfig};
 use crate::types::{Action, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the LoongServe global manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoongServeConfig {
     /// Whether decode groups may scale up (disabled for the Figure 13a
     /// ablation).

@@ -27,10 +27,9 @@
 //! mutates the pool, and charges PCIe transfer time.
 
 use crate::types::{Action, SchedulerView};
-use serde::{Deserialize, Serialize};
 
 /// What to do with a victim's KV cache under pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PressurePolicy {
     /// Discard the KV and recompute the request from its prompt later (the
     /// vLLM-style baseline behaviour, paper §7).
@@ -41,7 +40,7 @@ pub enum PressurePolicy {
 }
 
 /// Tunables of the memory-pressure subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PressureConfig {
     /// The victim policy.
     pub policy: PressurePolicy,

@@ -16,7 +16,6 @@
 
 use loong_simcore::ids::ReplicaId;
 use loong_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Per-request retry budget with exponential backoff on the sim clock.
@@ -27,7 +26,7 @@ use std::collections::VecDeque;
 /// frontend `backoff(attempt)` after the crash, re-enters admission on a
 /// (usually different) replica, and re-prefills from scratch — up to
 /// `max_retries` times, after which it fails terminally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum number of re-submissions per request (0 = fail fast).
     pub max_retries: u32,
@@ -73,7 +72,7 @@ impl RetryPolicy {
 }
 
 /// Configuration of the per-replica count/window circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircuitBreakerConfig {
     /// Failures within the window that trip the breaker.
     pub failure_threshold: u32,
@@ -250,18 +249,5 @@ mod tests {
             healthy_candidates(2, |_| false),
             vec![ReplicaId(0), ReplicaId(1)]
         );
-    }
-
-    #[test]
-    fn policies_serialise() {
-        let retry = RetryPolicy::exponential(2, 0.25);
-        let json = serde_json::to_string(&retry).expect("serialise");
-        let back: RetryPolicy = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(retry, back);
-
-        let breaker = CircuitBreakerConfig::new(3, 60.0, 120.0);
-        let json = serde_json::to_string(&breaker).expect("serialise");
-        let back: CircuitBreakerConfig = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(breaker, back);
     }
 }

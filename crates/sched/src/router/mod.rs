@@ -26,7 +26,6 @@ use loong_simcore::ids::{ConversationId, ReplicaId, RequestId};
 use loong_simcore::rng::SimRng;
 use loong_simcore::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What the router may observe about an arriving request.
@@ -34,7 +33,7 @@ use std::collections::BTreeMap;
 /// Mirrors what a real cluster frontend knows at admission time: the prompt
 /// length and the user-declared output bound — never the true output length,
 /// which the simulator knows but hides from all policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRequest {
     /// The request.
     pub id: RequestId,
@@ -59,7 +58,7 @@ impl RouteRequest {
 }
 
 /// Incrementally maintained load statistics of one replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaLoad {
     /// The replica these statistics describe.
     pub replica: ReplicaId,
@@ -168,7 +167,7 @@ fn argmin_among(
 /// Each policy picks among the **routable** candidates only (see
 /// [`Router::route`]); with every replica routable it makes its
 /// failure-free decisions bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
     /// Every request goes to the first routable replica: replica 0 while
     /// it is up. The identity of the fleet tier — a 1-replica fleet under
@@ -508,14 +507,6 @@ mod tests {
             let actual = routing_digest(policy);
             assert_eq!(actual, expected, "{policy:?}: got 0x{actual:016x}");
         }
-    }
-
-    #[test]
-    fn policies_serialise() {
-        let p = RouterPolicy::PowerOfTwoChoices { seed: 7 };
-        let json = serde_json::to_string(&p).expect("serialise");
-        let back: RouterPolicy = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(p, back);
     }
 }
 

@@ -15,11 +15,10 @@ use loong_model::roofline::CostModel;
 use loong_model::sib::ScalingInfoBase;
 use loong_simcore::ids::{InstanceId, RequestId};
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A request waiting in the pending queue (prefill not yet started, or only
 /// partially processed by a chunked-prefill baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingRequest {
     /// The request.
     pub id: RequestId,
@@ -46,7 +45,7 @@ impl PendingRequest {
 /// A request in the decode phase that is ready for its next iteration (not
 /// currently executing). The instances holding its KV are the pool's
 /// record: `view.pool.locations_ref(id)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodingRequest {
     /// The request.
     pub id: RequestId,
@@ -188,7 +187,7 @@ impl SchedulerView<'_> {
 }
 
 /// One scheduling decision for the engine to execute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Run a full prefill iteration for `requests` on `instances`, retaining
     /// the resulting KV on `retain_on` (proactive scale-down when
@@ -269,7 +268,7 @@ pub enum Action {
 }
 
 /// Kinds of elastic scaling events, counted for Figure 13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingEventKind {
     /// A decode group grew (memory- or compute-triggered).
     ScaleUp,
@@ -278,7 +277,7 @@ pub enum ScalingEventKind {
 }
 
 /// A timestamped scaling event emitted by a scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingEvent {
     /// When the decision was made.
     pub at: SimTime,
@@ -318,18 +317,6 @@ mod tests {
             max_output_len: 64,
         };
         assert_eq!(p.remaining_prefill(), 70);
-    }
-
-    #[test]
-    fn actions_serialise() {
-        let a = Action::Prefill {
-            instances: vec![InstanceId(0)],
-            requests: vec![RequestId(1)],
-            retain_on: vec![InstanceId(0)],
-        };
-        let json = serde_json::to_string(&a).expect("serialise");
-        let back: Action = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(a, back);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! (whose per-request records carry the class through to reporting) can
 //! share it without a dependency cycle.
 
-use serde::{Deserialize, Serialize};
-
 /// The service class a request arrives under.
 ///
 /// Classes order by *strictness*: interactive traffic has the tightest
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// traffic tolerates the loosest latency and is shed first when the fleet
 /// saturates. The class never changes what a request costs to serve — only
 /// how the frontend treats it under overload and which SLO it is judged by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TrafficClass {
     /// Chat-style traffic (ShareGPT-shaped): tight SLO, shed last.
     Interactive,

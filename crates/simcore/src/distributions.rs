@@ -14,7 +14,6 @@
 
 use crate::rng::SimRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential distribution with rate `lambda` (events per second).
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// let gap = exp.sample(&mut rng);
 /// assert!(gap >= 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     lambda: f64,
 }
@@ -74,7 +73,7 @@ impl Exponential {
 /// Rank `k` has probability proportional to `k^-s`. The ablation of
 /// Figure 12 samples dataset *buckets* by Zipf rank to skew the mixture
 /// towards shorter or longer requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: usize,
     exponent: f64,
@@ -151,7 +150,7 @@ impl Zipf {
 ///
 /// Used to spread sequence lengths across several orders of magnitude, as in
 /// the L-Eval (2.7K–210K) and LV-Eval (15K–497K) token ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogUniform {
     lo: f64,
     hi: f64,
@@ -196,7 +195,7 @@ impl LogUniform {
 ///
 /// ShareGPT-style conversational traffic is well described by a log-normal
 /// body with a hard cap at the model's (old) context window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -254,7 +253,7 @@ pub fn standard_normal(rng: &mut SimRng) -> f64 {
 ///
 /// Used for dataset mixtures (e.g. the "Mixed" workload samples each source
 /// dataset with equal probability) and for empirical output-length tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Empirical<T: Clone> {
     values: Vec<T>,
     cdf: Vec<f64>,

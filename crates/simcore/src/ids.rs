@@ -5,13 +5,12 @@
 //! Newtype wrappers keep them from being mixed up at compile time and give
 //! the debugger readable output.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -35,19 +34,6 @@ macro_rules! define_id {
         impl From<usize> for $name {
             fn from(v: usize) -> Self {
                 $name(v as u64)
-            }
-        }
-
-        // Id-keyed maps serialize with the raw number as the object key.
-        impl serde::MapKey for $name {
-            fn to_key(&self) -> String {
-                self.0.to_string()
-            }
-
-            fn parse_key(s: &str) -> Result<Self, serde::DeError> {
-                s.parse::<u64>()
-                    .map($name)
-                    .map_err(|_| serde::DeError::custom(format!("bad id key `{s}`")))
             }
         }
 

@@ -5,7 +5,6 @@
 //! [`SimDuration`] (a span). Both types forbid NaN on construction so that
 //! they can implement a total order, which the event queue relies on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -22,13 +21,13 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_secs(), 1.5);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 /// A span of simulated time, in seconds.
 ///
 /// Durations may be zero but never negative or NaN.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct SimDuration(f64);
 
 impl SimTime {

@@ -26,7 +26,6 @@ use loong_metrics::{SloSpec, TimeAttribution};
 use loong_simcore::class::TrafficClass;
 use loong_simcore::ids::{ReplicaId, RequestId};
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Recorder configuration. `Copy`, so a fleet can ship it into pooled
@@ -132,7 +131,7 @@ impl InstantEvent {
 }
 
 /// The recorder's residency proof, in the spirit of `FleetFootprint`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TraceLedger {
     /// Admissions observed (retry attempts count again).
     pub requests_seen: u64,

@@ -10,10 +10,9 @@
 use loong_simcore::distributions::Exponential;
 use loong_simcore::rng::SimRng;
 use loong_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The arrival pattern of requests at the serving frontend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals with the given mean rate (requests/second). This
     /// is the pattern used throughout the paper's evaluation.

@@ -18,10 +18,9 @@
 
 use loong_simcore::distributions::{Empirical, Exponential, LogNormal, LogUniform, Zipf};
 use loong_simcore::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A sampled (input length, output length) pair in tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LengthSample {
     /// Prompt length in tokens.
     pub input_len: u64,
@@ -30,7 +29,7 @@ pub struct LengthSample {
 }
 
 /// The workload families used in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// ShareGPT-like conversational traffic (short prompts, long outputs).
     ShareGpt,
@@ -189,7 +188,7 @@ impl DatasetSampler {
 /// cannot hit the prefix cache, so measured hit rates fall with load by
 /// construction. A closed-loop "think after the answer" model would need
 /// arrivals generated inside the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiTurnProfile {
     /// Mean turns per conversation (geometric, at least one).
     pub mean_rounds: f64,
@@ -274,7 +273,7 @@ impl MultiTurnProfile {
 /// * **multi-turn** — the event *starts a conversation* (geometric rounds,
 ///   open-loop think times per [`MultiTurnProfile`]) whose turns are all
 ///   tagged standard; follow-ups add requests beyond the event count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixedClassProfile {
     /// Fraction of arrival events that are long-document best-effort
     /// requests.

@@ -20,7 +20,6 @@ use loong_simcore::distributions::Exponential;
 use loong_simcore::ids::ReplicaId;
 use loong_simcore::rng::SimRng;
 use loong_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One replica failure: the replica is down on `[crash, recover)`.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// counts (the transfer finished before the machine died); a request
 /// arriving exactly at `crash` does not — the replica is already down.
 /// At `recover` the replica rejoins empty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureEvent {
     /// The replica that fails.
     pub replica: ReplicaId,
@@ -69,7 +68,7 @@ impl FailureEvent {
 /// replica's downtime intervals may not overlap (a machine cannot crash
 /// while it is already down), though back-to-back `recover == next crash`
 /// is allowed (it rejoins for an instant and dies again).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailureSchedule {
     events: Vec<FailureEvent>,
 }
@@ -350,14 +349,5 @@ mod tests {
         assert_eq!(schedule.crash_times(), Vec::<SimTime>::new());
         assert_eq!(schedule.max_replica(), None);
         assert_eq!(schedule.total_downtime(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn schedules_serialise() {
-        let schedule =
-            FailureSchedule::from_events(vec![FailureEvent::new(ReplicaId(2), t(1.0), t(2.5))]);
-        let json = serde_json::to_string(&schedule).expect("serialise");
-        let back: FailureSchedule = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(schedule, back);
     }
 }

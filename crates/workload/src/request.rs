@@ -10,7 +10,6 @@
 
 use loong_simcore::ids::{ConversationId, RequestId};
 use loong_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 // The class lives in the simulation core (so the metrics layer's records can
 // carry it without a dependency cycle); it is re-exported here because the
@@ -30,7 +29,7 @@ pub use loong_simcore::class::TrafficClass;
 /// assert_eq!(r.total_tokens(), 1050);
 /// assert!(r.max_output_len >= r.output_len);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Unique identifier.
     pub id: RequestId,

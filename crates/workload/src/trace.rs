@@ -1,20 +1,18 @@
 //! Workload traces: a concrete list of requests fed to a serving system.
 //!
 //! A [`Trace`] combines a dataset sampler with an arrival process into the
-//! exact sequence of requests a simulation run will serve. Traces are
-//! serialisable so the same trace can be replayed against every system under
-//! comparison — the property that makes the Figure 10/11/12 comparisons
-//! apples-to-apples.
+//! exact sequence of requests a simulation run will serve. Every system
+//! under comparison replays the same in-memory trace — the property that
+//! makes the Figure 10/11/12 comparisons apples-to-apples.
 
 use crate::arrival::ArrivalProcess;
 use crate::datasets::{DatasetKind, MixedClassProfile, MultiTurnProfile};
 use crate::request::Request;
 use crate::stream::TraceStream;
 use loong_simcore::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A fully materialised workload trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Short description of how the trace was generated.
     pub label: String,
@@ -23,7 +21,7 @@ pub struct Trace {
 }
 
 /// Aggregate statistics of a trace, used in experiment reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of requests.
     pub count: usize,

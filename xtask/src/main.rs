@@ -13,7 +13,7 @@
 //!
 //! * `trace-check <trace.perfetto.json>` — the exported-trace validator.
 //!   Parses a Chrome trace-event document produced by
-//!   [`loong_trace::perfetto_json`], then checks the structural invariants
+//!   `loong_trace::perfetto_json`, then checks the structural invariants
 //!   the exporter promises: every event is a well-formed `"X"` (complete
 //!   span) or `"i"` (instant) record, durations are non-negative, the
 //!   global stream is sorted by timestamp, spans of the same request on
