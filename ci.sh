@@ -63,9 +63,9 @@ smoke_gate() {
 
 # Release only: debug builds shadow every scheduling point with the view
 # audit, which allocates by design, so the test is ignored there.
-# --nocapture prints each run's allocations per scheduler call, the figures
+# --nocapture prints each run's allocations per scheduling point, the figures
 # DESIGN.md quotes, into the log.
-step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 5.4 and 6.4 heap allocations per scheduler call)"
+step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 2.2 and 4.1 heap allocations per scheduling point)"
 cargo test --release --locked --test alloc_budget -- --nocapture
 
 step "engine-scaling perf smoke + gate (1k-request trace vs BENCH_engine.json)"

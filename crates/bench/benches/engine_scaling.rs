@@ -39,7 +39,10 @@ struct Sample {
     wall_s: f64,
     sim_s: f64,
     iterations: u64,
+    /// Scheduling points: `RunOutcome::scheduler_calls`.
     scheduler_calls: u64,
+    /// Scheduler calls made at them: the points less the certified repeats.
+    sched_calls: u64,
     completed: usize,
     req_per_wall_s: f64,
 }
@@ -48,15 +51,18 @@ fn run_size(count: usize) -> Sample {
     let trace = WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(RATE, count, SEED);
     let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
     let mut engine = system.build_engine(Some(&trace));
+    let profile = SelfProfile::start();
     let start = Instant::now();
     let outcome = engine.run(&trace);
     let wall_s = start.elapsed().as_secs_f64();
+    let sched_calls = profile.report().counters.sched_calls;
     Sample {
         requests: count,
         wall_s,
         sim_s: outcome.sim_time.as_secs(),
         iterations: outcome.iterations,
         scheduler_calls: outcome.scheduler_calls,
+        sched_calls,
         completed: outcome.records.len(),
         req_per_wall_s: count as f64 / wall_s.max(1e-9),
     }
@@ -77,18 +83,26 @@ fn main() {
 
     let mut csv = String::from("requests,wall_s,sim_s,iterations,scheduler_calls,req_per_wall_s\n");
     println!(
-        "{:>9} {:>10} {:>10} {:>11} {:>11} {:>10} {:>16}",
-        "requests", "wall_s", "sim_s", "iterations", "sched_calls", "completed", "req_per_wall_s"
+        "{:>9} {:>10} {:>10} {:>11} {:>11} {:>11} {:>10} {:>16}",
+        "requests",
+        "wall_s",
+        "sim_s",
+        "iterations",
+        "sched_pts",
+        "sched_calls",
+        "completed",
+        "req_per_wall_s"
     );
     for &count in sizes {
         let s = run_size(count);
         println!(
-            "{:>9} {:>10.3} {:>10.1} {:>11} {:>11} {:>10} {:>16.1}",
+            "{:>9} {:>10.3} {:>10.1} {:>11} {:>11} {:>11} {:>10} {:>16.1}",
             s.requests,
             s.wall_s,
             s.sim_s,
             s.iterations,
             s.scheduler_calls,
+            s.sched_calls,
             s.completed,
             s.req_per_wall_s
         );
@@ -101,8 +115,8 @@ fn main() {
             // Machine-readable, wall-clock-free metrics for the bench gate
             // (`cargo run -p xtask -- bench-gate BENCH_engine.json`).
             println!(
-                "BENCH_SMOKE_JSON {{\"benchmark\":\"engine_scaling\",\"requests\":{},\"completed\":{},\"iterations\":{},\"scheduler_calls\":{},\"sim_s\":{:.3}}}",
-                s.requests, s.completed, s.iterations, s.scheduler_calls, s.sim_s
+                "BENCH_SMOKE_JSON {{\"benchmark\":\"engine_scaling\",\"requests\":{},\"completed\":{},\"iterations\":{},\"scheduler_calls\":{},\"sched_calls\":{},\"sim_s\":{:.3}}}",
+                s.requests, s.completed, s.iterations, s.scheduler_calls, s.sched_calls, s.sim_s
             );
         }
         csv.push_str(&format!(

@@ -146,8 +146,7 @@ fn main() {
     let ledger = recorder.ledger();
     let completed = recorder
         .series()
-        .values()
-        .map(|s| s.completions.total())
+        .map(|(_, s)| s.completions.total())
         .sum::<u64>();
     let overhead_ratio = percentile(&ratios, 50.0);
     let (plain_s, traced_s) = (

@@ -37,7 +37,7 @@ use loong_model::config::ModelConfig;
 use loong_model::roofline::{CostModel, ParallelConfig};
 use loong_model::sib::ScalingInfoBase;
 use loong_sched::types::{
-    Action, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, ViewScratch,
+    Action, DecodeRepeat, DecodingRequest, PendingRequest, ScalingEvent, Scheduler, ViewScratch,
 };
 use loong_simcore::events::EventQueue;
 use loong_simcore::ids::{ConversationId, InstanceId, RequestId};
@@ -265,64 +265,22 @@ fn decoding_entry(
     }
 }
 
-/// Sets a request's phase, retiring it from the table's live list when the
-/// phase is terminal.
-///
-/// Every phase write in the engine goes through here: the table's live list,
-/// filtered by phase, is the *only* source of the scheduler view's
-/// pending/decoding/swapped lists, and it must drop a request exactly when
-/// the request finishes or is rejected, so a direct `phase =` write of a
-/// terminal phase would leave a resolved request listed (the debug-build
-/// view audit would catch it).
-///
-/// It is also the tracing chokepoint: each write emits the matching
-/// lifecycle event into the [`TraceSink`] *after* the decision is already
-/// made, so sinks observe every transition but can influence none. Engine
-/// phases map onto trace spans many-to-one — the per-iteration
-/// `DecodeReady`/`Decoding` cycle all maps to [`SpanPhase::Decode`] — and
-/// the emission is elided here whenever the span phase does not change:
-/// recorders would coalesce the repeat anyway, and the decode loop cycles
-/// phases every iteration, so skipping the no-op emission keeps the
-/// tracing overhead proportional to *span* transitions, not engine
-/// iterations. Terminal phases become [`Terminal`] events rather than
-/// spans and are always emitted.
-fn set_phase(
-    table: &mut RequestTable<RequestState>,
-    id: RequestId,
-    phase: Phase,
-    now: SimTime,
-    sink: &mut dyn TraceSink,
-) {
-    /// The span a non-terminal engine phase belongs to.
-    fn span_of(phase: &Phase) -> Option<SpanPhase> {
-        match phase {
-            Phase::Pending { .. } => Some(SpanPhase::Queued),
-            Phase::Prefilling => Some(SpanPhase::Prefill),
-            Phase::DecodeReady { .. } | Phase::Decoding { .. } => Some(SpanPhase::Decode),
-            Phase::Migrating { .. } => Some(SpanPhase::Migrate),
-            Phase::SwappingOut { .. } => Some(SpanPhase::SwapOut),
-            Phase::Swapped { .. } => Some(SpanPhase::SwappedOut),
-            Phase::SwappingIn { .. } => Some(SpanPhase::SwapIn),
-            Phase::Finished | Phase::Rejected => None,
-        }
-    }
+/// How many live requests are pending and how many decode-ready: a
+/// view's queue depth and decode batch, kept where phases change.
+#[derive(Debug, Default)]
+struct PhaseCounts {
+    pending: usize,
+    decode_ready: usize,
+}
 
-    let state = table.get_mut(id).expect("known request");
-    let terminal = match &phase {
-        Phase::Finished => Some(Terminal::Completed),
-        Phase::Rejected => Some(Terminal::Rejected),
-        other => {
-            let span = span_of(other).expect("non-terminal phase has a span");
-            if span_of(&state.phase) != Some(span) {
-                sink.on_phase(now, id, span);
-            }
-            None
+impl PhaseCounts {
+    /// The count a request in `phase` adds to, if any.
+    fn of(&mut self, phase: &Phase) -> Option<&mut usize> {
+        match phase {
+            Phase::Pending { .. } => Some(&mut self.pending),
+            Phase::DecodeReady { .. } => Some(&mut self.decode_ready),
+            _ => None,
         }
-    };
-    state.phase = phase;
-    if let Some(terminal) = terminal {
-        sink.on_terminal(now, id, terminal);
-        table.retire(id);
     }
 }
 
@@ -404,7 +362,9 @@ pub struct RunOutcome {
     pub iterations: u64,
     /// Bytes moved by explicit KV migrations.
     pub migration_bytes: f64,
-    /// Wall-clock-free sanity counter: scheduler invocations.
+    /// Scheduling points processed. Each is one scheduler call, but for a
+    /// certified repeat, which re-issues a decode without calling it
+    /// (`loong_simcore::profile` counts the calls made).
     pub scheduler_calls: u64,
     /// Memory-pressure activity: preempt-and-recompute evictions, swap
     /// traffic and stall time. All-zero whenever the run never crossed a
@@ -475,6 +435,7 @@ struct Live {
     /// flag and its work's completion sets it again, so one scheduling
     /// point's actions can claim each idle instance once.
     idle: Vec<bool>,
+    counts: PhaseCounts,
     /// The outcome so far: records in completion order, `unfinished` the
     /// admitted requests not yet resolved, `sim_time` the last instant
     /// processed.
@@ -491,6 +452,8 @@ struct Live {
     batch: Vec<(RequestId, u64)>,
     /// `execute_decode`'s per-master counts.
     decode_buffer: DecodeBuffer,
+    /// The masters of a certified repeat, written by the scheduler.
+    masters: Vec<InstanceId>,
     #[cfg(debug_assertions)]
     audit: audit::ViewAudit,
 }
@@ -513,12 +476,14 @@ impl Live {
             arrivals: EventQueue::new(),
             work: EventQueue::new(),
             idle: vec![true; num_instances],
+            counts: PhaseCounts::default(),
             out: RunOutcome::default(),
             backlog_tokens: 0,
             decode_stats: DecodeLatencyStats::default(),
             scratch: ViewScratch::new(),
             batch: Vec::new(),
             decode_buffer: DecodeBuffer::default(),
+            masters: Vec::new(),
             #[cfg(debug_assertions)]
             audit: audit::ViewAudit::default(),
         }
@@ -526,6 +491,68 @@ impl Live {
 
     fn phase(&self, id: RequestId) -> Option<&Phase> {
         self.table.get(id).map(|s| &s.phase)
+    }
+
+    /// Sets a request's phase, retiring it from the table's live list when the
+    /// phase is terminal.
+    ///
+    /// Every phase write in the engine goes through here: the table's live list,
+    /// filtered by phase, is the *only* source of the scheduler view's
+    /// pending/decoding/swapped lists, and it must drop a request exactly when
+    /// the request finishes or is rejected, so a direct `phase =` write of a
+    /// terminal phase would leave a resolved request listed (the debug-build
+    /// view audit would catch it). The pending and decode-ready counts change
+    /// here too.
+    ///
+    /// It is also the tracing chokepoint: each write emits the matching
+    /// lifecycle event into the [`TraceSink`] *after* the decision is already
+    /// made, so sinks observe every transition but can influence none. Engine
+    /// phases map onto trace spans many-to-one — the per-iteration
+    /// `DecodeReady`/`Decoding` cycle all maps to [`SpanPhase::Decode`] — and
+    /// the emission is elided here whenever the span phase does not change:
+    /// recorders would coalesce the repeat anyway, and the decode loop cycles
+    /// phases every iteration, so skipping the no-op emission keeps the
+    /// tracing overhead proportional to *span* transitions, not engine
+    /// iterations. Terminal phases become [`Terminal`] events rather than
+    /// spans and are always emitted.
+    fn set_phase(&mut self, id: RequestId, phase: Phase, now: SimTime, sink: &mut dyn TraceSink) {
+        /// The span a non-terminal engine phase belongs to.
+        fn span_of(phase: &Phase) -> Option<SpanPhase> {
+            match phase {
+                Phase::Pending { .. } => Some(SpanPhase::Queued),
+                Phase::Prefilling => Some(SpanPhase::Prefill),
+                Phase::DecodeReady { .. } | Phase::Decoding { .. } => Some(SpanPhase::Decode),
+                Phase::Migrating { .. } => Some(SpanPhase::Migrate),
+                Phase::SwappingOut { .. } => Some(SpanPhase::SwapOut),
+                Phase::Swapped { .. } => Some(SpanPhase::SwappedOut),
+                Phase::SwappingIn { .. } => Some(SpanPhase::SwapIn),
+                Phase::Finished | Phase::Rejected => None,
+            }
+        }
+
+        let state = self.table.get_mut(id).expect("known request");
+        let terminal = match &phase {
+            Phase::Finished => Some(Terminal::Completed),
+            Phase::Rejected => Some(Terminal::Rejected),
+            other => {
+                let span = span_of(other).expect("non-terminal phase has a span");
+                if span_of(&state.phase) != Some(span) {
+                    sink.on_phase(now, id, span);
+                }
+                None
+            }
+        };
+        if let Some(n) = self.counts.of(&state.phase) {
+            *n -= 1;
+        }
+        if let Some(n) = self.counts.of(&phase) {
+            *n += 1;
+        }
+        state.phase = phase;
+        if let Some(terminal) = terminal {
+            sink.on_terminal(now, id, terminal);
+            self.table.retire(id);
+        }
     }
 
     /// The next instant anything happens.
@@ -540,6 +567,8 @@ impl Live {
     /// admission assigns the rank that orders the table's live list.
     fn arrive(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
         self.table.admit(id);
+        // Requests arrive pending.
+        self.counts.pending += 1;
         let s = self.table.get_mut(id).expect("known request");
         sink.on_admitted(
             now,
@@ -669,9 +698,9 @@ impl Live {
 
     /// Assembles the scheduler view in one pass over the table's live list —
     /// requests in admission order, instances in id order, identical to a
-    /// full rebuild — and samples the gauges. Where KV lives is not copied:
-    /// schedulers read it from the pool.
-    fn fill_view(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+    /// full rebuild. Where KV lives is not copied: schedulers read it from
+    /// the pool.
+    fn fill_view(&mut self, now: SimTime) {
         let (table, pool, scratch) = (&self.table, &self.pool, &mut self.scratch);
         scratch.clear();
         for (id, s) in table.iter_live() {
@@ -693,12 +722,17 @@ impl Live {
                 .filter(|&(_, &idle)| idle)
                 .map(|(i, _)| InstanceId::from(i)),
         );
+    }
+
+    /// Samples the point's gauges: the lengths a view's pending and
+    /// decoding lists have, and the pool's active utilisation.
+    fn emit_gauges(&self, now: SimTime, sink: &mut dyn TraceSink) {
         sink.on_gauges(
             now,
             Gauges {
-                queue_depth: scratch.pending.len() as u64,
-                batch_size: scratch.decoding.len() as u64,
-                kv_utilization: pool.active_utilization(),
+                queue_depth: self.counts.pending as u64,
+                batch_size: self.counts.decode_ready as u64,
+                kv_utilization: self.pool.active_utilization(),
             },
         );
     }
@@ -742,13 +776,7 @@ impl Live {
     /// Moves a decode-ready request into its in-flight decode iteration.
     fn start_decoding(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
         if let Some(&Phase::DecodeReady { generated }) = self.phase(id) {
-            set_phase(
-                &mut self.table,
-                id,
-                Phase::Decoding { generated },
-                now,
-                sink,
-            );
+            self.set_phase(id, Phase::Decoding { generated }, now, sink);
         }
     }
 
@@ -762,19 +790,20 @@ impl Live {
         if s.request.output_len <= generated {
             self.finish_request(id, now, sink);
         } else {
-            set_phase(
-                &mut self.table,
-                id,
-                Phase::DecodeReady { generated },
-                now,
-                sink,
-            );
+            self.set_phase(id, Phase::DecodeReady { generated }, now, sink);
         }
     }
 
     /// Applies the effects of a completed piece of work, updating request
-    /// phases and the idle flags as it goes.
-    fn complete(&mut self, work: Work, now: SimTime, sink: &mut dyn TraceSink) {
+    /// phases and the idle flags as it goes. A decode iteration whose
+    /// members all remain decode-ready hands back its instances and
+    /// requests: the group's decode may repeat.
+    fn complete(
+        &mut self,
+        work: Work,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) -> Option<(Vec<InstanceId>, Vec<RequestId>)> {
         match work {
             Work::Prefill {
                 instances,
@@ -790,9 +819,11 @@ impl Live {
                 requests,
             } => {
                 self.release(&instances);
-                for id in requests {
-                    self.advance_decode(id, now, sink);
+                let mut ready = true;
+                for &id in &requests {
+                    ready &= self.advance_decode(id, now, sink);
                 }
+                return ready.then_some((instances, requests));
             }
             Work::ChunkedPrefill {
                 instances,
@@ -811,7 +842,7 @@ impl Live {
                     self.prefilled(prefill_request, now, sink);
                 } else {
                     let phase = Phase::Pending { prefilled };
-                    set_phase(&mut self.table, prefill_request, phase, now, sink);
+                    self.set_phase(prefill_request, phase, now, sink);
                 }
                 for id in decode_requests {
                     self.advance_decode(id, now, sink);
@@ -828,11 +859,12 @@ impl Live {
                         Phase::DecodeReady { generated }
                     }
                     Some(&Phase::SwappingOut { generated }) => Phase::Swapped { generated },
-                    _ => return,
+                    _ => return None,
                 };
-                set_phase(&mut self.table, request, landed, now, sink);
+                self.set_phase(request, landed, now, sink);
             }
         }
+        None
     }
 
     /// Marks the instances of a completed iteration idle again.
@@ -843,22 +875,21 @@ impl Live {
     }
 
     /// One decode iteration completed for `id`: emit a token, finishing the
-    /// request if that was the last one.
-    fn advance_decode(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) {
+    /// request if that was the last one. Returns whether it is decode-ready
+    /// again.
+    fn advance_decode(&mut self, id: RequestId, now: SimTime, sink: &mut dyn TraceSink) -> bool {
         let s = self.table.get(id).expect("known request");
         if let Phase::Decoding { generated } = s.phase {
             let generated = generated + 1;
             if generated >= s.request.output_len {
                 self.finish_request(id, now, sink);
+                false
             } else {
-                set_phase(
-                    &mut self.table,
-                    id,
-                    Phase::DecodeReady { generated },
-                    now,
-                    sink,
-                );
+                self.set_phase(id, Phase::DecodeReady { generated }, now, sink);
+                true
             }
+        } else {
+            false
         }
     }
 
@@ -883,7 +914,7 @@ impl Live {
             class: request.class,
         });
         let conversation = request.conversation;
-        set_phase(&mut self.table, id, Phase::Finished, now, sink);
+        self.set_phase(id, Phase::Finished, now, sink);
         self.decode_stats
             .record(now.saturating_since(first_token).as_secs());
         // With the prefix cache enabled, a conversation turn's full context
@@ -1049,15 +1080,19 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
         self.advance(sink, |_| true);
     }
 
-    /// Processes the scheduling points `go` admits, then hands their count
-    /// and the events they popped to [`profile`] in one go.
+    /// Processes the scheduling points `go` admits, then hands their count,
+    /// the scheduler calls made at them and the events they popped to
+    /// [`profile`] in one go.
     fn advance(&mut self, sink: &mut dyn TraceSink, go: impl Fn(SimTime) -> bool) {
-        let (mut points, mut events) = (0u64, 0u64);
+        let (mut points, mut calls, mut events) = (0u64, 0u64, 0u64);
         while let Some(now) = self.live.next_instant().filter(|&t| go(t)) {
-            events += self.step(now, sink);
+            let (popped, called) = self.step(now, sink);
+            events += popped;
+            calls += u64::from(called);
             points += 1;
         }
         profile::add_sched_points(points);
+        profile::add_sched_calls(calls);
         profile::add_events_popped(events);
     }
 
@@ -1084,6 +1119,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
         live.work.clear();
         live.out.unfinished = 0;
         live.backlog_tokens = 0;
+        live.counts = PhaseCounts::default();
         let ids: Vec<RequestId> = live
             .table
             .iter()
@@ -1108,8 +1144,9 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     }
 
     /// One scheduling point at `now`: the instant's arrivals, then the work
-    /// completing at it, prefix-cache housekeeping, one scheduler call and
-    /// its actions. Returns the events it popped.
+    /// completing at it, prefix-cache housekeeping, the gauges, and either
+    /// one scheduler call and its actions or a certified repeat. Returns the
+    /// events it popped and whether it called the scheduler.
     ///
     /// Every scheduler-view input is maintained incrementally — the
     /// [`RequestTable`]'s live list, the idle instance flags, the KV
@@ -1117,24 +1154,91 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     /// O(active requests + actions) instead of O(all requests ever seen).
     /// Debug builds shadow every view with a naive full-scan rebuild and
     /// assert equality.
-    fn step(&mut self, now: SimTime, sink: &mut dyn TraceSink) -> u64 {
+    ///
+    /// A point whose one event is a decode iteration completing, with
+    /// every member decode-ready again, nothing pending and no other
+    /// request decode-ready, offers the scheduler the repeat
+    /// ([`Scheduler::certify_repeat`]). If it certifies it, the point
+    /// re-issues the decode with the scheduler's masters and builds no view;
+    /// debug builds still call the scheduler and assert it decides the same.
+    fn step(&mut self, now: SimTime, sink: &mut dyn TraceSink) -> (u64, bool) {
         let live = &mut self.live;
         live.out.sim_time = now;
+        // `scheduler_calls` counts scheduling points, certified or not.
+        live.out.scheduler_calls += 1;
         let mut events = 0u64;
         while live.arrivals.peek_time() == Some(now) {
             let id = live.arrivals.pop().expect("peeked").payload;
             live.arrive(id, now, sink);
             events += 1;
         }
+        let mut group = None;
         while live.work.peek_time() == Some(now) {
             let work = live.work.pop().expect("peeked").payload;
-            live.complete(work, now, sink);
+            group = live.complete(work, now, sink);
             events += 1;
         }
         live.evict_for_head(now, sink);
-        live.fill_view(now, sink);
+        live.emit_gauges(now, sink);
+        let repeat = group.filter(|(instances, requests)| {
+            events == 1 && self.certifies_repeat(instances, requests)
+        });
+        let live = &mut self.live;
+        if cfg!(debug_assertions) || repeat.is_none() {
+            live.fill_view(now);
+        }
         #[cfg(debug_assertions)]
         live.audit.check(live, &self.registry, now);
+        let Some((instances, requests)) = repeat else {
+            let view = live.scratch.view(
+                now,
+                &live.pool,
+                &self.registry,
+                &self.cost_model,
+                &self.sib,
+                live.decode_stats.average(),
+            );
+            let actions = self.scheduler.schedule(&view);
+            for action in actions {
+                self.apply(action, now, sink);
+            }
+            return (events, true);
+        };
+        #[cfg(debug_assertions)]
+        self.check_repeat(&instances, &requests, now);
+        let masters = std::mem::take(&mut self.live.masters);
+        self.decode(instances, &masters, requests, now, sink);
+        self.live.masters = masters;
+        (events, false)
+    }
+
+    /// The engine's part of a repeat's certificate — nothing pending, and
+    /// no decode-ready request outside the group, whose members all are —
+    /// then the scheduler's, which writes the masters into `Live::masters`.
+    fn certifies_repeat(&mut self, instances: &[InstanceId], requests: &[RequestId]) -> bool {
+        let live = &mut self.live;
+        if live.counts.pending > 0 || live.counts.decode_ready != requests.len() {
+            return false;
+        }
+        let table = &live.table;
+        let rank = |id| table.rank(id).expect("decode-ready requests are admitted");
+        let repeat = DecodeRepeat {
+            instances,
+            requests,
+            rank: &rank,
+            pool: &live.pool,
+            registry: &self.registry,
+            cost_model: &self.cost_model,
+        };
+        self.scheduler.certify_repeat(&repeat, &mut live.masters)
+    }
+
+    /// Debug builds hold a certified repeat to the scheduler's own
+    /// decision: called on the point's view, it must return exactly the
+    /// re-issued decode and log no scaling event.
+    #[cfg(debug_assertions)]
+    fn check_repeat(&mut self, instances: &[InstanceId], requests: &[RequestId], now: SimTime) {
+        let live = &self.live;
         let view = live.scratch.view(
             now,
             &live.pool,
@@ -1143,12 +1247,23 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
             &self.sib,
             live.decode_stats.average(),
         );
-        live.out.scheduler_calls += 1;
+        let logged = self.scheduler.scaling_events().len();
         let actions = self.scheduler.schedule(&view);
-        for action in actions {
-            self.apply(action, now, sink);
-        }
-        events
+        let repeat = Action::Decode {
+            instances: instances.to_vec(),
+            masters: live.masters.clone(),
+            requests: requests.to_vec(),
+        };
+        assert_eq!(
+            actions,
+            [repeat],
+            "the decode certified to repeat at {now:?} is not the scheduler's decision"
+        );
+        assert_eq!(
+            self.scheduler.scaling_events().len(),
+            logged,
+            "the scheduler scaled at {now:?}, where it certified a repeat"
+        );
     }
 
     /// Executes one scheduler action through the ESP mechanisms. Actions
@@ -1163,7 +1278,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                     return;
                 }
                 live.drop_waiter(request);
-                set_phase(&mut live.table, request, Phase::Rejected, now, sink);
+                live.set_phase(request, Phase::Rejected, now, sink);
                 live.resolve(request);
                 live.out.rejected.push((request, reason));
             }
@@ -1241,7 +1356,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 let done = now + SimDuration::from_secs(cost.total() + context_surcharge_s);
                 live.claim(&instances, done);
                 for &id in &requests {
-                    set_phase(&mut live.table, id, Phase::Prefilling, now, sink);
+                    live.set_phase(id, Phase::Prefilling, now, sink);
                     let s = live.table.get_mut(id).expect("known request");
                     s.prefill_start.get_or_insert(now);
                 }
@@ -1256,48 +1371,8 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
             Action::Decode {
                 instances,
                 masters,
-                mut requests,
-            } => {
-                if !live.claimable(&instances) {
-                    return;
-                }
-                live.decode_batch(&mut requests);
-                if requests.is_empty() {
-                    return;
-                }
-                // Each batched request appends one token on a master, so
-                // headroom must exist on the master set specifically —
-                // summing free slots over the whole group could see room on
-                // non-master instances, skip eviction, and leave a
-                // cache-crowded master stalling its decodes (the pressure
-                // rescue path defers to this eviction for prefix-crowded
-                // instances).
-                live.evict_for(&masters, requests.len() as u64, now, sink);
-                let Ok(cost) = execute_decode(
-                    &instances,
-                    &masters,
-                    &live.batch,
-                    &self.cost_model,
-                    &self.registry,
-                    &mut live.pool,
-                    &mut live.decode_buffer,
-                ) else {
-                    return;
-                };
-                live.out.iterations += 1;
-                let done = now + SimDuration::from_secs(cost.total());
-                live.claim(&instances, done);
-                for &id in &requests {
-                    live.start_decoding(id, now, sink);
-                }
-                live.work.push(
-                    done,
-                    Work::Decode {
-                        instances,
-                        requests,
-                    },
-                );
-            }
+                requests,
+            } => self.decode(instances, &masters, requests, now, sink),
             Action::ChunkedPrefill {
                 instances,
                 prefill_request,
@@ -1365,13 +1440,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 live.claim(&instances, done);
                 let s = live.table.get_mut(prefill_request).expect("known request");
                 s.prefill_start.get_or_insert(now);
-                set_phase(
-                    &mut live.table,
-                    prefill_request,
-                    Phase::Prefilling,
-                    now,
-                    sink,
-                );
+                live.set_phase(prefill_request, Phase::Prefilling, now, sink);
                 for &id in &decode_requests {
                     live.start_decoding(id, now, sink);
                 }
@@ -1401,13 +1470,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                     return;
                 };
                 live.out.migration_bytes += summary.total_bytes;
-                set_phase(
-                    &mut live.table,
-                    request,
-                    Phase::Migrating { generated },
-                    now,
-                    sink,
-                );
+                live.set_phase(request, Phase::Migrating { generated }, now, sink);
                 live.table
                     .get_mut(request)
                     .expect("known request")
@@ -1427,13 +1490,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // generated exactly once (vLLM's recompute semantics).
                 live.pool.release(request);
                 sink.on_preempted(now, request);
-                set_phase(
-                    &mut live.table,
-                    request,
-                    Phase::Pending { prefilled: 0 },
-                    now,
-                    sink,
-                );
+                live.set_phase(request, Phase::Pending { prefilled: 0 }, now, sink);
                 let state = live.table.get_mut(request).expect("known request");
                 state.resume_generated = generated;
                 // Any adopted prefix KV was just discarded with the rest;
@@ -1462,13 +1519,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // transfer before it is parked.
                 let bytes = tokens as f64 * self.cost_model.kv_bytes_per_token();
                 let transfer_s = host.link.transfer_time(bytes).max(1e-6);
-                set_phase(
-                    &mut live.table,
-                    request,
-                    Phase::SwappingOut { generated },
-                    now,
-                    sink,
-                );
+                live.set_phase(request, Phase::SwappingOut { generated }, now, sink);
                 let pressure = &mut live.out.pressure;
                 pressure.swap_out_events += 1;
                 pressure.swap_out_bytes += bytes;
@@ -1499,13 +1550,7 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 // decoding when it completes.
                 let bytes = tokens as f64 * self.cost_model.kv_bytes_per_token();
                 let transfer_s = host.link.transfer_time(bytes).max(1e-6);
-                set_phase(
-                    &mut live.table,
-                    request,
-                    Phase::SwappingIn { generated },
-                    now,
-                    sink,
-                );
+                live.set_phase(request, Phase::SwappingIn { generated }, now, sink);
                 live.out.pressure.swap_in_events += 1;
                 live.out.pressure.swap_in_bytes += bytes;
                 live.out.pressure.swap_stall_s += transfer_s;
@@ -1513,6 +1558,58 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
                 live.work.push(done, Work::SwapIn { request });
             }
         }
+    }
+
+    /// Executes a decode action, scheduled or a certified repeat: one
+    /// iteration of `requests` on `instances` with the given masters, or
+    /// nothing if the state no longer fits it.
+    fn decode(
+        &mut self,
+        instances: Vec<InstanceId>,
+        masters: &[InstanceId],
+        mut requests: Vec<RequestId>,
+        now: SimTime,
+        sink: &mut dyn TraceSink,
+    ) {
+        let live = &mut self.live;
+        if !live.claimable(&instances) {
+            return;
+        }
+        live.decode_batch(&mut requests);
+        if requests.is_empty() {
+            return;
+        }
+        // Each batched request appends one token on a master, so headroom
+        // must exist on the master set specifically — summing free slots
+        // over the whole group could see room on non-master instances, skip
+        // eviction, and leave a cache-crowded master stalling its decodes
+        // (the pressure rescue path defers to this eviction for
+        // prefix-crowded instances).
+        live.evict_for(masters, requests.len() as u64, now, sink);
+        let Ok(cost) = execute_decode(
+            &instances,
+            masters,
+            &live.batch,
+            &self.cost_model,
+            &self.registry,
+            &mut live.pool,
+            &mut live.decode_buffer,
+        ) else {
+            return;
+        };
+        live.out.iterations += 1;
+        let done = now + SimDuration::from_secs(cost.total());
+        live.claim(&instances, done);
+        for &id in &requests {
+            live.start_decoding(id, now, sink);
+        }
+        live.work.push(
+            done,
+            Work::Decode {
+                instances,
+                requests,
+            },
+        );
     }
 }
 
@@ -1629,6 +1726,11 @@ mod audit {
             assert_eq!(
                 scratch.swapped, naive_swapped,
                 "incremental swapped view diverged from full-scan rebuild"
+            );
+            assert_eq!(
+                (live.counts.pending, live.counts.decode_ready),
+                (naive_pending.len(), naive_decoding.len()),
+                "pending and decode-ready counts diverged from full-scan rebuild"
             );
 
             // The old engine re-filtered every instance against `busy_until`

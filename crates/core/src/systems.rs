@@ -311,7 +311,8 @@ impl SystemUnderTest {
         ServingEngine::new(self.engine_config(), scheduler)
     }
 
-    fn engine_config(&self) -> EngineConfig {
+    /// The engine configuration this system runs with.
+    pub fn engine_config(&self) -> EngineConfig {
         // The host tier exists only under the swap mode; half the node's
         // DRAM is assumed available for swapped KV.
         let host_swap = match self.pressure {
@@ -338,10 +339,7 @@ impl SystemUnderTest {
     }
 
     /// This system's scheduler; errs as [`SystemKind::scheduler`] does.
-    pub(crate) fn scheduler(
-        &self,
-        trace: Option<&Trace>,
-    ) -> Result<Box<dyn Scheduler + Send>, String> {
+    pub fn scheduler(&self, trace: Option<&Trace>) -> Result<Box<dyn Scheduler + Send>, String> {
         // The scheduler needs the instance list, which depends on tp.
         let tp = self.kind.tp(self.cluster.gpus_per_node);
         let instances = loong_esp::instance::InstanceRegistry::build(&self.cluster, tp).all_ids();

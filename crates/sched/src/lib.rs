@@ -67,8 +67,8 @@ pub use pressure::{
 pub use reliability::{healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy};
 pub use router::{all_replicas, FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy};
 pub use types::{
-    Action, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler,
-    SchedulerView,
+    Action, DecodeRepeat, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind,
+    Scheduler, SchedulerView,
 };
 
 /// Convenient glob-import of the most commonly used types.
@@ -89,7 +89,7 @@ pub mod prelude {
         all_replicas, FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy,
     };
     pub use crate::types::{
-        Action, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind, Scheduler,
-        SchedulerView,
+        Action, DecodeRepeat, DecodingRequest, PendingRequest, ScalingEvent, ScalingEventKind,
+        Scheduler, SchedulerView,
     };
 }

@@ -12,7 +12,9 @@ pub mod scaling;
 
 use crate::baselines::reject_oversized;
 use crate::pressure::{admission_reserve, pressure_actions, PressureConfig};
-use crate::types::{Action, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView};
+use crate::types::{
+    Action, DecodeRepeat, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView,
+};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
 
@@ -168,6 +170,17 @@ impl Scheduler for LoongServeScheduler {
         }
 
         actions
+    }
+
+    /// With nothing pending, `schedule` rejects nothing and skips steps
+    /// 1–4a, so step 4b plans every idle instance, the repeated group's
+    /// among them; [`scaling::plans_repeat`] certifies that plan. Pressure
+    /// handling reads utilisation and the swapped list, which that does not
+    /// cover, so a manager with it never certifies; without it nothing is
+    /// ever swapped.
+    fn certify_repeat(&self, repeat: &DecodeRepeat<'_>, masters: &mut Vec<InstanceId>) -> bool {
+        self.pressure.is_none()
+            && scaling::plans_repeat(repeat, self.config.enable_scale_up, masters)
     }
 
     fn scaling_events(&self) -> &[ScalingEvent] {
@@ -625,6 +638,137 @@ mod tests {
             ]
         );
         assert_eq!(digest, 0xe308_a7f9_65b9_a799);
+    }
+
+    /// A repeat point drawn from [`random_fixture`]: nothing pending, and
+    /// a decode group on the instances holding the first decode-ready
+    /// request's KV. The view lists the group's members in admission order:
+    /// that request, up to eleven more holding KV on exactly its instances
+    /// (one time in five, enough to pass the §5.4 compute threshold), and
+    /// one time in four one of the fixture's other decode-ready requests,
+    /// wherever its KV lies. The rest wait on work in flight, so the view
+    /// lists none of them. One time in five every instance ends within 100
+    /// slots of full, above the pressure policies' high watermark. The
+    /// group's instances are idle: its iteration just completed.
+    fn repeat_fixture(rng: &mut SimRng, threshold: usize) -> Option<(Fixture, Vec<InstanceId>)> {
+        let mut f = random_fixture(rng);
+        f.pending.clear();
+        let first = *f.decoding.first()?;
+        let group: Vec<InstanceId> = f
+            .pool
+            .locations_ref(first.id)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        let others = f.decoding.split_off(1);
+        let room = group.iter().map(|&i| f.pool.instance(i).free()).min();
+        let members: usize = if rng.gen_bool(0.2) {
+            threshold * group.len() + rng.gen_range(1..=3usize)
+        } else {
+            rng.gen_range(0..12usize)
+        };
+        // Past the fixture's ids and its filler's.
+        for id in (1_001..).take(members.min(room.unwrap_or(0) as usize)) {
+            for &inst in &group {
+                f.pool.append(RequestId(id), inst, 1).expect("room");
+            }
+            f.decoding.push(DecodingRequest {
+                id: RequestId(id),
+                context_len: group.len() as u64,
+                generated: 1,
+                decode_time_s: 0.0,
+            });
+        }
+        if !others.is_empty() && rng.gen_bool(0.25) {
+            f.decoding.push(others[rng.gen_range(0..others.len())]);
+        }
+        if rng.gen_bool(0.2) {
+            for inst in (0..4).map(InstanceId) {
+                let fill = f
+                    .pool
+                    .instance(inst)
+                    .free()
+                    .saturating_sub(rng.gen_range(0..100));
+                if fill > 0 {
+                    f.pool.append(RequestId(1_000), inst, fill).expect("room");
+                }
+            }
+        }
+        for &inst in &group {
+            if !f.idle.contains(&inst) {
+                f.idle.push(inst);
+            }
+        }
+        f.idle.sort();
+        Some((f, group))
+    }
+
+    #[test]
+    fn a_certified_repeat_is_the_managers_decision() {
+        // Whenever a manager certifies a repeat, its call on the same view
+        // returns exactly that decode and logs no scaling event: with and
+        // without scale-up and pressure handling, on views above the high
+        // watermark, past the compute threshold and near full, and with
+        // the group offered newest first or shuffled.
+        let threshold = fixture().cost_model.decode_compute_bound_batch_size(2);
+        let configs = [
+            (true, None),
+            (false, None),
+            (true, Some(PressureConfig::recompute())),
+            (false, Some(PressureConfig::swap_to_host())),
+        ];
+        let mut rng = SimRng::seed(0x5e9ea7);
+        let mut certified = [0; 4];
+        for case in 0..400 {
+            let Some((f, group)) = repeat_fixture(&mut rng, threshold) else {
+                continue;
+            };
+            let mut requests: Vec<RequestId> = f.decoding.iter().rev().map(|d| d.id).collect();
+            if rng.gen_bool(0.3) {
+                for i in (1..requests.len()).rev() {
+                    requests.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            let rank = |id| {
+                f.decoding
+                    .iter()
+                    .position(|d| d.id == id)
+                    .expect("a member") as u64
+            };
+            let repeat = DecodeRepeat {
+                instances: &group,
+                requests: &requests,
+                rank: &rank,
+                pool: &f.pool,
+                registry: &f.registry,
+                cost_model: &f.cost_model,
+            };
+            for (k, &(enable_scale_up, pressure)) in configs.iter().enumerate() {
+                let mut sched =
+                    LoongServeScheduler::with_config(LoongServeConfig { enable_scale_up });
+                if let Some(pressure) = pressure {
+                    sched = sched.with_pressure(pressure);
+                }
+                // Whatever the buffer held is overwritten.
+                let mut masters = vec![InstanceId(7)];
+                if !sched.certify_repeat(&repeat, &mut masters) {
+                    continue;
+                }
+                certified[k] += 1;
+                let repeated = Action::Decode {
+                    instances: group.clone(),
+                    masters,
+                    requests: requests.clone(),
+                };
+                assert_eq!(
+                    sched.schedule(&view(&f)),
+                    vec![repeated],
+                    "case {case}, scale-up {enable_scale_up}, pressure {pressure:?}"
+                );
+                assert!(sched.scaling_events().is_empty(), "case {case}");
+            }
+        }
+        assert!(certified[0] > 0 && certified[1] > 0, "{certified:?}");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   fresh masters, no migration) when its KV pool is nearly full or its
 //!   batch size crosses the compute-bound threshold.
 
-use crate::types::SchedulerView;
+use crate::types::{DecodeRepeat, SchedulerView};
+use loong_kvcache::unified::UnifiedKvPool;
 use loong_simcore::ids::{InstanceId, RequestId};
 
 /// A planned decode iteration group.
@@ -199,20 +200,8 @@ impl DecodeGroupPlanner {
             let mut scaled_up_by = 0usize;
 
             if enable_scale_up {
-                // Memory trigger: the group needs at least one free slot per
-                // request per iteration; keep a comfortable runway of 64
-                // iterations so scale-up happens before the pool is
-                // exhausted.
-                let runway_tokens = batch_size as u64 * 64;
-                // Compute trigger: FFN work becomes the bottleneck once the
-                // per-master batch exceeds the threshold.
                 let mut free = view.free_slots_on(&instances);
-                loop {
-                    let memory_pressure = free < runway_tokens;
-                    let compute_pressure = batch_size > threshold * instances.len();
-                    if !memory_pressure && !compute_pressure {
-                        break;
-                    }
+                while wants_scale_up(free, batch_size, instances.len(), threshold) {
                     let Some(extra) = spares.find(|i| !claimed[i.index()]) else {
                         break;
                     };
@@ -224,18 +213,8 @@ impl DecodeGroupPlanner {
                 instances.sort_unstable();
             }
 
-            // Multi-master: every instance with at least one free slot can
-            // absorb new KV; fall back to all instances if none has room
-            // (the engine will surface the capacity error).
-            let mut masters: Vec<InstanceId> = instances
-                .iter()
-                .copied()
-                .filter(|&i| view.pool.instance(i).free() > 0)
-                .collect();
-            if masters.is_empty() {
-                masters = instances.clone();
-            }
-
+            let mut masters = Vec::new();
+            masters_into(view.pool, &instances, &mut masters);
             self.plans.push(DecodeGroupPlan {
                 instances,
                 masters,
@@ -245,6 +224,80 @@ impl DecodeGroupPlanner {
         }
         self.plans.drain(..)
     }
+}
+
+/// Whether a decode group of `batch` requests on `instances` instances
+/// with `free` free KV slots wants one more instance (§5.4). The memory
+/// trigger: the group needs at least one free slot per request per
+/// iteration, and keeps a comfortable runway of 64 iterations so scale-up
+/// happens before the pool is exhausted. The compute trigger: FFN work
+/// becomes the bottleneck once the batch per instance exceeds `threshold`.
+fn wants_scale_up(free: u64, batch: usize, instances: usize, threshold: usize) -> bool {
+    free < batch as u64 * 64 || batch > threshold * instances
+}
+
+/// Writes the masters of a decode group on `instances` into `masters`
+/// (cleared first), multi-master: every instance with at least one free
+/// slot can absorb new KV. If none has room, all of them, and the engine
+/// surfaces the capacity error.
+fn masters_into(pool: &UnifiedKvPool, instances: &[InstanceId], masters: &mut Vec<InstanceId>) {
+    masters.clear();
+    masters.extend(
+        instances
+            .iter()
+            .copied()
+            .filter(|&i| pool.instance(i).free() > 0),
+    );
+    if masters.is_empty() {
+        masters.extend_from_slice(instances);
+    }
+}
+
+/// Whether [`DecodeGroupPlanner::plan`] would plan `repeat`'s group again,
+/// unchanged and unscaled, as its one plan; if so, writes the plan's
+/// masters into `masters`.
+///
+/// With no other request decode-ready and the group's instances idle, it
+/// would when:
+///
+/// * every member's KV lies on exactly the group's instances (sorted, as a
+///   plan lists them). The first member then opens a group on them and
+///   each later one joins it at its head, so the plan is one group on
+///   those instances listing the members newest first. Otherwise members
+///   can form sub-groups that a bridging member absorbs in `swap_remove`
+///   order, which no rank order describes: sub-groups [A, B, C] are
+///   absorbed as A, C, B alone, but as A, B, C with a fourth group behind
+///   them.
+/// * the members stand newest first: in descending admission rank;
+/// * with scale-up on, neither §5.4 trigger fires, so no spare is drawn.
+pub fn plans_repeat(
+    repeat: &DecodeRepeat<'_>,
+    enable_scale_up: bool,
+    masters: &mut Vec<InstanceId>,
+) -> bool {
+    let (instances, requests, pool) = (repeat.instances, repeat.requests, repeat.pool);
+    let on_the_group = |id: RequestId| {
+        let kv = pool.locations_ref(id).iter().map(|&(i, _)| i);
+        kv.eq(instances.iter().copied())
+    };
+    if !requests.iter().all(|&id| on_the_group(id))
+        || !requests
+            .windows(2)
+            .all(|w| (repeat.rank)(w[0]) > (repeat.rank)(w[1]))
+    {
+        return false;
+    }
+    if enable_scale_up {
+        let free = instances.iter().map(|&i| pool.instance(i).free()).sum();
+        let threshold = repeat
+            .cost_model
+            .decode_compute_bound_batch_size(repeat.registry.tp());
+        if wants_scale_up(free, requests.len(), instances.len(), threshold) {
+            return false;
+        }
+    }
+    masters_into(pool, instances, masters);
+    true
 }
 
 #[cfg(test)]

@@ -8,6 +8,11 @@
 //! [`Action`]s to execute. Re-forming batches and groups from scratch at
 //! every scheduling point is exactly the iteration-granularity flexibility
 //! ESP exploits; static baselines simply return the same shapes every time.
+//!
+//! Most points re-issue the decode that just completed. A scheduler may
+//! certify such a repeat ([`Scheduler::certify_repeat`]), and the engine
+//! then re-issues the decode without building a view or calling
+//! [`Scheduler::schedule`].
 
 use loong_esp::instance::InstanceRegistry;
 use loong_kvcache::unified::UnifiedKvPool;
@@ -267,6 +272,27 @@ pub enum Action {
     },
 }
 
+/// A decode group whose iteration just completed, offered back to its
+/// scheduler at a point where a view would list nothing pending and
+/// exactly the group's members as decode-ready (see
+/// [`Scheduler::certify_repeat`]).
+pub struct DecodeRepeat<'a> {
+    /// The completed decode's instances, now idle again.
+    pub instances: &'a [InstanceId],
+    /// Its requests, in the completed action's order: every one
+    /// decode-ready again, and no other request is.
+    pub requests: &'a [RequestId],
+    /// A member's admission rank. A view lists decode-ready requests in
+    /// ascending rank.
+    pub rank: &'a dyn Fn(RequestId) -> u64,
+    /// The unified KV pool (read-only).
+    pub pool: &'a UnifiedKvPool,
+    /// The elastic-instance registry.
+    pub registry: &'a InstanceRegistry,
+    /// The roofline cost model.
+    pub cost_model: &'a CostModel,
+}
+
 /// Kinds of elastic scaling events, counted for Figure 13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingEventKind {
@@ -293,9 +319,33 @@ pub trait Scheduler {
     fn name(&self) -> String;
 
     /// Produces the actions to take given the current view. Called whenever
-    /// resources free up or new work arrives; returning no actions means
-    /// "wait for the next event".
+    /// resources free up or new work arrives, except at a point whose
+    /// decision this scheduler certified would repeat
+    /// ([`Scheduler::certify_repeat`]); returning no actions means "wait
+    /// for the next event".
     fn schedule(&mut self, view: &SchedulerView<'_>) -> Vec<Action>;
+
+    /// Certifies that at this point [`Scheduler::schedule`] would return
+    /// exactly one action, `Action::Decode` of `repeat`'s instances and
+    /// requests in their order, and log no scaling event, writing that
+    /// decode's masters into `masters` (cleared first). The engine then
+    /// re-issues the decode without building a view or calling `schedule`.
+    ///
+    /// The engine asks only at a point with no arrival whose one completed
+    /// work is `repeat`'s decode iteration, with every member decode-ready
+    /// again, nothing pending and no other request decode-ready. Whatever
+    /// else `schedule` would read — KV placement, free slots, swapped
+    /// requests, its own configuration — the certificate must cover.
+    /// Debug builds call `schedule` at every certified point as well and
+    /// assert that it returns the re-issued decode.
+    ///
+    /// The default refuses, so a scheduler is called at every point until
+    /// it opts in, and a decorator that does not forward this method keeps
+    /// its inner scheduler on the calling path.
+    fn certify_repeat(&self, repeat: &DecodeRepeat<'_>, masters: &mut Vec<InstanceId>) -> bool {
+        let _ = (repeat, masters);
+        false
+    }
 
     /// Scaling events recorded so far (Figure 13b). Baselines that never
     /// scale return an empty slice.

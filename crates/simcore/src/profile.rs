@@ -2,7 +2,8 @@
 //!
 //! The simulator's *outputs* live on the sim clock; this module measures
 //! the simulator's *throughput* on the host clock: scheduling points
-//! executed, events popped, and pool jobs completed per wall-second.
+//! executed, scheduler calls made at them, events popped, and pool jobs
+//! completed per wall-second.
 //! Counters are process-global relaxed atomics, bumped unconditionally on
 //! the hot paths (traced and untraced runs pay the identical few-ns cost,
 //! so self-profiling never skews tracing-overhead comparisons), and read
@@ -21,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 static SCHED_POINTS: AtomicU64 = AtomicU64::new(0);
+static SCHED_CALLS: AtomicU64 = AtomicU64::new(0);
 static EVENTS_POPPED: AtomicU64 = AtomicU64::new(0);
 static POOL_JOBS: AtomicU64 = AtomicU64::new(0);
 
@@ -28,6 +30,14 @@ static POOL_JOBS: AtomicU64 = AtomicU64::new(0);
 #[inline]
 pub fn add_sched_points(n: u64) {
     SCHED_POINTS.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Adds `n` scheduler calls. Called by the engine run loop, which calls
+/// the scheduler at every scheduling point but those where it re-issues a
+/// decode the scheduler certified would repeat.
+#[inline]
+pub fn add_sched_calls(n: u64) {
+    SCHED_CALLS.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Adds `n` popped simulation events. Called by the engine run loop.
@@ -47,6 +57,9 @@ pub fn add_pool_jobs(n: u64) {
 pub struct ProfileCounters {
     /// Scheduling points executed by engine run loops.
     pub sched_points: u64,
+    /// Scheduler calls made at those points: the points less the certified
+    /// repeats.
+    pub sched_calls: u64,
     /// Events popped off simulation event queues.
     pub events_popped: u64,
     /// Jobs completed by the fork-join pool.
@@ -58,6 +71,7 @@ impl ProfileCounters {
     pub fn snapshot() -> Self {
         ProfileCounters {
             sched_points: SCHED_POINTS.load(Ordering::Relaxed),
+            sched_calls: SCHED_CALLS.load(Ordering::Relaxed),
             events_popped: EVENTS_POPPED.load(Ordering::Relaxed),
             pool_jobs: POOL_JOBS.load(Ordering::Relaxed),
         }
@@ -66,6 +80,7 @@ impl ProfileCounters {
     fn since(self, base: ProfileCounters) -> ProfileCounters {
         ProfileCounters {
             sched_points: self.sched_points.saturating_sub(base.sched_points),
+            sched_calls: self.sched_calls.saturating_sub(base.sched_calls),
             events_popped: self.events_popped.saturating_sub(base.events_popped),
             pool_jobs: self.pool_jobs.saturating_sub(base.pool_jobs),
         }
@@ -137,10 +152,11 @@ impl std::fmt::Display for ProfileReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "wall={:.3}s sched_points={} ({:.0}/s) events={} ({:.0}/s) pool_jobs={} ({:.0}/s)",
+            "wall={:.3}s sched_points={} ({:.0}/s) sched_calls={} events={} ({:.0}/s) pool_jobs={} ({:.0}/s)",
             self.wall_s,
             self.counters.sched_points,
             self.sched_points_per_s(),
+            self.counters.sched_calls,
             self.counters.events_popped,
             self.events_per_s(),
             self.counters.pool_jobs,
@@ -157,11 +173,13 @@ mod tests {
     fn windows_difference_the_global_counters() {
         let window = SelfProfile::start();
         add_sched_points(5);
+        add_sched_calls(3);
         add_events_popped(12);
         add_pool_jobs(2);
         let report = window.report();
         // Other tests may bump concurrently; deltas are at least ours.
         assert!(report.counters.sched_points >= 5);
+        assert!(report.counters.sched_calls >= 3);
         assert!(report.counters.events_popped >= 12);
         assert!(report.counters.pool_jobs >= 2);
         assert!(report.wall_s >= 0.0);

@@ -149,6 +149,12 @@ impl<T> RequestTable<T> {
         self.slots.get(self.pos(id))?.as_ref().map(|s| &s.payload)
     }
 
+    /// The admission rank of `id`: the live list's order. `None` until it
+    /// is admitted, or when it is absent.
+    pub fn rank(&self, id: RequestId) -> Option<u64> {
+        self.slots.get(self.pos(id))?.as_ref()?.rank
+    }
+
     /// Mutable payload of `id`, if present. The live list is unaffected.
     pub fn get_mut(&mut self, id: RequestId) -> Option<&mut T> {
         let pos = self.pos(id);
@@ -317,11 +323,17 @@ mod tests {
     #[test]
     fn iteration_follows_admission_order_not_id_order() {
         let mut t = table_with(&[0, 1, 2, 3]);
+        assert_eq!(t.rank(RequestId(3)), None);
         for id in [3u64, 0, 2, 1] {
             t.admit(RequestId(id));
         }
         let order: Vec<u64> = t.iter_live().map(|(id, _)| id.raw()).collect();
         assert_eq!(order, vec![3, 0, 2, 1]);
+        let ranks: Vec<Option<u64>> = (0..5).map(|id| t.rank(RequestId(id))).collect();
+        assert_eq!(ranks, vec![Some(1), Some(3), Some(2), Some(0), None]);
+        // Retirement keeps the rank.
+        t.retire(RequestId(2));
+        assert_eq!(t.rank(RequestId(2)), Some(2));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! many requests stream through — the "bins" half of the recorder's
 //! `O(sampled + bins)` residency ledger.
 
+use crate::sink::Gauges;
 use loong_metrics::{bin_index, BinnedCounter};
 use loong_simcore::time::SimTime;
 
@@ -37,7 +38,12 @@ impl GaugeSeries {
 
     /// Records one sample of the signal at time `t`.
     pub fn record(&mut self, t: SimTime, value: f64) {
-        let idx = bin_index(self.bin_width_s, t);
+        self.record_in_bin(bin_index(self.bin_width_s, t), value);
+    }
+
+    /// Records one sample into bin `idx`: [`GaugeSeries::record`] for
+    /// callers that found the bin already.
+    fn record_in_bin(&mut self, idx: usize, value: f64) {
         if idx >= self.counts.len() {
             self.sums.resize(idx + 1, 0.0);
             self.counts.resize(idx + 1, 0);
@@ -142,6 +148,17 @@ impl ReplicaSeries {
             cache_adopts: BinnedCounter::new(bin_width_s),
             cache_evictions: BinnedCounter::new(bin_width_s),
         }
+    }
+
+    /// Records one scheduling point's gauges at `t`, finding the bin the
+    /// three gauge series share once.
+    pub fn record_gauges(&mut self, t: SimTime, gauges: Gauges) {
+        let idx = bin_index(self.queue_depth.bin_width_s, t);
+        self.queue_depth
+            .record_in_bin(idx, gauges.queue_depth as f64);
+        self.batch_size.record_in_bin(idx, gauges.batch_size as f64);
+        self.kv_utilization
+            .record_in_bin(idx, gauges.kv_utilization);
     }
 
     /// Merges another block into this one, series-wise.

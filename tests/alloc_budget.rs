@@ -1,14 +1,15 @@
 //! Heap-allocation budget of the LoongServe scheduling point.
 //!
-//! The manager re-plans at every iteration, so a long Mixed run makes
-//! millions of scheduling points, most of them decode-only. This binary
-//! installs a counting global allocator and holds the steady-state point
-//! to a fixed number of heap allocations per scheduler call, on long-context
-//! Mixed traffic and on decode-heavy ShareGPT traffic. A one-group
+//! A long Mixed run makes millions of scheduling points, most of them
+//! decode-only. This binary installs a counting global allocator and holds
+//! the steady-state point to a fixed number of heap allocations per
+//! scheduling point, on long-context Mixed traffic and on decode-heavy
+//! ShareGPT traffic. A point that re-issues a decode its scheduler
+//! certified would repeat allocates nothing; any other one-group
 //! decode-only point allocates four times: the action list and the decode
 //! action's instances, masters and requests. Each arm's budget is its
 //! reading plus about 10%, so a regression of one allocation on every
-//! decode point fails it.
+//! certified point fails it.
 //!
 //! Debug builds shadow every point with the view audit, which allocates by
 //! design, so the budget is checked in release builds only:
@@ -74,20 +75,22 @@ fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Runs `trace` through one paper node under LoongServe and holds the run
-/// to `budget` allocations plus reallocations per scheduler call.
+/// to `budget` allocations plus reallocations per scheduling point.
 fn assert_within_budget(trace: &Trace, budget: f64) {
     let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
     let mut engine = system.build_engine(Some(trace));
     let (outcome, allocations) = count_allocations(|| engine.run(trace));
     assert_eq!(outcome.unfinished, 0, "the run resolves every request");
-    let per_call = allocations as f64 / outcome.scheduler_calls as f64;
+    // `scheduler_calls` counts scheduling points, certified or not.
+    let points = outcome.scheduler_calls;
+    let per_point = allocations as f64 / points as f64;
     println!(
-        "{}: {allocations} allocations over {} scheduler calls: {per_call:.2} per call",
-        trace.label, outcome.scheduler_calls
+        "{}: {allocations} allocations over {points} scheduling points: {per_point:.2} per point",
+        trace.label
     );
     assert!(
-        per_call <= budget,
-        "{per_call:.2} heap allocations per scheduler call, budget {budget}"
+        per_point <= budget,
+        "{per_point:.2} heap allocations per scheduling point, budget {budget}"
     );
 }
 
@@ -97,10 +100,10 @@ fn assert_within_budget(trace: &Trace, budget: f64) {
     ignore = "the debug view audit allocates by design; run with --release"
 )]
 fn loongserve_mixed_run_stays_within_its_allocation_budget() {
-    // Reads 4.92.
+    // Reads 2.00.
     assert_within_budget(
         &WorkloadSpec::Dataset(DatasetKind::Mixed).generate(0.15, 2_000, 2026),
-        5.4,
+        2.2,
     );
 }
 
@@ -113,9 +116,9 @@ fn loongserve_mixed_run_stays_within_its_allocation_budget() {
     ignore = "the debug view audit allocates by design; run with --release"
 )]
 fn loongserve_sharegpt_run_stays_within_its_allocation_budget() {
-    // Reads 5.81.
+    // Reads 3.75.
     assert_within_budget(
         &WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(30.0, 4_000, 2026),
-        6.4,
+        4.1,
     );
 }
