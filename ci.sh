@@ -68,6 +68,12 @@ smoke_gate() {
 step "allocation budget (2k-request Mixed and 4k-request ShareGPT runs, at most 2.2 and 4.1 heap allocations per scheduling point)"
 cargo test --release --locked --test alloc_budget -- --nocapture
 
+# Only release builds skip the scheduler at a certified point; debug builds
+# call it there too, so this is the run that compares the skipping path
+# with the calling one.
+step "certified repeats in release (whole runs certifying vs calling the scheduler at every point)"
+cargo test --release --locked --test certified_repeats
+
 step "engine-scaling perf smoke + gate (1k-request trace vs BENCH_engine.json)"
 smoke_gate engine_scaling "^ENGINE_SCALING requests=1000" BENCH_engine.json
 

@@ -146,7 +146,8 @@ fn main() {
     let ledger = recorder.ledger();
     let completed = recorder
         .series()
-        .map(|(_, s)| s.completions.total())
+        .values()
+        .map(|s| s.completions.total())
         .sum::<u64>();
     let overhead_ratio = percentile(&ratios, 50.0);
     let (plain_s, traced_s) = (

@@ -336,8 +336,14 @@ pub trait Scheduler {
     /// again, nothing pending and no other request decode-ready. Whatever
     /// else `schedule` would read — KV placement, free slots, swapped
     /// requests, its own configuration — the certificate must cover.
-    /// Debug builds call `schedule` at every certified point as well and
-    /// assert that it returns the re-issued decode.
+    /// Release builds skip `schedule` at a certified point, so the call
+    /// it stands for must change no state that any later decision reads
+    /// (buffers that every call refills are fine): a scheduler whose
+    /// calls carry state forward, such as a sticky routing table, must
+    /// refuse wherever the call would change it. Debug builds call
+    /// `schedule` at every certified point as well and assert that it
+    /// returns the re-issued decode, which cannot see such state diverge
+    /// later; `tests/certified_repeats.rs` compares whole runs in release.
     ///
     /// The default refuses, so a scheduler is called at every point until
     /// it opts in, and a decorator that does not forward this method keeps

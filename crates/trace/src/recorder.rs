@@ -187,10 +187,7 @@ pub struct TraceRecorder {
     open: BTreeMap<u64, OpenEntry>,
     spans: Vec<Span>,
     instants: Vec<InstantEvent>,
-    /// Per raw replica id, its series once anything was recorded for it.
-    /// Engine events file under replica 0, which is therefore one index
-    /// away at every scheduling point's gauge sample.
-    series: Vec<Option<ReplicaSeries>>,
+    series: BTreeMap<u64, ReplicaSeries>,
     fleet_series: FleetSeries,
     attribution: TimeAttribution,
     pending_retry: BTreeMap<u64, PendingRetry>,
@@ -217,7 +214,7 @@ impl TraceRecorder {
             open: BTreeMap::new(),
             spans: Vec::new(),
             instants: Vec::new(),
-            series: Vec::new(),
+            series: BTreeMap::new(),
             fleet_series: FleetSeries::new(cfg.bin_width_s),
             attribution: TimeAttribution::default(),
             pending_retry: BTreeMap::new(),
@@ -258,13 +255,9 @@ impl TraceRecorder {
         &self.instants
     }
 
-    /// Per-replica timeseries with their raw replica ids, in id order:
-    /// every replica something was recorded for.
-    pub fn series(&self) -> impl Iterator<Item = (u64, &ReplicaSeries)> {
-        self.series
-            .iter()
-            .enumerate()
-            .filter_map(|(r, series)| Some((r as u64, series.as_ref()?)))
+    /// Per-replica timeseries, keyed by raw replica id.
+    pub fn series(&self) -> &BTreeMap<u64, ReplicaSeries> {
+        &self.series
     }
 
     /// Fleet-scope event counters.
@@ -283,7 +276,7 @@ impl TraceRecorder {
             instants_dropped: self.instants_dropped,
             open_requests: self.open.len() as u64,
             peak_open_requests: self.peak_open.max(self.open.len() as u64),
-            series_bins: self.series().map(|(_, s)| s.bins()).sum::<u64>()
+            series_bins: self.series.values().map(ReplicaSeries::bins).sum::<u64>()
                 + self.fleet_series.bins(),
             gauge_samples: self.gauge_samples,
         }
@@ -291,11 +284,9 @@ impl TraceRecorder {
 
     fn series_mut(&mut self, replica: u64) -> &mut ReplicaSeries {
         let width = self.cfg.bin_width_s;
-        let r = usize::try_from(replica).expect("replica ids index the series");
-        if r >= self.series.len() {
-            self.series.resize_with(r + 1, || None);
-        }
-        self.series[r].get_or_insert_with(|| ReplicaSeries::new(width))
+        self.series
+            .entry(replica)
+            .or_insert_with(|| ReplicaSeries::new(width))
     }
 
     fn push_span(&mut self, span: Span) {
@@ -558,8 +549,8 @@ impl TraceRecorder {
                 "request {id} open in two lifetimes at once"
             );
         }
-        for child_series in child.series.iter().flatten() {
-            self.series_mut(r).merge(child_series);
+        for (_, child_series) in child.series {
+            self.series_mut(r).merge(&child_series);
         }
         self.fleet_series.merge(&child.fleet_series);
         self.attribution.add(&child.attribution);
@@ -729,8 +720,7 @@ mod tests {
         assert_eq!(ledger.spans_recorded, 3);
         assert_eq!(ledger.open_requests, 0);
         assert_eq!(ledger.peak_open_requests, 1);
-        let (replica, series) = rec.series().next().expect("replica 0 series");
-        assert_eq!(replica, 0);
+        let series = rec.series().get(&0).expect("replica 0 series");
         assert_eq!(series.completions.total(), 1);
         assert_eq!(series.slo_hits.total(), 1);
     }
@@ -801,6 +791,6 @@ mod tests {
         assert_eq!(ledger.sampled_requests, 0);
         assert_eq!(rec.attribution().best_effort.queued_s, 2.0);
         assert_eq!(rec.attribution().best_effort.prefill_s, 4.0);
-        assert_eq!(rec.series().next().unwrap().1.completions.total(), 1);
+        assert_eq!(rec.series().get(&0).unwrap().completions.total(), 1);
     }
 }
