@@ -3,7 +3,7 @@
 //! (a) SLO attainment / goodput of LoongServe with and without elastic
 //!     scale-up on ShareGPT (short prompts, long outputs).
 //! (b) The number of scale-up operations triggered per 10-second interval
-//!     at a high request rate.
+//!     at a high request rate, and the run's proactive scale-downs.
 
 use loong_bench::{banner, write_figure_csv};
 use loongserve::prelude::*;
@@ -46,9 +46,11 @@ fn main() {
     let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
     let (_summary, outcome) = system.run(&trace, rate, &SloSpec::default_for_lwm());
     let mut counter = BinnedCounter::new(10.0);
+    let mut scale_downs = 0;
     for e in &outcome.scaling_events {
-        if e.kind == ScalingEventKind::ScaleUp {
-            counter.record(e.at);
+        match e.kind {
+            ScalingEventKind::ScaleUp => counter.record(e.at),
+            ScalingEventKind::ProactiveScaleDown => scale_downs += 1,
         }
     }
     println!("interval_start_s,scale_ups");
@@ -62,6 +64,7 @@ fn main() {
         counter.mean_per_bin(),
         counter.max_per_bin()
     );
+    println!("{scale_downs} proactive scale-downs over the run");
 
     let path = write_figure_csv("fig13_scaleup_ablation.csv", &csv);
     println!("CSV written to {}", path.display());

@@ -42,7 +42,6 @@
 
 use crate::fleet::{FleetPlan, FleetRun, Life, RunState};
 use loong_metrics::record::RequestRecord;
-use loong_metrics::slo::SloSpec;
 use loong_sched::elastic::{AdmissionDecision, FleetSignals, ScaleDecision, ShedReason};
 use loong_simcore::ids::{ReplicaId, RequestId};
 use loong_simcore::time::{SimDuration, SimTime};
@@ -107,17 +106,6 @@ pub struct FleetScaleEvent {
     pub kind: FleetScaleKind,
     /// Active replicas (routable or provisioning) after the event.
     pub active_after: usize,
-}
-
-/// The SLO a given traffic class is judged by: the base spec with every
-/// bound scaled by [`TrafficClass::slo_scale`].
-pub fn class_slo(base: &SloSpec, class: TrafficClass) -> SloSpec {
-    let s = class.slo_scale();
-    SloSpec {
-        per_token_s: base.per_token_s * s,
-        input_s: base.input_s * s,
-        output_s: base.output_s * s,
-    }
 }
 
 impl RunState<'_> {
@@ -324,6 +312,7 @@ mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, FleetEngine};
     use crate::systems::SystemKind;
+    use loong_metrics::slo::{class_slo, SloSpec};
     use loong_sched::elastic::{AdmissionConfig, AutoscalerConfig};
     use loong_sched::reliability::RetryPolicy;
     use loong_sched::router::RouterPolicy;

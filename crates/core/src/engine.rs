@@ -116,24 +116,6 @@ impl HostSwapConfig {
 }
 
 impl EngineConfig {
-    /// The paper's single-node LoongServe configuration: 8 A800 GPUs, TP=2
-    /// (four elastic instances), serving LWM-1M-Text.
-    pub fn paper_single_node() -> Self {
-        EngineConfig {
-            cluster: ClusterSpec::single_node_a800(8),
-            tp: 2,
-            model: ModelConfig::lwm_1m_text(),
-            workspace_fraction: 0.10,
-            sib_noise: 0.01,
-            seed: 0x1005e,
-            max_sim_time: None,
-            host_swap: None,
-            kv_capacity_override: None,
-            prefix_cache: None,
-            attention: AttentionCostPolicy::Dense,
-        }
-    }
-
     /// KV slot capacity of one elastic instance under this configuration.
     pub fn instance_kv_capacity(&self) -> u64 {
         let budget = MemoryBudget::new(
@@ -1771,17 +1753,12 @@ mod tests {
     }
 
     fn engine_for(kind: SystemKind) -> ServingEngine {
-        let config = EngineConfig::paper_single_node();
-        let tp = kind.tp(config.cluster.gpus_per_node);
-        let config = EngineConfig { tp, ..config };
-        let registry = InstanceRegistry::build(&config.cluster, tp);
-        let scheduler = kind.build_scheduler(&registry.all_ids(), None);
-        ServingEngine::new(config, scheduler)
+        SystemUnderTest::paper_single_node(kind).build_engine(None)
     }
 
     #[test]
     fn instance_kv_capacity_is_plausible_for_lwm_on_a800() {
-        let config = EngineConfig::paper_single_node();
+        let config = SystemUnderTest::paper_single_node(SystemKind::LoongServe).engine_config();
         let capacity = config.instance_kv_capacity();
         // Two 80 GB GPUs minus weights and workspace at 256 KiB/token/GPU:
         // a few hundred thousand tokens.

@@ -76,7 +76,7 @@ use loong_metrics::fleet::FleetSummary;
 use loong_metrics::pressure::PressureStats;
 use loong_metrics::record::RequestRecord;
 use loong_metrics::reliability::{availability_windows, ReliabilityStats, SlaWindow};
-use loong_metrics::slo::SloSpec;
+use loong_metrics::slo::{class_slo, SloSpec};
 use loong_model::attention::AttentionCostPolicy;
 use loong_model::config::ModelConfig;
 use loong_sched::elastic::{AdmissionConfig, AdmissionController, Autoscaler, AutoscalerConfig};
@@ -531,7 +531,7 @@ impl FleetRun {
                     .filter(|r| r.class == class)
                     .copied()
                     .collect();
-                let slo = crate::elastic::class_slo(base, class);
+                let slo = class_slo(base, class);
                 (class, slo.attainment(&records))
             })
             .collect()

@@ -57,7 +57,7 @@ pub mod report;
 pub mod systems;
 
 pub use elastic::{
-    class_slo, ElasticConfig, ElasticFleetOutcome, FleetScaleEvent, FleetScaleKind, ShedRequest,
+    ElasticConfig, ElasticFleetOutcome, FleetScaleEvent, FleetScaleKind, ShedRequest,
 };
 pub use engine::{EngineConfig, EngineSignals, HostSwapConfig, RunOutcome, ServingEngine};
 pub use experiment::{compare_systems, sweep_system, SweepConfig, SweepResult, WorkloadSpec};
@@ -75,7 +75,7 @@ pub use systems::{PressureMode, SystemKind, SystemUnderTest};
 /// workspace.
 pub mod prelude {
     pub use crate::elastic::{
-        class_slo, ElasticConfig, ElasticFleetOutcome, FleetScaleEvent, FleetScaleKind, ShedRequest,
+        ElasticConfig, ElasticFleetOutcome, FleetScaleEvent, FleetScaleKind, ShedRequest,
     };
     pub use crate::engine::{
         EngineConfig, EngineSignals, HostSwapConfig, RunOutcome, ServingEngine,

@@ -5,7 +5,8 @@
 //! * [`record`] — per-request lifecycle records and the normalised latency
 //!   metrics derived from them,
 //! * [`latency`] — means, percentiles and latency summaries,
-//! * [`slo`] — SLO specifications, attainment and (P90) goodput,
+//! * [`slo`] — SLO specifications, the SLO rule and its per-class
+//!   scaling, attainment and (P90) goodput,
 //! * [`pressure`] — memory-pressure counters (preemptions, swap traffic),
 //! * [`cache`] — prefix-cache counters (hit rate, reused tokens, saved
 //!   prefill seconds, evictions),
@@ -66,7 +67,7 @@ pub use latency::{mean, percentile, LatencySummary};
 pub use pressure::PressureStats;
 pub use record::RequestRecord;
 pub use reliability::{availability_windows, ReliabilityStats, SlaWindow};
-pub use slo::{goodput, SloPoint, SloSpec};
+pub use slo::{class_slo, goodput, SloPoint, SloSpec};
 pub use summary::RunSummary;
 pub use timeseries::{bin_index, BinnedCounter};
 
@@ -80,7 +81,7 @@ pub mod prelude {
     pub use crate::pressure::PressureStats;
     pub use crate::record::RequestRecord;
     pub use crate::reliability::{availability_windows, ReliabilityStats, SlaWindow};
-    pub use crate::slo::{goodput, SloPoint, SloSpec};
+    pub use crate::slo::{class_slo, goodput, SloPoint, SloSpec};
     pub use crate::summary::RunSummary;
     pub use crate::timeseries::{bin_index, BinnedCounter};
 }

@@ -66,19 +66,19 @@ impl RequestRecord {
     /// End-to-end latency divided by the sequence length (the paper's
     /// "normalised per-token latency").
     pub fn normalized_per_token_latency(&self) -> f64 {
-        self.end_to_end_latency() / self.sequence_len().max(1) as f64
+        normalized(self.arrival, self.finish, self.sequence_len())
     }
 
     /// Input latency divided by the input length (the paper's "normalised
     /// input latency").
     pub fn normalized_input_latency(&self) -> f64 {
-        self.input_latency() / self.input_len.max(1) as f64
+        normalized(self.arrival, self.first_token, self.input_len)
     }
 
     /// Output latency divided by the output length (the paper's "normalised
     /// output latency").
     pub fn normalized_output_latency(&self) -> f64 {
-        self.output_latency() / self.output_len.max(1) as f64
+        normalized(self.first_token, self.finish, self.output_len)
     }
 
     /// Validates that the timestamps are causally ordered.
@@ -94,6 +94,12 @@ impl RequestRecord {
         }
         Ok(())
     }
+}
+
+/// The seconds from `from` to `to` per token of `tokens` (at least one):
+/// how the paper normalises each latency.
+pub(crate) fn normalized(from: SimTime, to: SimTime, tokens: u64) -> f64 {
+    to.saturating_since(from).as_secs() / tokens.max(1) as f64
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! additionally report **P90 goodput**: the highest request rate at which at
 //! least 90% of requests meet the SLO.
 
-use crate::record::RequestRecord;
+use crate::record::{normalized, RequestRecord};
+use loong_simcore::class::TrafficClass;
+use loong_simcore::time::SimTime;
 
 /// A latency service-level objective on normalised latencies.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,11 +46,35 @@ impl SloSpec {
         SloSpec::scaled_from_baseline(0.05, 0.002, 0.05, Self::PAPER_SCALE)
     }
 
+    /// The SLO rule: whether a request that arrived at `arrival`, produced
+    /// its first token at `first_token` and its last at `finish` met every
+    /// bound, each latency normalised as the paper does (end to end per
+    /// sequence token, arrival to first token per prompt token, first to
+    /// last token per generated token). [`SloSpec::met_by`] judges a
+    /// finished record by it, and the trace recorder each completion it
+    /// sees.
+    pub fn met(
+        &self,
+        arrival: SimTime,
+        first_token: SimTime,
+        finish: SimTime,
+        input_len: u64,
+        output_len: u64,
+    ) -> bool {
+        normalized(arrival, finish, input_len + output_len) <= self.per_token_s
+            && normalized(arrival, first_token, input_len) <= self.input_s
+            && normalized(first_token, finish, output_len) <= self.output_s
+    }
+
     /// Returns true if a request met every component of the SLO.
     pub fn met_by(&self, r: &RequestRecord) -> bool {
-        r.normalized_per_token_latency() <= self.per_token_s
-            && r.normalized_input_latency() <= self.input_s
-            && r.normalized_output_latency() <= self.output_s
+        self.met(
+            r.arrival,
+            r.first_token,
+            r.finish,
+            r.input_len,
+            r.output_len,
+        )
     }
 
     /// Fraction of requests meeting the SLO (1.0 for an empty set, matching
@@ -59,6 +85,17 @@ impl SloSpec {
         }
         let met = records.iter().filter(|r| self.met_by(r)).count();
         met as f64 / records.len() as f64
+    }
+}
+
+/// The SLO a traffic class is judged by: `base` with every bound scaled by
+/// [`TrafficClass::slo_scale`].
+pub fn class_slo(base: &SloSpec, class: TrafficClass) -> SloSpec {
+    let s = class.slo_scale();
+    SloSpec {
+        per_token_s: base.per_token_s * s,
+        input_s: base.input_s * s,
+        output_s: base.output_s * s,
     }
 }
 

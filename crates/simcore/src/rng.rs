@@ -7,7 +7,7 @@
 //! in the repository reproduces bit-for-bit, which the property tests and
 //! the figure-reproduction benches rely on.
 
-use rand::{Error, RngCore, SeedableRng};
+use rand::{Error, RngCore};
 
 /// Advances a SplitMix64 state and returns the next 64-bit output.
 ///
@@ -133,21 +133,6 @@ impl RngCore for SimRng {
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
         self.fill_bytes(dest);
         Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::seed(u64::from_le_bytes(seed))
-    }
-}
-
-impl Default for SimRng {
-    /// A generator with a fixed default seed, convenient for examples.
-    fn default() -> Self {
-        SimRng::seed(0x0001_0000_5EED)
     }
 }
 

@@ -10,9 +10,10 @@
 //!   [`TraceConfig::max_spans`] with overflow counted, never allocated.
 //! * **Series** are always-on streaming aggregations costing only their
 //!   bins (see [`crate::series`]).
-//! * **Open-request state** (current phase, class, phase start) exists
-//!   only while a request is in flight, so its high-water tracks the
-//!   engine's own O(active) residency, not the trace length.
+//! * **Open-request state** (current phase, class, phase start, lengths,
+//!   first token) exists only while a request is in flight, so its
+//!   high-water tracks the engine's own O(active) residency, not the
+//!   trace length.
 //!
 //! The [`TraceLedger`] proves all three: `O(sampled + bins + peak-open)`,
 //! with every drop counted. Fleet runs build one recorder per replica
@@ -22,7 +23,7 @@
 
 use crate::series::{FleetSeries, ReplicaSeries};
 use crate::sink::{AdmitInfo, Gauges, SpanPhase, Terminal, TraceSink};
-use loong_metrics::{SloSpec, TimeAttribution};
+use loong_metrics::{class_slo, SloSpec, TimeAttribution};
 use loong_simcore::class::TrafficClass;
 use loong_simcore::ids::{ReplicaId, RequestId};
 use loong_simcore::time::SimTime;
@@ -40,8 +41,8 @@ pub struct TraceConfig {
     pub seed: u64,
     /// Bin width of every timeseries, in simulated seconds.
     pub bin_width_s: f64,
-    /// Base SLO judged per completion (scaled by the request's class) for
-    /// the per-bin attainment series.
+    /// Base SLO each completion is judged by, scaled by the request's
+    /// class ([`class_slo`]), for the per-bin attainment series.
     pub slo: SloSpec,
     /// Hard cap on retained spans; overflow is dropped and counted.
     pub max_spans: usize,
@@ -161,7 +162,10 @@ struct OpenEntry {
     class: TrafficClass,
     conversation: Option<u64>,
     admitted: SimTime,
+    input_len: u64,
     output_len: u64,
+    /// Start of the first decode span: the first token's instant.
+    first_token: Option<SimTime>,
     phase: SpanPhase,
     phase_start: SimTime,
     replica: u64,
@@ -356,12 +360,18 @@ impl TraceRecorder {
         self.close_phase(id.raw(), &entry, at);
         match terminal {
             Terminal::Completed => {
-                let threshold = self.cfg.slo.per_token_s * entry.class.slo_scale();
-                let per_token =
-                    at.saturating_since(entry.admitted).as_secs() / entry.output_len.max(1) as f64;
+                // A request whose prefill token is its last never decodes:
+                // its first token is its completion.
+                let met = class_slo(&self.cfg.slo, entry.class).met(
+                    entry.admitted,
+                    entry.first_token.unwrap_or(at),
+                    at,
+                    entry.input_len,
+                    entry.output_len,
+                );
                 let sr = self.series_mut(entry.replica);
                 sr.completions.record(at);
-                if per_token <= threshold {
+                if met {
                     sr.slo_hits.record(at);
                 }
             }
@@ -586,7 +596,9 @@ impl TraceSink for TraceRecorder {
                 class: info.class,
                 conversation: info.conversation.map(|c| c.raw()),
                 admitted: at,
+                input_len: info.input_len,
                 output_len: info.output_len,
+                first_token: None,
                 phase: SpanPhase::Queued,
                 phase_start: at,
                 // Engine events file under replica 0 until a fleet's
@@ -609,6 +621,9 @@ impl TraceSink for TraceRecorder {
             return;
         }
         self.close_phase(id.raw(), &entry, at);
+        if phase == SpanPhase::Decode {
+            entry.first_token.get_or_insert(at);
+        }
         entry.phase = phase;
         entry.phase_start = at;
         self.open.insert(id.raw(), entry);

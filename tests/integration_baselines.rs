@@ -68,7 +68,9 @@ fn distserve_rejects_what_the_unified_pool_can_serve() {
     // A request bigger than half the cluster's KV but smaller than the whole
     // pool: DistServe (each phase confined to half the GPUs) must reject it,
     // LoongServe serves it.
-    let single_instance_capacity = EngineConfig::paper_single_node().instance_kv_capacity();
+    let single_instance_capacity = SystemUnderTest::paper_single_node(SystemKind::LoongServe)
+        .engine_config()
+        .instance_kv_capacity();
     let big = single_instance_capacity * 3; // fits in 4 instances, not in 2.
     let request = Request::with_max_output(RequestId(0), SimTime::ZERO, big, 16, 16);
     let trace = Trace::from_requests("oversized", vec![request]);
@@ -93,11 +95,9 @@ fn distserve_rejects_what_the_unified_pool_can_serve() {
 fn replicated_instances_reject_long_requests_that_static_hybrid_serves() {
     // The Figure 12 ablation: replication (TP=2 x 4) is capped by a single
     // replica's memory; static hybrid SP shares the whole pool.
-    let per_instance = {
-        let mut config = EngineConfig::paper_single_node();
-        config.tp = 2;
-        config.instance_kv_capacity()
-    };
+    let per_instance = SystemUnderTest::paper_single_node(SystemKind::Replicated)
+        .engine_config()
+        .instance_kv_capacity();
     let big = per_instance + per_instance / 2;
     let request = Request::with_max_output(RequestId(0), SimTime::ZERO, big, 16, 16);
     let trace = Trace::from_requests("oversized", vec![request]);

@@ -127,15 +127,11 @@ fn two_node_cluster_serves_more_load_than_one() {
 
 #[test]
 fn engine_respects_sim_time_cap() {
-    let mut config = EngineConfig::paper_single_node();
-    config.max_sim_time = Some(SimDuration::from_secs(1.0));
     let trace = WorkloadSpec::Dataset(DatasetKind::LvEval).generate(0.1, 30, 41);
-    let scheduler = SystemKind::LoongServe.build_scheduler(
-        &InstanceRegistry::build(&config.cluster, config.tp).all_ids(),
-        Some(&trace),
-    );
-    let mut engine = ServingEngine::new(config, scheduler);
-    let outcome = engine.run(&trace);
+    let outcome = SystemUnderTest::paper_single_node(SystemKind::LoongServe)
+        .with_max_sim_time(SimDuration::from_secs(1.0))
+        .build_engine(Some(&trace))
+        .run(&trace);
     assert!(outcome.records.len() + outcome.unfinished + outcome.rejected.len() == 30);
     assert!(
         outcome.unfinished > 0,

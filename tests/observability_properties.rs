@@ -351,6 +351,29 @@ fn run_traced_attaches_time_attribution() {
     assert!(table.contains("| total |"));
 }
 
+/// The per-bin SLO series judges each completion by the rule the summaries
+/// use: its hits equal the records [`SloSpec::met_by`] accepts under the
+/// class-scaled SLO. On this L-Eval run a rule that checked only the
+/// end-to-end latency per generated token counted 175 hits against 282.
+#[test]
+fn slo_series_hits_match_met_by() {
+    let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
+    let trace = WorkloadSpec::Dataset(DatasetKind::LEval).generate(1.0, 300, 2026);
+    let cfg = TraceConfig::default();
+    let mut rec = TraceRecorder::new(cfg);
+    let (summary, outcome) = system.run_traced(&trace, 1.0, &cfg.slo, &mut rec);
+    assert_eq!(summary.completed, 300);
+
+    let met = outcome
+        .records
+        .iter()
+        .filter(|r| class_slo(&cfg.slo, r.class).met_by(r))
+        .count() as u64;
+    let hits: u64 = rec.series().values().map(|s| s.slo_hits.total()).sum();
+    assert!(0 < met && met < 300, "the SLO must split this run ({met})");
+    assert_eq!(hits, met);
+}
+
 /// A crashing reliable run attributes retry prefill and downtime — the
 /// "work the fleet paid twice" columns are live.
 #[test]

@@ -78,12 +78,10 @@ proptest! {
         count in 5usize..20,
     ) {
         let trace = WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(2.0, count, seed);
-        let mut config = EngineConfig::paper_single_node();
-        config.max_sim_time = Some(SimDuration::from_secs(cap_ds as f64 / 10.0));
-        let registry = InstanceRegistry::build(&config.cluster, config.tp);
-        let scheduler = SystemKind::LoongServe.build_scheduler(&registry.all_ids(), Some(&trace));
-        let mut engine = ServingEngine::new(config, scheduler);
-        let outcome = engine.run(&trace);
+        let outcome = SystemUnderTest::paper_single_node(SystemKind::LoongServe)
+            .with_max_sim_time(SimDuration::from_secs(cap_ds as f64 / 10.0))
+            .build_engine(Some(&trace))
+            .run(&trace);
         prop_assert!(outcome.records.len() + outcome.rejected.len() + outcome.unfinished <= count);
     }
 
