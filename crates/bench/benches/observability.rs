@@ -16,8 +16,11 @@
 //! traced arm stays within 10% of the untraced one. The arms run in
 //! interleaved rounds that alternate which goes first; each round's
 //! traced/untraced wall ratio cancels the ambient load its two adjacent
-//! runs share, and the gate reads the median ratio over eight rounds, so a
-//! slow episode in one run cannot trip it. The recorder's
+//! runs share, and the gate reads the median ratio over 32 rounds, so a
+//! slow episode in one run cannot trip it. On a 2-vCPU host one round's
+//! ratio ranges over about ±25%: the median of 8 rounds crossed the bound
+//! by chance, while the median of 32 stays within a few percent of the
+//! traced arm's cost (a ratio of about 1.04). The recorder's
 //! residency ledger (sampled requests, spans, series bins, peak open
 //! state) is deterministic and gated against `BENCH_obs.json`; wall-clock
 //! numbers are report-only.
@@ -26,7 +29,7 @@
 //!
 //! ```text
 //! cargo bench --bench observability            # 100k requests, 2 rounds
-//! cargo bench --bench observability -- --smoke # 20k requests, 8 rounds, <10% assert
+//! cargo bench --bench observability -- --smoke # 20k requests, 32 rounds, <10% assert
 //! ```
 
 use loong_bench::banner;
@@ -37,6 +40,8 @@ use std::time::Instant;
 const RATE: f64 = 120.0;
 const COUNT: usize = 100_000;
 const SMOKE_COUNT: usize = 20_000;
+/// Interleaved rounds of the smoke, whose median ratio the gate asserts.
+const SMOKE_ROUNDS: usize = 32;
 const REPLICAS: usize = 4;
 const CRASH_PERIOD_S: f64 = 30.0;
 const SEED: u64 = 2026;
@@ -109,7 +114,11 @@ fn run_arm(count: usize, traced: bool) -> (f64, String, Option<TraceRecorder>) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let (count, rounds) = if smoke { (SMOKE_COUNT, 8) } else { (COUNT, 2) };
+    let (count, rounds) = if smoke {
+        (SMOKE_COUNT, SMOKE_ROUNDS)
+    } else {
+        (COUNT, 2)
+    };
 
     banner(&format!(
         "Observability overhead — ShareGPT @ {RATE} req/s, {count} requests streamed, \

@@ -27,8 +27,8 @@ use loongserve::prelude::*;
 fn policy_tag(policy: &AttentionCostPolicy) -> &'static str {
     match policy {
         AttentionCostPolicy::Dense => "dense",
-        AttentionCostPolicy::PageSparseDecode(_) => "page_sparse",
-        AttentionCostPolicy::HierarchicalPrefill(_) => "hierarchical",
+        AttentionCostPolicy::PageSparseDecode => "page_sparse",
+        AttentionCostPolicy::HierarchicalPrefill => "hierarchical",
     }
 }
 

@@ -100,14 +100,17 @@ impl MemoryBudget {
     }
 }
 
+/// Fraction of host DRAM *not* available to the KV swap tier.
+pub(crate) const HOST_RESERVED_FRACTION: f64 = 0.5;
+
 /// Host-DRAM budget of one node, sizing the swap tier that evicted KV cache
 /// spills into.
 ///
 /// Production inference servers pair each 8-GPU node with 1–2 TB of DRAM;
-/// only part of it is available for KV swap (the rest holds the OS, weights
+/// only half of it is available for KV swap (the rest holds the OS, weights
 /// staged for loading, and pinned transfer buffers). The budget mirrors
-/// [`MemoryBudget`]: total bytes, a reserved fraction, and the per-token KV
-/// footprint, yielding a whole-token host slot capacity.
+/// [`MemoryBudget`]: total bytes and the per-token KV footprint, yielding a
+/// whole-token host slot capacity.
 ///
 /// # Examples
 ///
@@ -115,15 +118,13 @@ impl MemoryBudget {
 /// use loong_cluster::memory::HostMemoryBudget;
 ///
 /// // 1 TiB of DRAM, half reserved, 512 KiB of KV per token.
-/// let budget = HostMemoryBudget::new(1024.0 * 1024.0 * 1024.0 * 1024.0, 0.5, 524_288.0);
+/// let budget = HostMemoryBudget::new(1024.0 * 1024.0 * 1024.0 * 1024.0, 524_288.0);
 /// assert_eq!(budget.kv_slot_capacity(), 1_048_576);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostMemoryBudget {
     /// Total host DRAM in bytes.
     pub total_bytes: f64,
-    /// Fraction of DRAM *not* available to the KV swap tier.
-    pub reserved_fraction: f64,
     /// Bytes of key-value cache stored per token (whole-model footprint:
     /// a swapped token leaves every GPU shard).
     pub kv_bytes_per_token: f64,
@@ -134,16 +135,12 @@ impl HostMemoryBudget {
     ///
     /// # Panics
     ///
-    /// Panics if `total_bytes` is not positive/finite, `reserved_fraction`
-    /// is outside `[0, 1)`, or `kv_bytes_per_token` is not positive.
-    pub fn new(total_bytes: f64, reserved_fraction: f64, kv_bytes_per_token: f64) -> Self {
+    /// Panics if `total_bytes` is not positive/finite or
+    /// `kv_bytes_per_token` is not positive.
+    pub fn new(total_bytes: f64, kv_bytes_per_token: f64) -> Self {
         assert!(
             total_bytes > 0.0 && total_bytes.is_finite(),
             "host memory must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&reserved_fraction),
-            "reserved fraction must be in [0, 1), got {reserved_fraction}"
         );
         assert!(
             kv_bytes_per_token > 0.0,
@@ -151,14 +148,13 @@ impl HostMemoryBudget {
         );
         HostMemoryBudget {
             total_bytes,
-            reserved_fraction,
             kv_bytes_per_token,
         }
     }
 
     /// Bytes available to the host KV swap pool.
     pub fn kv_pool_bytes(&self) -> f64 {
-        self.total_bytes * (1.0 - self.reserved_fraction)
+        self.total_bytes * (1.0 - HOST_RESERVED_FRACTION)
     }
 
     /// Number of whole token slots the host swap pool can hold.
@@ -204,15 +200,9 @@ mod tests {
         // 1 TiB of DRAM against 80 GiB of HBM: even with half the DRAM
         // reserved, the swap tier holds several device pools' worth of KV.
         let device = example_budget();
-        let host = HostMemoryBudget::new(1024.0 * GIB, 0.5, device.kv_bytes_per_token);
+        let host = HostMemoryBudget::new(1024.0 * GIB, device.kv_bytes_per_token);
         assert!(host.kv_slot_capacity() > 4 * device.kv_slot_capacity());
         assert!((host.kv_pool_bytes() - 512.0 * GIB).abs() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved fraction")]
-    fn host_budget_rejects_full_reservation() {
-        let _ = HostMemoryBudget::new(1024.0 * GIB, 1.0, 1.0);
     }
 
     #[test]

@@ -95,17 +95,12 @@ pub struct HostSwapConfig {
 }
 
 impl HostSwapConfig {
-    /// Sizes the tier from the cluster's per-node DRAM: total host memory
-    /// across nodes, minus the reserved fraction, divided by the model's
-    /// whole-footprint KV bytes per token.
-    pub fn from_cluster(
-        cluster: &ClusterSpec,
-        model: &ModelConfig,
-        reserved_fraction: f64,
-    ) -> Self {
+    /// Sizes the tier from the cluster's per-node DRAM: half the total host
+    /// memory across nodes (see [`HostMemoryBudget`]), divided by the
+    /// model's whole-footprint KV bytes per token.
+    pub fn from_cluster(cluster: &ClusterSpec, model: &ModelConfig) -> Self {
         let budget = HostMemoryBudget::new(
             cluster.host_memory_bytes * cluster.nodes as f64,
-            reserved_fraction,
             model.kv_bytes_per_token(),
         );
         HostSwapConfig {
@@ -449,8 +444,8 @@ impl Live {
         if let Some(host) = &config.host_swap {
             pool.enable_host_tier(host.capacity_tokens);
         }
-        if let Some(prefix) = &config.prefix_cache {
-            pool.enable_prefix_cache(*prefix);
+        if config.prefix_cache.is_some() {
+            pool.enable_prefix_cache();
         }
         Live {
             pool,
@@ -951,7 +946,6 @@ impl<S: Scheduler + ?Sized> ServingEngine<S> {
     pub fn new(config: EngineConfig, scheduler: Box<S>) -> Self {
         config.cluster.validate().expect("valid cluster");
         config.model.validate().expect("valid model");
-        config.attention.validate().expect("valid attention policy");
         let registry = InstanceRegistry::build(&config.cluster, config.tp);
         let cost_model = CostModel::builder(config.model.clone())
             .gpu(config.cluster.gpu.clone())
@@ -1737,7 +1731,6 @@ mod audit {
 mod tests {
     use super::*;
     use crate::systems::{SystemKind, SystemUnderTest};
-    use loong_model::attention::HierarchicalPrefill;
     use loong_sched::types::SchedulerView;
     use loong_workload::arrival::ArrivalProcess;
     use loong_workload::datasets::DatasetKind;
@@ -1894,16 +1887,5 @@ mod tests {
         let ob = b.run(&trace);
         assert_eq!(oa.records, ob.records);
         assert_eq!(oa.iterations, ob.iterations);
-    }
-
-    #[test]
-    #[should_panic(expected = "valid attention policy")]
-    fn invalid_attention_policy_is_rejected_at_construction() {
-        let attention = AttentionCostPolicy::HierarchicalPrefill(HierarchicalPrefill {
-            budget_tokens: 0,
-            ..HierarchicalPrefill::lserve()
-        });
-        let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
-        let _ = system.with_attention(attention).build_engine(None);
     }
 }

@@ -67,7 +67,7 @@
 use crate::elastic::{FleetScaleEvent, ShedRequest};
 use crate::engine::{RunOutcome, ServingEngine};
 use crate::reliability::FailedRequest;
-use crate::systems::{PressureMode, SystemKind, SystemUnderTest};
+use crate::systems::{SystemKind, SystemUnderTest};
 use loong_cluster::topology::ClusterSpec;
 use loong_kvcache::prefix::PrefixCacheConfig;
 use loong_metrics::cache::CacheStats;
@@ -80,6 +80,7 @@ use loong_metrics::slo::{class_slo, SloSpec};
 use loong_model::attention::AttentionCostPolicy;
 use loong_model::config::ModelConfig;
 use loong_sched::elastic::{AdmissionConfig, AdmissionController, Autoscaler, AutoscalerConfig};
+use loong_sched::pressure::PressureMode;
 use loong_sched::reliability::{
     healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
 };
@@ -545,14 +546,9 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Builds a fleet for the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero replicas or an invalid cluster.
+    /// Builds a fleet for the given configuration. [`FleetEngine::run`]
+    /// checks the configuration before its run starts.
     pub fn new(config: FleetConfig) -> Self {
-        assert!(config.replicas > 0, "a fleet needs at least one replica");
-        config.cluster.validate().expect("valid replica cluster");
         let router = config.policy.build();
         FleetEngine { config, router }
     }
@@ -1119,7 +1115,6 @@ fn map_slots<R: Send>(
 mod tests {
     use super::*;
     use crate::experiment::WorkloadSpec;
-    use loong_model::attention::PageSparseDecode;
     use loong_workload::datasets::DatasetKind;
 
     fn small_trace(count: usize, seed: u64) -> Trace {
@@ -1223,13 +1218,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one replica")]
     fn zero_replica_fleet_is_rejected() {
+        // Once panicked in `FleetEngine::new`.
         let config = FleetConfig {
             replicas: 0,
             ..FleetConfig::paper_fleet(SystemKind::LoongServe, 1, RouterPolicy::Passthrough)
         };
-        let _ = FleetEngine::new(config);
+        let stream = TraceStream::from_trace(small_trace(4, 1));
+        let err = FleetEngine::new(config)
+            .run(stream, &FleetPlan::fixed(0), None)
+            .expect_err("a fleet needs at least one replica");
+        assert_eq!(
+            err,
+            "replica bounds must satisfy 1 <= min <= max, got 0..=0"
+        );
+    }
+
+    #[test]
+    fn gpuless_nodes_are_rejected_before_the_run() {
+        // Once panicked in `FleetEngine::new`.
+        let err = run_edited(|c| c.cluster.gpus_per_node = 0).expect_err("no GPUs");
+        assert_eq!(err, "nodes must have at least one GPU");
     }
 
     #[test]
@@ -1276,19 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_prefix_cache_is_rejected_before_the_run() {
-        // Once panicked when the first replica engine was built.
-        let err = run_edited(|c| {
-            c.prefix_cache = Some(PrefixCacheConfig {
-                block_tokens: 0,
-                ..PrefixCacheConfig::default()
-            })
-        })
-        .expect_err("invalid prefix cache");
-        assert!(err.contains("block size must be positive"), "{err}");
-    }
-
-    #[test]
     fn tp_that_does_not_divide_the_node_is_rejected_before_the_run() {
         // LoongServe's TP=2 on a 1-GPU node once panicked building the
         // instance registry.
@@ -1307,18 +1303,5 @@ mod tests {
         })
         .expect_err("one instance cannot be split");
         assert!(err.contains("needs at least two instances, got 1"), "{err}");
-    }
-
-    #[test]
-    fn invalid_attention_policy_is_rejected_before_the_run() {
-        // Once ran to completion with zero-token pages.
-        let err = run_edited(|c| {
-            c.attention = AttentionCostPolicy::PageSparseDecode(PageSparseDecode {
-                page_tokens: 0,
-                ..PageSparseDecode::lserve()
-            })
-        })
-        .expect_err("invalid attention policy");
-        assert!(err.contains("page-sparse decode"), "{err}");
     }
 }

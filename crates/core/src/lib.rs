@@ -64,12 +64,13 @@ pub use experiment::{compare_systems, sweep_system, SweepConfig, SweepResult, Wo
 pub use fleet::{
     FleetConfig, FleetEngine, FleetFootprint, FleetOutcome, FleetPlan, FleetRun, ReplicaOutcome,
 };
+pub use loong_sched::pressure::PressureMode;
 pub use loong_trace::{
     perfetto_json, series_csv, InstantEvent, NoopSink, Span, SpanPhase, Terminal, TraceConfig,
     TraceLedger, TraceRecorder, TraceSink,
 };
 pub use reliability::FailedRequest;
-pub use systems::{PressureMode, SystemKind, SystemUnderTest};
+pub use systems::{SystemKind, SystemUnderTest};
 
 /// Convenient glob-import of the most commonly used types across the whole
 /// workspace.
@@ -88,7 +89,7 @@ pub mod prelude {
     };
     pub use crate::reliability::FailedRequest;
     pub use crate::report;
-    pub use crate::systems::{PressureMode, SystemKind, SystemUnderTest};
+    pub use crate::systems::{SystemKind, SystemUnderTest};
     pub use loong_cluster::prelude::*;
     pub use loong_esp::prelude::*;
     pub use loong_kvcache::prelude::*;

@@ -67,15 +67,6 @@ pub fn sweep_csv(results: &[SweepResult]) -> String {
     out
 }
 
-/// Renders a generic two-column series (e.g. iteration time vs. DoP) as CSV.
-pub fn series_csv(header: (&str, &str), rows: &[(String, f64)]) -> String {
-    let mut out = format!("{},{}\n", header.0, header.1);
-    for (key, value) in rows {
-        let _ = writeln!(out, "{},{:.9}", escape_csv(key), value);
-    }
-    out
-}
-
 /// Computes the throughput improvement of `system` over `baseline` at each
 /// system's best sustained rate — the "up to N×" headline numbers of §7.2.
 pub fn throughput_improvement(
@@ -187,8 +178,7 @@ mod tests {
 
     #[test]
     fn csv_escaping_handles_commas() {
-        let rows = vec![("a,b".to_string(), 1.0)];
-        let csv = series_csv(("k", "v"), &rows);
-        assert!(csv.contains("\"a,b\""));
+        let csv = sweep_csv(&[sweep("vLLM (TP=8), tuned \"hot\"", 400.0)]);
+        assert!(csv.contains("\n\"vLLM (TP=8), tuned \"\"hot\"\"\",test,"));
     }
 }

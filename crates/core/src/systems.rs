@@ -15,7 +15,7 @@ use loong_model::attention::AttentionCostPolicy;
 use loong_model::config::ModelConfig;
 use loong_sched::baselines::{BaselineScheduler, Layout};
 use loong_sched::manager::{LoongServeConfig, LoongServeScheduler};
-use loong_sched::pressure::PressureConfig;
+use loong_sched::pressure::PressureMode;
 use loong_sched::types::Scheduler;
 use loong_simcore::ids::InstanceId;
 use loong_simcore::time::SimDuration;
@@ -120,16 +120,12 @@ impl SystemKind {
         trace: Option<&Trace>,
         pressure: PressureMode,
     ) -> Result<Box<dyn Scheduler + Send>, String> {
-        let pressure = pressure.config();
         let layout = match self {
             SystemKind::LoongServe | SystemKind::LoongServeNoScaleUp => {
-                let mut scheduler = LoongServeScheduler::with_config(LoongServeConfig {
+                let scheduler = LoongServeScheduler::with_config(LoongServeConfig {
                     enable_scale_up: *self == SystemKind::LoongServe,
                 });
-                if let Some(config) = pressure {
-                    scheduler = scheduler.with_pressure(config);
-                }
-                return Ok(Box::new(scheduler));
+                return Ok(Box::new(scheduler.with_pressure(pressure)));
             }
             SystemKind::Vllm | SystemKind::Replicated => Layout::PerInstance,
             SystemKind::DeepSpeedMii => Layout::Chunked {
@@ -152,38 +148,7 @@ impl SystemKind {
             SystemKind::StaticHybrid => Layout::OneGroup,
         };
         let scheduler = BaselineScheduler::new(self.label(), layout);
-        Ok(Box::new(match pressure {
-            Some(config) => scheduler.with_pressure(config)?,
-            None => scheduler,
-        }))
-    }
-}
-
-/// How a system handles KV memory pressure.
-///
-/// `Off` is the pre-subsystem behaviour: conservative full-output
-/// reservation at admission, so the pool can never be exhausted and the
-/// golden digests stay bit-for-bit. The other two modes admit optimistically
-/// and trade memory under pressure — for compute (`Recompute`, the
-/// vLLM-style baseline) or for PCIe bandwidth (`SwapToHost`, which also
-/// enables the host-DRAM tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PressureMode {
-    /// No pressure handling (conservative admission; the default).
-    Off,
-    /// Preempt-and-recompute victims under pressure.
-    Recompute,
-    /// Swap victims to the host-DRAM tier and restore them later.
-    SwapToHost,
-}
-
-impl PressureMode {
-    fn config(&self) -> Option<PressureConfig> {
-        match self {
-            PressureMode::Off => None,
-            PressureMode::Recompute => Some(PressureConfig::recompute()),
-            PressureMode::SwapToHost => Some(PressureConfig::swap_to_host()),
-        }
+        Ok(Box::new(scheduler.with_pressure(pressure)?))
     }
 }
 
@@ -235,9 +200,9 @@ impl SystemUnderTest {
         self
     }
 
-    /// Enables the prefix-cache tier with the given configuration.
-    pub fn with_prefix_cache(mut self, config: PrefixCacheConfig) -> Self {
-        self.prefix_cache = Some(config);
+    /// Enables the prefix-cache tier.
+    pub fn with_prefix_cache(mut self) -> Self {
+        self.prefix_cache = Some(PrefixCacheConfig::default());
         self
     }
 
@@ -269,8 +234,8 @@ impl SystemUnderTest {
 
     /// Checks everything a run would otherwise panic on mid-way: the
     /// cluster, that the system's TP divides the GPUs per node, the model,
-    /// the attention policy, the prefix cache, and that the system has a
-    /// scheduler for its pressure mode on this cluster.
+    /// and that the system has a scheduler for its pressure mode on this
+    /// cluster.
     pub fn validate(&self) -> Result<(), String> {
         self.cluster.validate()?;
         let gpus = self.cluster.gpus_per_node;
@@ -282,10 +247,6 @@ impl SystemUnderTest {
             ));
         }
         self.model.validate()?;
-        self.attention.validate()?;
-        if let Some(prefix) = &self.prefix_cache {
-            prefix.validate()?;
-        }
         self.scheduler(None).map(drop)
     }
 
@@ -313,16 +274,9 @@ impl SystemUnderTest {
 
     /// The engine configuration this system runs with.
     pub fn engine_config(&self) -> EngineConfig {
-        // The host tier exists only under the swap mode; half the node's
-        // DRAM is assumed available for swapped KV.
-        let host_swap = match self.pressure {
-            PressureMode::SwapToHost => Some(HostSwapConfig::from_cluster(
-                &self.cluster,
-                &self.model,
-                0.5,
-            )),
-            _ => None,
-        };
+        // The host tier exists only under the swap mode.
+        let host_swap = (self.pressure == PressureMode::SwapToHost)
+            .then(|| HostSwapConfig::from_cluster(&self.cluster, &self.model));
         EngineConfig {
             cluster: self.cluster.clone(),
             tp: self.kind.tp(self.cluster.gpus_per_node),

@@ -294,7 +294,7 @@ mod tests {
         use loong_model::attention::AttentionCostPolicy;
         let (registry, dense_cm, pool) = setup();
         let sparse_cm = CostModel::builder(dense_cm.model().clone())
-            .attention(AttentionCostPolicy::page_sparse())
+            .attention(AttentionCostPolicy::PageSparseDecode)
             .build();
         let group = ids(&[0, 1, 2, 3]);
 

@@ -261,7 +261,7 @@ mod tests {
         use loong_model::attention::AttentionCostPolicy;
         let (registry, dense_cm, pool) = setup();
         let sparse_cm = CostModel::builder(dense_cm.model().clone())
-            .attention(AttentionCostPolicy::hierarchical())
+            .attention(AttentionCostPolicy::HierarchicalPrefill)
             .build();
         let run = |cm: &CostModel| {
             execute_prefill(

@@ -11,7 +11,7 @@
 //!   hold how many of each request's tokens; place/append/migrate/evict
 //!   operations and an optional host-DRAM swap tier (`swap_out`/`swap_in`),
 //! * [`host`] — the host-DRAM pool backing the swap tier,
-//! * [`prefix`] — the prefix-cache tier: a deterministic hash-chained
+//! * [`prefix`] — the prefix-cache tier: a deterministic per-conversation
 //!   prefix index over the unified pool with ref-counted retention of
 //!   completed requests' KV and atomic `match → adopt` reuse.
 //!

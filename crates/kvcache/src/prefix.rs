@@ -12,13 +12,11 @@
 //! with no copy and no free/alloc window — and only the uncached suffix is
 //! prefilled.
 //!
-//! The index is a hash-chained prefix map: each conversation's prompt
-//! stream is identified by a chain hash folded block-by-block
-//! ([`PrefixCacheConfig::block_tokens`] tokens per block), so a retained
-//! entry records both how many tokens it holds and the chain value that
-//! prefix must hash to. Because turns in a conversation grow strictly
-//! (turn *k+1*'s prompt extends turn *k*'s full context), a lookup either
-//! matches the whole entry or nothing.
+//! The index maps each conversation to its one retained entry, which
+//! records how many tokens of the conversation's prompt stream it holds.
+//! Because turns in a conversation grow strictly (turn *k+1*'s prompt
+//! extends turn *k*'s full context), a lookup either matches the whole
+//! entry or nothing.
 //!
 //! Retention is ref-counted by *waiters*: a pending request of conversation
 //! `c` pins `c`'s entry against watermark eviction until it either adopts
@@ -26,11 +24,10 @@
 //! retention time and runs under two triggers, both driven by the engine at
 //! scheduling points:
 //!
-//! * **watermark** — device utilisation above
-//!   [`PrefixCacheConfig::high_watermark`] evicts unpinned entries until it
-//!   drops back (the watermark sits below the memory-pressure subsystem's
-//!   low watermark, so retained prefixes never trip pressure eviction or
-//!   pause admission by themselves);
+//! * **watermark** — device utilisation above [`EVICTION_WATERMARK`]
+//!   evicts unpinned entries until it drops back (the watermark sits below
+//!   the memory-pressure subsystem's low watermark, so retained prefixes
+//!   never trip pressure eviction or pause admission by themselves);
 //! * **head-of-queue headroom** — if the FCFS-head pending request cannot
 //!   reserve its suffix + declared output, entries of *other* conversations
 //!   are evicted (unpinned first, then pinned) until it can. Evicting the
@@ -45,43 +42,18 @@ use loong_simcore::ids::{ConversationId, RequestId};
 use loong_simcore::time::SimTime;
 use std::collections::BTreeMap;
 
-/// Tunables of the prefix-cache tier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefixCacheConfig {
-    /// Device utilisation above which unpinned retained prefixes are
-    /// evicted (LRU by retention time). Kept below the memory-pressure
-    /// subsystem's low watermark (0.75) so retained KV never pauses
-    /// admission or triggers pressure eviction of *active* requests.
-    pub high_watermark: f64,
-    /// Block granularity of the prefix hash chain, in tokens. Purely an
-    /// index parameter — retention and adoption stay token-granular.
-    pub block_tokens: u64,
-}
+/// Device utilisation above which unpinned retained prefixes are evicted
+/// (LRU by retention time). Kept below the memory-pressure subsystem's low
+/// watermark (0.75) so retained KV never pauses admission or triggers
+/// pressure eviction of *active* requests.
+pub const EVICTION_WATERMARK: f64 = 0.70;
 
-impl Default for PrefixCacheConfig {
-    fn default() -> Self {
-        PrefixCacheConfig {
-            high_watermark: 0.70,
-            block_tokens: 64,
-        }
-    }
-}
-
-impl PrefixCacheConfig {
-    /// Validates the watermark range and block size.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0 < self.high_watermark && self.high_watermark <= 1.0) {
-            return Err(format!(
-                "prefix-cache watermark must be in (0, 1], got {}",
-                self.high_watermark
-            ));
-        }
-        if self.block_tokens == 0 {
-            return Err("prefix-cache block size must be positive".to_string());
-        }
-        Ok(())
-    }
-}
+/// The prefix-cache tier's switch: a run's
+/// `Some(PrefixCacheConfig::default())` turns the tier on. It has no
+/// tunables; the tier's one threshold is [`EVICTION_WATERMARK`].
+// Braced, not a unit struct, so that `default()` stays its one spelling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefixCacheConfig {}
 
 /// One retained prefix: the KV of a completed conversation turn, still
 /// resident in the device pool under the finished request's id.
@@ -91,8 +63,6 @@ pub struct PrefixEntry {
     pub owner: RequestId,
     /// Tokens retained (the turn's full prompt + generated context).
     pub tokens: u64,
-    /// Hash-chain value of the retained prefix blocks.
-    pub chain: u64,
     /// Simulated time the entry was retained — the LRU eviction key.
     pub retained_at: SimTime,
 }
@@ -113,10 +83,9 @@ pub struct PrefixDemand {
 /// Owned by [`crate::unified::UnifiedKvPool`] (the slots the entries name
 /// live there); this type carries the index, the waiter pins and the
 /// eviction policy. All maps are `BTreeMap`s so iteration — and therefore
-/// eviction order — is deterministic.
-#[derive(Debug, Clone, PartialEq)]
+/// eviction order — is deterministic. A new cache is empty.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrefixCache {
-    config: PrefixCacheConfig,
     entries: BTreeMap<ConversationId, PrefixEntry>,
     /// Pending requests per conversation that may still adopt its entry.
     waiters: BTreeMap<ConversationId, u32>,
@@ -125,26 +94,6 @@ pub struct PrefixCache {
 }
 
 impl PrefixCache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config fails validation.
-    pub fn new(config: PrefixCacheConfig) -> Self {
-        config.validate().expect("valid prefix-cache config");
-        PrefixCache {
-            config,
-            entries: BTreeMap::new(),
-            waiters: BTreeMap::new(),
-            retained_tokens: 0,
-        }
-    }
-
-    /// The cache configuration.
-    pub fn config(&self) -> PrefixCacheConfig {
-        self.config
-    }
-
     /// Number of retained entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -170,36 +119,13 @@ impl PrefixCache {
         self.entries.iter().map(|(&c, e)| (c, e))
     }
 
-    /// The hash-chain value identifying the first `tokens` tokens of
-    /// `conversation`'s prompt stream: an FNV-1a fold over complete blocks
-    /// plus the trailing partial-block length. Retention computes it once;
-    /// lookups recompute it and compare, so a corrupted index (an entry
-    /// whose length no longer names a real prefix of the stream) can never
-    /// be silently adopted.
-    pub fn chain_hash(&self, conversation: ConversationId, tokens: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ conversation.raw();
-        let blocks = tokens / self.config.block_tokens;
-        for b in 0..blocks {
-            h ^= b.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^ (tokens % self.config.block_tokens)
-    }
-
     /// Tokens a prompt of `prompt_len` tokens in `conversation` can reuse:
     /// the whole retained entry when it is a *strict* prefix of the prompt
     /// (at least one token must remain to prefill, so the prefill still
     /// produces the first output token), zero otherwise.
     pub fn match_len(&self, conversation: ConversationId, prompt_len: u64) -> u64 {
         match self.entries.get(&conversation) {
-            Some(e) if e.tokens < prompt_len => {
-                debug_assert_eq!(
-                    e.chain,
-                    self.chain_hash(conversation, e.tokens),
-                    "prefix chain mismatch for {conversation}"
-                );
-                e.tokens
-            }
+            Some(e) if e.tokens < prompt_len => e.tokens,
             _ => 0,
         }
     }
@@ -241,13 +167,11 @@ impl PrefixCache {
         tokens: u64,
         now: SimTime,
     ) -> Option<PrefixEntry> {
-        let chain = self.chain_hash(conversation, tokens);
         let old = self.entries.insert(
             conversation,
             PrefixEntry {
                 owner,
                 tokens,
-                chain,
                 retained_at: now,
             },
         );
@@ -295,16 +219,13 @@ impl PrefixCache {
     }
 
     /// Checks index invariants that do not need the pool: positive entry
-    /// sizes, a consistent running token sum, chain hashes that re-derive,
-    /// and no zero-count waiter entries.
+    /// sizes, a consistent running token sum, and no zero-count waiter
+    /// entries.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut sum = 0u64;
         for (&conv, entry) in &self.entries {
             if entry.tokens == 0 {
                 return Err(format!("prefix entry for {conv} retains zero tokens"));
-            }
-            if entry.chain != self.chain_hash(conv, entry.tokens) {
-                return Err(format!("prefix entry for {conv} fails its chain hash"));
             }
             sum += entry.tokens;
         }
@@ -326,7 +247,7 @@ mod tests {
     use super::*;
 
     fn cache() -> PrefixCache {
-        PrefixCache::new(PrefixCacheConfig::default())
+        PrefixCache::default()
     }
 
     #[test]
@@ -362,15 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_hash_distinguishes_conversations_and_lengths() {
-        let c = cache();
-        let a = c.chain_hash(ConversationId(1), 640);
-        assert_ne!(a, c.chain_hash(ConversationId(2), 640));
-        assert_ne!(a, c.chain_hash(ConversationId(1), 641));
-        assert_eq!(a, c.chain_hash(ConversationId(1), 640));
-    }
-
-    #[test]
     fn waiters_pin_entries_against_eviction() {
         let mut c = cache();
         c.insert(ConversationId(0), RequestId(0), 10, SimTime::from_secs(2.0));
@@ -402,28 +314,5 @@ mod tests {
     fn unbalanced_waiter_drop_panics() {
         let mut c = cache();
         c.waiter_drop(ConversationId(5));
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_values() {
-        assert!(PrefixCacheConfig {
-            high_watermark: 0.0,
-            block_tokens: 64
-        }
-        .validate()
-        .is_err());
-        assert!(PrefixCacheConfig {
-            high_watermark: 1.5,
-            block_tokens: 64
-        }
-        .validate()
-        .is_err());
-        assert!(PrefixCacheConfig {
-            high_watermark: 0.7,
-            block_tokens: 0
-        }
-        .validate()
-        .is_err());
-        assert!(PrefixCacheConfig::default().validate().is_ok());
     }
 }

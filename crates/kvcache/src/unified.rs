@@ -11,7 +11,7 @@
 use crate::host::HostKvPool;
 use crate::placement::{plan_placement, PlacementStrategy};
 use crate::pool::{InstanceKvPool, KvError};
-use crate::prefix::{PrefixCache, PrefixCacheConfig, PrefixDemand};
+use crate::prefix::{PrefixCache, PrefixDemand, EVICTION_WATERMARK};
 use loong_simcore::ids::{ConversationId, InstanceId, RequestId};
 use loong_simcore::time::SimTime;
 use std::collections::VecDeque;
@@ -552,10 +552,10 @@ impl UnifiedKvPool {
     ///
     /// # Panics
     ///
-    /// Panics if the tier is already enabled or the config is invalid.
-    pub fn enable_prefix_cache(&mut self, config: PrefixCacheConfig) {
+    /// Panics if the tier is already enabled.
+    pub fn enable_prefix_cache(&mut self) {
         assert!(self.prefix.is_none(), "prefix cache enabled twice");
-        self.prefix = Some(PrefixCache::new(config));
+        self.prefix = Some(PrefixCache::default());
     }
 
     /// The prefix cache, if enabled.
@@ -656,20 +656,20 @@ impl UnifiedKvPool {
     }
 
     /// Runs the prefix-cache eviction policy for one scheduling point:
-    /// watermark eviction of unpinned entries down to the configured device
-    /// utilisation, then head-of-queue headroom eviction (unpinned first,
-    /// then pinned; the head's own conversation is never a victim — the
-    /// tokens it would free equal the extra tokens the head would then have
-    /// to prefill). Victims' slots are released. Returns `(entries, tokens)`
-    /// evicted; `(0, 0)` always when the tier is disabled.
+    /// watermark eviction of unpinned entries down to
+    /// [`EVICTION_WATERMARK`] device utilisation, then head-of-queue
+    /// headroom eviction (unpinned first, then pinned; the head's own
+    /// conversation is never a victim — the tokens it would free equal the
+    /// extra tokens the head would then have to prefill). Victims' slots are
+    /// released. Returns `(entries, tokens)` evicted; `(0, 0)` always when
+    /// the tier is disabled.
     pub fn prefix_evict_point(&mut self, head: Option<PrefixDemand>) -> (u64, u64) {
-        let Some(cache) = &self.prefix else {
+        if self.prefix.is_none() {
             return (0, 0);
-        };
-        let watermark = cache.config().high_watermark;
+        }
         let mut entries = 0u64;
         let mut tokens = 0u64;
-        while self.device_utilization() > watermark {
+        while self.device_utilization() > EVICTION_WATERMARK {
             let Some(victim) = self
                 .prefix
                 .as_ref()
@@ -810,7 +810,6 @@ impl UnifiedKvPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefix::PrefixCacheConfig;
 
     fn pool() -> UnifiedKvPool {
         UnifiedKvPool::with_capacities(&[100_000, 200_000, 400_000])
@@ -1068,7 +1067,7 @@ mod tests {
     #[test]
     fn prefix_retain_adopt_roundtrip_renames_slots_in_place() {
         let mut p = pool();
-        p.enable_prefix_cache(PrefixCacheConfig::default());
+        p.enable_prefix_cache();
         let conv = ConversationId(9);
         // Turn 0 finishes with 30k tokens spread over two instances.
         p.append(RequestId(0), InstanceId(0), 20_000).expect("room");
@@ -1103,7 +1102,7 @@ mod tests {
     #[test]
     fn prefix_retain_replaces_and_releases_the_old_entry() {
         let mut p = UnifiedKvPool::with_capacities(&[1_000]);
-        p.enable_prefix_cache(PrefixCacheConfig::default());
+        p.enable_prefix_cache();
         let conv = ConversationId(1);
         p.append(RequestId(0), InstanceId(0), 100).expect("room");
         p.prefix_retain(RequestId(0), conv, SimTime::from_secs(1.0));
@@ -1139,51 +1138,51 @@ mod tests {
     #[test]
     fn prefix_watermark_eviction_is_lru_and_respects_pins() {
         let mut p = UnifiedKvPool::with_capacities(&[1_000]);
-        p.enable_prefix_cache(PrefixCacheConfig {
-            high_watermark: 0.5,
-            block_tokens: 64,
-        });
-        for (i, at) in [(0u64, 3.0), (1u64, 1.0), (2u64, 2.0)] {
-            p.append(RequestId(i), InstanceId(0), 300).expect("room");
+        p.enable_prefix_cache();
+        for (i, at) in [(0u64, 5.0), (1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)] {
+            p.append(RequestId(i), InstanceId(0), 200).expect("room");
             p.prefix_retain(RequestId(i), ConversationId(i), SimTime::from_secs(at));
         }
-        // Pin the LRU entry (conversation 1): the watermark pass must skip
-        // it and take conversation 2, then 0, stopping at 50% utilisation.
+        // A full pool. Pin the LRU entry (conversation 1): the watermark
+        // pass must skip it and take conversations 2 and 3, the next least
+        // recently retained, stopping at 60%, the first level under the
+        // 70% watermark.
         p.prefix_waiter_add(ConversationId(1));
         let (entries, tokens) = p.prefix_evict_point(None);
-        assert_eq!((entries, tokens), (2, 600));
+        assert_eq!((entries, tokens), (2, 400));
         assert!(
             p.prefix_match_len(ConversationId(1), 1_000) > 0,
             "pinned survives"
         );
         assert_eq!(p.prefix_match_len(ConversationId(2), 1_000), 0);
+        assert_eq!(p.prefix_match_len(ConversationId(3), 1_000), 0);
+        assert!(p.prefix_match_len(ConversationId(4), 1_000) > 0);
         assert!(p.check_invariants().is_ok());
     }
 
     #[test]
     fn prefix_headroom_eviction_frees_for_the_queue_head() {
         let mut p = UnifiedKvPool::with_capacities(&[1_000]);
-        p.enable_prefix_cache(PrefixCacheConfig {
-            high_watermark: 1.0,
-            block_tokens: 64,
-        });
-        for (i, at) in [(0u64, 2.0), (1u64, 1.0)] {
-            p.append(RequestId(i), InstanceId(0), 400).expect("room");
+        p.enable_prefix_cache();
+        for (i, tokens, at) in [(0u64, 400, 2.0), (1, 250, 1.0)] {
+            p.append(RequestId(i), InstanceId(0), tokens).expect("room");
             p.prefix_retain(RequestId(i), ConversationId(i), SimTime::from_secs(at));
         }
-        // The head adopts its own 400-token entry, so its demand is the
-        // 50-token suffix plus a 300-slot output reserve = 350 > 200 free.
-        // Conversation 1's entry must go even though it is pinned —
-        // headroom eviction may take pinned entries once unpinned ones run
-        // out — while conversation 0 is protected as the head's own.
+        // At 65% the pool sits under the watermark, so only headroom
+        // eviction runs. The head adopts its own 400-token entry, so its
+        // demand is the 50-token suffix plus a 400-slot output reserve =
+        // 450 > 350 free. Conversation 1's entry must go even though it is
+        // pinned — headroom eviction may take pinned entries once unpinned
+        // ones run out — while conversation 0 is protected as the head's
+        // own.
         p.prefix_waiter_add(ConversationId(1));
         let (entries, tokens) = p.prefix_evict_point(Some(PrefixDemand {
             conversation: Some(ConversationId(0)),
             remaining_input: 450,
-            reserve_output: 300,
+            reserve_output: 400,
         }));
-        assert_eq!((entries, tokens), (1, 400));
-        assert!(p.total_free() >= 350);
+        assert_eq!((entries, tokens), (1, 250));
+        assert!(p.total_free() >= 450);
         assert!(
             p.prefix_match_len(ConversationId(0), 450) > 0,
             "the head's own entry is never evicted"
@@ -1194,7 +1193,7 @@ mod tests {
     #[test]
     fn prefix_match_requires_strictly_longer_prompt() {
         let mut p = UnifiedKvPool::with_capacities(&[1_000]);
-        p.enable_prefix_cache(PrefixCacheConfig::default());
+        p.enable_prefix_cache();
         p.append(RequestId(0), InstanceId(0), 200).expect("room");
         p.prefix_retain(RequestId(0), ConversationId(0), SimTime::ZERO);
         assert_eq!(p.prefix_match_len(ConversationId(0), 200), 0);
@@ -1334,7 +1333,7 @@ mod tests {
     #[test]
     fn prefix_adopt_moves_an_entry_to_a_higher_id() {
         let mut p = pool();
-        p.enable_prefix_cache(PrefixCacheConfig::default());
+        p.enable_prefix_cache();
         let conv = ConversationId(4);
         p.append(RequestId(1), InstanceId(2), 10).expect("room");
         p.append(RequestId(2), InstanceId(0), 300).expect("room");

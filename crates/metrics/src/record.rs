@@ -37,11 +37,6 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
-    /// End-to-end latency from arrival to the last token.
-    pub fn end_to_end_latency(&self) -> f64 {
-        self.finish.saturating_since(self.arrival).as_secs()
-    }
-
     /// Queueing delay from arrival until the prefill phase started.
     pub fn queueing_delay(&self) -> f64 {
         self.prefill_start.saturating_since(self.arrival).as_secs()
@@ -123,7 +118,6 @@ mod tests {
     #[test]
     fn latencies_derive_from_timestamps() {
         let r = record();
-        assert_eq!(r.end_to_end_latency(), 8.0);
         assert_eq!(r.queueing_delay(), 1.0);
         assert_eq!(r.input_latency(), 3.0);
         assert_eq!(r.output_latency(), 5.0);

@@ -19,7 +19,7 @@ use loong_cluster::gpu::{GpuSpec, LinkSpec};
 /// use loong_model::prelude::*;
 ///
 /// let cm = CostModel::builder(ModelConfig::lwm_1m_text())
-///     .attention(AttentionCostPolicy::page_sparse())
+///     .attention(AttentionCostPolicy::PageSparseDecode)
 ///     .build();
 /// assert_eq!(cm.attention().label(), "page-sparse-decode");
 /// ```
@@ -82,7 +82,7 @@ mod tests {
         gpu.per_layer_overhead_s *= 2.0;
         let cm = CostModel::builder(ModelConfig::llama2_7b())
             .gpu(gpu.clone())
-            .attention(AttentionCostPolicy::hierarchical())
+            .attention(AttentionCostPolicy::HierarchicalPrefill)
             .build();
         assert_eq!(cm.gpu(), &gpu);
         assert_eq!(cm.attention().label(), "hierarchical-prefill");

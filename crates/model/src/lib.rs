@@ -42,7 +42,7 @@ pub mod roofline;
 pub mod sib;
 
 pub use analytical::{AnalyticalModel, BatchFeatures};
-pub use attention::{AttentionCostPolicy, HierarchicalPrefill, PageSparseDecode};
+pub use attention::AttentionCostPolicy;
 pub use builder::CostModelBuilder;
 pub use config::ModelConfig;
 pub use roofline::{CostModel, IterationCost, ParallelConfig};
@@ -51,7 +51,7 @@ pub use sib::ScalingInfoBase;
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
     pub use crate::analytical::{AnalyticalModel, BatchFeatures};
-    pub use crate::attention::{AttentionCostPolicy, HierarchicalPrefill, PageSparseDecode};
+    pub use crate::attention::AttentionCostPolicy;
     pub use crate::builder::CostModelBuilder;
     pub use crate::config::ModelConfig;
     pub use crate::roofline::{CostModel, IterationCost, ParallelConfig};

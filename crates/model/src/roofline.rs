@@ -592,7 +592,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::PageSparseDecode;
+    use crate::attention::DECODE_TOKEN_BUDGET;
 
     fn model() -> CostModel {
         CostModel::new(ModelConfig::lwm_1m_text())
@@ -833,7 +833,7 @@ mod tests {
         // The headline LServe effect: with page-sparse decode, decode cost
         // saturates at the token budget instead of growing linearly.
         let dense = model();
-        let sparse = model_with(AttentionCostPolicy::page_sparse());
+        let sparse = model_with(AttentionCostPolicy::PageSparseDecode);
         let p = ParallelConfig::new(2, 4);
         let d100k = dense.decode_cost(&[100_000], p, 1, nvlink()).total();
         let s100k = sparse.decode_cost(&[100_000], p, 1, nvlink()).total();
@@ -849,7 +849,7 @@ mod tests {
     #[test]
     fn hierarchical_prefill_cheapens_long_prompts() {
         let dense = model();
-        let sparse = model_with(AttentionCostPolicy::hierarchical());
+        let sparse = model_with(AttentionCostPolicy::HierarchicalPrefill);
         let p = ParallelConfig::new(8, 1);
         let d = dense.prefill_cost(&[500_000], p, nvlink()).total();
         let s = sparse.prefill_cost(&[500_000], p, nvlink()).total();
@@ -921,8 +921,8 @@ mod tests {
         // threshold is *flat* in context beyond the budget (for LWM's MHA
         // KV the capped read still exceeds the marginal GEMM time at TP2,
         // so both sides are None — the point is they are equal).
-        let sparse = model_with(AttentionCostPolicy::page_sparse());
-        let budget = PageSparseDecode::lserve().token_budget() as u64;
+        let sparse = model_with(AttentionCostPolicy::PageSparseDecode);
+        let budget = DECODE_TOKEN_BUDGET as u64;
         assert_eq!(
             sparse.decode_compute_bound_batch_size_at_context(2, budget),
             sparse.decode_compute_bound_batch_size_at_context(2, 1_000_000)
@@ -941,7 +941,7 @@ mod tests {
             at500k < at0,
             "dense saturation should shrink: {at500k} vs {at0}"
         );
-        let sparse = model_with(AttentionCostPolicy::hierarchical());
+        let sparse = model_with(AttentionCostPolicy::HierarchicalPrefill);
         let sparse500k = sparse.prefill_saturation_tokens_at_context(p, 500_000);
         assert!(
             sparse500k >= at500k,

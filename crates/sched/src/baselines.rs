@@ -36,7 +36,10 @@
 //!   group of fixed degree, isolating the contribution of elasticity from
 //!   that of sequence parallelism itself.
 
-use crate::pressure::{admission_reserve, pressure_actions_with_rescue, PressureConfig};
+use crate::pressure::{
+    admission_budget, admission_paused, admission_reserve, pressure_actions_with_rescue,
+    PressureMode, HIGH_WATERMARK, LOW_WATERMARK, OUTPUT_RESERVE_FACTOR,
+};
 use crate::types::{Action, PendingRequest, Scheduler, SchedulerView};
 use loong_model::roofline::ParallelConfig;
 use loong_simcore::ids::{InstanceId, RequestId};
@@ -114,10 +117,10 @@ pub struct BaselineScheduler {
     /// and chunked layouts (sticky routing, so a request is not bounced
     /// between instances while it waits).
     routing: HashMap<RequestId, InstanceId>,
-    /// Memory-pressure handling. `None` (the default) keeps the
+    /// Memory-pressure handling. `Off` (the default) keeps the
     /// conservative full-output reservation and never emits pressure
     /// actions — the golden-pinned behaviour.
-    pressure: Option<PressureConfig>,
+    pressure: PressureMode,
 }
 
 impl BaselineScheduler {
@@ -134,21 +137,21 @@ impl BaselineScheduler {
             name: name.into(),
             layout,
             routing: HashMap::new(),
-            pressure: None,
+            pressure: PressureMode::Off,
         }
     }
 
-    /// Enables memory-pressure handling: optimistic admission per the
-    /// config's reserve factor, watermark-driven victim eviction, and (for
-    /// the swap policy) re-admission from the host tier. Errs, naming the
-    /// baseline, for every layout but [`Layout::PerInstance`], and when the
-    /// config fails validation.
-    pub fn with_pressure(mut self, config: PressureConfig) -> Result<Self, String> {
-        if self.layout != Layout::PerInstance {
+    /// Sets the memory-pressure handling. Any mode but
+    /// [`PressureMode::Off`] means optimistic admission (the prompt plus
+    /// one slot, none of the output bound), watermark-driven victim
+    /// eviction, and (for the swap policy) re-admission from the host
+    /// tier. Errs, naming the baseline, when such a mode is asked of
+    /// any layout but [`Layout::PerInstance`].
+    pub fn with_pressure(mut self, pressure: PressureMode) -> Result<Self, String> {
+        if pressure != PressureMode::Off && self.layout != Layout::PerInstance {
             return Err(format!("{} has no pressure-aware scheduler", self.name));
         }
-        config.validate()?;
-        self.pressure = Some(config);
+        self.pressure = pressure;
         Ok(self)
     }
 }
@@ -306,7 +309,7 @@ fn most_free(
 fn per_instance(
     view: &SchedulerView<'_>,
     routing: &mut HashMap<RequestId, InstanceId>,
-    pressure: Option<PressureConfig>,
+    pressure: PressureMode,
     actions: &mut Vec<Action>,
 ) {
     // Memory-pressure handling (when enabled): evict victims above the
@@ -314,10 +317,11 @@ fn per_instance(
     // pause new admissions while pressured. With the tier disabled this
     // whole block is skipped and scheduling is bit-for-bit the
     // golden-pinned baseline.
+    let pressured = pressure != PressureMode::Off;
     let mut admit = true;
     let mut budget_left = u64::MAX;
-    if let Some(cfg) = pressure {
-        let mut pa = pressure_actions_with_rescue(view, &cfg);
+    if pressured {
+        let mut pa = pressure_actions_with_rescue(view, pressure);
         // Strict locality: a restored KV cache must land whole on one
         // instance (this layout decodes each request on the single
         // instance holding its KV), so rewrite the generic multi-target
@@ -336,15 +340,15 @@ fn per_instance(
             let target = most_free(view, |inst, free| {
                 let pool_i = view.pool.instance(inst);
                 let used = pool_i.used() - view.pool.prefix_retained_on(inst);
-                let head = (cfg.high_watermark * pool_i.capacity() as f64).floor() as u64;
+                let head = (HIGH_WATERMARK * pool_i.capacity() as f64).floor() as u64;
                 free >= tokens && (used + tokens <= head || used == 0)
             });
             *targets = target.into_iter().collect();
             target.is_some()
         });
         actions.extend(pa);
-        admit = !cfg.admission_paused(view);
-        budget_left = cfg.admission_budget(view);
+        admit = !admission_paused(view);
+        budget_left = admission_budget(view);
     }
 
     // Route pending requests and gather per-instance prefill batches:
@@ -353,26 +357,25 @@ fn per_instance(
     let mut batches: BTreeMap<InstanceId, (u64, u64, Vec<RequestId>)> = BTreeMap::new();
     for req in view.pending.iter().take_while(|_| admit) {
         // KV slots reserved at admission: the full declared output without
-        // pressure handling, the configured optimistic reservation with it.
-        let needed = match &pressure {
-            None => req.input_len + req.max_output_len,
-            Some(cfg) => {
-                admission_reserve(req.input_len, req.max_output_len, cfg.output_reserve_factor)
-            }
+        // pressure handling, the optimistic reservation with it.
+        let needed = if pressured {
+            admission_reserve(req.input_len, req.max_output_len, OUTPUT_RESERVE_FACTOR)
+        } else {
+            req.input_len + req.max_output_len
         };
         // Stick with a previous routing decision, else pick the instance
         // with the most free KV slots. Under pressure handling routing is
         // recomputed every round instead: a sticky assignment made while a
         // replica was emptiest can pin a request to a replica that
         // pressure later filled, starving it while other replicas drain.
-        let sticky = routing.get(&req.id).filter(|_| pressure.is_none());
+        let sticky = routing.get(&req.id).filter(|_| !pressured);
         let Some(inst) = sticky
             .copied()
             .or_else(|| most_free(view, |_, free| free >= needed))
         else {
             continue;
         };
-        if pressure.is_none() {
+        if !pressured {
             routing.insert(req.id, inst);
         }
         if !view.idle_instances.contains(&inst) {
@@ -386,12 +389,11 @@ fn per_instance(
         let pool_i = view.pool.instance(inst);
         let reclaimable = view.pool.prefix_retained_on(inst);
         let (budget, tokens, batch) = batches.entry(inst).or_insert_with(|| {
-            let budget = match &pressure {
-                None => pool_i.free() + reclaimable,
-                Some(cfg) => {
-                    let target = (cfg.low_watermark * pool_i.capacity() as f64).floor() as u64;
-                    target.saturating_sub(pool_i.used() - reclaimable)
-                }
+            let budget = if pressured {
+                let target = (LOW_WATERMARK * pool_i.capacity() as f64).floor() as u64;
+                target.saturating_sub(pool_i.used() - reclaimable)
+            } else {
+                pool_i.free() + reclaimable
             };
             (budget, 0, Vec::new())
         });
@@ -428,7 +430,7 @@ fn per_instance(
         // fits, rather than emitting a batch whose plan fails wholesale
         // and advances nobody. (Pressure off keeps the full batch:
         // conservative reservation guarantees the slots.)
-        if pressure.is_some() {
+        if pressured {
             let free = view.pool.instance(inst).free() + view.pool.prefix_retained_on(inst);
             requests.truncate(free as usize);
         }
@@ -782,7 +784,7 @@ mod distserve {
 mod independent {
     mod tests {
         use crate::baselines::fixture::*;
-        use crate::pressure::PressureConfig;
+        use crate::pressure::PressureMode;
         use loong_kvcache::unified::UnifiedKvPool;
 
         #[test]
@@ -867,7 +869,7 @@ mod independent {
             let mut v = f.view();
             v.swapped = &swapped;
             let mut s = BaselineScheduler::new("replicated", Layout::PerInstance)
-                .with_pressure(PressureConfig::swap_to_host())
+                .with_pressure(PressureMode::SwapToHost)
                 .expect("the per-instance layout handles pressure");
             let actions = s.schedule(&v);
             assert!(
@@ -1053,7 +1055,7 @@ mod static_hybrid {
 #[cfg(test)]
 mod tests {
     use super::fixture::*;
-    use crate::pressure::PressureConfig;
+    use crate::pressure::PressureMode;
 
     #[test]
     fn reject_reasons_name_each_layouts_placement_domain() {
@@ -1092,7 +1094,7 @@ mod tests {
     #[test]
     fn only_the_per_instance_layout_handles_pressure() {
         let with =
-            |layout| BaselineScheduler::new("b", layout).with_pressure(PressureConfig::recompute());
+            |layout| BaselineScheduler::new("b", layout).with_pressure(PressureMode::Recompute);
         assert!(with(Layout::PerInstance).is_ok());
         let split = Layout::disaggregated(&[InstanceId(0), InstanceId(1)]).expect("two instances");
         for layout in [
@@ -1101,15 +1103,12 @@ mod tests {
             Layout::OneGroup,
         ] {
             assert_eq!(
-                with(layout).err().as_deref(),
+                with(layout.clone()).err().as_deref(),
                 Some("b has no pressure-aware scheduler")
             );
+            // Without pressure handling every layout builds.
+            let off = BaselineScheduler::new("b", layout).with_pressure(PressureMode::Off);
+            assert!(off.is_ok());
         }
-        let invalid = PressureConfig {
-            low_watermark: 0.95,
-            ..PressureConfig::recompute()
-        };
-        let per_instance = BaselineScheduler::new("b", Layout::PerInstance);
-        assert!(per_instance.with_pressure(invalid).is_err());
     }
 }

@@ -13,7 +13,8 @@
 //!   engines (vLLM-style static tensor parallelism, replicated instances),
 //!   chunked prefill (DeepSpeed-MII / LightLLM SplitFuse), DistServe-style
 //!   prefill–decode disaggregation, and one static TP×SP group,
-//! * [`pressure`] — memory-pressure policies: watermark-driven victim
+//! * [`pressure`] — the [`PressureMode`] a system runs under and its
+//!   memory-pressure policies: watermark-driven victim
 //!   selection (preempt-and-recompute vs swap-to-host) and re-admission,
 //! * [`router`] — the fleet tier's cluster router: one [`Router`] type over
 //!   five deterministic policies (round-robin, join-shortest-queue,
@@ -41,7 +42,7 @@
 //!     "DeepSpeed-MII",
 //!     Layout::Chunked { chunk_tokens: Layout::DEFAULT_CHUNK_TOKENS },
 //! );
-//! assert!(mii.with_pressure(PressureConfig::recompute()).is_err());
+//! assert!(mii.with_pressure(PressureMode::Recompute).is_err());
 //! ```
 
 #![warn(missing_docs)]
@@ -61,9 +62,7 @@ pub use elastic::{
     FleetSignals, ScaleDecision, ShedReason,
 };
 pub use manager::{LoongServeConfig, LoongServeScheduler};
-pub use pressure::{
-    pressure_actions, pressure_actions_with_rescue, PressureConfig, PressurePolicy,
-};
+pub use pressure::{pressure_actions, pressure_actions_with_rescue, PressureMode};
 pub use reliability::{healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy};
 pub use router::{all_replicas, FleetLoadTracker, ReplicaLoad, RouteRequest, Router, RouterPolicy};
 pub use types::{
@@ -79,9 +78,7 @@ pub mod prelude {
         FleetSignals, ScaleDecision, ShedReason,
     };
     pub use crate::manager::{LoongServeConfig, LoongServeScheduler};
-    pub use crate::pressure::{
-        pressure_actions, pressure_actions_with_rescue, PressureConfig, PressurePolicy,
-    };
+    pub use crate::pressure::{pressure_actions, pressure_actions_with_rescue, PressureMode};
     pub use crate::reliability::{
         healthy_candidates, CircuitBreaker, CircuitBreakerConfig, RetryPolicy,
     };

@@ -11,7 +11,10 @@ pub mod dispatch;
 pub mod scaling;
 
 use crate::baselines::reject_oversized;
-use crate::pressure::{admission_reserve, pressure_actions, PressureConfig};
+use crate::pressure::{
+    admission_budget, admission_paused, admission_reserve, pressure_actions, PressureMode,
+    OUTPUT_RESERVE_FACTOR,
+};
 use crate::types::{
     Action, DecodeRepeat, ScalingEvent, ScalingEventKind, Scheduler, SchedulerView,
 };
@@ -39,10 +42,10 @@ impl Default for LoongServeConfig {
 pub struct LoongServeScheduler {
     config: LoongServeConfig,
     events: Vec<ScalingEvent>,
-    /// Memory-pressure handling. `None` (the default) keeps the
+    /// Memory-pressure handling. `Off` (the default) keeps the
     /// conservative full-output reservation in dispatching and never emits
     /// pressure actions — the golden-pinned behaviour.
-    pressure: Option<PressureConfig>,
+    pressure: PressureMode,
     /// Step 4b's input, rebuilt every call: the idle instances no prefill
     /// or drain claimed.
     available: Vec<InstanceId>,
@@ -60,23 +63,19 @@ impl LoongServeScheduler {
         LoongServeScheduler {
             config,
             events: Vec::new(),
-            pressure: None,
+            pressure: PressureMode::Off,
             available: Vec::new(),
             decode_planner: scaling::DecodeGroupPlanner::default(),
         }
     }
 
-    /// Enables memory-pressure handling: the dispatcher reserves only the
-    /// configured fraction of each declared output bound (optimistic
-    /// admission), victims are evicted per the config's policy above the
-    /// high watermark, and swapped requests re-admit below the low one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config fails validation.
-    pub fn with_pressure(mut self, pressure: PressureConfig) -> Self {
-        pressure.validate().expect("valid pressure config");
-        self.pressure = Some(pressure);
+    /// Sets the memory-pressure handling. Any mode but
+    /// [`PressureMode::Off`] makes the dispatcher reserve the prompt plus
+    /// one slot instead of each declared output bound (optimistic
+    /// admission), evicts victims per the mode's policy above the high
+    /// watermark, and re-admits swapped requests below the low one.
+    pub fn with_pressure(mut self, pressure: PressureMode) -> Self {
+        self.pressure = pressure;
         self
     }
 
@@ -110,13 +109,13 @@ impl Scheduler for LoongServeScheduler {
         // block is skipped and scheduling is bit-for-bit the golden-pinned
         // manager.
         let mut reserve_factor = 1.0;
-        let mut admission_budget = u64::MAX;
+        let mut budget = u64::MAX;
         let mut admit = true;
-        if let Some(cfg) = self.pressure {
-            actions.extend(pressure_actions(view, &cfg));
-            reserve_factor = cfg.output_reserve_factor;
-            admission_budget = cfg.admission_budget(view);
-            admit = !cfg.admission_paused(view);
+        if self.pressure != PressureMode::Off {
+            actions.extend(pressure_actions(view, self.pressure));
+            reserve_factor = OUTPUT_RESERVE_FACTOR;
+            budget = admission_budget(view);
+            admit = !admission_paused(view);
             // An empty pool admits at least the FCFS head on physical
             // capacity alone: the watermark budget would otherwise starve
             // any request larger than the low-watermark band forever.
@@ -124,7 +123,7 @@ impl Scheduler for LoongServeScheduler {
             // do not block the bypass.
             if view.pool.active_used() == 0 {
                 if let Some(head) = view.pending.first() {
-                    admission_budget = admission_budget.max(admission_reserve(
+                    budget = budget.max(admission_reserve(
                         head.input_len,
                         head.max_output_len,
                         reserve_factor,
@@ -138,7 +137,7 @@ impl Scheduler for LoongServeScheduler {
         // allocation drains no instance, batching forms no batch and no
         // batch scales down. Skipping them is exact.
         let claimed = if admit && !view.pending.is_empty() {
-            self.place_prefills(view, reserve_factor, admission_budget, &mut actions)
+            self.place_prefills(view, reserve_factor, budget, &mut actions)
         } else {
             Vec::new()
         };
@@ -179,7 +178,7 @@ impl Scheduler for LoongServeScheduler {
     /// cover, so a manager with it never certifies; without it nothing is
     /// ever swapped.
     fn certify_repeat(&self, repeat: &DecodeRepeat<'_>, masters: &mut Vec<InstanceId>) -> bool {
-        self.pressure.is_none()
+        self.pressure == PressureMode::Off
             && scaling::plans_repeat(repeat, self.config.enable_scale_up, masters)
     }
 
@@ -595,12 +594,10 @@ mod tests {
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut seen = std::collections::BTreeSet::new();
         for enable_scale_up in [true, false] {
-            for pressure in [None, Some(PressureConfig::recompute())] {
+            for pressure in [PressureMode::Off, PressureMode::Recompute] {
                 let mut sched =
-                    LoongServeScheduler::with_config(LoongServeConfig { enable_scale_up });
-                if let Some(pressure) = pressure {
-                    sched = sched.with_pressure(pressure);
-                }
+                    LoongServeScheduler::with_config(LoongServeConfig { enable_scale_up })
+                        .with_pressure(pressure);
                 for _ in 0..250 {
                     let mut f = random_fixture(&mut rng);
                     f.sib = sib.clone();
@@ -712,10 +709,10 @@ mod tests {
         // the group offered newest first or shuffled.
         let threshold = fixture().cost_model.decode_compute_bound_batch_size(2);
         let configs = [
-            (true, None),
-            (false, None),
-            (true, Some(PressureConfig::recompute())),
-            (false, Some(PressureConfig::swap_to_host())),
+            (true, PressureMode::Off),
+            (false, PressureMode::Off),
+            (true, PressureMode::Recompute),
+            (false, PressureMode::SwapToHost),
         ];
         let mut rng = SimRng::seed(0x5e9ea7);
         let mut certified = [0; 4];
@@ -745,10 +742,8 @@ mod tests {
             };
             for (k, &(enable_scale_up, pressure)) in configs.iter().enumerate() {
                 let mut sched =
-                    LoongServeScheduler::with_config(LoongServeConfig { enable_scale_up });
-                if let Some(pressure) = pressure {
-                    sched = sched.with_pressure(pressure);
-                }
+                    LoongServeScheduler::with_config(LoongServeConfig { enable_scale_up })
+                        .with_pressure(pressure);
                 // Whatever the buffer held is overwritten.
                 let mut masters = vec![InstanceId(7)];
                 if !sched.certify_repeat(&repeat, &mut masters) {

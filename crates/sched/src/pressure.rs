@@ -7,13 +7,13 @@
 //! something else — vLLM-style engines preempt a victim and *recompute* its
 //! KV later, while a system with a host tier *swaps* the victim's KV to DRAM
 //! over PCIe and restores it without recompute. This module implements both
-//! policies behind one [`PressureConfig`]:
+//! policies behind one [`PressureMode`]:
 //!
-//! * **Watermarks.** When device utilisation exceeds `high_watermark`, the
-//!   policy evicts victims until projected utilisation drops to
-//!   `low_watermark`; admission of new prefills pauses while above the high
-//!   mark. When utilisation falls below the low mark, swapped requests are
-//!   re-admitted one per scheduling point.
+//! * **Watermarks.** When device utilisation exceeds `HIGH_WATERMARK`
+//!   (0.90), the policy evicts victims until projected utilisation drops to
+//!   `LOW_WATERMARK` (0.75); admission of new prefills pauses while above
+//!   the low mark. When utilisation falls below the low mark, swapped
+//!   requests are re-admitted one per scheduling point.
 //! * **Victim selection** is deterministic and admission-rank-ordered: the
 //!   decode-ready list is walked from the *newest* admission backwards
 //!   (vLLM's preemption order), and the oldest decode-ready request is never
@@ -28,109 +28,76 @@
 
 use crate::types::{Action, SchedulerView};
 
-/// What to do with a victim's KV cache under pressure.
+/// How a system handles KV memory pressure.
+///
+/// `Off` is the pre-subsystem behaviour: conservative full-output
+/// reservation at admission, so the pool can never be exhausted and the
+/// golden digests stay bit-for-bit. The other two modes admit optimistically
+/// and trade memory under pressure — for compute (`Recompute`, the
+/// vLLM-style baseline) or for PCIe bandwidth (`SwapToHost`, which also
+/// enables the host-DRAM tier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PressurePolicy {
-    /// Discard the KV and recompute the request from its prompt later (the
-    /// vLLM-style baseline behaviour, paper §7).
+pub enum PressureMode {
+    /// No pressure handling (conservative admission; the default).
+    Off,
+    /// Discard a victim's KV and recompute the request from its prompt
+    /// later (the vLLM-style baseline behaviour, paper §7).
     Recompute,
-    /// Park the KV on the host-DRAM tier and restore it once pressure
-    /// clears (no recompute; pays PCIe transfer time instead).
+    /// Park a victim's KV on the host-DRAM tier and restore it once
+    /// pressure clears (no recompute; pays PCIe transfer time instead).
     SwapToHost,
 }
 
-/// Tunables of the memory-pressure subsystem.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PressureConfig {
-    /// The victim policy.
-    pub policy: PressurePolicy,
-    /// Device utilisation above which victims are evicted and admission
-    /// pauses.
-    pub high_watermark: f64,
-    /// Eviction frees down to this utilisation; swapped requests re-admit
-    /// below it.
-    pub low_watermark: f64,
-    /// Fraction of a request's declared output bound reserved at admission.
-    /// `1.0` reproduces the conservative no-pressure reservation; `0.0` is
-    /// fully optimistic admission (prompt plus one token), which is what
-    /// makes pressure reachable in the first place.
-    pub output_reserve_factor: f64,
+/// Device utilisation above which victims are evicted.
+pub(crate) const HIGH_WATERMARK: f64 = 0.90;
+
+/// Utilisation eviction frees down to, at which admission pauses, and below
+/// which swapped requests re-admit. The band up to [`HIGH_WATERMARK`] is
+/// decode-growth headroom.
+pub(crate) const LOW_WATERMARK: f64 = 0.75;
+
+/// Fraction of a request's declared output bound reserved at admission
+/// under pressure handling: none, so admission is fully optimistic (prompt
+/// plus one token), which is what makes pressure reachable in the first
+/// place. [`PressureMode::Off`] reserves the whole bound instead.
+pub(crate) const OUTPUT_RESERVE_FACTOR: f64 = 0.0;
+
+// The orderings the policy relies on, checked at compile time: eviction
+// starts above the band admission stops at, and the prefix tier's
+// watermark sits below both, so retained KV never pauses admission or
+// evicts an active request by itself.
+const _: () = assert!(0.0 < LOW_WATERMARK && LOW_WATERMARK <= HIGH_WATERMARK);
+const _: () = assert!(HIGH_WATERMARK <= 1.0);
+const _: () = assert!(loong_kvcache::prefix::EVICTION_WATERMARK < LOW_WATERMARK);
+
+/// Returns true if admission of new prefills should pause: utilisation
+/// at or above the *low* watermark. Admission stopping a band below
+/// eviction is what gives resident decoders growth headroom — pausing
+/// only at the high mark would let every admission round refill the
+/// pool to the eviction threshold and thrash.
+pub(crate) fn admission_paused(view: &SchedulerView<'_>) -> bool {
+    view.kv_utilization() >= LOW_WATERMARK
 }
 
-impl PressureConfig {
-    /// The preempt-and-recompute policy with default watermarks (90% high,
-    /// 75% low) and fully optimistic admission.
-    pub fn recompute() -> Self {
-        PressureConfig {
-            policy: PressurePolicy::Recompute,
-            high_watermark: 0.90,
-            low_watermark: 0.75,
-            output_reserve_factor: 0.0,
-        }
-    }
-
-    /// The swap-to-host policy with default watermarks and fully optimistic
-    /// admission.
-    pub fn swap_to_host() -> Self {
-        PressureConfig {
-            policy: PressurePolicy::SwapToHost,
-            high_watermark: 0.90,
-            low_watermark: 0.75,
-            output_reserve_factor: 0.0,
-        }
-    }
-
-    /// Validates the watermark ordering and ranges.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0 < self.low_watermark && self.low_watermark <= self.high_watermark) {
-            return Err(format!(
-                "watermarks must satisfy 0 < low <= high, got low={} high={}",
-                self.low_watermark, self.high_watermark
-            ));
-        }
-        if self.high_watermark > 1.0 {
-            return Err(format!(
-                "high watermark must be <= 1, got {}",
-                self.high_watermark
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.output_reserve_factor) {
-            return Err(format!(
-                "output reserve factor must be in [0, 1], got {}",
-                self.output_reserve_factor
-            ));
-        }
-        Ok(())
-    }
-
-    /// Returns true if admission of new prefills should pause: utilisation
-    /// at or above the *low* watermark. Admission stopping a band below
-    /// eviction is what gives resident decoders growth headroom — pausing
-    /// only at the high mark would let every admission round refill the
-    /// pool to the eviction threshold and thrash.
-    pub fn admission_paused(&self, view: &SchedulerView<'_>) -> bool {
-        view.kv_utilization() >= self.low_watermark
-    }
-
-    /// KV slots one admission round may commit: enough to bring utilisation
-    /// up to the low watermark and no further. Without this cap a single
-    /// prefill round fills the whole free pool, overshooting the eviction
-    /// threshold in one step and thrashing its own admissions back out.
-    pub fn admission_budget(&self, view: &SchedulerView<'_>) -> u64 {
-        let capacity = view.pool.total_capacity();
-        let target = (self.low_watermark * capacity as f64).floor() as u64;
-        // Active used only: retained prefixes are reclaimable, so they
-        // must not consume admission headroom (see
-        // [`SchedulerView::kv_utilization`]).
-        target.saturating_sub(view.pool.active_used())
-    }
+/// KV slots one admission round may commit: enough to bring utilisation
+/// up to the low watermark and no further. Without this cap a single
+/// prefill round fills the whole free pool, overshooting the eviction
+/// threshold in one step and thrashing its own admissions back out.
+pub(crate) fn admission_budget(view: &SchedulerView<'_>) -> u64 {
+    let capacity = view.pool.total_capacity();
+    let target = (LOW_WATERMARK * capacity as f64).floor() as u64;
+    // Active used only: retained prefixes are reclaimable, so they
+    // must not consume admission headroom (see
+    // [`SchedulerView::kv_utilization`]).
+    target.saturating_sub(view.pool.active_used())
 }
 
 /// KV slots to reserve at admission for a pending request: the prompt,
 /// `output_reserve_factor` of the declared output bound, and at least one
 /// slot for the first generated token. At factor 1.0 no admitted request
-/// can be forced out by its own decode growth (§5.1); below it, eviction
-/// becomes the pressure policies' problem.
+/// can be forced out by its own decode growth (§5.1); below it (pressure
+/// handling reserves none of the output bound), eviction becomes the
+/// pressure policies' problem.
 pub fn admission_reserve(input_len: u64, max_output_len: u64, output_reserve_factor: f64) -> u64 {
     let output = (max_output_len as f64 * output_reserve_factor).ceil() as u64;
     input_len + output.max(1)
@@ -140,14 +107,15 @@ pub fn admission_reserve(input_len: u64, max_output_len: u64, output_reserve_fac
 /// evictions while above the high watermark, one swap-in re-admission while
 /// below the low watermark. Returns an empty list whenever utilisation sits
 /// between the watermarks (or no eligible victim/returnee exists), so an
-/// unpressured run emits no actions at all.
+/// unpressured run emits no actions at all. `mode` picks the victim
+/// policy; schedulers under [`PressureMode::Off`] never call this.
 ///
 /// Suitable for schedulers over the *unified* pool, whose decode can route
 /// around a single full instance; locality-constrained schedulers (the
 /// independent baselines) should use
 /// [`pressure_actions_with_rescue`] instead.
-pub fn pressure_actions(view: &SchedulerView<'_>, config: &PressureConfig) -> Vec<Action> {
-    pressure_actions_impl(view, config, false)
+pub fn pressure_actions(view: &SchedulerView<'_>, mode: PressureMode) -> Vec<Action> {
+    pressure_actions_impl(view, mode, false)
 }
 
 /// Like [`pressure_actions`], plus the full-instance stall rescue needed by
@@ -157,16 +125,13 @@ pub fn pressure_actions(view: &SchedulerView<'_>, config: &PressureConfig) -> Ve
 /// watermarks (skewed growth across per-instance pools). For each full
 /// instance the newest decode-ready resident is evicted; the globally
 /// oldest request stays exempt so the progress argument holds.
-pub fn pressure_actions_with_rescue(
-    view: &SchedulerView<'_>,
-    config: &PressureConfig,
-) -> Vec<Action> {
-    pressure_actions_impl(view, config, true)
+pub fn pressure_actions_with_rescue(view: &SchedulerView<'_>, mode: PressureMode) -> Vec<Action> {
+    pressure_actions_impl(view, mode, true)
 }
 
 fn pressure_actions_impl(
     view: &SchedulerView<'_>,
-    config: &PressureConfig,
+    mode: PressureMode,
     rescue: bool,
 ) -> Vec<Action> {
     let capacity = view.pool.total_capacity();
@@ -181,14 +146,14 @@ fn pressure_actions_impl(
     let mut actions = Vec::new();
     let mut victims: Vec<loong_simcore::ids::RequestId> = Vec::new();
     let mut host_free = view.host_free_slots();
-    // Evicts one victim per the configured policy, falling back from swap
-    // to preemption when the host tier cannot take it.
+    // Evicts one victim per the mode's policy, falling back from swap to
+    // preemption when the host tier cannot take it.
     let evict = |d: &crate::types::DecodingRequest,
                  tokens: u64,
                  host_free: &mut u64,
                  actions: &mut Vec<Action>| {
-        match config.policy {
-            PressurePolicy::SwapToHost if tokens <= *host_free => {
+        match mode {
+            PressureMode::SwapToHost if tokens <= *host_free => {
                 *host_free -= tokens;
                 actions.push(Action::SwapOut { request: d.id });
             }
@@ -198,11 +163,11 @@ fn pressure_actions_impl(
         }
     };
 
-    if utilization > config.high_watermark {
+    if utilization > HIGH_WATERMARK {
         // Evict newest-first down to the low watermark, exempting the
         // oldest decode-ready request (index 0) so the run always makes
         // progress.
-        let target_used = (config.low_watermark * capacity as f64).floor() as u64;
+        let target_used = (LOW_WATERMARK * capacity as f64).floor() as u64;
         let mut need = used.saturating_sub(target_used);
         for d in view.decoding.iter().skip(1).rev() {
             if need == 0 {
@@ -244,12 +209,12 @@ fn pressure_actions_impl(
         }
     }
 
-    if actions.is_empty() && utilization < config.low_watermark {
+    if actions.is_empty() && utilization < LOW_WATERMARK {
         // Re-admit the oldest swapped request, one per scheduling point,
         // when it fits below the high watermark (or unconditionally into an
         // empty pool, so oversized requests can always return eventually).
         if let Some(&request) = view.swapped.first() {
-            let head_used = (config.high_watermark * capacity as f64).floor() as u64;
+            let head_used = (HIGH_WATERMARK * capacity as f64).floor() as u64;
             if used + view.pool.swapped_tokens_of(request) <= head_used || used == 0 {
                 actions.push(Action::SwapIn {
                     request,
@@ -334,16 +299,14 @@ mod tests {
     fn no_actions_between_watermarks() {
         let mut f = fixture(1_000, Some(10_000));
         load(&mut f, 8, 400); // 3200 of 4000: 80%, between 75% and 90%
-        let cfg = PressureConfig::swap_to_host();
-        assert!(pressure_actions(&view(&f), &cfg).is_empty());
+        assert!(pressure_actions(&view(&f), PressureMode::SwapToHost).is_empty());
     }
 
     #[test]
     fn eviction_is_newest_first_and_exempts_the_oldest() {
         let mut f = fixture(1_000, None);
         load(&mut f, 8, 470); // 3760 of 4000: 94%
-        let cfg = PressureConfig::recompute();
-        let actions = pressure_actions(&view(&f), &cfg);
+        let actions = pressure_actions(&view(&f), PressureMode::Recompute);
         // 94% -> 75% target frees 760 tokens = 2 victims (ceil), chosen
         // newest-first: requests 7, 6.
         let victims: Vec<RequestId> = actions
@@ -360,8 +323,7 @@ mod tests {
     fn swap_policy_swaps_until_host_full_then_preempts() {
         let mut f = fixture(1_000, Some(500)); // host holds one victim only
         load(&mut f, 8, 470);
-        let cfg = PressureConfig::swap_to_host();
-        let actions = pressure_actions(&view(&f), &cfg);
+        let actions = pressure_actions(&view(&f), PressureMode::SwapToHost);
         assert!(matches!(
             actions[0],
             Action::SwapOut {
@@ -390,8 +352,7 @@ mod tests {
             generated: 1,
             decode_time_s: 0.0,
         });
-        let cfg = PressureConfig::recompute();
-        assert!(pressure_actions(&view(&f), &cfg).is_empty());
+        assert!(pressure_actions(&view(&f), PressureMode::Recompute).is_empty());
     }
 
     #[test]
@@ -406,8 +367,8 @@ mod tests {
         f.decoding.retain(|d| d.id != RequestId(0));
         // Admission order: 0 first, then 5.
         f.swapped = vec![RequestId(0), RequestId(5)];
-        let cfg = PressureConfig::swap_to_host();
-        let actions = pressure_actions(&view(&f), &cfg);
+        let swap = PressureMode::SwapToHost;
+        let actions = pressure_actions(&view(&f), swap);
         assert_eq!(actions.len(), 1, "one re-admission per scheduling point");
         assert!(matches!(
             &actions[0],
@@ -427,7 +388,7 @@ mod tests {
                 .expect("room");
         }
         g.swapped = vec![RequestId(7)];
-        assert!(pressure_actions(&view(&g), &cfg).is_empty());
+        assert!(pressure_actions(&view(&g), swap).is_empty());
     }
 
     #[test]
@@ -449,8 +410,8 @@ mod tests {
                 decode_time_s: 0.0,
             });
         }
-        let cfg = PressureConfig::recompute();
-        let actions = pressure_actions_with_rescue(&view(&f), &cfg);
+        let recompute = PressureMode::Recompute;
+        let actions = pressure_actions_with_rescue(&view(&f), recompute);
         // Newest resident of the full instance 0 is request 1; request 0
         // (the globally oldest) stays exempt.
         assert_eq!(
@@ -464,23 +425,13 @@ mod tests {
         // rescue-free variant never fires on full instances at all.
         let mut g = fixture(1_000, None);
         load(&mut g, 3, 300);
-        assert!(pressure_actions_with_rescue(&view(&g), &cfg).is_empty());
-        assert!(pressure_actions(&view(&f), &cfg).is_empty());
+        assert!(pressure_actions_with_rescue(&view(&g), recompute).is_empty());
+        assert!(pressure_actions(&view(&f), recompute).is_empty());
     }
 
     #[test]
     fn config_validation_and_reserve() {
-        assert!(PressureConfig::recompute().validate().is_ok());
-        assert!(PressureConfig::swap_to_host().validate().is_ok());
-        let mut bad = PressureConfig::recompute();
-        bad.low_watermark = 0.95;
-        assert!(bad.validate().is_err());
-        bad = PressureConfig::recompute();
-        bad.high_watermark = 1.5;
-        assert!(bad.validate().is_err());
-
-        let factor = PressureConfig::recompute().output_reserve_factor;
-        assert_eq!(admission_reserve(100, 64, factor), 101);
+        assert_eq!(admission_reserve(100, 64, OUTPUT_RESERVE_FACTOR), 101);
         assert_eq!(admission_reserve(100, 64, 0.5), 132);
         assert_eq!(admission_reserve(100, 64, 1.0), 164);
     }

@@ -52,11 +52,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the instant as milliseconds since simulation start.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the duration elapsed since `earlier`, saturating at zero if
     /// `earlier` is actually later than `self`.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {

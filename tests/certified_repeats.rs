@@ -191,10 +191,7 @@ fn certified_repeats_change_no_outcome() {
         (tight(LoongServeNoScaleUp), &mixed),
         (SystemUnderTest::paper_two_node(LoongServe), &mixed),
         (node(LoongServe), &multi_turn),
-        (
-            node(LoongServe).with_prefix_cache(PrefixCacheConfig::default()),
-            &multi_turn,
-        ),
+        (node(LoongServe).with_prefix_cache(), &multi_turn),
         (
             node(LoongServe)
                 .with_kv_capacity(6_000)

@@ -194,7 +194,7 @@ impl Scenario {
         match self {
             Scenario::ShareGpt | Scenario::Mixed => node,
             Scenario::MixedTight => node.with_kv_capacity(100_000),
-            Scenario::MultiTurnPrefix => node.with_prefix_cache(PrefixCacheConfig::default()),
+            Scenario::MultiTurnPrefix => node.with_prefix_cache(),
             Scenario::Pressured(mode) => node.with_kv_capacity(6_000).with_pressure(mode),
             Scenario::TwoNodeMixed => SystemUnderTest::paper_two_node(kind),
         }

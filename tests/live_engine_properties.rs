@@ -137,7 +137,7 @@ proptest! {
             &mut SimRng::seed(seed),
         );
         let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe)
-            .with_prefix_cache(PrefixCacheConfig::default());
+            .with_prefix_cache();
         check_split(&system, &trace, &picks);
     }
 }

@@ -57,7 +57,7 @@ fn multi_turn_trace(conversations: usize, rate: f64, seed: u64) -> Trace {
 fn run_system(kind: SystemKind, trace: &Trace, cache: bool) -> RunOutcome {
     let mut system = SystemUnderTest::paper_single_node(kind);
     if cache {
-        system = system.with_prefix_cache(PrefixCacheConfig::default());
+        system = system.with_prefix_cache();
     }
     system.build_engine(Some(trace)).run(trace)
 }
@@ -182,7 +182,7 @@ proptest! {
         let trace = multi_turn_trace(conversations, 1.0, seed);
         let mode = if recompute_sel == 1 { PressureMode::Recompute } else { PressureMode::SwapToHost };
         let outcome = SystemUnderTest::paper_single_node(SystemKind::LoongServe)
-            .with_prefix_cache(PrefixCacheConfig::default())
+            .with_prefix_cache()
             .with_pressure(mode)
             // ~2% of the real budget: decode growth crosses the pressure
             // watermarks and retention competes with admission.

@@ -160,16 +160,12 @@ fn overload_runs_are_deterministic() {
 
 #[test]
 fn armed_but_unpressured_engine_is_bit_for_bit_the_plain_engine() {
-    // A pressure config with the conservative (factor 1.0) reservation and
-    // ample capacity never crosses a watermark, so the armed engine must
-    // reproduce the plain engine's outcome exactly — the strongest form of
-    // the zero-cost-when-disabled invariant (the disabled case itself is
-    // pinned by tests/determinism_golden.rs).
+    // The swap-to-host manager, with its optimistic reservation and the
+    // host tier enabled, never crosses a watermark on ample capacity, so
+    // the armed engine must reproduce the plain engine's outcome exactly —
+    // the strongest form of the zero-cost-when-disabled invariant (the
+    // disabled case itself is pinned by tests/determinism_golden.rs).
     let trace = WorkloadSpec::Dataset(DatasetKind::ShareGpt).generate(6.0, 60, 97);
-    let conservative = PressureConfig {
-        output_reserve_factor: 1.0,
-        ..PressureConfig::swap_to_host()
-    };
     let build_armed = || {
         let system = SystemUnderTest::paper_single_node(SystemKind::LoongServe);
         let tp = SystemKind::LoongServe.tp(system.cluster.gpus_per_node);
@@ -181,17 +177,13 @@ fn armed_but_unpressured_engine_is_bit_for_bit_the_plain_engine() {
             sib_noise: 0.01,
             seed: system.seed,
             max_sim_time: None,
-            host_swap: Some(HostSwapConfig::from_cluster(
-                &system.cluster,
-                &system.model,
-                0.5,
-            )),
+            host_swap: Some(HostSwapConfig::from_cluster(&system.cluster, &system.model)),
             kv_capacity_override: None,
             prefix_cache: None,
             attention: system.attention,
         };
-        let scheduler = Box::new(LoongServeScheduler::new().with_pressure(conservative));
-        ServingEngine::new(config, scheduler)
+        let scheduler = LoongServeScheduler::new().with_pressure(PressureMode::SwapToHost);
+        ServingEngine::new(config, Box::new(scheduler))
     };
     let armed = build_armed().run(&trace);
     let plain = SystemUnderTest::paper_single_node(SystemKind::LoongServe)

@@ -129,10 +129,10 @@ fn cost_models() -> (CostModel, Vec<CostModel>) {
     let dense = CostModel::builder(ModelConfig::lwm_1m_text()).build();
     let sparse = vec![
         CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(AttentionCostPolicy::page_sparse())
+            .attention(AttentionCostPolicy::PageSparseDecode)
             .build(),
         CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(AttentionCostPolicy::hierarchical())
+            .attention(AttentionCostPolicy::HierarchicalPrefill)
             .build(),
     ];
     (dense, sparse)
@@ -188,7 +188,7 @@ proptest! {
         sp_idx in 0usize..3,
     ) {
         let cm = CostModel::builder(ModelConfig::lwm_1m_text())
-            .attention(AttentionCostPolicy::page_sparse())
+            .attention(AttentionCostPolicy::PageSparseDecode)
             .build();
         let parallel = ParallelConfig::new(2, [1, 2, 4][sp_idx]);
         let link = LinkSpec::nvlink_a800();
@@ -245,8 +245,8 @@ proptest! {
         policy_idx in 0usize..2,
     ) {
         let policy = [
-            AttentionCostPolicy::page_sparse(),
-            AttentionCostPolicy::hierarchical(),
+            AttentionCostPolicy::PageSparseDecode,
+            AttentionCostPolicy::HierarchicalPrefill,
         ][policy_idx];
         let trace = sharegpt_trace(6.0, count, seed);
         let run = || {
@@ -269,7 +269,7 @@ fn sparse_policies_change_behaviour_when_contexts_are_long() {
     // run must diverge from dense (cheaper decode iterations change
     // timestamps and scheduling decisions).
     let dense = digest_with_policy(&LOONGSERVE_MIXED, AttentionCostPolicy::Dense);
-    let sparse = digest_with_policy(&LOONGSERVE_MIXED, AttentionCostPolicy::page_sparse());
+    let sparse = digest_with_policy(&LOONGSERVE_MIXED, AttentionCostPolicy::PageSparseDecode);
     assert_ne!(
         dense, sparse,
         "page-sparse decode should alter long-context runs"
